@@ -11,8 +11,8 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .arrangement import (Arrangement, Flat, IntersectionLattice, build_lattice,
-                          closure, essentialize, irreducible_decomposition)
+from .arrangement import (DEFAULT_MAX_FLATS, Arrangement, Flat, IntersectionLattice,
+                          build_lattice, closure, essentialize, irreducible_decomposition)
 from .errors import InternalInconsistencyError, RefusalError
 from .linalg import LinearForm, Subspace, subspace_from_forms, subspace_sum
 
@@ -43,12 +43,16 @@ class Refutation:
 
 @dataclass
 class SupersolvabilityCertificate:
+    """The verdict with its evidence; ``modular_by_rank`` lists the modular
+    flats of every rank the search scanned (for a rank-2 lattice, its top)."""
+
     verdict: bool
     arrangement: Arrangement
     lattice: IntersectionLattice
     essentialized: bool
     chain: list[Flat] | None = None
     refutation: Refutation | None = None
+    modular_by_rank: dict[int, list[Flat]] = field(default_factory=dict)
 
 
 @dataclass
@@ -117,42 +121,44 @@ def _hyperplane_flat(lattice: IntersectionLattice, support_bit_holder: Flat) -> 
 
 
 def is_supersolvable(arr: Arrangement, lattice: IntersectionLattice | None = None,
-                     max_flats: int | None = None, threads: int = 1
+                     max_flats: int = DEFAULT_MAX_FLATS, threads: int = 1
                      ) -> SupersolvabilityCertificate:
     """Search for a maximal chain of modular flats with ranks 0..r(A).
 
     Non-essential input is essentialized first (recorded on the certificate).
     The full space, the center, and the rank-1 flats are always modular, so
     only the interior ranks are scanned; the scan stops at the first rank
-    with no modular flat, which already refutes.
+    with no modular flat, which already refutes.  Each scanned rank's
+    modular flats stay on the certificate.
     """
     ess = essentialize(arr)
     essentialized = ess.ambient != arr.ambient
     if essentialized or lattice is None:
-        kwargs = {} if max_flats is None else {"max_flats": max_flats}
-        lattice = build_lattice(ess, threads=threads, **kwargs)
+        lattice = build_lattice(ess, max_flats=max_flats, threads=threads)
     r = lattice.rank()
     bottom = lattice.bottom()
     if r == 0:
         return SupersolvabilityCertificate(True, ess, lattice, essentialized, [bottom])
     top = lattice.top()
+    modular_by_rank: dict[int, list[Flat]] = {}
     if r <= 2:
         chain = [bottom, lattice.levels[1][0]]
         if r == 2:
             chain.append(top)
-        return SupersolvabilityCertificate(True, ess, lattice, essentialized, chain)
+            modular_by_rank[2] = [top]
+        return SupersolvabilityCertificate(True, ess, lattice, essentialized, chain,
+                                           modular_by_rank=modular_by_rank)
 
-    modular_by_rank: dict[int, list[Flat]] = {}
     counts: dict[int, int] = {0: 1, 1: len(lattice.levels[1]), r: 1}
     for k in range(2, r):
         verdicts = modular_flats_of_rank(ess, lattice, k, threads=threads)
         mods = [v.flat for v in verdicts if v.modular]
         counts[k] = len(mods)
+        modular_by_rank[k] = mods
         if not mods:
             refutation = Refutation("empty-rank", rank=k, witnesses=verdicts)
             return SupersolvabilityCertificate(False, ess, lattice, essentialized,
-                                               None, refutation)
-        modular_by_rank[k] = mods
+                                               None, refutation, modular_by_rank)
 
     # Depth-first chain search through the interior modular flats; a chain
     # X2 < X3 < ... < X_{r-1} extends to a full chain with any hyperplane
@@ -175,16 +181,17 @@ def is_supersolvable(arr: Arrangement, lattice: IntersectionLattice | None = Non
     if chain_interior is None:
         refutation = Refutation("no-chain", modular_counts=counts)
         return SupersolvabilityCertificate(False, ess, lattice, essentialized,
-                                           None, refutation)
+                                           None, refutation, modular_by_rank)
     chain = [bottom, _hyperplane_flat(lattice, chain_interior[0])]
     chain += chain_interior
     chain.append(top)
-    return SupersolvabilityCertificate(True, ess, lattice, essentialized, chain)
+    return SupersolvabilityCertificate(True, ess, lattice, essentialized, chain,
+                                       modular_by_rank=modular_by_rank)
 
 
 def validate_certificate(cert: SupersolvabilityCertificate) -> bool:
-    """Re-check a certificate from scratch: chains flat by flat, witnesses by
-    closure.  Used by the verification suites; independent of the search."""
+    """Re-check a certificate from scratch, independently of the search: chains
+    flat by flat, witnesses by closure, no-chain refutations by a full rescan."""
     arr, lattice = cert.arrangement, cert.lattice
     if cert.verdict:
         chain = cert.chain or []
@@ -209,13 +216,29 @@ def validate_certificate(cert: SupersolvabilityCertificate) -> bool:
             if subspace_sum(v.flat.subspace, y.subspace) != total:
                 return False
         return True
-    return ref.kind == "no-chain"
+    r, mods = lattice.rank(), cert.modular_by_rank
+    if ref.kind != "no-chain" or r < 3 or sorted(mods) != list(range(2, r)):
+        return False
+    counts = {0: 1, 1: len(lattice.levels[1]), r: 1}
+    for k in range(2, r):
+        scanned = [f for f in lattice.levels[k] if is_modular(arr, lattice, f).modular]
+        if [f.support for f in mods[k]] != [f.support for f in scanned]:
+            return False
+        counts[k] = len(scanned)
+    if ref.modular_counts != counts:
+        return False
+    # Bottom-up: keep the rank-k modular flats that lie on a nested chain
+    # starting at rank 2; a refutation needs none to survive at rank r - 1.
+    reachable = [f.support for f in mods[2]]
+    for k in range(3, r):
+        reachable = [f.support for f in mods[k]
+                     if any(s & f.support == s for s in reachable)]
+    return not reachable
 
 
 def mobius(lattice: IntersectionLattice) -> dict[Flat, int]:
     """Moebius values from the bottom element, by the standard top-down
     recursion over the containment order (support bitset inclusion)."""
-    by_support: dict[int, int] = {}
     ordered: list[tuple[int, list[Flat]]] = [(k, list(level))
                                              for k, level in enumerate(lattice.levels)]
     values: dict[int, int] = {}
@@ -303,7 +326,7 @@ def exponents_if_supersolvable(arr: Arrangement,
 
 @dataclass
 class Rank2Report:
-    """Both sides of the rank-2 criterion, computed independently."""
+    """Both sides of the rank-2 criterion, read off one certificate."""
 
     supersolvable: bool
     modular_rank2_count: int
@@ -320,7 +343,8 @@ def check_rank2_criterion(arr: Arrangement, lattice: IntersectionLattice | None 
     Refuses reducible input: a product of a supersolvable and a
     non-supersolvable arrangement has modular flats of every rank while not
     being supersolvable, so the equivalence only concerns irreducible ones.
-    The rank-2 scan always runs in full, independently of the chain search.
+    The modular rank-2 flats are read from the certificate's full rank-2
+    scan; ``is_supersolvable`` runs only when no certificate is given.
     """
     ess = essentialize(arr)
     factors = irreducible_decomposition(ess)
@@ -331,11 +355,8 @@ def check_rank2_criterion(arr: Arrangement, lattice: IntersectionLattice | None 
     if ess.rank() < 2:
         raise RefusalError("the rank-2 criterion needs rank at least 2")
     if cert is None:
-        if lattice is None or ess.ambient != arr.ambient:
-            lattice = build_lattice(ess, threads=threads)
-        cert = is_supersolvable(ess, lattice, threads=threads)
-    verdicts = modular_flats_of_rank(cert.arrangement, cert.lattice, 2, threads=threads)
-    mods = [v.flat for v in verdicts if v.modular]
+        cert = is_supersolvable(arr, lattice, threads=threads)
+    mods = cert.modular_by_rank[2]
     return Rank2Report(cert.verdict, len(mods), cert.verdict == bool(mods), cert, mods)
 
 

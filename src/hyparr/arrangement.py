@@ -14,8 +14,8 @@ from math import lcm
 from . import _kernel
 from .cyclo import CyclotomicNumber, embed, field_context
 from .errors import InvalidHyperplaneError, RefusalError
-from .linalg import (LinearForm, Subspace, form_vanishes_on, full_space, intersect,
-                     rref, subspace_from_rows, variable_names)
+from .linalg import (LinearForm, Subspace, _row_entry, form_vanishes_on, full_space,
+                     intersect, rref, subspace_from_rows, variable_names)
 
 DEFAULT_MAX_FLATS = 500_000
 
@@ -180,8 +180,7 @@ class IntersectionLattice:
         return len(self.levels) - 1
 
     def top(self) -> Flat:
-        return self.levels[-1][0] if len(self.levels[-1]) == 1 else max(
-            self.levels[-1], key=lambda f: f.rank)
+        return self.levels[-1][0]
 
     def bottom(self) -> Flat:
         return self.levels[0][0]
@@ -444,7 +443,7 @@ def irreducible_decomposition(arr: Arrangement) -> list[Arrangement]:
     ctx = field_context(arr.order)
     inv_rows, inv_piv = _kernel.rref(aug, 2 * n, ctx.degree, ctx.red, ctx.phi)
     assert inv_piv[:n] == tuple(range(n)), "basis matrix failed to invert"
-    inv = [[_row_entry_cy(arr.order, row, n + j) for j in range(n)] for row in inv_rows]
+    inv = [[_row_entry(row, n + j, arr.order) for j in range(n)] for row in inv_rows]
 
     def coords(form: LinearForm) -> list[CyclotomicNumber]:
         cs = form.coefficients()
@@ -484,11 +483,6 @@ def irreducible_decomposition(arr: Arrangement) -> list[Arrangement]:
     assert sum(f.ambient for f in factors) == n
     assert sum(len(f) for f in factors) == len(arr)
     return factors
-
-
-def _row_entry_cy(order: int, row, j: int) -> CyclotomicNumber:
-    d = field_context(order).degree
-    return CyclotomicNumber.from_coords(order, row[0][j * d:(j + 1) * d], row[1])
 
 
 def arrangement_to_text(arr: Arrangement) -> str:

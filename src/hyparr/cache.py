@@ -13,7 +13,8 @@ import json
 import os
 import tempfile
 
-from .arrangement import Arrangement, Flat, IntersectionLattice
+from .arrangement import (DEFAULT_MAX_FLATS, Arrangement, Flat, IntersectionLattice,
+                          build_lattice)
 from .linalg import Subspace
 
 FORMAT = "hyparr-lattice-v1"
@@ -105,3 +106,15 @@ def load_lattice(arr: Arrangement, cache_dir: str) -> IntersectionLattice | None
         return lattice_from_payload(arr, payload)
     except (ValueError, KeyError, OSError):
         return None  # treat unreadable or stale entries as cache misses
+
+
+def load_or_build(arr: Arrangement, cache_dir: str | None = None,
+                  max_flats: int = DEFAULT_MAX_FLATS, threads: int = 1
+                  ) -> IntersectionLattice:
+    """The cached lattice of ``arr``; on a miss, build it and save it."""
+    lattice = load_lattice(arr, cache_dir) if cache_dir else None
+    if lattice is None:
+        lattice = build_lattice(arr, max_flats=max_flats, threads=threads)
+        if cache_dir:
+            save_lattice(lattice, cache_dir)
+    return lattice

@@ -4,7 +4,9 @@ Every row replays one explicit computation from the published proofs the
 catalog arrangements come from: either a sum of two lattice elements that
 lands outside the lattice (witnessing non-modularity), an exhaustive
 no-modular-rank-2 check, or the two-sided rank-2 criterion.  The rows are
-plain data so coverage is auditable by reading this table.
+plain data so coverage is auditable by reading this table.  Both rank-2
+kinds read the full rank-2 scan carried by the arrangement's
+supersolvability certificate, so each arrangement is scanned once.
 
 The two G(r,r,4) rows instantiate a single published equation for r = 3 and
 r = 4, hence they share an equation id.
@@ -15,8 +17,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .analysis import check_rank2_criterion, is_supersolvable, modular_flats_of_rank, replay_witness
-from .arrangement import Arrangement, IntersectionLattice, build_lattice
+from .analysis import (SupersolvabilityCertificate, check_rank2_criterion, is_supersolvable,
+                       replay_witness)
+from .arrangement import DEFAULT_MAX_FLATS, Arrangement, IntersectionLattice
+from .cache import load_or_build
 from .parse import parse_form
 from .reflection import build_named, catalog
 
@@ -99,14 +103,14 @@ class ClaimResult:
 class LatticeStore:
     """Builds each named arrangement and its lattice once per run."""
 
-    def __init__(self, threads: int = 1, max_flats: int | None = None,
+    def __init__(self, threads: int = 1, max_flats: int = DEFAULT_MAX_FLATS,
                  cache_dir: str | None = None):
         self.threads = threads
         self.max_flats = max_flats
         self.cache_dir = cache_dir
         self._arrangements: dict[str, Arrangement] = {}
         self._lattices: dict[str, IntersectionLattice] = {}
-        self._certificates: dict[str, object] = {}
+        self._certificates: dict[str, SupersolvabilityCertificate] = {}
 
     def arrangement(self, name: str) -> Arrangement:
         if name not in self._arrangements:
@@ -115,24 +119,15 @@ class LatticeStore:
 
     def lattice(self, name: str) -> IntersectionLattice:
         if name not in self._lattices:
-            arr = self.arrangement(name)
-            lattice = None
-            if self.cache_dir:
-                from .cache import load_lattice
-                lattice = load_lattice(arr, self.cache_dir)
-            if lattice is None:
-                kwargs = {} if self.max_flats is None else {"max_flats": self.max_flats}
-                lattice = build_lattice(arr, threads=self.threads, **kwargs)
-                if self.cache_dir:
-                    from .cache import save_lattice
-                    save_lattice(lattice, self.cache_dir)
-            self._lattices[name] = lattice
+            self._lattices[name] = load_or_build(self.arrangement(name), self.cache_dir,
+                                                 self.max_flats, self.threads)
         return self._lattices[name]
 
-    def certificate(self, name: str):
+    def certificate(self, name: str) -> SupersolvabilityCertificate:
         if name not in self._certificates:
             self._certificates[name] = is_supersolvable(
-                self.arrangement(name), self.lattice(name), threads=self.threads)
+                self.arrangement(name), self.lattice(name), max_flats=self.max_flats,
+                threads=self.threads)
         return self._certificates[name]
 
 
@@ -151,13 +146,12 @@ def run_witness_claim(claim: WitnessClaim, store: LatticeStore) -> ClaimResult:
 
 def run_rank2_empty_claim(name: str, store: LatticeStore) -> ClaimResult:
     t0 = time.perf_counter()
-    arr = store.arrangement(name)
-    lattice = store.lattice(name)
-    verdicts = modular_flats_of_rank(arr, lattice, 2, threads=store.threads)
-    bad = [v for v in verdicts if v.modular]
-    detail = (f"all {len(verdicts)} rank-2 flats non-modular" if not bad
-              else f"{len(bad)} of {len(verdicts)} rank-2 flats are modular")
-    return ClaimResult(f"{name}.rank2-empty", "rank2-empty", name, not bad, detail,
+    cert = store.certificate(name)
+    flats = len(cert.lattice.levels[2])
+    modular = len(cert.modular_by_rank[2])
+    detail = (f"all {flats} rank-2 flats non-modular" if not modular
+              else f"{modular} of {flats} rank-2 flats are modular")
+    return ClaimResult(f"{name}.rank2-empty", "rank2-empty", name, not modular, detail,
                        time.perf_counter() - t0)
 
 
@@ -186,12 +180,11 @@ def equivalence_names() -> list[str]:
     return [e.name for e in catalog() if e.rank >= 2]
 
 
+CATEGORIES = ("all", "witnesses", "rank2", "equivalence", "classification")
+
+
 def claim_scopes() -> list[str]:
-    scopes = {"all", "witnesses", "rank2", "equivalence", "classification"}
-    for c in WITNESS_CLAIMS:
-        scopes.add(c.arrangement)
-    scopes.update(RANK2_EMPTY)
-    return sorted(scopes)
+    return sorted({*CATEGORIES, *RANK2_EMPTY, *(c.arrangement for c in WITNESS_CLAIMS)})
 
 
 def run_claims(scope: str = "all", store: LatticeStore | None = None) -> list[ClaimResult]:
@@ -202,7 +195,7 @@ def run_claims(scope: str = "all", store: LatticeStore | None = None) -> list[Cl
     want_rank2 = scope in ("all", "rank2")
     want_equiv = scope in ("all", "equivalence")
     want_class = scope in ("all", "classification")
-    by_name = scope not in ("all", "witnesses", "rank2", "equivalence", "classification")
+    by_name = scope not in CATEGORIES
     if by_name and scope not in claim_scopes():
         raise KeyError(f"unknown claim scope {scope!r}; "
                        f"choose one of {', '.join(claim_scopes())}")
@@ -212,11 +205,9 @@ def run_claims(scope: str = "all", store: LatticeStore | None = None) -> list[Cl
     for name in RANK2_EMPTY:
         if want_rank2 or (by_name and name == scope):
             results.append(run_rank2_empty_claim(name, store))
-    if want_equiv:
-        for name in equivalence_names():
+    for name in equivalence_names():
+        if want_equiv or (by_name and name == scope):
             results.append(run_equivalence_claim(name, store))
-    elif by_name and scope in equivalence_names():
-        results.append(run_equivalence_claim(scope, store))
     if want_class:
         for name in (e.name for e in catalog()):
             results.append(run_supersolvable_claim(name, store))

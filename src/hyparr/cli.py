@@ -15,18 +15,17 @@ import sys
 import time
 
 from . import __version__
-from .analysis import (check_rank2_criterion, exponents_from_poincare,
-                       is_supersolvable, modular_flats_of_rank, poincare)
-from .arrangement import (DEFAULT_MAX_FLATS, Arrangement, build_lattice, essentialize,
+from .analysis import (exponents_from_poincare, is_supersolvable, modular_flats_of_rank,
+                       poincare)
+from .arrangement import (DEFAULT_MAX_FLATS, Arrangement, essentialize,
                           irreducible_decomposition, product)
-from .cache import CACHE_ENV, load_lattice, save_lattice
+from .cache import CACHE_ENV, load_or_build
 from .claims import LatticeStore, claim_scopes, run_claims
 from .errors import ParseError, RefusalError
 from .parse import parse_arrangement_file
 from .reflection import build_named
 from .report import (arrangement_payload, certificate_payload, lattice_payload,
-                     poincare_payload, rank2_payload, render_human, report_json,
-                     verdict_payload)
+                     poincare_payload, render_human, report_json, verdict_payload)
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -106,17 +105,6 @@ def _make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _lattice_for(arr: Arrangement, args) -> object:
-    lattice = None
-    if args.cache_dir:
-        lattice = load_lattice(arr, args.cache_dir)
-    if lattice is None:
-        lattice = build_lattice(arr, max_flats=args.max_flats, threads=args.threads)
-        if args.cache_dir:
-            save_lattice(lattice, args.cache_dir)
-    return lattice
-
-
 def _emit(report: dict, args, timings: dict[str, float]) -> None:
     if args.json:
         sys.stdout.write(report_json(report))
@@ -173,7 +161,7 @@ def _run(args) -> int:
         return EXIT_OK
 
     t0 = time.perf_counter()
-    lattice = _lattice_for(arr, args)
+    lattice = load_or_build(arr, args.cache_dir, args.max_flats, args.threads)
     timings["lattice"] = time.perf_counter() - t0
     report["lattice"] = lattice_payload(lattice)
 

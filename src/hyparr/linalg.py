@@ -259,12 +259,6 @@ def form_vanishes_on(form: LinearForm, s: Subspace) -> bool:
                                ctx.degree, ctx.red)
 
 
-def stacked_rank(x: Subspace, y: Subspace) -> int:
-    """Rank of the two subspaces' defining forms stacked together."""
-    ctx = field_context(x.order)
-    return _kernel.rank(list(x.rows + y.rows), x.ambient, ctx.degree, ctx.red)
-
-
 def _check_compatible(x: Subspace, y: Subspace) -> None:
     if x.ambient != y.ambient:
         raise ValueError(f"ambient dimension mismatch: {x.ambient} vs {y.ambient}")

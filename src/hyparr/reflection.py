@@ -164,10 +164,6 @@ _EXCEPTIONAL = {
 }
 
 
-def exceptional_names() -> list[str]:
-    return list(_EXCEPTIONAL)
-
-
 def exceptional_arrangement(name: str) -> Arrangement:
     """One of the transcribed arrangements: D4, F4, H3, G25, G26, G29, G31."""
     try:
@@ -223,7 +219,8 @@ def catalog() -> list[CatalogEntry]:
     # supersolvable family G(r,1,l)
     for r in (1, 2, 3, 4):
         for ell in (3, 4, 5):
-            mono(r, 1, ell, True)
+            if (r, ell) != (1, 3):   # G(1,1,3) is listed with the rank-2 members
+                mono(r, 1, ell, True)
     # non-supersolvable monomials G(r,r,l), r >= 3, and the D-series
     for (r, ell) in ((3, 3), (4, 3), (5, 3), (3, 4), (4, 4), (3, 5)):
         mono(r, r, ell, False)

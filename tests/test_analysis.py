@@ -1,10 +1,11 @@
 """Modularity, supersolvability, Moebius/Poincare, and their invariants."""
 
+import dataclasses
 import random
 
 import pytest
 
-from hyparr.analysis import (check_rank2_criterion, exponents_from_poincare,
+from hyparr.analysis import (Refutation, check_rank2_criterion, exponents_from_poincare,
                              exponents_if_supersolvable, is_modular, is_supersolvable,
                              mobius, modular_flats_of_rank, poincare, replay_witness,
                              validate_certificate)
@@ -13,7 +14,7 @@ from hyparr.arrangement import (build_lattice, closure, essentialize, make_arran
 from hyparr.errors import RefusalError
 from hyparr.linalg import contains, subspace_from_forms, subspace_sum
 from hyparr.parse import parse_arrangement_text, parse_form
-from hyparr.reflection import exceptional_arrangement, monomial_arrangement
+from hyparr.reflection import build_named, exceptional_arrangement, monomial_arrangement
 
 
 def flat_for(lattice, arr, texts):
@@ -218,6 +219,45 @@ class TestRank2Criterion:
         single = parse_arrangement_text("ambient 1 field 1\na\n")
         with pytest.raises(RefusalError):
             check_rank2_criterion(single)
+
+
+class TestNoChainRefutation:
+    """A point times G(3,3,3) has modular flats in every interior rank but no
+    nested chain of them."""
+
+    @pytest.fixture(scope="class")
+    def cert(self):
+        point = parse_arrangement_text("ambient 1 field 1\na\n")
+        cert = is_supersolvable(product(point, build_named("G(3,3,3)")))
+        assert not cert.verdict and cert.refutation.kind == "no-chain"
+        return cert
+
+    def test_accepted(self, cert):
+        assert validate_certificate(cert)
+
+    def test_swapped_flat_rejected(self, cert):
+        k, mods = next((k, m) for k, m in sorted(cert.modular_by_rank.items()) if m)
+        outsider = next(f for f in cert.lattice.levels[k] if f not in mods)
+        assert not is_modular(cert.arrangement, cert.lattice, outsider).modular
+        swapped = dict(cert.modular_by_rank)
+        swapped[k] = [outsider] + mods[1:]
+        assert not validate_certificate(dataclasses.replace(cert, modular_by_rank=swapped))
+
+    def test_wrong_counts_rejected(self, cert):
+        counts = dict(cert.refutation.modular_counts)
+        counts[2] += 1
+        bad = dataclasses.replace(cert, refutation=dataclasses.replace(
+            cert.refutation, modular_counts=counts))
+        assert not validate_certificate(bad)
+
+    def test_existing_chain_rejected(self):
+        cert = is_supersolvable(build_named("A(4)"))
+        assert cert.verdict and sorted(cert.modular_by_rank) == [2, 3]
+        counts = {0: 1, 1: len(cert.lattice.levels[1]), 4: 1}
+        counts.update((k, len(m)) for k, m in cert.modular_by_rank.items())
+        forged = dataclasses.replace(cert, verdict=False, chain=None, refutation=Refutation(
+            "no-chain", modular_counts=counts))
+        assert not validate_certificate(forged)
 
 
 class TestReplayWitness:

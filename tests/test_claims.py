@@ -1,0 +1,49 @@
+"""The claims table: unique ids, and one rank-2 scan per arrangement."""
+
+import hyparr.analysis
+from hyparr import claims
+from hyparr.analysis import check_rank2_criterion
+from hyparr.claims import ClaimResult, LatticeStore, run_claims
+from hyparr.reflection import catalog
+
+
+def test_catalog_names_and_claim_ids_unique(monkeypatch):
+    names = [e.name for e in catalog()]
+    assert len(names) == len(set(names))
+
+    # Stub runners keep the claim ids run_claims would emit without doing
+    # any of the work behind them.
+    def stub(kind):
+        def run(item, store):
+            claim_id = item.claim_id if kind == "witness" else f"{item}.{kind}"
+            return ClaimResult(claim_id, kind, "", True, "", 0.0)
+        return run
+
+    for attr, kind in (("run_witness_claim", "witness"),
+                       ("run_rank2_empty_claim", "rank2-empty"),
+                       ("run_equivalence_claim", "rank2-criterion"),
+                       ("run_supersolvable_claim", "classification")):
+        monkeypatch.setattr(claims, attr, stub(kind))
+    ids = [r.claim_id for r in run_claims("all")]
+    assert len(ids) == len(set(ids)) == 90
+
+
+def test_rank2_claims_share_one_scan(monkeypatch):
+    calls = []
+    original = hyparr.analysis.is_modular
+
+    def counting(arr, lattice, x):
+        calls.append(x)
+        return original(arr, lattice, x)
+
+    monkeypatch.setattr(hyparr.analysis, "is_modular", counting)
+    store = LatticeStore()
+    results = run_claims("D4", store)
+    assert {r.kind for r in results} == {"witness", "rank2-empty", "rank2-criterion"}
+    assert all(r.passed for r in results)
+    assert len(calls) == len(store.lattice("D4").levels[2])
+
+    calls.clear()
+    cert = store.certificate("D4")
+    check_rank2_criterion(store.arrangement("D4"), store.lattice("D4"), cert=cert)
+    assert calls == []
