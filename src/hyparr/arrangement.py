@@ -3,7 +3,8 @@
 Flats are keyed by support bitsets: a flat of a simple central arrangement is
 determined by the set of hyperplanes containing it, and integer bitsets hash
 far more cheaply than matrices.  The canonical RREF subspace is kept on every
-flat for sum computations.
+flat for building the lattice and certifying witnesses; joins, meets and the
+modularity test read bitsets and integer ranks only.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from math import lcm
 from . import _kernel
 from .cyclo import CyclotomicNumber, embed, field_context
 from .errors import InvalidHyperplaneError, RefusalError
-from .linalg import (LinearForm, Subspace, _row_entry, form_vanishes_on, full_space,
-                     intersect, rref, subspace_from_rows, variable_names)
+from .linalg import (LinearForm, Subspace, _row_entry, form_vanishes_on, full_space, rref,
+                     subspace_from_rows, variable_names)
 
 DEFAULT_MAX_FLATS = 500_000
 
@@ -153,10 +154,11 @@ class IntersectionLattice:
     """All intersections of subsets of the arrangement, graded by codimension.
 
     ``levels[k]`` lists the rank-k flats sorted by support bitset; ``index``
-    maps each support to its flat.
+    maps each support to its flat.  The cover table (``covers()``) is built on
+    first use.
     """
 
-    __slots__ = ("arrangement", "levels", "index")
+    __slots__ = ("arrangement", "levels", "index", "_covers")
 
     def __init__(self, arrangement: Arrangement, levels: tuple[tuple[Flat, ...], ...]):
         self.arrangement = arrangement
@@ -165,6 +167,7 @@ class IntersectionLattice:
         for level in levels:
             for f in level:
                 self.index[f.support] = f
+        self._covers: dict[int, tuple[int, ...]] | None = None
 
     def flats(self):
         for level in self.levels:
@@ -192,38 +195,73 @@ class IntersectionLattice:
             return None
         return self.index[hit.support]
 
+    def covers(self) -> dict[int, tuple[int, ...]]:
+        """Support -> supports of the flats covering it, by bitset inclusion.
+
+        A rank-(k+1) flat covers a rank-k flat iff its support contains that
+        flat's support, so only the upper flats holding the lower flat's
+        lowest atom are tried (all of them, for the bottom).  Built once; a
+        concurrent first call builds an equal table, so the lazy build is
+        safe from worker threads.
+        """
+        table = self._covers
+        if table is None:
+            table = {}
+            levels = self.levels
+            for k, lower in enumerate(levels):
+                upper = levels[k + 1] if k + 1 < len(levels) else ()
+                by_atom: dict[int, list[int]] = {0: [f.support for f in upper]}
+                for f in upper:
+                    s = f.support
+                    while s:
+                        atom = s & -s
+                        by_atom.setdefault(atom, []).append(f.support)
+                        s ^= atom
+                for f in lower:
+                    s = f.support
+                    table[s] = tuple(u for u in by_atom.get(s & -s, ()) if u & s == s)
+            self._covers = table
+        return table
+
     def meet(self, x: Flat, y: Flat) -> Flat:
         """Greatest lower bound: the flat supported on the common hyperplanes."""
         return self.index[x.support & y.support]
 
     def join(self, x: Flat, y: Flat) -> Flat:
-        """Least upper bound: the flat of the subspace intersection."""
+        """Least upper bound, the flat of the subspace intersection: walk up
+        the covers from x, each step to the one cover holding the lowest atom
+        of y still missing, so at most r(A) bitset steps."""
         hit = self.index.get(x.support | y.support)
         if hit is not None:
             return hit
-        return closure(self.arrangement, intersect(x.subspace, y.subspace))
+        covers = self.covers()
+        s = x.support
+        missing = y.support & ~s
+        while missing:
+            atom = missing & -missing
+            s = next(c for c in covers[s] if c & atom)
+            missing = y.support & ~s
+        return self.index[s]
 
     def sum_membership(self, x: Flat, y: Flat) -> tuple[bool, Flat]:
         """Whether x + y is again a flat, plus the closure of x + y.
 
         The closure of x + y is the meet flat: a hyperplane contains x + y
-        exactly when it contains both x and y.  The sum is a lattice element
-        iff its dimension matches that closure's dimension.
+        exactly when it contains both x and y.  Since dim(x + y) =
+        dim x + dim y - dim(x .cap. y), the sum is that flat iff the rank
+        identity r(x) + r(y) = r(x v y) + r(x ^ y) holds, which needs only
+        the join's rank.
         """
-        arr = self.arrangement
         s = x.support & y.support
         meet = self.index[s]
         if s == x.support or s == y.support:
             # one flat contains the other; the sum is the larger subspace
             return True, meet
-        dim_cap = min(x.dim + y.dim, arr.ambient)
-        if meet.dim > dim_cap:
+        ranks = x.rank + y.rank
+        if ranks > self.arrangement.ambient + meet.rank:
+            # dim(x + y) <= dim x + dim y < dim of the meet
             return False, meet
-        ctx = field_context(arr.order)
-        r = _kernel.rank(list(x.subspace.rows + y.subspace.rows), arr.ambient,
-                         ctx.degree, ctx.red)
-        dim_sum = x.dim + y.dim - (arr.ambient - r)
-        return dim_sum == meet.dim, meet
+        return ranks == self.join(x, y).rank + meet.rank, meet
 
 
 def _children_of(arr: Arrangement, parent: Flat, seen: dict, ctx) -> list[Flat]:

@@ -184,11 +184,16 @@ CATEGORIES = ("all", "witnesses", "rank2", "equivalence", "classification")
 
 
 def claim_scopes() -> list[str]:
-    return sorted({*CATEGORIES, *RANK2_EMPTY, *(c.arrangement for c in WITNESS_CLAIMS)})
+    return sorted({*CATEGORIES, *(e.name for e in catalog())})
 
 
 def run_claims(scope: str = "all", store: LatticeStore | None = None) -> list[ClaimResult]:
-    """Run the selected claims; scope is 'all', a category, or a name."""
+    """Run the selected claims; scope is 'all', a category, or a catalog name.
+
+    A name runs its rank2-criterion claim plus any witness and rank2-empty
+    claims it has; classification claims run only under their category (or
+    'all').
+    """
     store = store or LatticeStore()
     results: list[ClaimResult] = []
     want_witness = scope in ("all", "witnesses")

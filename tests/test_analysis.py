@@ -78,7 +78,8 @@ class TestIsModular:
         rng = random.Random(99)
         pool = []
         for arr in (exceptional_arrangement("D4"), monomial_arrangement(3, 1, 3),
-                    exceptional_arrangement("G25")):
+                    exceptional_arrangement("G25"),
+                    product(build_named("B2"), build_named("A(2)"))):
             pool.append((arr, build_lattice(arr)))
         for _ in range(1000):
             arr, lattice = rng.choice(pool)

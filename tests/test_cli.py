@@ -79,6 +79,19 @@ class TestCommands:
         assert "D4.sum1" in out and "D4.sum2" in out and "rank2-empty" in out
         assert "FAIL" not in out
 
+    def test_verify_paper_any_catalog_name(self, capsys):
+        code, out, _ = run_cli(capsys, "--json", "verify-paper", "G(3,1,3)")
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert [c["claim_id"] for c in report["claims"]] == ["G(3,1,3).rank2-criterion"]
+        assert report["passed"] is True
+
+    def test_verify_paper_witness_name_claim_ids(self, capsys):
+        code, out, _ = run_cli(capsys, "--json", "verify-paper", "D4")
+        assert code == EXIT_OK
+        assert [c["claim_id"] for c in json.loads(out)["claims"]] == \
+            ["D4.sum1", "D4.sum2", "D4.rank2-empty", "D4.rank2-criterion"]
+
     def test_verify_paper_witnesses(self, capsys):
         code, out, _ = run_cli(capsys, "--json", "verify-paper", "witnesses")
         assert code == EXIT_OK
