@@ -38,6 +38,7 @@ try:
         language_level="3",
     )
 except ImportError:
-    extensions = []
+    # without Cython, compile the shipped C file generated from the .pyx
+    extensions = [Extension("hyparr._kernel._speedups", ["src/hyparr/_kernel/_speedups.c"])]
 
 setup(ext_modules=extensions, cmdclass={"build_ext": optional_build_ext})

@@ -29,7 +29,6 @@ elem_neg = _impl.elem_neg
 elem_mul = _impl.elem_mul
 elem_inv = _impl.elem_inv
 poly_mulreduce = _impl.poly_mulreduce
-row_norm = _impl.row_norm
 rref = _impl.rref
 rank = _impl.rank
 in_rowspace = _impl.in_rowspace

@@ -144,21 +144,6 @@ def elem_inv(a, d, phi, red):
     return elem_norm([int(c * den) for c in out[:d]], den)
 
 
-def row_norm(nums, den):
-    if den < 0:
-        den = -den
-        nums = [-v for v in nums]
-    g = den
-    for v in nums:
-        g = gcd(g, v)
-        if g == 1:
-            break
-    if g > 1:
-        den //= g
-        nums = [v // g for v in nums]
-    return tuple(nums), den
-
-
 def _entry_nonzero(nums, col, d):
     base = col * d
     for k in range(base, base + d):
@@ -229,20 +214,20 @@ def rref(rows, m, d, red, phi):
                     nn.extend(poly_mulreduce(iv, pn[j * d:(j + 1) * d], d, red))
                 pn = nn
             pd = pd * ivd
-            t, pd = row_norm(pn, pd)
+            t, pd = elem_norm(pn, pd)
             pn = list(t)
             work[prow] = (pn, pd)
         for r in range(nrows):
             if r != prow and _entry_nonzero(work[r][0], col, d):
                 tn, td = work[r]
                 nn, nd = _eliminate(tn, td, col, pn, pd, m, d, red)
-                t, nd = row_norm(nn, nd)
+                t, nd = elem_norm(nn, nd)
                 work[r] = (list(t), nd)
         pivots.append(col)
         prow += 1
     out = []
     for r in range(prow):
-        t, dn = row_norm(work[r][0], work[r][1])
+        t, dn = elem_norm(work[r][0], work[r][1])
         out.append((t, dn))
     return tuple(out), tuple(pivots)
 
@@ -352,7 +337,7 @@ def nullspace(rref_rows, pivots, m, d, red):
             cb = col * d
             for k in range(d):
                 nums[cb + k] = -pn[fb + k] * s
-        out.append(row_norm(nums, den))
+        out.append(elem_norm(nums, den))
     return tuple(out)
 
 

@@ -13,12 +13,12 @@ so witnesses are reproducible.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import _kernel
 from .arrangement import (DEFAULT_MAX_FLATS, Arrangement, Flat, IntersectionLattice,
-                          build_lattice, closure, essentialize, irreducible_decomposition)
+                          build_lattice, closure, essentialize, irreducible_decomposition,
+                          parallel_map)
 from .cyclo import field_context
 from .errors import InternalInconsistencyError, RefusalError
 from .linalg import LinearForm, Subspace, subspace_from_forms, subspace_sum
@@ -115,12 +115,7 @@ def modular_flats_of_rank(arr: Arrangement, lattice: IntersectionLattice, rank: 
     """One verdict per rank-``rank`` flat, in deterministic flat order."""
     if not 0 <= rank <= lattice.rank():
         raise ValueError(f"rank {rank} out of range 0..{lattice.rank()}")
-    flats = lattice.levels[rank]
-    if threads > 1 and len(flats) > 1:
-        lattice.covers()  # build the shared table once, before the workers start
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda f: is_modular(arr, lattice, f), flats))
-    return [is_modular(arr, lattice, f) for f in flats]
+    return parallel_map(lambda f: is_modular(arr, lattice, f), lattice.levels[rank], threads)
 
 
 def _hyperplane_flat(lattice: IntersectionLattice, support_bit_holder: Flat) -> Flat:

@@ -21,6 +21,17 @@ from .linalg import (LinearForm, Subspace, _row_entry, form_vanishes_on, full_sp
 DEFAULT_MAX_FLATS = 500_000
 
 
+def parallel_map(fn, items, threads: int) -> list:
+    """``[fn(x) for x in items]``, in order, on up to ``threads`` worker threads.
+
+    The kernels hold the GIL, so workers give the same result, not a speed-up.
+    """
+    if threads <= 1 or len(items) <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
+        return list(pool.map(fn, items))
+
+
 class Arrangement:
     """An ordered, duplicate-free set of hyperplanes through the origin of C**l."""
 
@@ -264,12 +275,11 @@ class IntersectionLattice:
         return ranks == self.join(x, y).rank + meet.rank, meet
 
 
-def _children_of(arr: Arrangement, parent: Flat, seen: dict, ctx) -> list[Flat]:
-    """Distinct covers of one flat: closures of parent intersected with each
-    hyperplane outside its support.  ``seen`` dedupes across parents."""
+def _children_of(arr: Arrangement, parent: Flat, seen: dict, ctx) -> None:
+    """Record the distinct covers of one flat in ``seen`` (RREF rows -> flat):
+    closures of parent intersected with each hyperplane outside its support."""
     n = len(arr.hyperplanes)
     ambient = arr.ambient
-    found: list[Flat] = []
     covered = parent.support
     rows = parent.subspace.rows
     full = arr.full_support()
@@ -293,9 +303,7 @@ def _children_of(arr: Arrangement, parent: Flat, seen: dict, ctx) -> list[Flat]:
             flat = Flat(Subspace(ambient, arr.order, sub_rows, pivots), bits,
                         len(sub_rows))
             seen[sub_rows] = flat
-        found.append(flat)
         covered |= flat.support
-    return found
 
 
 def build_lattice(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS,
@@ -305,7 +313,9 @@ def build_lattice(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS,
     Rank k+1 flats are the closures of (rank-k flat) intersected with each
     hyperplane outside its support, deduplicated by support; each level is
     sorted by support bitset, so the result is deterministic (and identical
-    for any worker count).
+    for any worker count).  The workers of a level share one ``seen`` dict:
+    dict get and set are atomic under the GIL, and a race only recomputes
+    an equal flat.
     """
     ctx = field_context(arr.order)
     bottom = Flat(full_space(arr.ambient, arr.order), 0, 0)
@@ -314,27 +324,8 @@ def build_lattice(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS,
     current: tuple = (bottom,)
     while current:
         seen: dict = {}
-        if threads > 1 and len(current) > 1:
-            nthreads = min(threads, len(current))
-            chunks = [list(current[i::nthreads]) for i in range(nthreads)]
-
-            def work(chunk):
-                local: dict = {}
-                for parent in chunk:
-                    _children_of(arr, parent, local, ctx)
-                return local
-
-            with ThreadPoolExecutor(max_workers=nthreads) as pool:
-                results = list(pool.map(work, chunks))
-            merged: dict[int, Flat] = {}
-            for local in results:
-                for flat in local.values():
-                    merged.setdefault(flat.support, flat)
-            children = merged
-        else:
-            for parent in current:
-                _children_of(arr, parent, seen, ctx)
-            children = {flat.support: flat for flat in seen.values()}
+        parallel_map(lambda parent: _children_of(arr, parent, seen, ctx), current, threads)
+        children = {flat.support: flat for flat in seen.values()}
         if not children:
             break
         level = tuple(children[s] for s in sorted(children))
@@ -477,7 +468,7 @@ def irreducible_decomposition(arr: Arrangement) -> list[Arrangement]:
         d = field_context(arr.order).degree
         ext = list(nums) + [0] * (n * d)
         ext[(n + i) * d] = den
-        aug.append(_kernel.row_norm(ext, den))
+        aug.append(_kernel.elem_norm(ext, den))
     ctx = field_context(arr.order)
     inv_rows, inv_piv = _kernel.rref(aug, 2 * n, ctx.degree, ctx.red, ctx.phi)
     assert inv_piv[:n] == tuple(range(n)), "basis matrix failed to invert"

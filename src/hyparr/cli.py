@@ -67,6 +67,12 @@ def resolve_spec(spec: str) -> tuple[str, Arrangement]:
                      "not a product(...) expression, not a readable file")
 
 
+def _worker_count(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a whole number of at least 1, got {text!r}")
+    return int(text)
+
+
 def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hyparr",
@@ -80,8 +86,9 @@ def _make_parser() -> argparse.ArgumentParser:
                         help=f"lattice cache directory (default: ${CACHE_ENV})")
     parser.add_argument("--max-flats", type=int, default=DEFAULT_MAX_FLATS,
                         help="abort lattice builds beyond this many flats")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for per-level and per-flat scans")
+    parser.add_argument("--threads", type=_worker_count, default=1,
+                        help="worker threads for lattice builds and modular scans; "
+                             "output is identical for any N")
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, extra in (

@@ -39,7 +39,7 @@ def _pack_row(coeffs: list[CyclotomicNumber], order: int) -> Row:
         s = den // c.den
         nums.extend(v * s for v in c.nums)
     assert len(nums) == len(coeffs) * d
-    return _kernel.row_norm(nums, den)
+    return _kernel.elem_norm(nums, den)
 
 
 def _scale_row(row: Row, factor: CyclotomicNumber, order: int) -> Row:
@@ -50,7 +50,7 @@ def _scale_row(row: Row, factor: CyclotomicNumber, order: int) -> Row:
     out: list[int] = []
     for j in range(m):
         out.extend(_kernel.poly_mulreduce(factor.nums, nums[j * d:(j + 1) * d], d, ctx.red))
-    return _kernel.row_norm(out, den * factor.den)
+    return _kernel.elem_norm(out, den * factor.den)
 
 
 class LinearForm:

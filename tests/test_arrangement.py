@@ -4,14 +4,16 @@ import random
 
 import pytest
 
+from hyparr import _kernel
 from hyparr.arrangement import (brute_force_lattice, build_lattice, closure, deletion,
                                 essentialize, in_lattice, irreducible_decomposition,
-                                localization, make_arrangement, product, restriction)
+                                localization, make_arrangement, parallel_map, product,
+                                restriction)
 from hyparr.cyclo import CyclotomicNumber
 from hyparr.errors import InvalidHyperplaneError, RefusalError
 from hyparr.linalg import LinearForm, intersect, subspace_from_forms
 from hyparr.parse import parse_arrangement_text, parse_form
-from hyparr.reflection import exceptional_arrangement, monomial_arrangement
+from hyparr.reflection import build_named, exceptional_arrangement, monomial_arrangement
 
 BOOLEAN3 = "ambient 3 field 1\na\nb\nc\n"
 
@@ -93,6 +95,28 @@ class TestBuildLattice:
         for x, y, z in zip(a.flats(), b.flats(), c.flats()):
             assert x.support == y.support == z.support
             assert x.subspace == y.subspace == z.subspace
+
+    # Kernel calls of a one-worker build, as recorded before the worker pool
+    # was shared; the benchmark runs one worker, so the pool adds no work there.
+    @pytest.mark.parametrize("name, rref_calls, in_rowspace_calls",
+                             [("D4", 240, 680), ("G(3,1,3)", 93, 342)])
+    def test_one_worker_kernel_calls(self, monkeypatch, name, rref_calls, in_rowspace_calls):
+        arr = build_named(name)
+        calls = {"rref": 0, "in_rowspace": 0}
+        for key in calls:
+            def counted(*args, _key=key, _real=getattr(_kernel, key)):
+                calls[_key] += 1
+                return _real(*args)
+            monkeypatch.setattr(_kernel, key, counted)
+        build_lattice(arr, threads=1)
+        assert calls == {"rref": rref_calls, "in_rowspace": in_rowspace_calls}
+
+
+class TestParallelMap:
+    @pytest.mark.parametrize("threads", [1, 2, 8])
+    @pytest.mark.parametrize("items", [[], [7], list(range(40))])
+    def test_ordered_plain_map(self, threads, items):
+        assert parallel_map(lambda x: x * x - 3, items, threads) == [x * x - 3 for x in items]
 
 
 class TestLocalization:

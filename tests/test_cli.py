@@ -146,6 +146,13 @@ class TestMoreSurface:
                              "modular", "G25", "--rank", "2")
         assert one == four
 
+    @pytest.mark.parametrize("count", ["0", "-4", "two"])
+    def test_threads_below_one_rejected(self, capsys, count):
+        with pytest.raises(SystemExit) as exc:
+            main(["--threads", count, "lattice", "G(2,1,2)"])
+        assert exc.value.code == EXIT_PARSE_ERROR
+        assert "--threads" in capsys.readouterr().err
+
     def test_arrangement_file_round_trip(self, tmp_path):
         from hyparr.arrangement import arrangement_to_text
         from hyparr.parse import parse_arrangement_text
