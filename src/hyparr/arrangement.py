@@ -5,6 +5,11 @@ determined by the set of hyperplanes containing it, and integer bitsets hash
 far more cheaply than matrices.  The canonical RREF subspace is kept on every
 flat for building the lattice and certifying witnesses; joins, meets and the
 modularity test read bitsets and integer ranks only.
+
+The lattice is built level by level, and each flat is row-reduced once: a
+cover X v H that the level already has is found by a bitset lookup, the
+support scan of a new cover skips the hyperplanes of X's other covers, and
+from rank 3 on it decides each rank-2 flat through H by one membership test.
 """
 
 from __future__ import annotations
@@ -275,67 +280,141 @@ class IntersectionLattice:
         return ranks == self.join(x, y).rank + meet.rank, meet
 
 
-def _children_of(arr: Arrangement, parent: Flat, seen: dict, ctx) -> None:
-    """Record the distinct covers of one flat in ``seen`` (RREF rows -> flat):
-    closures of parent intersected with each hyperplane outside its support."""
-    n = len(arr.hyperplanes)
+def _bits(s: int):
+    """The set bits of ``s``, lowest first."""
+    while s:
+        bit = s & -s
+        yield bit
+        s ^= bit
+
+
+class _Level:
+    """The flats of one rank found so far, shared by the workers building it.
+
+    ``found`` maps support -> flat and ``by_atom`` maps each hyperplane bit
+    to the supports found that hold it.  Dict and list updates are atomic
+    under the GIL: a race only computes an equal flat twice, and ``found``
+    keeps one per support.  ``room`` is how many flats the level may add
+    within the budget.
+    """
+
+    __slots__ = ("found", "by_atom", "room", "max_flats")
+
+    def __init__(self, kept: int, max_flats: int):
+        self.found: dict[int, Flat] = {}
+        self.by_atom: dict[int, list[int]] = {}
+        self.room = max_flats - kept
+        self.max_flats = max_flats
+
+    def check_budget(self) -> None:
+        if len(self.found) > self.room:
+            raise RefusalError(
+                f"intersection lattice exceeds the flat budget ({self.max_flats}); "
+                "raise --max-flats to proceed")
+
+    def add(self, flat: Flat) -> None:
+        self.found.setdefault(flat.support, flat)
+        for atom in _bits(flat.support):
+            self.by_atom.setdefault(atom, []).append(flat.support)
+        self.check_budget()
+
+
+def _line_table(arr: Arrangement, rank1: tuple, rank2: tuple) -> list[list[tuple[int, int]]]:
+    """For each hyperplane h, (support, member) of every rank-2 flat through h,
+    the member being a hyperplane of that flat off the rank-1 flat of h."""
+    point_of = {bit: p.support for p in rank1 for bit in _bits(p.support)}
+    table: list[list[tuple[int, int]]] = [[] for _ in arr.hyperplanes]
+    for line in rank2:
+        for bit in _bits(line.support):
+            rest = line.support & ~point_of[bit]
+            table[bit.bit_length() - 1].append((line.support, (rest & -rest).bit_length() - 1))
+    return table
+
+
+def _children_of(arr: Arrangement, parent: Flat, level: _Level, lines: list | None,
+                 ctx) -> None:
+    """Enter the covers of one flat in ``level``: the flats parent .cap. H for
+    the hyperplanes H outside the parent.
+
+    A flat the level already has whose support contains the parent's is
+    parent v H for each H it holds, the only rank-(k+1) flat above both, so
+    these are looked up under the parent's lowest atom in ``level.by_atom``
+    and only the other covers are row-reduced, each once.  ``covered`` holds
+    the hyperplanes of the covers known so far.  A new cover's support is
+    the parent's plus H plus what a scan finds, and a hyperplane in
+    ``covered`` outside the parent lies in another cover, so the scan skips
+    it.  With the rank-2 flats (``lines``, from ``_line_table``) the scan
+    runs over the lines through H instead, each inside or outside the cover
+    as a whole: a line that meets the parent lies inside, one that meets
+    ``covered`` outside the parent lies outside, and one membership test of
+    its member decides any other.
+    """
+    level.check_budget()  # another worker may have gone over already
+    hyperplanes = arr.hyperplanes
+    n = len(hyperplanes)
     ambient = arr.ambient
-    covered = parent.support
-    rows = parent.subspace.rows
-    full = arr.full_support()
+    by_atom = level.by_atom
+    below = parent.support
+    covered = below
+    for s in by_atom.get(below & -below, ()):
+        if s & below == below:
+            covered |= s
+    rows = list(parent.subspace.rows)
     for h in range(n):
         bit = 1 << h
-        if covered & bit:
-            continue
-        sub_rows, pivots = _kernel.rref(list(rows) + [arr.hyperplanes[h].row],
-                                        ambient, ctx.degree, ctx.red, ctx.phi)
-        flat = seen.get(sub_rows)
-        if flat is None:
-            bits = parent.support | bit
+        if not covered & bit:
+            sub_rows, pivots = _kernel.rref(rows + [hyperplanes[h].row], ambient,
+                                            ctx.degree, ctx.red, ctx.phi)
+            sub = Subspace(ambient, arr.order, sub_rows, pivots)
+            bits = below | bit
             if len(sub_rows) == ambient:
-                bits = full
+                bits = arr.full_support()
+            elif lines is None:
+                # every hyperplane before h is covered by now
+                for h2 in range(h + 1, n):
+                    if not covered & (1 << h2) and form_vanishes_on(hyperplanes[h2], sub):
+                        bits |= 1 << h2
             else:
-                sub = Subspace(ambient, arr.order, sub_rows, pivots)
-                for h2 in range(n):
-                    b2 = 1 << h2
-                    if not (bits & b2) and form_vanishes_on(arr.hyperplanes[h2], sub):
-                        bits |= b2
-            flat = Flat(Subspace(ambient, arr.order, sub_rows, pivots), bits,
-                        len(sub_rows))
-            seen[sub_rows] = flat
-        covered |= flat.support
+                off = covered & ~below
+                for line, member in lines[h]:
+                    if line & below:
+                        bits |= line
+                    elif not line & off and form_vanishes_on(hyperplanes[member], sub):
+                        bits |= line
+            level.add(Flat(sub, bits, len(sub_rows)))
+            covered |= bits
 
 
 def build_lattice(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS,
                   threads: int = 1) -> IntersectionLattice:
     """Breadth-first lattice construction, level by level.
 
-    Rank k+1 flats are the closures of (rank-k flat) intersected with each
-    hyperplane outside its support, deduplicated by support; each level is
-    sorted by support bitset, so the result is deterministic (and identical
-    for any worker count).  The workers of a level share one ``seen`` dict:
-    dict get and set are atomic under the GIL, and a race only recomputes
-    an equal flat.
+    Rank k+1 flats are the flats X .cap. H for X of rank k and H outside X
+    (``_children_of``).  A cover the level already has is found by a bitset
+    lookup, so each flat is row-reduced once; support scans skip the
+    hyperplanes of X's other covers, and from level 3 on they decide each
+    rank-2 flat through H by one membership test.  Each level is sorted by
+    support bitset, so the result is deterministic and identical for any
+    worker count; the workers of a level share its ``_Level``.  The flat
+    budget is checked whenever a level gains a flat, so an oversized lattice
+    is refused before its level is finished.
     """
     ctx = field_context(arr.order)
     bottom = Flat(full_space(arr.ambient, arr.order), 0, 0)
     levels: list[tuple] = [(bottom,)]
-    total = 1
-    current: tuple = (bottom,)
-    while current:
-        seen: dict = {}
-        parallel_map(lambda parent: _children_of(arr, parent, seen, ctx), current, threads)
-        children = {flat.support: flat for flat in seen.values()}
-        if not children:
+    kept = 1
+    lines = None
+    while True:
+        level = _Level(kept, max_flats)
+        parallel_map(lambda parent: _children_of(arr, parent, level, lines, ctx),
+                     levels[-1], threads)
+        found = level.found
+        if not found:
             break
-        level = tuple(children[s] for s in sorted(children))
-        total += len(level)
-        if total > max_flats:
-            raise RefusalError(
-                f"intersection lattice exceeds the flat budget ({max_flats}); "
-                "raise --max-flats to proceed")
-        levels.append(level)
-        current = level
+        levels.append(tuple(found[s] for s in sorted(found)))
+        kept += len(found)
+        if len(levels) == 3:
+            lines = _line_table(arr, levels[1], levels[2])
     return IntersectionLattice(arr, tuple(levels))
 
 

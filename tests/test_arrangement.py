@@ -1,19 +1,23 @@
 """Arrangements, lattices, and the structural constructions."""
 
+import json
 import random
+import sys
 
 import pytest
 
 from hyparr import _kernel
-from hyparr.arrangement import (brute_force_lattice, build_lattice, closure, deletion,
-                                essentialize, in_lattice, irreducible_decomposition,
-                                localization, make_arrangement, parallel_map, product,
-                                restriction)
+from hyparr.arrangement import (Arrangement, brute_force_lattice, build_lattice, closure,
+                                deletion, essentialize, in_lattice,
+                                irreducible_decomposition, localization, make_arrangement,
+                                parallel_map, product, restriction)
+from hyparr.cache import lattice_payload
 from hyparr.cyclo import CyclotomicNumber
 from hyparr.errors import InvalidHyperplaneError, RefusalError
 from hyparr.linalg import LinearForm, intersect, subspace_from_forms
 from hyparr.parse import parse_arrangement_text, parse_form
 from hyparr.reflection import build_named, exceptional_arrangement, monomial_arrangement
+from tests.conftest import random_arrangement
 
 BOOLEAN3 = "ambient 3 field 1\na\nb\nc\n"
 
@@ -96,20 +100,90 @@ class TestBuildLattice:
             assert x.support == y.support == z.support
             assert x.subspace == y.subspace == z.subspace
 
-    # Kernel calls of a one-worker build, as recorded before the worker pool
-    # was shared; the benchmark runs one worker, so the pool adds no work there.
+    # Kernel calls of a one-worker build.  Each flat but the bottom is
+    # row-reduced once; every other cover is a registry lookup.
     @pytest.mark.parametrize("name, rref_calls, in_rowspace_calls",
-                             [("D4", 240, 680), ("G(3,1,3)", 93, 342)])
+                             [("D4", 71, 181), ("G(3,1,3)", 34, 124)])
     def test_one_worker_kernel_calls(self, monkeypatch, name, rref_calls, in_rowspace_calls):
         arr = build_named(name)
-        calls = {"rref": 0, "in_rowspace": 0}
-        for key in calls:
-            def counted(*args, _key=key, _real=getattr(_kernel, key)):
-                calls[_key] += 1
-                return _real(*args)
-            monkeypatch.setattr(_kernel, key, counted)
-        build_lattice(arr, threads=1)
+        calls = count_kernel_calls(monkeypatch)
+        lattice = build_lattice(arr, threads=1)
         assert calls == {"rref": rref_calls, "in_rowspace": in_rowspace_calls}
+        assert calls["rref"] == len(lattice) - 1
+
+    def test_max_flats_holds_within_a_level(self, monkeypatch):
+        # G31 has 771 flats up to rank 2 and 1500 of rank 3: the build stops
+        # at the first rank-3 flat past the budget, not at the end of the level
+        calls = count_kernel_calls(monkeypatch)
+        with pytest.raises(RefusalError, match=r"flat budget \(800\)"):
+            build_lattice(build_named("G31"), max_flats=800)
+        assert calls["rref"] <= 801
+        with pytest.raises(RefusalError, match=r"flat budget \(800\)"):
+            build_lattice(build_named("G31"), max_flats=800, threads=3)
+
+
+def count_kernel_calls(monkeypatch) -> dict[str, int]:
+    """Count ``_kernel.rref`` and ``_kernel.in_rowspace`` calls from here on."""
+    calls = {"rref": 0, "in_rowspace": 0}
+    for key in calls:
+        def counted(*args, _key=key, _real=getattr(_kernel, key)):
+            calls[_key] += 1
+            return _real(*args)
+        monkeypatch.setattr(_kernel, key, counted)
+    return calls
+
+
+def line_table_cases() -> dict:
+    """Rank >= 4 arrangements, whose lower levels come from the line table,
+    and non-essential ones, whose top does too.  Random forms rarely put
+    three hyperplanes on one line, so nine random hyperplanes of B5 and of
+    G(3,1,5) are drawn as well.  D4 with its first hyperplane listed twice
+    has a rank-1 flat of two hyperplanes on every line through it."""
+    rng = random.Random(2012)
+    d4 = exceptional_arrangement("D4")
+    cases = {"D4": d4,
+             "D4-repeated": Arrangement(4, 1, d4.hyperplanes[:1] + d4.hyperplanes),
+             "B2xA(3)": product(build_named("B2"), build_named("A(3)"))}
+    for k in range(20):
+        cases[f"random-{k}"] = random_arrangement(rng, 5, rng.choice([1, 3]), max_hyperplanes=9)
+    for name in ("B5", "G(3,1,5)"):
+        arr = build_named(name)
+        for k in range(5):
+            forms = rng.sample(arr.hyperplanes, 9)
+            cases[f"{name}-sample-{k}"] = make_arrangement(arr.ambient, arr.order, forms)
+    return cases
+
+
+LINE_TABLE_CASES = line_table_cases()
+
+
+class TestLineTable:
+    @pytest.mark.parametrize("arr", LINE_TABLE_CASES.values(), ids=LINE_TABLE_CASES.keys())
+    def test_matches_oracle_at_any_worker_count(self, arr):
+        slow = brute_force_lattice(arr)
+        one = build_lattice(arr, threads=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # let the three workers interleave often
+        try:
+            three = build_lattice(arr, threads=3)
+        finally:
+            sys.setswitchinterval(interval)
+        for fast in (one, three):
+            assert fast.level_sizes() == slow.level_sizes()
+            assert {f.support for f in fast.flats()} == {f.support for f in slow.flats()}
+            for f in fast.flats():
+                assert slow.index[f.support].subspace == f.subspace
+        # serialized as the cache writes it
+        assert (json.dumps(lattice_payload(one), sort_keys=True, separators=(",", ":"))
+                == json.dumps(lattice_payload(three), sort_keys=True, separators=(",", ":")))
+
+    def test_cases_reach_the_line_table(self):
+        cases = LINE_TABLE_CASES.values()
+        assert sum(arr.rank() >= 4 for arr in cases) >= 20
+        assert sum(not arr.is_essential() and arr.rank() >= 3 for arr in cases) >= 3
+        rich = [arr for arr in cases if arr.rank() >= 4 and any(
+            bin(line.support).count("1") >= 3 for line in build_lattice(arr).levels[2])]
+        assert len(rich) >= 10
 
 
 class TestParallelMap:
