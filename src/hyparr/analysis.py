@@ -3,12 +3,17 @@
 A flat X is treated as modular when X + Y is again a lattice element for
 every flat Y.  In a geometric lattice that is the rank identity
 r(X) + r(Y) = r(X v Y) + r(X ^ Y) for every Y (Stanley, 1971), so the scan
-reads integer ranks off the lattice's bitsets and cover table and does no
-field arithmetic; linear algebra certifies only the one failing pair
-(``subspace_sum`` + ``closure``).  ``validate_certificate`` re-checks
-modularity by stacked ranks over the field instead, without the scan's
-membership test or the cover walk.  Scans run in the deterministic flat order (rank, then support bitset),
-so witnesses are reproducible.
+reads integer ranks off the lattice's bitsets and does no field arithmetic:
+the meet is a bitset AND, and the join costs one step of the lattice's join
+table per Y (``IntersectionLattice.joins_from``).  The scan records the
+first failing Y and its meet only; linear algebra certifies that witness
+when it is first read (``ModularityVerdict.certify``: one ``subspace_sum``,
+strictly smaller than the meet flat, which is the closure of X + Y), and
+only the outputs that print witnesses or rest on them read one.
+``validate_certificate`` re-checks modularity by stacked ranks over the
+field and witnesses by ``closure``, without the scan's membership test or
+join table.  Scans run in the deterministic flat order (rank, then support
+bitset), so witnesses are reproducible.
 """
 
 from __future__ import annotations
@@ -26,11 +31,33 @@ from .linalg import LinearForm, Subspace, subspace_from_forms, subspace_sum
 
 @dataclass
 class ModularityVerdict:
-    """Outcome of testing one flat: modular, or a failing partner with the sum."""
+    """Outcome of testing one flat: modular, or the first failing partner Y
+    with the meet flat, the closure of X + Y.
+
+    The witness (Y, X + Y) is built and checked on first read of
+    ``witness`` (``certify``), so a verdict nobody prints costs no field
+    arithmetic.
+    """
 
     flat: Flat
     modular: bool
-    witness: tuple[Flat, Subspace] | None = None
+    partner: Flat | None = None
+    meet: Flat | None = None
+    _witness: tuple[Flat, Subspace] | None = field(default=None, init=False, repr=False,
+                                                   compare=False)
+
+    def certify(self) -> tuple[Flat, Subspace] | None:
+        """The witness (Y, X + Y), None for a modular flat: one sum subspace,
+        checked to be strictly smaller than the meet flat, so not a flat."""
+        if self._witness is None and self.partner is not None:
+            total = subspace_sum(self.flat.subspace, self.partner.subspace)
+            if total.dim >= self.meet.dim:
+                raise InternalInconsistencyError(
+                    "the rank identity disagrees with the sum subspace")
+            self._witness = (self.partner, total)
+        return self._witness
+
+    witness = property(certify)
 
 
 @dataclass
@@ -94,20 +121,15 @@ def _require_flat(lattice: IntersectionLattice, x: Flat) -> Flat:
 def is_modular(arr: Arrangement, lattice: IntersectionLattice, x: Flat) -> ModularityVerdict:
     """Scan every lattice element Y for X + Y outside the lattice.
 
-    Exits on the first failing Y (deterministic order) and certifies it by an
-    explicit sum subspace whose closure is strictly larger.
+    Exits on the first failing Y (deterministic order) and records it with
+    its meet; the verdict certifies the witness when it is read.
     """
     x = _require_flat(lattice, x)
-    for y in lattice.flats():
-        member, meet = lattice.sum_membership(x, y)
+    for y, join in lattice.joins_from(x):
+        member, meet = lattice.sum_membership(x, y, join)
         if not member:
-            total = subspace_sum(x.subspace, y.subspace)
-            check = closure(arr, total)
-            if check.subspace == total or check.support != meet.support:
-                raise InternalInconsistencyError(
-                    "fast membership test disagrees with the closure certificate")
-            return ModularityVerdict(x, False, (y, total))
-    return ModularityVerdict(x, True, None)
+            return ModularityVerdict(x, False, y, meet)
+    return ModularityVerdict(x, True)
 
 
 def modular_flats_of_rank(arr: Arrangement, lattice: IntersectionLattice, rank: int,
@@ -208,14 +230,24 @@ def _modular_by_arithmetic(arr: Arrangement, lattice: IntersectionLattice, x: Fl
     return True
 
 
+def _is_member(lattice: IntersectionLattice, f: Flat | None) -> bool:
+    """Whether f is the flat the lattice holds for f's support: the same
+    subspace and the same rank."""
+    hit = None if f is None else lattice.index.get(f.support)
+    return hit is not None and hit == f and hit.rank == f.rank
+
+
 def validate_certificate(cert: SupersolvabilityCertificate) -> bool:
     """Re-check a certificate from scratch, independently of the search: chains
     flat by flat and no-chain refutations by a full rescan, both by stacked
-    ranks over the field; witnesses by closure."""
+    ranks over the field; witnesses by closure.  Every flat the certificate
+    names must be the lattice's own flat for its support."""
     arr, lattice = cert.arrangement, cert.lattice
     if cert.verdict:
         chain = cert.chain or []
         if [f.rank for f in chain] != list(range(lattice.rank() + 1)):
+            return False
+        if not all(_is_member(lattice, f) for f in chain):
             return False
         for prev, nxt in zip(chain, chain[1:]):
             if nxt.support & prev.support != prev.support:
@@ -225,15 +257,18 @@ def validate_certificate(cert: SupersolvabilityCertificate) -> bool:
     if ref is None:
         return False
     if ref.kind == "empty-rank":
-        if any(v.modular for v in ref.witnesses):
+        if ref.rank is None or not 0 <= ref.rank <= lattice.rank():
             return False
-        if len(ref.witnesses) != len(lattice.levels[ref.rank]):
+        # the witness flats are the whole rank, in flat order
+        level = lattice.levels[ref.rank]
+        if [v.flat.support for v in ref.witnesses] != [f.support for f in level]:
             return False
         for v in ref.witnesses:
-            y, total = v.witness
-            if closure(arr, total).subspace == total:
+            if v.modular or not (_is_member(lattice, v.flat)
+                                 and _is_member(lattice, v.partner)):
                 return False
-            if subspace_sum(v.flat.subspace, y.subspace) != total:
+            total = subspace_sum(v.flat.subspace, v.partner.subspace)
+            if closure(arr, total).subspace == total:
                 return False
         return True
     r, mods = lattice.rank(), cert.modular_by_rank
@@ -242,7 +277,7 @@ def validate_certificate(cert: SupersolvabilityCertificate) -> bool:
     counts = {0: 1, 1: len(lattice.levels[1]), r: 1}
     for k in range(2, r):
         scanned = [f for f in lattice.levels[k] if _modular_by_arithmetic(arr, lattice, f)]
-        if [f.support for f in mods[k]] != [f.support for f in scanned]:
+        if mods[k] != scanned:
             return False
         counts[k] = len(scanned)
     if ref.modular_counts != counts:
@@ -257,25 +292,17 @@ def validate_certificate(cert: SupersolvabilityCertificate) -> bool:
 
 
 def mobius(lattice: IntersectionLattice) -> dict[Flat, int]:
-    """Moebius values from the bottom element, by the standard top-down
-    recursion over the containment order (support bitset inclusion)."""
-    ordered: list[tuple[int, list[Flat]]] = [(k, list(level))
-                                             for k, level in enumerate(lattice.levels)]
-    values: dict[int, int] = {}
-    for k, level in ordered:
-        for x in level:
-            if k == 0:
-                values[x.support] = 1
-                continue
-            acc = 0
-            sx = x.support
-            for k2, level2 in ordered:
-                if k2 >= k:
-                    break
-                for y in level2:
-                    if y.support & sx == y.support:
-                        acc += values[y.support]
-            values[sx] = -acc
+    """Moebius values from the bottom element, by Weisner's theorem over the
+    cover table: for the lowest atom a of X > 0, mu(X) = -sum mu(Y) over the
+    lower covers Y of X that do not lie over a (Weisner, 1935; Stanley,
+    *Enumerative Combinatorics I*, 3.9).  Each cover pair is read once."""
+    covers = lattice.covers()
+    values = {lattice.bottom().support: 1}
+    for f in lattice.flats():
+        s, mu = f.support, values[f.support]
+        for c in covers[s]:
+            if not s & (c & -c):
+                values[c] = values.get(c, 0) - mu
     return {f: values[f.support] for f in lattice.flats()}
 
 

@@ -6,10 +6,11 @@ far more cheaply than matrices.  The canonical RREF subspace is kept on every
 flat for building the lattice and certifying witnesses; joins, meets and the
 modularity test read bitsets and integer ranks only.
 
-The lattice is built level by level, and each flat is row-reduced once: a
-cover X v H that the level already has is found by a bitset lookup, the
-support scan of a new cover skips the hyperplanes of X's other covers, and
-from rank 3 on it decides each rank-2 flat through H by one membership test.
+The lattice is built level by level, and each flat is row-reduced once: the
+hyperplanes are grouped into rank-1 flats by their normalized forms, a cover
+X v H that the level already has is found by a bitset lookup, the support
+scan of a new cover skips the hyperplanes of X's other covers, and from
+rank 3 on it decides each rank-2 flat through H by one membership test.
 """
 
 from __future__ import annotations
@@ -170,11 +171,11 @@ class IntersectionLattice:
     """All intersections of subsets of the arrangement, graded by codimension.
 
     ``levels[k]`` lists the rank-k flats sorted by support bitset; ``index``
-    maps each support to its flat.  The cover table (``covers()``) is built on
-    first use.
+    maps each support to its flat.  The cover table (``covers()``) and the
+    join table (``join_steps()``) are built on first use.
     """
 
-    __slots__ = ("arrangement", "levels", "index", "_covers")
+    __slots__ = ("arrangement", "levels", "index", "_covers", "_steps")
 
     def __init__(self, arrangement: Arrangement, levels: tuple[tuple[Flat, ...], ...]):
         self.arrangement = arrangement
@@ -184,6 +185,7 @@ class IntersectionLattice:
             for f in level:
                 self.index[f.support] = f
         self._covers: dict[int, tuple[int, ...]] | None = None
+        self._steps: tuple[tuple[int, int], ...] | None = None
 
     def flats(self):
         for level in self.levels:
@@ -243,10 +245,54 @@ class IntersectionLattice:
         """Greatest lower bound: the flat supported on the common hyperplanes."""
         return self.index[x.support & y.support]
 
+    def join_steps(self) -> tuple[tuple[int, int], ...]:
+        """For every flat Y above the bottom, in flat order: the support of
+        one lower cover P of Y and one atom (hyperplane bit) of Y outside P,
+        so that Y = P v a.  Read off ``covers()`` once, lazily and as safely
+        from worker threads as the cover table."""
+        steps = self._steps
+        if steps is None:
+            covers = self.covers()
+            lower: dict[int, int] = {}
+            for f in self.flats():
+                for c in covers[f.support]:
+                    lower.setdefault(c, f.support)
+            steps = []
+            for f in self.flats():
+                if f.rank:
+                    p = lower[f.support]
+                    rest = f.support & ~p
+                    steps.append((p, rest & -rest))
+            steps = self._steps = tuple(steps)
+        return steps
+
+    def joins_from(self, x: Flat):
+        """Yield (Y, X v Y) for every flat Y, in flat order, one table step
+        each: X v Y = (X v P) v a with Y = P v a from ``join_steps()``, and
+        X v P was yielded before Y since P precedes Y.  That is X v P when a
+        lies under it, else the one cover of X v P that holds a.  Only the
+        supports of the joins so far are kept."""
+        covers = self.covers()
+        index = self.index
+        flats = self.flats()
+        yield next(flats), x
+        joins = {0: x.support}
+        for y, (p, atom) in zip(flats, self.join_steps()):
+            j = joins[p]
+            if not j & atom:
+                for c in covers[j]:
+                    if c & atom:
+                        j = c
+                        break
+            joins[y.support] = j
+            yield y, index[j]
+
     def join(self, x: Flat, y: Flat) -> Flat:
-        """Least upper bound, the flat of the subspace intersection: walk up
-        the covers from x, each step to the one cover holding the lowest atom
-        of y still missing, so at most r(A) bitset steps."""
+        """Least upper bound of one pair, the flat of the subspace
+        intersection: walk up the covers from x, each step to the one cover
+        holding the lowest atom of y still missing, so at most r(A) bitset
+        steps.  The scan reads its joins from ``joins_from`` instead; this
+        walk is the independent check of that table."""
         hit = self.index.get(x.support | y.support)
         if hit is not None:
             return hit
@@ -259,14 +305,15 @@ class IntersectionLattice:
             missing = y.support & ~s
         return self.index[s]
 
-    def sum_membership(self, x: Flat, y: Flat) -> tuple[bool, Flat]:
+    def sum_membership(self, x: Flat, y: Flat, join: Flat | None = None
+                       ) -> tuple[bool, Flat]:
         """Whether x + y is again a flat, plus the closure of x + y.
 
         The closure of x + y is the meet flat: a hyperplane contains x + y
         exactly when it contains both x and y.  Since dim(x + y) =
         dim x + dim y - dim(x .cap. y), the sum is that flat iff the rank
         identity r(x) + r(y) = r(x v y) + r(x ^ y) holds, which needs only
-        the join's rank.
+        the rank of ``join``, the flat x v y (by default walked by ``join``).
         """
         s = x.support & y.support
         meet = self.index[s]
@@ -277,7 +324,9 @@ class IntersectionLattice:
         if ranks > self.arrangement.ambient + meet.rank:
             # dim(x + y) <= dim x + dim y < dim of the meet
             return False, meet
-        return ranks == self.join(x, y).rank + meet.rank, meet
+        if join is None:
+            join = self.join(x, y)
+        return ranks == join.rank + meet.rank, meet
 
 
 def _bits(s: int):
@@ -336,7 +385,9 @@ def _children_of(arr: Arrangement, parent: Flat, level: _Level, lines: list | No
     """Enter the covers of one flat in ``level``: the flats parent .cap. H for
     the hyperplanes H outside the parent.
 
-    A flat the level already has whose support contains the parent's is
+    The covers of the bottom, the rank-1 flats, are the hyperplanes grouped
+    by normalized form, each row-reduced once.  For any other parent, a flat
+    the level already has whose support contains the parent's is
     parent v H for each H it holds, the only rank-(k+1) flat above both, so
     these are looked up under the parent's lowest atom in ``level.by_atom``
     and only the other covers are row-reduced, each once.  ``covered`` holds
@@ -353,8 +404,18 @@ def _children_of(arr: Arrangement, parent: Flat, level: _Level, lines: list | No
     hyperplanes = arr.hyperplanes
     n = len(hyperplanes)
     ambient = arr.ambient
-    by_atom = level.by_atom
     below = parent.support
+    if not below:
+        # the rank-1 flats: a repeated hyperplane has an equal normalized row
+        atoms: dict = {}
+        for h, form in enumerate(hyperplanes):
+            row = form.normalized().row
+            atoms[row] = atoms.get(row, 0) | 1 << h
+        for row, bits in atoms.items():
+            sub_rows, pivots = _kernel.rref([row], ambient, ctx.degree, ctx.red, ctx.phi)
+            level.add(Flat(Subspace(ambient, arr.order, sub_rows, pivots), bits, 1))
+        return
+    by_atom = level.by_atom
     covered = below
     for s in by_atom.get(below & -below, ()):
         if s & below == below:
@@ -390,14 +451,15 @@ def build_lattice(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS,
     """Breadth-first lattice construction, level by level.
 
     Rank k+1 flats are the flats X .cap. H for X of rank k and H outside X
-    (``_children_of``).  A cover the level already has is found by a bitset
-    lookup, so each flat is row-reduced once; support scans skip the
-    hyperplanes of X's other covers, and from level 3 on they decide each
-    rank-2 flat through H by one membership test.  Each level is sorted by
-    support bitset, so the result is deterministic and identical for any
-    worker count; the workers of a level share its ``_Level``.  The flat
-    budget is checked whenever a level gains a flat, so an oversized lattice
-    is refused before its level is finished.
+    (``_children_of``); rank-1 flats group equal normalized forms.  A cover
+    the level already has is found by a bitset lookup, so each flat is
+    row-reduced once; support scans skip the hyperplanes of X's other
+    covers, and from level 3 on they decide each rank-2 flat through H by
+    one membership test.  Each level is sorted by support bitset, so the
+    result is deterministic and identical for any worker count; the workers
+    of a level share its ``_Level``.  The flat budget is checked whenever a
+    level gains a flat, so an oversized lattice is refused before its level
+    is finished.
     """
     ctx = field_context(arr.order)
     bottom = Flat(full_space(arr.ambient, arr.order), 0, 0)

@@ -149,6 +149,10 @@ def run_rank2_empty_claim(name: str, store: LatticeStore) -> ClaimResult:
     cert = store.certificate(name)
     flats = len(cert.lattice.levels[2])
     modular = len(cert.modular_by_rank[2])
+    if not modular:
+        # the refutation's rank-2 witnesses are this claim's evidence
+        for verdict in cert.refutation.witnesses:
+            verdict.certify()
     detail = (f"all {flats} rank-2 flats non-modular" if not modular
               else f"{modular} of {flats} rank-2 flats are modular")
     return ClaimResult(f"{name}.rank2-empty", "rank2-empty", name, not modular, detail,

@@ -5,12 +5,12 @@ import random
 
 import pytest
 
-from hyparr.analysis import (Refutation, check_rank2_criterion, exponents_from_poincare,
-                             exponents_if_supersolvable, is_modular, is_supersolvable,
-                             mobius, modular_flats_of_rank, poincare, replay_witness,
-                             validate_certificate)
-from hyparr.arrangement import (build_lattice, closure, essentialize, make_arrangement,
-                                product)
+from hyparr.analysis import (ModularityVerdict, Refutation, check_rank2_criterion,
+                             exponents_from_poincare, exponents_if_supersolvable,
+                             is_modular, is_supersolvable, mobius, modular_flats_of_rank,
+                             poincare, replay_witness, validate_certificate)
+from hyparr.arrangement import (Flat, build_lattice, closure, essentialize, in_lattice,
+                                make_arrangement, product)
 from hyparr.errors import RefusalError
 from hyparr.linalg import contains, subspace_from_forms, subspace_sum
 from hyparr.parse import parse_arrangement_text, parse_form
@@ -38,6 +38,17 @@ def mobius_oracle(lattice):
                 acc += mu[y.support]
         mu[x.support] = -acc
     return mu
+
+
+def mobius_by_recursion(lattice):
+    """The quadratic recursion over support inclusion: mu(X) = -sum mu(Y)
+    over every Y strictly below X."""
+    values = {}
+    for x in lattice.flats():
+        below = [values[y.support] for y in lattice.flats()
+                 if y.rank < x.rank and y.support & x.support == y.support]
+        values[x.support] = -sum(below) if x.rank else 1
+    return values
 
 
 class TestIsModular:
@@ -170,6 +181,21 @@ class TestMobiusPoincare:
         assert {f.support: v for f, v in mu.items()} == oracle
         assert sum(abs(v) for v in mu.values()) == 24
 
+    @pytest.mark.parametrize("label", ["D4", "B2xA(2)", "F4", "random"])
+    def test_weisner_matches_the_recursion(self, label):
+        from tests.conftest import random_arrangement
+
+        if label == "random":
+            arr = random_arrangement(random.Random(1935), 4, 3, max_hyperplanes=8)
+        elif label == "B2xA(2)":
+            arr = product(build_named("B2"), build_named("A(2)"))
+        else:
+            arr = build_named(label)
+        lattice = build_lattice(arr)
+        assert lattice.rank() >= 2
+        assert {f.support: v for f, v in mobius(lattice).items()} == \
+            mobius_by_recursion(lattice)
+
     def test_poincare_examples(self):
         empty = make_arrangement(3, 1, [])
         assert poincare(empty, build_lattice(empty)).coefficients == (1,)
@@ -258,6 +284,69 @@ class TestNoChainRefutation:
         counts.update((k, len(m)) for k, m in cert.modular_by_rank.items())
         forged = dataclasses.replace(cert, verdict=False, chain=None, refutation=Refutation(
             "no-chain", modular_counts=counts))
+        assert not validate_certificate(forged)
+
+
+class TestForgedEvidence:
+    """Forgeries built on the supersolvable G(3,1,3): the validator rejects
+    each one, however sound every single witness equation looks."""
+
+    @pytest.fixture(scope="class")
+    def cert(self):
+        cert = is_supersolvable(build_named("G(3,1,3)"))
+        assert cert.verdict and validate_certificate(cert)
+        return cert
+
+    @staticmethod
+    def refuted(cert, witnesses):
+        return dataclasses.replace(cert, verdict=False, chain=None, refutation=Refutation(
+            "empty-rank", rank=2, witnesses=witnesses))
+
+    @staticmethod
+    def off_lattice_line():
+        line = subspace_from_forms([parse_form("a + 2*b + 5*c", 3, 3),
+                                    parse_form("a - 3*b + 7*c", 3, 3)])
+        assert not in_lattice(build_named("G(3,1,3)"), line)
+        return line
+
+    def test_repeated_verdict_rejected(self, cert):
+        verdicts = modular_flats_of_rank(cert.arrangement, cert.lattice, 2)
+        failing = next(v for v in verdicts if not v.modular)
+        assert not validate_certificate(self.refuted(cert, [failing] * len(verdicts)))
+
+    def test_partner_off_the_lattice_rejected(self, cert):
+        lattice = cert.lattice
+        line = self.off_lattice_line()
+        forged = []
+        for v in modular_flats_of_rank(cert.arrangement, lattice, 2):
+            if v.modular:
+                # the support of a rank-2 flat on a line that is not one
+                y = Flat(line, lattice.levels[2][0].support, 2)
+                assert not in_lattice(cert.arrangement, subspace_sum(v.flat.subspace, line))
+                v = ModularityVerdict(v.flat, False, y, lattice.meet(v.flat, y))
+            forged.append(v)
+        assert not validate_certificate(self.refuted(cert, forged))
+
+    def test_flat_off_the_lattice_rejected(self, cert):
+        lattice = cert.lattice
+        line = self.off_lattice_line()
+        forged = []
+        for v in modular_flats_of_rank(cert.arrangement, lattice, 2):
+            if v.modular:
+                x = Flat(line, v.flat.support, 2)
+                y = next(f for f in lattice.levels[2]
+                         if f.support & x.support not in (x.support, f.support))
+                assert not in_lattice(cert.arrangement, subspace_sum(line, y.subspace))
+                v = ModularityVerdict(x, False, y, lattice.meet(x, y))
+            forged.append(v)
+        assert not validate_certificate(self.refuted(cert, forged))
+
+    def test_chain_flat_with_a_false_rank_rejected(self, cert):
+        bottom, h, _, top = cert.chain
+        # the hyperplane again, claiming rank 2: nested and modular by itself
+        posing = Flat(h.subspace, h.support, 2)
+        assert posing == h
+        forged = dataclasses.replace(cert, chain=[bottom, h, posing, top])
         assert not validate_certificate(forged)
 
 

@@ -1,8 +1,10 @@
-"""The modular scan decided by the rank identity over the cover table.
+"""The modular scan decided by the rank identity over the join table.
 
-Joins walk the cover table; sum-membership compares integer ranks; no field
-arithmetic runs in the scan, and the certificate validator re-checks by
-linear algebra without touching the cover walk.
+The scan reads each join off one step of the join table; sum-membership
+compares integer ranks; no field arithmetic runs in the scan, witnesses are
+certified only when read, and the certificate validator re-checks by linear
+algebra without touching the join table.  The pairwise cover walk ``join``
+is the oracle for the table.
 """
 
 import dataclasses
@@ -12,13 +14,15 @@ import pytest
 
 import hyparr._kernel
 import hyparr.analysis
-from hyparr.analysis import (is_modular, is_supersolvable, modular_flats_of_rank,
-                             validate_certificate)
+from hyparr.analysis import (ModularityVerdict, is_modular, is_supersolvable,
+                             modular_flats_of_rank, validate_certificate)
 from hyparr.arrangement import (IntersectionLattice, brute_force_lattice, build_lattice,
-                                product)
+                                closure, product)
 from hyparr.cache import load_lattice, save_lattice
 from hyparr.cli import main
-from hyparr.linalg import intersect
+from hyparr.errors import InternalInconsistencyError
+from hyparr.linalg import intersect, subspace_sum
+from hyparr.parse import parse_arrangement_text
 from hyparr.reflection import build_named
 
 # sum_membership calls of one is_supersolvable run, fixed by the scan order
@@ -52,6 +56,29 @@ def test_join_walk_matches_subspace_intersection(tmp_path):
         for _ in range(300):
             x, y = rng.choice(flats), rng.choice(flats)
             assert lattice.join(x, y).subspace == intersect(x.subspace, y.subspace), label
+
+
+def test_join_table_matches_the_cover_walk(tmp_path):
+    cases = [("D4", build_lattice(build_named("D4"))),
+             ("B2 x A2", build_lattice(_b2_times_a2())),
+             ("loaded G(3,3,3)", _loaded(build_named("G(3,3,3)"), tmp_path))]
+    for label, lattice in cases:
+        flats = list(lattice.flats())
+        for x in flats:
+            steps = list(lattice.joins_from(x))
+            assert [y for y, _ in steps] == flats, label
+            assert [join for _, join in steps] == [lattice.join(x, y) for y in flats], label
+
+
+def test_join_steps_are_lower_covers_and_atoms(tmp_path):
+    for label, lattice in _lattices(tmp_path):
+        covers = lattice.covers()
+        flats = list(lattice.flats())
+        steps = lattice.join_steps()
+        assert len(steps) == len(flats) - 1, label
+        for y, (p, atom) in zip(flats[1:], steps):
+            assert y.support in covers[p], label
+            assert bin(atom).count("1") == 1 and atom & y.support and not atom & p, label
 
 
 def test_cover_table_is_the_cover_relation(tmp_path):
@@ -104,10 +131,44 @@ def test_scan_operation_counts(name, monkeypatch):
     cert = is_supersolvable(arr)
     assert cert.verdict == (name != "D4")
     assert calls["rank"] == 0
-    assert calls["subspace_sum"] == calls["non_modular"]
     assert calls["sum_membership"] == SUM_MEMBERSHIP_CALLS[name]
+    # no witness is certified until one is read, and each one only once
+    assert calls["subspace_sum"] == 0
+    certified = cert.refutation.witnesses if cert.refutation else []
+    for _ in range(2):
+        for verdict in certified:
+            assert verdict.witness is not None
+    assert calls["subspace_sum"] == len(certified)
     if name == "D4":
-        assert calls["non_modular"] == len(cert.lattice.levels[2])
+        assert calls["non_modular"] == len(certified) == len(cert.lattice.levels[2])
+
+
+def test_read_witnesses_satisfy_the_closure_definition():
+    point = parse_arrangement_text("ambient 1 field 1\na\n")
+    for arr in (build_named("D4"), build_named("G(3,1,3)"), build_named("G25"),
+                _b2_times_a2(), product(point, build_named("G(3,3,3)"))):
+        lattice = build_lattice(arr)
+        for k in range(lattice.rank() + 1):
+            for verdict in modular_flats_of_rank(arr, lattice, k):
+                if verdict.modular:
+                    assert verdict.witness is None
+                    continue
+                y, total = verdict.witness
+                x = verdict.flat
+                assert total == subspace_sum(x.subspace, y.subspace)
+                check = closure(arr, total)
+                assert check.subspace != total
+                assert check.support == x.support & y.support == verdict.meet.support
+
+
+def test_certify_rejects_a_pair_whose_sum_is_a_flat():
+    d4 = build_named("D4")
+    lattice = build_lattice(d4)
+    x = lattice.levels[2][0]
+    y = next(f for f in lattice.levels[1] if f.support & x.support == f.support)
+    wrong = ModularityVerdict(x, False, y, lattice.meet(x, y))
+    with pytest.raises(InternalInconsistencyError):
+        wrong.witness
 
 
 def test_validator_ignores_a_lying_scan(monkeypatch):
@@ -123,22 +184,27 @@ def test_validator_ignores_a_lying_scan(monkeypatch):
     genuine = is_supersolvable(build_named("A(3)"))
     assert genuine.verdict
     x = chain[2]
-    honest = [lattice.sum_membership(x, y)[0] for y in lattice.flats()]
 
-    def lying_join(self, x, y):
-        # a flat of the rank that would make the pair satisfy the rank identity
-        return self.levels[min(x.rank + y.rank - self.meet(x, y).rank, self.rank())][0]
+    def scanned(x):
+        return [lattice.sum_membership(x, y, join)[0] for y, join in lattice.joins_from(x)]
 
-    monkeypatch.setattr(IntersectionLattice, "join", lying_join)
-    assert [lattice.sum_membership(x, y)[0] for y in lattice.flats()] != honest
+    honest = scanned(x)
+
+    def lying_joins(self, x):
+        # per Y, a flat of the rank that would make the pair satisfy the rank identity
+        for y in self.flats():
+            yield y, self.levels[min(x.rank + y.rank - self.meet(x, y).rank, self.rank())][0]
+
+    monkeypatch.setattr(IntersectionLattice, "joins_from", lying_joins)
+    assert scanned(x) != honest
     assert not validate_certificate(forged)
     assert validate_certificate(genuine)
 
-    # A lying join alone does not flip a whole verdict here (the rank bound
-    # finds every failing pair first), so lie in the membership test too:
-    # the scan is fooled, the validator is not.
+    # A lying join table alone does not flip a whole verdict here (the rank
+    # bound finds every failing pair first), so lie in the membership test
+    # too: the scan is fooled, the validator is not.
     monkeypatch.setattr(IntersectionLattice, "sum_membership",
-                        lambda self, x, y: (True, self.meet(x, y)))
+                        lambda self, x, y, join=None: (True, self.meet(x, y)))
     assert all(is_modular(d4, lattice, f).modular for f in chain)
     assert not validate_certificate(forged)
     assert validate_certificate(genuine)
