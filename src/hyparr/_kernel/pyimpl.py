@@ -1,11 +1,15 @@
 """Pure-Python arithmetic kernel.
 
 Everything here works on plain integers so that the compiled backend in
-``_speedups.pyx`` can mirror it line for line.  An element of the cyclotomic
-field of degree ``d`` is a pair ``(nums, den)``: a tuple of ``d`` integer
-coordinates in the power basis over a single positive denominator, with
-``gcd(*nums, den) == 1``.  A matrix row packs ``m`` such elements into one
-tuple of ``m * d`` integers over one shared denominator.
+``_speedups.pyx`` can mirror it line for line, except ``elem_inv``: here it
+solves a linear system by fraction-free elimination, while the twin keeps
+extended Euclid over ``Fraction``; both return the same canonical pair.
+
+An element of the cyclotomic field of degree ``d`` is a pair ``(nums, den)``:
+a tuple of ``d`` integer coordinates in the power basis over a single
+positive denominator, with ``gcd(*nums, den) == 1``.  A matrix row packs
+``m`` such elements into one tuple of ``m * d`` integers over one shared
+denominator.
 
 Reduction data ``red`` is a tuple of ``d - 1`` integer rows: ``red[k]`` holds
 the power-basis coordinates of ``x**(d + k)`` modulo the defining polynomial,
@@ -16,8 +20,7 @@ with integer coefficients.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Elem = tuple[tuple[int, ...], int]
 Row = tuple[tuple[int, ...], int]
@@ -91,7 +94,14 @@ def elem_mul(a, b, d, red):
 
 
 def elem_inv(a, d, phi, red):
-    """Inverse modulo the defining polynomial, by extended Euclid over Q[x]."""
+    """Inverse modulo the defining polynomial, in integers only.
+
+    For d > 1 the inverse of ``nums`` solves M v = e0, where column j of M
+    holds the coordinates of nums * x**j; Gauss-Jordan elimination with a
+    gcd reduction per row (fraction-free, after Bareiss) leaves a diagonal
+    system read off over one common denominator.  ``phi`` is unused here:
+    ``red`` already encodes the modulus.
+    """
     an, ad = a
     if not any(an):
         raise ZeroDivisionError("inverse of zero field element")
@@ -100,48 +110,34 @@ def elem_inv(a, d, phi, red):
         if n < 0:
             return (-ad,), -n
         return (ad,), n
-    # r0 = phi, r1 = a; keep Bezout coefficient for a only.
-    r0 = [Fraction(c) for c in phi]
-    r1 = [Fraction(n, ad) for n in an]
-    while r1 and r1[-1] == 0:
-        r1.pop()
-    t0: list[Fraction] = []
-    t1 = [Fraction(1)]
-    while True:
-        deg0 = len(r0) - 1
-        deg1 = len(r1) - 1
-        if deg1 == 0:
-            break
-        q = [Fraction(0)] * (deg0 - deg1 + 1)
-        rem = list(r0)
-        for k in range(deg0 - deg1, -1, -1):
-            c = rem[deg1 + k] / r1[deg1]
-            q[k] = c
-            if c:
-                for j in range(deg1 + 1):
-                    rem[j + k] -= c * r1[j]
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if not rem:
+    cols = [list(an)]
+    for _ in range(d - 1):
+        prev = cols[-1]
+        col = [0] + prev[:-1]
+        top = prev[-1]
+        if top:
+            col = [c + top * r for c, r in zip(col, red[0])]
+        cols.append(col)
+    work = [[col[i] for col in cols] + [int(i == 0)] for i in range(d)]
+    for c in range(d):
+        hit = next((r for r in range(c, d) if work[r][c]), -1)
+        if hit < 0:
             raise ZeroDivisionError("element shares a factor with the modulus")
-        qt = [Fraction(0)] * (len(q) + len(t1) - 1)
-        for i, x in enumerate(q):
-            if x:
-                for j, y in enumerate(t1):
-                    qt[i + j] += x * y
-        nt = [Fraction(0)] * max(len(t0), len(qt))
-        for i, x in enumerate(t0):
-            nt[i] += x
-        for i, x in enumerate(qt):
-            nt[i] -= x
-        r0, r1 = r1, rem
-        t0, t1 = t1, nt
-    lead = r1[0]
-    out = [c / lead for c in t1] + [Fraction(0)] * (d - len(t1))
-    den = 1
-    for c in out:
-        den = den * c.denominator // gcd(den, c.denominator)
-    return elem_norm([int(c * den) for c in out[:d]], den)
+        if hit != c:
+            work[c], work[hit] = work[hit], work[c]
+        p = work[c]
+        pv = p[c]
+        for r in range(d):
+            w = work[r]
+            e = w[c]
+            if r != c and e:
+                nw = [pv * x - e * y for x, y in zip(w, p)]
+                g = gcd(*nw)
+                if g > 1:
+                    nw = [v // g for v in nw]
+                work[r] = nw
+    den = lcm(*(w[i] for i, w in enumerate(work)))
+    return elem_norm([ad * w[d] * (den // w[i]) for i, w in enumerate(work)], den)
 
 
 def _entry_nonzero(nums, col, d):

@@ -7,22 +7,25 @@ flat for building the lattice and certifying witnesses; joins, meets and the
 modularity test read bitsets and integer ranks only.
 
 The lattice is built level by level, and each flat is row-reduced once: the
-hyperplanes are grouped into rank-1 flats by their normalized forms, a cover
-X v H that the level already has is found by a bitset lookup, the support
-scan of a new cover skips the hyperplanes of X's other covers, and from
-rank 3 on it decides each rank-2 flat through H by one membership test.
+hyperplanes are grouped into rank-1 flats by their normalized forms, and
+into the rank-2 flats over each hyperplane X by their normalized residues
+modulo X's row, with no membership test.  A cover X v H that the level
+already has is found by a bitset lookup, the support scan of a new cover
+skips the hyperplanes of X's other covers, and from rank 3 on it decides
+each rank-2 flat through H by one membership test.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from math import lcm
+from threading import Lock
 
 from . import _kernel
 from .cyclo import CyclotomicNumber, embed, field_context
 from .errors import InvalidHyperplaneError, RefusalError
-from .linalg import (LinearForm, Subspace, _row_entry, form_vanishes_on, full_space, rref,
-                     subspace_from_rows, variable_names)
+from .linalg import (LinearForm, Subspace, _row_entry, form_residue, form_vanishes_on,
+                     full_space, rref, subspace_from_rows, variable_names)
 
 DEFAULT_MAX_FLATS = 500_000
 
@@ -344,14 +347,17 @@ class _Level:
     to the supports found that hold it.  Dict and list updates are atomic
     under the GIL: a race only computes an equal flat twice, and ``found``
     keeps one per support.  ``room`` is how many flats the level may add
-    within the budget.
+    within the budget.  ``lock`` serializes the rank-2 row reductions, whose
+    supports are known beforehand, so none is repeated or run past the
+    budget at any worker count.
     """
 
-    __slots__ = ("found", "by_atom", "room", "max_flats")
+    __slots__ = ("found", "by_atom", "room", "max_flats", "lock")
 
     def __init__(self, kept: int, max_flats: int):
         self.found: dict[int, Flat] = {}
         self.by_atom: dict[int, list[int]] = {}
+        self.lock = Lock()
         self.room = max_flats - kept
         self.max_flats = max_flats
 
@@ -386,7 +392,12 @@ def _children_of(arr: Arrangement, parent: Flat, level: _Level, lines: list | No
     the hyperplanes H outside the parent.
 
     The covers of the bottom, the rank-1 flats, are the hyperplanes grouped
-    by normalized form, each row-reduced once.  For any other parent, a flat
+    by normalized form, each row-reduced once.  For a rank-1 parent with row
+    x and pivot p, each hyperplane h off it is reduced once to h - h_p x and
+    scaled to leading coefficient 1 (``form_residue``): hyperplanes with
+    equal residues span one rank-2 flat with x, whose support is the
+    parent's plus theirs, so each residue class is one cover, row-reduced
+    once, and no membership test is run.  For any other parent, a flat
     the level already has whose support contains the parent's is
     parent v H for each H it holds, the only rank-(k+1) flat above both, so
     these are looked up under the parent's lowest atom in ``level.by_atom``
@@ -421,6 +432,24 @@ def _children_of(arr: Arrangement, parent: Flat, level: _Level, lines: list | No
         if s & below == below:
             covered |= s
     rows = list(parent.subspace.rows)
+    if parent.rank == 1:
+        # the rank-2 flats: hyperplanes off the parent with equal residues
+        groups: dict = {}
+        for h in range(n):
+            if not covered & 1 << h:
+                key = form_residue(hyperplanes[h], parent.subspace)
+                groups[key] = groups.get(key, 0) | 1 << h
+        for bits in groups.values():
+            with level.lock:
+                if below | bits in level.found:
+                    continue  # another worker entered it after ``covered`` was read
+                level.check_budget()
+                h = (bits & -bits).bit_length() - 1
+                sub_rows, pivots = _kernel.rref(rows + [hyperplanes[h].row], ambient,
+                                                ctx.degree, ctx.red, ctx.phi)
+                level.add(Flat(Subspace(ambient, arr.order, sub_rows, pivots),
+                               below | bits, 2))
+        return
     for h in range(n):
         bit = 1 << h
         if not covered & bit:
@@ -451,15 +480,16 @@ def build_lattice(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS,
     """Breadth-first lattice construction, level by level.
 
     Rank k+1 flats are the flats X .cap. H for X of rank k and H outside X
-    (``_children_of``); rank-1 flats group equal normalized forms.  A cover
-    the level already has is found by a bitset lookup, so each flat is
-    row-reduced once; support scans skip the hyperplanes of X's other
-    covers, and from level 3 on they decide each rank-2 flat through H by
-    one membership test.  Each level is sorted by support bitset, so the
-    result is deterministic and identical for any worker count; the workers
-    of a level share its ``_Level``.  The flat budget is checked whenever a
-    level gains a flat, so an oversized lattice is refused before its level
-    is finished.
+    (``_children_of``); rank-1 flats group equal normalized forms, and the
+    rank-2 flats over a hyperplane X group the other hyperplanes by their
+    normalized residues modulo X.  A cover the level already has is found by
+    a bitset lookup, so each flat is row-reduced once; support scans skip
+    the hyperplanes of X's other covers, and from level 3 on they decide
+    each rank-2 flat through H by one membership test.  Each level is sorted
+    by support bitset, so the result is deterministic and identical for any
+    worker count; the workers of a level share its ``_Level``.  The flat
+    budget is checked whenever a level gains a flat, so an oversized lattice
+    is refused before its level is finished.
     """
     ctx = field_context(arr.order)
     bottom = Flat(full_space(arr.ambient, arr.order), 0, 0)

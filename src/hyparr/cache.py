@@ -104,8 +104,9 @@ def load_lattice(arr: Arrangement, cache_dir: str) -> IntersectionLattice | None
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
         return lattice_from_payload(arr, payload)
-    except (ValueError, KeyError, OSError):
-        return None  # treat unreadable or stale entries as cache misses
+    except (ValueError, KeyError, TypeError, AttributeError, OSError):
+        # unreadable, stale or malformed (JSON of the wrong shape) entries are misses
+        return None
 
 
 def load_or_build(arr: Arrangement, cache_dir: str | None = None,

@@ -259,6 +259,46 @@ def form_vanishes_on(form: LinearForm, s: Subspace) -> bool:
                                ctx.degree, ctx.red)
 
 
+def form_residue(form: LinearForm, s: Subspace) -> Row | None:
+    """``form`` reduced by the defining rows of ``s`` and scaled to leading
+    coefficient 1, or None if the hyperplane of ``form`` contains ``s``.
+
+    The reduction zeroes the pivot columns of ``s``, so two forms off ``s``
+    have equal residues exactly when they cut ``s`` in the same subspace.
+    """
+    ctx = field_context(form.order)
+    d = ctx.degree
+    red = ctx.red
+    m = form.ambient
+    cur = form.row[0]
+    for (pn, pd), col in zip(s.rows, s.pivots):
+        e = cur[col * d:(col + 1) * d]
+        if not any(e):
+            continue
+        if d == 1:
+            e = e[0]
+            cur = [x * pd - e * y for x, y in zip(cur, pn)]
+        else:
+            cur = [x * pd for x in cur]
+            for j in range(m):
+                seg = pn[j * d:(j + 1) * d]
+                if any(seg):
+                    jb = j * d
+                    for k, v in enumerate(_kernel.poly_mulreduce(e, seg, d, red)):
+                        cur[jb + k] -= v
+    # the residue over any denominator, divided by its leading entry
+    for j in range(m):
+        lead = cur[j * d:(j + 1) * d]
+        if any(lead):
+            break
+    else:
+        return None
+    if not any(lead[1:]):
+        return _kernel.elem_norm(cur, lead[0])
+    inv = _kernel.elem_inv((tuple(lead), 1), d, ctx.phi, red)
+    return _scale_row((cur, 1), CyclotomicNumber(form.order, *inv), form.order)
+
+
 def _check_compatible(x: Subspace, y: Subspace) -> None:
     if x.ambient != y.ambient:
         raise ValueError(f"ambient dimension mismatch: {x.ambient} vs {y.ambient}")

@@ -102,9 +102,9 @@ class TestBuildLattice:
 
     # Kernel calls of a one-worker build.  Each flat but the bottom is
     # row-reduced once; every other cover is a registry lookup, and the
-    # rank-1 flats need no membership test.
+    # rank-1 and rank-2 flats need no membership test.
     @pytest.mark.parametrize("name, rref_calls, in_rowspace_calls",
-                             [("D4", 71, 115), ("G(3,1,3)", 34, 58)])
+                             [("D4", 71, 15), ("G(3,1,3)", 34, 0)])
     def test_one_worker_kernel_calls(self, monkeypatch, name, rref_calls, in_rowspace_calls):
         arr = build_named(name)
         calls = count_kernel_calls(monkeypatch)
@@ -121,6 +121,20 @@ class TestBuildLattice:
         assert calls["rref"] <= 801
         with pytest.raises(RefusalError, match=r"flat budget \(800\)"):
             build_lattice(build_named("G31"), max_flats=800, threads=3)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_max_flats_holds_within_level_2(self, monkeypatch, threads):
+        # G31 has 60 hyperplanes and 710 rank-2 flats: the residue classes of
+        # a hyperplane are row-reduced one by one, each checked on entry
+        calls = count_kernel_calls(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # let the workers interleave often
+        try:
+            with pytest.raises(RefusalError, match=r"flat budget \(300\)"):
+                build_lattice(build_named("G31"), max_flats=300, threads=threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert calls["rref"] <= 301
 
 
 def count_kernel_calls(monkeypatch) -> dict[str, int]:

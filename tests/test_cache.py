@@ -2,10 +2,13 @@
 
 import json
 
+import pytest
+
 from hyparr.arrangement import build_lattice
 from hyparr.cache import (arrangement_key, cache_path, lattice_from_payload,
                           lattice_payload, load_lattice, save_lattice)
-from hyparr.reflection import exceptional_arrangement, monomial_arrangement
+from hyparr.cli import main
+from hyparr.reflection import build_named, exceptional_arrangement, monomial_arrangement
 
 
 def canonical(lattice) -> str:
@@ -46,6 +49,25 @@ class TestCache:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("{not json")
         assert load_lattice(arr, str(tmp_path)) is None
+
+    @pytest.mark.parametrize("malformed", ["list", "levels-int"])
+    def test_malformed_entry_rebuilt_by_cli(self, tmp_path, capsys, malformed):
+        argv = ["--json", "lattice", "G(3,1,3)"]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        cache_dir = str(tmp_path)
+        arr = build_named("G(3,1,3)")
+        path = save_lattice(build_lattice(arr), cache_dir)
+        with open(path, "r", encoding="utf-8") as fh:
+            good = fh.read()
+        payload = [] if malformed == "list" else dict(json.loads(good), levels=5)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        assert load_lattice(arr, cache_dir) is None
+        assert main(["--cache-dir", cache_dir] + argv) == 0
+        assert capsys.readouterr().out == cold
+        with open(path, "r", encoding="utf-8") as fh:
+            assert fh.read() == good  # the entry was rebuilt and overwritten
 
     def test_mismatched_arrangement_rejected(self, tmp_path):
         a = monomial_arrangement(2, 1, 2)

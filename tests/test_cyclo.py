@@ -1,11 +1,14 @@
 """Cyclotomic field arithmetic: frozen examples, field axioms, embeddings."""
 
 import cmath
+import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hyparr._kernel import pyimpl
 from hyparr.cyclo import (CyclotomicNumber, cyclotomic_polynomial, embed,
                           field_context, root_of_unity)
 
@@ -18,6 +21,58 @@ def poly_mul(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
+
+
+def euclid_inverse(a, d, phi):
+    """The inverse of a = (nums, den) modulo phi by extended Euclid over Q[x]:
+    the reference for the kernel's fraction-free ``elem_inv``."""
+    r0 = [Fraction(c) for c in phi]
+    r1 = [Fraction(n, a[1]) for n in a[0]]
+    while r1[-1] == 0:
+        r1.pop()
+    t0, t1 = [Fraction(0)], [Fraction(1)]
+    while len(r1) > 1:
+        q = [Fraction(0)] * (len(r0) - len(r1) + 1)
+        rem = list(r0)
+        for k in range(len(q) - 1, -1, -1):
+            q[k] = c = rem[len(r1) - 1 + k] / r1[-1]
+            for j, y in enumerate(r1):
+                rem[j + k] -= c * y
+        while rem and rem[-1] == 0:
+            rem.pop()
+        nt = [Fraction(0)] * max(len(t0), len(q) + len(t1) - 1)
+        for i, x in enumerate(t0):
+            nt[i] += x
+        for i, x in enumerate(q):
+            for j, y in enumerate(t1):
+                nt[i + j] -= x * y
+        r0, r1, t0, t1 = r1, rem, t1, nt
+    out = [c / r1[0] for c in t1] + [Fraction(0)] * (d - len(t1))
+    den = lcm(*(c.denominator for c in out))
+    return pyimpl.elem_norm([int(c * den) for c in out[:d]], den)
+
+
+class TestKernelInverse:
+    @pytest.mark.parametrize("order", [3, 4, 5, 7, 8, 9, 12, 15, 16])
+    def test_matches_euclid(self, order):
+        ctx = field_context(order)
+        rng = random.Random(order)
+        for _ in range(300):
+            nums = [rng.randint(-40, 40) if rng.random() < 0.7 else 0
+                    for _ in range(ctx.degree)]
+            if not any(nums):
+                nums[rng.randrange(ctx.degree)] = rng.choice([-1, 1])
+            a = pyimpl.elem_norm(nums, rng.randint(1, 60))
+            inv = pyimpl.elem_inv(a, ctx.degree, ctx.phi, ctx.red)
+            assert inv == euclid_inverse(a, ctx.degree, ctx.phi)
+            one = ((1,) + (0,) * (ctx.degree - 1), 1)
+            assert pyimpl.elem_mul(a, inv, ctx.degree, ctx.red) == one
+
+    @pytest.mark.parametrize("order", [1, 3, 16])
+    def test_zero_raises(self, order):
+        ctx = field_context(order)
+        with pytest.raises(ZeroDivisionError):
+            pyimpl.elem_inv(((0,) * ctx.degree, 7), ctx.degree, ctx.phi, ctx.red)
 
 
 class TestCyclotomicPolynomial:

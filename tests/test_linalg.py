@@ -5,10 +5,10 @@ import random
 import pytest
 
 from hyparr.cyclo import CyclotomicNumber, field_context, root_of_unity
-from hyparr.linalg import (LinearForm, contains, form_vanishes_on, full_space,
-                           intersect, rref, subspace_from_forms, subspace_from_rows,
-                           subspace_sum)
-from tests.conftest import random_form, random_subspace
+from hyparr.linalg import (LinearForm, contains, form_residue, form_vanishes_on,
+                           full_space, intersect, rref, subspace_from_forms,
+                           subspace_from_rows, subspace_sum)
+from tests.conftest import random_form, random_nonzero_cyclo, random_subspace
 
 CASES_PER_SUITE = 1000
 
@@ -71,6 +71,36 @@ class TestSubspaces:
     def test_ambient_mismatch_rejected(self):
         with pytest.raises(ValueError):
             intersect(full_space(2, 1), full_space(3, 1))
+
+
+class TestFormResidue:
+    def test_equal_exactly_when_the_sections_agree(self):
+        rng = random.Random(12)
+        outcomes = set()
+        for _ in range(400):
+            order = rng.choice([1, 3, 4, 5])
+            ambient = rng.randint(2, 4)
+            s = random_subspace(rng, ambient, order, max_forms=ambient - 1)
+            f = random_form(rng, ambient, order)
+            res = form_residue(f, s)
+            assert (res is None) == form_vanishes_on(f, s)
+            if res is None:
+                continue
+            assert LinearForm(ambient, order, res).normalized().row == res
+            # g is a multiple of f plus forms vanishing on s: the same section
+            a = random_nonzero_cyclo(rng, order)
+            coeffs = [a * c for c in f.coefficients()]
+            for form in s.defining_forms():
+                k = random_nonzero_cyclo(rng, order)
+                coeffs = [c + k * e for c, e in zip(coeffs, form.coefficients())]
+            g = LinearForm.from_coefficients(coeffs, order)
+            assert form_residue(g, s) == res
+            section = intersect(s, subspace_from_forms([f]))
+            h = random_form(rng, ambient, order, span=1)
+            same = intersect(s, subspace_from_forms([h])) == section
+            assert (form_residue(h, s) == res) == same
+            outcomes.add(same)
+        assert outcomes == {True, False}
 
 
 class TestPropertySuites:
