@@ -5,20 +5,24 @@ every flat Y.  In a geometric lattice that is the rank identity
 r(X) + r(Y) = r(X v Y) + r(X ^ Y) for every Y (Stanley, 1971), so the scan
 reads integer ranks off the lattice's bitsets and does no field arithmetic:
 the meet is a bitset AND, and the join costs one step of the lattice's join
-table per Y (``IntersectionLattice.joins_from``).  The scan records the
-first failing Y and its meet only; linear algebra certifies that witness
-when it is first read (``ModularityVerdict.certify``: one ``subspace_sum``,
-strictly smaller than the meet flat, which is the closure of X + Y), and
-only the outputs that print witnesses or rest on them read one.
-``validate_certificate`` re-checks modularity by stacked ranks over the
-field and witnesses by ``closure``, without the scan's membership test or
-join table.  Scans run in the deterministic flat order (rank, then support
-bitset), so witnesses are reproducible.
+table per Y (``IntersectionLattice.joins_from``).  The bottom and the atoms
+always satisfy the identity, so the scan starts at rank 2.  It records the
+first failing Y and its meet only.  ``ModularityVerdict.certify`` checks
+that witness over the field, independently of the join table: by
+Grassmann's formula, dim(X + Y) from one rank of the stacked defining rows
+must be strictly smaller than the meet flat, which is the closure of X + Y.
+The sum subspace itself is built only for the outputs that print it
+(``ModularityVerdict.witness``).  ``validate_certificate`` re-checks
+modularity by stacked ranks over the field and witnesses by ``closure``,
+without the scan's membership test or join table.  Scans run in the
+deterministic flat order (rank, then support bitset), so witnesses are
+reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 from . import _kernel
 from .arrangement import (DEFAULT_MAX_FLATS, Arrangement, Flat, IntersectionLattice,
@@ -34,30 +38,45 @@ class ModularityVerdict:
     """Outcome of testing one flat: modular, or the first failing partner Y
     with the meet flat, the closure of X + Y.
 
-    The witness (Y, X + Y) is built and checked on first read of
-    ``witness`` (``certify``), so a verdict nobody prints costs no field
-    arithmetic.
+    ``certify`` checks the failure over the field by one stacked rank on
+    first call; ``witness`` certifies and then builds the pair (Y, X + Y)
+    for printing, once.  A verdict nobody reads costs no field arithmetic.
     """
 
     flat: Flat
     modular: bool
     partner: Flat | None = None
     meet: Flat | None = None
+    _sum_dim: int | None = field(default=None, init=False, repr=False, compare=False)
     _witness: tuple[Flat, Subspace] | None = field(default=None, init=False, repr=False,
                                                    compare=False)
 
-    def certify(self) -> tuple[Flat, Subspace] | None:
-        """The witness (Y, X + Y), None for a modular flat: one sum subspace,
-        checked to be strictly smaller than the meet flat, so not a flat."""
-        if self._witness is None and self.partner is not None:
-            total = subspace_sum(self.flat.subspace, self.partner.subspace)
-            if total.dim >= self.meet.dim:
+    def certify(self) -> int | None:
+        """dim(X + Y), checked to be strictly smaller than the meet flat, so
+        X + Y is not a flat; None for a modular flat.  Grassmann's formula
+        gives dim(X + Y) = dim X + dim Y - dim(X .cap. Y), and the
+        intersection's codimension is the rank of the stacked defining rows."""
+        if self._sum_dim is None and self.partner is not None:
+            x, y = self.flat.subspace, self.partner.subspace
+            ctx = field_context(x.order)
+            stacked = _kernel.rank(list(x.rows + y.rows), x.ambient, ctx.degree, ctx.red)
+            dim = x.dim + y.dim - (x.ambient - stacked)
+            if dim >= self.meet.dim:
                 raise InternalInconsistencyError(
-                    "the rank identity disagrees with the sum subspace")
+                    "the rank identity disagrees with the stacked rank")
+            self._sum_dim = dim
+        return self._sum_dim
+
+    @property
+    def witness(self) -> tuple[Flat, Subspace] | None:
+        """The certified witness (Y, X + Y), None for a modular flat."""
+        if self._witness is None and self.certify() is not None:
+            total = subspace_sum(self.flat.subspace, self.partner.subspace)
+            if total.dim != self._sum_dim:
+                raise InternalInconsistencyError(
+                    "the sum subspace disagrees with the stacked rank")
             self._witness = (self.partner, total)
         return self._witness
-
-    witness = property(certify)
 
 
 @dataclass
@@ -119,13 +138,19 @@ def _require_flat(lattice: IntersectionLattice, x: Flat) -> Flat:
 
 
 def is_modular(arr: Arrangement, lattice: IntersectionLattice, x: Flat) -> ModularityVerdict:
-    """Scan every lattice element Y for X + Y outside the lattice.
+    """Scan the lattice elements Y of rank 2 and up for X + Y outside the
+    lattice.
 
-    Exits on the first failing Y (deterministic order) and records it with
-    its meet; the verdict certifies the witness when it is read.
+    The bottom and the atoms are skipped: for an atom a, either a <= X, or
+    X v a covers X and X ^ a = 0, so r(X) + r(a) = r(X v a) + r(X ^ a)
+    always holds (Stanley, 1971).  The table still walks them, since later
+    joins are read off earlier ones.  Exits on the first failing Y
+    (deterministic order) and records it with its meet; the verdict
+    certifies the witness when it is read.
     """
     x = _require_flat(lattice, x)
-    for y, join in lattice.joins_from(x):
+    low = sum(len(level) for level in lattice.levels[:2])
+    for y, join in islice(lattice.joins_from(x), low, None):
         member, meet = lattice.sum_membership(x, y, join)
         if not member:
             return ModularityVerdict(x, False, y, meet)

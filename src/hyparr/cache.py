@@ -61,6 +61,10 @@ def lattice_payload(lattice: IntersectionLattice) -> dict:
 
 
 def lattice_from_payload(arr: Arrangement, payload: dict) -> IntersectionLattice:
+    """The lattice of a cache entry, checked by integers only to be shaped
+    like a built one: each flat has as many rows and pivots as its rank,
+    supports are distinct, and there is one bottom (no hyperplanes, no rows)
+    and one top (every hyperplane).  A failed check raises ``ValueError``."""
     if payload.get("format") != FORMAT:
         raise ValueError(f"unsupported cache format {payload.get('format')!r}")
     if payload.get("arrangement") != arrangement_payload(arr):
@@ -70,10 +74,20 @@ def lattice_from_payload(arr: Arrangement, payload: dict) -> IntersectionLattice
         flats = []
         for item in level:
             rows = tuple(_row_from_payload(r) for r in item["rows"])
-            sub = Subspace(arr.ambient, arr.order, rows, tuple(item["pivots"]))
+            pivots = tuple(item["pivots"])
+            if not len(rows) == len(pivots) == rank:
+                raise ValueError(f"cache entry has a rank-{rank} flat with {len(rows)} rows")
+            sub = Subspace(arr.ambient, arr.order, rows, pivots)
             flats.append(Flat(sub, int(item["support"]), rank))
         levels.append(tuple(flats))
-    return IntersectionLattice(arr, tuple(levels))
+    if not levels or len(levels[0]) != 1 or levels[0][0].support:
+        raise ValueError("cache entry has no bottom flat")
+    if len(levels[-1]) != 1 or levels[-1][0].support != arr.full_support():
+        raise ValueError("cache entry has no top flat")
+    lattice = IntersectionLattice(arr, tuple(levels))
+    if len(lattice.index) != len(lattice):
+        raise ValueError("cache entry repeats a support")
+    return lattice
 
 
 def cache_path(arr: Arrangement, cache_dir: str) -> str:

@@ -150,7 +150,8 @@ def run_rank2_empty_claim(name: str, store: LatticeStore) -> ClaimResult:
     flats = len(cert.lattice.levels[2])
     modular = len(cert.modular_by_rank[2])
     if not modular:
-        # the refutation's rank-2 witnesses are this claim's evidence
+        # the refutation's rank-2 witnesses are this claim's evidence; each
+        # is certified by one stacked rank, and no sum subspace is built
         for verdict in cert.refutation.witnesses:
             verdict.certify()
     detail = (f"all {flats} rank-2 flats non-modular" if not modular

@@ -15,6 +15,29 @@ def canonical(lattice) -> str:
     return json.dumps(lattice_payload(lattice), sort_keys=True, separators=(",", ":"))
 
 
+def _drop_a_row(levels):
+    flat = levels[2][0]
+    short = dict(flat, rows=flat["rows"][1:], pivots=flat["pivots"][1:])
+    return levels[:2] + [[short] + levels[2][1:]] + levels[3:]
+
+
+def _repeat_a_support(levels):
+    first, second = levels[2][:2]
+    return levels[:2] + [[first, dict(second, support=first["support"])] + levels[2][2:]] \
+        + levels[3:]
+
+
+# well-formed JSON that is not a lattice entry, each made from a good entry
+MALFORMED = {
+    "list": lambda good: [],
+    "levels-int": lambda good: dict(good, levels=5),
+    "empty-levels": lambda good: dict(good, levels=[]),
+    "row-count": lambda good: dict(good, levels=_drop_a_row(good["levels"])),
+    "duplicate-support": lambda good: dict(good, levels=_repeat_a_support(good["levels"])),
+    "missing-top": lambda good: dict(good, levels=good["levels"][:-1]),
+}
+
+
 class TestCache:
     def test_round_trip_byte_identical(self, tmp_path):
         arr = exceptional_arrangement("G25")
@@ -50,7 +73,7 @@ class TestCache:
             fh.write("{not json")
         assert load_lattice(arr, str(tmp_path)) is None
 
-    @pytest.mark.parametrize("malformed", ["list", "levels-int"])
+    @pytest.mark.parametrize("malformed", sorted(MALFORMED))
     def test_malformed_entry_rebuilt_by_cli(self, tmp_path, capsys, malformed):
         argv = ["--json", "lattice", "G(3,1,3)"]
         assert main(argv) == 0
@@ -60,7 +83,7 @@ class TestCache:
         path = save_lattice(build_lattice(arr), cache_dir)
         with open(path, "r", encoding="utf-8") as fh:
             good = fh.read()
-        payload = [] if malformed == "list" else dict(json.loads(good), levels=5)
+        payload = MALFORMED[malformed](json.loads(good))
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh)
         assert load_lattice(arr, cache_dir) is None

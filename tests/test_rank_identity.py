@@ -19,6 +19,7 @@ from hyparr.analysis import (ModularityVerdict, is_modular, is_supersolvable,
 from hyparr.arrangement import (IntersectionLattice, brute_force_lattice, build_lattice,
                                 closure, product)
 from hyparr.cache import load_lattice, save_lattice
+from hyparr.claims import LatticeStore, run_rank2_empty_claim
 from hyparr.cli import main
 from hyparr.errors import InternalInconsistencyError
 from hyparr.linalg import intersect, subspace_sum
@@ -26,12 +27,28 @@ from hyparr.parse import parse_arrangement_text
 from hyparr.reflection import build_named
 
 # sum_membership calls of one is_supersolvable run, fixed by the scan order
-# and its early exit (D4: one full rank-2 scan; B2 x A2: ranks 2 and 3).
-SUM_MEMBERSHIP_CALLS = {"D4": 1148, "B2xA2": 630}
+# and its early exit (D4: one full rank-2 scan; B2 x A2: ranks 2 and 3).  The
+# scan skips the bottom and the n atoms for each scanned flat: D4 scans its 34
+# rank-2 flats, 1148 - 34 * (1 + 12) = 706; B2 x A2 its 14 + 7 flats of ranks
+# 2 and 3, 630 - 21 * (1 + 7) = 462.
+SUM_MEMBERSHIP_CALLS = {"D4": 706, "B2xA2": 462}
 
 
 def _b2_times_a2():
     return product(build_named("B2"), build_named("A(2)"))
+
+
+def _counted(monkeypatch, owner, name):
+    """Wrap ``owner.name`` so that each call is appended to the returned list."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
 
 
 def _loaded(arr, tmp_path):
@@ -161,14 +178,78 @@ def test_read_witnesses_satisfy_the_closure_definition():
                 assert check.support == x.support & y.support == verdict.meet.support
 
 
-def test_certify_rejects_a_pair_whose_sum_is_a_flat():
+def test_certify_rejects_a_pair_whose_sum_is_a_flat(monkeypatch):
+    sums = _counted(monkeypatch, hyparr.analysis, "subspace_sum")
     d4 = build_named("D4")
     lattice = build_lattice(d4)
     x = lattice.levels[2][0]
     y = next(f for f in lattice.levels[1] if f.support & x.support == f.support)
     wrong = ModularityVerdict(x, False, y, lattice.meet(x, y))
     with pytest.raises(InternalInconsistencyError):
+        wrong.certify()
+    assert not sums  # the stacked rank alone refutes the forged verdict
+    with pytest.raises(InternalInconsistencyError):
         wrong.witness
+
+
+def _skip_lattices(tmp_path):
+    return [("D4", build_lattice(build_named("D4"))),
+            ("G25", build_lattice(build_named("G25"))),
+            ("G(3,3,4)", build_lattice(build_named("G(3,3,4)"))),
+            ("B2 x A2", build_lattice(_b2_times_a2())),
+            ("loaded G(3,3,3)", _loaded(build_named("G(3,3,3)"), tmp_path))]
+
+
+def test_bottom_and_atoms_satisfy_the_rank_identity(tmp_path):
+    # the partners the scan skips: for an atom a, either a <= X, or X v a
+    # covers X and X ^ a is the bottom
+    for label, lattice in _skip_lattices(tmp_path):
+        for x in lattice.flats():
+            for y in (lattice.bottom(), *lattice.levels[1]):
+                assert lattice.sum_membership(x, y)[0], (label, x, y)
+
+
+def _full_order_scan(lattice, x):
+    """Modularity of x against every flat, in flat order, with the cover walk
+    as the join: (modular, support of the first failing Y, of its meet)."""
+    for y in lattice.flats():
+        member, meet = lattice.sum_membership(x, y, lattice.join(x, y))
+        if not member:
+            return False, y.support, meet.support
+    return True, None, None
+
+
+def test_scan_from_rank_two_matches_a_full_order_scan(tmp_path):
+    f4 = build_named("F4")
+    for label, lattice in _skip_lattices(tmp_path) + [("F4", build_lattice(f4))]:
+        arr = lattice.arrangement
+        for k in range(2, lattice.rank()):
+            for x in lattice.levels[k]:
+                v = is_modular(arr, lattice, x)
+                got = (v.modular, v.partner and v.partner.support, v.meet and v.meet.support)
+                assert got == _full_order_scan(lattice, x), (label, x)
+
+
+@pytest.mark.parametrize("name", ["D4", "F4", "H3", "G25", "G(3,3,4)", "G(4,4,4)"])
+def test_stacked_rank_gives_the_sum_dimension(name, store):
+    witnesses = store.certificate(name).refutation.witnesses
+    assert witnesses
+    for verdict in witnesses:
+        total = subspace_sum(verdict.flat.subspace, verdict.partner.subspace)
+        assert verdict.certify() == total.dim < verdict.meet.dim
+
+
+def test_rank2_empty_claim_builds_no_sum(monkeypatch):
+    sums = _counted(monkeypatch, hyparr.analysis, "subspace_sum")
+    ranks = _counted(monkeypatch, hyparr._kernel, "rank")
+    store = LatticeStore()
+    result = run_rank2_empty_claim("G(3,3,4)", store)
+    assert result.passed
+    witnesses = store.certificate("G(3,3,4)").refutation.witnesses
+    assert len(witnesses) == len(store.lattice("G(3,3,4)").levels[2])
+    # one stacked rank per witness, and no sum subspace
+    assert len(ranks) == len(witnesses)
+    assert not sums
 
 
 def test_validator_ignores_a_lying_scan(monkeypatch):
