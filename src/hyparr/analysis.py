@@ -3,10 +3,15 @@
 A flat X is treated as modular when X + Y is again a lattice element for
 every flat Y.  In a geometric lattice that is the rank identity
 r(X) + r(Y) = r(X v Y) + r(X ^ Y) for every Y (Stanley, 1971), so the scan
-reads integer ranks off the lattice's bitsets and does no field arithmetic:
-the meet is a bitset AND, and the join costs one step of the lattice's join
-table per Y (``IntersectionLattice.joins_from``).  The bottom and the atoms
-always satisfy the identity, so the scan starts at rank 2.  It records the
+reads integer ranks off the lattice's bitsets and does no field arithmetic.
+Only the complements of X, the flats Y with X ^ Y = 0, need testing: a
+failing Y with a larger meet Z has a complement Y' below it that fails too,
+the join of atoms extending a basis of Z to one of Y, and Y' comes first in
+flat order (Brylawski, 1975; ``IntersectionLattice.complement_joins``).  So
+the first failing complement is the first failing flat of a scan over every
+flat, and the witnesses are the same.  Each complement's join costs one step
+of the lattice's join table.  The bottom and the atoms always satisfy the
+identity, so the scan tests complements of rank 2 and up.  It records the
 first failing Y and its meet only.  ``ModularityVerdict.certify`` checks
 that witness over the field, independently of the join table: by
 Grassmann's formula, dim(X + Y) from one rank of the stacked defining rows
@@ -17,17 +22,21 @@ modularity by stacked ranks over the field and witnesses by ``closure``,
 without the scan's membership test or join table.  Scans run in the
 deterministic flat order (rank, then support bitset), so witnesses are
 reproducible.
+
+A supersolvable certificate's chain also gives the exponents, which must
+agree with the factorization of the Poincare polynomial
+(``checked_exponents``), and the polynomial's root -1 counts the
+irreducible factors (``irreducible_factor_count``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 
 from . import _kernel
 from .arrangement import (DEFAULT_MAX_FLATS, Arrangement, Flat, IntersectionLattice,
-                          build_lattice, closure, essentialize, irreducible_decomposition,
-                          parallel_map)
+                          build_lattice, closure, essentialize, parallel_map,
+                          transport_lattice)
 from .cyclo import field_context
 from .errors import InternalInconsistencyError, RefusalError
 from .linalg import LinearForm, Subspace, subspace_from_forms, subspace_sum
@@ -107,6 +116,15 @@ class SupersolvabilityCertificate:
     refutation: Refutation | None = None
     modular_by_rank: dict[int, list[Flat]] = field(default_factory=dict)
 
+    def chain_exponents(self) -> list[int] | None:
+        """The sorted b_k = |A_{X_k}| - |A_{X_(k-1)}| along the modular chain,
+        the exponents of a supersolvable arrangement (Stanley, *Supersolvable
+        lattices*, 1972); None without a chain."""
+        if self.chain is None:
+            return None
+        counts = [bin(f.support).count("1") for f in self.chain]
+        return sorted(b - a for a, b in zip(counts, counts[1:]))
+
 
 @dataclass
 class PoincarePolynomial:
@@ -138,8 +156,15 @@ def _require_flat(lattice: IntersectionLattice, x: Flat) -> Flat:
 
 
 def is_modular(arr: Arrangement, lattice: IntersectionLattice, x: Flat) -> ModularityVerdict:
-    """Scan the lattice elements Y of rank 2 and up for X + Y outside the
-    lattice.
+    """Scan the complements Y of X of rank 2 and up, the flats with
+    X ^ Y = 0, for X + Y outside the lattice.
+
+    Only a complement can be the first failing flat of a scan over the
+    whole lattice in flat order: if Y fails with Z = X ^ Y above the bottom,
+    the join Y' of atoms extending a basis of Z to one of Y is a complement
+    with X v Y' = X v Y and r(Y') = r(Y) - r(Z), so Y' fails too and comes
+    before Y (``IntersectionLattice.complement_joins``).  The verdict, its
+    partner and its meet are therefore those of the full scan.
 
     The bottom and the atoms are skipped: for an atom a, either a <= X, or
     X v a covers X and X ^ a = 0, so r(X) + r(a) = r(X v a) + r(X ^ a)
@@ -149,11 +174,11 @@ def is_modular(arr: Arrangement, lattice: IntersectionLattice, x: Flat) -> Modul
     certifies the witness when it is read.
     """
     x = _require_flat(lattice, x)
-    low = sum(len(level) for level in lattice.levels[:2])
-    for y, join in islice(lattice.joins_from(x), low, None):
-        member, meet = lattice.sum_membership(x, y, join)
-        if not member:
-            return ModularityVerdict(x, False, y, meet)
+    for y, join in lattice.complement_joins(x):
+        if y.rank > 1:
+            member, meet = lattice.sum_membership(x, y, join)
+            if not member:
+                return ModularityVerdict(x, False, y, meet)
     return ModularityVerdict(x, True)
 
 
@@ -175,7 +200,9 @@ def is_supersolvable(arr: Arrangement, lattice: IntersectionLattice | None = Non
                      ) -> SupersolvabilityCertificate:
     """Search for a maximal chain of modular flats with ranks 0..r(A).
 
-    Non-essential input is essentialized first (recorded on the certificate).
+    Non-essential input is essentialized first (recorded on the certificate);
+    a given ``lattice``, the lattice of ``arr``, is then carried to the
+    essential coordinates by ``transport_lattice`` instead of rebuilt.
     The full space, the center, and the rank-1 flats are always modular, so
     only the interior ranks are scanned; the scan stops at the first rank
     with no modular flat, which already refutes.  Each scanned rank's
@@ -183,8 +210,10 @@ def is_supersolvable(arr: Arrangement, lattice: IntersectionLattice | None = Non
     """
     ess = essentialize(arr)
     essentialized = ess.ambient != arr.ambient
-    if essentialized or lattice is None:
+    if lattice is None:
         lattice = build_lattice(ess, max_flats=max_flats, threads=threads)
+    elif essentialized:
+        lattice = transport_lattice(lattice, ess)
     r = lattice.rank()
     bottom = lattice.bottom()
     if r == 0:
@@ -392,8 +421,40 @@ def exponents_if_supersolvable(arr: Arrangement,
     if not cert.verdict:
         raise RefusalError("exponents are only defined here for supersolvable "
                            "arrangements")
-    poly = poincare(cert.arrangement, cert.lattice)
-    return exponents_from_poincare(poly)
+    return checked_exponents(poincare(cert.arrangement, cert.lattice), cert)
+
+
+def checked_exponents(poly: PoincarePolynomial,
+                      cert: SupersolvabilityCertificate) -> list[int]:
+    """The exponents of a supersolvable arrangement, read off both the
+    factorization of its Poincare polynomial and the certificate's modular
+    chain, which must agree."""
+    exponents, chain = exponents_from_poincare(poly), cert.chain_exponents()
+    if chain != exponents:
+        raise InternalInconsistencyError(
+            f"the modular chain gives exponents {chain}, the Poincare polynomial {exponents}")
+    return exponents
+
+
+def irreducible_factor_count(poly: PoincarePolynomial) -> int:
+    """The number of irreducible factors of an essential arrangement: the
+    multiplicity of -1 as a root of its Poincare polynomial.  The polynomial
+    of a product is the product of its factors' polynomials, and each
+    irreducible factor has the root -1 exactly once, since the quotient by
+    (1 + t) at t = -1 is, up to sign, Crapo's beta invariant, which is
+    nonzero exactly for a connected matroid (Crapo, 1967)."""
+    desc = list(reversed(poly.coefficients))
+    count = 0
+    while len(desc) > 1:
+        # synthetic division by (t + 1); the last entry is the remainder
+        quot = [desc[0]]
+        for c in desc[1:]:
+            quot.append(c - quot[-1])
+        if quot.pop():
+            break
+        desc = quot
+        count += 1
+    return count
 
 
 @dataclass
@@ -415,19 +476,20 @@ def check_rank2_criterion(arr: Arrangement, lattice: IntersectionLattice | None 
     Refuses reducible input: a product of a supersolvable and a
     non-supersolvable arrangement has modular flats of every rank while not
     being supersolvable, so the equivalence only concerns irreducible ones.
-    The modular rank-2 flats are read from the certificate's full rank-2
-    scan; ``is_supersolvable`` runs only when no certificate is given.
+    The factors are counted off the certificate's lattice
+    (``irreducible_factor_count``), and the modular rank-2 flats are read
+    from its full rank-2 scan; ``is_supersolvable`` runs only when no
+    certificate is given.
     """
-    ess = essentialize(arr)
-    factors = irreducible_decomposition(ess)
-    if len(factors) != 1:
-        raise RefusalError(
-            f"the rank-2 criterion applies to irreducible arrangements only; "
-            f"this one splits into {len(factors)} factors")
-    if ess.rank() < 2:
-        raise RefusalError("the rank-2 criterion needs rank at least 2")
     if cert is None:
         cert = is_supersolvable(arr, lattice, threads=threads)
+    factors = irreducible_factor_count(poincare(cert.arrangement, cert.lattice))
+    if factors != 1:
+        raise RefusalError(
+            f"the rank-2 criterion applies to irreducible arrangements only; "
+            f"this one splits into {factors} factors")
+    if cert.lattice.rank() < 2:
+        raise RefusalError("the rank-2 criterion needs rank at least 2")
     mods = cert.modular_by_rank[2]
     return Rank2Report(cert.verdict, len(mods), cert.verdict == bool(mods), cert, mods)
 

@@ -269,33 +269,51 @@ class IntersectionLattice:
             steps = self._steps = tuple(steps)
         return steps
 
-    def joins_from(self, x: Flat):
-        """Yield (Y, X v Y) for every flat Y, in flat order, one table step
-        each: X v Y = (X v P) v a with Y = P v a from ``join_steps()``, and
-        X v P was yielded before Y since P precedes Y.  That is X v P when a
-        lies under it, else the one cover of X v P that holds a.  Only the
-        supports of the joins so far are kept."""
+    def complement_joins(self, x: Flat):
+        """Yield (Y, X v Y) for every complement Y of X, the flats with
+        X ^ Y = 0 (support disjoint from X's), in flat order, one table step
+        each.  These decide modularity: if Y fails the rank identity with
+        Z = X ^ Y above the bottom, extend a basis of atoms of Z to one of
+        Y, and let Y' be the join of the added atoms; then Y' ^ X = 0,
+        X v Y' = X v Y and r(Y') = r(Y) - r(Z), so Y' fails too and comes
+        first in flat order (Stanley, 1971; Brylawski, 1975).  The first
+        failing flat of a full scan is therefore a complement.
+
+        The complements form an order ideal, so the lower cover P of Y in
+        ``join_steps()`` is one too, and X v P was yielded before Y:
+        X v Y = (X v P) v a is X v P when a lies under it, else the one
+        cover of X v P that holds a.  Other flats cost one bitset AND each,
+        only the supports of the joins so far are kept, and the walk stops at
+        the first rank without a complement, since no rank above has one."""
         covers = self.covers()
         index = self.index
-        flats = self.flats()
-        yield next(flats), x
-        joins = {0: x.support}
-        for y, (p, atom) in zip(flats, self.join_steps()):
-            j = joins[p]
-            if not j & atom:
-                for c in covers[j]:
-                    if c & atom:
-                        j = c
-                        break
-            joins[y.support] = j
-            yield y, index[j]
+        xs = x.support
+        steps = iter(self.join_steps())
+        yield self.bottom(), x
+        joins = {0: xs}
+        for level in self.levels[1:]:
+            found = len(joins)
+            for y, (p, atom) in zip(level, steps):
+                s = y.support
+                if s & xs:
+                    continue
+                j = joins[p]
+                if not j & atom:
+                    for c in covers[j]:
+                        if c & atom:
+                            j = c
+                            break
+                joins[s] = j
+                yield y, index[j]
+            if len(joins) == found:
+                return  # no complement at this rank, so none above it
 
     def join(self, x: Flat, y: Flat) -> Flat:
         """Least upper bound of one pair, the flat of the subspace
         intersection: walk up the covers from x, each step to the one cover
         holding the lowest atom of y still missing, so at most r(A) bitset
-        steps.  The scan reads its joins from ``joins_from`` instead; this
-        walk is the independent check of that table."""
+        steps.  The scan reads its joins from ``complement_joins`` instead;
+        this walk is the independent check of that table."""
         hit = self.index.get(x.support | y.support)
         if hit is not None:
             return hit
@@ -607,6 +625,32 @@ def essentialize(arr: Arrangement) -> Arrangement:
         coeffs = [h.coefficient(p) for p in pivots]
         forms.append(LinearForm.from_coefficients(coeffs, arr.order))
     return make_arrangement(r, arr.order, forms)
+
+
+def transport_lattice(lattice: IntersectionLattice, ess: Arrangement) -> IntersectionLattice:
+    """The lattice of ``ess = essentialize(A)`` from the lattice of A, with
+    no row reduction.
+
+    The essential coordinates are the pivot columns of the center, the top
+    flat.  Every flat's rows lie in the center's row space, so each row's
+    pivot is a center pivot and the row is determined by its entries there:
+    restricting the canonical RREF rows to those columns, renormalized,
+    gives the canonical RREF of the same flat in ``ess``.  ``essentialize``
+    keeps hyperplane order, so supports and ranks carry over unchanged.
+    """
+    center = lattice.top().subspace.pivots
+    d = field_context(ess.order).degree
+    column = {p: k for k, p in enumerate(center)}
+
+    def restrict(flat: Flat) -> Flat:
+        rows = tuple(_kernel.elem_norm([v for p in center for v in nums[p * d:(p + 1) * d]],
+                                       den)
+                     for nums, den in flat.subspace.rows)
+        pivots = tuple(column[p] for p in flat.subspace.pivots)
+        return Flat(Subspace(ess.ambient, ess.order, rows, pivots), flat.support, flat.rank)
+
+    return IntersectionLattice(ess, tuple(tuple(restrict(f) for f in level)
+                                          for level in lattice.levels))
 
 
 def irreducible_decomposition(arr: Arrangement) -> list[Arrangement]:

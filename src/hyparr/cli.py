@@ -15,8 +15,7 @@ import sys
 import time
 
 from . import __version__
-from .analysis import (exponents_from_poincare, is_supersolvable, modular_flats_of_rank,
-                       poincare)
+from .analysis import checked_exponents, is_supersolvable, modular_flats_of_rank, poincare
 from .arrangement import (DEFAULT_MAX_FLATS, Arrangement, essentialize,
                           irreducible_decomposition, product)
 from .cache import CACHE_ENV, load_or_build
@@ -207,7 +206,7 @@ def _run(args) -> int:
         poly = poincare(arr, lattice)
         cert = is_supersolvable(arr, lattice, max_flats=args.max_flats,
                                 threads=args.threads)
-        exponents = exponents_from_poincare(poly) if cert.verdict else None
+        exponents = checked_exponents(poly, cert) if cert.verdict else None
         timings["poincare"] = time.perf_counter() - t0
         report["supersolvable"] = certificate_payload(cert)
         report["poincare"] = poincare_payload(poly, exponents)

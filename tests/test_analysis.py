@@ -5,16 +5,27 @@ import random
 
 import pytest
 
+import hyparr._kernel
+import hyparr.analysis
 from hyparr.analysis import (ModularityVerdict, Refutation, check_rank2_criterion,
-                             exponents_from_poincare, exponents_if_supersolvable,
-                             is_modular, is_supersolvable, mobius, modular_flats_of_rank,
-                             poincare, replay_witness, validate_certificate)
+                             checked_exponents, exponents_from_poincare,
+                             exponents_if_supersolvable, irreducible_factor_count, is_modular,
+                             is_supersolvable, mobius, modular_flats_of_rank, poincare,
+                             replay_witness, validate_certificate)
 from hyparr.arrangement import (Flat, build_lattice, closure, essentialize, in_lattice,
-                                make_arrangement, product)
-from hyparr.errors import RefusalError
+                                irreducible_decomposition, make_arrangement, product)
+from hyparr.errors import InternalInconsistencyError, RefusalError
 from hyparr.linalg import contains, subspace_from_forms, subspace_sum
 from hyparr.parse import parse_arrangement_text, parse_form
-from hyparr.reflection import build_named, exceptional_arrangement, monomial_arrangement
+from hyparr.reflection import (build_named, catalog, exceptional_arrangement,
+                               monomial_arrangement)
+
+PRODUCT_PAIRS = (("G(3,1,3)", "A(3)"), ("B3", "B3"), ("G(3,3,3)", "A(3)"),
+                 ("B2", "H3"), ("A2", "G(3,1,3)"), ("B2", "D4"))
+
+
+def _pair(a, b):
+    return product(build_named(a), build_named(b))
 
 
 def flat_for(lattice, arr, texts):
@@ -132,6 +143,19 @@ class TestModularFlatsOfRank:
 
 
 class TestIsSupersolvable:
+    def test_given_lattice_of_non_essential_input_is_not_rebuilt(self, monkeypatch):
+        arr = _pair("B2", "A(3)")
+        lattice = build_lattice(arr)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the essential lattice was rebuilt")
+
+        monkeypatch.setattr(hyparr.analysis, "build_lattice", refuse)
+        cert = is_supersolvable(arr, lattice)
+        assert cert.essentialized and cert.lattice.arrangement == essentialize(arr)
+        assert cert.lattice.level_sizes() == lattice.level_sizes()
+        assert validate_certificate(cert)
+
     def test_low_rank_always_true(self):
         for arr in (make_arrangement(2, 1, []),
                     monomial_arrangement(2, 1, 2),
@@ -228,6 +252,75 @@ class TestExponents:
             exponents_if_supersolvable(a) + exponents_if_supersolvable(b))
 
 
+class TestChainExponents:
+    """b_k = |A_{X_k}| - |A_{X_(k-1)}| along the modular chain agrees with
+    the factorization of the Poincare polynomial."""
+
+    def test_catalog_agrees(self, store):
+        checked = 0
+        for entry in catalog():
+            cert = store.certificate(entry.name)
+            if cert.verdict:
+                poly = poincare(cert.arrangement, cert.lattice)
+                assert cert.chain_exponents() == exponents_from_poincare(poly), entry.name
+                checked += 1
+        assert checked >= 10
+
+    @pytest.mark.parametrize("pair", PRODUCT_PAIRS)
+    def test_product_pairs_agree(self, pair):
+        arr = _pair(*pair)
+        lattice = build_lattice(arr)
+        cert = is_supersolvable(arr, lattice)
+        if not cert.verdict:
+            assert cert.chain_exponents() is None
+            return
+        poly = poincare(arr, lattice)
+        assert checked_exponents(poly, cert) == cert.chain_exponents()
+
+    def test_swapped_chain_flat_raises(self):
+        cert = is_supersolvable(monomial_arrangement(2, 1, 3))  # B3: 1, 3, 5
+        poly = poincare(cert.arrangement, cert.lattice)
+        chain = cert.chain
+        other = next(f for f in cert.lattice.levels[2]
+                     if bin(f.support).count("1") != bin(chain[2].support).count("1"))
+        forged = dataclasses.replace(cert, chain=chain[:2] + [other] + chain[3:])
+        with pytest.raises(InternalInconsistencyError):
+            checked_exponents(poly, forged)
+        with pytest.raises(InternalInconsistencyError):
+            exponents_if_supersolvable(cert.arrangement, forged)
+
+
+class TestFactorCount:
+    """The multiplicity of -1 as a root of the Poincare polynomial counts the
+    irreducible factors."""
+
+    def test_catalog(self, store):
+        for entry in catalog():
+            lattice = store.lattice(entry.name)
+            ess = essentialize(store.arrangement(entry.name))
+            assert irreducible_factor_count(poincare(ess, lattice)) == \
+                len(irreducible_decomposition(ess)) == 1, entry.name
+
+    @pytest.mark.parametrize("pair", PRODUCT_PAIRS)
+    def test_product_pairs(self, pair):
+        arr = _pair(*pair)
+        ess = essentialize(arr)
+        count = irreducible_factor_count(poincare(arr, build_lattice(arr)))
+        assert count == len(irreducible_decomposition(ess)) == 2
+
+    def test_triple_product(self):
+        arr = product(_pair("A2", "B2"), build_named("A(3)"))
+        ess = essentialize(arr)
+        count = irreducible_factor_count(poincare(arr, build_lattice(arr)))
+        assert count == len(irreducible_decomposition(ess)) == 3
+
+    def test_trivial_ranks(self):
+        empty = make_arrangement(3, 1, [])
+        assert irreducible_factor_count(poincare(empty, build_lattice(empty))) == 0
+        boolean = parse_arrangement_text("ambient 3 field 1\na\nb\nc\n")
+        assert irreducible_factor_count(poincare(boolean, build_lattice(boolean))) == 3
+
+
 class TestRank2Criterion:
     def test_supersolvable_side(self):
         rep = check_rank2_criterion(monomial_arrangement(3, 1, 3))
@@ -241,6 +334,25 @@ class TestRank2Criterion:
         pr = product(monomial_arrangement(2, 1, 3), monomial_arrangement(3, 3, 3))
         with pytest.raises(RefusalError):
             check_rank2_criterion(pr)
+
+    def test_refusal_message_counts_factors(self):
+        for arr, count in ((_pair("B2", "D4"), 2),
+                           (product(_pair("A2", "B2"), build_named("A(3)")), 3)):
+            with pytest.raises(RefusalError, match=f"splits into {count} factors"):
+                check_rank2_criterion(arr)
+
+    def test_reads_factors_off_the_certificate(self, monkeypatch, store):
+        store.certificate("G(1,1,4)")
+
+        def refuse(*args):
+            raise AssertionError("field arithmetic ran again")
+
+        # no essentialize and no irreducible_decomposition: integers only
+        for name in ("rref", "rank", "in_rowspace"):
+            monkeypatch.setattr(hyparr._kernel, name, refuse)
+        rep = check_rank2_criterion(store.arrangement("G(1,1,4)"), store.lattice("G(1,1,4)"),
+                                    cert=store.certificate("G(1,1,4)"))
+        assert rep.agree and rep.supersolvable
 
     def test_rank_one_refused(self):
         single = parse_arrangement_text("ambient 1 field 1\na\n")

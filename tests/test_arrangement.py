@@ -10,7 +10,7 @@ from hyparr import _kernel
 from hyparr.arrangement import (Arrangement, brute_force_lattice, build_lattice, closure,
                                 deletion, essentialize, in_lattice,
                                 irreducible_decomposition, localization, make_arrangement,
-                                parallel_map, product, restriction)
+                                parallel_map, product, restriction, transport_lattice)
 from hyparr.cache import lattice_payload
 from hyparr.cyclo import CyclotomicNumber
 from hyparr.errors import InvalidHyperplaneError, RefusalError
@@ -324,6 +324,40 @@ class TestEssentialize:
             ess = essentialize(arr)
             assert len(build_lattice(ess)) == len(build_lattice(arr))
             checked += 1
+
+
+def _flat_data(lattice):
+    return [[(f.support, f.rank, f.subspace.ambient, f.subspace.rows, f.subspace.pivots)
+             for f in level] for level in lattice.levels]
+
+
+class TestTransportLattice:
+    """The essential lattice carried over from a non-essential one equals a
+    fresh build of the essentialized arrangement, flat for flat."""
+
+    @pytest.mark.parametrize("pair", [("G(3,1,3)", "A(3)"), ("G(3,3,3)", "A(3)"),
+                                      ("A2", "G(3,1,3)"), ("B2", "A(3)"), ("A(3)", "H3")])
+    def test_products(self, pair):
+        arr = product(build_named(pair[0]), build_named(pair[1]))
+        ess = essentialize(arr)
+        assert ess.ambient < arr.ambient
+        moved = transport_lattice(build_lattice(arr), ess)
+        assert moved.arrangement == ess
+        assert _flat_data(moved) == _flat_data(build_lattice(ess))
+
+    def test_random_non_essential(self):
+        rng = random.Random(1975)
+        checked = 0
+        for _ in range(120):
+            arr = random_arrangement(rng, rng.randint(1, 4), rng.choice([1, 3, 4]),
+                                     max_hyperplanes=7)
+            ess = essentialize(arr)
+            if ess.ambient == arr.ambient:
+                continue
+            moved = transport_lattice(build_lattice(arr), ess)
+            assert _flat_data(moved) == _flat_data(build_lattice(ess)), arr
+            checked += 1
+        assert checked >= 20
 
 
 class TestIrreducibleDecomposition:

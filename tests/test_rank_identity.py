@@ -1,10 +1,11 @@
 """The modular scan decided by the rank identity over the join table.
 
-The scan reads each join off one step of the join table; sum-membership
-compares integer ranks; no field arithmetic runs in the scan, witnesses are
-certified only when read, and the certificate validator re-checks by linear
-algebra without touching the join table.  The pairwise cover walk ``join``
-is the oracle for the table.
+The scan reads the join of each complement Y of X (X ^ Y = 0) off one step
+of the join table; sum-membership compares integer ranks; no field
+arithmetic runs in the scan, witnesses are certified only when read, and the
+certificate validator re-checks by linear algebra without touching the join
+table.  The pairwise cover walk ``join`` is the oracle for the table, and a
+scan over every flat is the oracle for the complement scan's verdicts.
 """
 
 import dataclasses
@@ -28,10 +29,10 @@ from hyparr.reflection import build_named
 
 # sum_membership calls of one is_supersolvable run, fixed by the scan order
 # and its early exit (D4: one full rank-2 scan; B2 x A2: ranks 2 and 3).  The
-# scan skips the bottom and the n atoms for each scanned flat: D4 scans its 34
-# rank-2 flats, 1148 - 34 * (1 + 12) = 706; B2 x A2 its 14 + 7 flats of ranks
-# 2 and 3, 630 - 21 * (1 + 7) = 462.
-SUM_MEMBERSHIP_CALLS = {"D4": 706, "B2xA2": 462}
+# scan tests only the complements of rank 2 and up, the flats Y with
+# X ^ Y = 0, of each scanned flat X: D4 scans its 34 rank-2 flats, B2 x A2
+# its 14 + 7 flats of ranks 2 and 3.
+SUM_MEMBERSHIP_CALLS = {"D4": 325, "B2xA2": 74}
 
 
 def _b2_times_a2():
@@ -82,9 +83,11 @@ def test_join_table_matches_the_cover_walk(tmp_path):
     for label, lattice in cases:
         flats = list(lattice.flats())
         for x in flats:
-            steps = list(lattice.joins_from(x))
-            assert [y for y, _ in steps] == flats, label
-            assert [join for _, join in steps] == [lattice.join(x, y) for y in flats], label
+            complements = [y for y in flats if not y.support & x.support]
+            steps = list(lattice.complement_joins(x))
+            assert [y for y, _ in steps] == complements, label
+            assert [join for _, join in steps] == \
+                [lattice.join(x, y) for y in complements], label
 
 
 def test_join_steps_are_lower_covers_and_atoms(tmp_path):
@@ -209,6 +212,25 @@ def test_bottom_and_atoms_satisfy_the_rank_identity(tmp_path):
                 assert lattice.sum_membership(x, y)[0], (label, x, y)
 
 
+def test_first_failing_partners_are_complements(tmp_path):
+    # the lemma behind the complement scan: a failing Y that meets X in more
+    # than the bottom has a complement Y' of X before it that fails too
+    point = parse_arrangement_text("ambient 1 field 1\na\n")
+    cases = _skip_lattices(tmp_path) + [
+        ("F4", build_lattice(build_named("F4"))),
+        ("point x G(3,3,3)", build_lattice(product(point, build_named("G(3,3,3)"))))]
+    failures = 0
+    for label, lattice in cases:
+        arr = lattice.arrangement
+        for k in range(2, lattice.rank()):
+            for verdict in modular_flats_of_rank(arr, lattice, k):
+                if not verdict.modular:
+                    failures += 1
+                    assert not verdict.partner.support & verdict.flat.support, (label, k)
+                    assert verdict.meet == lattice.bottom(), (label, k)
+    assert failures
+
+
 def _full_order_scan(lattice, x):
     """Modularity of x against every flat, in flat order, with the cover walk
     as the join: (modular, support of the first failing Y, of its meet)."""
@@ -221,7 +243,9 @@ def _full_order_scan(lattice, x):
 
 def test_scan_from_rank_two_matches_a_full_order_scan(tmp_path):
     f4 = build_named("F4")
-    for label, lattice in _skip_lattices(tmp_path) + [("F4", build_lattice(f4))]:
+    b2_h3 = product(build_named("B2"), build_named("H3"))
+    for label, lattice in _skip_lattices(tmp_path) + [("F4", build_lattice(f4)),
+                                                      ("B2 x H3", build_lattice(b2_h3))]:
         arr = lattice.arrangement
         for k in range(2, lattice.rank()):
             for x in lattice.levels[k]:
@@ -267,16 +291,20 @@ def test_validator_ignores_a_lying_scan(monkeypatch):
     x = chain[2]
 
     def scanned(x):
-        return [lattice.sum_membership(x, y, join)[0] for y, join in lattice.joins_from(x)]
+        return [lattice.sum_membership(x, y, join)[0]
+                for y, join in lattice.complement_joins(x)]
 
     honest = scanned(x)
 
     def lying_joins(self, x):
-        # per Y, a flat of the rank that would make the pair satisfy the rank identity
+        # per complement Y, a flat of the rank that would make the pair satisfy
+        # the rank identity
         for y in self.flats():
-            yield y, self.levels[min(x.rank + y.rank - self.meet(x, y).rank, self.rank())][0]
+            if not y.support & x.support:
+                yield y, self.levels[min(x.rank + y.rank - self.meet(x, y).rank,
+                                         self.rank())][0]
 
-    monkeypatch.setattr(IntersectionLattice, "joins_from", lying_joins)
+    monkeypatch.setattr(IntersectionLattice, "complement_joins", lying_joins)
     assert scanned(x) != honest
     assert not validate_certificate(forged)
     assert validate_certificate(genuine)
