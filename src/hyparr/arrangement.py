@@ -6,13 +6,15 @@ far more cheaply than matrices.  The canonical RREF subspace is kept on every
 flat for building the lattice and certifying witnesses; joins, meets and the
 modularity test read bitsets and integer ranks only.
 
-The lattice is built level by level, and each flat is row-reduced once: the
-hyperplanes are grouped into rank-1 flats by their normalized forms, and
-into the rank-2 flats over each hyperplane X by their normalized residues
-modulo X's row, with no membership test.  A cover X v H that the level
-already has is found by a bitset lookup, the support scan of a new cover
-skips the hyperplanes of X's other covers, and from rank 3 on it decides
-each rank-2 flat through H by one membership test.
+The lattice is built level by level, and no flat is fully row-reduced:
+the hyperplanes are grouped into rank-1 flats by their normalized forms,
+each already its own canonical RREF, and every flat X v H above them
+extends X's RREF by one row, the residue of H modulo X (``extend_rref``).
+The rank-2 flats over each hyperplane X group the others by that residue,
+with no membership test.  A cover X v H that the level already has is found
+by a bitset lookup, the support scan of a new cover skips the hyperplanes
+of X's other covers, and from rank 3 on it decides each rank-2 flat through
+H by one membership test.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from threading import Lock
 from . import _kernel
 from .cyclo import CyclotomicNumber, embed, field_context
 from .errors import InvalidHyperplaneError, RefusalError
-from .linalg import (LinearForm, Subspace, _row_entry, form_residue, form_vanishes_on,
-                     full_space, rref, subspace_from_rows, variable_names)
+from .linalg import (LinearForm, Subspace, _row_entry, extend_rref, form_residue,
+                     form_vanishes_on, full_space, rref, subspace_from_rows, variable_names)
 
 DEFAULT_MAX_FLATS = 500_000
 
@@ -175,10 +177,12 @@ class IntersectionLattice:
 
     ``levels[k]`` lists the rank-k flats sorted by support bitset; ``index``
     maps each support to its flat.  The cover table (``covers()``) and the
-    join table (``join_steps()``) are built on first use.
+    join table (``join_steps()``) are built on first use; both read supports
+    only, so ``_tables`` holding them may be shared with a lattice of the
+    same supports (``transport_lattice``).
     """
 
-    __slots__ = ("arrangement", "levels", "index", "_covers", "_steps")
+    __slots__ = ("arrangement", "levels", "index", "_tables")
 
     def __init__(self, arrangement: Arrangement, levels: tuple[tuple[Flat, ...], ...]):
         self.arrangement = arrangement
@@ -187,8 +191,7 @@ class IntersectionLattice:
         for level in levels:
             for f in level:
                 self.index[f.support] = f
-        self._covers: dict[int, tuple[int, ...]] | None = None
-        self._steps: tuple[tuple[int, int], ...] | None = None
+        self._tables: list = [None, None]  # cover table, join table
 
     def flats(self):
         for level in self.levels:
@@ -225,7 +228,7 @@ class IntersectionLattice:
         concurrent first call builds an equal table, so the lazy build is
         safe from worker threads.
         """
-        table = self._covers
+        table = self._tables[0]
         if table is None:
             table = {}
             levels = self.levels
@@ -241,7 +244,7 @@ class IntersectionLattice:
                 for f in lower:
                     s = f.support
                     table[s] = tuple(u for u in by_atom.get(s & -s, ()) if u & s == s)
-            self._covers = table
+            self._tables[0] = table
         return table
 
     def meet(self, x: Flat, y: Flat) -> Flat:
@@ -253,7 +256,7 @@ class IntersectionLattice:
         one lower cover P of Y and one atom (hyperplane bit) of Y outside P,
         so that Y = P v a.  Read off ``covers()`` once, lazily and as safely
         from worker threads as the cover table."""
-        steps = self._steps
+        steps = self._tables[1]
         if steps is None:
             covers = self.covers()
             lower: dict[int, int] = {}
@@ -266,7 +269,7 @@ class IntersectionLattice:
                     p = lower[f.support]
                     rest = f.support & ~p
                     steps.append((p, rest & -rest))
-            steps = self._steps = tuple(steps)
+            steps = self._tables[1] = tuple(steps)
         return steps
 
     def complement_joins(self, x: Flat):
@@ -365,7 +368,7 @@ class _Level:
     to the supports found that hold it.  Dict and list updates are atomic
     under the GIL: a race only computes an equal flat twice, and ``found``
     keeps one per support.  ``room`` is how many flats the level may add
-    within the budget.  ``lock`` serializes the rank-2 row reductions, whose
+    within the budget.  ``lock`` serializes the rank-2 extensions, whose
     supports are known beforehand, so none is repeated or run past the
     budget at any worker count.
     """
@@ -404,30 +407,31 @@ def _line_table(arr: Arrangement, rank1: tuple, rank2: tuple) -> list[list[tuple
     return table
 
 
-def _children_of(arr: Arrangement, parent: Flat, level: _Level, lines: list | None,
-                 ctx) -> None:
+def _children_of(arr: Arrangement, parent: Flat, level: _Level, lines: list | None) -> None:
     """Enter the covers of one flat in ``level``: the flats parent .cap. H for
     the hyperplanes H outside the parent.
 
     The covers of the bottom, the rank-1 flats, are the hyperplanes grouped
-    by normalized form, each row-reduced once.  For a rank-1 parent with row
-    x and pivot p, each hyperplane h off it is reduced once to h - h_p x and
-    scaled to leading coefficient 1 (``form_residue``): hyperplanes with
-    equal residues span one rank-2 flat with x, whose support is the
-    parent's plus theirs, so each residue class is one cover, row-reduced
-    once, and no membership test is run.  For any other parent, a flat
-    the level already has whose support contains the parent's is
-    parent v H for each H it holds, the only rank-(k+1) flat above both, so
-    these are looked up under the parent's lowest atom in ``level.by_atom``
-    and only the other covers are row-reduced, each once.  ``covered`` holds
-    the hyperplanes of the covers known so far.  A new cover's support is
-    the parent's plus H plus what a scan finds, and a hyperplane in
-    ``covered`` outside the parent lies in another cover, so the scan skips
-    it.  With the rank-2 flats (``lines``, from ``_line_table``) the scan
-    runs over the lines through H instead, each inside or outside the cover
-    as a whole: a line that meets the parent lies inside, one that meets
-    ``covered`` outside the parent lies outside, and one membership test of
-    its member decides any other.
+    by normalized form; a normalized form is its own canonical RREF, so no
+    reduction runs.  Every other cover is the parent's RREF extended by one
+    row, the residue of H modulo the parent scaled to leading coefficient 1
+    (``form_residue``, then ``extend_rref``).  For a rank-1 parent with row
+    x and pivot p, each hyperplane h off it is reduced once to h - h_p x:
+    hyperplanes with equal residues span one rank-2 flat with x, whose
+    support is the parent's plus theirs, so each residue class is one cover,
+    extended by its residue with no second reduction, and no membership test
+    is run.  For any other parent, a flat the level already has whose
+    support contains the parent's is parent v H for each H it holds, the
+    only rank-(k+1) flat above both, so these are looked up under the
+    parent's lowest atom in ``level.by_atom`` and only the other covers are
+    extended, each once.  ``covered`` holds the hyperplanes of the covers
+    known so far.  A new cover's support is the parent's plus H plus what a
+    scan finds, and a hyperplane in ``covered`` outside the parent lies in
+    another cover, so the scan skips it.  With the rank-2 flats (``lines``,
+    from ``_line_table``) the scan runs over the lines through H instead,
+    each inside or outside the cover as a whole: a line that meets the
+    parent lies inside, one that meets ``covered`` outside the parent lies
+    outside, and one membership test of its member decides any other.
     """
     level.check_budget()  # another worker may have gone over already
     hyperplanes = arr.hyperplanes
@@ -435,21 +439,21 @@ def _children_of(arr: Arrangement, parent: Flat, level: _Level, lines: list | No
     ambient = arr.ambient
     below = parent.support
     if not below:
-        # the rank-1 flats: a repeated hyperplane has an equal normalized row
+        # the rank-1 flats: a repeated hyperplane has an equal normalized row,
+        # which is already the canonical RREF of its hyperplane
         atoms: dict = {}
         for h, form in enumerate(hyperplanes):
             row = form.normalized().row
             atoms[row] = atoms.get(row, 0) | 1 << h
         for row, bits in atoms.items():
-            sub_rows, pivots = _kernel.rref([row], ambient, ctx.degree, ctx.red, ctx.phi)
-            level.add(Flat(Subspace(ambient, arr.order, sub_rows, pivots), bits, 1))
+            pivot = LinearForm(ambient, arr.order, row).leading_index()
+            level.add(Flat(Subspace(ambient, arr.order, (row,), (pivot,)), bits, 1))
         return
     by_atom = level.by_atom
     covered = below
     for s in by_atom.get(below & -below, ()):
         if s & below == below:
             covered |= s
-    rows = list(parent.subspace.rows)
     if parent.rank == 1:
         # the rank-2 flats: hyperplanes off the parent with equal residues
         groups: dict = {}
@@ -457,25 +461,19 @@ def _children_of(arr: Arrangement, parent: Flat, level: _Level, lines: list | No
             if not covered & 1 << h:
                 key = form_residue(hyperplanes[h], parent.subspace)
                 groups[key] = groups.get(key, 0) | 1 << h
-        for bits in groups.values():
+        for residue, bits in groups.items():
             with level.lock:
                 if below | bits in level.found:
                     continue  # another worker entered it after ``covered`` was read
                 level.check_budget()
-                h = (bits & -bits).bit_length() - 1
-                sub_rows, pivots = _kernel.rref(rows + [hyperplanes[h].row], ambient,
-                                                ctx.degree, ctx.red, ctx.phi)
-                level.add(Flat(Subspace(ambient, arr.order, sub_rows, pivots),
-                               below | bits, 2))
+                level.add(Flat(extend_rref(parent.subspace, residue), below | bits, 2))
         return
     for h in range(n):
         bit = 1 << h
         if not covered & bit:
-            sub_rows, pivots = _kernel.rref(rows + [hyperplanes[h].row], ambient,
-                                            ctx.degree, ctx.red, ctx.phi)
-            sub = Subspace(ambient, arr.order, sub_rows, pivots)
+            sub = extend_rref(parent.subspace, form_residue(hyperplanes[h], parent.subspace))
             bits = below | bit
-            if len(sub_rows) == ambient:
+            if sub.codim == ambient:
                 bits = arr.full_support()
             elif lines is None:
                 # every hyperplane before h is covered by now
@@ -489,7 +487,7 @@ def _children_of(arr: Arrangement, parent: Flat, level: _Level, lines: list | No
                         bits |= line
                     elif not line & off and form_vanishes_on(hyperplanes[member], sub):
                         bits |= line
-            level.add(Flat(sub, bits, len(sub_rows)))
+            level.add(Flat(sub, bits, sub.codim))
             covered |= bits
 
 
@@ -500,23 +498,24 @@ def build_lattice(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS,
     Rank k+1 flats are the flats X .cap. H for X of rank k and H outside X
     (``_children_of``); rank-1 flats group equal normalized forms, and the
     rank-2 flats over a hyperplane X group the other hyperplanes by their
-    normalized residues modulo X.  A cover the level already has is found by
-    a bitset lookup, so each flat is row-reduced once; support scans skip
-    the hyperplanes of X's other covers, and from level 3 on they decide
-    each rank-2 flat through H by one membership test.  Each level is sorted
-    by support bitset, so the result is deterministic and identical for any
-    worker count; the workers of a level share its ``_Level``.  The flat
-    budget is checked whenever a level gains a flat, so an oversized lattice
-    is refused before its level is finished.
+    normalized residues modulo X.  Each flat above rank 1 extends its
+    parent's RREF by that residue, so no flat is fully row-reduced, and a
+    cover the level already has is found by a bitset lookup, so each flat
+    is extended once; support scans skip the hyperplanes of X's other
+    covers, and from level 3 on they decide each rank-2 flat through H by
+    one membership test.  Each level is sorted by support bitset, so the
+    result is deterministic and identical for any worker count; the workers
+    of a level share its ``_Level``.  The flat budget is checked whenever a
+    level gains a flat, so an oversized lattice is refused before its level
+    is finished.
     """
-    ctx = field_context(arr.order)
     bottom = Flat(full_space(arr.ambient, arr.order), 0, 0)
     levels: list[tuple] = [(bottom,)]
     kept = 1
     lines = None
     while True:
         level = _Level(kept, max_flats)
-        parallel_map(lambda parent: _children_of(arr, parent, level, lines, ctx),
+        parallel_map(lambda parent: _children_of(arr, parent, level, lines),
                      levels[-1], threads)
         found = level.found
         if not found:
@@ -636,7 +635,9 @@ def transport_lattice(lattice: IntersectionLattice, ess: Arrangement) -> Interse
     pivot is a center pivot and the row is determined by its entries there:
     restricting the canonical RREF rows to those columns, renormalized,
     gives the canonical RREF of the same flat in ``ess``.  ``essentialize``
-    keeps hyperplane order, so supports and ranks carry over unchanged.
+    keeps hyperplane order, so supports and ranks carry over unchanged, and
+    with them the cover and join tables: the two lattices share them, so
+    whichever of the two builds one first builds it for both.
     """
     center = lattice.top().subspace.pivots
     d = field_context(ess.order).degree
@@ -649,8 +650,10 @@ def transport_lattice(lattice: IntersectionLattice, ess: Arrangement) -> Interse
         pivots = tuple(column[p] for p in flat.subspace.pivots)
         return Flat(Subspace(ess.ambient, ess.order, rows, pivots), flat.support, flat.rank)
 
-    return IntersectionLattice(ess, tuple(tuple(restrict(f) for f in level)
-                                          for level in lattice.levels))
+    moved = IntersectionLattice(ess, tuple(tuple(restrict(f) for f in level)
+                                           for level in lattice.levels))
+    moved._tables = lattice._tables
+    return moved
 
 
 def irreducible_decomposition(arr: Arrangement) -> list[Arrangement]:

@@ -9,6 +9,7 @@ basis-conversion cost instead.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 
 from . import _kernel
@@ -259,6 +260,24 @@ def form_vanishes_on(form: LinearForm, s: Subspace) -> bool:
                                ctx.degree, ctx.red)
 
 
+def _eliminate(cur: list[int], e, pn: tuple[int, ...], pd: int, m: int, d: int, red
+               ) -> list[int]:
+    """cur * pd - e * pn, with ``e`` the column entry of ``cur`` (a length-d
+    coordinate slice) that the row pn/pd holds as 1: the numerators of cur
+    with that column cleared, over the denominator cur's times pd."""
+    if d == 1:
+        e = e[0]
+        return [x * pd - e * y for x, y in zip(cur, pn)]
+    cur = [x * pd for x in cur]
+    for j in range(m):
+        seg = pn[j * d:(j + 1) * d]
+        if any(seg):
+            jb = j * d
+            for k, v in enumerate(_kernel.poly_mulreduce(e, seg, d, red)):
+                cur[jb + k] -= v
+    return cur
+
+
 def form_residue(form: LinearForm, s: Subspace) -> Row | None:
     """``form`` reduced by the defining rows of ``s`` and scaled to leading
     coefficient 1, or None if the hyperplane of ``form`` contains ``s``.
@@ -268,24 +287,12 @@ def form_residue(form: LinearForm, s: Subspace) -> Row | None:
     """
     ctx = field_context(form.order)
     d = ctx.degree
-    red = ctx.red
     m = form.ambient
     cur = form.row[0]
     for (pn, pd), col in zip(s.rows, s.pivots):
         e = cur[col * d:(col + 1) * d]
-        if not any(e):
-            continue
-        if d == 1:
-            e = e[0]
-            cur = [x * pd - e * y for x, y in zip(cur, pn)]
-        else:
-            cur = [x * pd for x in cur]
-            for j in range(m):
-                seg = pn[j * d:(j + 1) * d]
-                if any(seg):
-                    jb = j * d
-                    for k, v in enumerate(_kernel.poly_mulreduce(e, seg, d, red)):
-                        cur[jb + k] -= v
+        if any(e):
+            cur = _eliminate(cur, e, pn, pd, m, d, ctx.red)
     # the residue over any denominator, divided by its leading entry
     for j in range(m):
         lead = cur[j * d:(j + 1) * d]
@@ -295,8 +302,36 @@ def form_residue(form: LinearForm, s: Subspace) -> Row | None:
         return None
     if not any(lead[1:]):
         return _kernel.elem_norm(cur, lead[0])
-    inv = _kernel.elem_inv((tuple(lead), 1), d, ctx.phi, red)
+    inv = _kernel.elem_inv((tuple(lead), 1), d, ctx.phi, ctx.red)
     return _scale_row((cur, 1), CyclotomicNumber(form.order, *inv), form.order)
+
+
+def extend_rref(s: Subspace, residue: Row) -> Subspace:
+    """The intersection of ``s`` with the hyperplane of a form whose residue
+    modulo ``s`` is ``residue`` (``form_residue``), in canonical RREF, with no
+    full row reduction.
+
+    The residue is zero in the pivot columns of ``s`` and 1 in its own
+    leading column q, so it is the new row for pivot q.  Clearing column q
+    from the rows of ``s`` that are nonzero there keeps them zero in every
+    other pivot column; the rows, normalized as the kernel's ``rref``
+    normalizes its output, are then the canonical RREF of the stacked forms.
+    """
+    ctx = field_context(s.order)
+    d = ctx.degree
+    m = s.ambient
+    rn, rd = residue
+    q = next(i for i, v in enumerate(rn) if v) // d
+    rows = []
+    for pn, pd in s.rows:
+        e = pn[q * d:(q + 1) * d]
+        if any(e):
+            rows.append(_kernel.elem_norm(_eliminate(pn, e, rn, rd, m, d, ctx.red), pd * rd))
+        else:
+            rows.append((pn, pd))
+    at = bisect_left(s.pivots, q)
+    rows.insert(at, residue)
+    return Subspace(m, s.order, tuple(rows), s.pivots[:at] + (q,) + s.pivots[at:])
 
 
 def _check_compatible(x: Subspace, y: Subspace) -> None:

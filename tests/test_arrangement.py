@@ -1,22 +1,26 @@
 """Arrangements, lattices, and the structural constructions."""
 
+import hashlib
 import json
 import random
 import sys
 
 import pytest
 
+import hyparr.arrangement
 from hyparr import _kernel
 from hyparr.arrangement import (Arrangement, brute_force_lattice, build_lattice, closure,
                                 deletion, essentialize, in_lattice,
                                 irreducible_decomposition, localization, make_arrangement,
                                 parallel_map, product, restriction, transport_lattice)
 from hyparr.cache import lattice_payload
-from hyparr.cyclo import CyclotomicNumber
+from hyparr.cyclo import CyclotomicNumber, field_context
 from hyparr.errors import InvalidHyperplaneError, RefusalError
-from hyparr.linalg import LinearForm, intersect, subspace_from_forms
+from hyparr.linalg import (LinearForm, extend_rref, form_residue, intersect, rref,
+                           subspace_from_forms)
 from hyparr.parse import parse_arrangement_text, parse_form
-from hyparr.reflection import build_named, exceptional_arrangement, monomial_arrangement
+from hyparr.reflection import (build_named, catalog, exceptional_arrangement,
+                               monomial_arrangement)
 from tests.conftest import random_arrangement
 
 BOOLEAN3 = "ambient 3 field 1\na\nb\nc\n"
@@ -100,32 +104,36 @@ class TestBuildLattice:
             assert x.support == y.support == z.support
             assert x.subspace == y.subspace == z.subspace
 
-    # Kernel calls of a one-worker build.  Each flat but the bottom is
-    # row-reduced once; every other cover is a registry lookup, and the
-    # rank-1 and rank-2 flats need no membership test.
-    @pytest.mark.parametrize("name, rref_calls, in_rowspace_calls",
-                             [("D4", 71, 15), ("G(3,1,3)", 34, 0)])
-    def test_one_worker_kernel_calls(self, monkeypatch, name, rref_calls, in_rowspace_calls):
+    # Kernel calls of a one-worker build.  No flat is fully row-reduced:
+    # the rank-1 flats are normalized forms, and each flat above them
+    # extends its parent's RREF once; every other cover is a registry
+    # lookup, and the rank-1 and rank-2 flats need no membership test.
+    @pytest.mark.parametrize("name, extensions, in_rowspace_calls",
+                             [("D4", 59, 15), ("G(3,1,3)", 22, 0)])
+    def test_one_worker_kernel_calls(self, monkeypatch, name, extensions, in_rowspace_calls):
         arr = build_named(name)
         calls = count_kernel_calls(monkeypatch)
         lattice = build_lattice(arr, threads=1)
-        assert calls == {"rref": rref_calls, "in_rowspace": in_rowspace_calls}
-        assert calls["rref"] == len(lattice) - 1
+        assert calls == {"rref": 0, "in_rowspace": in_rowspace_calls, "extend": extensions}
+        assert calls["extend"] == len(lattice) - 1 - len(lattice.levels[1])
 
     def test_max_flats_holds_within_a_level(self, monkeypatch):
         # G31 has 771 flats up to rank 2 and 1500 of rank 3: the build stops
-        # at the first rank-3 flat past the budget, not at the end of the level
+        # at the first rank-3 flat past the budget, not at the end of the level;
+        # the 60 rank-1 flats cost no reduction, the 710 rank-2 flats and the
+        # rank-3 flats one extension each
         calls = count_kernel_calls(monkeypatch)
         with pytest.raises(RefusalError, match=r"flat budget \(800\)"):
             build_lattice(build_named("G31"), max_flats=800)
-        assert calls["rref"] <= 801
+        assert calls["rref"] + calls["extend"] <= 741
         with pytest.raises(RefusalError, match=r"flat budget \(800\)"):
             build_lattice(build_named("G31"), max_flats=800, threads=3)
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_max_flats_holds_within_level_2(self, monkeypatch, threads):
         # G31 has 60 hyperplanes and 710 rank-2 flats: the residue classes of
-        # a hyperplane are row-reduced one by one, each checked on entry
+        # a hyperplane are entered one by one, each checked on entry, so the
+        # budget's 239 rank-2 flats cost at most 240 extensions
         calls = count_kernel_calls(monkeypatch)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # let the workers interleave often
@@ -134,18 +142,86 @@ class TestBuildLattice:
                 build_lattice(build_named("G31"), max_flats=300, threads=threads)
         finally:
             sys.setswitchinterval(interval)
-        assert calls["rref"] <= 301
+        assert calls["rref"] + calls["extend"] <= 241
+
+    # SHA-256 of each lattice as the cache serializes it, pinned from the
+    # build that fully row-reduced every flat
+    PAYLOAD_SHA256 = {
+        "D4": "cab5740696742c9f602918d0d50cf5e5f1af17aa74a433a609e14a45bd0bf42b",
+        "F4": "b0706924958a22b6414c05140d6febd2be29b324b3835d44598127ba0a0a28ba",
+        "H3": "2e2f1ebfafcd41d10d70cf617b04152981c4ccd103bb68f1f76619840d100426",
+        "G25": "dce0a6f4108ff2ae61f0b6bb6ef04bca44e3814d5fd8666f31314d83459c478a",
+        "G(3,3,4)": "73963972c99395bb74d8ab40e41dd2733ea6efee59854cce44e323635f3c5848",
+        "G(5,5,3)": "6094d12ed845fac298a2b36606e8975ba12b286eb700b832fab42f375d8f1b83",
+        "G(2,2,5)": "3845072e1daffc0796a0af41e0e0ee66ad020b27177a1718fe0dc387ed81120e",
+    }
+
+    @pytest.mark.parametrize("name", PAYLOAD_SHA256)
+    def test_payload_bytes_pinned(self, name):
+        payload = json.dumps(lattice_payload(build_lattice(build_named(name))),
+                             sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(payload.encode()).hexdigest() == self.PAYLOAD_SHA256[name]
 
 
 def count_kernel_calls(monkeypatch) -> dict[str, int]:
-    """Count ``_kernel.rref`` and ``_kernel.in_rowspace`` calls from here on."""
-    calls = {"rref": 0, "in_rowspace": 0}
-    for key in calls:
-        def counted(*args, _key=key, _real=getattr(_kernel, key)):
+    """Count ``_kernel.rref`` and ``_kernel.in_rowspace`` calls, and the
+    build's ``extend_rref`` steps, from here on."""
+    targets = {"rref": (_kernel, "rref"), "in_rowspace": (_kernel, "in_rowspace"),
+               "extend": (hyparr.arrangement, "extend_rref")}
+    calls = dict.fromkeys(targets, 0)
+    for key, (module, attr) in targets.items():
+        def counted(*args, _key=key, _real=getattr(module, attr)):
             calls[_key] += 1
             return _real(*args)
-        monkeypatch.setattr(_kernel, key, counted)
+        monkeypatch.setattr(module, attr, counted)
     return calls
+
+
+def extension_cases() -> dict:
+    rng = random.Random(1972)
+    cases = {name: build_named(name)
+             for name in ("D4", "F4", "G(3,3,4)", "G25", "H3", "G(5,5,3)")}
+    for k in range(20):
+        cases[f"random-{k}"] = random_arrangement(rng, rng.randint(2, 5),
+                                                  rng.choice([1, 3, 4, 5]), max_hyperplanes=8)
+    return cases
+
+
+EXTENSION_CASES = extension_cases()
+
+
+class TestExtendRref:
+    """Extending a flat's RREF by one residue row is the full reduction of
+    its rows plus the hyperplane's, for every flat and hyperplane off it;
+    the cases cover field degrees 1 (D4, F4), 2 (G(3,3,4), G25) and 4 (H3,
+    G(5,5,3))."""
+
+    @pytest.mark.parametrize("arr", EXTENSION_CASES.values(), ids=EXTENSION_CASES.keys())
+    def test_equals_full_reduction(self, arr):
+        ctx = field_context(arr.order)
+        pairs = 0
+        for flat in build_lattice(arr).flats():
+            sub = flat.subspace
+            for i, h in enumerate(arr.hyperplanes):
+                if flat.support >> i & 1:
+                    continue
+                full = _kernel.rref(list(sub.rows) + [h.row], arr.ambient,
+                                    ctx.degree, ctx.red, ctx.phi)
+                step = extend_rref(sub, form_residue(h, sub))
+                assert (step.rows, step.pivots) == full
+                pairs += 1
+        assert pairs >= len(arr)
+
+    def test_normalized_row_is_its_own_rref(self):
+        checked = 0
+        for entry in catalog():
+            arr = build_named(entry.name)
+            for h in arr.hyperplanes:
+                row = h.normalized().row
+                rows, pivots = rref([row], arr.ambient, arr.order)
+                assert rows == (row,) and pivots == (h.leading_index(),)
+                checked += 1
+        assert checked == 580
 
 
 def line_table_cases() -> dict:
@@ -358,6 +434,21 @@ class TestTransportLattice:
             assert _flat_data(moved) == _flat_data(build_lattice(ess)), arr
             checked += 1
         assert checked >= 20
+
+    @pytest.mark.parametrize("factors", [("B2", "A(3)"), ("point", "G(3,3,3)")],
+                             ids=["B2xA(3)", "point x G(3,3,3)"])
+    def test_tables_shared_with_the_source(self, factors):
+        # point x G(3,3,3) is essential, so its transport keeps every column
+        point = parse_arrangement_text("ambient 1 field 1\na\n")
+        arr = product(*(point if f == "point" else build_named(f) for f in factors))
+        lattice = build_lattice(arr)
+        ess = essentialize(arr)
+        moved = transport_lattice(lattice, ess)
+        fresh = build_lattice(ess)
+        assert moved.join_steps() == fresh.join_steps()  # built on the moved one
+        assert lattice.join_steps() is moved.join_steps()
+        assert lattice.covers() is moved.covers()
+        assert moved.covers() == fresh.covers()
 
 
 class TestIrreducibleDecomposition:
