@@ -7,13 +7,15 @@ reads integer ranks off the lattice's bitsets and does no field arithmetic.
 Only the complements of X, the flats Y with X ^ Y = 0, need testing: a
 failing Y with a larger meet Z has a complement Y' below it that fails too,
 the join of atoms extending a basis of Z to one of Y, and Y' comes first in
-flat order (Brylawski, 1975; ``IntersectionLattice.complement_joins``).  So
-the first failing complement is the first failing flat of a scan over every
-flat, and the witnesses are the same.  Each complement's join costs one step
-of the lattice's join table.  The bottom and the atoms always satisfy the
-identity, so the scan tests complements of rank 2 and up.  It records the
-first failing Y and its meet only.  ``ModularityVerdict.certify`` checks
-that witness over the field, independently of the join table: by
+flat order (Brylawski, 1975; ``is_modular``).  So the first failing
+complement is the first failing flat of a scan over every flat, and the
+witnesses are the same.  The scan walks the complements up the lattice's
+join table, each Y = P v a from a complement P that already passed, and
+decides each by one bitset test: Y fails exactly when the atom a lies under
+X v P.  The bottom, the atoms and the top are modular in every geometric
+lattice and are not walked.  The scan records the first failing Y and its
+meet, the bottom, only.  ``ModularityVerdict.certify`` checks that witness
+over the field, independently of the join table: by
 Grassmann's formula, dim(X + Y) from one rank of the stacked defining rows
 must be strictly smaller than the meet flat, which is the closure of X + Y.
 The sum subspace itself is built only for the outputs that print it
@@ -156,29 +158,53 @@ def _require_flat(lattice: IntersectionLattice, x: Flat) -> Flat:
 
 
 def is_modular(arr: Arrangement, lattice: IntersectionLattice, x: Flat) -> ModularityVerdict:
-    """Scan the complements Y of X of rank 2 and up, the flats with
-    X ^ Y = 0, for X + Y outside the lattice.
+    """Walk the complements Y of X, the flats with X ^ Y = 0 (support
+    disjoint from X's), in flat order, for the first one with X + Y outside
+    the lattice; its meet is the bottom.
 
     Only a complement can be the first failing flat of a scan over the
-    whole lattice in flat order: if Y fails with Z = X ^ Y above the bottom,
-    the join Y' of atoms extending a basis of Z to one of Y is a complement
-    with X v Y' = X v Y and r(Y') = r(Y) - r(Z), so Y' fails too and comes
-    before Y (``IntersectionLattice.complement_joins``).  The verdict, its
-    partner and its meet are therefore those of the full scan.
+    whole lattice in flat order: if Y fails the rank identity with
+    Z = X ^ Y above the bottom, extend a basis of atoms of Z to one of Y,
+    and let Y' be the join of the added atoms; then X ^ Y' = 0,
+    X v Y' = X v Y and r(Y') = r(Y) - r(Z), so Y' fails too and comes
+    before Y (Stanley, 1971; Brylawski, 1975).  The verdict, its partner and
+    its meet are therefore those of the full scan.
 
-    The bottom and the atoms are skipped: for an atom a, either a <= X, or
-    X v a covers X and X ^ a = 0, so r(X) + r(a) = r(X v a) + r(X ^ a)
-    always holds (Stanley, 1971).  The table still walks them, since later
-    joins are read off earlier ones.  Exits on the first failing Y
-    (deterministic order) and records it with its meet; the verdict
-    certifies the witness when it is read.
+    The complements form an order ideal, so the lower cover P of Y in
+    ``join_steps()``, with Y = P v a, is a complement visited before Y, and
+    it passed: r(X v P) = r(X) + r(P).  Then Y fails exactly when the atom a
+    lies under X v P, one bitset AND; otherwise X v Y is the one cover of
+    X v P that holds a.  Only the supports of these joins are kept, other
+    flats cost one AND each, and the walk stops at the first rank without a
+    complement, since no rank above has one.  The atoms never fail, since
+    a complement atom does not lie under X.
+
+    The bottom, the atoms and the top are modular in every geometric
+    lattice and are not walked.  The verdict certifies its witness when it
+    is read.
     """
     x = _require_flat(lattice, x)
-    for y, join in lattice.complement_joins(x):
-        if y.rank > 1:
-            member, meet = lattice.sum_membership(x, y, join)
-            if not member:
-                return ModularityVerdict(x, False, y, meet)
+    if x.rank <= 1 or x.rank == lattice.rank():
+        return ModularityVerdict(x, True)
+    covers = lattice.covers()
+    xs = x.support
+    steps = iter(lattice.join_steps())
+    joins = {0: xs}
+    for level in lattice.levels[1:]:
+        found = len(joins)
+        for y, (p, atom) in zip(level, steps):
+            s = y.support
+            if s & xs:
+                continue
+            j = joins[p]
+            if j & atom:
+                return ModularityVerdict(x, False, y, lattice.bottom())
+            for c in covers[j]:
+                if c & atom:
+                    joins[s] = c
+                    break
+        if len(joins) == found:
+            break
     return ModularityVerdict(x, True)
 
 

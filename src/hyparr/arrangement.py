@@ -272,50 +272,11 @@ class IntersectionLattice:
             steps = self._tables[1] = tuple(steps)
         return steps
 
-    def complement_joins(self, x: Flat):
-        """Yield (Y, X v Y) for every complement Y of X, the flats with
-        X ^ Y = 0 (support disjoint from X's), in flat order, one table step
-        each.  These decide modularity: if Y fails the rank identity with
-        Z = X ^ Y above the bottom, extend a basis of atoms of Z to one of
-        Y, and let Y' be the join of the added atoms; then Y' ^ X = 0,
-        X v Y' = X v Y and r(Y') = r(Y) - r(Z), so Y' fails too and comes
-        first in flat order (Stanley, 1971; Brylawski, 1975).  The first
-        failing flat of a full scan is therefore a complement.
-
-        The complements form an order ideal, so the lower cover P of Y in
-        ``join_steps()`` is one too, and X v P was yielded before Y:
-        X v Y = (X v P) v a is X v P when a lies under it, else the one
-        cover of X v P that holds a.  Other flats cost one bitset AND each,
-        only the supports of the joins so far are kept, and the walk stops at
-        the first rank without a complement, since no rank above has one."""
-        covers = self.covers()
-        index = self.index
-        xs = x.support
-        steps = iter(self.join_steps())
-        yield self.bottom(), x
-        joins = {0: xs}
-        for level in self.levels[1:]:
-            found = len(joins)
-            for y, (p, atom) in zip(level, steps):
-                s = y.support
-                if s & xs:
-                    continue
-                j = joins[p]
-                if not j & atom:
-                    for c in covers[j]:
-                        if c & atom:
-                            j = c
-                            break
-                joins[s] = j
-                yield y, index[j]
-            if len(joins) == found:
-                return  # no complement at this rank, so none above it
-
     def join(self, x: Flat, y: Flat) -> Flat:
         """Least upper bound of one pair, the flat of the subspace
         intersection: walk up the covers from x, each step to the one cover
         holding the lowest atom of y still missing, so at most r(A) bitset
-        steps.  The scan reads its joins from ``complement_joins`` instead;
+        steps.  The modular scan reads its joins off ``join_steps()`` instead;
         this walk is the independent check of that table."""
         hit = self.index.get(x.support | y.support)
         if hit is not None:
@@ -338,6 +299,8 @@ class IntersectionLattice:
         dim x + dim y - dim(x .cap. y), the sum is that flat iff the rank
         identity r(x) + r(y) = r(x v y) + r(x ^ y) holds, which needs only
         the rank of ``join``, the flat x v y (by default walked by ``join``).
+        The modular scan decides its pairs without this test, which checks
+        any single pair independently of the scan.
         """
         s = x.support & y.support
         meet = self.index[s]

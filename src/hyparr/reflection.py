@@ -177,7 +177,10 @@ def exceptional_arrangement(name: str) -> Arrangement:
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """A named arrangement with its expected hyperplane count and class."""
+    """A named arrangement with its expected hyperplane count and class, and
+    its coexponents b_i from the literature: the Poincare polynomial of the
+    reflection arrangement is prod(1 + b_i t) (Orlik-Solomon, 1980;
+    Orlik-Terao, *Arrangements of Hyperplanes*, Table C)."""
 
     name: str
     ambient: int
@@ -185,6 +188,7 @@ class CatalogEntry:
     expected_count: int
     supersolvable: bool
     rank: int
+    coexponents: tuple[int, ...]
 
     def build(self) -> Arrangement:
         return build_named(self.name)
@@ -193,6 +197,16 @@ class CatalogEntry:
 def _monomial_count(r: int, p: int, ell: int) -> int:
     coords = ell if (p != r and r >= 2) else 0
     return coords + r * ell * (ell - 1) // 2
+
+
+def _monomial_coexponents(r: int, p: int, ell: int) -> tuple[int, ...]:
+    """1, r + 1, ..., (l - 1) r + 1, the last replaced by (l - 1)(r - 1) when
+    p = r; sorted, with the 0 of the braid arrangement G(1,1,l) dropped, as
+    it is not essential."""
+    out = [k * r + 1 for k in range(ell)]
+    if p == r:
+        out[-1] = (ell - 1) * (r - 1)
+    return tuple(sorted(b for b in out if b))
 
 
 def catalog() -> list[CatalogEntry]:
@@ -209,7 +223,8 @@ def catalog() -> list[CatalogEntry]:
     def mono(r, p, ell, ss):
         rank = ell - 1 if r == 1 else ell
         entries.append(CatalogEntry(f"G({r},{p},{ell})", ell, r if r > 2 else 1,
-                                    _monomial_count(r, p, ell), ss, rank))
+                                    _monomial_count(r, p, ell), ss, rank,
+                                    _monomial_coexponents(r, p, ell)))
 
     # rank-2 members
     mono(2, 1, 2, True)      # B2
@@ -227,11 +242,13 @@ def catalog() -> list[CatalogEntry]:
     mono(2, 2, 5, False)     # D5
     mono(2, 2, 6, False)     # D6
     # exceptional transcriptions
-    for name, count, ss in (("D4", 12, False), ("F4", 24, False), ("H3", 15, False),
-                            ("G25", 12, False), ("G26", 21, False),
-                            ("G29", 40, False), ("G31", 60, False)):
+    for name, count, ss, coexponents in (
+            ("D4", 12, False, (1, 3, 3, 5)), ("F4", 24, False, (1, 5, 7, 11)),
+            ("H3", 15, False, (1, 5, 9)), ("G25", 12, False, (1, 4, 7)),
+            ("G26", 21, False, (1, 7, 13)), ("G29", 40, False, (1, 9, 13, 17)),
+            ("G31", 60, False, (1, 13, 17, 29))):
         ambient, order, _ = _EXCEPTIONAL[name]
-        entries.append(CatalogEntry(name, ambient, order, count, ss, ambient))
+        entries.append(CatalogEntry(name, ambient, order, count, ss, ambient, coexponents))
     return entries
 
 

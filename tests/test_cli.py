@@ -1,6 +1,8 @@
 """CLI behavior: subcommands, exit codes, JSON determinism, cache identity."""
 
+import hashlib
 import json
+import re
 
 import pytest
 
@@ -199,3 +201,30 @@ class TestDeterminism:
         flat = [c for var in coeffs for c in var]
         assert all(isinstance(c, str) for c in flat)
         assert any("/" in c or c.lstrip("-").isdigit() for c in flat)
+
+
+class TestTimings:
+    # SHA-256 of the --json stdout, as printed before the report phase was
+    # timed; the timings never enter the payload
+    STDOUT_SHA256 = {
+        ("modular", "D4", "--rank", "2"):
+            "d0629f177ed59685bcfe85737baf38ce226ad2dac42ad7114b3f78634cd78f17",
+        ("supersolvable", "D4"):
+            "dd9550f2c6f4d3ab09ac864ceaaf1c320daf1d3513ad122824dafbf89fd8c4db",
+        ("poincare", "A(3)"):
+            "cec8820910d1e4ec64506a2b3f914f68f5a2968d8656a60b60966cd2ada1ebe5",
+    }
+
+    @pytest.mark.parametrize("argv", sorted(STDOUT_SHA256))
+    def test_report_phase_is_timed_on_stderr(self, capsys, argv):
+        code, out, err = run_cli(capsys, "--json", *argv)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == self.STDOUT_SHA256[argv]
+        keys = re.findall(r"^time (\w+): \d+\.\d{3}s$", err, re.M)
+        assert keys == ["lattice", argv[0], "report"]
+
+    def test_human_output_ends_with_the_report_time(self, capsys):
+        code, out, _ = run_cli(capsys, "modular", "D4", "--rank", "2")
+        assert code == EXIT_OK
+        assert re.findall(r"^time (\w+): ", out, re.M) == ["lattice", "modular", "report"]
+        assert re.search(r"\ntime report: \d+\.\d{3}s\n$", out)

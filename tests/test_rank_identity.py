@@ -1,15 +1,17 @@
 """The modular scan decided by the rank identity over the join table.
 
-The scan reads the join of each complement Y of X (X ^ Y = 0) off one step
-of the join table; sum-membership compares integer ranks; no field
-arithmetic runs in the scan, witnesses are certified only when read, and the
-certificate validator re-checks by linear algebra without touching the join
-table.  The pairwise cover walk ``join`` is the oracle for the table, and a
-scan over every flat is the oracle for the complement scan's verdicts.
+The scan walks the complements Y = P v a of X (X ^ Y = 0) by the join
+table and decides each one by a bitset test, whether a lies under X v P; no
+field arithmetic runs in the scan, witnesses are certified only when read,
+and the certificate validator re-checks by linear algebra without touching
+the join table.  The pairwise cover walk ``join`` is the oracle for the
+table, and a scan over every flat by ``sum_membership`` is the oracle for
+the complement scan's verdicts.
 """
 
 import dataclasses
 import random
+from itertools import combinations
 
 import pytest
 
@@ -26,13 +28,7 @@ from hyparr.errors import InternalInconsistencyError
 from hyparr.linalg import intersect, subspace_sum
 from hyparr.parse import parse_arrangement_text
 from hyparr.reflection import build_named
-
-# sum_membership calls of one is_supersolvable run, fixed by the scan order
-# and its early exit (D4: one full rank-2 scan; B2 x A2: ranks 2 and 3).  The
-# scan tests only the complements of rank 2 and up, the flats Y with
-# X ^ Y = 0, of each scanned flat X: D4 scans its 34 rank-2 flats, B2 x A2
-# its 14 + 7 flats of ranks 2 and 3.
-SUM_MEMBERSHIP_CALLS = {"D4": 325, "B2xA2": 74}
+from tests.conftest import random_arrangement
 
 
 def _b2_times_a2():
@@ -77,17 +73,25 @@ def test_join_walk_matches_subspace_intersection(tmp_path):
 
 
 def test_join_table_matches_the_cover_walk(tmp_path):
+    # the scan's step: for a complement Y = P v a of X, P is a complement
+    # too, and X v Y is X v P when a lies under it, else the one cover of
+    # X v P that holds a
     cases = [("D4", build_lattice(build_named("D4"))),
              ("B2 x A2", build_lattice(_b2_times_a2())),
              ("loaded G(3,3,3)", _loaded(build_named("G(3,3,3)"), tmp_path))]
     for label, lattice in cases:
+        covers = lattice.covers()
         flats = list(lattice.flats())
         for x in flats:
-            complements = [y for y in flats if not y.support & x.support]
-            steps = list(lattice.complement_joins(x))
-            assert [y for y, _ in steps] == complements, label
-            assert [join for _, join in steps] == \
-                [lattice.join(x, y) for y in complements], label
+            for y, (p, atom) in zip(flats[1:], lattice.join_steps()):
+                if y.support & x.support:
+                    continue
+                assert not p & x.support, label
+                below = lattice.join(x, lattice.index[p]).support
+                step = below
+                if not below & atom:
+                    [step] = [c for c in covers[below] if c & atom]
+                assert step == lattice.join(x, y).support, label
 
 
 def test_join_steps_are_lower_covers_and_atoms(tmp_path):
@@ -124,9 +128,10 @@ def test_threads_on_a_loaded_lattice(tmp_path):
         [(v.flat.support, v.modular) for v in pooled]
 
 
-@pytest.mark.parametrize("name", sorted(SUM_MEMBERSHIP_CALLS))
+@pytest.mark.parametrize("name", ["B2xA2", "D4"])
 def test_scan_operation_counts(name, monkeypatch):
-    calls = {"rank": 0, "sum_membership": 0, "subspace_sum": 0, "non_modular": 0}
+    calls = {"rank": 0, "sum_membership": 0, "join": 0, "subspace_sum": 0,
+             "non_modular": 0}
 
     def counted(key, fn):
         def wrapper(*args):
@@ -135,8 +140,9 @@ def test_scan_operation_counts(name, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(hyparr._kernel, "rank", counted("rank", hyparr._kernel.rank))
-    monkeypatch.setattr(IntersectionLattice, "sum_membership",
-                        counted("sum_membership", IntersectionLattice.sum_membership))
+    for method in ("sum_membership", "join"):
+        monkeypatch.setattr(IntersectionLattice, method,
+                            counted(method, getattr(IntersectionLattice, method)))
     monkeypatch.setattr(hyparr.analysis, "subspace_sum",
                         counted("subspace_sum", hyparr.analysis.subspace_sum))
     original = hyparr.analysis.is_modular
@@ -150,8 +156,9 @@ def test_scan_operation_counts(name, monkeypatch):
     arr = build_named("D4") if name == "D4" else _b2_times_a2()
     cert = is_supersolvable(arr)
     assert cert.verdict == (name != "D4")
-    assert calls["rank"] == 0
-    assert calls["sum_membership"] == SUM_MEMBERSHIP_CALLS[name]
+    # the scan decides each complement by one bitset test: no field
+    # arithmetic, no pairwise membership test and no cover walk
+    assert calls["rank"] == calls["sum_membership"] == calls["join"] == 0
     # no witness is certified until one is read, and each one only once
     assert calls["subspace_sum"] == 0
     certified = cert.refutation.witnesses if cert.refutation else []
@@ -241,17 +248,72 @@ def _full_order_scan(lattice, x):
     return True, None, None
 
 
+def _scanned(lattice, x):
+    v = is_modular(lattice.arrangement, lattice, x)
+    return v.modular, v.partner and v.partner.support, v.meet and v.meet.support
+
+
+def _random_lattices(count, seed=11):
+    """``count`` lattices of rank 3 or 4 from ``conftest.random_arrangement``,
+    with at most 9 hyperplanes."""
+    rng, out = random.Random(seed), []
+    while len(out) < count:
+        arr = random_arrangement(rng, rng.choice([3, 4]), rng.choice([1, 1, 3]),
+                                 max_hyperplanes=9)
+        if arr.rank() >= 3:
+            out.append((f"random {len(out)}", build_lattice(arr)))
+    return out
+
+
 def test_scan_from_rank_two_matches_a_full_order_scan(tmp_path):
     f4 = build_named("F4")
     b2_h3 = product(build_named("B2"), build_named("H3"))
-    for label, lattice in _skip_lattices(tmp_path) + [("F4", build_lattice(f4)),
-                                                      ("B2 x H3", build_lattice(b2_h3))]:
-        arr = lattice.arrangement
+    cases = _skip_lattices(tmp_path) + [("F4", build_lattice(f4)),
+                                        ("B2 x H3", build_lattice(b2_h3))]
+    failures = 0
+    for label, lattice in cases + _random_lattices(20):
         for k in range(2, lattice.rank()):
             for x in lattice.levels[k]:
-                v = is_modular(arr, lattice, x)
-                got = (v.modular, v.partner and v.partner.support, v.meet and v.meet.support)
+                got = _scanned(lattice, x)
+                failures += not got[0]
                 assert got == _full_order_scan(lattice, x), (label, x)
+    assert failures
+
+
+def test_always_modular_ranks_match_a_full_order_scan(monkeypatch):
+    # the bottom, the atoms and the top are modular in every geometric
+    # lattice, and the scan answers for them without walking the join table
+    non_essential = product(build_named("A(3)"), build_named("B2"))
+    lattices = [("D4", build_lattice(build_named("D4"))),
+                ("B2 x A2", build_lattice(_b2_times_a2())),
+                ("A(3) x B2", build_lattice(non_essential))]
+    assert not non_essential.is_essential()
+
+    def refuse(self):
+        raise AssertionError("the join table was read")
+
+    monkeypatch.setattr(IntersectionLattice, "join_steps", refuse)
+    for label, lattice in lattices:
+        for k in (0, 1, lattice.rank()):
+            for x in lattice.levels[k]:
+                assert _scanned(lattice, x) == _full_order_scan(lattice, x) == \
+                    (True, None, None), (label, k)
+
+
+def test_a_rank_three_failure_behind_passing_lines():
+    # U(4,5) over Q: any four of the five hyperplanes are independent.  For X
+    # on hyperplanes 1 and 2, every line among hyperplanes 3, 4 and 5 is a
+    # complement with X v Y the top and passes, yet the rank-3 flat on all
+    # three has X v Y the top too, of rank 4 < 2 + 3
+    arr = parse_arrangement_text("ambient 4 field 1\na\nb\nc\nd\na + b + c + d\n")
+    lattice = build_lattice(arr)
+    assert lattice.level_sizes() == [1, 5, 10, 10, 1]
+    bits = [1 << k for k in range(5)]  # hyperplanes keep the source order
+    x = lattice.index[bits[0] | bits[1]]
+    for i, j in combinations(bits[2:], 2):
+        assert lattice.sum_membership(x, lattice.index[i | j])[0]
+    partner = bits[2] | bits[3] | bits[4]
+    assert _scanned(lattice, x) == _full_order_scan(lattice, x) == (False, partner, 0)
 
 
 @pytest.mark.parametrize("name", ["D4", "F4", "H3", "G25", "G(3,3,4)", "G(4,4,4)"])
@@ -288,32 +350,14 @@ def test_validator_ignores_a_lying_scan(monkeypatch):
     forged = dataclasses.replace(cert, verdict=True, chain=chain, refutation=None)
     genuine = is_supersolvable(build_named("A(3)"))
     assert genuine.verdict
-    x = chain[2]
+    assert not is_modular(d4, lattice, chain[2]).modular
 
-    def scanned(x):
-        return [lattice.sum_membership(x, y, join)[0]
-                for y, join in lattice.complement_joins(x)]
+    def lying_steps(self):
+        # every flat claimed to cover the bottom, so that each complement Y of
+        # X is tested against X v a for one atom a of Y alone, which it passes
+        return tuple((0, f.support & -f.support) for f in self.flats() if f.rank)
 
-    honest = scanned(x)
-
-    def lying_joins(self, x):
-        # per complement Y, a flat of the rank that would make the pair satisfy
-        # the rank identity
-        for y in self.flats():
-            if not y.support & x.support:
-                yield y, self.levels[min(x.rank + y.rank - self.meet(x, y).rank,
-                                         self.rank())][0]
-
-    monkeypatch.setattr(IntersectionLattice, "complement_joins", lying_joins)
-    assert scanned(x) != honest
-    assert not validate_certificate(forged)
-    assert validate_certificate(genuine)
-
-    # A lying join table alone does not flip a whole verdict here (the rank
-    # bound finds every failing pair first), so lie in the membership test
-    # too: the scan is fooled, the validator is not.
-    monkeypatch.setattr(IntersectionLattice, "sum_membership",
-                        lambda self, x, y, join=None: (True, self.meet(x, y)))
+    monkeypatch.setattr(IntersectionLattice, "join_steps", lying_steps)
     assert all(is_modular(d4, lattice, f).modular for f in chain)
     assert not validate_certificate(forged)
     assert validate_certificate(genuine)

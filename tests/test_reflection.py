@@ -2,6 +2,7 @@
 
 import pytest
 
+from hyparr.analysis import poincare
 from hyparr.arrangement import build_lattice, essentialize, irreducible_decomposition
 from hyparr.reflection import (build_named, catalog, catalog_entry,
                                exceptional_arrangement, monomial_arrangement)
@@ -84,6 +85,18 @@ class TestCatalog:
             ess = essentialize(entry.build())
             assert ess.rank() == ess.ambient
             assert len(irreducible_decomposition(ess)) == 1, entry.name
+
+    @pytest.mark.parametrize("name", [e.name for e in catalog()])
+    def test_poincare_factors_over_the_coexponents(self, name, store):
+        # the lattice every certificate trusts, checked against the literature
+        entry = catalog_entry(name)
+        expected = [1]
+        for b in entry.coexponents:
+            expected = [a + b * c for a, c in zip(expected + [0], [0] + expected)]
+        assert len(entry.coexponents) == entry.rank
+        assert sum(entry.coexponents) == entry.expected_count
+        got = poincare(store.arrangement(name), store.lattice(name))
+        assert list(got.coefficients) == expected
 
     def test_classification_flags_present(self):
         names = {e.name for e in catalog()}
