@@ -8,7 +8,6 @@ verification suite.
 
 __version__ = "0.1.0"
 
-from ._kernel import backend as kernel_backend
 from .analysis import (ModularityVerdict, PoincarePolynomial, Rank2Report,
                        SupersolvabilityCertificate, check_rank2_criterion,
                        checked_exponents, exponents_from_poincare,
@@ -27,5 +26,11 @@ from .linalg import (LinearForm, Subspace, contains, intersect, subspace_from_fo
 from .parse import parse_arrangement_file, parse_arrangement_text, parse_form, parse_scalar
 from .reflection import (CatalogEntry, braid_arrangement, build_named, catalog,
                          exceptional_arrangement, monomial_arrangement)
+
+
+def kernel_backend() -> str:
+    """Name of the arithmetic kernel: there is one, in pure Python."""
+    return "python"
+
 
 __all__ = [name for name in dir() if not name.startswith("_")]

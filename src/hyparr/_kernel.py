@@ -1,9 +1,9 @@
-"""Pure-Python arithmetic kernel.
+"""Arithmetic kernel over cyclotomic fields, on plain integers.
 
-Everything here works on plain integers so that the compiled backend in
-``_speedups.pyx`` can mirror it line for line, except ``elem_inv``: here it
-solves a linear system by fraction-free elimination, while the twin keeps
-extended Euclid over ``Fraction``; both return the same canonical pair.
+Row reduction, rank, row-space membership, null spaces and field-element
+arithmetic for ``Q(zeta_n)``: the exact arithmetic under every lattice build
+and witness certificate.  Callers look these functions up on the module at
+call time (``_kernel.rank(...)``), so they can be wrapped or counted there.
 
 An element of the cyclotomic field of degree ``d`` is a pair ``(nums, den)``:
 a tuple of ``d`` integer coordinates in the power basis over a single
@@ -93,14 +93,13 @@ def elem_mul(a, b, d, red):
     return elem_norm(poly_mulreduce(an, bn, d, red), ad * bd)
 
 
-def elem_inv(a, d, phi, red):
+def elem_inv(a, d, red):
     """Inverse modulo the defining polynomial, in integers only.
 
     For d > 1 the inverse of ``nums`` solves M v = e0, where column j of M
     holds the coordinates of nums * x**j; Gauss-Jordan elimination with a
     gcd reduction per row (fraction-free, after Bareiss) leaves a diagonal
-    system read off over one common denominator.  ``phi`` is unused here:
-    ``red`` already encodes the modulus.
+    system read off over one common denominator.
     """
     an, ad = a
     if not any(an):
@@ -140,38 +139,24 @@ def elem_inv(a, d, phi, red):
     return elem_norm([ad * w[d] * (den // w[i]) for i, w in enumerate(work)], den)
 
 
-def _entry_nonzero(nums, col, d):
-    base = col * d
-    for k in range(base, base + d):
-        if nums[k]:
-            return True
-    return False
-
-
-def _eliminate(tn, td, col, pn, pd, m, d, red):
-    """tn/td minus its column-``col`` entry times normalized pivot row pn/pd.
-
-    The pivot row must have value exactly 1 in column ``col``.  Returns the
-    new (list nums, den), not yet gcd-normalized.
-    """
-    base = col * d
+def eliminate(cur, e, pn, pd, m, d, red):
+    """cur * pd - e * pn, with ``e`` the column entry of ``cur`` (a length-d
+    coordinate slice) that the row pn/pd holds as 1: the numerators of cur
+    with that column cleared, over the denominator cur's times pd."""
     if d == 1:
-        e = tn[base]
-        out = [x * pd - e * y for x, y in zip(tn, pn)]
-        return out, td * pd
-    e = tn[base:base + d]
-    out = [x * pd for x in tn]
+        e = e[0]
+        return [x * pd - e * y for x, y in zip(cur, pn)]
+    cur = [x * pd for x in cur]
     for j in range(m):
         seg = pn[j * d:(j + 1) * d]
         if any(seg):
-            prod = poly_mulreduce(e, seg, d, red)
             jb = j * d
-            for k in range(d):
-                out[jb + k] -= prod[k]
-    return out, td * pd
+            for k, v in enumerate(poly_mulreduce(e, seg, d, red)):
+                cur[jb + k] -= v
+    return cur
 
 
-def rref(rows, m, d, red, phi):
+def rref(rows, m, d, red):
     """Reduced row echelon form with first-nonzero pivoting in column order.
 
     Rows are (nums, den) pairs of m packed elements.  Returns the canonical
@@ -186,9 +171,10 @@ def rref(rows, m, d, red, phi):
     for col in range(m):
         if prow == nrows:
             break
+        base = col * d
         hit = -1
         for r in range(prow, nrows):
-            if _entry_nonzero(work[r][0], col, d):
+            if any(work[r][0][base:base + d]):
                 hit = r
                 break
         if hit < 0:
@@ -196,11 +182,9 @@ def rref(rows, m, d, red, phi):
         if hit != prow:
             work[prow], work[hit] = work[hit], work[prow]
         pn, pd = work[prow]
-        base = col * d
         pe = elem_norm(pn[base:base + d], pd)
         if pe != (one, 1):
-            inv = elem_inv(pe, d, phi, red)
-            iv, ivd = inv
+            iv, ivd = elem_inv(pe, d, red)
             if d == 1:
                 s = iv[0]
                 pn = [x * s for x in pn]
@@ -214,11 +198,12 @@ def rref(rows, m, d, red, phi):
             pn = list(t)
             work[prow] = (pn, pd)
         for r in range(nrows):
-            if r != prow and _entry_nonzero(work[r][0], col, d):
+            if r != prow:
                 tn, td = work[r]
-                nn, nd = _eliminate(tn, td, col, pn, pd, m, d, red)
-                t, nd = elem_norm(nn, nd)
-                work[r] = (list(t), nd)
+                e = tn[base:base + d]
+                if any(e):
+                    t, nd = elem_norm(eliminate(tn, e, pn, pd, m, d, red), td * pd)
+                    work[r] = (list(t), nd)
         pivots.append(col)
         prow += 1
     out = []
@@ -289,25 +274,17 @@ def rank(rows, m, d, red):
 
 
 def in_rowspace(row, rref_rows, pivots, m, d, red):
-    """Whether a row lies in the span of canonical rref rows."""
-    cur = list(row[0])
-    cd = row[1]
-    for i, col in enumerate(pivots):
-        base = col * d
-        if d == 1:
-            e = cur[base]
-            if e:
-                pn, pd = rref_rows[i]
-                cur = [x * pd - e * y for x, y in zip(cur, pn)]
-                cd *= pd
-        else:
-            if any(cur[base:base + d]):
-                pn, pd = rref_rows[i]
-                cur, cd = _eliminate(cur, cd, col, pn, pd, m, d, red)
-    for v in cur:
-        if v:
-            return False
-    return True
+    """Whether a row lies in the span of canonical rref rows.
+
+    Clearing every pivot column leaves zero exactly for members, whatever
+    the denominator, so only the numerators are carried.
+    """
+    cur = row[0]
+    for (pn, pd), col in zip(rref_rows, pivots):
+        e = cur[col * d:(col + 1) * d]
+        if any(e):
+            cur = eliminate(cur, e, pn, pd, m, d, red)
+    return not any(cur)
 
 
 def nullspace(rref_rows, pivots, m, d, red):

@@ -651,7 +651,7 @@ def irreducible_decomposition(arr: Arrangement) -> list[Arrangement]:
         ext[(n + i) * d] = den
         aug.append(_kernel.elem_norm(ext, den))
     ctx = field_context(arr.order)
-    inv_rows, inv_piv = _kernel.rref(aug, 2 * n, ctx.degree, ctx.red, ctx.phi)
+    inv_rows, inv_piv = _kernel.rref(aug, 2 * n, ctx.degree, ctx.red)
     assert inv_piv[:n] == tuple(range(n)), "basis matrix failed to invert"
     inv = [[_row_entry(row, n + j, arr.order) for j in range(n)] for row in inv_rows]
 

@@ -210,7 +210,7 @@ class CyclotomicNumber:
         if self.is_zero():
             raise ZeroDivisionError("division by zero in cyclotomic field")
         ctx = field_context(self.order)
-        t, dn = _kernel.elem_inv(self._pair(), ctx.degree, ctx.phi, ctx.red)
+        t, dn = _kernel.elem_inv(self._pair(), ctx.degree, ctx.red)
         return CyclotomicNumber(self.order, t, dn)
 
     def __truediv__(self, other) -> CyclotomicNumber:

@@ -198,7 +198,7 @@ class Subspace:
 def rref(rows: list[Row], ambient: int, order: int) -> tuple[tuple[Row, ...], tuple[int, ...]]:
     """Canonical reduced row echelon form of packed rows."""
     ctx = field_context(order)
-    return _kernel.rref(rows, ambient, ctx.degree, ctx.red, ctx.phi)
+    return _kernel.rref(rows, ambient, ctx.degree, ctx.red)
 
 
 def subspace_from_rows(rows, ambient: int, order: int) -> Subspace:
@@ -260,24 +260,6 @@ def form_vanishes_on(form: LinearForm, s: Subspace) -> bool:
                                ctx.degree, ctx.red)
 
 
-def _eliminate(cur: list[int], e, pn: tuple[int, ...], pd: int, m: int, d: int, red
-               ) -> list[int]:
-    """cur * pd - e * pn, with ``e`` the column entry of ``cur`` (a length-d
-    coordinate slice) that the row pn/pd holds as 1: the numerators of cur
-    with that column cleared, over the denominator cur's times pd."""
-    if d == 1:
-        e = e[0]
-        return [x * pd - e * y for x, y in zip(cur, pn)]
-    cur = [x * pd for x in cur]
-    for j in range(m):
-        seg = pn[j * d:(j + 1) * d]
-        if any(seg):
-            jb = j * d
-            for k, v in enumerate(_kernel.poly_mulreduce(e, seg, d, red)):
-                cur[jb + k] -= v
-    return cur
-
-
 def form_residue(form: LinearForm, s: Subspace) -> Row | None:
     """``form`` reduced by the defining rows of ``s`` and scaled to leading
     coefficient 1, or None if the hyperplane of ``form`` contains ``s``.
@@ -292,7 +274,7 @@ def form_residue(form: LinearForm, s: Subspace) -> Row | None:
     for (pn, pd), col in zip(s.rows, s.pivots):
         e = cur[col * d:(col + 1) * d]
         if any(e):
-            cur = _eliminate(cur, e, pn, pd, m, d, ctx.red)
+            cur = _kernel.eliminate(cur, e, pn, pd, m, d, ctx.red)
     # the residue over any denominator, divided by its leading entry
     for j in range(m):
         lead = cur[j * d:(j + 1) * d]
@@ -302,7 +284,7 @@ def form_residue(form: LinearForm, s: Subspace) -> Row | None:
         return None
     if not any(lead[1:]):
         return _kernel.elem_norm(cur, lead[0])
-    inv = _kernel.elem_inv((tuple(lead), 1), d, ctx.phi, ctx.red)
+    inv = _kernel.elem_inv((tuple(lead), 1), d, ctx.red)
     return _scale_row((cur, 1), CyclotomicNumber(form.order, *inv), form.order)
 
 
@@ -326,7 +308,8 @@ def extend_rref(s: Subspace, residue: Row) -> Subspace:
     for pn, pd in s.rows:
         e = pn[q * d:(q + 1) * d]
         if any(e):
-            rows.append(_kernel.elem_norm(_eliminate(pn, e, rn, rd, m, d, ctx.red), pd * rd))
+            rows.append(_kernel.elem_norm(_kernel.eliminate(pn, e, rn, rd, m, d, ctx.red),
+                                           pd * rd))
         else:
             rows.append((pn, pd))
     at = bisect_left(s.pivots, q)

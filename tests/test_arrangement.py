@@ -206,7 +206,7 @@ class TestExtendRref:
                 if flat.support >> i & 1:
                     continue
                 full = _kernel.rref(list(sub.rows) + [h.row], arr.ambient,
-                                    ctx.degree, ctx.red, ctx.phi)
+                                    ctx.degree, ctx.red)
                 step = extend_rref(sub, form_residue(h, sub))
                 assert (step.rows, step.pivots) == full
                 pairs += 1

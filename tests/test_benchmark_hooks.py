@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import hyparr
 from hyparr.arrangement import IntersectionLattice
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -24,6 +25,11 @@ def test_traced_names_resolve():
         module = importlib.import_module(module_name)
         assert module_name.startswith("hyparr"), span
         assert callable(getattr(module, attr, None)), f"{span}: {module_name}.{attr}"
+
+
+def test_kernel_backend_stamp():
+    """Benchmark runs stamp this name and refuse any other."""
+    assert hyparr.kernel_backend() == "python"
 
 
 def test_sum_membership_exists():

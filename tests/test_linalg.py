@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from hyparr import _kernel
 from hyparr.cyclo import CyclotomicNumber, field_context, root_of_unity
 from hyparr.linalg import (LinearForm, contains, form_residue, form_vanishes_on,
                            full_space, intersect, rref, subspace_from_forms,
@@ -36,6 +37,28 @@ class TestRref:
         rows = [q_form([1, 1, 0]).row, q_form([0, 1, 1]).row, q_form([1, 0, -1]).row]
         out, _ = rref(rows, 3, 1)
         assert len(out) == 2
+
+    def test_kernel_rank_and_membership_agree_with_rref(self):
+        """The fraction-free rank counts the rref rows; every input row and a
+        rescaled rref row lie in the row space, a free unit row does not."""
+        rng = random.Random(3)
+        for _ in range(250):
+            ctx = field_context(rng.choice([1, 3, 4, 5, 12]))
+            d = ctx.degree
+            m = rng.randint(1, 5)
+            rows = [(tuple(rng.randint(-5, 5) for _ in range(m * d)), rng.randint(1, 4))
+                    for _ in range(rng.randint(1, 5))]
+            out, pivots = _kernel.rref(list(rows), m, d, ctx.red)
+            assert _kernel.rank(list(rows), m, d, ctx.red) == len(out)
+            assert all(_kernel.in_rowspace(r, out, pivots, m, d, ctx.red) for r in rows)
+            if out:
+                pn, pd = out[rng.randrange(len(out))]
+                scaled = (tuple(3 * v for v in pn), 2 * pd)
+                assert _kernel.in_rowspace(scaled, out, pivots, m, d, ctx.red)
+            free = [f for f in range(m) if f not in pivots]
+            if free:
+                unit = tuple(int(k == free[0] * d) for k in range(m * d))
+                assert not _kernel.in_rowspace((unit, 1), out, pivots, m, d, ctx.red)
 
 
 class TestSubspaces:
@@ -154,9 +177,7 @@ class TestPropertySuites:
             basis = s.basis()
             assert len(basis) == s.dim
             ctx = field_context(order)
-            from hyparr import _kernel
-            span, pivots = _kernel.rref(list(basis), ambient, ctx.degree, ctx.red,
-                                        ctx.phi)
+            span, pivots = _kernel.rref(list(basis), ambient, ctx.degree, ctx.red)
             forms = _kernel.nullspace(span, pivots, ambient, ctx.degree, ctx.red)
             back = subspace_from_rows(forms, ambient, order)
             assert back == s
