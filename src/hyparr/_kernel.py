@@ -4,6 +4,9 @@ Row reduction, rank, row-space membership, null spaces and field-element
 arithmetic for ``Q(zeta_n)``: the exact arithmetic under every lattice build
 and witness certificate.  Callers look these functions up on the module at
 call time (``_kernel.rank(...)``), so they can be wrapped or counted there.
+``reduce`` and ``monic`` are the one pivot-clearing loop and the one scaling
+to leading coefficient 1; ``rref`` and ``rank`` keep their own elimination
+as the tests' independent reference.
 
 An element of the cyclotomic field of degree ``d`` is a pair ``(nums, den)``:
 a tuple of ``d`` integer coordinates in the power basis over a single
@@ -40,13 +43,6 @@ def elem_norm(nums, den):
         den //= g
         nums = [v // g for v in nums]
     return tuple(nums), den
-
-
-def elem_is_zero(a):
-    for v in a[0]:
-        if v:
-            return False
-    return True
 
 
 def elem_add(a, b):
@@ -273,18 +269,42 @@ def rank(rows, m, d, red):
     return prow
 
 
+def reduce(cur, rows, pivots, m, d, red):
+    """The numerators ``cur`` with every pivot column of the canonical rref
+    ``rows`` cleared, over a positive multiple of cur's denominator: zero
+    exactly when cur lies in their span."""
+    for (pn, pd), col in zip(rows, pivots):
+        e = cur[col * d:(col + 1) * d]
+        if any(e):
+            cur = eliminate(cur, e, pn, pd, m, d, red)
+    return cur
+
+
+def monic(nums, m, d, red):
+    """The row of numerators ``nums`` (over any denominator) scaled to
+    leading coefficient 1, in canonical form, or None for the zero row."""
+    for j in range(0, m * d, d):
+        lead = nums[j:j + d]
+        if any(lead):
+            break
+    else:
+        return None
+    if not any(lead[1:]):
+        return elem_norm(nums, lead[0])
+    iv, ivd = elem_inv((lead, 1), d, red)
+    out = []
+    for j in range(0, m * d, d):
+        out.extend(poly_mulreduce(iv, nums[j:j + d], d, red))
+    return elem_norm(out, ivd)
+
+
 def in_rowspace(row, rref_rows, pivots, m, d, red):
     """Whether a row lies in the span of canonical rref rows.
 
     Clearing every pivot column leaves zero exactly for members, whatever
     the denominator, so only the numerators are carried.
     """
-    cur = row[0]
-    for (pn, pd), col in zip(rref_rows, pivots):
-        e = cur[col * d:(col + 1) * d]
-        if any(e):
-            cur = eliminate(cur, e, pn, pd, m, d, red)
-    return not any(cur)
+    return not any(reduce(row[0], rref_rows, pivots, m, d, red))
 
 
 def nullspace(rref_rows, pivots, m, d, red):

@@ -12,9 +12,8 @@ each already its own canonical RREF, and every flat X v H above them
 extends X's RREF by one row, the residue of H modulo X (``extend_rref``).
 The rank-2 flats over each hyperplane X group the others by that residue,
 with no membership test.  A cover X v H that the level already has is found
-by a bitset lookup, the support scan of a new cover skips the hyperplanes
-of X's other covers, and from rank 3 on it decides each rank-2 flat through
-H by one membership test.
+by a bitset lookup, and the support of a new cover is read off the rank-2
+flats through H, with at most one membership test for each.
 """
 
 from __future__ import annotations
@@ -26,8 +25,8 @@ from threading import Lock
 from . import _kernel
 from .cyclo import CyclotomicNumber, embed, field_context
 from .errors import InvalidHyperplaneError, RefusalError
-from .linalg import (LinearForm, Subspace, _row_entry, extend_rref, form_residue,
-                     form_vanishes_on, full_space, rref, subspace_from_rows, variable_names)
+from .linalg import (LinearForm, Subspace, extend_rref, form_residue, form_vanishes_on,
+                     full_space, restrict_row, subspace_from_rows, variable_names)
 
 DEFAULT_MAX_FLATS = 500_000
 
@@ -388,13 +387,13 @@ def _children_of(arr: Arrangement, parent: Flat, level: _Level, lines: list | No
     only rank-(k+1) flat above both, so these are looked up under the
     parent's lowest atom in ``level.by_atom`` and only the other covers are
     extended, each once.  ``covered`` holds the hyperplanes of the covers
-    known so far.  A new cover's support is the parent's plus H plus what a
-    scan finds, and a hyperplane in ``covered`` outside the parent lies in
-    another cover, so the scan skips it.  With the rank-2 flats (``lines``,
-    from ``_line_table``) the scan runs over the lines through H instead,
-    each inside or outside the cover as a whole: a line that meets the
-    parent lies inside, one that meets ``covered`` outside the parent lies
-    outside, and one membership test of its member decides any other.
+    known so far.  A new cover's support is the parent's plus the rank-2
+    flats through H that it holds (``lines``, from ``_line_table``, which
+    exists once the parents have rank 2), each inside or outside the cover
+    as a whole: a line that meets the parent lies inside, one that meets
+    ``covered`` outside the parent lies outside, since a hyperplane there
+    lies in another cover, and one membership test of its member decides
+    any other.
     """
     level.check_budget()  # another worker may have gone over already
     hyperplanes = arr.hyperplanes
@@ -438,11 +437,6 @@ def _children_of(arr: Arrangement, parent: Flat, level: _Level, lines: list | No
             bits = below | bit
             if sub.codim == ambient:
                 bits = arr.full_support()
-            elif lines is None:
-                # every hyperplane before h is covered by now
-                for h2 in range(h + 1, n):
-                    if not covered & (1 << h2) and form_vanishes_on(hyperplanes[h2], sub):
-                        bits |= 1 << h2
             else:
                 off = covered & ~below
                 for line, member in lines[h]:
@@ -464,13 +458,13 @@ def build_lattice(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS,
     normalized residues modulo X.  Each flat above rank 1 extends its
     parent's RREF by that residue, so no flat is fully row-reduced, and a
     cover the level already has is found by a bitset lookup, so each flat
-    is extended once; support scans skip the hyperplanes of X's other
-    covers, and from level 3 on they decide each rank-2 flat through H by
-    one membership test.  Each level is sorted by support bitset, so the
-    result is deterministic and identical for any worker count; the workers
-    of a level share its ``_Level``.  The flat budget is checked whenever a
-    level gains a flat, so an oversized lattice is refused before its level
-    is finished.
+    is extended once.  From level 3 on, a new flat's support is read off the
+    rank-2 flats through H (``_line_table``), skipping those that meet X's
+    other covers, with at most one membership test for each.  Each level is
+    sorted by support bitset, so the result is deterministic and identical
+    for any worker count; the workers of a level share its ``_Level``.  The
+    flat budget is checked whenever a level gains a flat, so an oversized
+    lattice is refused before its level is finished.
     """
     bottom = Flat(full_space(arr.ambient, arr.order), 0, 0)
     levels: list[tuple] = [(bottom,)]
@@ -574,19 +568,17 @@ def product(a1: Arrangement, a2: Arrangement) -> Arrangement:
 def essentialize(arr: Arrangement) -> Arrangement:
     """An essential arrangement with the same lattice, in r(A) coordinates.
 
-    New coordinates are the RREF rows of the span of all hyperplane normals,
-    i.e. the defining forms of the center T(A); each hyperplane form factors
-    through them with a unique coefficient vector.
+    The new coordinates are the pivot columns of the center T(A): each
+    hyperplane row lies in the center's row space, so its restriction to
+    them (``restrict_row``) determines it and keeps its leading 1.
     """
-    rows, pivots = rref([h.row for h in arr.hyperplanes], arr.ambient, arr.order)
-    r = len(rows)
-    if r == arr.ambient:
+    center = arr.center()
+    if center.codim == arr.ambient:
         return arr
-    forms = []
-    for h in arr.hyperplanes:
-        coeffs = [h.coefficient(p) for p in pivots]
-        forms.append(LinearForm.from_coefficients(coeffs, arr.order))
-    return make_arrangement(r, arr.order, forms)
+    d = field_context(arr.order).degree
+    forms = [LinearForm(center.codim, arr.order, restrict_row(h.row, center.pivots, d))
+             for h in arr.hyperplanes]
+    return make_arrangement(center.codim, arr.order, forms)
 
 
 def transport_lattice(lattice: IntersectionLattice, ess: Arrangement) -> IntersectionLattice:
@@ -596,8 +588,8 @@ def transport_lattice(lattice: IntersectionLattice, ess: Arrangement) -> Interse
     The essential coordinates are the pivot columns of the center, the top
     flat.  Every flat's rows lie in the center's row space, so each row's
     pivot is a center pivot and the row is determined by its entries there:
-    restricting the canonical RREF rows to those columns, renormalized,
-    gives the canonical RREF of the same flat in ``ess``.  ``essentialize``
+    restricting the canonical RREF rows to those columns, as ``essentialize``
+    does, gives the canonical RREF of the same flat in ``ess``.  It also
     keeps hyperplane order, so supports and ranks carry over unchanged, and
     with them the cover and join tables: the two lattices share them, so
     whichever of the two builds one first builds it for both.
@@ -607,9 +599,7 @@ def transport_lattice(lattice: IntersectionLattice, ess: Arrangement) -> Interse
     column = {p: k for k, p in enumerate(center)}
 
     def restrict(flat: Flat) -> Flat:
-        rows = tuple(_kernel.elem_norm([v for p in center for v in nums[p * d:(p + 1) * d]],
-                                       den)
-                     for nums, den in flat.subspace.rows)
+        rows = tuple(restrict_row(row, center, d) for row in flat.subspace.rows)
         pivots = tuple(column[p] for p in flat.subspace.pivots)
         return Flat(Subspace(ess.ambient, ess.order, rows, pivots), flat.support, flat.rank)
 
@@ -625,40 +615,35 @@ def irreducible_decomposition(arr: Arrangement) -> list[Arrangement]:
     Express every normal over a basis of normals; two basis directions belong
     to one factor when some normal uses both.  The connected blocks of that
     relation span complementary coordinate subspaces and each hyperplane lives
-    in exactly one block.
+    in exactly one block.  The basis B takes each normal, in order, whose
+    residue modulo the span so far is nonzero, and extends that span's RREF
+    by it (``form_residue``, ``extend_rref``).  Reducing (h | 0) by the RREF
+    (I | B^-1) of (B | I) leaves (0 | -h B^-1), h's coordinates up to a
+    scalar that normalizing the factors' forms removes.
     """
-    if not arr.is_essential():
-        raise ValueError("irreducible_decomposition requires an essential arrangement")
     n = arr.ambient
+    ctx = field_context(arr.order)
+    d = ctx.degree
+    basis: list = []
+    span = full_space(n, arr.order)
+    for h in arr.hyperplanes:
+        if len(basis) == n:
+            break
+        residue = form_residue(h, span)
+        if residue is not None:
+            basis.append(h.row)
+            span = extend_rref(span, residue)
+    if len(basis) < n:
+        raise ValueError("irreducible_decomposition requires an essential arrangement")
     if n == 0:
         return []
-    # Greedy basis of normals, in arrangement order.
-    basis_rows: list = []
-    state: tuple = ((), ())
-    for h in arr.hyperplanes:
-        ctx = field_context(arr.order)
-        if not _kernel.in_rowspace(h.row, state[0], state[1], n, ctx.degree, ctx.red):
-            basis_rows.append(h.row)
-            state = rref(basis_rows, n, arr.order)
-            if len(basis_rows) == n:
-                break
-    # Invert the basis matrix via an augmented RREF.
     aug = []
-    for i, row in enumerate(basis_rows):
-        nums, den = row
-        d = field_context(arr.order).degree
+    for i, (nums, den) in enumerate(basis):
         ext = list(nums) + [0] * (n * d)
         ext[(n + i) * d] = den
-        aug.append(_kernel.elem_norm(ext, den))
-    ctx = field_context(arr.order)
-    inv_rows, inv_piv = _kernel.rref(aug, 2 * n, ctx.degree, ctx.red)
+        aug.append((ext, den))
+    inv_rows, inv_piv = _kernel.rref(aug, 2 * n, d, ctx.red)
     assert inv_piv[:n] == tuple(range(n)), "basis matrix failed to invert"
-    inv = [[_row_entry(row, n + j, arr.order) for j in range(n)] for row in inv_rows]
-
-    def coords(form: LinearForm) -> list[CyclotomicNumber]:
-        cs = form.coefficients()
-        return [sum((cs[k] * inv[k][j] for k in range(n)),
-                    CyclotomicNumber.zero(arr.order)) for j in range(n)]
 
     parent = list(range(n))
 
@@ -670,8 +655,8 @@ def irreducible_decomposition(arr: Arrangement) -> list[Arrangement]:
 
     all_coords = []
     for h in arr.hyperplanes:
-        c = coords(h)
-        supp = [j for j in range(n) if not c[j].is_zero()]
+        c = _kernel.reduce(h.row[0] + (0,) * (n * d), inv_rows, inv_piv, 2 * n, d, ctx.red)
+        supp = [j for j in range(n) if any(c[(n + j) * d:(n + j + 1) * d])]
         all_coords.append((c, supp))
         for j in supp[1:]:
             a, b = find(supp[0]), find(j)
@@ -680,15 +665,11 @@ def irreducible_decomposition(arr: Arrangement) -> list[Arrangement]:
     blocks: dict[int, list[int]] = {}
     for j in range(n):
         blocks.setdefault(find(j), []).append(j)
-    ordered = sorted(blocks.values(), key=min)
     factors = []
-    for block in ordered:
-        cols = sorted(block)
-        forms = []
-        for (c, supp) in all_coords:
-            if supp and find(supp[0]) == find(cols[0]):
-                forms.append(LinearForm.from_coefficients([c[j] for j in cols],
-                                                          arr.order))
+    for cols in sorted(blocks.values(), key=min):
+        columns = [n + j for j in cols]
+        forms = [LinearForm(len(cols), arr.order, restrict_row((c, 1), columns, d))
+                 for c, supp in all_coords if find(supp[0]) == find(cols[0])]
         factors.append(make_arrangement(len(cols), arr.order, forms))
     assert sum(f.ambient for f in factors) == n
     assert sum(len(f) for f in factors) == len(arr)

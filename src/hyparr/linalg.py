@@ -4,7 +4,10 @@ Subspaces of C**l are stored by their defining linear forms in reduced row
 echelon form, so two values describe the same subspace exactly when their
 matrices are identical.  Lattice elements arise as intersections of
 hyperplanes, which makes stacking forms the cheap direction; sums pay the
-basis-conversion cost instead.
+basis-conversion cost instead.  Row operations run the kernel's one
+implementation of each: ``_kernel.reduce`` under ``form_residue`` and
+``form_vanishes_on``, ``_kernel.monic`` under ``form_residue`` and
+``LinearForm.normalized``.
 """
 
 from __future__ import annotations
@@ -43,15 +46,10 @@ def _pack_row(coeffs: list[CyclotomicNumber], order: int) -> Row:
     return _kernel.elem_norm(nums, den)
 
 
-def _scale_row(row: Row, factor: CyclotomicNumber, order: int) -> Row:
-    ctx = field_context(order)
-    d = ctx.degree
-    nums, den = row
-    m = len(nums) // d
-    out: list[int] = []
-    for j in range(m):
-        out.extend(_kernel.poly_mulreduce(factor.nums, nums[j * d:(j + 1) * d], d, ctx.red))
-    return _kernel.elem_norm(out, den * factor.den)
+def restrict_row(row: Row, columns, d: int) -> Row:
+    """The entries of a packed row in ``columns`` only, in canonical form."""
+    nums = row[0]
+    return _kernel.elem_norm([v for c in columns for v in nums[c * d:(c + 1) * d]], row[1])
 
 
 class LinearForm:
@@ -89,11 +87,11 @@ class LinearForm:
         raise ValueError("zero form has no leading coefficient")
 
     def normalized(self) -> LinearForm:
-        lead = self.coefficient(self.leading_index())
-        if lead.is_one():
-            return self
-        return LinearForm(self.ambient, self.order,
-                          _scale_row(self.row, lead.inverse(), self.order))
+        ctx = field_context(self.order)
+        row = _kernel.monic(self.row[0], self.ambient, ctx.degree, ctx.red)
+        if row is None:
+            raise ValueError("zero form has no leading coefficient")
+        return LinearForm(self.ambient, self.order, row)
 
     def coefficient(self, j: int) -> CyclotomicNumber:
         return _row_entry(self.row, j, self.order)
@@ -166,9 +164,6 @@ class Subspace:
 
     def is_full_space(self) -> bool:
         return not self.rows
-
-    def is_origin(self) -> bool:
-        return len(self.rows) == self.ambient
 
     def basis(self) -> tuple[Row, ...]:
         """Deterministic solution basis (one vector per free column)."""
@@ -268,24 +263,9 @@ def form_residue(form: LinearForm, s: Subspace) -> Row | None:
     have equal residues exactly when they cut ``s`` in the same subspace.
     """
     ctx = field_context(form.order)
-    d = ctx.degree
-    m = form.ambient
-    cur = form.row[0]
-    for (pn, pd), col in zip(s.rows, s.pivots):
-        e = cur[col * d:(col + 1) * d]
-        if any(e):
-            cur = _kernel.eliminate(cur, e, pn, pd, m, d, ctx.red)
-    # the residue over any denominator, divided by its leading entry
-    for j in range(m):
-        lead = cur[j * d:(j + 1) * d]
-        if any(lead):
-            break
-    else:
-        return None
-    if not any(lead[1:]):
-        return _kernel.elem_norm(cur, lead[0])
-    inv = _kernel.elem_inv((tuple(lead), 1), d, ctx.red)
-    return _scale_row((cur, 1), CyclotomicNumber(form.order, *inv), form.order)
+    m, d = form.ambient, ctx.degree
+    return _kernel.monic(_kernel.reduce(form.row[0], s.rows, s.pivots, m, d, ctx.red),
+                         m, d, ctx.red)
 
 
 def extend_rref(s: Subspace, residue: Row) -> Subspace:

@@ -5,7 +5,8 @@ order, ``i`` as sugar for the order-4 root (valid only when 4 divides the
 field order), ``^`` powers, and ``+ - * /``.  Forms extend scalars with the
 variables ``x1..xl`` (aliases ``a b c d`` when l <= 4); products of two
 variable-carrying expressions and division by them are rejected, so every
-accepted expression is genuinely linear.
+accepted expression is genuinely linear.  Parentheses nest at most
+``MAX_NESTING`` levels deep; deeper input is a ``ParseError``.
 
 Arrangement files carry a header line ``ambient <l> field <n>`` followed by
 one linear form per line; ``#`` starts a comment.
@@ -19,6 +20,7 @@ from .errors import ParseError
 from .linalg import LinearForm
 
 _TOKEN_CHARS = set("+-*/^(),")
+MAX_NESTING = 100  # parenthesis levels: each costs four frames of the descent
 
 
 def _tokenize(text: str) -> list[str]:
@@ -64,6 +66,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.order = order
         self.variables = variables
 
@@ -163,8 +166,12 @@ class _Parser:
     def parse_atom(self) -> _Value:
         tok = self.take()
         if tok == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING} levels")
             value = self.parse_expr()
             self.expect(")")
+            self.depth -= 1
             return value
         if tok.isdigit():
             return _Value(CyclotomicNumber.from_rational(int(tok), self.order))

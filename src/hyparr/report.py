@@ -40,13 +40,14 @@ def flat_payload(flat: Flat) -> dict:
 
 
 def arrangement_payload(arr: Arrangement, name: str | None = None) -> dict:
+    rank = arr.rank()
     out = {
         "ambient": arr.ambient,
         "field_order": arr.order,
         "hyperplane_count": len(arr.hyperplanes),
         "duplicates_removed": arr.duplicates_removed,
-        "rank": arr.rank(),
-        "essential": arr.is_essential(),
+        "rank": rank,
+        "essential": rank == arr.ambient,
         "hyperplanes": [form_payload(h) for h in arr.hyperplanes],
     }
     if name is not None:

@@ -113,6 +113,12 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "build", str(path))
         assert code == EXIT_PARSE_ERROR
 
+    def test_deep_nesting_is_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.arr"
+        path.write_text("ambient 2 field 1\n" + "(" * 2000 + "x1" + ")" * 2000 + "\n")
+        code, _, err = run_cli(capsys, "build", str(path))
+        assert code == EXIT_PARSE_ERROR and "nested deeper" in err
+
     def test_max_flats_guard_is_refusal(self, capsys):
         code, _, err = run_cli(capsys, "--max-flats", "5", "lattice", "D4")
         assert code == EXIT_REFUSED and "refused" in err
@@ -180,6 +186,23 @@ class TestDeterminism:
         assert cold[0] == warm[0] == EXIT_OK
         assert cold[1] == warm[1]
         assert list(tmp_path.glob("*.json")), "cache file expected"
+
+    # SHA-256 of the --json decompose stdout, pinned from the decomposition
+    # that inverted the basis matrix and summed each normal's coordinates
+    DECOMPOSE_SHA256 = {
+        "product(B3,H3)":
+            "c69b81a156eb595ae3e8b066dd6838715155a4658f1cf002728fb8799ee7d46f",
+        "product(A(3),G(3,3,3))":
+            "f584de497aca3f1ec871e2f1da8db687fb9f1dc43c9a3e6cd95fb86d00c40787",
+        "product(product(G31,G29),product(F4,H3))":
+            "77c2890ea461d39fb9543ea33886bcbad2c8caef33c0836878101ebdcc3b6b78",
+    }
+
+    @pytest.mark.parametrize("spec", sorted(DECOMPOSE_SHA256))
+    def test_decompose_bytes_pinned(self, capsys, spec):
+        code, out, _ = run_cli(capsys, "--json", "decompose", spec)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DECOMPOSE_SHA256[spec]
 
     def test_human_and_json_share_facts(self, capsys):
         _, human, _ = run_cli(capsys, "supersolvable", "G(3,1,3)")

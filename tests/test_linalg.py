@@ -61,6 +61,20 @@ class TestRref:
                 assert not _kernel.in_rowspace((unit, 1), out, pivots, m, d, ctx.red)
 
 
+    def test_monic_is_the_rref_of_one_row(self):
+        """Scaling to leading coefficient 1 agrees with the full elimination
+        on a single row, and the zero row has no scaling."""
+        rng = random.Random(5)
+        for _ in range(400):
+            ctx = field_context(rng.choice([1, 3, 4, 5, 12]))
+            d = ctx.degree
+            m = rng.randint(1, 5)
+            nums = tuple(rng.randint(-5, 5) if rng.random() < 0.5 else 0
+                         for _ in range(m * d))
+            out, _ = _kernel.rref([(nums, rng.randint(1, 4))], m, d, ctx.red)
+            assert _kernel.monic(nums, m, d, ctx.red) == (out[0] if out else None)
+
+
 class TestSubspaces:
     def test_empty_forms_give_full_space(self):
         v = subspace_from_forms([], ambient=4, order=1)

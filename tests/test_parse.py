@@ -114,6 +114,13 @@ b - c
         with pytest.raises(ParseError, match=":3:"):
             parse_arrangement_text("ambient 2 field 1\na\na + 1\n")
 
+    def test_deep_nesting_is_a_parse_error(self):
+        deep = "(" * 2000 + "x1" + ")" * 2000
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_arrangement_text(f"ambient 2 field 1\n{deep}\n")
+        nested = "(" * 50 + "x1" + ")" * 50
+        assert len(parse_arrangement_text(f"ambient 2 field 1\n{nested}\n")) == 1
+
     def test_cyclotomic_field_file(self):
         text = "ambient 2 field 3\nx1 - z*x2\nx1 - z^2*x2\nx1 - x2\n"
         arr = parse_arrangement_text(text)
