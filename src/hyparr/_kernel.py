@@ -6,7 +6,12 @@ and witness certificate.  Callers look these functions up on the module at
 call time (``_kernel.rank(...)``), so they can be wrapped or counted there.
 ``reduce`` and ``monic`` are the one pivot-clearing loop and the one scaling
 to leading coefficient 1; ``rref`` and ``rank`` keep their own elimination
-as the tests' independent reference.
+as the tests' independent reference.  ``mul_matrix`` and ``mul_apply`` are
+the one multiplication: every product of field elements (``elem_mul``,
+``elem_inv``, ``eliminate``, ``monic``, ``rref``, ``rank``, ``dot``) builds
+the integer matrix of its multiplier, cached per element, and applies it to
+each element of a row.  A rational multiplier skips the matrix in
+``eliminate``, as over ``Q`` (degree 1).
 
 An element of the cyclotomic field of degree ``d`` is a pair ``(nums, den)``:
 a tuple of ``d`` integer coordinates in the power basis over a single
@@ -23,7 +28,9 @@ with integer coefficients.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 
 Elem = tuple[tuple[int, ...], int]
 Row = tuple[tuple[int, ...], int]
@@ -61,39 +68,52 @@ def elem_neg(a):
     return tuple(-v for v in a[0]), a[1]
 
 
-def poly_mulreduce(a, b, d, red):
-    """Product of two length-d coordinate vectors, reduced to length d."""
-    if d == 1:
-        return [a[0] * b[0]]
-    conv = [0] * (2 * d - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    conv[i + j] += x * y
-    for k in range(2 * d - 2, d - 1, -1):
-        c = conv[k]
-        if c:
-            row = red[k - d]
-            for j in range(d):
-                r = row[j]
-                if r:
-                    conv[j] += c * r
-    del conv[d:]
-    return conv
+@lru_cache(maxsize=4096)
+def mul_matrix(e, d, red):
+    """The d x d integer matrix of multiplication by the field element with
+    coordinates ``e`` (a tuple), acting on coordinate columns: column i holds
+    the coordinates of e * x**i, so row k paired with a vector gives the k-th
+    coordinate of its product.  Cached: the multipliers of a lattice build
+    are a few small elements, met thousands of times."""
+    col = list(e)
+    cols = [col]
+    for _ in range(d - 1):
+        top = col[-1]
+        col = [0] + col[:-1]
+        if top:
+            col = [c + top * r for c, r in zip(col, red[0])]
+        cols.append(col)
+    return tuple(zip(*cols))
+
+
+def mul_apply(mat, nums, m, d):
+    """The row of ``m`` packed elements ``nums``, each multiplied by the
+    element whose ``mul_matrix`` is ``mat``."""
+    out = []
+    for j in range(0, m * d, d):
+        seg = nums[j:j + d]
+        if any(seg):
+            out += [sum(map(mul, seg, r)) for r in mat]
+        else:
+            out += seg
+    return out
 
 
 def elem_mul(a, b, d, red):
     an, ad = a
     bn, bd = b
-    return elem_norm(poly_mulreduce(an, bn, d, red), ad * bd)
+    if d == 1:
+        return elem_norm([an[0] * bn[0]], ad * bd)
+    return elem_norm(mul_apply(mul_matrix(an, d, red), bn, 1, d), ad * bd)
 
 
+@lru_cache(maxsize=4096)
 def elem_inv(a, d, red):
-    """Inverse modulo the defining polynomial, in integers only.
+    """Inverse modulo the defining polynomial, in integers only, cached like
+    ``mul_matrix`` (``a`` is a pair of a tuple and an int).
 
-    For d > 1 the inverse of ``nums`` solves M v = e0, where column j of M
-    holds the coordinates of nums * x**j; Gauss-Jordan elimination with a
+    For d > 1 the inverse of ``nums`` solves M v = e0, with M the
+    ``mul_matrix`` of nums; Gauss-Jordan elimination with a
     gcd reduction per row (fraction-free, after Bareiss) leaves a diagonal
     system read off over one common denominator.
     """
@@ -105,15 +125,7 @@ def elem_inv(a, d, red):
         if n < 0:
             return (-ad,), -n
         return (ad,), n
-    cols = [list(an)]
-    for _ in range(d - 1):
-        prev = cols[-1]
-        col = [0] + prev[:-1]
-        top = prev[-1]
-        if top:
-            col = [c + top * r for c, r in zip(col, red[0])]
-        cols.append(col)
-    work = [[col[i] for col in cols] + [int(i == 0)] for i in range(d)]
+    work = [list(r) + [int(i == 0)] for i, r in enumerate(mul_matrix(an, d, red))]
     for c in range(d):
         hit = next((r for r in range(c, d) if work[r][c]), -1)
         if hit < 0:
@@ -139,17 +151,10 @@ def eliminate(cur, e, pn, pd, m, d, red):
     """cur * pd - e * pn, with ``e`` the column entry of ``cur`` (a length-d
     coordinate slice) that the row pn/pd holds as 1: the numerators of cur
     with that column cleared, over the denominator cur's times pd."""
-    if d == 1:
+    if d == 1 or not any(e[1:]):
         e = e[0]
         return [x * pd - e * y for x, y in zip(cur, pn)]
-    cur = [x * pd for x in cur]
-    for j in range(m):
-        seg = pn[j * d:(j + 1) * d]
-        if any(seg):
-            jb = j * d
-            for k, v in enumerate(poly_mulreduce(e, seg, d, red)):
-                cur[jb + k] -= v
-    return cur
+    return [x * pd - y for x, y in zip(cur, mul_apply(mul_matrix(tuple(e), d, red), pn, m, d))]
 
 
 def rref(rows, m, d, red):
@@ -185,10 +190,7 @@ def rref(rows, m, d, red):
                 s = iv[0]
                 pn = [x * s for x in pn]
             else:
-                nn = []
-                for j in range(m):
-                    nn.extend(poly_mulreduce(iv, pn[j * d:(j + 1) * d], d, red))
-                pn = nn
+                pn = mul_apply(mul_matrix(iv, d, red), pn, m, d)
             pd = pd * ivd
             t, pd = elem_norm(pn, pd)
             pn = list(t)
@@ -233,6 +235,8 @@ def rank(rows, m, d, red):
             work[prow], work[hit] = work[hit], work[prow]
         p = work[prow]
         pe = p[base:base + d]
+        if d > 1:
+            pm = mul_matrix(tuple(pe), d, red)
         for r in range(prow + 1, nrows):
             w = work[r]
             if d == 1:
@@ -251,11 +255,8 @@ def rank(rows, m, d, red):
             else:
                 e = w[base:base + d]
                 if any(e):
-                    nw = []
-                    for j in range(m):
-                        a = poly_mulreduce(pe, w[j * d:(j + 1) * d], d, red)
-                        b = poly_mulreduce(e, p[j * d:(j + 1) * d], d, red)
-                        nw.extend(x - y for x, y in zip(a, b))
+                    nw = [x - y for x, y in zip(mul_apply(pm, w, m, d),
+                                                mul_apply(mul_matrix(tuple(e), d, red), p, m, d))]
                     g = 0
                     for v in nw:
                         g = gcd(g, v)
@@ -291,11 +292,8 @@ def monic(nums, m, d, red):
         return None
     if not any(lead[1:]):
         return elem_norm(nums, lead[0])
-    iv, ivd = elem_inv((lead, 1), d, red)
-    out = []
-    for j in range(0, m * d, d):
-        out.extend(poly_mulreduce(iv, nums[j:j + d], d, red))
-    return elem_norm(out, ivd)
+    iv, ivd = elem_inv((tuple(lead), 1), d, red)
+    return elem_norm(mul_apply(mul_matrix(iv, d, red), nums, m, d), ivd)
 
 
 def in_rowspace(row, rref_rows, pivots, m, d, red):
@@ -341,10 +339,9 @@ def dot(row_a, row_b, m, d, red):
     if d == 1:
         return elem_norm([sum(x * y for x, y in zip(an, bn))], ad * bd)
     acc = [0] * d
-    for j in range(m):
-        seg_a = an[j * d:(j + 1) * d]
+    for j in range(0, m * d, d):
+        seg_a = an[j:j + d]
         if any(seg_a):
-            prod = poly_mulreduce(seg_a, bn[j * d:(j + 1) * d], d, red)
-            for k in range(d):
-                acc[k] += prod[k]
+            prod = mul_apply(mul_matrix(tuple(seg_a), d, red), bn[j:j + d], 1, d)
+            acc = [x + y for x, y in zip(acc, prod)]
     return elem_norm(acc, ad * bd)

@@ -50,8 +50,8 @@ def lattice_payload(lattice: IntersectionLattice) -> dict:
     for level in lattice.levels:
         levels.append([{
             "support": str(f.support),
-            "pivots": list(f.subspace.pivots),
-            "rows": [_row_payload(r) for r in f.subspace.rows],
+            "pivots": f.subspace.pivots,
+            "rows": f.subspace.rows,
         } for f in level])
     return {
         "format": FORMAT,

@@ -21,7 +21,7 @@ from .arrangement import (DEFAULT_MAX_FLATS, Arrangement, essentialize,
 from .cache import CACHE_ENV, load_or_build
 from .claims import LatticeStore, claim_scopes, run_claims
 from .errors import ParseError, RefusalError
-from .parse import parse_arrangement_file
+from .parse import MAX_NESTING, parse_arrangement_file
 from .reflection import build_named
 from .report import (arrangement_payload, certificate_payload, lattice_payload,
                      poincare_payload, render_human, report_json, verdict_payload)
@@ -32,10 +32,14 @@ EXIT_PARSE_ERROR = 2
 EXIT_REFUSED = 3
 
 
-def resolve_spec(spec: str) -> tuple[str, Arrangement]:
-    """Turn a spec string into an arrangement, rejecting unknown names early."""
+def resolve_spec(spec: str, nesting: int = 0) -> tuple[str, Arrangement]:
+    """Turn a spec string into an arrangement, rejecting unknown names early.
+    ``product(`` nests at most ``MAX_NESTING`` levels deep; deeper specs are
+    a ``ParseError``."""
     spec = spec.strip()
     if spec.startswith("product(") and spec.endswith(")"):
+        if nesting == MAX_NESTING:
+            raise ParseError(f"product(...) nested deeper than {MAX_NESTING} levels")
         body = spec[len("product("):-1]
         parts = []
         depth = 0
@@ -51,8 +55,8 @@ def resolve_spec(spec: str) -> tuple[str, Arrangement]:
         parts.append(body[start:])
         if len(parts) != 2:
             raise ParseError(f"product(...) takes exactly two specs: {spec!r}")
-        name1, a1 = resolve_spec(parts[0])
-        name2, a2 = resolve_spec(parts[1])
+        name1, a1 = resolve_spec(parts[0], nesting + 1)
+        name2, a2 = resolve_spec(parts[1], nesting + 1)
         return f"product({name1}, {name2})", product(a1, a2)
     if spec.startswith("file:"):
         return spec, parse_arrangement_file(spec[len("file:"):])

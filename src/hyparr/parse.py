@@ -23,6 +23,18 @@ _TOKEN_CHARS = set("+-*/^(),")
 MAX_NESTING = 100  # parenthesis levels: each costs four frames of the descent
 
 
+def _integer(tok: str) -> int:
+    """The value of a digit token.  ``int`` refuses a string longer than
+    Python's digit limit (4,300 by default) and non-ASCII digits such as
+    superscripts; both are a ``ParseError``."""
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError(f"integer literal {tok[:20]!r}"
+                         f"{'...' if len(tok) > 20 else ''} ({len(tok)} digits) "
+                         "is not a readable integer") from None
+
+
 def _tokenize(text: str) -> list[str]:
     tokens = []
     k = 0
@@ -155,7 +167,7 @@ class _Parser:
             if value.coeffs is not None:
                 raise ParseError(f"cannot raise a variable expression to a power "
                                  f"in {self.text!r}")
-            value = _Value(value.scalar ** int(exp_tok))
+            value = _Value(value.scalar ** _integer(exp_tok))
         if sign < 0:
             if value.coeffs is None:
                 value = _Value(-value.scalar)
@@ -174,7 +186,7 @@ class _Parser:
             self.depth -= 1
             return value
         if tok.isdigit():
-            return _Value(CyclotomicNumber.from_rational(int(tok), self.order))
+            return _Value(CyclotomicNumber.from_rational(_integer(tok), self.order))
         if tok == "z":
             if self.order == 1:
                 raise ParseError("'z' is undefined over the rationals (field order 1)")
@@ -250,7 +262,10 @@ def parse_arrangement_text(text: str, source: str = "<string>") -> Arrangement:
                     or not parts[1].isdigit() or not parts[3].isdigit()):
                 raise ParseError(f"{source}:{lineno}: expected header "
                                  f"'ambient <l> field <n>', found {line!r}")
-            ambient, order = int(parts[1]), int(parts[3])
+            try:
+                ambient, order = _integer(parts[1]), _integer(parts[3])
+            except ParseError as exc:
+                raise ParseError(f"{source}:{lineno}: {exc}") from None
             if order < 1:
                 raise ParseError(f"{source}:{lineno}: field order must be >= 1")
             header = line

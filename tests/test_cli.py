@@ -119,6 +119,40 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "build", str(path))
         assert code == EXIT_PARSE_ERROR and "nested deeper" in err
 
+    @pytest.mark.parametrize("text", [
+        "ambient 2 field 1\n" + "1" * 5000 + "*x1\nx2\n",
+        "ambient 2 field 1\n2^" + "1" * 5000 + "*x1\nx2\n",
+        "ambient " + "1" * 5000 + " field 1\nx1\n",
+        "ambient 2 field 1\n\u00b2*x1\nx2\n",
+    ])
+    def test_unreadable_integer_is_parse_error(self, capsys, tmp_path, text):
+        # past Python's int-string digit limit, or a digit int() refuses
+        path = tmp_path / "big.arr"
+        path.write_text(text, encoding="utf-8")
+        code, _, err = run_cli(capsys, "build", str(path))
+        assert code == EXIT_PARSE_ERROR and "not a readable integer" in err
+
+    def test_deep_product_is_parse_error(self, capsys):
+        spec = "product(" * 1200 + "A2" + ", A2)" * 1200
+        code, _, err = run_cli(capsys, "build", spec)
+        assert code == EXIT_PARSE_ERROR and "nested deeper" in err
+
+    def test_product_nesting_bound(self, monkeypatch):
+        import hyparr.cli as cli
+        from hyparr.parse import MAX_NESTING
+
+        monkeypatch.setattr(cli, "product", lambda a, b: a)  # keep the spec cheap
+        at_bound = "product(" * MAX_NESTING + "A2" + ", A2)" * MAX_NESTING
+        name, _ = resolve_spec(at_bound)
+        assert name.count("product(") == MAX_NESTING
+        with pytest.raises(ParseError, match="nested deeper"):
+            resolve_spec("product(" + at_bound + ", A2)")
+
+    def test_nested_product_builds(self, capsys):
+        code, out, _ = run_cli(capsys, "--json", "build", "product(product(B2, B2), A(2))")
+        assert code == EXIT_OK
+        assert json.loads(out)["arrangement"]["ambient"] == 7
+
     def test_max_flats_guard_is_refusal(self, capsys):
         code, _, err = run_cli(capsys, "--max-flats", "5", "lattice", "D4")
         assert code == EXIT_REFUSED and "refused" in err

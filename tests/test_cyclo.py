@@ -52,6 +52,78 @@ def euclid_inverse(a, d, phi):
     return _kernel.elem_norm([int(c * den) for c in out[:d]], den)
 
 
+def reference_mul(a, b, phi):
+    """The product of two coordinate vectors as polynomials, reduced by long
+    division by the monic ``phi``: the reference for the kernel's
+    multiplication matrices."""
+    d = len(phi) - 1
+    prod = poly_mul(list(a), list(b))
+    for k in range(len(prod) - 1, d - 1, -1):
+        c = prod[k]
+        if c:
+            for j, p in enumerate(phi):
+                prod[k - d + j] -= c * p
+    return (prod + [0] * d)[:d]
+
+
+def random_coords(rng, d, dense=0.6):
+    return tuple(rng.randint(-9, 9) if rng.random() < dense else 0 for _ in range(d))
+
+
+MUL_ORDERS = [1, 3, 4, 5, 7, 8, 9, 12, 15]
+
+
+class TestKernelMultiplication:
+    @pytest.mark.parametrize("order", MUL_ORDERS)
+    def test_elem_mul_matches_long_division(self, order):
+        ctx = field_context(order)
+        d = ctx.degree
+        rng = random.Random(1000 + order)
+        for _ in range(200):
+            a = _kernel.elem_norm(random_coords(rng, d), rng.randint(1, 9))
+            b = _kernel.elem_norm(random_coords(rng, d), rng.randint(1, 9))
+            expected = _kernel.elem_norm(reference_mul(a[0], b[0], ctx.phi), a[1] * b[1])
+            assert _kernel.elem_mul(a, b, d, ctx.red) == expected
+
+    @pytest.mark.parametrize("order", MUL_ORDERS)
+    def test_matrix_helpers_match_long_division(self, order):
+        ctx = field_context(order)
+        d = ctx.degree
+        rng = random.Random(2000 + order)
+        for _ in range(100):
+            e = random_coords(rng, d)
+            mat = _kernel.mul_matrix(e, d, ctx.red)
+            for i in range(d):
+                power = tuple(int(k == i) for k in range(d))
+                assert [row[i] for row in mat] == reference_mul(e, power, ctx.phi)
+            m = rng.randint(1, 5)
+            nums = random_coords(rng, m * d, dense=0.4)
+            expected = []
+            for j in range(0, m * d, d):
+                expected += reference_mul(e, nums[j:j + d], ctx.phi)
+            assert _kernel.mul_apply(mat, nums, m, d) == expected
+
+    @pytest.mark.parametrize("order", MUL_ORDERS)
+    def test_eliminate_matches_long_division(self, order):
+        ctx = field_context(order)
+        d = ctx.degree
+        rng = random.Random(3000 + order)
+        for trial in range(200):
+            m = rng.randint(1, 5)
+            cur = list(random_coords(rng, m * d, dense=0.5))
+            col = rng.randrange(m)
+            if trial % 3 == 0:  # a rational entry, the scalar path
+                cur[col * d + 1:(col + 1) * d] = [0] * (d - 1)
+            e = cur[col * d:(col + 1) * d]
+            pn = random_coords(rng, m * d, dense=0.5)
+            pd = rng.randint(1, 9)
+            expected = []
+            for j in range(0, m * d, d):
+                prod = reference_mul(e, pn[j:j + d], ctx.phi)
+                expected += [x * pd - y for x, y in zip(cur[j:j + d], prod)]
+            assert _kernel.eliminate(cur, e, pn, pd, m, d, ctx.red) == expected
+
+
 class TestKernelInverse:
     @pytest.mark.parametrize("order", [3, 4, 5, 7, 8, 9, 12, 15, 16])
     def test_matches_euclid(self, order):

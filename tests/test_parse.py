@@ -121,6 +121,15 @@ b - c
         nested = "(" * 50 + "x1" + ")" * 50
         assert len(parse_arrangement_text(f"ambient 2 field 1\n{nested}\n")) == 1
 
+    def test_overlong_integer_is_a_parse_error(self):
+        digits = "1" * 5000
+        for text in (f"ambient 2 field 1\n{digits}*x1\n",
+                     f"ambient 2 field 1\n2^{digits}*x1\n",
+                     f"ambient {digits} field 1\nx1\n"):
+            with pytest.raises(ParseError, match="5000 digits"):
+                parse_arrangement_text(text)
+        assert len(parse_arrangement_text(f"ambient 2 field 1\n{'1' * 400}*x1\n")) == 1
+
     def test_cyclotomic_field_file(self):
         text = "ambient 2 field 3\nx1 - z*x2\nx1 - z^2*x2\nx1 - x2\n"
         arr = parse_arrangement_text(text)
