@@ -8,9 +8,9 @@ call time (``_kernel.rank(...)``), so they can be wrapped or counted there.
 to leading coefficient 1; ``rref`` and ``rank`` keep their own elimination
 as the tests' independent reference.  ``mul_matrix`` and ``mul_apply`` are
 the one multiplication: every product of field elements (``elem_mul``,
-``elem_inv``, ``eliminate``, ``monic``, ``rref``, ``rank``, ``dot``) builds
-the integer matrix of its multiplier, cached per element, and applies it to
-each element of a row.  A rational multiplier skips the matrix in
+``elem_inv``, ``eliminate``, ``monic``, ``rref``, ``rank``) builds the
+integer matrix of its multiplier, cached per element, and applies it to each
+element of a row.  A rational multiplier skips the matrix in
 ``eliminate``, as over ``Q`` (degree 1).
 
 An element of the cyclotomic field of degree ``d`` is a pair ``(nums, den)``:
@@ -19,11 +19,11 @@ positive denominator, with ``gcd(*nums, den) == 1``.  A matrix row packs
 ``m`` such elements into one tuple of ``m * d`` integers over one shared
 denominator.
 
-Reduction data ``red`` is a tuple of ``d - 1`` integer rows: ``red[k]`` holds
-the power-basis coordinates of ``x**(d + k)`` modulo the defining polynomial,
-so products of two degree-``< d`` polynomials reduce with integer arithmetic
-only.  Denominators never enter the reduction because the modulus is monic
-with integer coefficients.
+Reduction data ``red`` is one integer row, the power-basis coordinates of
+``x**d`` modulo the defining polynomial: ``mul_matrix`` shifts a column up
+one power and folds its top coordinate back in by ``red``, so products
+reduce with integer arithmetic only.  Denominators never enter the
+reduction because the modulus is monic with integer coefficients.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def mul_matrix(e, d, red):
         top = col[-1]
         col = [0] + col[:-1]
         if top:
-            col = [c + top * r for c, r in zip(col, red[0])]
+            col = [c + top * r for c, r in zip(col, red)]
         cols.append(col)
     return tuple(zip(*cols))
 
@@ -331,17 +331,3 @@ def nullspace(rref_rows, pivots, m, d, red):
         out.append(elem_norm(nums, den))
     return tuple(out)
 
-
-def dot(row_a, row_b, m, d, red):
-    """Plain bilinear pairing of two packed rows (no conjugation)."""
-    an, ad = row_a
-    bn, bd = row_b
-    if d == 1:
-        return elem_norm([sum(x * y for x, y in zip(an, bn))], ad * bd)
-    acc = [0] * d
-    for j in range(0, m * d, d):
-        seg_a = an[j:j + d]
-        if any(seg_a):
-            prod = mul_apply(mul_matrix(tuple(seg_a), d, red), bn[j:j + d], 1, d)
-            acc = [x + y for x, y in zip(acc, prod)]
-    return elem_norm(acc, ad * bd)

@@ -23,7 +23,7 @@ from math import lcm
 from threading import Lock
 
 from . import _kernel
-from .cyclo import CyclotomicNumber, embed, field_context
+from .cyclo import embed_row, field_context
 from .errors import InvalidHyperplaneError, RefusalError
 from .linalg import (LinearForm, Subspace, extend_rref, form_residue, form_vanishes_on,
                      full_space, restrict_row, subspace_from_rows, variable_names)
@@ -529,40 +529,49 @@ def deletion(arr: Arrangement, h: int) -> Arrangement:
 def restriction(arr: Arrangement, h: int) -> Arrangement:
     """The arrangement {H' .cap. H} inside the hyperplane H, in l-1 coordinates.
 
-    Coordinates on H come from its deterministic solution basis; parallel
-    restrictions collapse, so the result can be strictly smaller than |A|-1.
+    The coordinates on H are the free columns of H's row, and each H' is
+    its residue modulo that row (``form_residue``) restricted to them
+    (``restrict_row``): the pairing of H' with H's solution basis
+    (``Subspace.basis``), up to the scalar that normalizing removes.
+    Parallel restrictions collapse, so the result can be strictly smaller
+    than |A|-1; a hyperplane parallel to H raises ValueError.
     """
     if not 0 <= h < len(arr.hyperplanes):
         raise IndexError(f"hyperplane index {h} out of range")
-    ctx = field_context(arr.order)
+    d = field_context(arr.order).degree
     hsub = subspace_from_rows([arr.hyperplanes[h].row], arr.ambient, arr.order)
-    basis = hsub.basis()
-    m = arr.ambient
+    free = [c for c in range(arr.ambient) if c not in hsub.pivots]
     forms = []
     for i, other in enumerate(arr.hyperplanes):
         if i == h:
             continue
-        coeffs = [CyclotomicNumber(arr.order, *_kernel.dot(other.row, b, m, ctx.degree,
-                                                           ctx.red))
-                  for b in basis]
-        forms.append(LinearForm.from_coefficients(coeffs, arr.order))
+        residue = form_residue(other, hsub)
+        if residue is None:
+            raise ValueError("a hyperplane parallel to H has no restriction to H")
+        forms.append(LinearForm(arr.ambient - 1, arr.order, restrict_row(residue, free, d)))
     return make_arrangement(arr.ambient - 1, arr.order, forms)
 
 
-def _embed_form(f: LinearForm, order: int, left_pad: int, right_pad: int) -> LinearForm:
-    zero = CyclotomicNumber.zero(order)
-    coeffs = ([zero] * left_pad
-              + [embed(c, order) for c in f.coefficients()]
-              + [zero] * right_pad)
-    return LinearForm.from_coefficients(coeffs, order)
-
-
 def product(a1: Arrangement, a2: Arrangement) -> Arrangement:
-    """The product arrangement in the direct sum of the two ambient spaces."""
+    """The product arrangement in the direct sum of the two ambient spaces.
+
+    Each factor's rows are embedded in the compositum field (``embed_row``)
+    and zero-padded to the direct sum: the first factor's on the right, the
+    second's on the left.
+    """
     order = lcm(a1.order, a2.order)
-    forms = [_embed_form(h, order, 0, a2.ambient) for h in a1.hyperplanes]
-    forms += [_embed_form(h, order, a1.ambient, 0) for h in a2.hyperplanes]
-    return make_arrangement(a1.ambient + a2.ambient, order, forms)
+    d = field_context(order).degree
+    m = a1.ambient + a2.ambient
+
+    def padded(arr: Arrangement, left: int, right: int) -> list[LinearForm]:
+        out = []
+        for f in arr.hyperplanes:
+            nums, den = embed_row(f.row, arr.ambient, arr.order, order)
+            out.append(LinearForm(m, order, ((0,) * (left * d) + nums + (0,) * (right * d),
+                                             den)))
+        return out
+
+    return make_arrangement(m, order, padded(a1, 0, a2.ambient) + padded(a2, a1.ambient, 0))
 
 
 def essentialize(arr: Arrangement) -> Arrangement:

@@ -22,7 +22,7 @@ from .analysis import (SupersolvabilityCertificate, check_rank2_criterion, is_su
 from .arrangement import DEFAULT_MAX_FLATS, Arrangement, IntersectionLattice
 from .cache import load_or_build
 from .parse import parse_form
-from .reflection import build_named, catalog
+from .reflection import build_named, catalog, catalog_entry
 
 
 @dataclass(frozen=True)
@@ -173,7 +173,7 @@ def run_equivalence_claim(name: str, store: LatticeStore) -> ClaimResult:
 def run_supersolvable_claim(name: str, store: LatticeStore) -> ClaimResult:
     t0 = time.perf_counter()
     cert = store.certificate(name)
-    expected = next(e.supersolvable for e in catalog() if e.name == name)
+    expected = catalog_entry(name).supersolvable
     ok = cert.verdict == expected
     detail = f"verdict={cert.verdict}, classification says {expected}"
     return ClaimResult(f"{name}.classification", "classification", name, ok, detail,

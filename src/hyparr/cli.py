@@ -64,6 +64,8 @@ def resolve_spec(spec: str, nesting: int = 0) -> tuple[str, Arrangement]:
         return spec, build_named(spec)
     except KeyError:
         pass
+    except ValueError as exc:  # a name of the right shape with bad parameters
+        raise ParseError(f"arrangement spec {spec!r}: {exc}") from None
     if os.path.sep in spec or os.path.isfile(spec):
         return spec, parse_arrangement_file(spec)
     raise ParseError(f"unknown arrangement spec {spec!r}: not a catalog name, "

@@ -69,7 +69,8 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 class FieldContext:
-    """Precomputed reduction data for one field order, shared by the kernel."""
+    """Precomputed reduction data for one field order, shared by the kernel:
+    ``red`` is x**d modulo the defining polynomial of degree d."""
 
     __slots__ = ("order", "degree", "phi", "red")
 
@@ -79,18 +80,7 @@ class FieldContext:
         self.order = order
         self.degree = d
         self.phi = phi
-        rows = []
-        if d > 1:
-            row = [-c for c in phi[:d]]
-            rows.append(tuple(row))
-            for _ in range(d - 2):
-                top = row[d - 1]
-                row = [0] + row[:d - 1]
-                if top:
-                    for j in range(d):
-                        row[j] += top * rows[0][j]
-                rows.append(tuple(row))
-        self.red = tuple(rows)
+        self.red = tuple(-c for c in phi[:d])
 
 
 @cache
@@ -282,18 +272,32 @@ def root_of_unity(n: int, m: int) -> CyclotomicNumber:
     return CyclotomicNumber.from_coords(n, nums)
 
 
-def embed(a: CyclotomicNumber, order: int) -> CyclotomicNumber:
-    """Image of ``a`` in Q(zeta_order) under zeta_n -> zeta_order**(order/n).
+def embed_row(row: tuple[tuple[int, ...], int], m: int, order: int,
+              target: int) -> tuple[tuple[int, ...], int]:
+    """The packed row of ``m`` elements of Q(zeta_order) mapped into
+    Q(zeta_target) by zeta_order -> zeta_target**(target/order), element by
+    element, in canonical form; the row itself when the orders agree.
 
-    Requires a.order to divide the target order; the map is an injective field
+    Requires ``order`` to divide ``target``; the map is an injective field
     homomorphism.
     """
-    if order % a.order:
-        raise ValueError(f"target order {order} is not a multiple of {a.order}")
-    if order == a.order:
-        return a
-    t = order // a.order
-    long = [0] * ((len(a.nums) - 1) * t + 1)
-    for k, v in enumerate(a.nums):
-        long[k * t] = v
-    return CyclotomicNumber.from_coords(order, _reduce_long(long, order), a.den)
+    if target % order:
+        raise ValueError(f"target order {target} is not a multiple of {order}")
+    if target == order:
+        return row
+    t = target // order
+    d0 = field_context(order).degree
+    nums, den = row
+    out: list[int] = []
+    for j in range(0, m * d0, d0):
+        long = [0] * ((d0 - 1) * t + 1)
+        for k, v in enumerate(nums[j:j + d0]):
+            long[k * t] = v
+        out += _reduce_long(long, target)
+    return _kernel.elem_norm(out, den)
+
+
+def embed(a: CyclotomicNumber, order: int) -> CyclotomicNumber:
+    """Image of ``a`` in Q(zeta_order) under zeta_n -> zeta_order**(order/n):
+    ``embed_row`` of the one-element row."""
+    return CyclotomicNumber(order, *embed_row((a.nums, a.den), 1, a.order, order))

@@ -10,6 +10,7 @@ builder puts coordinate hyperplanes first, then x_i - z^m x_j by (i, j, m).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .arrangement import Arrangement, make_arrangement
@@ -263,8 +264,10 @@ def build_named(name: str) -> Arrangement:
     """Build an arrangement from a catalog or alias name.
 
     Accepted: exceptional names (D4, F4, ...), G(r,p,l), and the Coxeter
-    aliases A(n) = G(1,1,n+1), B(n)/Bn = G(2,1,n), D(n)/Dn = G(2,2,n) with
-    D4 meaning the transcribed arrangement (the hyperplane sets coincide).
+    aliases A(n)/An = G(1,1,n+1), B(n)/Bn = G(2,1,n), D(n)/Dn = G(2,2,n),
+    exactly of these shapes, with D4 meaning the transcribed arrangement
+    (the hyperplane sets coincide).  A G(r,p,l) name whose parameters no
+    monomial group has raises ValueError.
     """
     name = name.strip()
     if name in _EXCEPTIONAL:
@@ -274,14 +277,11 @@ def build_named(name: str) -> Arrangement:
         parts = [p.strip() for p in body.split(",")]
         if len(parts) == 3 and all(p.isdigit() for p in parts):
             return monomial_arrangement(int(parts[0]), int(parts[1]), int(parts[2]))
-    for prefix, (r, p) in (("A", (1, 1)), ("B", (2, 1)), ("D", (2, 2))):
-        for pattern in (f"{prefix}(", prefix):
-            if name.startswith(pattern):
-                tail = name[len(pattern):].rstrip(")") if pattern.endswith("(") \
-                    else name[len(prefix):]
-                if tail.isdigit():
-                    n = int(tail)
-                    ell = n + 1 if prefix == "A" else n
-                    if ell >= 1:
-                        return monomial_arrangement(r, p, ell)
+    alias = re.fullmatch(r"([ABD])(?:\(([0-9]+)\)|([0-9]+))", name)
+    if alias:
+        prefix, n = alias[1], int(alias[2] or alias[3])
+        r, p = {"A": (1, 1), "B": (2, 1), "D": (2, 2)}[prefix]
+        ell = n + 1 if prefix == "A" else n
+        if ell >= 1:
+            return monomial_arrangement(r, p, ell)
     raise KeyError(f"unknown arrangement name {name!r}")

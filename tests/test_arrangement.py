@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import sys
+from math import lcm
 
 import pytest
 
@@ -14,10 +15,11 @@ from hyparr.arrangement import (Arrangement, brute_force_lattice, build_lattice,
                                 irreducible_decomposition, localization, make_arrangement,
                                 parallel_map, product, restriction, transport_lattice)
 from hyparr.cache import lattice_payload
-from hyparr.cyclo import CyclotomicNumber, field_context
+from hyparr.cli import resolve_spec
+from hyparr.cyclo import CyclotomicNumber, embed, field_context
 from hyparr.errors import InvalidHyperplaneError, RefusalError
 from hyparr.linalg import (LinearForm, extend_rref, form_residue, intersect, rref,
-                           subspace_from_forms)
+                           subspace_from_forms, subspace_from_rows)
 from hyparr.parse import parse_arrangement_text, parse_form
 from hyparr.reflection import (build_named, catalog, exceptional_arrangement,
                                monomial_arrangement)
@@ -28,6 +30,41 @@ BOOLEAN3 = "ambient 3 field 1\na\nb\nc\n"
 
 def forms_of(texts, ambient, order):
     return [parse_form(t, ambient, order) for t in texts]
+
+
+def packed_entries(row, m, order):
+    d = field_context(order).degree
+    return [CyclotomicNumber.from_coords(order, row[0][j * d:(j + 1) * d], row[1])
+            for j in range(m)]
+
+
+def reference_restriction(arr, h):
+    """Each other hyperplane paired with the solution basis of H, in field
+    element arithmetic."""
+    hsub = subspace_from_rows([arr.hyperplanes[h].row], arr.ambient, arr.order)
+    basis = [packed_entries(b, arr.ambient, arr.order) for b in hsub.basis()]
+    zero = CyclotomicNumber.zero(arr.order)
+    forms = []
+    for i, other in enumerate(arr.hyperplanes):
+        if i != h:
+            coeffs = other.coefficients()
+            forms.append(LinearForm.from_coefficients(
+                [sum((c * v for c, v in zip(coeffs, b)), zero) for b in basis], arr.order))
+    return make_arrangement(arr.ambient - 1, arr.order, forms)
+
+
+def reference_product(a1, a2):
+    """Each factor's coefficients embedded one by one and zero-padded."""
+    order = lcm(a1.order, a2.order)
+    zero = CyclotomicNumber.zero(order)
+
+    def padded(arr, left, right):
+        return [LinearForm.from_coefficients(
+            [zero] * left + [embed(c, order) for c in f.coefficients()] + [zero] * right,
+            order) for f in arr.hyperplanes]
+
+    return make_arrangement(a1.ambient + a2.ambient, order,
+                            padded(a1, 0, a2.ambient) + padded(a2, a1.ambient, 0))
 
 
 class TestMakeArrangement:
@@ -334,6 +371,20 @@ class TestRestrictionDeletion:
         for h in range(3):
             assert len(restriction(braid, h)) == 1
 
+    @pytest.mark.parametrize("name", [e.name for e in catalog()])
+    def test_matches_pairing_with_the_solution_basis(self, name):
+        arr = build_named(name)
+        for h in range(len(arr)):
+            got = restriction(arr, h)
+            want = reference_restriction(arr, h)
+            assert got == want
+            assert got.duplicates_removed == want.duplicates_removed
+
+    def test_parallel_hyperplane_rejected(self):
+        a = parse_form("a - b", 2, 1)
+        with pytest.raises(ValueError):
+            restriction(Arrangement(2, 1, (a, parse_form("a", 2, 1), a)), 0)
+
     def test_deletion(self):
         arr = make_arrangement(2, 1, forms_of(["a"], 2, 1))
         assert len(deletion(arr, 0)) == 0
@@ -373,6 +424,29 @@ class TestProduct:
         pr = product(a, b)
         assert pr.order == 12
         assert len(pr) == len(a) + len(b)
+
+
+    @pytest.mark.parametrize("names", [("A2", "G(3,1,2)"), ("G(3,1,2)", "B2"),
+                                       ("G(3,3,3)", "G(4,1,3)"), ("H3", "G(4,4,2)"),
+                                       ("G25", "G29"), ("G(4,1,3)", "H3")])
+    def test_matches_coefficient_reference(self, names):
+        # field orders 1 x 3, 3 x 4 and 5 x 4 (into order 20), in both orders
+        a, b = (build_named(n) for n in names)
+        for pair in ((a, b), (b, a)):
+            got, want = product(*pair), reference_product(*pair)
+            assert got == want
+            assert got.duplicates_removed == want.duplicates_removed
+
+    def test_nested_mixed_fields(self):
+        inner = (build_named("H3"), build_named("G(3,1,2)"))
+        outer = build_named("G(4,4,2)")
+        got = product(product(*inner), outer)
+        want = reference_product(reference_product(*inner), outer)
+        assert got.order == 60 and got == want  # orders 5, 3 and 4
+
+    def test_deep_nesting_resolves(self):
+        _, arr = resolve_spec("product(" * 100 + "A2" + ", A2)" * 100)
+        assert len(arr) == 303 and arr.ambient == 303
 
 
 class TestEssentialize:

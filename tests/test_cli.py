@@ -132,6 +132,11 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "build", str(path))
         assert code == EXIT_PARSE_ERROR and "not a readable integer" in err
 
+    @pytest.mark.parametrize("spec", ["G(3,1,0)", "G(3,2,3)"])
+    def test_bad_monomial_parameters_are_parse_errors(self, capsys, spec):
+        code, _, err = run_cli(capsys, "build", spec)
+        assert code == EXIT_PARSE_ERROR and "parse error" in err
+
     def test_deep_product_is_parse_error(self, capsys):
         spec = "product(" * 1200 + "A2" + ", A2)" * 1200
         code, _, err = run_cli(capsys, "build", spec)

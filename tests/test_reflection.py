@@ -119,3 +119,8 @@ class TestAliases:
     def test_unknown_rejected(self):
         with pytest.raises(KeyError):
             build_named("E8")
+
+    @pytest.mark.parametrize("name", ["A(3", "A(3))", "B(3", "B3)", "D(4", "B\u00b2"])
+    def test_malformed_aliases_rejected(self, name):
+        with pytest.raises(KeyError):
+            build_named(name)
