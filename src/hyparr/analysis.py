@@ -25,6 +25,15 @@ without the scan's membership test or join table.  Scans run in the
 deterministic flat order (rank, then support bitset), so witnesses are
 reproducible.
 
+Supersolvability is the existence of a maximal chain of modular flats
+(Stanley, 1972).  ``is_supersolvable`` searches for one depth first, up the
+cover table from the rank-2 flats, and tests each flat by ``is_modular`` on
+its first visit, so a supersolvable arrangement has only the flats along
+its search path tested.  Only a failed search scans the interior ranks in
+full, for the witnesses of an empty rank or the counts of a ``no-chain``
+refutation.  The exploration order is that of a search over the full scan,
+so the chain and the refutation are the same as after one.
+
 A supersolvable certificate's chain also gives the exponents, which must
 agree with the factorization of the Poincare polynomial
 (``checked_exponents``), and the polynomial's root -1 counts the
@@ -107,8 +116,14 @@ class Refutation:
 
 @dataclass
 class SupersolvabilityCertificate:
-    """The verdict with its evidence; ``modular_by_rank`` lists the modular
-    flats of every rank the search scanned (for a rank-2 lattice, its top)."""
+    """The verdict with its evidence.
+
+    ``modular_by_rank`` lists the modular flats of each rank that was
+    scanned in full, and of no other rank: every rank a refutation scanned,
+    the top of a rank-2 lattice, and nothing for a chain of rank 3 or more,
+    whose search tests only the flats it visits.  ``modular_rank2`` gives
+    the complete rank-2 list for any certificate.
+    """
 
     verdict: bool
     arrangement: Arrangement
@@ -221,6 +236,16 @@ def _hyperplane_flat(lattice: IntersectionLattice, support_bit_holder: Flat) -> 
     return lattice.index[lowest]
 
 
+def modular_rank2(cert: SupersolvabilityCertificate, threads: int = 1) -> list[Flat]:
+    """The modular rank-2 flats of the certificate's lattice, in flat order:
+    its full rank-2 scan when it carries one, else a fresh scan."""
+    mods = cert.modular_by_rank.get(2)
+    if mods is None:
+        mods = [v.flat for v in modular_flats_of_rank(cert.arrangement, cert.lattice, 2,
+                                                      threads) if v.modular]
+    return mods
+
+
 def is_supersolvable(arr: Arrangement, lattice: IntersectionLattice | None = None,
                      max_flats: int = DEFAULT_MAX_FLATS, threads: int = 1
                      ) -> SupersolvabilityCertificate:
@@ -230,9 +255,16 @@ def is_supersolvable(arr: Arrangement, lattice: IntersectionLattice | None = Non
     a given ``lattice``, the lattice of ``arr``, is then carried to the
     essential coordinates by ``transport_lattice`` instead of rebuilt.
     The full space, the center, and the rank-1 flats are always modular, so
-    only the interior ranks are scanned; the scan stops at the first rank
-    with no modular flat, which already refutes.  Each scanned rank's
-    modular flats stay on the certificate.
+    only interior flats are tested, each at most once, by ``is_modular``.
+    The depth-first search starts from the rank-2 flats in flat order and
+    climbs through the upper covers of the current flat in flat order,
+    testing a flat on its first visit and skipping the flats from which no
+    chain extends; the first chain in this order is returned, with nothing
+    else tested.  Only when no chain exists are the interior ranks scanned
+    in full, in ascending order, reusing the verdicts already found: the
+    first rank with no modular flat refutes with that rank's verdicts as
+    witnesses, and otherwise the refutation counts every rank's modular
+    flats.  ``modular_by_rank`` holds the ranks that were scanned in full.
     """
     ess = essentialize(arr)
     essentialized = ess.ambient != arr.ambient
@@ -245,18 +277,49 @@ def is_supersolvable(arr: Arrangement, lattice: IntersectionLattice | None = Non
     if r == 0:
         return SupersolvabilityCertificate(True, ess, lattice, essentialized, [bottom])
     top = lattice.top()
-    modular_by_rank: dict[int, list[Flat]] = {}
     if r <= 2:
-        chain = [bottom, lattice.levels[1][0]]
-        if r == 2:
-            chain.append(top)
-            modular_by_rank[2] = [top]
+        chain = [bottom, lattice.levels[1][0], top][:r + 1]
         return SupersolvabilityCertificate(True, ess, lattice, essentialized, chain,
-                                           modular_by_rank=modular_by_rank)
+                                           modular_by_rank={2: [top]} if r == 2 else {})
 
+    tested: dict[int, ModularityVerdict] = {}
+
+    def verdict(f: Flat) -> ModularityVerdict:
+        # scan workers share the memo but each writes its own flats' keys
+        v = tested.get(f.support)
+        if v is None:
+            v = tested[f.support] = is_modular(ess, lattice, f)
+        return v
+
+    # Depth-first chain search, each candidate tested on its first visit; a
+    # chain X2 < X3 < ... < X_{r-1} extends to a full chain with any
+    # hyperplane below X2, the full space, and the center.  The upper covers
+    # of X_k are the rank-(k+1) flats above it, listed in flat order.
+    covers, index = lattice.covers(), lattice.index
+    dead: set[int] = set()
+
+    def extend(acc: list[Flat]) -> list[Flat] | None:
+        if len(acc) == r - 2:
+            return acc
+        for s in covers[acc[-1].support]:
+            if s not in dead and verdict(index[s]).modular:
+                hit = extend(acc + [index[s]])
+                if hit is not None:
+                    return hit
+                dead.add(s)
+        return None
+
+    for start in lattice.levels[2]:
+        interior = extend([start]) if verdict(start).modular else None
+        if interior is not None:
+            chain = [bottom, _hyperplane_flat(lattice, start), *interior, top]
+            return SupersolvabilityCertificate(True, ess, lattice, essentialized, chain)
+
+    # No chain: finish the scan rank by rank for the refutation's evidence.
     counts: dict[int, int] = {0: 1, 1: len(lattice.levels[1]), r: 1}
+    modular_by_rank: dict[int, list[Flat]] = {}
     for k in range(2, r):
-        verdicts = modular_flats_of_rank(ess, lattice, k, threads=threads)
+        verdicts = parallel_map(verdict, lattice.levels[k], threads)
         mods = [v.flat for v in verdicts if v.modular]
         counts[k] = len(mods)
         modular_by_rank[k] = mods
@@ -264,34 +327,9 @@ def is_supersolvable(arr: Arrangement, lattice: IntersectionLattice | None = Non
             refutation = Refutation("empty-rank", rank=k, witnesses=verdicts)
             return SupersolvabilityCertificate(False, ess, lattice, essentialized,
                                                None, refutation, modular_by_rank)
-
-    # Depth-first chain search through the interior modular flats; a chain
-    # X2 < X3 < ... < X_{r-1} extends to a full chain with any hyperplane
-    # below X2, the full space, and the center.
-    def extend(current: Flat, k: int, acc: list[Flat]):
-        if k == r:
-            return acc
-        for cand in modular_by_rank[k]:
-            if cand.support & current.support == current.support:
-                hit = extend(cand, k + 1, acc + [cand])
-                if hit is not None:
-                    return hit
-        return None
-
-    chain_interior = None
-    for start in modular_by_rank[2]:
-        chain_interior = extend(start, 3, [start]) if r > 3 else [start]
-        if chain_interior is not None:
-            break
-    if chain_interior is None:
-        refutation = Refutation("no-chain", modular_counts=counts)
-        return SupersolvabilityCertificate(False, ess, lattice, essentialized,
-                                           None, refutation, modular_by_rank)
-    chain = [bottom, _hyperplane_flat(lattice, chain_interior[0])]
-    chain += chain_interior
-    chain.append(top)
-    return SupersolvabilityCertificate(True, ess, lattice, essentialized, chain,
-                                       modular_by_rank=modular_by_rank)
+    refutation = Refutation("no-chain", modular_counts=counts)
+    return SupersolvabilityCertificate(False, ess, lattice, essentialized,
+                                       None, refutation, modular_by_rank)
 
 
 def _modular_by_arithmetic(arr: Arrangement, lattice: IntersectionLattice, x: Flat) -> bool:
@@ -504,8 +542,9 @@ def check_rank2_criterion(arr: Arrangement, lattice: IntersectionLattice | None 
     being supersolvable, so the equivalence only concerns irreducible ones.
     The factors are counted off the certificate's lattice
     (``irreducible_factor_count``), and the modular rank-2 flats are read
-    from its full rank-2 scan; ``is_supersolvable`` runs only when no
-    certificate is given.
+    by ``modular_rank2``: from the certificate's full rank-2 scan when it
+    has one, which a chain of rank 3 or more does not; ``is_supersolvable``
+    runs only when no certificate is given.
     """
     if cert is None:
         cert = is_supersolvable(arr, lattice, threads=threads)
@@ -516,7 +555,7 @@ def check_rank2_criterion(arr: Arrangement, lattice: IntersectionLattice | None 
             f"this one splits into {factors} factors")
     if cert.lattice.rank() < 2:
         raise RefusalError("the rank-2 criterion needs rank at least 2")
-    mods = cert.modular_by_rank[2]
+    mods = modular_rank2(cert, threads)
     return Rank2Report(cert.verdict, len(mods), cert.verdict == bool(mods), cert, mods)
 
 

@@ -5,8 +5,10 @@ catalog arrangements come from: either a sum of two lattice elements that
 lands outside the lattice (witnessing non-modularity), an exhaustive
 no-modular-rank-2 check, or the two-sided rank-2 criterion.  The rows are
 plain data so coverage is auditable by reading this table.  Both rank-2
-kinds read the full rank-2 scan carried by the arrangement's
-supersolvability certificate, so each arrangement is scanned once.
+kinds read the rank-2 flats with ``modular_rank2``: a certificate refuted
+at some rank carries the full rank-2 scan, so such an arrangement is
+scanned once, and a chain certificate, whose search tested only the flats
+it visited, has its rank 2 scanned again.
 
 The two G(r,r,4) rows instantiate a single published equation for r = 3 and
 r = 4, hence they share an equation id.
@@ -18,7 +20,7 @@ import time
 from dataclasses import dataclass
 
 from .analysis import (SupersolvabilityCertificate, check_rank2_criterion, is_supersolvable,
-                       replay_witness)
+                       modular_rank2, replay_witness)
 from .arrangement import DEFAULT_MAX_FLATS, Arrangement, IntersectionLattice
 from .cache import load_or_build
 from .parse import parse_form
@@ -148,7 +150,7 @@ def run_rank2_empty_claim(name: str, store: LatticeStore) -> ClaimResult:
     t0 = time.perf_counter()
     cert = store.certificate(name)
     flats = len(cert.lattice.levels[2])
-    modular = len(cert.modular_by_rank[2])
+    modular = len(modular_rank2(cert, store.threads))
     if not modular:
         # the refutation's rank-2 witnesses are this claim's evidence; each
         # is certified by one stacked rank, and no sum subspace is built

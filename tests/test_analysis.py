@@ -19,6 +19,7 @@ from hyparr.linalg import contains, subspace_from_forms, subspace_sum
 from hyparr.parse import parse_arrangement_text, parse_form
 from hyparr.reflection import (build_named, catalog, exceptional_arrangement,
                                monomial_arrangement)
+from tests.conftest import random_arrangement
 
 PRODUCT_PAIRS = (("G(3,1,3)", "A(3)"), ("B3", "B3"), ("G(3,3,3)", "A(3)"),
                  ("B2", "H3"), ("A2", "G(3,1,3)"), ("B2", "D4"))
@@ -179,6 +180,110 @@ class TestIsSupersolvable:
         cert = is_supersolvable(monomial_arrangement(1, 1, 4))
         assert cert.verdict and cert.essentialized
         assert cert.lattice.rank() == 3
+
+
+def full_scan_search(arr, lattice):
+    """The reference search: scan every interior rank in full, refute at the
+    first rank without a modular flat, else search the modular flats depth
+    first in flat order.  Returns the outcome in plain supports."""
+    r = lattice.rank()
+    if r == 2:
+        return True, [f.support for f in (lattice.bottom(), lattice.levels[1][0], lattice.top())]
+    scans = {k: modular_flats_of_rank(arr, lattice, k) for k in range(2, r)}
+    mods = {k: [v.flat for v in scans[k] if v.modular] for k in scans}
+    for k in range(2, r):
+        if not mods[k]:
+            witnesses = [(v.flat.support, v.partner.support, v.meet.support) for v in scans[k]]
+            return False, ("empty-rank", k, witnesses)
+
+    def extend(current, k, acc):
+        if k == r:
+            return acc
+        for cand in mods[k]:
+            if cand.support & current.support == current.support:
+                hit = extend(cand, k + 1, acc + [cand])
+                if hit is not None:
+                    return hit
+        return None
+
+    for start in mods[2]:
+        interior = extend(start, 3, [start])
+        if interior is not None:
+            hyperplane = lattice.index[start.support & -start.support]
+            chain = [lattice.bottom(), hyperplane, *interior, lattice.top()]
+            return True, [f.support for f in chain]
+    counts = {0: 1, 1: len(lattice.levels[1]), r: 1}
+    counts.update((k, len(m)) for k, m in mods.items())
+    return False, ("no-chain", counts)
+
+
+def search_outcome(cert):
+    """``cert`` in the terms of ``full_scan_search``."""
+    if cert.verdict:
+        return True, [f.support for f in cert.chain]
+    ref = cert.refutation
+    if ref.kind == "empty-rank":
+        witnesses = [(v.flat.support, v.partner.support, v.meet.support)
+                     for v in ref.witnesses]
+        return False, ("empty-rank", ref.rank, witnesses)
+    return False, ("no-chain", ref.modular_counts)
+
+
+class TestChainSearch:
+    """The search tests flats only as it visits them, and still finds the
+    chain, the refutation and the witnesses of a search over a full scan."""
+
+    @staticmethod
+    def assert_matches_full_scan(cert, label):
+        arr, lattice = cert.arrangement, cert.lattice
+        assert search_outcome(cert) == full_scan_search(arr, lattice), label
+        r = lattice.rank()
+        if cert.verdict:
+            assert cert.modular_by_rank == ({2: [lattice.top()]} if r == 2 else {}), label
+            return
+        # a refutation keeps every rank it scanned, each in full
+        last = cert.refutation.rank if cert.refutation.kind == "empty-rank" else r - 1
+        assert sorted(cert.modular_by_rank) == list(range(2, last + 1)), label
+        for k, mods in cert.modular_by_rank.items():
+            assert mods == [v.flat for v in modular_flats_of_rank(arr, lattice, k)
+                            if v.modular], label
+
+    @pytest.mark.parametrize("name", [e.name for e in catalog()])
+    def test_catalog_matches_full_scan(self, store, name):
+        self.assert_matches_full_scan(store.certificate(name), name)
+
+    @pytest.mark.parametrize("pair", PRODUCT_PAIRS)
+    def test_product_pairs_match_full_scan(self, pair):
+        # two threads share the search's verdicts while they finish the scan
+        self.assert_matches_full_scan(is_supersolvable(_pair(*pair), threads=2), pair)
+
+    def test_random_arrangements_match_full_scan(self):
+        rng = random.Random(16)
+        kinds = set()
+        for case in range(40):
+            arr = random_arrangement(rng, rng.choice([3, 4]), rng.choice([1, 1, 3]),
+                                     max_hyperplanes=9)
+            if arr.rank() < 3:
+                continue
+            cert = is_supersolvable(arr)
+            self.assert_matches_full_scan(cert, f"random case {case}")
+            kinds.add(cert.refutation.kind if cert.refutation else "chain")
+        assert kinds >= {"chain", "empty-rank"}
+
+    def test_chain_tests_few_flats(self, monkeypatch, store):
+        tested = []
+        real = hyparr.analysis.is_modular
+
+        def counted(arr, lattice, x):
+            tested.append(x.support)
+            return real(arr, lattice, x)
+
+        monkeypatch.setattr(hyparr.analysis, "is_modular", counted)
+        lattice = store.lattice("G(4,1,5)")
+        cert = is_supersolvable(store.arrangement("G(4,1,5)"), lattice)
+        interior = sum(len(level) for level in lattice.levels[2:-1])
+        assert cert.verdict and interior > 2000
+        assert len(tested) == len(set(tested)) < 100
 
 
 class TestMobiusPoincare:
@@ -391,11 +496,15 @@ class TestNoChainRefutation:
 
     def test_existing_chain_rejected(self):
         cert = is_supersolvable(build_named("A(4)"))
-        assert cert.verdict and sorted(cert.modular_by_rank) == [2, 3]
+        assert cert.verdict and cert.modular_by_rank == {}
+        # complete scans and true counts, so only the reachability check,
+        # which finds the chain, can reject the forgery
+        mods = {k: [v.flat for v in modular_flats_of_rank(cert.arrangement, cert.lattice, k)
+                    if v.modular] for k in (2, 3)}
         counts = {0: 1, 1: len(cert.lattice.levels[1]), 4: 1}
-        counts.update((k, len(m)) for k, m in cert.modular_by_rank.items())
-        forged = dataclasses.replace(cert, verdict=False, chain=None, refutation=Refutation(
-            "no-chain", modular_counts=counts))
+        counts.update((k, len(m)) for k, m in mods.items())
+        forged = dataclasses.replace(cert, verdict=False, chain=None, modular_by_rank=mods,
+                                     refutation=Refutation("no-chain", modular_counts=counts))
         assert not validate_certificate(forged)
 
 

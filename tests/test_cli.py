@@ -290,3 +290,23 @@ class TestTimings:
         assert code == EXIT_OK
         assert re.findall(r"^time (\w+): ", out, re.M) == ["lattice", "modular", "report"]
         assert re.search(r"\ntime report: \d+\.\d{3}s\n$", out)
+
+
+class TestSearchOutputs:
+    # SHA-256 of the --json stdout, recorded while the chain search still
+    # scanned every interior rank before reading any flat; a search that
+    # tests fewer flats must print the same chains, witnesses and counts
+    STDOUT_SHA256 = {
+        ("verify-paper", "all"):
+            "8a47f967bf4c002f045498e3b8c65aeea014966590a3876ef91e8438f0049986",
+        ("supersolvable", "G(4,1,5)"):
+            "4cdd7d27eca044dccb9e4f6f1fee5fdf11f489a3c501886e951c2f2848a40744",
+        ("poincare", "product(B3,B3)"):
+            "5f3332fa2f815e6ff2c8287fd37e36ba436940edff4c738889e1e37e7cf95daf",
+    }
+
+    @pytest.mark.parametrize("argv", sorted(STDOUT_SHA256))
+    def test_json_stdout_is_unchanged(self, capsys, argv):
+        code, out, _ = run_cli(capsys, "--json", *argv)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == self.STDOUT_SHA256[argv]
