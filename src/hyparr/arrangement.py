@@ -25,8 +25,9 @@ from threading import Lock
 from . import _kernel
 from .cyclo import embed_row, field_context
 from .errors import InvalidHyperplaneError, RefusalError
-from .linalg import (LinearForm, Subspace, extend_rref, form_residue, form_vanishes_on,
-                     full_space, restrict_row, subspace_from_rows, variable_names)
+from .linalg import (LinearForm, Subspace, extend_rref, form_residue, form_to_str,
+                     form_vanishes_on, full_space, restrict_row, subspace_from_rows,
+                     variable_names)
 
 DEFAULT_MAX_FLATS = 500_000
 
@@ -689,7 +690,5 @@ def arrangement_to_text(arr: Arrangement) -> str:
     """The on-disk arrangement format: header line, then one form per line."""
     names = variable_names(arr.ambient)
     lines = [f"ambient {arr.ambient} field {arr.order}"]
-    from .linalg import form_to_str
-
     lines += [form_to_str(h, names) for h in arr.hyperplanes]
     return "\n".join(lines) + "\n"

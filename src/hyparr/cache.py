@@ -15,6 +15,7 @@ import tempfile
 
 from .arrangement import (DEFAULT_MAX_FLATS, Arrangement, Flat, IntersectionLattice,
                           build_lattice)
+from .errors import ParseError
 from .linalg import Subspace
 
 FORMAT = "hyparr-lattice-v1"
@@ -95,18 +96,23 @@ def cache_path(arr: Arrangement, cache_dir: str) -> str:
 
 
 def save_lattice(lattice: IntersectionLattice, cache_dir: str) -> str:
-    os.makedirs(cache_dir, exist_ok=True)
+    """Write the lattice's entry and return its path; a directory that cannot
+    be made or written raises ``ParseError``, leaving no temp file."""
     path = cache_path(lattice.arrangement, cache_dir)
     blob = json.dumps(lattice_payload(lattice), sort_keys=True, separators=(",", ":"))
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        os.makedirs(cache_dir, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(blob)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ParseError(f"cannot use cache directory {cache_dir}: {exc}") from None
     return path
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import gcd
 
 from . import _kernel
 
@@ -153,9 +152,6 @@ class CyclotomicNumber:
     def is_one(self) -> bool:
         return self.nums[0] == self.den and not any(self.nums[1:])
 
-    def is_rational(self) -> bool:
-        return not any(self.nums[1:])
-
     def _pair(self):
         return (self.nums, self.den)
 
@@ -236,25 +232,32 @@ class CyclotomicNumber:
         return f"CyclotomicNumber({self.order}, {self.nums}, {self.den})"
 
     def __str__(self):
-        """Expression-syntax rendering, e.g. '1/2 - 2*z + z^3'."""
-        if self.is_zero():
-            return "0"
-        parts = []
-        for k, v in enumerate(self.nums):
-            if not v:
-                continue
-            q = Fraction(v, self.den)
-            mag = abs(q)
-            if k == 0:
-                body = str(mag)
-            else:
-                unit = "z" if k == 1 else f"z^{k}"
-                body = unit if mag == 1 else f"{mag}*{unit}"
-            if not parts:
-                parts.append(body if q > 0 else f"-{body}")
-            else:
-                parts.append(f" + {body}" if q > 0 else f" - {body}")
-        return "".join(parts)
+        return elem_str(self.nums, self.den)
+
+
+def elem_str(nums, den: int) -> str:
+    """Expression-syntax rendering of the element with coordinates
+    ``nums``/``den``, e.g. '1/2 - 2*z + z^3'; '0' for the zero element.
+
+    >>> elem_str((1, -4, 0, 2), 2)
+    '1/2 - 2*z + z^3'
+    """
+    parts = []
+    for k, v in enumerate(nums):
+        if not v:
+            continue
+        q = Fraction(v, den)
+        mag = abs(q)
+        if k == 0:
+            body = str(mag)
+        else:
+            unit = "z" if k == 1 else f"z^{k}"
+            body = unit if mag == 1 else f"{mag}*{unit}"
+        if not parts:
+            parts.append(body if q > 0 else f"-{body}")
+        else:
+            parts.append(f" + {body}" if q > 0 else f" - {body}")
+    return "".join(parts) or "0"
 
 
 def root_of_unity(n: int, m: int) -> CyclotomicNumber:

@@ -6,7 +6,7 @@ class HyparrError(Exception):
 
 
 class ParseError(HyparrError):
-    """Malformed expression, arrangement file, or arrangement spec."""
+    """Malformed expression, arrangement file or spec, or an unusable path."""
 
 
 class RefusalError(HyparrError):

@@ -13,10 +13,10 @@ implementation of each: ``_kernel.reduce`` under ``form_residue`` and
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
+from math import prod
 
 from . import _kernel
-from .cyclo import CyclotomicNumber, field_context
+from .cyclo import CyclotomicNumber, elem_str, field_context
 
 Row = tuple[tuple[int, ...], int]
 
@@ -26,24 +26,6 @@ def variable_names(ambient: int) -> list[str]:
     if ambient <= 4:
         return ["a", "b", "c", "d"][:ambient]
     return [f"x{j + 1}" for j in range(ambient)]
-
-
-def _row_entry(row: Row, j: int, order: int) -> CyclotomicNumber:
-    d = field_context(order).degree
-    return CyclotomicNumber.from_coords(order, row[0][j * d:(j + 1) * d], row[1])
-
-
-def _pack_row(coeffs: list[CyclotomicNumber], order: int) -> Row:
-    den = 1
-    for c in coeffs:
-        den = den * c.den
-    nums: list[int] = []
-    d = field_context(order).degree
-    for c in coeffs:
-        s = den // c.den
-        nums.extend(v * s for v in c.nums)
-    assert len(nums) == len(coeffs) * d
-    return _kernel.elem_norm(nums, den)
 
 
 def restrict_row(row: Row, columns, d: int) -> Row:
@@ -69,7 +51,10 @@ class LinearForm:
             order = coeffs[0].order
         coeffs = [c if isinstance(c, CyclotomicNumber)
                   else CyclotomicNumber.from_rational(c, order) for c in coeffs]
-        row = _pack_row(coeffs, order)
+        if any(c.order != order for c in coeffs):
+            raise ValueError("coefficients must share the field order")
+        den = prod(c.den for c in coeffs)
+        row = _kernel.elem_norm([v * (den // c.den) for c in coeffs for v in c.nums], den)
         form = LinearForm(len(coeffs), order, row)
         if form.is_zero():
             raise ValueError("a linear form must have a nonzero coefficient")
@@ -94,7 +79,9 @@ class LinearForm:
         return LinearForm(self.ambient, self.order, row)
 
     def coefficient(self, j: int) -> CyclotomicNumber:
-        return _row_entry(self.row, j, self.order)
+        d = field_context(self.order).degree
+        return CyclotomicNumber.from_coords(self.order, self.row[0][j * d:(j + 1) * d],
+                                            self.row[1])
 
     def coefficients(self) -> list[CyclotomicNumber]:
         return [self.coefficient(j) for j in range(self.ambient)]
@@ -116,18 +103,18 @@ class LinearForm:
 
 
 def form_to_str(form: LinearForm, names: list[str] | None = None) -> str:
-    """Render a form in the expression syntax, e.g. 'a - 2*(z^2+z^3+1)*b'."""
+    """Render a form in the expression syntax, e.g. 'a - 2*(z^2+z^3+1)*b',
+    one ``elem_str`` per nonzero slice of its packed row."""
     names = names or variable_names(form.ambient)
+    d = field_context(form.order).degree
+    nums, den = form.row
     parts: list[str] = []
     for j in range(form.ambient):
-        c = form.coefficient(j)
-        if c.is_zero():
+        e = nums[j * d:(j + 1) * d]
+        if not any(e):
             continue
-        negative = False
-        if c.is_rational() and c.nums[0] < 0:
-            negative = True
-            c = -c
-        text = str(c)
+        negative = e[0] < 0 and not any(e[1:])
+        text = elem_str((-e[0], *e[1:]) if negative else e, den)
         if text == "1":
             body = names[j]
         elif " + " in text or " - " in text or text.startswith("-"):
@@ -174,7 +161,8 @@ class Subspace:
         return self._basis
 
     def defining_forms(self) -> list[LinearForm]:
-        return [LinearForm(self.ambient, self.order, r).normalized() for r in self.rows]
+        # canonical RREF rows already have leading coefficient 1
+        return [LinearForm(self.ambient, self.order, r) for r in self.rows]
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -302,7 +290,3 @@ def _check_compatible(x: Subspace, y: Subspace) -> None:
         raise ValueError(f"ambient dimension mismatch: {x.ambient} vs {y.ambient}")
     if x.order != y.order:
         raise ValueError(f"field order mismatch: {x.order} vs {y.order}")
-
-
-def rational_str(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)

@@ -1,7 +1,8 @@
 """Report construction and serialization.
 
 Machine output is JSON with a stable key order; exact field elements appear
-as coefficient arrays of rational strings, never floats.  Human output is
+as coefficient arrays of rational strings, never floats.  Forms are rendered
+straight from their packed rows, with no field arithmetic.  Human output is
 rendered from the same dictionary, so both carry identical facts.  Volatile
 timings are kept out of the machine payload to keep it byte-deterministic;
 the CLI reports them separately.
@@ -15,12 +16,15 @@ from fractions import Fraction
 from .analysis import (ModularityVerdict, PoincarePolynomial, Rank2Report,
                        SupersolvabilityCertificate)
 from .arrangement import Arrangement, Flat, IntersectionLattice
-from .linalg import LinearForm, Subspace, form_to_str, rational_str, variable_names
+from .cyclo import field_context
+from .linalg import LinearForm, Subspace, form_to_str
 
 
 def form_payload(form: LinearForm) -> dict:
-    coeffs = [[rational_str(Fraction(v, c.den)) for v in c.nums]
-              for c in form.coefficients()]
+    nums, den = form.row
+    d = field_context(form.order).degree
+    coeffs = [[str(Fraction(v, den)) for v in nums[j:j + d]]
+              for j in range(0, len(nums), d)]
     return {"text": form_to_str(form), "coeffs": coeffs}
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import re
 
 import pytest
@@ -170,6 +171,37 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "verify-paper", "nonsense")
         assert code == EXIT_PARSE_ERROR
 
+    @pytest.mark.parametrize("argv", [
+        ("--cache-dir", "{file}", "lattice", "D4"),
+        ("--cache-dir", "{file}/sub", "lattice", "D4"),
+        ("--cache-dir", "{file}", "verify-paper", "D4"),
+    ])
+    def test_unusable_cache_dir_is_parse_error(self, capsys, tmp_path, argv):
+        file = tmp_path / "FILE"
+        file.write_text("not a directory\n")
+        argv = [a.format(file=file) for a in argv]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == EXIT_PARSE_ERROR
+        lines = err.splitlines()
+        assert len(lines) == 1 and f"cache directory {argv[1]}" in lines[0]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["FILE"]
+
+    def test_unusable_cache_dir_from_environment(self, capsys, tmp_path, monkeypatch):
+        file = tmp_path / "FILE"
+        file.write_text("")
+        monkeypatch.setenv("HYPARR_CACHE_DIR", str(file))
+        code, _, err = run_cli(capsys, "lattice", "G(2,1,2)")
+        assert code == EXIT_PARSE_ERROR and f"cache directory {file}" in err
+
+    def test_unwritable_cache_entry_leaves_no_temp_file(self, capsys, tmp_path):
+        from hyparr.cache import cache_path
+
+        _, arr = resolve_spec("D4")
+        os.mkdir(cache_path(arr, str(tmp_path)))  # a directory where the entry goes
+        code, _, err = run_cli(capsys, "--cache-dir", str(tmp_path), "lattice", "D4")
+        assert code == EXIT_PARSE_ERROR and len(err.splitlines()) == 1
+        assert not list(tmp_path.glob("*.tmp"))
+
 
 class TestMoreSurface:
     def test_failing_claim_gives_exit_1(self, capsys, monkeypatch):
@@ -310,3 +342,67 @@ class TestSearchOutputs:
         code, out, _ = run_cli(capsys, "--json", *argv)
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == self.STDOUT_SHA256[argv]
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def without_timings(text: str) -> str:
+    return re.sub(r"^time \w+: \d+\.\d{3}s\n", "", text, flags=re.M)
+
+
+NESTED_A2 = "product(" * 100 + "A2" + ", A2)" * 100
+
+
+class TestRenderedOutputs:
+    """Pins recorded while every printed coefficient was still decoded into a
+    field element; the renderer that reads packed rows prints the same bytes.
+    Human pins leave out the ``time`` lines."""
+
+    JSON_SHA256 = {
+        ("modular", "G31", "--rank", "2"):
+            "82b26d10ce680d4826d35e7f7a8c4105885cc96b1b778b2569f6a30eafcc4c66",
+        ("modular", "H3", "--rank", "2"):
+            "85e216a2a77231932f1b17596cb2d62170319de8219ce6aea20c2a0fe49ed99c",
+        ("supersolvable", "product(D4,D4)"):
+            "62cacf733d4eb3a147cf7db44967037507e2ddb336fb1ea9f0728226a8f082db",
+        ("build", "G26"):
+            "2ffac37d6c15f86272d34308412e986764bfbd05653c38200dfd46531c14f2eb",
+    }
+    HUMAN_SHA256 = {
+        ("modular", "H3", "--rank", "2"):
+            "9be80643e2e78e88efcbf36723866806940c191c31c806e8b17aafa601d96635",
+        ("build", "G29"):
+            "b289bb225c991c422b130bc8f5bc1c2b8ddbd839d24580123d5023fab8f9e1a6",
+    }
+    # arrangement_to_text writes the benchmark's input files, so these bytes
+    # also fix what the ``lattice`` workload reads (before it shuffles)
+    TEXT_SHA256 = {
+        "G31": "967a63f030853dd2a64c0f3841c3a2c5d26a3ce83869b81be208a1cb19a93a85",
+        "G29": "1120833439da569482c21b4d7480d572db9010794a7cf88fc20ef51a9a02609f",
+        "G(4,1,5)": "4db78a2ddb275528e86d8a05071e5a6c02c07129b81a0e7870b974793bb11789",
+        "G(3,3,5)": "b557a725742d7f556ea082c74de739487c72b542fd3c9754cd6f5d3a54088c62",
+        "F4": "9a46817a58b1364c56fc3d7a320c6d42400a671c4886bbf5cde2f2d88885c68e",
+        "G(2,2,6)": "e2a750216f3b63bb86804bd839c77cb040a82ede74ce672cbfce9c91f681e34d",
+        NESTED_A2: "6a73b32b6a216a1f78ba6766e7f19460c4badfc9e11ed89e8521a1675ea47db6",
+    }
+
+    @pytest.mark.parametrize("argv", sorted(JSON_SHA256))
+    def test_json_stdout_is_unchanged(self, capsys, argv):
+        code, out, _ = run_cli(capsys, "--json", *argv)
+        assert code == EXIT_OK
+        assert sha256(out) == self.JSON_SHA256[argv]
+
+    @pytest.mark.parametrize("argv", sorted(HUMAN_SHA256))
+    def test_human_stdout_is_unchanged(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert sha256(without_timings(out)) == self.HUMAN_SHA256[argv]
+
+    @pytest.mark.parametrize("spec", sorted(TEXT_SHA256), ids=lambda s: s[:12])
+    def test_arrangement_text_is_unchanged(self, spec):
+        from hyparr.arrangement import arrangement_to_text
+
+        _, arr = resolve_spec(spec)
+        assert sha256(arrangement_to_text(arr)) == self.TEXT_SHA256[spec]

@@ -1,0 +1,254 @@
+"""The report layer renders forms straight from their packed rows.
+
+``form_to_str`` and ``form_payload`` read each row's integer coordinate
+slices, and ``Subspace.defining_forms`` hands out the canonical RREF rows as
+they are.  The references below decode every coefficient into a
+``CyclotomicNumber`` first, as the renderer once did; the row renderer must
+give the same text and coefficient strings on every input.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from hyparr import _kernel
+from hyparr.analysis import is_supersolvable, modular_flats_of_rank
+from hyparr.arrangement import build_lattice, essentialize, product, transport_lattice
+from hyparr.cyclo import field_context
+from hyparr.linalg import LinearForm, form_to_str, variable_names
+from hyparr.reflection import build_named, catalog
+from hyparr.report import (arrangement_payload, certificate_payload, flat_payload,
+                           form_payload, lattice_payload, render_human, report_json,
+                           subspace_payload, verdict_payload)
+
+ORDERS = (1, 3, 4, 5, 12)
+RANDOM_ROWS = 600
+
+# the arrangement pairs of the ``products`` benchmark workload
+PRODUCT_PAIRS = (
+    ("G(3,1,3)", "A(3)"), ("B3", "B3"), ("G(3,3,3)", "A(3)"),
+    ("B2", "H3"), ("A2", "G(3,1,3)"), ("B2", "D4"),
+)
+
+
+def reference_elem_str(c) -> str:
+    if c.is_zero():
+        return "0"
+    parts = []
+    for k, v in enumerate(c.nums):
+        if not v:
+            continue
+        q = Fraction(v, c.den)
+        mag = abs(q)
+        if k == 0:
+            body = str(mag)
+        else:
+            unit = "z" if k == 1 else f"z^{k}"
+            body = unit if mag == 1 else f"{mag}*{unit}"
+        if not parts:
+            parts.append(body if q > 0 else f"-{body}")
+        else:
+            parts.append(f" + {body}" if q > 0 else f" - {body}")
+    return "".join(parts)
+
+
+def reference_form_to_str(form, names=None) -> str:
+    names = names or variable_names(form.ambient)
+    parts = []
+    for j in range(form.ambient):
+        c = form.coefficient(j)
+        if c.is_zero():
+            continue
+        negative = False
+        if not any(c.nums[1:]) and c.nums[0] < 0:
+            negative = True
+            c = -c
+        text = reference_elem_str(c)
+        if text == "1":
+            body = names[j]
+        elif " + " in text or " - " in text or text.startswith("-"):
+            body = f"({text})*{names[j]}"
+        else:
+            body = f"{text}*{names[j]}"
+        if not parts:
+            parts.append(f"-{body}" if negative else body)
+        else:
+            parts.append(f" - {body}" if negative else f" + {body}")
+    return "".join(parts) or "0"
+
+
+def reference_rational_str(q: Fraction) -> str:
+    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
+
+
+def reference_form_payload(form) -> dict:
+    coeffs = [[reference_rational_str(Fraction(v, c.den)) for v in c.nums]
+              for c in form.coefficients()]
+    return {"text": reference_form_to_str(form), "coeffs": coeffs}
+
+
+def assert_renders_like_reference(form):
+    assert form_payload(form) == reference_form_payload(form)
+    assert str(form) == reference_form_to_str(form)
+    names = [f"v{j}" for j in range(form.ambient)]
+    assert form_to_str(form, names) == reference_form_to_str(form, names)
+
+
+def random_row(rng, ambient, order, kinds):
+    """A canonical packed row whose entries are zero, rational (often
+    negative) or general, over a random common denominator."""
+    d = field_context(order).degree
+    nums = []
+    for _ in range(ambient):
+        kind = rng.choice(("zero", "rational", "general"))
+        if kind == "zero":
+            entry = [0] * d
+        elif kind == "rational":
+            entry = [rng.randint(-12, 12)] + [0] * (d - 1)
+        else:
+            entry = [rng.randint(-6, 6) if rng.random() < 0.7 else 0 for _ in range(d)]
+        if not any(entry):
+            kinds["zero"] += 1
+        elif not any(entry[1:]) and entry[0] < 0:
+            kinds["negative rational"] += 1
+        nums += entry
+    return _kernel.elem_norm(nums, rng.randint(1, 40))
+
+
+class TestRowRenderer:
+    def test_catalog_hyperplanes(self, store):
+        for entry in catalog():
+            for h in store.arrangement(entry.name).hyperplanes:
+                assert_renders_like_reference(h)
+
+    @pytest.mark.parametrize("name", ["D4", "H3", "G25", "G31"])
+    def test_lattice_defining_forms(self, store, name):
+        for flat in store.lattice(name).flats():
+            for f in flat.subspace.defining_forms():
+                assert_renders_like_reference(f)
+
+    def test_random_rows(self):
+        rng = random.Random(1717)
+        kinds = {"zero": 0, "negative rational": 0, "non-monic lead": 0}
+        for k in range(RANDOM_ROWS):
+            order = ORDERS[k % len(ORDERS)]
+            ambient = rng.randint(1, 7)
+            row = random_row(rng, ambient, order, kinds)
+            form = LinearForm(ambient, order, row)
+            if not form.is_zero() and not form.coefficient(form.leading_index()).is_one():
+                kinds["non-monic lead"] += 1
+            assert_renders_like_reference(form)
+        assert all(kinds.values()), kinds
+
+
+def assert_rows_monic(sub):
+    ctx = field_context(sub.order)
+    for row in sub.rows:
+        assert _kernel.monic(row[0], sub.ambient, ctx.degree, ctx.red) == row
+
+
+class TestDefiningFormsAreMonic:
+    """``defining_forms`` hands out RREF rows as they are, so every row the
+    library hands it must already be its own ``_kernel.monic``."""
+
+    def test_catalog_lattices(self, store):
+        for entry in catalog():
+            lattices = [store.lattice(entry.name)]
+            cert = store.certificate(entry.name)
+            if cert.essentialized:
+                lattices.append(cert.lattice)
+            for lattice in lattices:
+                for flat in lattice.flats():
+                    assert_rows_monic(flat.subspace)
+
+    @pytest.mark.parametrize("pair", PRODUCT_PAIRS, ids="x".join)
+    def test_product_lattices(self, pair):
+        arr = product(build_named(pair[0]), build_named(pair[1]))
+        lattice = build_lattice(arr)
+        lattices = [lattice]
+        ess = essentialize(arr)
+        if ess is not arr:
+            lattices.append(transport_lattice(lattice, ess))
+        for lat in lattices:
+            for flat in lat.flats():
+                assert_rows_monic(flat.subspace)
+
+    def test_printed_witness_sums(self, store):
+        verdicts = []
+        for entry in catalog():
+            ref = store.certificate(entry.name).refutation
+            if ref is not None and ref.kind == "empty-rank":
+                verdicts += ref.witnesses
+        for name in ("D4", "H3", "G25", "G31"):
+            verdicts += modular_flats_of_rank(store.arrangement(name),
+                                              store.lattice(name), 2)
+        sums = [v.witness[1] for v in verdicts if v.witness is not None]
+        assert len(sums) > 100
+        for total in sums:
+            assert_rows_monic(total)
+
+
+def kernel_functions():
+    return [name for name, obj in vars(_kernel).items()
+            if callable(obj) and getattr(obj, "__module__", None) == _kernel.__name__]
+
+
+def raiser(name):
+    def fail(*args, **kwargs):
+        raise RuntimeError(f"_kernel.{name} called while rendering")
+    return fail
+
+
+class TestNoArithmeticInReports:
+    """With every kernel function raising, the payloads and both renderings
+    are unchanged: the report layer reads rows and does no field arithmetic.
+    ``arrangement_payload`` reports the rank, so it is built beforehand."""
+
+    NAMES = ("D4", "H3", "G25", "G(3,1,3)")
+
+    def test_kernel_patched_reports_are_unchanged(self, store, monkeypatch):
+        cases = {}
+        for name in self.NAMES:
+            arr, lattice = store.arrangement(name), store.lattice(name)
+            verdicts = modular_flats_of_rank(arr, lattice, 2)
+            cert = is_supersolvable(arr, lattice)
+            assert not cert.essentialized
+            witnessed = list(verdicts)
+            if cert.refutation is not None and cert.refutation.kind == "empty-rank":
+                witnessed += cert.refutation.witnesses
+            for v in witnessed:
+                v.witness  # certified and summed once, before the patch
+            cases[name] = (arr, lattice, verdicts, cert,
+                           arrangement_payload(arr, name))
+
+        def render():
+            out = {}
+            for name, (arr, lattice, verdicts, cert, arr_payload) in cases.items():
+                report = {
+                    "command": "modular",
+                    "arrangement": arr_payload,
+                    "lattice": lattice_payload(lattice),
+                    "modular": {"rank": 2, "flat_count": len(verdicts),
+                                "modular_count": sum(v.modular for v in verdicts),
+                                "verdicts": [verdict_payload(v) for v in verdicts]},
+                    "supersolvable": certificate_payload(cert),
+                }
+                out[name] = {
+                    "forms": [form_payload(h) for h in arr.hyperplanes],
+                    "subspaces": [subspace_payload(f.subspace)
+                                  for f in lattice.flats()],
+                    "flats": [flat_payload(f) for f in lattice.flats()],
+                    "json": report_json(report),
+                    "human": render_human(report),
+                }
+            return out
+
+        expected = render()
+        names = kernel_functions()
+        assert {"elem_norm", "monic", "rref", "rank"} <= set(names)
+        for fn in names:
+            monkeypatch.setattr(_kernel, fn, raiser(fn))
+        with pytest.raises(RuntimeError, match="called while rendering"):
+            store.arrangement("D4").rank()  # the patch is live
+        assert render() == expected
