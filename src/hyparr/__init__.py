@@ -12,8 +12,8 @@ from .analysis import (ModularityVerdict, PoincarePolynomial, Rank2Report,
                        SupersolvabilityCertificate, check_rank2_criterion,
                        checked_exponents, exponents_from_poincare,
                        exponents_if_supersolvable, irreducible_factor_count, is_modular,
-                       is_supersolvable, mobius, modular_flats_of_rank, modular_rank2,
-                       poincare, replay_witness, validate_certificate)
+                       is_supersolvable, mobius, modular_flats_of_rank, poincare,
+                       replay_witness, validate_certificate)
 from .arrangement import (Arrangement, Flat, IntersectionLattice, build_lattice,
                           brute_force_lattice, closure, deletion, essentialize,
                           in_lattice, irreducible_decomposition, localization,

@@ -4,14 +4,14 @@ Row reduction, rank, row-space membership, null spaces and field-element
 arithmetic for ``Q(zeta_n)``: the exact arithmetic under every lattice build
 and witness certificate.  Callers look these functions up on the module at
 call time (``_kernel.rank(...)``), so they can be wrapped or counted there.
-``reduce`` and ``monic`` are the one pivot-clearing loop and the one scaling
-to leading coefficient 1; ``rref`` and ``rank`` keep their own elimination
-as the tests' independent reference.  ``mul_matrix`` and ``mul_apply`` are
-the one multiplication: every product of field elements (``elem_mul``,
-``elem_inv``, ``eliminate``, ``monic``, ``rref``, ``rank``) builds the
-integer matrix of its multiplier, cached per element, and applies it to each
-element of a row.  A rational multiplier skips the matrix in
-``eliminate``, as over ``Q`` (degree 1).
+``reduce``, ``monic`` and ``lead_column`` are the one pivot-clearing loop,
+scaling to leading coefficient 1 and search for the leading entry; ``rref``
+and ``rank`` keep their own elimination as the tests' independent reference.
+``mul_matrix`` and ``mul_apply`` are the one multiplication: every product
+of field elements (``elem_mul``, ``elem_inv``, ``eliminate``, ``monic``,
+``rref``, ``rank``) builds the integer matrix of its multiplier, cached per
+element, and applies it to each element of a row.  A rational multiplier
+skips the matrix in ``eliminate``, as over ``Q`` (degree 1).
 
 An element of the cyclotomic field of degree ``d`` is a pair ``(nums, den)``:
 a tuple of ``d`` integer coordinates in the power basis over a single
@@ -281,15 +281,21 @@ def reduce(cur, rows, pivots, m, d, red):
     return cur
 
 
+def lead_column(nums, d):
+    """The column of a row's first nonzero entry, by one pass; None if zero."""
+    for i, v in enumerate(nums):
+        if v:
+            return i // d
+    return None
+
+
 def monic(nums, m, d, red):
     """The row of numerators ``nums`` (over any denominator) scaled to
     leading coefficient 1, in canonical form, or None for the zero row."""
-    for j in range(0, m * d, d):
-        lead = nums[j:j + d]
-        if any(lead):
-            break
-    else:
+    q = lead_column(nums, d)
+    if q is None:
         return None
+    lead = nums[q * d:(q + 1) * d]
     if not any(lead[1:]):
         return elem_norm(nums, lead[0])
     iv, ivd = elem_inv((tuple(lead), 1), d, red)

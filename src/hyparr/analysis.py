@@ -32,7 +32,8 @@ its first visit, so a supersolvable arrangement has only the flats along
 its search path tested.  Only a failed search scans the interior ranks in
 full, for the witnesses of an empty rank or the counts of a ``no-chain``
 refutation.  The exploration order is that of a search over the full scan,
-so the chain and the refutation are the same as after one.
+so the chain and the refutation are the same as after one.  Verdicts are
+kept on the lattice, so each flat is tested once per lattice.
 
 A supersolvable certificate's chain also gives the exponents, which must
 agree with the factorization of the Poincare polynomial
@@ -116,13 +117,9 @@ class Refutation:
 
 @dataclass
 class SupersolvabilityCertificate:
-    """The verdict with its evidence.
-
-    ``modular_by_rank`` lists the modular flats of each rank that was
-    scanned in full, and of no other rank: every rank a refutation scanned,
-    the top of a rank-2 lattice, and nothing for a chain of rank 3 or more,
-    whose search tests only the flats it visits.  ``modular_rank2`` gives
-    the complete rank-2 list for any certificate.
+    """The verdict with its evidence: a maximal chain of modular flats, or a
+    refutation.  The verdicts the search found stay on ``lattice``, where
+    ``modular_flats_of_rank`` reads them for any rank.
     """
 
     verdict: bool
@@ -131,7 +128,6 @@ class SupersolvabilityCertificate:
     essentialized: bool
     chain: list[Flat] | None = None
     refutation: Refutation | None = None
-    modular_by_rank: dict[int, list[Flat]] = field(default_factory=dict)
 
     def chain_exponents(self) -> list[int] | None:
         """The sorted b_k = |A_{X_k}| - |A_{X_(k-1)}| along the modular chain,
@@ -223,27 +219,22 @@ def is_modular(arr: Arrangement, lattice: IntersectionLattice, x: Flat) -> Modul
     return ModularityVerdict(x, True)
 
 
+def _verdict(arr: Arrangement, lattice: IntersectionLattice, f: Flat) -> ModularityVerdict:
+    """f's verdict, kept on the lattice; scan workers share the memo, and
+    ``setdefault`` keeps one verdict per flat."""
+    v = lattice.verdicts.get(f.support)
+    if v is None:
+        v = lattice.verdicts.setdefault(f.support, is_modular(arr, lattice, f))
+    return v
+
+
 def modular_flats_of_rank(arr: Arrangement, lattice: IntersectionLattice, rank: int,
                           threads: int = 1) -> list[ModularityVerdict]:
-    """One verdict per rank-``rank`` flat, in deterministic flat order."""
+    """One verdict per rank-``rank`` flat, in deterministic flat order; only
+    flats not yet tested on this lattice are tested."""
     if not 0 <= rank <= lattice.rank():
         raise ValueError(f"rank {rank} out of range 0..{lattice.rank()}")
-    return parallel_map(lambda f: is_modular(arr, lattice, f), lattice.levels[rank], threads)
-
-
-def _hyperplane_flat(lattice: IntersectionLattice, support_bit_holder: Flat) -> Flat:
-    lowest = support_bit_holder.support & -support_bit_holder.support
-    return lattice.index[lowest]
-
-
-def modular_rank2(cert: SupersolvabilityCertificate, threads: int = 1) -> list[Flat]:
-    """The modular rank-2 flats of the certificate's lattice, in flat order:
-    its full rank-2 scan when it carries one, else a fresh scan."""
-    mods = cert.modular_by_rank.get(2)
-    if mods is None:
-        mods = [v.flat for v in modular_flats_of_rank(cert.arrangement, cert.lattice, 2,
-                                                      threads) if v.modular]
-    return mods
+    return parallel_map(lambda f: _verdict(arr, lattice, f), lattice.levels[rank], threads)
 
 
 def is_supersolvable(arr: Arrangement, lattice: IntersectionLattice | None = None,
@@ -264,7 +255,7 @@ def is_supersolvable(arr: Arrangement, lattice: IntersectionLattice | None = Non
     in full, in ascending order, reusing the verdicts already found: the
     first rank with no modular flat refutes with that rank's verdicts as
     witnesses, and otherwise the refutation counts every rank's modular
-    flats.  ``modular_by_rank`` holds the ranks that were scanned in full.
+    flats.  The verdicts stay on the lattice the search ran on.
     """
     ess = essentialize(arr)
     essentialized = ess.ambient != arr.ambient
@@ -279,17 +270,7 @@ def is_supersolvable(arr: Arrangement, lattice: IntersectionLattice | None = Non
     top = lattice.top()
     if r <= 2:
         chain = [bottom, lattice.levels[1][0], top][:r + 1]
-        return SupersolvabilityCertificate(True, ess, lattice, essentialized, chain,
-                                           modular_by_rank={2: [top]} if r == 2 else {})
-
-    tested: dict[int, ModularityVerdict] = {}
-
-    def verdict(f: Flat) -> ModularityVerdict:
-        # scan workers share the memo but each writes its own flats' keys
-        v = tested.get(f.support)
-        if v is None:
-            v = tested[f.support] = is_modular(ess, lattice, f)
-        return v
+        return SupersolvabilityCertificate(True, ess, lattice, essentialized, chain)
 
     # Depth-first chain search, each candidate tested on its first visit; a
     # chain X2 < X3 < ... < X_{r-1} extends to a full chain with any
@@ -302,7 +283,7 @@ def is_supersolvable(arr: Arrangement, lattice: IntersectionLattice | None = Non
         if len(acc) == r - 2:
             return acc
         for s in covers[acc[-1].support]:
-            if s not in dead and verdict(index[s]).modular:
+            if s not in dead and _verdict(ess, lattice, index[s]).modular:
                 hit = extend(acc + [index[s]])
                 if hit is not None:
                     return hit
@@ -310,26 +291,22 @@ def is_supersolvable(arr: Arrangement, lattice: IntersectionLattice | None = Non
         return None
 
     for start in lattice.levels[2]:
-        interior = extend([start]) if verdict(start).modular else None
+        interior = extend([start]) if _verdict(ess, lattice, start).modular else None
         if interior is not None:
-            chain = [bottom, _hyperplane_flat(lattice, start), *interior, top]
+            chain = [bottom, index[start.support & -start.support], *interior, top]
             return SupersolvabilityCertificate(True, ess, lattice, essentialized, chain)
 
     # No chain: finish the scan rank by rank for the refutation's evidence.
     counts: dict[int, int] = {0: 1, 1: len(lattice.levels[1]), r: 1}
-    modular_by_rank: dict[int, list[Flat]] = {}
     for k in range(2, r):
-        verdicts = parallel_map(verdict, lattice.levels[k], threads)
-        mods = [v.flat for v in verdicts if v.modular]
-        counts[k] = len(mods)
-        modular_by_rank[k] = mods
-        if not mods:
+        verdicts = modular_flats_of_rank(ess, lattice, k, threads)
+        counts[k] = sum(v.modular for v in verdicts)
+        if not counts[k]:
             refutation = Refutation("empty-rank", rank=k, witnesses=verdicts)
             return SupersolvabilityCertificate(False, ess, lattice, essentialized,
-                                               None, refutation, modular_by_rank)
+                                               None, refutation)
     refutation = Refutation("no-chain", modular_counts=counts)
-    return SupersolvabilityCertificate(False, ess, lattice, essentialized,
-                                       None, refutation, modular_by_rank)
+    return SupersolvabilityCertificate(False, ess, lattice, essentialized, None, refutation)
 
 
 def _modular_by_arithmetic(arr: Arrangement, lattice: IntersectionLattice, x: Flat) -> bool:
@@ -389,23 +366,20 @@ def validate_certificate(cert: SupersolvabilityCertificate) -> bool:
             if closure(arr, total).subspace == total:
                 return False
         return True
-    r, mods = lattice.rank(), cert.modular_by_rank
-    if ref.kind != "no-chain" or r < 3 or sorted(mods) != list(range(2, r)):
+    r = lattice.rank()
+    if ref.kind != "no-chain" or r < 3:
         return False
+    mods = {k: [f.support for f in lattice.levels[k] if _modular_by_arithmetic(arr, lattice, f)]
+            for k in range(2, r)}
     counts = {0: 1, 1: len(lattice.levels[1]), r: 1}
-    for k in range(2, r):
-        scanned = [f for f in lattice.levels[k] if _modular_by_arithmetic(arr, lattice, f)]
-        if mods[k] != scanned:
-            return False
-        counts[k] = len(scanned)
+    counts.update((k, len(m)) for k, m in mods.items())
     if ref.modular_counts != counts:
         return False
     # Bottom-up: keep the rank-k modular flats that lie on a nested chain
     # starting at rank 2; a refutation needs none to survive at rank r - 1.
-    reachable = [f.support for f in mods[2]]
+    reachable = mods[2]
     for k in range(3, r):
-        reachable = [f.support for f in mods[k]
-                     if any(s & f.support == s for s in reachable)]
+        reachable = [t for t in mods[k] if any(s & t == s for s in reachable)]
     return not reachable
 
 
@@ -541,10 +515,10 @@ def check_rank2_criterion(arr: Arrangement, lattice: IntersectionLattice | None 
     non-supersolvable arrangement has modular flats of every rank while not
     being supersolvable, so the equivalence only concerns irreducible ones.
     The factors are counted off the certificate's lattice
-    (``irreducible_factor_count``), and the modular rank-2 flats are read
-    by ``modular_rank2``: from the certificate's full rank-2 scan when it
-    has one, which a chain of rank 3 or more does not; ``is_supersolvable``
-    runs only when no certificate is given.
+    (``irreducible_factor_count``), and its modular rank-2 flats are read
+    by ``modular_flats_of_rank``, which tests only the rank-2 flats the
+    search did not; ``is_supersolvable`` runs only when no certificate is
+    given.
     """
     if cert is None:
         cert = is_supersolvable(arr, lattice, threads=threads)
@@ -555,7 +529,8 @@ def check_rank2_criterion(arr: Arrangement, lattice: IntersectionLattice | None 
             f"this one splits into {factors} factors")
     if cert.lattice.rank() < 2:
         raise RefusalError("the rank-2 criterion needs rank at least 2")
-    mods = modular_rank2(cert, threads)
+    mods = [v.flat for v in modular_flats_of_rank(cert.arrangement, cert.lattice, 2, threads)
+            if v.modular]
     return Rank2Report(cert.verdict, len(mods), cert.verdict == bool(mods), cert, mods)
 
 

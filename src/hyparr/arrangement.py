@@ -179,10 +179,11 @@ class IntersectionLattice:
     maps each support to its flat.  The cover table (``covers()``) and the
     join table (``join_steps()``) are built on first use; both read supports
     only, so ``_tables`` holding them may be shared with a lattice of the
-    same supports (``transport_lattice``).
+    same supports (``transport_lattice``).  ``verdicts`` maps supports to
+    modularity verdicts, which hold this lattice's flats and are not shared.
     """
 
-    __slots__ = ("arrangement", "levels", "index", "_tables")
+    __slots__ = ("arrangement", "levels", "index", "_tables", "verdicts")
 
     def __init__(self, arrangement: Arrangement, levels: tuple[tuple[Flat, ...], ...]):
         self.arrangement = arrangement
@@ -192,6 +193,7 @@ class IntersectionLattice:
             for f in level:
                 self.index[f.support] = f
         self._tables: list = [None, None]  # cover table, join table
+        self.verdicts: dict = {}
 
     def flats(self):
         for level in self.levels:

@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 
 from .arrangement import (DEFAULT_MAX_FLATS, Arrangement, Flat, IntersectionLattice,
                           build_lattice)
@@ -95,12 +96,21 @@ def cache_path(arr: Arrangement, cache_dir: str) -> str:
     return os.path.join(cache_dir, f"{arrangement_key(arr)}.json")
 
 
+@contextmanager
+def _using(cache_dir: str):
+    """Report any ``OSError`` on the cache directory as a ``ParseError``."""
+    try:
+        yield
+    except OSError as exc:
+        raise ParseError(f"cannot use cache directory {cache_dir}: {exc}") from None
+
+
 def save_lattice(lattice: IntersectionLattice, cache_dir: str) -> str:
     """Write the lattice's entry and return its path; a directory that cannot
     be made or written raises ``ParseError``, leaving no temp file."""
     path = cache_path(lattice.arrangement, cache_dir)
     blob = json.dumps(lattice_payload(lattice), sort_keys=True, separators=(",", ":"))
-    try:
+    with _using(cache_dir):
         os.makedirs(cache_dir, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
         try:
@@ -111,8 +121,6 @@ def save_lattice(lattice: IntersectionLattice, cache_dir: str) -> str:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
-    except OSError as exc:
-        raise ParseError(f"cannot use cache directory {cache_dir}: {exc}") from None
     return path
 
 
@@ -132,9 +140,13 @@ def load_lattice(arr: Arrangement, cache_dir: str) -> IntersectionLattice | None
 def load_or_build(arr: Arrangement, cache_dir: str | None = None,
                   max_flats: int = DEFAULT_MAX_FLATS, threads: int = 1
                   ) -> IntersectionLattice:
-    """The cached lattice of ``arr``; on a miss, build it and save it."""
+    """The cached lattice of ``arr``; on a miss, make the directory, then
+    build the lattice and save it."""
     lattice = load_lattice(arr, cache_dir) if cache_dir else None
     if lattice is None:
+        if cache_dir:
+            with _using(cache_dir):
+                os.makedirs(cache_dir, exist_ok=True)
         lattice = build_lattice(arr, max_flats=max_flats, threads=threads)
         if cache_dir:
             save_lattice(lattice, cache_dir)

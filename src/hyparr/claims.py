@@ -5,10 +5,10 @@ catalog arrangements come from: either a sum of two lattice elements that
 lands outside the lattice (witnessing non-modularity), an exhaustive
 no-modular-rank-2 check, or the two-sided rank-2 criterion.  The rows are
 plain data so coverage is auditable by reading this table.  Both rank-2
-kinds read the rank-2 flats with ``modular_rank2``: a certificate refuted
-at some rank carries the full rank-2 scan, so such an arrangement is
-scanned once, and a chain certificate, whose search tested only the flats
-it visited, has its rank 2 scanned again.
+kinds read the rank-2 flats of the certificate's lattice with
+``modular_flats_of_rank``, which keeps its verdicts on the lattice: each
+rank-2 flat is tested once per arrangement, by the chain search or by the
+first rank-2 claim, whichever reaches it first.
 
 The two G(r,r,4) rows instantiate a single published equation for r = 3 and
 r = 4, hence they share an equation id.
@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 
 from .analysis import (SupersolvabilityCertificate, check_rank2_criterion, is_supersolvable,
-                       modular_rank2, replay_witness)
+                       modular_flats_of_rank, replay_witness)
 from .arrangement import DEFAULT_MAX_FLATS, Arrangement, IntersectionLattice
 from .cache import load_or_build
 from .parse import parse_form
@@ -149,12 +149,12 @@ def run_witness_claim(claim: WitnessClaim, store: LatticeStore) -> ClaimResult:
 def run_rank2_empty_claim(name: str, store: LatticeStore) -> ClaimResult:
     t0 = time.perf_counter()
     cert = store.certificate(name)
-    flats = len(cert.lattice.levels[2])
-    modular = len(modular_rank2(cert, store.threads))
+    verdicts = modular_flats_of_rank(cert.arrangement, cert.lattice, 2, store.threads)
+    flats, modular = len(verdicts), sum(v.modular for v in verdicts)
     if not modular:
-        # the refutation's rank-2 witnesses are this claim's evidence; each
-        # is certified by one stacked rank, and no sum subspace is built
-        for verdict in cert.refutation.witnesses:
+        # the rank-2 verdicts are this claim's evidence; each is certified
+        # by one stacked rank, and no sum subspace is built
+        for verdict in verdicts:
             verdict.certify()
     detail = (f"all {flats} rank-2 flats non-modular" if not modular
               else f"{modular} of {flats} rank-2 flats are modular")

@@ -64,12 +64,10 @@ class LinearForm:
         return not any(self.row[0])
 
     def leading_index(self) -> int:
-        d = field_context(self.order).degree
-        nums = self.row[0]
-        for j in range(self.ambient):
-            if any(nums[j * d:(j + 1) * d]):
-                return j
-        raise ValueError("zero form has no leading coefficient")
+        q = _kernel.lead_column(self.row[0], field_context(self.order).degree)
+        if q is None:
+            raise ValueError("zero form has no leading coefficient")
+        return q
 
     def normalized(self) -> LinearForm:
         ctx = field_context(self.order)
@@ -271,7 +269,7 @@ def extend_rref(s: Subspace, residue: Row) -> Subspace:
     d = ctx.degree
     m = s.ambient
     rn, rd = residue
-    q = next(i for i, v in enumerate(rn) if v) // d
+    q = _kernel.lead_column(rn, d)
     rows = []
     for pn, pd in s.rows:
         e = pn[q * d:(q + 1) * d]

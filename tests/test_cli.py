@@ -186,6 +186,18 @@ class TestExitCodes:
         assert len(lines) == 1 and f"cache directory {argv[1]}" in lines[0]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["FILE"]
 
+    def test_unusable_cache_dir_refused_before_building(self, capsys, tmp_path, monkeypatch):
+        import hyparr.cache
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the lattice was built before the cache directory was made")
+
+        monkeypatch.setattr(hyparr.cache, "build_lattice", refuse)
+        file = tmp_path / "FILE"
+        file.write_text("")
+        code, _, err = run_cli(capsys, "--cache-dir", str(file), "lattice", "D4")
+        assert code == EXIT_PARSE_ERROR and f"cache directory {file}" in err
+
     def test_unusable_cache_dir_from_environment(self, capsys, tmp_path, monkeypatch):
         file = tmp_path / "FILE"
         file.write_text("")
@@ -337,9 +349,13 @@ class TestSearchOutputs:
             "5f3332fa2f815e6ff2c8287fd37e36ba436940edff4c738889e1e37e7cf95daf",
     }
 
-    @pytest.mark.parametrize("argv", sorted(STDOUT_SHA256))
-    def test_json_stdout_is_unchanged(self, capsys, argv):
-        code, out, _ = run_cli(capsys, "--json", *argv)
+    # every pin at --threads 1 and 2; the --threads 1 cases keep the ids
+    # argv0, argv1, ... they had before the parameter
+    @pytest.mark.parametrize("argv, threads", [
+        pytest.param(argv, threads, id=f"argv{i}" + ("" if threads == "1" else "-threads2"))
+        for i, argv in enumerate(sorted(STDOUT_SHA256)) for threads in ("1", "2")])
+    def test_json_stdout_is_unchanged(self, capsys, argv, threads):
+        code, out, _ = run_cli(capsys, "--json", "--threads", threads, *argv)
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == self.STDOUT_SHA256[argv]
 
