@@ -163,7 +163,7 @@ class PoincarePolynomial:
 
 def _require_flat(lattice: IntersectionLattice, x: Flat) -> Flat:
     hit = lattice.index.get(x.support)
-    if hit is None or hit.subspace != x.subspace:
+    if hit is not x and (hit is None or hit.subspace != x.subspace):
         raise ValueError("the given flat does not belong to this lattice")
     return hit
 
@@ -275,25 +275,27 @@ def is_supersolvable(arr: Arrangement, lattice: IntersectionLattice | None = Non
     # Depth-first chain search, each candidate tested on its first visit; a
     # chain X2 < X3 < ... < X_{r-1} extends to a full chain with any
     # hyperplane below X2, the full space, and the center.  The upper covers
-    # of X_k are the rank-(k+1) flats above it, listed in flat order.
+    # of X_k are the rank-(k+1) flats above it, listed in flat order.  The
+    # search keeps its own stack: a recursive closure would hold itself, and
+    # with it the lattice, in a reference cycle after the call returns.
     covers, index = lattice.covers(), lattice.index
     dead: set[int] = set()
-
-    def extend(acc: list[Flat]) -> list[Flat] | None:
-        if len(acc) == r - 2:
-            return acc
-        for s in covers[acc[-1].support]:
-            if s not in dead and _verdict(ess, lattice, index[s]).modular:
-                hit = extend(acc + [index[s]])
-                if hit is not None:
-                    return hit
-                dead.add(s)
-        return None
-
     for start in lattice.levels[2]:
-        interior = extend([start]) if _verdict(ess, lattice, start).modular else None
-        if interior is not None:
-            chain = [bottom, index[start.support & -start.support], *interior, top]
+        if not _verdict(ess, lattice, start).modular:
+            continue
+        path, todo = [start], [iter(covers[start.support])]
+        while path and len(path) < r - 2:
+            for s in todo[-1]:
+                if s not in dead and _verdict(ess, lattice, index[s]).modular:
+                    path.append(index[s])
+                    todo.append(iter(covers[s]))
+                    break
+            else:
+                # no chain extends through path[-1]
+                todo.pop()
+                dead.add(path.pop().support)
+        if path:
+            chain = [bottom, index[start.support & -start.support], *path, top]
             return SupersolvabilityCertificate(True, ess, lattice, essentialized, chain)
 
     # No chain: finish the scan rank by rank for the refutation's evidence.

@@ -2,9 +2,11 @@
 
 Flats are keyed by support bitsets: a flat of a simple central arrangement is
 determined by the set of hyperplanes containing it, and integer bitsets hash
-far more cheaply than matrices.  The canonical RREF subspace is kept on every
-flat for building the lattice and certifying witnesses; joins, meets and the
-modularity test read bitsets and integer ranks only.
+far more cheaply than matrices.  The canonical RREF subspace is needed only
+for building the lattice, certifying witnesses and printing flats: a built
+flat keeps the one the build made, and a flat made from its support (a cache
+load, ``transport_lattice``) derives it when first read.  Joins, meets and
+the modularity test read bitsets and integer ranks only.
 
 The lattice is built level by level, and no flat is fully row-reduced:
 the hyperplanes are grouped into rank-1 flats by their normalized forms,
@@ -24,7 +26,7 @@ from threading import Lock
 
 from . import _kernel
 from .cyclo import embed_row, field_context
-from .errors import InvalidHyperplaneError, RefusalError
+from .errors import InternalInconsistencyError, InvalidHyperplaneError, RefusalError
 from .linalg import (LinearForm, Subspace, extend_rref, form_residue, form_to_str,
                      form_vanishes_on, full_space, restrict_row, subspace_from_rows,
                      variable_names)
@@ -115,14 +117,42 @@ def make_arrangement(ambient: int, order: int, forms) -> Arrangement:
 
 
 class Flat:
-    """A lattice element: subspace, support bitset over hyperplane indices, rank."""
+    """A lattice element: subspace, support bitset over hyperplane indices, rank.
 
-    __slots__ = ("subspace", "support", "rank")
+    A flat of a simple arrangement is fixed by its support, so a flat made
+    from one (``Flat.of_support``: cache loads and ``transport_lattice``)
+    keeps only its arrangement and derives its canonical RREF subspace the
+    first time ``subspace`` is read (``_subspace_of``), then keeps it.  The
+    hash reads the support only, so sets and dicts of flats derive nothing;
+    equality compares supports, then subspaces.
+    """
+
+    __slots__ = ("_subspace", "support", "rank", "_arrangement")
 
     def __init__(self, subspace: Subspace, support: int, rank: int):
-        self.subspace = subspace
+        self._subspace = subspace
         self.support = support
         self.rank = rank
+        self._arrangement = None
+
+    @classmethod
+    def of_support(cls, arr: Arrangement, support: int, rank: int) -> Flat:
+        """The rank-``rank`` flat of ``arr`` on the hyperplanes of
+        ``support``, its subspace derived when first read."""
+        flat = cls.__new__(cls)
+        flat._subspace = None
+        flat.support = support
+        flat.rank = rank
+        flat._arrangement = arr
+        return flat
+
+    @property
+    def subspace(self) -> Subspace:
+        sub = self._subspace
+        if sub is None:
+            # a race between workers only derives an equal subspace twice
+            sub = self._subspace = _subspace_of(self._arrangement, self.support, self.rank)
+        return sub
 
     @property
     def dim(self) -> int:
@@ -140,15 +170,33 @@ class Flat:
         return out
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, Flat):
             return NotImplemented
         return self.support == other.support and self.subspace == other.subspace
 
     def __hash__(self):
-        return hash((self.support, self.subspace))
+        return hash(self.support)
 
     def __repr__(self):
         return f"Flat(rank={self.rank}, support={self.support:b})"
+
+
+def _subspace_of(arr: Arrangement, support: int, rank: int) -> Subspace:
+    """The canonical RREF of the hyperplanes of ``support``: each extends the
+    RREF so far by its residue (``form_residue``, ``extend_rref``), as the
+    build extends a parent.  A rank other than ``rank`` means the support was
+    not that of a rank-``rank`` flat and raises InternalInconsistencyError."""
+    sub = full_space(arr.ambient, arr.order)
+    for bit in _bits(support):
+        residue = form_residue(arr.hyperplanes[bit.bit_length() - 1], sub)
+        if residue is not None:
+            sub = extend_rref(sub, residue)
+    if sub.codim != rank:
+        raise InternalInconsistencyError(
+            f"the hyperplanes of a rank-{rank} flat have rank {sub.codim}")
+    return sub
 
 
 def closure(arr: Arrangement, x: Subspace) -> Flat:
@@ -176,10 +224,13 @@ class IntersectionLattice:
     """All intersections of subsets of the arrangement, graded by codimension.
 
     ``levels[k]`` lists the rank-k flats sorted by support bitset; ``index``
-    maps each support to its flat.  The cover table (``covers()``) and the
-    join table (``join_steps()``) are built on first use; both read supports
-    only, so ``_tables`` holding them may be shared with a lattice of the
-    same supports (``transport_lattice``).  ``verdicts`` maps supports to
+    maps each support to its flat.  A built lattice holds every flat's
+    subspace; a loaded or transported one holds supports and ranks only, and
+    each flat derives its subspace when read (``Flat.of_support``).  The
+    cover table (``covers()``) and the join table (``join_steps()``) are
+    built on first use; both read supports only, so ``_tables`` holding them
+    may be shared with a lattice of the same supports
+    (``transport_lattice``).  ``verdicts`` maps supports to
     modularity verdicts, which hold this lattice's flats and are not shared.
     """
 
@@ -595,27 +646,16 @@ def essentialize(arr: Arrangement) -> Arrangement:
 
 def transport_lattice(lattice: IntersectionLattice, ess: Arrangement) -> IntersectionLattice:
     """The lattice of ``ess = essentialize(A)`` from the lattice of A, with
-    no row reduction.
+    no field arithmetic.
 
-    The essential coordinates are the pivot columns of the center, the top
-    flat.  Every flat's rows lie in the center's row space, so each row's
-    pivot is a center pivot and the row is determined by its entries there:
-    restricting the canonical RREF rows to those columns, as ``essentialize``
-    does, gives the canonical RREF of the same flat in ``ess``.  It also
-    keeps hyperplane order, so supports and ranks carry over unchanged, and
-    with them the cover and join tables: the two lattices share them, so
+    ``essentialize`` keeps hyperplane order, so supports and ranks carry
+    over unchanged: each flat of ``ess`` is made from its support and
+    derives its subspace in the essential coordinates when read.  The cover
+    and join tables read supports only, so the two lattices share them, and
     whichever of the two builds one first builds it for both.
     """
-    center = lattice.top().subspace.pivots
-    d = field_context(ess.order).degree
-    column = {p: k for k, p in enumerate(center)}
-
-    def restrict(flat: Flat) -> Flat:
-        rows = tuple(restrict_row(row, center, d) for row in flat.subspace.rows)
-        pivots = tuple(column[p] for p in flat.subspace.pivots)
-        return Flat(Subspace(ess.ambient, ess.order, rows, pivots), flat.support, flat.rank)
-
-    moved = IntersectionLattice(ess, tuple(tuple(restrict(f) for f in level)
+    moved = IntersectionLattice(ess, tuple(tuple(Flat.of_support(ess, f.support, f.rank)
+                                                 for f in level)
                                            for level in lattice.levels))
     moved._tables = lattice._tables
     return moved

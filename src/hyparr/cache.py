@@ -1,9 +1,13 @@
 """On-disk lattice cache.
 
 One JSON file per arrangement, keyed by a content hash of its canonical
-serialization.  Loads reconstruct the exact canonical flats, so a warm run is
-byte-identical to a cold one.  Writes go through a temp file and an atomic
-rename so concurrent commands never see a partial file.
+serialization.  An entry holds the arrangement and, per level, the sorted
+supports of its flats as decimal strings: a flat is fixed by the hyperplanes
+that contain it, so no rows are stored.  A loaded flat derives its canonical
+RREF subspace when it is first read (``Flat.of_support``), equal to the one
+the build made, so a warm run is byte-identical to a cold one.  Writes go
+through a temp file and an atomic rename so concurrent commands never see a
+partial file.
 """
 
 from __future__ import annotations
@@ -17,20 +21,14 @@ from contextlib import contextmanager
 from .arrangement import (DEFAULT_MAX_FLATS, Arrangement, Flat, IntersectionLattice,
                           build_lattice)
 from .errors import ParseError
-from .linalg import Subspace
 
-FORMAT = "hyparr-lattice-v1"
+FORMAT = "hyparr-lattice-v2"
 CACHE_ENV = "HYPARR_CACHE_DIR"
 
 
 def _row_payload(row):
     nums, den = row
     return [list(nums), den]
-
-
-def _row_from_payload(payload):
-    nums, den = payload
-    return (tuple(nums), den)
 
 
 def arrangement_payload(arr: Arrangement) -> dict:
@@ -48,44 +46,49 @@ def arrangement_key(arr: Arrangement) -> str:
 
 
 def lattice_payload(lattice: IntersectionLattice) -> dict:
-    levels = []
-    for level in lattice.levels:
-        levels.append([{
-            "support": str(f.support),
-            "pivots": f.subspace.pivots,
-            "rows": f.subspace.rows,
-        } for f in level])
     return {
         "format": FORMAT,
         "arrangement": arrangement_payload(lattice.arrangement),
-        "levels": levels,
+        "levels": [[str(f.support) for f in level] for level in lattice.levels],
     }
 
 
 def lattice_from_payload(arr: Arrangement, payload: dict) -> IntersectionLattice:
     """The lattice of a cache entry, checked by integers only to be shaped
-    like a built one: each flat has as many rows and pivots as its rank,
-    supports are distinct, and there is one bottom (no hyperplanes, no rows)
-    and one top (every hyperplane).  A failed check raises ``ValueError``."""
+    like a built one: every level holds decimal supports in ascending order,
+    with no bit past the last hyperplane; the rank-1 supports partition the
+    hyperplanes; supports are distinct; and there is one bottom (no
+    hyperplanes) and one top (every hyperplane).  A failed check raises
+    ``ValueError`` (or ``TypeError`` for a support that is not a string).
+    A support of the wrong rank passes, and its flat raises
+    ``InternalInconsistencyError`` when its subspace is read."""
     if payload.get("format") != FORMAT:
         raise ValueError(f"unsupported cache format {payload.get('format')!r}")
     if payload.get("arrangement") != arrangement_payload(arr):
         raise ValueError("cache entry describes a different arrangement")
+    full = arr.full_support()
     levels = []
     for rank, level in enumerate(payload["levels"]):
-        flats = []
-        for item in level:
-            rows = tuple(_row_from_payload(r) for r in item["rows"])
-            pivots = tuple(item["pivots"])
-            if not len(rows) == len(pivots) == rank:
-                raise ValueError(f"cache entry has a rank-{rank} flat with {len(rows)} rows")
-            sub = Subspace(arr.ambient, arr.order, rows, pivots)
-            flats.append(Flat(sub, int(item["support"]), rank))
-        levels.append(tuple(flats))
+        supports = [int(s, 10) for s in level]
+        if not supports:
+            raise ValueError(f"cache entry has no rank-{rank} flat")
+        if any(a >= b for a, b in zip(supports, supports[1:])):
+            raise ValueError(f"cache entry lists rank {rank} out of ascending order")
+        if supports[0] < 0 or supports[-1] > full:
+            raise ValueError("cache entry has a support past the last hyperplane")
+        levels.append(tuple(Flat.of_support(arr, s, rank) for s in supports))
     if not levels or len(levels[0]) != 1 or levels[0][0].support:
         raise ValueError("cache entry has no bottom flat")
-    if len(levels[-1]) != 1 or levels[-1][0].support != arr.full_support():
+    if len(levels[-1]) != 1 or levels[-1][0].support != full:
         raise ValueError("cache entry has no top flat")
+    if len(levels) > 1:
+        seen = 0
+        for f in levels[1]:
+            if f.support & seen:
+                raise ValueError("cache entry has rank-1 flats sharing a hyperplane")
+            seen |= f.support
+        if seen != full:
+            raise ValueError("cache entry has a hyperplane on no rank-1 flat")
     lattice = IntersectionLattice(arr, tuple(levels))
     if len(lattice.index) != len(lattice):
         raise ValueError("cache entry repeats a support")

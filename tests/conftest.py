@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from hyparr.arrangement import Arrangement, make_arrangement
+from hyparr.arrangement import Arrangement, IntersectionLattice, make_arrangement
+from hyparr.cache import arrangement_payload
 from hyparr.claims import LatticeStore
 from hyparr.cyclo import CyclotomicNumber, field_context, root_of_unity
 from hyparr.errors import InvalidHyperplaneError
@@ -17,6 +18,24 @@ from hyparr.linalg import LinearForm, Subspace, subspace_from_forms
 def store() -> LatticeStore:
     """One lattice per named arrangement for the whole test session."""
     return LatticeStore()
+
+
+def v1_lattice_payload(lattice: IntersectionLattice) -> dict:
+    """The version-1 cache entry of a lattice: every flat's support, pivots
+    and canonical RREF rows.  Tests digest lattices through it so that they
+    compare subspaces, not supports only; the cache no longer writes it."""
+    levels = []
+    for level in lattice.levels:
+        levels.append([{
+            "support": str(f.support),
+            "pivots": f.subspace.pivots,
+            "rows": f.subspace.rows,
+        } for f in level])
+    return {
+        "format": "hyparr-lattice-v1",
+        "arrangement": arrangement_payload(lattice.arrangement),
+        "levels": levels,
+    }
 
 
 def random_cyclo(rng: random.Random, order: int, span: int = 4) -> CyclotomicNumber:

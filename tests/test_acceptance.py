@@ -15,13 +15,12 @@ from hyparr.analysis import (exponents_from_poincare, exponents_if_supersolvable
                              is_modular, is_supersolvable, mobius,
                              modular_flats_of_rank, poincare, validate_certificate)
 from hyparr.arrangement import (brute_force_lattice, build_lattice, product)
-from hyparr.cache import lattice_payload
 from hyparr.claims import RANK2_EMPTY, WITNESS_CLAIMS, run_witness_claim
 from hyparr.cyclo import CyclotomicNumber, field_context
 from hyparr.linalg import contains, intersect, subspace_from_forms, subspace_sum
 from hyparr.parse import parse_form
 from hyparr.reflection import build_named, catalog, monomial_arrangement
-from tests.conftest import random_arrangement, random_subspace
+from tests.conftest import random_arrangement, random_subspace, v1_lattice_payload
 from tests.test_analysis import mobius_oracle
 
 
@@ -249,8 +248,8 @@ def test_criterion_10_property_suites(store):
     while identical < 1000:
         arr = random_arrangement(rng, rng.randint(2, 3), rng.choice([1, 3]),
                                  max_hyperplanes=5)
-        one = json.dumps(lattice_payload(build_lattice(arr)), sort_keys=True)
-        two = json.dumps(lattice_payload(build_lattice(arr, threads=2)),
+        one = json.dumps(v1_lattice_payload(build_lattice(arr)), sort_keys=True)
+        two = json.dumps(v1_lattice_payload(build_lattice(arr, threads=2)),
                          sort_keys=True)
         assert one == two
         identical += len(build_lattice(arr))

@@ -1,6 +1,7 @@
 """Modularity, supersolvability, Moebius/Poincare, and their invariants."""
 
 import dataclasses
+import gc
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from hyparr.analysis import (ModularityVerdict, Refutation, check_rank2_criterio
                              replay_witness, validate_certificate)
 from hyparr.arrangement import (Flat, build_lattice, closure, essentialize, in_lattice,
                                 irreducible_decomposition, make_arrangement, product)
+from hyparr.cli import resolve_spec
 from hyparr.errors import InternalInconsistencyError, RefusalError
 from hyparr.linalg import contains, subspace_from_forms, subspace_sum
 from hyparr.parse import parse_arrangement_text, parse_form
@@ -276,6 +278,22 @@ class TestChainSearch:
         interior = sum(len(level) for level in lattice.levels[2:-1])
         assert cert.verdict and interior > 2000
         assert 3 <= len(tested) == len(set(tested)) < 100
+
+    @pytest.mark.parametrize("spec", ["product(B2,D4)", "G(4,1,4)"])
+    def test_search_leaves_no_reference_cycle(self, spec):
+        """A searched lattice is freed as soon as its certificate is, without
+        the cyclic garbage collector."""
+        _, arr = resolve_spec(spec)
+        gc.collect()
+        gc.disable()
+        try:
+            lattice = build_lattice(arr)
+            cert = is_supersolvable(arr, lattice)
+            assert cert.verdict == (spec == "G(4,1,4)")
+            del cert, lattice
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestVerdictMemo:

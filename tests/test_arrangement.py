@@ -14,7 +14,6 @@ from hyparr.arrangement import (Arrangement, brute_force_lattice, build_lattice,
                                 deletion, essentialize, in_lattice,
                                 irreducible_decomposition, localization, make_arrangement,
                                 parallel_map, product, restriction, transport_lattice)
-from hyparr.cache import lattice_payload
 from hyparr.cli import resolve_spec
 from hyparr.cyclo import CyclotomicNumber, embed, field_context
 from hyparr.errors import InvalidHyperplaneError, RefusalError
@@ -23,7 +22,7 @@ from hyparr.linalg import (LinearForm, extend_rref, form_residue, intersect, rre
 from hyparr.parse import parse_arrangement_text, parse_form
 from hyparr.reflection import (build_named, catalog, exceptional_arrangement,
                                monomial_arrangement)
-from tests.conftest import random_arrangement
+from tests.conftest import random_arrangement, v1_lattice_payload
 
 BOOLEAN3 = "ambient 3 field 1\na\nb\nc\n"
 
@@ -181,8 +180,8 @@ class TestBuildLattice:
             sys.setswitchinterval(interval)
         assert calls["rref"] + calls["extend"] <= 241
 
-    # SHA-256 of each lattice as the cache serializes it, pinned from the
-    # build that fully row-reduced every flat
+    # SHA-256 of each lattice's version-1 cache entry (rows and pivots of
+    # every flat), pinned from the build that fully row-reduced every flat
     PAYLOAD_SHA256 = {
         "D4": "cab5740696742c9f602918d0d50cf5e5f1af17aa74a433a609e14a45bd0bf42b",
         "F4": "b0706924958a22b6414c05140d6febd2be29b324b3835d44598127ba0a0a28ba",
@@ -195,7 +194,7 @@ class TestBuildLattice:
 
     @pytest.mark.parametrize("name", PAYLOAD_SHA256)
     def test_payload_bytes_pinned(self, name):
-        payload = json.dumps(lattice_payload(build_lattice(build_named(name))),
+        payload = json.dumps(v1_lattice_payload(build_lattice(build_named(name))),
                              sort_keys=True, separators=(",", ":"))
         assert hashlib.sha256(payload.encode()).hexdigest() == self.PAYLOAD_SHA256[name]
 
@@ -305,9 +304,9 @@ class TestLineTable:
             assert {f.support for f in fast.flats()} == {f.support for f in slow.flats()}
             for f in fast.flats():
                 assert slow.index[f.support].subspace == f.subspace
-        # serialized as the cache writes it
-        assert (json.dumps(lattice_payload(one), sort_keys=True, separators=(",", ":"))
-                == json.dumps(lattice_payload(three), sort_keys=True, separators=(",", ":")))
+        # serialized with every flat's rows and pivots
+        assert (json.dumps(v1_lattice_payload(one), sort_keys=True, separators=(",", ":"))
+                == json.dumps(v1_lattice_payload(three), sort_keys=True, separators=(",", ":")))
 
     def test_cases_reach_the_line_table(self):
         cases = LINE_TABLE_CASES.values()

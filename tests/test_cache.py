@@ -1,40 +1,69 @@
 """Lattice disk cache: byte identity, key stability, stale handling."""
 
 import json
+import sys
 
 import pytest
 
-from hyparr.arrangement import build_lattice
+import hyparr
+from hyparr.analysis import is_supersolvable, poincare
+from hyparr.arrangement import build_lattice, parallel_map
 from hyparr.cache import (arrangement_key, cache_path, lattice_from_payload,
                           lattice_payload, load_lattice, save_lattice)
 from hyparr.cli import main
-from hyparr.reflection import build_named, exceptional_arrangement, monomial_arrangement
+from hyparr.errors import InternalInconsistencyError
+from hyparr.reflection import build_named, catalog, exceptional_arrangement, monomial_arrangement
+from tests.conftest import v1_lattice_payload
 
 
 def canonical(lattice) -> str:
     return json.dumps(lattice_payload(lattice), sort_keys=True, separators=(",", ":"))
 
 
-def _drop_a_row(levels):
-    flat = levels[2][0]
-    short = dict(flat, rows=flat["rows"][1:], pivots=flat["pivots"][1:])
-    return levels[:2] + [[short] + levels[2][1:]] + levels[3:]
+def _with_level(good, rank, level):
+    levels = list(good["levels"])
+    levels[rank] = level
+    return dict(good, levels=levels)
 
 
-def _repeat_a_support(levels):
-    first, second = levels[2][:2]
-    return levels[:2] + [[first, dict(second, support=first["support"])] + levels[2][2:]] \
-        + levels[3:]
+def _bit_past_last(good):
+    n = len(good["arrangement"]["hyperplanes"])
+    level = good["levels"][2]
+    return _with_level(good, 2, level[:-1] + [str(int(level[-1]) | 1 << n)])
 
 
-# well-formed JSON that is not a lattice entry, each made from a good entry
+def _out_of_order(good):
+    level = good["levels"][2]
+    return _with_level(good, 2, [level[1], level[0]] + level[2:])
+
+
+def _overlap_rank1(good):
+    level = good["levels"][1]
+    return _with_level(good, 1, level[:-1] + [str(int(level[-1]) | int(level[0]))])
+
+
+def _repeat_a_support(good):
+    # a rank-1 support listed at rank 2 too, in ascending order
+    level = good["levels"][2] + [good["levels"][1][-1]]
+    return _with_level(good, 2, sorted(level, key=int))
+
+
+# well-formed JSON that is not a lattice entry, each made from a good entry of
+# G(3,1,3), with the reason ``lattice_from_payload`` gives
 MALFORMED = {
-    "list": lambda good: [],
-    "levels-int": lambda good: dict(good, levels=5),
-    "empty-levels": lambda good: dict(good, levels=[]),
-    "row-count": lambda good: dict(good, levels=_drop_a_row(good["levels"])),
-    "duplicate-support": lambda good: dict(good, levels=_repeat_a_support(good["levels"])),
-    "missing-top": lambda good: dict(good, levels=good["levels"][:-1]),
+    "list": (lambda good: [], None),
+    "levels-int": (lambda good: dict(good, levels=5), None),
+    "empty-levels": (lambda good: dict(good, levels=[]), "no bottom"),
+    "bit-past-last": (_bit_past_last, "past the last hyperplane"),
+    "level-order": (_out_of_order, "out of ascending order"),
+    "empty-level": (lambda good: _with_level(good, 2, []), "no rank-2 flat"),
+    "rank1-partition": (lambda good: _with_level(good, 1, good["levels"][1][1:]),
+                        "on no rank-1 flat"),
+    "rank1-overlap": (_overlap_rank1, "sharing a hyperplane"),
+    "duplicate-support": (_repeat_a_support, "repeats a support"),
+    "missing-top": (lambda good: dict(good, levels=good["levels"][:-1]), "no top"),
+    "v1": (lambda good: v1_lattice_payload(build_lattice(build_named("G(3,1,3)"))),
+           "unsupported cache format"),
 }
 
 
@@ -83,7 +112,7 @@ class TestCache:
         path = save_lattice(build_lattice(arr), cache_dir)
         with open(path, "r", encoding="utf-8") as fh:
             good = fh.read()
-        payload = MALFORMED[malformed](json.loads(good))
+        payload = MALFORMED[malformed][0](json.loads(good))
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh)
         assert load_lattice(arr, cache_dir) is None
@@ -91,6 +120,90 @@ class TestCache:
         assert capsys.readouterr().out == cold
         with open(path, "r", encoding="utf-8") as fh:
             assert fh.read() == good  # the entry was rebuilt and overwritten
+
+    @pytest.mark.parametrize("malformed", sorted(k for k, v in MALFORMED.items() if v[1]))
+    def test_malformed_entry_reason(self, malformed):
+        lattice = build_lattice(build_named("G(3,1,3)"))
+        forge, reason = MALFORMED[malformed]
+        good = json.loads(canonical(lattice))
+        with pytest.raises(ValueError, match=reason):
+            lattice_from_payload(lattice.arrangement, forge(good))
+
+    def test_supports_must_be_strings(self):
+        lattice = build_lattice(build_named("G(3,1,3)"))
+        payload = json.loads(canonical(lattice))
+        payload["levels"][2] = [int(s) for s in payload["levels"][2]]
+        with pytest.raises(TypeError):
+            lattice_from_payload(lattice.arrangement, payload)
+
+    def test_entry_holds_supports_only(self, tmp_path):
+        lattice = build_lattice(build_named("G(3,1,3)"))
+        with open(save_lattice(lattice, str(tmp_path)), encoding="utf-8") as fh:
+            payload = json.load(fh)
+        assert payload["format"] == "hyparr-lattice-v2"
+        assert payload["levels"] == [[str(f.support) for f in level]
+                                     for level in lattice.levels]
+
+    def test_loaded_flats_derive_the_built_subspaces(self, tmp_path, store):
+        for entry in catalog():
+            built = store.lattice(entry.name)
+            save_lattice(built, str(tmp_path))
+            loaded = load_lattice(built.arrangement, str(tmp_path))
+            assert loaded is not None and loaded.level_sizes() == built.level_sizes()
+            for a, b in zip(loaded.flats(), built.flats()):
+                assert a._subspace is None  # nothing derived before it is read
+                assert (a.support, a.rank) == (b.support, b.rank)
+                assert (a.subspace.rows, a.subspace.pivots) == (b.subspace.rows,
+                                                                b.subspace.pivots)
+
+    def test_workers_derive_equal_subspaces(self, tmp_path):
+        # threads racing on one flat each derive an equal subspace
+        built = build_lattice(exceptional_arrangement("F4"))
+        save_lattice(built, str(tmp_path))
+        loaded = load_lattice(built.arrangement, str(tmp_path))
+        flats = [f for f in loaded.flats() for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            derived = parallel_map(lambda f: f.subspace, flats, threads=6)
+        finally:
+            sys.setswitchinterval(interval)
+        assert derived == [b.subspace for b in built.flats() for _ in range(3)]
+        assert all(f.subspace == b.subspace for f, b in zip(loaded.flats(), built.flats()))
+
+    def test_forged_rank_raises_when_read(self):
+        # D4 has rank 4: its rank-2 and rank-3 supports swapped still pass
+        # every integer check, and each flat derives a rank it does not claim
+        lattice = build_lattice(exceptional_arrangement("D4"))
+        good = json.loads(canonical(lattice))
+        levels = good["levels"]
+        forged = dict(good, levels=levels[:2] + [levels[3], levels[2]] + levels[4:])
+        loaded = lattice_from_payload(lattice.arrangement, forged)
+        assert loaded.bottom().subspace == lattice.bottom().subspace
+        for flat in (loaded.levels[2][0], loaded.levels[3][-1]):
+            with pytest.raises(InternalInconsistencyError):
+                flat.subspace
+
+    @pytest.mark.parametrize("name", ["G(4,1,5)", "G31"])
+    def test_loaded_scans_derive_no_subspace(self, tmp_path, monkeypatch, store, name):
+        built = store.lattice(name)
+        save_lattice(built, str(tmp_path))
+        loaded = load_lattice(built.arrangement, str(tmp_path))
+        calls = []
+        for module in (hyparr.linalg, hyparr.arrangement):
+            def counted(*args, _real=module.form_residue):
+                calls.append(args)
+                return _real(*args)
+            monkeypatch.setattr(module, "form_residue", counted)
+        cert = is_supersolvable(loaded.arrangement, loaded)
+        poly = poincare(loaded.arrangement, loaded)
+        assert all(f == f for f in loaded.flats())
+        assert not calls
+        assert cert.verdict == (name == "G(4,1,5)")
+        assert poly == poincare(built.arrangement, built)
+        if cert.verdict:
+            assert [f.support for f in cert.chain] == \
+                [f.support for f in store.certificate(name).chain]
 
     def test_mismatched_arrangement_rejected(self, tmp_path):
         a = monomial_arrangement(2, 1, 2)

@@ -262,13 +262,18 @@ class TestDeterminism:
         assert out1 == out2
 
     def test_cache_warm_equals_cold(self, capsys, tmp_path):
-        cold = run_cli(capsys, "--json", "--cache-dir", str(tmp_path),
-                       "supersolvable", "G25")
-        warm = run_cli(capsys, "--json", "--cache-dir", str(tmp_path),
-                       "supersolvable", "G25")
-        assert cold[0] == warm[0] == EXIT_OK
-        assert cold[1] == warm[1]
-        assert list(tmp_path.glob("*.json")), "cache file expected"
+        # a warm run reads flats that derive their subspaces from supports:
+        # witness sums (H3), a transported non-essential product, a no-chain
+        # refutation, and the claims of one arrangement
+        for args in (["supersolvable", "G25"], ["modular", "H3", "--rank", "2"],
+                     ["poincare", "product(B2,A(3))"],
+                     ["supersolvable", "product(G(3,3,3),A(3))"],
+                     ["verify-paper", "D4"]):
+            cold = run_cli(capsys, "--json", "--cache-dir", str(tmp_path), *args)
+            warm = run_cli(capsys, "--json", "--cache-dir", str(tmp_path), *args)
+            assert cold[0] == warm[0] == EXIT_OK, args
+            assert cold[1] == warm[1], args
+        assert len(list(tmp_path.glob("*.json"))) == 5, "one cache file per arrangement"
 
     # SHA-256 of the --json decompose stdout, pinned from the decomposition
     # that inverted the basis matrix and summed each normal's coordinates
