@@ -85,7 +85,21 @@ class Arrangement:
                                   self.ambient, self.order)
 
     def rank(self) -> int:
-        return self.center().codim
+        """The codimension of the center T(A), with no full row reduction.
+
+        An RREF grows one hyperplane at a time by its residue
+        (``form_residue``, ``extend_rref``), as the lattice build grows a
+        flat, and stops once its rank reaches the ambient dimension, which
+        the remaining hyperplanes cannot raise.
+        """
+        s = full_space(self.ambient, self.order)
+        for h in self.hyperplanes:
+            if s.codim == self.ambient:
+                break
+            residue = form_residue(h, s)
+            if residue is not None:
+                s = extend_rref(s, residue)
+        return s.codim
 
     def is_essential(self) -> bool:
         return self.rank() == self.ambient

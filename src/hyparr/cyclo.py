@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from math import gcd
 
 from . import _kernel
 
@@ -238,6 +239,7 @@ class CyclotomicNumber:
 def elem_str(nums, den: int) -> str:
     """Expression-syntax rendering of the element with coordinates
     ``nums``/``den``, e.g. '1/2 - 2*z + z^3'; '0' for the zero element.
+    Each coefficient is put in lowest terms by ``rational_str``.
 
     >>> elem_str((1, -4, 0, 2), 2)
     '1/2 - 2*z + z^3'
@@ -246,18 +248,29 @@ def elem_str(nums, den: int) -> str:
     for k, v in enumerate(nums):
         if not v:
             continue
-        q = Fraction(v, den)
-        mag = abs(q)
+        mag = abs(v)
         if k == 0:
-            body = str(mag)
+            body = rational_str(mag, den)
         else:
             unit = "z" if k == 1 else f"z^{k}"
-            body = unit if mag == 1 else f"{mag}*{unit}"
+            body = unit if mag == den else f"{rational_str(mag, den)}*{unit}"
         if not parts:
-            parts.append(body if q > 0 else f"-{body}")
+            parts.append(body if v > 0 else f"-{body}")
         else:
-            parts.append(f" + {body}" if q > 0 else f" - {body}")
+            parts.append(f" + {body}" if v > 0 else f" - {body}")
     return "".join(parts) or "0"
+
+
+def rational_str(v: int, den: int) -> str:
+    """``str(Fraction(v, den))`` for a positive ``den``, by one ``gcd``.
+
+    >>> rational_str(-4, 6), rational_str(3, 1), rational_str(0, 5)
+    ('-2/3', '3', '0')
+    """
+    g = gcd(v, den)
+    if g == den:
+        return str(v // g)
+    return f"{v // g}/{den // g}"
 
 
 def root_of_unity(n: int, m: int) -> CyclotomicNumber:
@@ -268,11 +281,18 @@ def root_of_unity(n: int, m: int) -> CyclotomicNumber:
     >>> root_of_unity(5, 2) + root_of_unity(5, 3)  # the golden-ratio element
     CyclotomicNumber(5, (0, 0, 1, 1), 1)
     """
+    return CyclotomicNumber(n, *root_elem(n, m))
+
+
+def root_elem(n: int, m: int) -> tuple[tuple[int, ...], int]:
+    """zeta_n**(m mod n) as the kernel's canonical ``(nums, den)`` pair.
+
+    >>> root_elem(3, 2)
+    ((-1, -1), 1)
+    """
     if n < 1:
         raise ValueError("order must be a positive integer")
-    m %= n
-    nums = _reduce_long([0] * m + [1], n)
-    return CyclotomicNumber.from_coords(n, nums)
+    return tuple(_reduce_long([0] * (m % n) + [1], n)), 1
 
 
 def embed_row(row: tuple[tuple[int, ...], int], m: int, order: int,

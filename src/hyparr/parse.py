@@ -9,30 +9,59 @@ accepted expression is genuinely linear.  Parentheses nest at most
 ``MAX_NESTING`` levels deep; deeper input is a ``ParseError``.
 
 Arrangement files carry a header line ``ambient <l> field <n>`` followed by
-one linear form per line; ``#`` starts a comment.
+one linear form per line; ``#`` starts a comment.  The header allows at most
+``MAX_AMBIENT`` variables and field order ``MAX_FIELD_ORDER``.
+
+Expressions are evaluated on the kernel's packed elements, ``(nums, den)``
+pairs, with ``_kernel.elem_add``, ``elem_mul``, ``elem_inv`` and friends: a
+form is a sparse map from column to element, packed into one row and scaled
+to leading coefficient 1 (``_kernel.monic``) at the end.  Every integer must
+stay printable: a literal longer than ``MAX_DIGITS`` digits, an exponent
+above ``MAX_EXPONENT``, and a power or a coefficient of the result with an
+integer past ``MAX_DIGITS`` digits are each a ``ParseError``; the size of a
+power's base is checked before the power is computed.
+
+>>> parse_form("2*a - 4*z*b", 2, 3).row
+((1, 0, 0, -2), 1)
 """
 
 from __future__ import annotations
 
+from math import lcm, log2
+
+from . import _kernel
 from .arrangement import Arrangement, make_arrangement
-from .cyclo import CyclotomicNumber, root_of_unity
+from .cyclo import CyclotomicNumber, elem_str, field_context, root_elem
 from .errors import ParseError
 from .linalg import LinearForm
 
 _TOKEN_CHARS = set("+-*/^(),")
 MAX_NESTING = 100  # parenthesis levels: each costs four frames of the descent
+MAX_AMBIENT = 1000  # header bounds: far above any reflection arrangement, and
+MAX_FIELD_ORDER = 1000  # small enough that a row and its field stay cheap
+MAX_EXPONENT = 1000  # with a printable base, a power stays within 1000 times its size
+MAX_DIGITS = 4300  # Python's default int-string limit: longer integers do not print
+_MAX_BITS = int(MAX_DIGITS * log2(10))  # an integer of at most this many bits prints
 
 
 def _integer(tok: str) -> int:
-    """The value of a digit token.  ``int`` refuses a string longer than
-    Python's digit limit (4,300 by default) and non-ASCII digits such as
-    superscripts; both are a ``ParseError``."""
-    try:
-        return int(tok)
-    except ValueError:
-        raise ParseError(f"integer literal {tok[:20]!r}"
-                         f"{'...' if len(tok) > 20 else ''} ({len(tok)} digits) "
-                         "is not a readable integer") from None
+    """The value of a digit token.  A string longer than ``MAX_DIGITS`` and
+    non-ASCII digits such as superscripts, which ``int`` refuses, are a
+    ``ParseError``."""
+    if len(tok) <= MAX_DIGITS:
+        try:
+            return int(tok)
+        except ValueError:
+            pass
+    raise ParseError(f"integer literal {tok[:20]!r}"
+                     f"{'...' if len(tok) > 20 else ''} ({len(tok)} digits) "
+                     "is not a readable integer")
+
+
+def _fits(nums, den: int) -> bool:
+    """Whether every integer of an element or row has at most ``MAX_DIGITS``
+    digits, so that it prints."""
+    return max(den.bit_length(), max(map(int.bit_length, nums), default=0)) <= _MAX_BITS
 
 
 def _tokenize(text: str) -> list[str]:
@@ -63,23 +92,28 @@ def _tokenize(text: str) -> list[str]:
 
 
 class _Value:
-    """Either a scalar or a linear combination of variables (never both mixed
-    with a constant part: affine expressions are rejected on the way out)."""
+    """Either a scalar element or a linear combination of variables, a map
+    from column to element (never both mixed with a constant part: affine
+    expressions are rejected on the way out).  Elements are the kernel's
+    canonical ``(nums, den)`` pairs."""
 
     __slots__ = ("scalar", "coeffs")
 
-    def __init__(self, scalar: CyclotomicNumber | None, coeffs=None):
+    def __init__(self, scalar, coeffs: dict | None = None):
         self.scalar = scalar
-        self.coeffs = coeffs  # list[CyclotomicNumber] | None
+        self.coeffs = coeffs
 
 
 class _Parser:
-    def __init__(self, text: str, order: int, variables: list[str]):
+    def __init__(self, text: str, order: int, variables: dict[str, int]):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
         self.order = order
+        ctx = field_context(order)
+        self.d = ctx.degree
+        self.red = ctx.red
         self.variables = variables
 
     def peek(self):
@@ -97,34 +131,58 @@ class _Parser:
         if got != tok:
             raise ParseError(f"expected {tok!r} but found {got!r} in {self.text!r}")
 
-    def _zero(self):
-        return CyclotomicNumber.zero(self.order)
+    def _linear(self, v: _Value) -> dict:
+        if v.coeffs is None:
+            if any(v.scalar[0]):
+                raise ParseError(f"affine expression (constant {elem_str(*v.scalar)} "
+                                 f"plus variables) in {self.text!r}")
+            return {}
+        return v.coeffs
 
-    def _combine(self, a: _Value, b: _Value, op) -> _Value:
+    def _combine(self, a: _Value, b: _Value, subtract: bool) -> _Value:
+        op = _kernel.elem_sub if subtract else _kernel.elem_add
         if a.coeffs is None and b.coeffs is None:
             return _Value(op(a.scalar, b.scalar))
-        ac = a.coeffs if a.coeffs is not None else None
-        bc = b.coeffs if b.coeffs is not None else None
-        n = len(self.variables)
-        if ac is None:
-            if not a.scalar.is_zero():
-                raise ParseError(f"affine expression (constant {a.scalar} plus "
-                                 f"variables) in {self.text!r}")
-            ac = [self._zero()] * n
-        if bc is None:
-            if not b.scalar.is_zero():
-                raise ParseError(f"affine expression (constant {b.scalar} plus "
-                                 f"variables) in {self.text!r}")
-            bc = [self._zero()] * n
-        return _Value(None, [op(x, y) for x, y in zip(ac, bc)])
+        out = dict(self._linear(a))
+        for col, e in self._linear(b).items():
+            if col in out:
+                out[col] = op(out[col], e)
+            else:
+                out[col] = _kernel.elem_neg(e) if subtract else e
+        return _Value(None, out)
+
+    def _scale(self, v: _Value, s) -> _Value:
+        d, red = self.d, self.red
+        if v.coeffs is None:
+            return _Value(_kernel.elem_mul(s, v.scalar, d, red))
+        return _Value(None, {col: _kernel.elem_mul(s, e, d, red)
+                             for col, e in v.coeffs.items()})
+
+    def _power(self, a, k: int):
+        if k > MAX_EXPONENT:
+            raise ParseError(f"exponent {k} is above {MAX_EXPONENT} in {self.text!r}")
+        if not _fits(*a):
+            raise ParseError(f"a power's base has an integer of more than "
+                             f"{MAX_DIGITS} digits in {self.text!r}")
+        d, red = self.d, self.red
+        out = ((1,) + (0,) * (d - 1), 1)
+        while k:
+            if k & 1:
+                out = _kernel.elem_mul(out, a, d, red)
+            k >>= 1
+            if k:
+                a = _kernel.elem_mul(a, a, d, red)
+        if not _fits(*out):
+            raise ParseError(f"a power has an integer of more than {MAX_DIGITS} "
+                             f"digits in {self.text!r}")
+        return out
 
     def parse_expr(self) -> _Value:
         value = self.parse_term()
         while self.peek() in ("+", "-"):
             op = self.take()
             rhs = self.parse_term()
-            value = self._combine(value, rhs,
-                                  (lambda x, y: x + y) if op == "+" else (lambda x, y: x - y))
+            value = self._combine(value, rhs, op == "-")
         return value
 
     def parse_term(self) -> _Value:
@@ -137,20 +195,13 @@ class _Parser:
                     raise ParseError(f"product of two variable expressions in {self.text!r}")
                 if rhs.coeffs is not None:
                     value, rhs = rhs, value
-                if value.coeffs is None:
-                    value = _Value(value.scalar * rhs.scalar)
-                else:
-                    value = _Value(None, [c * rhs.scalar for c in value.coeffs])
+                value = self._scale(value, rhs.scalar)
             else:
                 if rhs.coeffs is not None:
                     raise ParseError(f"division by a variable expression in {self.text!r}")
-                if rhs.scalar.is_zero():
+                if not any(rhs.scalar[0]):
                     raise ParseError(f"division by zero in {self.text!r}")
-                inv = rhs.scalar.inverse()
-                if value.coeffs is None:
-                    value = _Value(value.scalar * inv)
-                else:
-                    value = _Value(None, [c * inv for c in value.coeffs])
+                value = self._scale(value, _kernel.elem_inv(rhs.scalar, self.d, self.red))
         return value
 
     def parse_factor(self) -> _Value:
@@ -167,12 +218,13 @@ class _Parser:
             if value.coeffs is not None:
                 raise ParseError(f"cannot raise a variable expression to a power "
                                  f"in {self.text!r}")
-            value = _Value(value.scalar ** _integer(exp_tok))
+            value = _Value(self._power(value.scalar, _integer(exp_tok)))
         if sign < 0:
             if value.coeffs is None:
-                value = _Value(-value.scalar)
+                value = _Value(_kernel.elem_neg(value.scalar))
             else:
-                value = _Value(None, [-c for c in value.coeffs])
+                value = _Value(None, {col: _kernel.elem_neg(e)
+                                      for col, e in value.coeffs.items()})
         return value
 
     def parse_atom(self) -> _Value:
@@ -186,20 +238,19 @@ class _Parser:
             self.depth -= 1
             return value
         if tok.isdigit():
-            return _Value(CyclotomicNumber.from_rational(_integer(tok), self.order))
+            return _Value(((_integer(tok),) + (0,) * (self.d - 1), 1))
         if tok == "z":
             if self.order == 1:
                 raise ParseError("'z' is undefined over the rationals (field order 1)")
-            return _Value(root_of_unity(self.order, 1))
+            return _Value(root_elem(self.order, 1))
         if tok == "i":
             if self.order % 4:
                 raise ParseError(f"'i' requires the field order to be a multiple of 4 "
                                  f"(got {self.order})")
-            return _Value(root_of_unity(self.order, self.order // 4))
-        if tok in self.variables:
-            coeffs = [CyclotomicNumber.zero(self.order)] * len(self.variables)
-            coeffs[self.variables.index(tok)] = CyclotomicNumber.one(self.order)
-            return _Value(None, coeffs)
+            return _Value(root_elem(self.order, self.order // 4))
+        col = self.variables.get(tok)
+        if col is not None:
+            return _Value(None, {col: ((1,) + (0,) * (self.d - 1), 1)})
         raise ParseError(f"unknown symbol {tok!r} in {self.text!r}")
 
     def finish(self, value: _Value) -> _Value:
@@ -208,43 +259,60 @@ class _Parser:
         return value
 
 
-def _variables_for(ambient: int) -> list[str]:
-    names = [f"x{j + 1}" for j in range(ambient)]
+def _variables_for(ambient: int) -> dict[str, int]:
+    """Variable name -> column: x1..xl, and a..d for the same columns when
+    l <= 4."""
+    names = {f"x{j + 1}": j for j in range(ambient)}
     if ambient <= 4:
-        names += ["a", "b", "c", "d"][:ambient]
+        names.update(zip("abcd", range(ambient)))
     return names
-
-
-def _fold_aliases(coeffs, ambient: int):
-    # x1..xl and a..d address the same slots
-    if len(coeffs) == ambient:
-        return coeffs
-    out = coeffs[:ambient]
-    for j, extra in enumerate(coeffs[ambient:]):
-        out[j] = out[j] + extra
-    return out
 
 
 def parse_scalar(text: str, order: int) -> CyclotomicNumber:
     """Parse a field element, e.g. ``1 - 2*(z+1)`` over field order 5."""
-    p = _Parser(text, order, [])
+    p = _Parser(text, order, {})
     value = p.finish(p.parse_expr())
     if value.coeffs is not None:
         raise ParseError(f"expected a scalar, found variables in {text!r}")
-    return value.scalar
+    nums, den = value.scalar
+    if not _fits(nums, den):
+        raise ParseError(f"the value of {text!r} has an integer of more than "
+                         f"{MAX_DIGITS} digits")
+    return CyclotomicNumber(order, nums, den)
 
 
-def parse_form(text: str, ambient: int, order: int) -> LinearForm:
-    """Parse a linear form such as ``a - 2*(z^2+z^3+1)*b`` or ``x1 + x2``."""
-    p = _Parser(text, order, _variables_for(ambient))
+def _parse_row(text: str, ambient: int, order: int, variables: dict[str, int]) -> LinearForm:
+    p = _Parser(text, order, variables)
     value = p.finish(p.parse_expr())
     if value.coeffs is None:
         raise ParseError(f"expected a linear form, found the scalar "
-                         f"{value.scalar} in {text!r}")
-    coeffs = _fold_aliases(value.coeffs, ambient)
-    if all(c.is_zero() for c in coeffs):
+                         f"{elem_str(*value.scalar)} in {text!r}")
+    d = p.d
+    den = lcm(*(e[1] for e in value.coeffs.values()))
+    nums = [0] * (ambient * d)
+    for col, (en, ed) in value.coeffs.items():
+        s = den // ed
+        nums[col * d:(col + 1) * d] = [v * s for v in en] if s > 1 else en
+    row = _kernel.monic(nums, ambient, d, p.red)
+    if row is None:
         raise ParseError(f"the expression {text!r} is the zero form")
-    return LinearForm.from_coefficients(coeffs, order)
+    if not _fits(*row):
+        raise ParseError(f"a coefficient of {text!r} has an integer of more than "
+                         f"{MAX_DIGITS} digits")
+    return LinearForm(ambient, order, row)
+
+
+def parse_form(text: str, ambient: int, order: int) -> LinearForm:
+    """Parse a linear form such as ``a - 2*(z^2+z^3+1)*b`` or ``x1 + x2``,
+    scaled to leading coefficient 1."""
+    return _parse_row(text, ambient, order, _variables_for(ambient))
+
+
+def _header_value(word: str, tok: str, bound: int) -> int:
+    value = _integer(tok)
+    if value > bound:
+        raise ParseError(f"{word} {tok} is above {bound}")
+    return value
 
 
 def parse_arrangement_text(text: str, source: str = "<string>") -> Arrangement:
@@ -252,6 +320,7 @@ def parse_arrangement_text(text: str, source: str = "<string>") -> Arrangement:
     header = None
     forms = []
     ambient = order = 0
+    variables: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -263,15 +332,17 @@ def parse_arrangement_text(text: str, source: str = "<string>") -> Arrangement:
                 raise ParseError(f"{source}:{lineno}: expected header "
                                  f"'ambient <l> field <n>', found {line!r}")
             try:
-                ambient, order = _integer(parts[1]), _integer(parts[3])
+                ambient = _header_value("ambient", parts[1], MAX_AMBIENT)
+                order = _header_value("field", parts[3], MAX_FIELD_ORDER)
             except ParseError as exc:
                 raise ParseError(f"{source}:{lineno}: {exc}") from None
             if order < 1:
                 raise ParseError(f"{source}:{lineno}: field order must be >= 1")
+            variables = _variables_for(ambient)
             header = line
             continue
         try:
-            forms.append(parse_form(line, ambient, order))
+            forms.append(_parse_row(line, ambient, order, variables))
         except ParseError as exc:
             raise ParseError(f"{source}:{lineno}: {exc}") from None
     if header is None:

@@ -10,20 +10,21 @@ the CLI reports them separately.
 
 from __future__ import annotations
 
-import json
-from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .analysis import (ModularityVerdict, PoincarePolynomial, Rank2Report,
                        SupersolvabilityCertificate)
 from .arrangement import Arrangement, Flat, IntersectionLattice
-from .cyclo import field_context
+from .cyclo import field_context, rational_str
 from .linalg import LinearForm, Subspace, form_to_str
 
 
 def form_payload(form: LinearForm) -> dict:
+    """The form's text and its coordinates, one list of rational strings per
+    coefficient, each in lowest terms by one ``gcd`` (``rational_str``)."""
     nums, den = form.row
     d = field_context(form.order).degree
-    coeffs = [[str(Fraction(v, den)) for v in nums[j:j + d]]
+    coeffs = [[rational_str(v, den) for v in nums[j:j + d]]
               for j in range(0, len(nums), d)]
     return {"text": form_to_str(form), "coeffs": coeffs}
 
@@ -116,7 +117,59 @@ def rank2_payload(rep: Rank2Report) -> dict:
 
 
 def report_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """The report as JSON text, byte-identical to
+    ``json.dumps(report, sort_keys=True, indent=2) + "\\n"``.
+
+    ``json.dumps`` cannot use its C encoder with ``indent``, so a small
+    recursive writer lays the payload out instead: strings go through the
+    C string encoder (``encode_basestring_ascii``, as ``ensure_ascii``
+    does), and so do dictionary keys, which must be strings.  Payloads hold
+    dicts, lists, strings, ints, bools and None only; anything else is a
+    ``TypeError``.
+    """
+    out: list[str] = []
+    _write(report, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, newline: str, out: list[str]) -> None:
+    """Append the JSON text of ``value`` to ``out``; ``newline`` is the line
+    break and indentation of the line that holds it."""
+    if isinstance(value, str):
+        out.append(_encode_str(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            out.append(sep + _encode_str(key) + ": ")
+            _write(value[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _human_flat(flat: dict) -> str:

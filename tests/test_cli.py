@@ -133,6 +133,22 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "build", str(path))
         assert code == EXIT_PARSE_ERROR and "not a readable integer" in err
 
+    @pytest.mark.parametrize("text", [
+        "ambient 2 field 1\nx1 + 10^5000*x2\n",
+        "ambient 2 field 1\nx1 + 2^20000*x2\n",
+        "ambient 2 field 1\nx1 + 10^900*10^900*10^900*10^900*10^900*x2\n",
+        "ambient 2 field 99999999999\nx1\n",
+        "ambient 100000000 field 1\nx1\n",
+    ])
+    def test_oversized_value_is_parse_error(self, capsys, tmp_path, text):
+        # a coefficient past the digit limit would not print, and an unbounded
+        # header or power would allocate without bound
+        path = tmp_path / "big.arr"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "build", str(path))
+        assert code == EXIT_PARSE_ERROR and not out
+        assert err.startswith("hyparr: parse error:") and len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("spec", ["G(3,1,0)", "G(3,2,3)"])
     def test_bad_monomial_parameters_are_parse_errors(self, capsys, spec):
         code, _, err = run_cli(capsys, "build", spec)

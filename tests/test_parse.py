@@ -1,15 +1,26 @@
 """Expression and file parsing."""
 
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from hyparr.arrangement import arrangement_to_text
+from hyparr.claims import WITNESS_CLAIMS
 from hyparr.cyclo import CyclotomicNumber, root_of_unity
 from hyparr.errors import ParseError
 from hyparr.linalg import form_to_str
-from hyparr.parse import (parse_arrangement_text, parse_form, parse_scalar)
+from hyparr.parse import (MAX_AMBIENT, MAX_DIGITS, MAX_EXPONENT, MAX_FIELD_ORDER,
+                          _tokenize, parse_arrangement_text, parse_form, parse_scalar)
+from hyparr.reflection import _EXCEPTIONAL, build_named, catalog, catalog_entry
 from tests.conftest import random_form
+from tests.parse_reference import (reference_coefficients, reference_parse_form,
+                                   reference_parse_scalar)
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 class TestScalars:
@@ -134,3 +145,188 @@ b - c
         text = "ambient 2 field 3\nx1 - z*x2\nx1 - z^2*x2\nx1 - x2\n"
         arr = parse_arrangement_text(text)
         assert len(arr) == 3 and arr.order == 3
+
+
+def outcome(parse, *args):
+    """The parsed value, or the ParseError message."""
+    try:
+        return parse(*args)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+def assert_parses_like_reference(text, ambient, order, valid=False):
+    """Both parsers give the same form or the same error; with ``valid``,
+    a form.  Returns the outcome."""
+    new = outcome(parse_form, text, ambient, order)
+    assert new == outcome(reference_parse_form, text, ambient, order), text
+    if not isinstance(new, str):
+        assert new.row == new.normalized().row
+    else:
+        assert not valid, new
+    return new
+
+
+def random_scalar(rng, order, depth):
+    """Random scalar syntax: literals, z, i, parentheses, ^, / and signs."""
+    atoms = [str(rng.randint(0, 12))]
+    if order > 1:
+        atoms.append("z")
+    if order % 4 == 0:
+        atoms.append("i")
+    if depth == 0 or rng.random() < 0.35:
+        return rng.choice(atoms)
+    inner = random_scalar(rng, order, depth - 1)
+    return rng.choice([
+        f"({inner})",
+        f"({inner})^{rng.randint(0, 5)}",
+        f"{rng.choice(atoms)}^{rng.randint(0, 5)}",
+        f"{inner} {rng.choice('+-*/')} {random_scalar(rng, order, depth - 1)}",
+        f"-{inner}",
+    ])
+
+
+def random_expression(rng, ambient, order):
+    """Random form syntax over x1..xl and, when l <= 4, the aliases a..d.
+    Some draws are not linear forms (a constant term, a product of two
+    variables, division by a variable or by zero): both parsers must refuse
+    them with the same message."""
+    names = [f"x{j + 1}" for j in range(ambient)]
+    if ambient <= 4:
+        names += list("abcd"[:ambient])
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        var = rng.choice(names)
+        s = random_scalar(rng, order, 2)
+        kind = rng.randrange(9)
+        if kind == 0:
+            terms.append(var)
+        elif kind == 1:
+            terms.append(f"({s})*{var}")
+        elif kind == 2:
+            terms.append(f"{var}*({s})")
+        elif kind == 3:
+            terms.append(f"{var}/({s})")
+        elif kind == 4:
+            terms.append(f"({var} {rng.choice('+-')} {rng.choice(names)})*{s}")
+        elif kind == 5:
+            terms.append(f"{s}*{var}")
+        elif kind == 6:
+            terms.append(f"-{var}")
+        elif kind == 7:
+            terms.append(rng.choice([s, f"{var}*{rng.choice(names)}", f"{s}/{var}"]))
+        else:
+            terms.append(f"({rng.choice(names)} - {var} + {var})")
+    text = terms[0]
+    for term in terms[1:]:
+        text += f" {rng.choice('+-')} {term}"
+    return text
+
+
+class TestAgainstReference:
+    """The parser on packed rows against the ``CyclotomicNumber`` parser it
+    replaced (``tests/parse_reference.py``): equal rows, or the same error."""
+
+    def test_catalog_transcriptions(self):
+        count = 0
+        for name, (ambient, order, factors) in _EXCEPTIONAL.items():
+            for text in factors:
+                assert_parses_like_reference(text, ambient, order, valid=True)
+                count += 1
+        assert count == 184
+
+    def test_claim_forms(self):
+        count = 0
+        for claim in WITNESS_CLAIMS:
+            entry = catalog_entry(claim.arrangement)
+            for text in claim.x_forms + claim.y_forms + (claim.expected,):
+                assert_parses_like_reference(text, entry.ambient, entry.field_order, valid=True)
+                count += 1
+        assert count > 50
+
+    @pytest.mark.parametrize("workload", ["lattice", "products", "smoke"])
+    def test_benchmark_input_files(self, tmp_path, monkeypatch, workload):
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+        spec.loader.exec_module(workloads)
+        workloads.make_items(workload, 1, str(tmp_path))
+        files = sorted(tmp_path.iterdir())
+        assert files
+        for path in files:
+            header, *lines = path.read_text().splitlines()
+            _, ambient, _, order = header.split()
+            for text in lines:
+                assert_parses_like_reference(text, int(ambient), int(order), valid=True)
+
+    def test_every_catalog_entry_round_trips_within_the_header_bounds(self):
+        for entry in catalog():
+            assert entry.ambient <= MAX_AMBIENT and entry.field_order <= MAX_FIELD_ORDER
+            arr = build_named(entry.name)
+            assert parse_arrangement_text(arrangement_to_text(arr)) == arr
+
+    def test_random_expressions(self):
+        rng = random.Random(2020)
+        kinds = {"form": 0, "error": 0, "non-monic": 0, "alias": 0}
+        for k in range(1500):
+            order = (1, 3, 4, 5, 12)[k % 5]
+            ambient = rng.randint(1, 6)
+            text = random_expression(rng, ambient, order)
+            new = assert_parses_like_reference(text, ambient, order)
+            if isinstance(new, str):
+                kinds["error"] += 1
+                continue
+            kinds["form"] += 1
+            kinds["alias"] += not {"a", "b", "c", "d"}.isdisjoint(_tokenize(text))
+            lead = next(c for c in reference_coefficients(text, ambient, order)
+                        if not c.is_zero())
+            kinds["non-monic"] += not lead.is_one()
+        assert kinds["form"] > 500 and kinds["error"] > 100, kinds
+        assert all(kinds.values()), kinds
+
+    def test_random_scalars(self):
+        rng = random.Random(2021)
+        for k in range(800):
+            order = (1, 3, 4, 5, 12)[k % 5]
+            text = random_scalar(rng, order, 4)
+            assert outcome(parse_scalar, text, order) == \
+                outcome(reference_parse_scalar, text, order), text
+
+
+class TestBounds:
+    @pytest.mark.parametrize("form, message", [
+        ("x1 + 10^5000*x2", "exponent 5000 is above"),
+        ("x1 + 2^20000*x2", "exponent 20000 is above"),
+        ("x1 + 2^100000000000*x2", "exponent 100000000000 is above"),
+        ("(10^1000)^5*x1 + x2", "a power has an integer of more than"),
+        ("(10^900*10^900*10^900*10^900*10^900)^2*x1", "a power's base has an integer"),
+        ("10^900*10^900*10^900*10^900*10^900*x1 + x2", "a coefficient of"),
+        ("x1 + 10^900*10^900*10^900*10^900*10^900*x2", "a coefficient of"),
+    ])
+    def test_oversized_values(self, form, message):
+        with pytest.raises(ParseError, match=message):
+            parse_arrangement_text(f"ambient 2 field 1\n{form}\n")
+
+    def test_values_within_the_bounds(self):
+        arr = parse_arrangement_text(f"ambient 2 field 3\nx1 + 2^{MAX_EXPONENT}*x2\n"
+                                     f"x1 + (1+z)^{MAX_EXPONENT}*x2\n")
+        assert len(arr) == 2
+        big = parse_form(f"x1 + 1{'0' * (MAX_DIGITS - 1)}*x2", 2, 1)
+        assert str(big.row[0][1]) == "1" + "0" * (MAX_DIGITS - 1)
+        assert parse_scalar(f"z^{MAX_EXPONENT}", 5) == root_of_unity(5, MAX_EXPONENT)
+
+    @pytest.mark.parametrize("header, message", [
+        ("ambient 2 field 99999999999", "field 99999999999 is above"),
+        ("ambient 100000000 field 1", "ambient 100000000 is above"),
+        (f"ambient {MAX_AMBIENT + 1} field 1", f"ambient {MAX_AMBIENT + 1} is above"),
+        (f"ambient 2 field {MAX_FIELD_ORDER + 1}", f"field {MAX_FIELD_ORDER + 1} is above"),
+    ])
+    def test_header_bounds(self, header, message):
+        with pytest.raises(ParseError, match=f"<string>:1: {message}"):
+            parse_arrangement_text(f"{header}\nx1\n")
+
+    def test_header_at_the_bounds(self):
+        arr = parse_arrangement_text(f"ambient {MAX_AMBIENT} field 1\nx{MAX_AMBIENT}\n")
+        assert arr.ambient == MAX_AMBIENT
+        arr = parse_arrangement_text(f"ambient 2 field {MAX_FIELD_ORDER}\nx1 - z*x2\n")
+        assert arr.order == MAX_FIELD_ORDER

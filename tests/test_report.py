@@ -7,10 +7,12 @@ they are.  The references below decode every coefficient into a
 give the same text and coefficient strings on every input.
 """
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyparr import _kernel
 from hyparr.analysis import is_supersolvable, modular_flats_of_rank
@@ -252,3 +254,61 @@ class TestNoArithmeticInReports:
         with pytest.raises(RuntimeError, match="called while rendering"):
             store.arrangement("D4").rank()  # the patch is live
         assert render() == expected
+
+
+# one call of every CLI command, between them every payload shape: a chain,
+# both refutation kinds, an essentialized arrangement, Poincare exponents
+# and their absence, irreducible factors, claims
+CLI_CALLS = (
+    ("build", "G29"), ("lattice", "G31"), ("modular", "H3", "--rank", "2"),
+    ("modular", "D4", "--rank", "0"), ("supersolvable", "G(3,1,3)"),
+    ("supersolvable", "D4"), ("supersolvable", "product(G(3,3,3),A(3))"),
+    ("poincare", "product(B2,A(3))"), ("poincare", "G25"),
+    ("decompose", "product(B2,A2)"), ("verify-paper", "D4"),
+)
+
+
+class TestJsonWriter:
+    """``report_json`` writes the bytes of ``json.dumps(sort_keys=True,
+    indent=2)`` without the pure-Python encoder."""
+
+    @pytest.mark.parametrize("argv", CLI_CALLS, ids=" ".join)
+    def test_every_command_payload(self, monkeypatch, capsys, argv):
+        import hyparr.cli as cli
+
+        seen = []
+
+        def checked(report):
+            text = report_json(report)
+            assert text == json.dumps(report, sort_keys=True, indent=2) + "\n"
+            seen.append(text)
+            return text
+
+        monkeypatch.setattr(cli, "report_json", checked)
+        assert cli.main(["--json", *argv]) == 0
+        assert [capsys.readouterr().out] == seen
+
+    SCALARS = (st.none() | st.booleans() | st.integers(min_value=-10 ** 30, max_value=10 ** 30)
+               | st.text())
+    PAYLOADS = st.recursive(
+        SCALARS,
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+        max_leaves=30)
+
+    @settings(max_examples=150, deadline=None)
+    @given(PAYLOADS)
+    def test_random_payloads(self, payload):
+        assert report_json(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    def test_edge_values(self):
+        payload = {"": [], "b": {}, "a": [None, True, False, 0, -7, 2 ** 70, ""],
+                   "\u00e9\x00\n\t\"\\\u2028\U0001f600": ["\x7f", "\x1f", "caf\u00e9"],
+                   "nested": [[[]], [{}], {"k": [{"x": -1}]}], "tuple": (1, "two")}
+        assert report_json(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        for value in (1, "text", None, [], {}):
+            assert report_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+    def test_unsupported_values_are_refused(self):
+        for bad in ({"x": 1.5}, [object()], {1: "int key"}):
+            with pytest.raises(TypeError):
+                report_json(bad)
