@@ -16,7 +16,7 @@ from .analysis import (ModularityVerdict, PoincarePolynomial, Rank2Report,
                        replay_witness, validate_certificate)
 from .arrangement import (Arrangement, Flat, IntersectionLattice, build_lattice,
                           brute_force_lattice, closure, deletion, essentialize,
-                          in_lattice, irreducible_decomposition, localization,
+                          in_lattice, irreducible_decomposition, lattice_of, localization,
                           make_arrangement, product, restriction, transport_lattice)
 from .cyclo import CyclotomicNumber, cyclotomic_polynomial, embed, root_of_unity
 from .errors import (HyparrError, InternalInconsistencyError, InvalidHyperplaneError,

@@ -25,6 +25,15 @@ without the scan's membership test or join table.  Scans run in the
 deterministic flat order (rank, then support bitset), so witnesses are
 reproducible.
 
+A lattice assembled from its factors' lattices (``lattice_of``) is not
+walked.  Ranks add up over the factors and the semimodular inequality holds
+in each, so X is modular exactly when every component x_i is, each read
+off its factor lattice and kept there.  The partner of a non-modular X is
+the candidate (0, ..., y_i*, ..., 0), y_i* the first failing complement of a
+failing x_i, that comes first by rank, then by support in the product.
+That is the first failing complement the walk finds, so the witnesses are
+the same (``_verdict_from_factors``).
+
 Supersolvability is the existence of a maximal chain of modular flats
 (Stanley, 1972).  ``is_supersolvable`` searches for one depth first, up the
 cover table from the rank-2 flats, and tests each flat by ``is_modular`` on
@@ -191,12 +200,16 @@ def is_modular(arr: Arrangement, lattice: IntersectionLattice, x: Flat) -> Modul
     a complement atom does not lie under X.
 
     The bottom, the atoms and the top are modular in every geometric
-    lattice and are not walked.  The verdict certifies its witness when it
-    is read.
+    lattice and are not walked.  A lattice assembled from its factors'
+    lattices (``lattice_of``) is not walked either: its verdict is read off
+    theirs (``_verdict_from_factors``).  The verdict certifies its witness
+    when it is read.
     """
     x = _require_flat(lattice, x)
     if x.rank <= 1 or x.rank == lattice.rank():
         return ModularityVerdict(x, True)
+    if lattice.factors:
+        return _verdict_from_factors(lattice, x)
     covers = lattice.covers()
     xs = x.support
     steps = iter(lattice.join_steps())
@@ -217,6 +230,33 @@ def is_modular(arr: Arrangement, lattice: IntersectionLattice, x: Flat) -> Modul
         if len(joins) == found:
             break
     return ModularityVerdict(x, True)
+
+
+def _verdict_from_factors(lattice: IntersectionLattice, x: Flat) -> ModularityVerdict:
+    """X's verdict in a product, read off the verdicts of its components
+    x_i in the factor lattices, each kept on its factor lattice.
+
+    Ranks add over the factors and the semimodular inequality holds in
+    each, so a pair satisfies the rank identity exactly when each of its
+    components does: X is modular exactly when every x_i is.  A complement
+    Y of X fails through some component y_i, and then so does
+    (0, ..., y_i, ..., 0), which is Y or has a smaller rank.  So the first
+    failing complement is the candidate (0, ..., y_i*, ..., 0), y_i* the
+    first failing complement of x_i, that comes first by rank, then by its
+    support in the product: a factor's flat order embeds in the product's,
+    since the move of supports keeps their order.  Its meet is the bottom.
+    """
+    first = None
+    for factor in lattice.factors:
+        component = factor.flat_at[x.support & factor.mask]
+        v = _verdict(factor.lattice.arrangement, factor.lattice, component)
+        if not v.modular:
+            candidate = (v.partner.rank, factor.moved[v.partner.support])
+            if first is None or candidate < first:
+                first = candidate
+    if first is None:
+        return ModularityVerdict(x, True)
+    return ModularityVerdict(x, False, lattice.index[first[1]], lattice.bottom())
 
 
 def _verdict(arr: Arrangement, lattice: IntersectionLattice, f: Flat) -> ModularityVerdict:

@@ -5,8 +5,8 @@ determined by the set of hyperplanes containing it, and integer bitsets hash
 far more cheaply than matrices.  The canonical RREF subspace is needed only
 for building the lattice, certifying witnesses and printing flats: a built
 flat keeps the one the build made, and a flat made from its support (a cache
-load, ``transport_lattice``) derives it when first read.  Joins, meets and
-the modularity test read bitsets and integer ranks only.
+load, ``transport_lattice``, ``lattice_of``) derives it when first read.
+Joins, meets and the modularity test read bitsets and integer ranks only.
 
 The lattice is built level by level, and no flat is fully row-reduced:
 the hyperplanes are grouped into rank-1 flats by their normalized forms,
@@ -16,6 +16,17 @@ The rank-2 flats over each hyperplane X group the others by that residue,
 with no membership test.  A cover X v H that the level already has is found
 by a bitset lookup, and the support of a new cover is read off the rank-2
 flats through H, with at most one membership test for each.
+
+A lattice that is not loaded is made by ``lattice_of``.  When the forms
+split into two or more blocks of coordinates, two coordinates being linked
+when some form uses both, it builds each block's lattice on the block's
+columns and assembles the product's levels from ORs of their supports, moved
+back to the input's hyperplane indices, with no field arithmetic: the
+lattice of a product is the product of its factors' lattices (Orlik-Terao,
+Prop. 2.14).  The factor lattices stay on the result, where the modular
+scan reads the product's verdicts off theirs.  ``build_lattice`` is the
+direct build, for every other input and for the tests that check the
+product theorem.
 """
 
 from __future__ import annotations
@@ -134,11 +145,11 @@ class Flat:
     """A lattice element: subspace, support bitset over hyperplane indices, rank.
 
     A flat of a simple arrangement is fixed by its support, so a flat made
-    from one (``Flat.of_support``: cache loads and ``transport_lattice``)
-    keeps only its arrangement and derives its canonical RREF subspace the
-    first time ``subspace`` is read (``_subspace_of``), then keeps it.  The
-    hash reads the support only, so sets and dicts of flats derive nothing;
-    equality compares supports, then subspaces.
+    from one (``Flat.of_support``: cache loads, ``transport_lattice`` and
+    ``lattice_of``) keeps only its arrangement and derives its canonical RREF
+    subspace the first time ``subspace`` is read (``_subspace_of``), then
+    keeps it.  The hash reads the support only, so sets and dicts of flats
+    derive nothing; equality compares supports, then subspaces.
     """
 
     __slots__ = ("_subspace", "support", "rank", "_arrangement")
@@ -244,8 +255,10 @@ class IntersectionLattice:
     cover table (``covers()``) and the join table (``join_steps()``) are
     built on first use; both read supports only, so ``_tables`` holding them
     may be shared with a lattice of the same supports
-    (``transport_lattice``).  ``verdicts`` maps supports to
-    modularity verdicts, which hold this lattice's flats and are not shared.
+    (``transport_lattice``).  So may ``factors``, the factor lattices of a
+    lattice assembled from them (``lattice_of``), None otherwise.
+    ``verdicts`` maps supports to modularity verdicts, which hold this
+    lattice's flats and are not shared.
     """
 
     __slots__ = ("arrangement", "levels", "index", "_tables", "verdicts")
@@ -257,8 +270,12 @@ class IntersectionLattice:
         for level in levels:
             for f in level:
                 self.index[f.support] = f
-        self._tables: list = [None, None]  # cover table, join table
+        self._tables: list = [None, None, None]  # cover table, join table, factors
         self.verdicts: dict = {}
+
+    @property
+    def factors(self) -> tuple[Factor, ...] | None:
+        return self._tables[2]
 
     def flats(self):
         for level in self.levels:
@@ -391,6 +408,11 @@ def _bits(s: int):
         s ^= bit
 
 
+def _over_budget(max_flats: int) -> RefusalError:
+    return RefusalError(f"intersection lattice exceeds the flat budget ({max_flats}); "
+                        "raise --max-flats to proceed")
+
+
 class _Level:
     """The flats of one rank found so far, shared by the workers building it.
 
@@ -414,9 +436,7 @@ class _Level:
 
     def check_budget(self) -> None:
         if len(self.found) > self.room:
-            raise RefusalError(
-                f"intersection lattice exceeds the flat budget ({self.max_flats}); "
-                "raise --max-flats to proceed")
+            raise _over_budget(self.max_flats)
 
     def add(self, flat: Flat) -> None:
         self.found.setdefault(flat.support, flat)
@@ -552,6 +572,119 @@ def build_lattice(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS,
     return IntersectionLattice(arr, tuple(levels))
 
 
+class Factor:
+    """One factor of a lattice assembled by ``lattice_of``: the factor's own
+    lattice, ``mask``, the input hyperplanes it holds, and the move of its
+    supports to the input's hyperplane indices, both ways (``moved`` maps a
+    factor support to the input's, ``flat_at`` an input support to the
+    factor's flat).  The factor's hyperplanes keep the input's order, so the
+    move keeps the order of supports."""
+
+    __slots__ = ("lattice", "mask", "moved", "flat_at")
+
+    def __init__(self, lattice: IntersectionLattice, indices: list[int]):
+        self.lattice = lattice
+        bits = [1 << i for i in indices]
+        self.moved: dict[int, int] = {}
+        self.flat_at: dict[int, Flat] = {}
+        for f in lattice.flats():
+            s = 0
+            for bit in _bits(f.support):
+                s |= bits[bit.bit_length() - 1]
+            self.moved[f.support] = s
+            self.flat_at[s] = f
+        self.mask = self.moved[lattice.top().support]
+
+
+def _coordinate_blocks(arr: Arrangement) -> tuple[list[int], list[int]]:
+    """The column masks of the coordinate blocks of ``arr``, lowest column
+    first, and the column mask of each form, by integer work on the packed
+    rows: two coordinates are linked when some form uses both.  A single
+    block as soon as one spans every coordinate, which every later form
+    meets, and none for a zero form, which ``build_lattice`` refuses."""
+    d = field_context(arr.order).degree
+    full = (1 << arr.ambient) - 1
+    blocks: list[int] = []
+    masks: list[int] = []
+    for h in arr.hyperplanes:
+        nums = h.row[0]
+        mask = 0
+        for c in range(arr.ambient):
+            if any(nums[c * d:(c + 1) * d]):
+                mask |= 1 << c
+        if not mask:
+            return [], masks
+        masks.append(mask)
+        # the blocks are disjoint, so one pass joins every block the form meets
+        rest = []
+        for b in blocks:
+            if b & mask:
+                mask |= b
+            else:
+                rest.append(b)
+        if mask == full:
+            return [full], masks
+        rest.append(mask)
+        blocks = rest
+    return sorted(blocks, key=lambda b: b & -b), masks
+
+
+def lattice_of(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS,
+               threads: int = 1) -> IntersectionLattice:
+    """The lattice of ``arr``: assembled from its factors' lattices when its
+    forms split into two or more blocks of coordinates
+    (``_coordinate_blocks``), and built by ``build_lattice`` otherwise or
+    when a row repeats.
+
+    The lattice of a product is the product of its factors' lattices
+    (Orlik-Terao, *Arrangements of Hyperplanes*, Prop. 2.14): a flat is one
+    flat of each factor, with the union of their supports and the sum of
+    their ranks.  Each factor's lattice is built from the forms of its block
+    restricted to the block's columns (``restrict_row``), in the input's
+    order, and its supports are moved back to the input's hyperplane indices
+    (``Factor``).  The product's flats are made from their supports
+    (``Flat.of_support``), each level sorted by support, so the result has
+    the supports and ranks ``build_lattice`` gives, and each flat derives
+    the same subspace when read.  A product with more flats than
+    ``max_flats`` is refused before it is assembled, with the refusal of
+    ``build_lattice``.  The factor lattices stay on the result
+    (``IntersectionLattice.factors``), where ``is_modular`` reads the
+    product's verdicts off theirs.  Input that splits only after a change
+    of coordinates is built directly.
+    """
+    blocks, masks = _coordinate_blocks(arr)
+    if len(blocks) < 2 or len({h.row for h in arr.hyperplanes}) < len(arr):
+        return build_lattice(arr, max_flats, threads)
+    d = field_context(arr.order).degree
+    factors = []
+    size = 1
+    for block in blocks:
+        cols = [c for c in range(arr.ambient) if block >> c & 1]
+        indices = [i for i, m in enumerate(masks) if m & block]
+        forms = tuple(LinearForm(len(cols), arr.order,
+                                 restrict_row(arr.hyperplanes[i].row, cols, d))
+                      for i in indices)
+        factor = Factor(build_lattice(Arrangement(len(cols), arr.order, forms),
+                                      max_flats, threads), indices)
+        factors.append(factor)
+        size *= len(factor.lattice)
+    if size > max_flats:
+        raise _over_budget(max_flats)
+    supports: list[list[int]] = [[0]]
+    for factor in factors:
+        grown: list[list[int]] = [[] for _ in range(len(supports) + factor.lattice.rank())]
+        moved = [[factor.moved[f.support] for f in level] for level in factor.lattice.levels]
+        for r, level in enumerate(supports):
+            for k, extra in enumerate(moved):
+                grown[r + k].extend(a | b for a in level for b in extra)
+        supports = grown
+    lattice = IntersectionLattice(arr, tuple(
+        tuple(Flat.of_support(arr, s, r) for s in sorted(level))
+        for r, level in enumerate(supports)))
+    lattice._tables[2] = tuple(factors)
+    return lattice
+
+
 def brute_force_lattice(arr: Arrangement) -> IntersectionLattice:
     """All-subsets oracle: intersect every subset of hyperplanes, deduplicate.
 
@@ -665,8 +798,9 @@ def transport_lattice(lattice: IntersectionLattice, ess: Arrangement) -> Interse
     ``essentialize`` keeps hyperplane order, so supports and ranks carry
     over unchanged: each flat of ``ess`` is made from its support and
     derives its subspace in the essential coordinates when read.  The cover
-    and join tables read supports only, so the two lattices share them, and
-    whichever of the two builds one first builds it for both.
+    and join tables and the factor lattices read supports only, so the two
+    lattices share them, and whichever of the two builds a table first
+    builds it for both.
     """
     moved = IntersectionLattice(ess, tuple(tuple(Flat.of_support(ess, f.support, f.rank)
                                                  for f in level)

@@ -19,7 +19,7 @@ import tempfile
 from contextlib import contextmanager
 
 from .arrangement import (DEFAULT_MAX_FLATS, Arrangement, Flat, IntersectionLattice,
-                          build_lattice)
+                          lattice_of)
 from .errors import ParseError
 
 FORMAT = "hyparr-lattice-v2"
@@ -144,13 +144,15 @@ def load_or_build(arr: Arrangement, cache_dir: str | None = None,
                   max_flats: int = DEFAULT_MAX_FLATS, threads: int = 1
                   ) -> IntersectionLattice:
     """The cached lattice of ``arr``; on a miss, make the directory, then
-    build the lattice and save it."""
+    build the lattice (``lattice_of``, from its factors' lattices when it
+    splits by coordinates) and save it.  A loaded lattice holds no factor
+    lattices, so a warm command scans it directly."""
     lattice = load_lattice(arr, cache_dir) if cache_dir else None
     if lattice is None:
         if cache_dir:
             with _using(cache_dir):
                 os.makedirs(cache_dir, exist_ok=True)
-        lattice = build_lattice(arr, max_flats=max_flats, threads=threads)
+        lattice = lattice_of(arr, max_flats=max_flats, threads=threads)
         if cache_dir:
             save_lattice(lattice, cache_dir)
     return lattice

@@ -262,15 +262,36 @@ def elem_str(nums, den: int) -> str:
 
 
 def rational_str(v: int, den: int) -> str:
-    """``str(Fraction(v, den))`` for a positive ``den``, by one ``gcd``.
+    """``str(Fraction(v, den))`` for a positive ``den``, by one ``gcd``,
+    with no limit on the number of digits (``int_str``).
 
     >>> rational_str(-4, 6), rational_str(3, 1), rational_str(0, 5)
     ('-2/3', '3', '0')
     """
     g = gcd(v, den)
     if g == den:
-        return str(v // g)
-    return f"{v // g}/{den // g}"
+        return int_str(v // g)
+    return f"{int_str(v // g)}/{int_str(den // g)}"
+
+
+_STR_BITS = 13_000  # about 3,900 digits, within the interpreter's default limit
+
+
+def int_str(v: int) -> str:
+    """The decimal text of ``v``, as ``int.__repr__`` writes it, whatever the
+    interpreter's limit on integer-string conversion: past about 4,000
+    digits, ``v`` is split by a power of 10 into halves written apart.
+
+    >>> int_str(-120), int_str(10 ** 5000) == "1" + "0" * 5000
+    ('-120', True)
+    """
+    if v.bit_length() <= _STR_BITS:
+        return int.__repr__(v)
+    if v < 0:
+        return "-" + int_str(-v)
+    k = v.bit_length() * 3 // 20  # about half the digits, since log10(2) > 0.3
+    high, low = divmod(v, 10 ** k)
+    return int_str(high) + int_str(low).zfill(k)
 
 
 def root_of_unity(n: int, m: int) -> CyclotomicNumber:

@@ -15,7 +15,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from .analysis import (ModularityVerdict, PoincarePolynomial, Rank2Report,
                        SupersolvabilityCertificate)
 from .arrangement import Arrangement, Flat, IntersectionLattice
-from .cyclo import field_context, rational_str
+from .cyclo import field_context, int_str, rational_str
 from .linalg import LinearForm, Subspace, form_to_str
 
 
@@ -167,7 +167,7 @@ def _write(value, newline: str, out: list[str]) -> None:
     elif value is False:
         out.append("false")
     elif isinstance(value, int):
-        out.append(int.__repr__(value))
+        out.append(int_str(value))
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 

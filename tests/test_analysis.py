@@ -8,8 +8,8 @@ import pytest
 
 import hyparr._kernel
 import hyparr.analysis
-from hyparr.analysis import (ModularityVerdict, Refutation, check_rank2_criterion,
-                             checked_exponents, exponents_from_poincare,
+from hyparr.analysis import (ModularityVerdict, Refutation, SupersolvabilityCertificate,
+                             check_rank2_criterion, checked_exponents, exponents_from_poincare,
                              exponents_if_supersolvable, irreducible_factor_count, is_modular,
                              is_supersolvable, mobius, modular_flats_of_rank, poincare,
                              replay_witness, validate_certificate)
@@ -546,8 +546,8 @@ class TestNoChainRefutation:
 
 
 class TestForgedEvidence:
-    """Forgeries built on the supersolvable G(3,1,3): the validator rejects
-    each one, however sound every single witness equation looks."""
+    """Forgeries, most built on the supersolvable G(3,1,3): the validator
+    rejects each one, however sound every single witness equation looks."""
 
     @pytest.fixture(scope="class")
     def cert(self):
@@ -605,6 +605,21 @@ class TestForgedEvidence:
         posing = Flat(h.subspace, h.support, 2)
         assert posing == h
         forged = dataclasses.replace(cert, chain=[bottom, h, posing, top])
+        assert not validate_certificate(forged)
+
+    def test_chain_passing_a_fixed_hyperplane_check_rejected(self):
+        # bottom < {x1} < {x1, x2, x1 + x2} < top.  The top block is x3,
+        # x1 + x3 and x2 + x3; each pair through x3 meets inside x1 or x2, on
+        # the line below, but x1 + x3 and x2 + x3 meet on a line inside no
+        # hyperplane of it: a check of the pairs through one fixed hyperplane
+        # accepts the chain, and only a check of every pair rejects it
+        arr = parse_arrangement_text(
+            "ambient 3 field 1\nx1\nx2\nx1 + x2\nx3\nx1 + x3\nx2 + x3\n")
+        lattice = build_lattice(arr)
+        for support in (0b111, 0b11001, 0b101010, 0b110000):
+            assert lattice.index[support].rank == 2
+        chain = [lattice.bottom(), lattice.index[0b1], lattice.index[0b111], lattice.top()]
+        forged = SupersolvabilityCertificate(True, arr, lattice, False, chain)
         assert not validate_certificate(forged)
 
 

@@ -149,6 +149,22 @@ class TestExitCodes:
         assert code == EXIT_PARSE_ERROR and not out
         assert err.startswith("hyparr: parse error:") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv", [("--json", "modular", "{path}", "--rank", "2"),
+                                      ("--json", "supersolvable", "{path}"),
+                                      ("modular", "{path}", "--rank", "2")])
+    def test_derived_integer_past_the_string_limit_prints(self, capsys, tmp_path, argv):
+        # every parsed coefficient has at most 3,000 digits, but the RREF rows
+        # of the flats and the witness sums hold integers of 6,000 digits
+        path = tmp_path / "big.arr"
+        path.write_text(f"ambient 3 field 1\nx1 + {'7' * 3000}*x2 + x3\n"
+                        f"x1 + x2 + {'3' * 2999}1*x3\nx2 - x3\nx1\n")
+        code, out, err = run_cli(capsys, *(a.format(path=path) for a in argv))
+        assert code == EXIT_OK, err
+        longest = max(len(t) for t in re.findall(r"[0-9]+", out))
+        assert longest > 4300
+        if argv[0] == "--json":
+            json.loads(out)
+
     @pytest.mark.parametrize("spec", ["G(3,1,0)", "G(3,2,3)"])
     def test_bad_monomial_parameters_are_parse_errors(self, capsys, spec):
         code, _, err = run_cli(capsys, "build", spec)
@@ -208,7 +224,7 @@ class TestExitCodes:
         def refuse(*args, **kwargs):
             raise AssertionError("the lattice was built before the cache directory was made")
 
-        monkeypatch.setattr(hyparr.cache, "build_lattice", refuse)
+        monkeypatch.setattr(hyparr.cache, "lattice_of", refuse)
         file = tmp_path / "FILE"
         file.write_text("")
         code, _, err = run_cli(capsys, "--cache-dir", str(file), "lattice", "D4")

@@ -2,6 +2,7 @@
 
 import cmath
 import random
+import sys
 from fractions import Fraction
 from math import lcm
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from hyparr import _kernel
 from hyparr.cyclo import (CyclotomicNumber, cyclotomic_polynomial, embed,
-                          field_context, root_of_unity)
+                          field_context, int_str, rational_str, root_of_unity)
 
 ORDERS = [1, 2, 3, 4, 5, 12]
 
@@ -306,3 +307,36 @@ class TestNumericalCrossCheck:
         b = root_of_unity(5, 4) - CyclotomicNumber.from_rational(Fraction(1, 3), 5)
         assert abs(to_c(a * b) - to_c(a) * to_c(b)) < 1e-9
         assert abs(to_c(a.inverse()) - 1 / to_c(a)) < 1e-9
+
+
+def _lifted(fn):
+    """``fn()`` with the interpreter's integer-string limit lifted: the
+    reference for the printer, which must not need it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return fn()
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+class TestIntegerPrinter:
+    """``int_str`` and ``rational_str`` print integers past the interpreter's
+    4,300-digit limit on integer-string conversion."""
+
+    VALUES = ([s * (2 ** k - e) for k in (12_999, 13_000, 13_001, 14_300)
+               for e in (0, 1) for s in (1, -1)]
+              + [10 ** 4300, 10 ** 4299 - 1, -(7 ** 9000), 0, 1, -1])
+
+    def test_int_str_matches_str(self):
+        rng = random.Random(21)
+        values = self.VALUES + [rng.getrandbits(rng.randint(1, 60_000)) * rng.choice((1, -1))
+                                for _ in range(150)]
+        assert [int_str(v) for v in values] == _lifted(lambda: [str(v) for v in values])
+
+    def test_rational_str_matches_fraction(self):
+        rng = random.Random(22)
+        pairs = [(v, rng.choice((1, 3, 2 ** 14_000 + 1, 6 * 10 ** 5000))) for v in self.VALUES]
+        expected = _lifted(lambda: [str(Fraction(v, den)) for v, den in pairs])
+        assert [rational_str(v, den) for v, den in pairs] == expected
+

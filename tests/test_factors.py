@@ -1,0 +1,170 @@
+"""Product lattices assembled from their factors' lattices (``lattice_of``)
+and their verdicts read off the factors', against the direct build
+(``build_lattice``) and the complement walk of ``is_modular``."""
+
+import itertools
+import json
+import random
+
+import pytest
+
+from hyparr.analysis import (irreducible_factor_count, is_modular, is_supersolvable, poincare,
+                             validate_certificate)
+from hyparr.arrangement import (Arrangement, build_lattice, irreducible_decomposition,
+                                lattice_of, product)
+from hyparr.cli import EXIT_OK, EXIT_REFUSED, main
+from hyparr.errors import RefusalError
+from hyparr.parse import parse_arrangement_text
+from hyparr.reflection import build_named
+from hyparr.report import certificate_payload, report_json
+
+PRODUCT_PAIRS = (("G(3,1,3)", "A(3)"), ("B3", "B3"), ("G(3,3,3)", "A(3)"),
+                 ("B2", "H3"), ("A2", "G(3,1,3)"), ("B2", "D4"))
+CRITERION_5 = ("G(2,1,2)", "G(1,1,3)", "G(3,1,3)", "D4", "G(3,3,3)")
+
+
+def _pair(a, b):
+    return product(build_named(a), build_named(b))
+
+
+def _shuffled(arr, seed):
+    forms = list(arr.hyperplanes)
+    random.Random(seed).shuffle(forms)
+    return Arrangement(arr.ambient, arr.order, tuple(forms))
+
+
+def assert_matches_direct(arr):
+    """The factor-built lattice of ``arr`` against the direct build: supports,
+    ranks, derived subspaces, cover tables, and every verdict with its
+    partner and meet."""
+    factored, direct = lattice_of(arr), build_lattice(arr)
+    assert factored.factors, "the input did not split by coordinates"
+    assert [[(f.support, f.rank) for f in level] for level in factored.levels] == \
+        [[(f.support, f.rank) for f in level] for level in direct.levels]
+    assert factored.covers() == direct.covers()
+    for f in direct.flats():
+        g = factored.index[f.support]
+        assert g.subspace == f.subspace
+        got, want = is_modular(arr, factored, g), is_modular(arr, direct, f)
+        assert got.modular == want.modular, f
+        if not want.modular:
+            assert got.partner.support == want.partner.support, f
+            assert got.meet.support == want.meet.support == 0, f
+            assert got.partner is factored.index[want.partner.support]
+
+
+@pytest.mark.parametrize("pair", PRODUCT_PAIRS, ids="x".join)
+def test_products_workload_pairs(pair):
+    assert_matches_direct(_pair(*pair))
+
+
+@pytest.mark.parametrize("pair", list(itertools.product(CRITERION_5, repeat=2)), ids="x".join)
+def test_criterion_5_pairs(pair):
+    assert_matches_direct(_pair(*pair))
+
+
+def test_triple_product():
+    arr = product(_pair("B2", "A2"), build_named("G(3,3,3)"))
+    assert len(lattice_of(arr).factors) == 3
+    assert_matches_direct(arr)
+
+
+@pytest.mark.parametrize("pair,seed", [(("B2", "H3"), 1), (("B2", "H3"), 2),
+                                       (("G(3,3,3)", "A(3)"), 3), (("A2", "G(3,1,3)"), 4),
+                                       (("B3", "B3"), 5)])
+def test_interleaved_factors(pair, seed):
+    arr = _shuffled(_pair(*pair), seed)
+    # a run of bits plus its lowest bit is one higher bit, off the run
+    masks = [f.mask for f in lattice_of(arr).factors]
+    assert any(m & (m + (m & -m)) for m in masks), "the shuffle kept the factors apart"
+    assert_matches_direct(arr)
+
+
+@pytest.mark.parametrize("pair", [("A2", "G(3,1,3)"), ("G(3,3,3)", "A(3)"), ("B2", "H3"),
+                                  ("H3", "G(3,3,3)")], ids="x".join)
+def test_certificates_match_the_direct_build(pair):
+    """Non-essential pairs take the transported lattice, which shares the
+    factor lattices; every pair prints the same certificate."""
+    arr = _shuffled(_pair(*pair), 7)
+    cert = is_supersolvable(arr, lattice_of(arr))
+    assert cert.lattice.factors
+    direct = is_supersolvable(arr, build_lattice(arr))
+    assert report_json(certificate_payload(cert)) == report_json(certificate_payload(direct))
+
+
+def test_certificate_kinds_validate():
+    kinds = set()
+    for pair in (("B2", "A(3)"), ("H3", "H3"), ("G(3,3,3)", "B2")):
+        arr = _pair(*pair)
+        cert = is_supersolvable(arr, lattice_of(arr))
+        assert validate_certificate(cert)
+        kinds.add("chain" if cert.verdict else cert.refutation.kind)
+    assert kinds == {"chain", "empty-rank", "no-chain"}
+
+
+def test_mixed_coordinates_take_the_direct_build():
+    # B2 on (a, b) times the point c, after a |-> a + c: every coordinate is
+    # linked, so the input does not split although it is reducible
+    arr = parse_arrangement_text("ambient 3 field 1\na + c\nb\na + b + c\na - b + c\nc\n")
+    assert len(irreducible_decomposition(arr)) == 2
+    lattice = lattice_of(arr)
+    assert lattice.factors is None
+    assert irreducible_factor_count(poincare(arr, lattice)) == 2
+    assert [[f.subspace for f in level] for level in lattice.levels] == \
+        [[f.subspace for f in level] for level in build_lattice(arr).levels]
+
+
+def test_repeated_rows_take_the_direct_build():
+    arr = _pair("B2", "A(3)")
+    repeated = Arrangement(arr.ambient, arr.order, arr.hyperplanes + arr.hyperplanes[:1])
+    lattice = lattice_of(repeated)
+    assert lattice.factors is None
+    assert lattice.level_sizes() == build_lattice(repeated).level_sizes()
+
+
+def test_irreducible_input_takes_the_direct_build():
+    for name in ("G31", "A2", "H3"):
+        assert lattice_of(build_named(name)).factors is None
+
+
+@pytest.mark.parametrize("budget", [50, 5183])
+def test_flat_budget_refuses_like_the_direct_build(budget):
+    arr = _pair("D4", "D4")
+    with pytest.raises(RefusalError) as direct:
+        build_lattice(arr, max_flats=budget)
+    with pytest.raises(RefusalError) as factored:
+        lattice_of(arr, max_flats=budget)
+    assert str(factored.value) == str(direct.value)
+    assert len(lattice_of(arr, max_flats=5184)) == 5184
+
+
+def test_cli_flat_budget_exit_code(capsys):
+    code = main(["--max-flats", "5183", "supersolvable", "product(D4,D4)"])
+    err = capsys.readouterr().err
+    assert code == EXIT_REFUSED
+    assert err == ("hyparr: refused: intersection lattice exceeds the flat budget (5183); "
+                   "raise --max-flats to proceed\n")
+
+
+@pytest.mark.parametrize("argv", [("supersolvable", "product(H3,B2)"),
+                                  ("modular", "product(G(3,3,3),A(3))", "--rank", "3"),
+                                  ("poincare", "product(A2,G(3,1,3))")])
+def test_threads_give_identical_json(capsys, argv):
+    outs = []
+    for threads in ("1", "2"):
+        assert main(["--json", "--threads", threads, *argv]) == EXIT_OK
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["lattice"]["flat_count"] > 0
+
+
+def test_cold_and_warm_product_commands_agree(capsys, tmp_path):
+    """The cold run reads the verdicts off the factors, the warm run scans the
+    loaded lattice directly."""
+    outs = []
+    for _ in ("cold", "warm"):
+        assert main(["--json", "--cache-dir", str(tmp_path), "supersolvable",
+                     "product(H3,B2)"]) == EXIT_OK
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["supersolvable"]["refutation"]["kind"] == "no-chain"

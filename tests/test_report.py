@@ -9,6 +9,7 @@ give the same text and coefficient strings on every input.
 
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -307,6 +308,16 @@ class TestJsonWriter:
         assert report_json(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
         for value in (1, "text", None, [], {}):
             assert report_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+    def test_integers_past_the_string_limit(self):
+        payload = {"big": [10 ** 5000, -(3 ** 20_000), 2 ** 13_001 - 1], "small": -7}
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # the reference needs it, the writer must not
+        try:
+            expected = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert report_json(payload) == expected
 
     def test_unsupported_values_are_refused(self):
         for bad in ({"x": 1.5}, [object()], {1: "int key"}):
