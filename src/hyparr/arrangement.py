@@ -3,19 +3,23 @@
 Flats are keyed by support bitsets: a flat of a simple central arrangement is
 determined by the set of hyperplanes containing it, and integer bitsets hash
 far more cheaply than matrices.  The canonical RREF subspace is needed only
-for building the lattice, certifying witnesses and printing flats: a built
-flat keeps the one the build made, and a flat made from its support (a cache
-load, ``transport_lattice``, ``lattice_of``) derives it when first read.
-Joins, meets and the modularity test read bitsets and integer ranks only.
+for building the lattice, certifying witnesses and printing flats, so a flat
+computes it when first read, if it was not made with it (``Flat``).  Joins,
+meets and the modularity test read bitsets and integer ranks only.
 
 The lattice is built level by level, and no flat is fully row-reduced:
 the hyperplanes are grouped into rank-1 flats by their normalized forms,
-each already its own canonical RREF, and every flat X v H above them
-extends X's RREF by one row, the residue of H modulo X (``extend_rref``).
-The rank-2 flats over each hyperplane X group the others by that residue,
-with no membership test.  A cover X v H that the level already has is found
-by a bitset lookup, and the support of a new cover is read off the rank-2
-flats through H, with at most one membership test for each.
+each already its own canonical RREF, and the covers of a flat X are the
+hyperplanes of the restriction A^X: two hyperplanes off X give the same
+cover X v H exactly when their residues modulo X (``form_residue``) agree,
+and X's RREF extended by that one row (``extend_rref``) is the cover's.  The
+rank-2 flats over each hyperplane X group the others by that residue and
+are extended at once.  A cover X v H that the level already has is found by
+a bitset lookup, and the support of a new cover is read off the rank-2
+flats through H, each decided by comparing one residue with H's.  A new
+flat above rank 2 keeps X's RREF and H's residue, and is extended only when
+its subspace is read: as a parent with covers still to find, in a witness
+or a chain, or when printed.
 
 A lattice that is not loaded is made by ``lattice_of``.  When the forms
 split into two or more blocks of coordinates, two coordinates being linked
@@ -31,14 +35,13 @@ product theorem.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from math import lcm
 from threading import Lock
 
 from . import _kernel
 from .cyclo import embed_row, field_context
 from .errors import InternalInconsistencyError, InvalidHyperplaneError, RefusalError
-from .linalg import (LinearForm, Subspace, extend_rref, form_residue, form_to_str,
+from .linalg import (LinearForm, Row, Subspace, extend_rref, form_residue, form_to_str,
                      form_vanishes_on, full_space, restrict_row, subspace_from_rows,
                      variable_names)
 
@@ -49,9 +52,12 @@ def parallel_map(fn, items, threads: int) -> list:
     """``[fn(x) for x in items]``, in order, on up to ``threads`` worker threads.
 
     The kernels hold the GIL, so workers give the same result, not a speed-up.
+    The pool's module is imported only here, so a one-worker run never
+    loads it.
     """
     if threads <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
         return list(pool.map(fn, items))
 
@@ -144,21 +150,29 @@ def make_arrangement(ambient: int, order: int, forms) -> Arrangement:
 class Flat:
     """A lattice element: subspace, support bitset over hyperplane indices, rank.
 
-    A flat of a simple arrangement is fixed by its support, so a flat made
-    from one (``Flat.of_support``: cache loads, ``transport_lattice`` and
-    ``lattice_of``) keeps only its arrangement and derives its canonical RREF
-    subspace the first time ``subspace`` is read (``_subspace_of``), then
-    keeps it.  The hash reads the support only, so sets and dicts of flats
-    derive nothing; equality compares supports, then subspaces.
+    A flat of a simple arrangement is fixed by its support.  Its canonical
+    RREF subspace comes from one of three sources.  A rank-1 or rank-2 flat
+    of ``build_lattice``, and a flat of ``closure`` or the all-subsets
+    oracle, is made with it.  A flat ``build_lattice`` enters above rank 2
+    holds its parent's subspace and its residue modulo that subspace
+    (``Flat.extending``), and extends the one by the other the first time
+    ``subspace`` is read (``extend_rref``).  A flat made from its support
+    (``Flat.of_support``: cache loads, ``transport_lattice`` and
+    ``lattice_of``) holds its arrangement and derives the subspace from
+    scratch when first read (``_subspace_of``).  Either kind then keeps it,
+    and keeps its source, so workers reading it at once only derive an
+    equal subspace more than once.  The hash reads the support only, so
+    sets and dicts of flats derive nothing; equality compares supports,
+    then subspaces.
     """
 
-    __slots__ = ("_subspace", "support", "rank", "_arrangement")
+    __slots__ = ("_subspace", "support", "rank", "_source")
 
     def __init__(self, subspace: Subspace, support: int, rank: int):
         self._subspace = subspace
         self.support = support
         self.rank = rank
-        self._arrangement = None
+        self._source = None
 
     @classmethod
     def of_support(cls, arr: Arrangement, support: int, rank: int) -> Flat:
@@ -168,15 +182,32 @@ class Flat:
         flat._subspace = None
         flat.support = support
         flat.rank = rank
-        flat._arrangement = arr
+        flat._source = arr
+        return flat
+
+    @classmethod
+    def extending(cls, parent: Subspace, residue: Row, support: int, rank: int) -> Flat:
+        """The cover of the flat with subspace ``parent`` by a hyperplane
+        whose residue modulo it is ``residue``, on the hyperplanes of ``support``,
+        its subspace extended when first read.  It holds the parent's
+        subspace, not its flat, so no chain of deferred parents forms."""
+        flat = cls.__new__(cls)
+        flat._subspace = None
+        flat.support = support
+        flat.rank = rank
+        flat._source = (parent, residue)
         return flat
 
     @property
     def subspace(self) -> Subspace:
         sub = self._subspace
         if sub is None:
-            # a race between workers only derives an equal subspace twice
-            sub = self._subspace = _subspace_of(self._arrangement, self.support, self.rank)
+            source = self._source
+            if isinstance(source, Arrangement):
+                sub = _subspace_of(source, self.support, self.rank)
+            else:
+                sub = extend_rref(*source)
+            self._subspace = sub
         return sub
 
     @property
@@ -249,9 +280,11 @@ class IntersectionLattice:
     """All intersections of subsets of the arrangement, graded by codimension.
 
     ``levels[k]`` lists the rank-k flats sorted by support bitset; ``index``
-    maps each support to its flat.  A built lattice holds every flat's
-    subspace; a loaded or transported one holds supports and ranks only, and
-    each flat derives its subspace when read (``Flat.of_support``).  The
+    maps each support to its flat.  A built lattice holds the subspaces of
+    its rank-1 and rank-2 flats and the parent's subspace and residue of each
+    flat above (``Flat.extending``); a loaded or transported one holds
+    supports and ranks only (``Flat.of_support``).  Either way a flat
+    computes its subspace when first read.  The
     cover table (``covers()``) and the join table (``join_steps()``) are
     built on first use; both read supports only, so ``_tables`` holding them
     may be shared with a lattice of the same supports
@@ -463,29 +496,31 @@ def _children_of(arr: Arrangement, parent: Flat, level: _Level, lines: list | No
 
     The covers of the bottom, the rank-1 flats, are the hyperplanes grouped
     by normalized form; a normalized form is its own canonical RREF, so no
-    reduction runs.  Every other cover is the parent's RREF extended by one
-    row, the residue of H modulo the parent scaled to leading coefficient 1
-    (``form_residue``, then ``extend_rref``).  For a rank-1 parent with row
-    x and pivot p, each hyperplane h off it is reduced once to h - h_p x:
-    hyperplanes with equal residues span one rank-2 flat with x, whose
-    support is the parent's plus theirs, so each residue class is one cover,
-    extended by its residue with no second reduction, and no membership test
-    is run.  For any other parent, a flat the level already has whose
-    support contains the parent's is parent v H for each H it holds, the
-    only rank-(k+1) flat above both, so these are looked up under the
-    parent's lowest atom in ``level.by_atom`` and only the other covers are
-    extended, each once.  ``covered`` holds the hyperplanes of the covers
-    known so far.  A new cover's support is the parent's plus the rank-2
-    flats through H that it holds (``lines``, from ``_line_table``, which
-    exists once the parents have rank 2), each inside or outside the cover
-    as a whole: a line that meets the parent lies inside, one that meets
-    ``covered`` outside the parent lies outside, since a hyperplane there
-    lies in another cover, and one membership test of its member decides
-    any other.
+    reduction runs.  Above them, the covers of a flat X are the hyperplanes
+    of the restriction A^X (Orlik-Terao, Ch. 1): two hyperplanes off X cut
+    the same cover X v H exactly when their residues modulo X, reduced by
+    X's RREF and scaled to leading coefficient 1 (``form_residue``), are
+    equal, and X's RREF extended by that residue (``extend_rref``) is the
+    cover's.  For a rank-1 parent each hyperplane off it is reduced once:
+    each residue class is one rank-2 flat, extended by its residue, with no
+    second reduction.  For any other parent, a flat the level already has
+    whose support contains the parent's is parent v H for each H it holds,
+    the only rank-(k+1) flat above both, so these are looked up under the
+    parent's lowest atom in ``level.by_atom``; ``covered`` holds their
+    hyperplanes, and only the hyperplanes left open a cover, each once.  A
+    new cover's support is the parent's plus the rank-2 flats through H
+    that it holds (``lines``, from ``_line_table``, which exists once the
+    parents have rank 2), each inside or outside the cover as a whole: a
+    line that meets the parent lies inside, one that meets ``covered``
+    outside the parent lies outside, since a hyperplane there lies in
+    another cover, and any other lies inside exactly when its member's
+    residue equals H's.  Each residue is computed once per parent.  The new
+    cover holds the parent's subspace and H's residue, and is extended only
+    when its subspace is read (``Flat.extending``); the parent's is read
+    only if some hyperplane is left.
     """
     level.check_budget()  # another worker may have gone over already
     hyperplanes = arr.hyperplanes
-    n = len(hyperplanes)
     ambient = arr.ambient
     below = parent.support
     if not below:
@@ -504,36 +539,47 @@ def _children_of(arr: Arrangement, parent: Flat, level: _Level, lines: list | No
     for s in by_atom.get(below & -below, ()):
         if s & below == below:
             covered |= s
+    full = arr.full_support()
+    rest = full & ~covered
+    if not rest:
+        return
+    sub = parent.subspace
     if parent.rank == 1:
         # the rank-2 flats: hyperplanes off the parent with equal residues
         groups: dict = {}
-        for h in range(n):
-            if not covered & 1 << h:
-                key = form_residue(hyperplanes[h], parent.subspace)
-                groups[key] = groups.get(key, 0) | 1 << h
+        for bit in _bits(rest):
+            key = form_residue(hyperplanes[bit.bit_length() - 1], sub)
+            groups[key] = groups.get(key, 0) | bit
         for residue, bits in groups.items():
             with level.lock:
                 if below | bits in level.found:
                     continue  # another worker entered it after ``covered`` was read
                 level.check_budget()
-                level.add(Flat(extend_rref(parent.subspace, residue), below | bits, 2))
+                level.add(Flat(extend_rref(sub, residue), below | bits, 2))
         return
-    for h in range(n):
-        bit = 1 << h
-        if not covered & bit:
-            sub = extend_rref(parent.subspace, form_residue(hyperplanes[h], parent.subspace))
-            bits = below | bit
-            if sub.codim == ambient:
-                bits = arr.full_support()
-            else:
-                off = covered & ~below
-                for line, member in lines[h]:
-                    if line & below:
+    rank = parent.rank + 1
+    residues: dict[int, Row] = {}
+    while rest:
+        bit = rest & -rest
+        h = bit.bit_length() - 1
+        key = residues.get(h) or form_residue(hyperplanes[h], sub)
+        bits = below | bit
+        if rank == ambient:
+            bits = full
+        else:
+            off = covered & ~below
+            for line, member in lines[h]:
+                if line & below:
+                    bits |= line
+                elif not line & off:
+                    residue = residues.get(member)
+                    if residue is None:
+                        residue = residues[member] = form_residue(hyperplanes[member], sub)
+                    if residue == key:
                         bits |= line
-                    elif not line & off and form_vanishes_on(hyperplanes[member], sub):
-                        bits |= line
-            level.add(Flat(sub, bits, sub.codim))
-            covered |= bits
+        level.add(Flat.extending(sub, key, bits, rank))
+        covered |= bits
+        rest &= ~bits
 
 
 def build_lattice(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS,
@@ -543,16 +589,18 @@ def build_lattice(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS,
     Rank k+1 flats are the flats X .cap. H for X of rank k and H outside X
     (``_children_of``); rank-1 flats group equal normalized forms, and the
     rank-2 flats over a hyperplane X group the other hyperplanes by their
-    normalized residues modulo X.  Each flat above rank 1 extends its
-    parent's RREF by that residue, so no flat is fully row-reduced, and a
-    cover the level already has is found by a bitset lookup, so each flat
-    is extended once.  From level 3 on, a new flat's support is read off the
-    rank-2 flats through H (``_line_table``), skipping those that meet X's
-    other covers, with at most one membership test for each.  Each level is
-    sorted by support bitset, so the result is deterministic and identical
-    for any worker count; the workers of a level share its ``_Level``.  The
-    flat budget is checked whenever a level gains a flat, so an oversized
-    lattice is refused before its level is finished.
+    normalized residues modulo X, each extending X's RREF by that residue,
+    so no flat is fully row-reduced.  A cover the level already has is found
+    by a bitset lookup, so each flat is entered once.  From level 3 on, a
+    new flat's support is read off the rank-2 flats through H
+    (``_line_table``), skipping those that meet X's other covers and
+    comparing one member's residue modulo X with H's for each other, and
+    the flat keeps X's subspace and H's residue, extending the one by the
+    other only when its subspace is read.  Each level is sorted by support
+    bitset, so the result is deterministic and identical for any worker
+    count; the workers of a level share its ``_Level``.  The flat budget is
+    checked whenever a level gains a flat, so an oversized lattice is
+    refused before its level is finished.
     """
     bottom = Flat(full_space(arr.ambient, arr.order), 0, 0)
     levels: list[tuple] = [(bottom,)]

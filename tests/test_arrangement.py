@@ -1,17 +1,22 @@
 """Arrangements, lattices, and the structural constructions."""
 
 import hashlib
+import importlib.util
 import json
+import os
 import random
+import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from math import lcm
+from pathlib import Path
 
 import pytest
 
 import hyparr.arrangement
 from hyparr import _kernel
-from hyparr.arrangement import (Arrangement, brute_force_lattice, build_lattice, closure,
-                                deletion, essentialize, in_lattice,
+from hyparr.arrangement import (Arrangement, _subspace_of, brute_force_lattice, build_lattice,
+                                closure, deletion, essentialize, in_lattice,
                                 irreducible_decomposition, localization, make_arrangement,
                                 parallel_map, product, restriction, transport_lattice)
 from hyparr.cli import resolve_spec
@@ -141,23 +146,29 @@ class TestBuildLattice:
             assert x.subspace == y.subspace == z.subspace
 
     # Kernel calls of a one-worker build.  No flat is fully row-reduced:
-    # the rank-1 flats are normalized forms, and each flat above them
-    # extends its parent's RREF once; every other cover is a registry
-    # lookup, and the rank-1 and rank-2 flats need no membership test.
-    @pytest.mark.parametrize("name, extensions, in_rowspace_calls",
-                             [("D4", 59, 15), ("G(3,1,3)", 22, 0)])
-    def test_one_worker_kernel_calls(self, monkeypatch, name, extensions, in_rowspace_calls):
+    # the rank-1 flats are normalized forms, and each rank-2 flat extends
+    # its parent's RREF once.  A flat above rank 2 is extended only when its
+    # subspace is read: in the build, only as a parent with a cover still to
+    # find (in D4, the one coatom that finds the top; in G(3,1,3), of rank 3,
+    # none).  Its hyperplanes are decided by comparing residues, with no
+    # membership test.  Reading every subspace afterwards extends each flat
+    # above rank 1 once in all.
+    @pytest.mark.parametrize("name, extensions", [("D4", 35), ("G(3,1,3)", 21)])
+    def test_one_worker_kernel_calls(self, monkeypatch, name, extensions):
         arr = build_named(name)
         calls = count_kernel_calls(monkeypatch)
         lattice = build_lattice(arr, threads=1)
-        assert calls == {"rref": 0, "in_rowspace": in_rowspace_calls, "extend": extensions}
-        assert calls["extend"] == len(lattice) - 1 - len(lattice.levels[1])
+        assert calls == {"rref": 0, "in_rowspace": 0, "extend": extensions}
+        for f in lattice.flats():
+            f.subspace
+        assert calls == {"rref": 0, "in_rowspace": 0,
+                         "extend": len(lattice) - 1 - len(lattice.levels[1])}
 
     def test_max_flats_holds_within_a_level(self, monkeypatch):
         # G31 has 771 flats up to rank 2 and 1500 of rank 3: the build stops
         # at the first rank-3 flat past the budget, not at the end of the level;
-        # the 60 rank-1 flats cost no reduction, the 710 rank-2 flats and the
-        # rank-3 flats one extension each
+        # the 60 rank-1 flats cost no reduction, the 710 rank-2 flats one
+        # extension each, and the rank-3 flats none until they are read
         calls = count_kernel_calls(monkeypatch)
         with pytest.raises(RefusalError, match=r"flat budget \(800\)"):
             build_lattice(build_named("G31"), max_flats=800)
@@ -197,6 +208,87 @@ class TestBuildLattice:
         payload = json.dumps(v1_lattice_payload(build_lattice(build_named(name))),
                              sort_keys=True, separators=(",", ":"))
         assert hashlib.sha256(payload.encode()).hexdigest() == self.PAYLOAD_SHA256[name]
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+@pytest.fixture(scope="module")
+def benchmark_inputs(tmp_path_factory):
+    """The arrangements of the seed-1 ``lattice`` and ``products`` input
+    files that the benchmark writes, by workload."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    inputs = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+        spec.loader.exec_module(workloads)
+        for workload in ("lattice", "products"):
+            directory = tmp_path_factory.mktemp(workload)
+            workloads.make_items(workload, 1, str(directory))
+            inputs[workload] = [parse_arrangement_text(path.read_text())
+                                for path in sorted(directory.iterdir())]
+    return inputs
+
+
+def assert_canonical_subspaces(arr) -> int:
+    """Every flat of a build reads the canonical RREF of its support, and no
+    two flats of a level share a subspace; returns how many flats the build
+    left to extend or derive when read."""
+    lattice = build_lattice(arr)
+    deferred = sum(f._subspace is None for f in lattice.flats())
+    for level in lattice.levels:
+        for f in level:
+            assert f.subspace == _subspace_of(arr, f.support, f.rank), f
+        assert len({f.subspace for f in level}) == len(level)
+    return deferred
+
+
+class TestDeferredSubspaces:
+    """A flat the build enters above rank 2 holds its parent's subspace and
+    its residue, and extends the one by the other when first read."""
+
+    @pytest.mark.parametrize("name", [entry.name for entry in catalog()])
+    def test_catalog_subspaces_are_canonical(self, name):
+        arr = build_named(name)
+        deferred = assert_canonical_subspaces(arr)
+        assert (deferred > 0) == (arr.rank() > 2)
+
+    @pytest.mark.parametrize("workload", ["lattice", "products"])
+    def test_benchmark_input_subspaces_are_canonical(self, benchmark_inputs, workload):
+        assert len(benchmark_inputs[workload]) == {"lattice": 6, "products": 12}[workload]
+        for arr in benchmark_inputs[workload]:
+            assert_canonical_subspaces(arr)
+
+    def test_concurrent_first_reads(self):
+        arr = build_named("G31")
+        lattice = build_lattice(arr)
+        coatoms = lattice.levels[-2]
+        assert len(coatoms) == 1500
+        assert sum(f._subspace is None for f in coatoms) >= 1499
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # let the readers interleave often
+        try:
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                reads = list(pool.map(lambda _: [f.subspace for f in coatoms], range(3)))
+        finally:
+            sys.setswitchinterval(interval)
+        expected = [_subspace_of(arr, f.support, f.rank) for f in coatoms]
+        assert reads == [expected] * 3
+
+    def test_worker_count_changes_no_flat(self):
+        arr = build_named("G(4,1,5)")
+        one = build_lattice(arr, threads=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            three = build_lattice(arr, threads=3)
+        finally:
+            sys.setswitchinterval(interval)
+        assert one.level_sizes() == three.level_sizes()
+        for x, y in zip(one.flats(), three.flats()):
+            assert x.support == y.support and x.rank == y.rank
+            assert x.subspace == y.subspace
 
 
 def count_kernel_calls(monkeypatch) -> dict[str, int]:
@@ -322,6 +414,15 @@ class TestParallelMap:
     @pytest.mark.parametrize("items", [[], [7], list(range(40))])
     def test_ordered_plain_map(self, threads, items):
         assert parallel_map(lambda x: x * x - 3, items, threads) == [x * x - 3 for x in items]
+
+    def test_cli_import_loads_no_pool(self):
+        # the pool's module is imported when a pool starts, so a one-worker
+        # command does not pay for loading it
+        code = "import sys, hyparr.cli; print('concurrent.futures' in sys.modules)"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert out.stdout == "False\n"
 
 
 class TestLocalization:
