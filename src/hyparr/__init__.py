@@ -24,8 +24,8 @@ from .errors import (HyparrError, InternalInconsistencyError, InvalidHyperplaneE
 from .linalg import (LinearForm, Subspace, contains, intersect, subspace_from_forms,
                      subspace_sum)
 from .parse import parse_arrangement_file, parse_arrangement_text, parse_form, parse_scalar
-from .reflection import (CatalogEntry, braid_arrangement, build_named, catalog,
-                         exceptional_arrangement, monomial_arrangement)
+from .reflection import (CatalogEntry, build_named, catalog, exceptional_arrangement,
+                         monomial_arrangement)
 
 
 def kernel_backend() -> str:

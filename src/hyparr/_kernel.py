@@ -3,10 +3,12 @@
 Row reduction, rank, row-space membership, null spaces and field-element
 arithmetic for ``Q(zeta_n)``: the exact arithmetic under every lattice build
 and witness certificate.  Callers look these functions up on the module at
-call time (``_kernel.rank(...)``), so they can be wrapped or counted there.
+call time (``_kernel.reduce(...)``), so they can be wrapped or counted there.
 ``reduce``, ``monic`` and ``lead_column`` are the one pivot-clearing loop,
-scaling to leading coefficient 1 and search for the leading entry; ``rref``
-and ``rank`` keep their own elimination as the tests' independent reference.
+scaling to leading coefficient 1 and search for the leading entry.  ``rref``
+and ``rank`` keep their own full elimination as the tests' independent
+references, and run time never calls them: every RREF outside the tests
+grows one residue at a time (``linalg.extend_by_rows``).
 ``mul_matrix`` and ``mul_apply`` are the one multiplication: every product
 of field elements (``elem_mul``, ``elem_inv``, ``eliminate``, ``monic``,
 ``rref``, ``rank``) builds the integer matrix of its multiplier, cached per

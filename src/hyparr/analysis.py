@@ -16,7 +16,7 @@ X v P.  The bottom, the atoms and the top are modular in every geometric
 lattice and are not walked.  The scan records the first failing Y and its
 meet, the bottom, only.  ``ModularityVerdict.certify`` checks that witness
 over the field, independently of the join table: by
-Grassmann's formula, dim(X + Y) from one rank of the stacked defining rows
+Grassmann's formula, dim(X + Y) from X's RREF grown by Y's defining rows
 must be strictly smaller than the meet flat, which is the closure of X + Y.
 The sum subspace itself is built only for the outputs that print it
 (``ModularityVerdict.witness``).  ``validate_certificate`` re-checks
@@ -60,7 +60,7 @@ from .arrangement import (DEFAULT_MAX_FLATS, Arrangement, Flat, IntersectionLatt
                           transport_lattice)
 from .cyclo import field_context
 from .errors import InternalInconsistencyError, RefusalError
-from .linalg import LinearForm, Subspace, subspace_from_forms, subspace_sum
+from .linalg import LinearForm, Subspace, extend_by_rows, subspace_from_forms, subspace_sum
 
 
 @dataclass
@@ -68,7 +68,7 @@ class ModularityVerdict:
     """Outcome of testing one flat: modular, or the first failing partner Y
     with the meet flat, the closure of X + Y.
 
-    ``certify`` checks the failure over the field by one stacked rank on
+    ``certify`` checks the failure over the field by growing one RREF on
     first call; ``witness`` certifies and then builds the pair (Y, X + Y)
     for printing, once.  A verdict nobody reads costs no field arithmetic.
     """
@@ -84,13 +84,12 @@ class ModularityVerdict:
     def certify(self) -> int | None:
         """dim(X + Y), checked to be strictly smaller than the meet flat, so
         X + Y is not a flat; None for a modular flat.  Grassmann's formula
-        gives dim(X + Y) = dim X + dim Y - dim(X .cap. Y), and the
-        intersection's codimension is the rank of the stacked defining rows."""
+        gives dim(X + Y) = dim X + dim Y - dim(X .cap. Y), and X .cap. Y is
+        X's RREF grown by Y's defining rows (``extend_by_rows``), which
+        stops once it reaches the ambient dimension."""
         if self._sum_dim is None and self.partner is not None:
             x, y = self.flat.subspace, self.partner.subspace
-            ctx = field_context(x.order)
-            stacked = _kernel.rank(list(x.rows + y.rows), x.ambient, ctx.degree, ctx.red)
-            dim = x.dim + y.dim - (x.ambient - stacked)
+            dim = x.dim + y.dim - extend_by_rows(x, y.rows).dim
             if dim >= self.meet.dim:
                 raise InternalInconsistencyError(
                     "the rank identity disagrees with the stacked rank")

@@ -5,21 +5,21 @@ determined by the set of hyperplanes containing it, and integer bitsets hash
 far more cheaply than matrices.  The canonical RREF subspace is needed only
 for building the lattice, certifying witnesses and printing flats, so a flat
 computes it when first read, if it was not made with it (``Flat``).  Joins,
-meets and the modularity test read bitsets and integer ranks only.
+meets and the modularity test read bitsets and integer ranks only.  Every
+RREF here grows one residue at a time (``linalg.extend_by_rows``).
 
-The lattice is built level by level, and no flat is fully row-reduced:
-the hyperplanes are grouped into rank-1 flats by their normalized forms,
-each already its own canonical RREF, and the covers of a flat X are the
-hyperplanes of the restriction A^X: two hyperplanes off X give the same
-cover X v H exactly when their residues modulo X (``form_residue``) agree,
-and X's RREF extended by that one row (``extend_rref``) is the cover's.  The
-rank-2 flats over each hyperplane X group the others by that residue and
-are extended at once.  A cover X v H that the level already has is found by
-a bitset lookup, and the support of a new cover is read off the rank-2
-flats through H, each decided by comparing one residue with H's.  A new
-flat above rank 2 keeps X's RREF and H's residue, and is extended only when
-its subspace is read: as a parent with covers still to find, in a witness
-or a chain, or when printed.
+The lattice is built level by level: the hyperplanes are grouped into
+rank-1 flats by their normalized forms, each already its own canonical
+RREF, and the covers of a flat X are the hyperplanes of the restriction
+A^X: two hyperplanes off X give the same cover X v H exactly when their
+residues modulo X (``form_residue``) agree, and X's RREF extended by that
+one row (``extend_rref``) is the cover's.  The rank-2 flats over each
+hyperplane X group the others by that residue.  A cover X v H that the
+level already has is found by a bitset lookup, and the support of a new
+cover above rank 2 is read off the rank-2 flats through H, each decided by
+comparing one residue with H's.  Every new flat above rank 1 keeps X's
+RREF and H's residue, and is extended only when its subspace is read: as a
+parent with covers still to find, in a witness or a chain, or when printed.
 
 A lattice that is not loaded is made by ``lattice_of``.  When the forms
 split into two or more blocks of coordinates, two coordinates being linked
@@ -36,7 +36,6 @@ product theorem.
 from __future__ import annotations
 
 from math import lcm
-from threading import Lock
 
 from . import _kernel
 from .cyclo import embed_row, field_context
@@ -102,21 +101,9 @@ class Arrangement:
                                   self.ambient, self.order)
 
     def rank(self) -> int:
-        """The codimension of the center T(A), with no full row reduction.
-
-        An RREF grows one hyperplane at a time by its residue
-        (``form_residue``, ``extend_rref``), as the lattice build grows a
-        flat, and stops once its rank reaches the ambient dimension, which
-        the remaining hyperplanes cannot raise.
-        """
-        s = full_space(self.ambient, self.order)
-        for h in self.hyperplanes:
-            if s.codim == self.ambient:
-                break
-            residue = form_residue(h, s)
-            if residue is not None:
-                s = extend_rref(s, residue)
-        return s.codim
+        """The codimension of the center T(A), grown by residues only up to
+        the ambient dimension."""
+        return self.center().codim
 
     def is_essential(self) -> bool:
         return self.rank() == self.ambient
@@ -151,19 +138,20 @@ class Flat:
     """A lattice element: subspace, support bitset over hyperplane indices, rank.
 
     A flat of a simple arrangement is fixed by its support.  Its canonical
-    RREF subspace comes from one of three sources.  A rank-1 or rank-2 flat
-    of ``build_lattice``, and a flat of ``closure`` or the all-subsets
-    oracle, is made with it.  A flat ``build_lattice`` enters above rank 2
-    holds its parent's subspace and its residue modulo that subspace
-    (``Flat.extending``), and extends the one by the other the first time
-    ``subspace`` is read (``extend_rref``).  A flat made from its support
-    (``Flat.of_support``: cache loads, ``transport_lattice`` and
-    ``lattice_of``) holds its arrangement and derives the subspace from
-    scratch when first read (``_subspace_of``).  Either kind then keeps it,
-    and keeps its source, so workers reading it at once only derive an
-    equal subspace more than once.  The hash reads the support only, so
-    sets and dicts of flats derive nothing; equality compares supports,
-    then subspaces.
+    RREF subspace is made eagerly for the bottom and the rank-1 flats of
+    ``build_lattice`` and for the flats of ``closure`` and of the
+    all-subsets oracle.  Every other flat defers it.  A flat
+    ``build_lattice`` enters above rank 1 holds its parent's
+    subspace and its residue modulo that subspace (``Flat.extending``), and
+    extends the one by the other the first time ``subspace`` is read
+    (``extend_rref``).  A flat made from its support (``Flat.of_support``:
+    cache loads, ``transport_lattice`` and ``lattice_of``) holds its
+    arrangement and grows the subspace from the full space by its
+    hyperplanes when first read (``_subspace_of``).  A deferred flat then
+    keeps the subspace, and keeps its source, so workers reading it at once
+    only derive an equal subspace more than once.  The hash reads the
+    support only, so sets and dicts of flats derive nothing; equality
+    compares supports, then subspaces.
     """
 
     __slots__ = ("_subspace", "support", "rank", "_source")
@@ -240,15 +228,12 @@ class Flat:
 
 
 def _subspace_of(arr: Arrangement, support: int, rank: int) -> Subspace:
-    """The canonical RREF of the hyperplanes of ``support``: each extends the
-    RREF so far by its residue (``form_residue``, ``extend_rref``), as the
-    build extends a parent.  A rank other than ``rank`` means the support was
-    not that of a rank-``rank`` flat and raises InternalInconsistencyError."""
-    sub = full_space(arr.ambient, arr.order)
-    for bit in _bits(support):
-        residue = form_residue(arr.hyperplanes[bit.bit_length() - 1], sub)
-        if residue is not None:
-            sub = extend_rref(sub, residue)
+    """The canonical RREF of the hyperplanes of ``support``, grown by their
+    residues (``subspace_from_rows``), as the build extends a parent.  A
+    rank other than ``rank`` means the support was not that of a
+    rank-``rank`` flat and raises InternalInconsistencyError."""
+    sub = subspace_from_rows([arr.hyperplanes[bit.bit_length() - 1].row
+                              for bit in _bits(support)], arr.ambient, arr.order)
     if sub.codim != rank:
         raise InternalInconsistencyError(
             f"the hyperplanes of a rank-{rank} flat have rank {sub.codim}")
@@ -266,8 +251,6 @@ def closure(arr: Arrangement, x: Subspace) -> Flat:
         if form_vanishes_on(h, x):
             bits |= 1 << i
             rows.append(h.row)
-    if not rows:
-        return Flat(full_space(arr.ambient, arr.order), 0, 0)
     sub = subspace_from_rows(rows, arr.ambient, arr.order)
     return Flat(sub, bits, sub.codim)
 
@@ -281,8 +264,8 @@ class IntersectionLattice:
 
     ``levels[k]`` lists the rank-k flats sorted by support bitset; ``index``
     maps each support to its flat.  A built lattice holds the subspaces of
-    its rank-1 and rank-2 flats and the parent's subspace and residue of each
-    flat above (``Flat.extending``); a loaded or transported one holds
+    its bottom and rank-1 flats and the parent's subspace and residue of
+    each flat above (``Flat.extending``); a loaded or transported one holds
     supports and ranks only (``Flat.of_support``).  Either way a flat
     computes its subspace when first read.  The
     cover table (``covers()``) and the join table (``join_steps()``) are
@@ -407,15 +390,14 @@ class IntersectionLattice:
             missing = y.support & ~s
         return self.index[s]
 
-    def sum_membership(self, x: Flat, y: Flat, join: Flat | None = None
-                       ) -> tuple[bool, Flat]:
+    def sum_membership(self, x: Flat, y: Flat) -> tuple[bool, Flat]:
         """Whether x + y is again a flat, plus the closure of x + y.
 
         The closure of x + y is the meet flat: a hyperplane contains x + y
         exactly when it contains both x and y.  Since dim(x + y) =
         dim x + dim y - dim(x .cap. y), the sum is that flat iff the rank
         identity r(x) + r(y) = r(x v y) + r(x ^ y) holds, which needs only
-        the rank of ``join``, the flat x v y (by default walked by ``join``).
+        the rank of the join x v y, walked by ``join``.
         The modular scan decides its pairs without this test, which checks
         any single pair independently of the scan.
         """
@@ -428,9 +410,7 @@ class IntersectionLattice:
         if ranks > self.arrangement.ambient + meet.rank:
             # dim(x + y) <= dim x + dim y < dim of the meet
             return False, meet
-        if join is None:
-            join = self.join(x, y)
-        return ranks == join.rank + meet.rank, meet
+        return ranks == self.join(x, y).rank + meet.rank, meet
 
 
 def _bits(s: int):
@@ -451,19 +431,16 @@ class _Level:
 
     ``found`` maps support -> flat and ``by_atom`` maps each hyperplane bit
     to the supports found that hold it.  Dict and list updates are atomic
-    under the GIL: a race only computes an equal flat twice, and ``found``
+    under the GIL: a race only enters an equal flat twice, and ``found``
     keeps one per support.  ``room`` is how many flats the level may add
-    within the budget.  ``lock`` serializes the rank-2 extensions, whose
-    supports are known beforehand, so none is repeated or run past the
-    budget at any worker count.
+    within the budget, checked on every entry.
     """
 
-    __slots__ = ("found", "by_atom", "room", "max_flats", "lock")
+    __slots__ = ("found", "by_atom", "room", "max_flats")
 
     def __init__(self, kept: int, max_flats: int):
         self.found: dict[int, Flat] = {}
         self.by_atom: dict[int, list[int]] = {}
-        self.lock = Lock()
         self.room = max_flats - kept
         self.max_flats = max_flats
 
@@ -502,22 +479,21 @@ def _children_of(arr: Arrangement, parent: Flat, level: _Level, lines: list | No
     X's RREF and scaled to leading coefficient 1 (``form_residue``), are
     equal, and X's RREF extended by that residue (``extend_rref``) is the
     cover's.  For a rank-1 parent each hyperplane off it is reduced once:
-    each residue class is one rank-2 flat, extended by its residue, with no
-    second reduction.  For any other parent, a flat the level already has
-    whose support contains the parent's is parent v H for each H it holds,
-    the only rank-(k+1) flat above both, so these are looked up under the
-    parent's lowest atom in ``level.by_atom``; ``covered`` holds their
-    hyperplanes, and only the hyperplanes left open a cover, each once.  A
-    new cover's support is the parent's plus the rank-2 flats through H
-    that it holds (``lines``, from ``_line_table``, which exists once the
-    parents have rank 2), each inside or outside the cover as a whole: a
-    line that meets the parent lies inside, one that meets ``covered``
-    outside the parent lies outside, since a hyperplane there lies in
-    another cover, and any other lies inside exactly when its member's
-    residue equals H's.  Each residue is computed once per parent.  The new
-    cover holds the parent's subspace and H's residue, and is extended only
-    when its subspace is read (``Flat.extending``); the parent's is read
-    only if some hyperplane is left.
+    each residue class is one rank-2 flat.  For any other parent, a flat the
+    level already has whose support contains the parent's is parent v H for
+    each H it holds, the only rank-(k+1) flat above both, so these are
+    looked up under the parent's lowest atom in ``level.by_atom``;
+    ``covered`` holds their hyperplanes, and only the hyperplanes left open
+    a cover, each once.  A new cover's support is the parent's plus the
+    rank-2 flats through H that it holds (``lines``, from ``_line_table``,
+    which exists once the parents have rank 2), each inside or outside the
+    cover as a whole: a line that meets the parent lies inside, one that
+    meets ``covered`` outside the parent lies outside, since a hyperplane
+    there lies in another cover, and any other lies inside exactly when its
+    member's residue equals H's.  Each residue is computed once per parent.  Every
+    new cover holds the parent's subspace and its residue, and is extended
+    only when its subspace is read (``Flat.extending``); the parent's is
+    read only if some hyperplane is left.
     """
     level.check_budget()  # another worker may have gone over already
     hyperplanes = arr.hyperplanes
@@ -548,21 +524,17 @@ def _children_of(arr: Arrangement, parent: Flat, level: _Level, lines: list | No
         # the rank-2 flats: hyperplanes off the parent with equal residues
         groups: dict = {}
         for bit in _bits(rest):
-            key = form_residue(hyperplanes[bit.bit_length() - 1], sub)
+            key = form_residue(hyperplanes[bit.bit_length() - 1].row, sub)
             groups[key] = groups.get(key, 0) | bit
         for residue, bits in groups.items():
-            with level.lock:
-                if below | bits in level.found:
-                    continue  # another worker entered it after ``covered`` was read
-                level.check_budget()
-                level.add(Flat(extend_rref(sub, residue), below | bits, 2))
+            level.add(Flat.extending(sub, residue, below | bits, 2))
         return
     rank = parent.rank + 1
     residues: dict[int, Row] = {}
     while rest:
         bit = rest & -rest
         h = bit.bit_length() - 1
-        key = residues.get(h) or form_residue(hyperplanes[h], sub)
+        key = residues.get(h) or form_residue(hyperplanes[h].row, sub)
         bits = below | bit
         if rank == ambient:
             bits = full
@@ -574,7 +546,8 @@ def _children_of(arr: Arrangement, parent: Flat, level: _Level, lines: list | No
                 elif not line & off:
                     residue = residues.get(member)
                     if residue is None:
-                        residue = residues[member] = form_residue(hyperplanes[member], sub)
+                        residue = form_residue(hyperplanes[member].row, sub)
+                        residues[member] = residue
                     if residue == key:
                         bits |= line
         level.add(Flat.extending(sub, key, bits, rank))
@@ -589,14 +562,15 @@ def build_lattice(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS,
     Rank k+1 flats are the flats X .cap. H for X of rank k and H outside X
     (``_children_of``); rank-1 flats group equal normalized forms, and the
     rank-2 flats over a hyperplane X group the other hyperplanes by their
-    normalized residues modulo X, each extending X's RREF by that residue,
-    so no flat is fully row-reduced.  A cover the level already has is found
-    by a bitset lookup, so each flat is entered once.  From level 3 on, a
-    new flat's support is read off the rank-2 flats through H
-    (``_line_table``), skipping those that meet X's other covers and
-    comparing one member's residue modulo X with H's for each other, and
-    the flat keeps X's subspace and H's residue, extending the one by the
-    other only when its subspace is read.  Each level is sorted by support
+    normalized residues modulo X, so no flat is fully row-reduced.  A cover
+    the level already has is found by a bitset lookup, so each flat is
+    entered once.  From level 3 on, a new flat's support is read off the
+    rank-2 flats through H (``_line_table``), skipping those that meet X's
+    other covers and comparing one member's residue modulo X with H's for
+    each other.  Every flat above rank 1 keeps X's subspace and H's residue,
+    and extends the one by the other only when its subspace is read, as a
+    parent with covers left to find or by a caller.  Each level is sorted
+    by support
     bitset, so the result is deterministic and identical for any worker
     count; the workers of a level share its ``_Level``.  The flat budget is
     checked whenever a level gains a flat, so an oversized lattice is
@@ -742,11 +716,13 @@ def brute_force_lattice(arr: Arrangement) -> IntersectionLattice:
     n = len(arr.hyperplanes)
     if n > 22:
         raise RefusalError("the all-subsets oracle is limited to 22 hyperplanes")
+    ctx = field_context(arr.order)
     by_sub: dict[Subspace, int] = {}
     by_sub[full_space(arr.ambient, arr.order)] = 0
     for mask in range(1, 1 << n):
         rows = [arr.hyperplanes[i].row for i in range(n) if mask & (1 << i)]
-        sub = subspace_from_rows(rows, arr.ambient, arr.order)
+        sub = Subspace(arr.ambient, arr.order,
+                       *_kernel.rref(rows, arr.ambient, ctx.degree, ctx.red))
         by_sub[sub] = by_sub.get(sub, 0) | mask
     ranks: dict[int, dict[int, Flat]] = {}
     for sub, bits in by_sub.items():
@@ -794,7 +770,7 @@ def restriction(arr: Arrangement, h: int) -> Arrangement:
     for i, other in enumerate(arr.hyperplanes):
         if i == h:
             continue
-        residue = form_residue(other, hsub)
+        residue = form_residue(other.row, hsub)
         if residue is None:
             raise ValueError("a hyperplane parallel to H has no restriction to H")
         forms.append(LinearForm(arr.ambient - 1, arr.order, restrict_row(residue, free, d)))
@@ -865,9 +841,10 @@ def irreducible_decomposition(arr: Arrangement) -> list[Arrangement]:
     relation span complementary coordinate subspaces and each hyperplane lives
     in exactly one block.  The basis B takes each normal, in order, whose
     residue modulo the span so far is nonzero, and extends that span's RREF
-    by it (``form_residue``, ``extend_rref``).  Reducing (h | 0) by the RREF
-    (I | B^-1) of (B | I) leaves (0 | -h B^-1), h's coordinates up to a
-    scalar that normalizing the factors' forms removes.
+    by it (``form_residue``, ``extend_rref``).  The RREF (I | B^-1) of
+    (B | I) grows from the full space by its rows (``subspace_from_rows``),
+    and reducing (h | 0) by it leaves (0 | -h B^-1), h's coordinates up to
+    a scalar that normalizing the factors' forms removes.
     """
     n = arr.ambient
     ctx = field_context(arr.order)
@@ -877,7 +854,7 @@ def irreducible_decomposition(arr: Arrangement) -> list[Arrangement]:
     for h in arr.hyperplanes:
         if len(basis) == n:
             break
-        residue = form_residue(h, span)
+        residue = form_residue(h.row, span)
         if residue is not None:
             basis.append(h.row)
             span = extend_rref(span, residue)
@@ -890,8 +867,8 @@ def irreducible_decomposition(arr: Arrangement) -> list[Arrangement]:
         ext = list(nums) + [0] * (n * d)
         ext[(n + i) * d] = den
         aug.append((ext, den))
-    inv_rows, inv_piv = _kernel.rref(aug, 2 * n, d, ctx.red)
-    assert inv_piv[:n] == tuple(range(n)), "basis matrix failed to invert"
+    inv = subspace_from_rows(aug, 2 * n, arr.order)
+    assert inv.pivots[:n] == tuple(range(n)), "basis matrix failed to invert"
 
     parent = list(range(n))
 
@@ -903,7 +880,7 @@ def irreducible_decomposition(arr: Arrangement) -> list[Arrangement]:
 
     all_coords = []
     for h in arr.hyperplanes:
-        c = _kernel.reduce(h.row[0] + (0,) * (n * d), inv_rows, inv_piv, 2 * n, d, ctx.red)
+        c = _kernel.reduce(h.row[0] + (0,) * (n * d), inv.rows, inv.pivots, 2 * n, d, ctx.red)
         supp = [j for j in range(n) if any(c[(n + j) * d:(n + j + 1) * d])]
         all_coords.append((c, supp))
         for j in supp[1:]:

@@ -19,7 +19,7 @@ import tempfile
 from contextlib import contextmanager
 
 from .arrangement import (DEFAULT_MAX_FLATS, Arrangement, Flat, IntersectionLattice,
-                          lattice_of)
+                          _over_budget, lattice_of)
 from .errors import ParseError
 
 FORMAT = "hyparr-lattice-v2"
@@ -146,8 +146,11 @@ def load_or_build(arr: Arrangement, cache_dir: str | None = None,
     """The cached lattice of ``arr``; on a miss, make the directory, then
     build the lattice (``lattice_of``, from its factors' lattices when it
     splits by coordinates) and save it.  A loaded lattice holds no factor
-    lattices, so a warm command scans it directly."""
+    lattices, so a warm command scans it directly.  One with more than
+    ``max_flats`` flats is refused as the build refuses it."""
     lattice = load_lattice(arr, cache_dir) if cache_dir else None
+    if lattice is not None and len(lattice) > max_flats:
+        raise _over_budget(max_flats)
     if lattice is None:
         if cache_dir:
             with _using(cache_dir):

@@ -7,7 +7,9 @@ hyperplanes, which makes stacking forms the cheap direction; sums pay the
 basis-conversion cost instead.  Row operations run the kernel's one
 implementation of each: ``_kernel.reduce`` under ``form_residue`` and
 ``form_vanishes_on``, ``_kernel.monic`` under ``form_residue`` and
-``LinearForm.normalized``.
+``LinearForm.normalized``.  Every RREF grows one row's residue at a time
+(``extend_by_rows``); the kernel's full eliminations ``_kernel.rref`` and
+``_kernel.rank`` are left to the tests as independent references.
 """
 
 from __future__ import annotations
@@ -176,15 +178,9 @@ class Subspace:
         return f"Subspace({self.ambient}, codim {self.codim}: {inside})"
 
 
-def rref(rows: list[Row], ambient: int, order: int) -> tuple[tuple[Row, ...], tuple[int, ...]]:
-    """Canonical reduced row echelon form of packed rows."""
-    ctx = field_context(order)
-    return _kernel.rref(rows, ambient, ctx.degree, ctx.red)
-
-
 def subspace_from_rows(rows, ambient: int, order: int) -> Subspace:
-    out, pivots = rref(list(rows), ambient, order)
-    return Subspace(ambient, order, out, pivots)
+    """The common kernel of packed rows, grown from the full space."""
+    return extend_by_rows(full_space(ambient, order), rows)
 
 
 def subspace_from_forms(forms, ambient: int | None = None, order: int | None = None) -> Subspace:
@@ -206,13 +202,9 @@ def full_space(ambient: int, order: int) -> Subspace:
 
 
 def intersect(x: Subspace, y: Subspace) -> Subspace:
-    """Canonical form of the set intersection: RREF of the stacked forms."""
+    """Canonical form of the set intersection: x's RREF grown by y's rows."""
     _check_compatible(x, y)
-    if not y.rows:
-        return x
-    if not x.rows:
-        return y
-    return subspace_from_rows(x.rows + y.rows, x.ambient, x.order)
+    return extend_by_rows(x, y.rows)
 
 
 def subspace_sum(x: Subspace, y: Subspace) -> Subspace:
@@ -221,8 +213,8 @@ def subspace_sum(x: Subspace, y: Subspace) -> Subspace:
     if not x.rows or not y.rows:
         return full_space(x.ambient, x.order)
     ctx = field_context(x.order)
-    span, pivots = rref(list(x.basis() + y.basis()), x.ambient, x.order)
-    forms = _kernel.nullspace(span, pivots, x.ambient, ctx.degree, ctx.red)
+    span = subspace_from_rows(x.basis() + y.basis(), x.ambient, x.order)
+    forms = _kernel.nullspace(span.rows, span.pivots, x.ambient, ctx.degree, ctx.red)
     return subspace_from_rows(forms, x.ambient, x.order)
 
 
@@ -241,16 +233,17 @@ def form_vanishes_on(form: LinearForm, s: Subspace) -> bool:
                                ctx.degree, ctx.red)
 
 
-def form_residue(form: LinearForm, s: Subspace) -> Row | None:
-    """``form`` reduced by the defining rows of ``s`` and scaled to leading
-    coefficient 1, or None if the hyperplane of ``form`` contains ``s``.
+def form_residue(row: Row, s: Subspace) -> Row | None:
+    """The packed row of a form reduced by the defining rows of ``s`` and
+    scaled to leading coefficient 1, or None if the form's hyperplane
+    contains ``s``.  Its numerators may be a list.
 
     The reduction zeroes the pivot columns of ``s``, so two forms off ``s``
     have equal residues exactly when they cut ``s`` in the same subspace.
     """
-    ctx = field_context(form.order)
-    m, d = form.ambient, ctx.degree
-    return _kernel.monic(_kernel.reduce(form.row[0], s.rows, s.pivots, m, d, ctx.red),
+    ctx = field_context(s.order)
+    m, d = s.ambient, ctx.degree
+    return _kernel.monic(_kernel.reduce(row[0], s.rows, s.pivots, m, d, ctx.red),
                          m, d, ctx.red)
 
 
@@ -281,6 +274,24 @@ def extend_rref(s: Subspace, residue: Row) -> Subspace:
     at = bisect_left(s.pivots, q)
     rows.insert(at, residue)
     return Subspace(m, s.order, tuple(rows), s.pivots[:at] + (q,) + s.pivots[at:])
+
+
+def extend_by_rows(s: Subspace, rows) -> Subspace:
+    """``s`` cut by the hyperplanes of packed ``rows``, in canonical RREF: the
+    one row reduction run outside the tests.
+
+    Each row's residue modulo the RREF so far (``form_residue``) is None
+    for a row in its span, a zero row included, and otherwise extends it
+    (``extend_rref``).  The growth stops once the codimension reaches the
+    ambient dimension, which no further row can raise.
+    """
+    for row in rows:
+        if len(s.rows) == s.ambient:
+            break
+        residue = form_residue(row, s)
+        if residue is not None:
+            s = extend_rref(s, residue)
+    return s
 
 
 def _check_compatible(x: Subspace, y: Subspace) -> None:

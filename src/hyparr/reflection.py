@@ -54,11 +54,6 @@ def monomial_arrangement(r: int, p: int, ell: int) -> Arrangement:
     return make_arrangement(ell, order, forms)
 
 
-def braid_arrangement(strands: int) -> Arrangement:
-    """A(strands - 1), the braid arrangement: G(1, 1, strands)."""
-    return monomial_arrangement(1, 1, strands)
-
-
 # Exceptional defining polynomials, one linear factor per line, in source
 # order.  D4 and F4 live over the rationals, H3 over field order 5 (the
 # element z^2 + z^3 squares to 1 minus itself), G25/G26 over order 3, and

@@ -22,7 +22,7 @@ from hyparr.arrangement import (Arrangement, _subspace_of, brute_force_lattice, 
 from hyparr.cli import resolve_spec
 from hyparr.cyclo import CyclotomicNumber, embed, field_context
 from hyparr.errors import InvalidHyperplaneError, RefusalError
-from hyparr.linalg import (LinearForm, extend_rref, form_residue, intersect, rref,
+from hyparr.linalg import (LinearForm, extend_rref, form_residue, intersect,
                            subspace_from_forms, subspace_from_rows)
 from hyparr.parse import parse_arrangement_text, parse_form
 from hyparr.reflection import (build_named, catalog, exceptional_arrangement,
@@ -146,14 +146,14 @@ class TestBuildLattice:
             assert x.subspace == y.subspace == z.subspace
 
     # Kernel calls of a one-worker build.  No flat is fully row-reduced:
-    # the rank-1 flats are normalized forms, and each rank-2 flat extends
-    # its parent's RREF once.  A flat above rank 2 is extended only when its
-    # subspace is read: in the build, only as a parent with a cover still to
-    # find (in D4, the one coatom that finds the top; in G(3,1,3), of rank 3,
-    # none).  Its hyperplanes are decided by comparing residues, with no
-    # membership test.  Reading every subspace afterwards extends each flat
-    # above rank 1 once in all.
-    @pytest.mark.parametrize("name, extensions", [("D4", 35), ("G(3,1,3)", 21)])
+    # the rank-1 flats are normalized forms.  A flat above rank 1 is
+    # extended only when its subspace is read: in the build, only as a
+    # parent with a cover still to find (in D4, 14 of the 34 rank-2 flats
+    # and the one coatom that finds the top; in G(3,1,3), of rank 3, the
+    # first rank-2 flat, which finds the top).  Its hyperplanes are decided
+    # by comparing residues, with no membership test.  Reading every
+    # subspace afterwards extends each flat above rank 1 once in all.
+    @pytest.mark.parametrize("name, extensions", [("D4", 15), ("G(3,1,3)", 1)])
     def test_one_worker_kernel_calls(self, monkeypatch, name, extensions):
         arr = build_named(name)
         calls = count_kernel_calls(monkeypatch)
@@ -252,7 +252,7 @@ class TestDeferredSubspaces:
     def test_catalog_subspaces_are_canonical(self, name):
         arr = build_named(name)
         deferred = assert_canonical_subspaces(arr)
-        assert (deferred > 0) == (arr.rank() > 2)
+        assert (deferred > 0) == (arr.rank() >= 2)
 
     @pytest.mark.parametrize("workload", ["lattice", "products"])
     def test_benchmark_input_subspaces_are_canonical(self, benchmark_inputs, workload):
@@ -335,7 +335,7 @@ class TestExtendRref:
                     continue
                 full = _kernel.rref(list(sub.rows) + [h.row], arr.ambient,
                                     ctx.degree, ctx.red)
-                step = extend_rref(sub, form_residue(h, sub))
+                step = extend_rref(sub, form_residue(h.row, sub))
                 assert (step.rows, step.pivots) == full
                 pairs += 1
         assert pairs >= len(arr)
@@ -344,9 +344,10 @@ class TestExtendRref:
         checked = 0
         for entry in catalog():
             arr = build_named(entry.name)
+            ctx = field_context(arr.order)
             for h in arr.hyperplanes:
                 row = h.normalized().row
-                rows, pivots = rref([row], arr.ambient, arr.order)
+                rows, pivots = _kernel.rref([row], arr.ambient, ctx.degree, ctx.red)
                 assert rows == (row,) and pivots == (h.leading_index(),)
                 checked += 1
         assert checked == 580

@@ -195,6 +195,22 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "--max-flats", "5", "lattice", "D4")
         assert code == EXIT_REFUSED and "refused" in err
 
+    @pytest.mark.parametrize("spec, flats", [("B3", 24), ("product(B3,A2)", 120)])
+    def test_max_flats_holds_on_a_cache_hit(self, capsys, tmp_path, spec, flats):
+        # cold: the build refuses; warm: the loaded lattice is refused alike
+        for budget in (20, flats - 1, flats):
+            argv = ("--max-flats", str(budget), "lattice", spec)
+            cold = run_cli(capsys, "--cache-dir", str(tmp_path / f"cold-{budget}"), *argv)
+            warm_dir = str(tmp_path / f"warm-{budget}")
+            assert run_cli(capsys, "--cache-dir", warm_dir, "lattice", spec)[0] == EXIT_OK
+            warm = run_cli(capsys, "--cache-dir", warm_dir, *argv)
+            expected = EXIT_OK if budget == flats else EXIT_REFUSED
+            assert cold[0] == warm[0] == expected, budget
+            assert cold[2] == warm[2], budget
+            assert bool(cold[2]) == (budget < flats)
+            untimed = [re.sub(r"(?m)^time .*\n", "", r[1]) for r in (cold, warm)]
+            assert untimed[0] == untimed[1]
+
     def test_bad_rank_is_parse_error(self, capsys):
         code, _, _ = run_cli(capsys, "modular", "D4", "--rank", "9")
         assert code == EXIT_PARSE_ERROR
@@ -245,6 +261,30 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "--cache-dir", str(tmp_path), "lattice", "D4")
         assert code == EXIT_PARSE_ERROR and len(err.splitlines()) == 1
         assert not list(tmp_path.glob("*.tmp"))
+
+
+class TestOneRowReduction:
+    """Outside the tests, every RREF grows by residues (``extend_by_rows``):
+    the kernel's full eliminations are references that no command calls."""
+
+    @pytest.mark.parametrize("argv", [
+        ("verify-paper", "D4"),
+        ("modular", "H3", "--rank", "2"),
+        ("supersolvable", "product(B2,A2)"),
+        ("poincare", "A(3)"),
+        ("decompose", "D4"),
+    ])
+    def test_commands_call_no_full_elimination(self, capsys, monkeypatch, argv):
+        from hyparr import _kernel
+
+        def refuse(*args):
+            raise AssertionError("a full elimination ran outside the tests")
+
+        monkeypatch.delenv("HYPARR_CACHE_DIR", raising=False)
+        monkeypatch.setattr(_kernel, "rref", refuse)
+        monkeypatch.setattr(_kernel, "rank", refuse)
+        code, out, _ = run_cli(capsys, "--json", *argv)
+        assert code == EXIT_OK and out
 
 
 class TestMoreSurface:

@@ -4,10 +4,11 @@ import random
 
 import pytest
 
+import hyparr.linalg
 from hyparr import _kernel
 from hyparr.cyclo import CyclotomicNumber, field_context, root_of_unity
-from hyparr.linalg import (LinearForm, contains, form_residue, form_vanishes_on,
-                           full_space, intersect, rref, subspace_from_forms,
+from hyparr.linalg import (LinearForm, contains, extend_by_rows, form_residue,
+                           form_vanishes_on, full_space, intersect, subspace_from_forms,
                            subspace_from_rows, subspace_sum)
 from tests.conftest import random_form, random_nonzero_cyclo, random_subspace
 
@@ -17,6 +18,12 @@ CASES_PER_SUITE = 1000
 def q_form(coeffs, order=1):
     return LinearForm.from_coefficients(
         [CyclotomicNumber.from_rational(c, order) for c in coeffs], order)
+
+
+def rref(rows, ambient, order):
+    """The kernel's full elimination, the reference for the growth path."""
+    ctx = field_context(order)
+    return _kernel.rref(rows, ambient, ctx.degree, ctx.red)
 
 
 class TestRref:
@@ -119,7 +126,7 @@ class TestFormResidue:
             ambient = rng.randint(2, 4)
             s = random_subspace(rng, ambient, order, max_forms=ambient - 1)
             f = random_form(rng, ambient, order)
-            res = form_residue(f, s)
+            res = form_residue(f.row, s)
             assert (res is None) == form_vanishes_on(f, s)
             if res is None:
                 continue
@@ -131,13 +138,72 @@ class TestFormResidue:
                 k = random_nonzero_cyclo(rng, order)
                 coeffs = [c + k * e for c, e in zip(coeffs, form.coefficients())]
             g = LinearForm.from_coefficients(coeffs, order)
-            assert form_residue(g, s) == res
+            assert form_residue(g.row, s) == res
             section = intersect(s, subspace_from_forms([f]))
             h = random_form(rng, ambient, order, span=1)
             same = intersect(s, subspace_from_forms([h])) == section
-            assert (form_residue(h, s) == res) == same
+            assert (form_residue(h.row, s) == res) == same
             outcomes.add(same)
         assert outcomes == {True, False}
+
+
+class TestExtendByRows:
+    """Growing an RREF by rows, residue by residue, is the kernel's full
+    elimination of the stacked rows, over field degrees 1, 2 and 4."""
+
+    def test_equals_full_elimination(self):
+        rng = random.Random(1971)
+        kinds = dict.fromkeys(["zero", "repeat", "non-monic", "list", "full", "stop"], 0)
+        for _ in range(600):
+            order = rng.choice([1, 3, 4, 5])
+            ctx = field_context(order)
+            d = ctx.degree
+            m = rng.randint(1, 4)
+            x = random_subspace(rng, m, order)
+            rows = []
+            for _ in range(rng.randint(0, m + 2)):
+                pick = rng.random()
+                if pick < 0.15:
+                    rows.append(((0,) * (m * d), rng.randint(1, 3)))
+                    kinds["zero"] += 1
+                elif pick < 0.3 and rows:
+                    rows.append(rng.choice(rows))
+                    kinds["repeat"] += 1
+                else:
+                    nums, den = random_form(rng, m, order).row
+                    k = rng.randint(2, 5) * rng.choice([-1, 1])
+                    if rng.random() < 0.5:
+                        rows.append((tuple(k * v for v in nums), den))
+                        kinds["non-monic"] += 1
+                    else:
+                        rows.append(([k * v for v in nums], den))
+                        kinds["list"] += 1
+            grown = extend_by_rows(full_space(m, order), rows)
+            assert (grown.rows, grown.pivots) == rref(rows, m, order)
+            kinds["full"] += grown.codim == m
+            kinds["stop"] += grown.codim == m and len(rows) > m
+            assert extend_by_rows(x, rows).codim == _kernel.rank(list(x.rows) + rows,
+                                                                 m, d, ctx.red)
+        assert all(count >= 20 for count in kinds.values()), kinds
+
+    def test_stops_at_full_rank(self, monkeypatch):
+        calls = []
+
+        def counted(row, s, _real=form_residue):
+            calls.append(row)
+            return _real(row, s)
+
+        rows = [q_form(c).row for c in ([1, 1], [1, 0], [0, 1], [2, 3])]
+        origin = subspace_from_forms([q_form([1, 0]), q_form([0, 1])])
+        monkeypatch.setattr(hyparr.linalg, "form_residue", counted)
+        grown = extend_by_rows(full_space(2, 1), rows)
+        assert grown == origin and calls == rows[:2]
+        assert extend_by_rows(grown, rows) is grown and len(calls) == 2
+
+    def test_no_rows_keep_the_subspace(self):
+        x = subspace_from_forms([q_form([1, 2, 0])])
+        assert extend_by_rows(x, []) is x
+        assert subspace_from_rows([], 3, 1) == full_space(3, 1)
 
 
 class TestPropertySuites:

@@ -242,7 +242,7 @@ def _full_order_scan(lattice, x):
     """Modularity of x against every flat, in flat order, with the cover walk
     as the join: (modular, support of the first failing Y, of its meet)."""
     for y in lattice.flats():
-        member, meet = lattice.sum_membership(x, y, lattice.join(x, y))
+        member, meet = lattice.sum_membership(x, y)
         if not member:
             return False, y.support, meet.support
     return True, None, None
@@ -327,15 +327,16 @@ def test_stacked_rank_gives_the_sum_dimension(name, store):
 
 def test_rank2_empty_claim_builds_no_sum(monkeypatch):
     sums = _counted(monkeypatch, hyparr.analysis, "subspace_sum")
+    growths = _counted(monkeypatch, hyparr.analysis, "extend_by_rows")
     ranks = _counted(monkeypatch, hyparr._kernel, "rank")
     store = LatticeStore()
     result = run_rank2_empty_claim("G(3,3,4)", store)
     assert result.passed
     witnesses = store.certificate("G(3,3,4)").refutation.witnesses
     assert len(witnesses) == len(store.lattice("G(3,3,4)").levels[2])
-    # one stacked rank per witness, and no sum subspace
-    assert len(ranks) == len(witnesses)
-    assert not sums
+    # one RREF grown by the partner's rows per witness, and no sum subspace
+    assert len(growths) == len(witnesses)
+    assert not sums and not ranks
 
 
 def test_validator_ignores_a_lying_scan(monkeypatch):
