@@ -347,6 +347,18 @@ class TestDeterminism:
             assert cold[1] == warm[1], args
         assert len(list(tmp_path.glob("*.json"))) == 5, "one cache file per arrangement"
 
+    # files read by a relative path, so the printed name is the same in
+    # every run: B2 times a point that splits only after a change of basis,
+    # and product(B3,G(3,3,3)) with its factors' hyperplanes interleaved
+    DECOMPOSE_FILES = {
+        "mixed.arr": "ambient 3 field 1\na + c\nb\na + b + c\na - b + c\nc\n",
+        "shuffled.arr": (
+            "ambient 6 field 3\nx4 + (1 + z)*x6\nx3\nx4 - x5\nx5 + (-z)*x6\n"
+            "x2 - x3\nx1 + x3\nx4 + (1 + z)*x5\nx1 - x2\nx4 + (-z)*x6\nx1 - x3\n"
+            "x5 - x6\nx2 + x3\nx2\nx1\nx5 + (1 + z)*x6\nx4 - x6\nx1 + x2\n"
+            "x4 + (-z)*x5\n"),
+    }
+
     # SHA-256 of the --json decompose stdout, pinned from the decomposition
     # that inverted the basis matrix and summed each normal's coordinates
     DECOMPOSE_SHA256 = {
@@ -356,10 +368,17 @@ class TestDeterminism:
             "f584de497aca3f1ec871e2f1da8db687fb9f1dc43c9a3e6cd95fb86d00c40787",
         "product(product(G31,G29),product(F4,H3))":
             "77c2890ea461d39fb9543ea33886bcbad2c8caef33c0836878101ebdcc3b6b78",
+        "mixed.arr":
+            "97959b6b0d6ddd116f5adcba3ea42968f3677d6c2ce23aa3f97fc24e69dd61aa",
+        "shuffled.arr":
+            "368dd0d5802d1186a98d8917fb628cb23302802945fd723b302370f36ba3c8d2",
     }
 
     @pytest.mark.parametrize("spec", sorted(DECOMPOSE_SHA256))
-    def test_decompose_bytes_pinned(self, capsys, spec):
+    def test_decompose_bytes_pinned(self, capsys, tmp_path, monkeypatch, spec):
+        if spec in self.DECOMPOSE_FILES:
+            (tmp_path / spec).write_text(self.DECOMPOSE_FILES[spec])
+            monkeypatch.chdir(tmp_path)
         code, out, _ = run_cli(capsys, "--json", "decompose", spec)
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == self.DECOMPOSE_SHA256[spec]
