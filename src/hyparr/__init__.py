@@ -10,13 +10,12 @@ __version__ = "0.1.0"
 
 from .analysis import (ModularityVerdict, PoincarePolynomial, Rank2Report,
                        SupersolvabilityCertificate, check_rank2_criterion,
-                       checked_exponents, exponents_from_poincare,
-                       exponents_if_supersolvable, irreducible_factor_count, is_modular,
-                       is_supersolvable, mobius, modular_flats_of_rank, poincare,
+                       checked_exponents, exponents_from_poincare, irreducible_factor_count,
+                       is_modular, is_supersolvable, mobius, modular_flats_of_rank, poincare,
                        replay_witness, validate_certificate)
 from .arrangement import (Arrangement, Flat, IntersectionLattice, build_lattice,
                           brute_force_lattice, closure, deletion, essentialize,
-                          in_lattice, irreducible_decomposition, lattice_of, localization,
+                          irreducible_decomposition, lattice_of, localization,
                           make_arrangement, product, restriction, transport_lattice)
 from .cyclo import CyclotomicNumber, cyclotomic_polynomial, embed, root_of_unity
 from .errors import (HyparrError, InternalInconsistencyError, InvalidHyperplaneError,

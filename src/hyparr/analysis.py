@@ -490,19 +490,6 @@ def exponents_from_poincare(poly: PoincarePolynomial) -> list[int]:
     return sorted(out)
 
 
-def exponents_if_supersolvable(arr: Arrangement,
-                               cert: SupersolvabilityCertificate | None = None) -> list[int]:
-    """The multiset {b_i} with poincare = prod(1 + b_i t); refuses when the
-    arrangement is not supersolvable (the factorization is only guaranteed
-    there)."""
-    if cert is None:
-        cert = is_supersolvable(arr)
-    if not cert.verdict:
-        raise RefusalError("exponents are only defined here for supersolvable "
-                           "arrangements")
-    return checked_exponents(poincare(cert.arrangement, cert.lattice), cert)
-
-
 def checked_exponents(poly: PoincarePolynomial,
                       cert: SupersolvabilityCertificate) -> list[int]:
     """The exponents of a supersolvable arrangement, read off both the

@@ -30,7 +30,8 @@ lattice of a product is the product of its factors' lattices (Orlik-Terao,
 Prop. 2.14).  The factor lattices stay on the result, where the modular
 scan reads the product's verdicts off theirs.  ``build_lattice`` is the
 direct build, for every other input and for the tests that check the
-product theorem.
+product theorem.  ``irreducible_decomposition`` splits by the same blocks,
+read off each normal's coordinates in a basis of normals.
 """
 
 from __future__ import annotations
@@ -92,9 +93,6 @@ class Arrangement:
     def full_support(self) -> int:
         return (1 << len(self.hyperplanes)) - 1
 
-    def hyperplane_set(self) -> frozenset[LinearForm]:
-        return frozenset(self.hyperplanes)
-
     def center(self) -> Subspace:
         """T(A), the intersection of all hyperplanes (V for the empty arrangement)."""
         return subspace_from_rows([h.row for h in self.hyperplanes],
@@ -104,9 +102,6 @@ class Arrangement:
         """The codimension of the center T(A), grown by residues only up to
         the ambient dimension."""
         return self.center().codim
-
-    def is_essential(self) -> bool:
-        return self.rank() == self.ambient
 
 
 def make_arrangement(ambient: int, order: int, forms) -> Arrangement:
@@ -255,10 +250,6 @@ def closure(arr: Arrangement, x: Subspace) -> Flat:
     return Flat(sub, bits, sub.codim)
 
 
-def in_lattice(arr: Arrangement, x: Subspace) -> bool:
-    return closure(arr, x).subspace == x
-
-
 class IntersectionLattice:
     """All intersections of subsets of the arrangement, graded by codimension.
 
@@ -311,13 +302,6 @@ class IntersectionLattice:
 
     def bottom(self) -> Flat:
         return self.levels[0][0]
-
-    def flat_of(self, sub: Subspace) -> Flat | None:
-        """The flat with exactly this subspace, or None if it is not a flat."""
-        hit = closure(self.arrangement, sub)
-        if hit.subspace != sub:
-            return None
-        return self.index[hit.support]
 
     def covers(self) -> dict[int, tuple[int, ...]]:
         """Support -> supports of the flats covering it, by bitset inclusion.
@@ -623,7 +607,9 @@ def _coordinate_blocks(arr: Arrangement) -> tuple[list[int], list[int]]:
     first, and the column mask of each form, by integer work on the packed
     rows: two coordinates are linked when some form uses both.  A single
     block as soon as one spans every coordinate, which every later form
-    meets, and none for a zero form, which ``build_lattice`` refuses."""
+    meets, and none for a zero form, which ``build_lattice`` refuses.  The
+    scan stops there, so the form masks are complete only when two or more
+    blocks are returned: a caller reads them only then."""
     d = field_context(arr.order).degree
     full = (1 << arr.ambient) - 1
     blocks: list[int] = []
@@ -651,6 +637,20 @@ def _coordinate_blocks(arr: Arrangement) -> tuple[list[int], list[int]]:
     return sorted(blocks, key=lambda b: b & -b), masks
 
 
+def _block_arrangement(arr: Arrangement, block: int,
+                       masks: list[int]) -> tuple[list[int], Arrangement]:
+    """The indices of the forms of ``arr`` in one block of
+    ``_coordinate_blocks`` (column mask ``block``, form masks ``masks``),
+    and those forms restricted to the block's columns (``restrict_row``), in
+    the input's order."""
+    d = field_context(arr.order).degree
+    cols = [c for c in range(arr.ambient) if block >> c & 1]
+    indices = [i for i, m in enumerate(masks) if m & block]
+    forms = tuple(LinearForm(len(cols), arr.order, restrict_row(arr.hyperplanes[i].row, cols, d))
+                  for i in indices)
+    return indices, Arrangement(len(cols), arr.order, forms)
+
+
 def lattice_of(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS,
                threads: int = 1) -> IntersectionLattice:
     """The lattice of ``arr``: assembled from its factors' lattices when its
@@ -662,9 +662,9 @@ def lattice_of(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS,
     (Orlik-Terao, *Arrangements of Hyperplanes*, Prop. 2.14): a flat is one
     flat of each factor, with the union of their supports and the sum of
     their ranks.  Each factor's lattice is built from the forms of its block
-    restricted to the block's columns (``restrict_row``), in the input's
-    order, and its supports are moved back to the input's hyperplane indices
-    (``Factor``).  The product's flats are made from their supports
+    restricted to the block's columns (``_block_arrangement``), in the
+    input's order, and its supports are moved back to the input's
+    hyperplane indices (``Factor``).  The product's flats are made from their supports
     (``Flat.of_support``), each level sorted by support, so the result has
     the supports and ranks ``build_lattice`` gives, and each flat derives
     the same subspace when read.  A product with more flats than
@@ -677,17 +677,11 @@ def lattice_of(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS,
     blocks, masks = _coordinate_blocks(arr)
     if len(blocks) < 2 or len({h.row for h in arr.hyperplanes}) < len(arr):
         return build_lattice(arr, max_flats, threads)
-    d = field_context(arr.order).degree
     factors = []
     size = 1
     for block in blocks:
-        cols = [c for c in range(arr.ambient) if block >> c & 1]
-        indices = [i for i, m in enumerate(masks) if m & block]
-        forms = tuple(LinearForm(len(cols), arr.order,
-                                 restrict_row(arr.hyperplanes[i].row, cols, d))
-                      for i in indices)
-        factor = Factor(build_lattice(Arrangement(len(cols), arr.order, forms),
-                                      max_flats, threads), indices)
+        indices, forms = _block_arrangement(arr, block, masks)
+        factor = Factor(build_lattice(forms, max_flats, threads), indices)
         factors.append(factor)
         size *= len(factor.lattice)
     if size > max_flats:
@@ -836,15 +830,18 @@ def transport_lattice(lattice: IntersectionLattice, ess: Arrangement) -> Interse
 def irreducible_decomposition(arr: Arrangement) -> list[Arrangement]:
     """Finest factorization of an essential arrangement as a product.
 
-    Express every normal over a basis of normals; two basis directions belong
-    to one factor when some normal uses both.  The connected blocks of that
-    relation span complementary coordinate subspaces and each hyperplane lives
-    in exactly one block.  The basis B takes each normal, in order, whose
-    residue modulo the span so far is nonzero, and extends that span's RREF
-    by it (``form_residue``, ``extend_rref``).  The RREF (I | B^-1) of
-    (B | I) grows from the full space by its rows (``subspace_from_rows``),
-    and reducing (h | 0) by it leaves (0 | -h B^-1), h's coordinates up to
-    a scalar that normalizing the factors' forms removes.
+    Express every normal over a basis of normals, and split the arrangement
+    of those coordinates into its blocks of coordinates
+    (``_coordinate_blocks``, two basis directions being linked when some
+    normal uses both): the blocks span complementary coordinate subspaces,
+    each hyperplane lives in exactly one, and each factor is its block's
+    forms on its block's columns (``_block_arrangement``), normalized.  The
+    basis B takes each normal, in order, whose residue modulo the span so
+    far is nonzero, and extends that span's RREF by it (``form_residue``,
+    ``extend_rref``).  The RREF (I | B^-1) of (B | I) grows from the full
+    space by its rows (``subspace_from_rows``), and reducing (h | 0) by it
+    leaves (0 | -h B^-1), h's coordinates up to a scalar that normalizing
+    the factors' forms removes.
     """
     n = arr.ambient
     ctx = field_context(arr.order)
@@ -869,33 +866,17 @@ def irreducible_decomposition(arr: Arrangement) -> list[Arrangement]:
         aug.append((ext, den))
     inv = subspace_from_rows(aug, 2 * n, arr.order)
     assert inv.pivots[:n] == tuple(range(n)), "basis matrix failed to invert"
-
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    all_coords = []
+    forms = []
     for h in arr.hyperplanes:
         c = _kernel.reduce(h.row[0] + (0,) * (n * d), inv.rows, inv.pivots, 2 * n, d, ctx.red)
-        supp = [j for j in range(n) if any(c[(n + j) * d:(n + j + 1) * d])]
-        all_coords.append((c, supp))
-        for j in supp[1:]:
-            a, b = find(supp[0]), find(j)
-            if a != b:
-                parent[b] = a
-    blocks: dict[int, list[int]] = {}
-    for j in range(n):
-        blocks.setdefault(find(j), []).append(j)
-    factors = []
-    for cols in sorted(blocks.values(), key=min):
-        columns = [n + j for j in cols]
-        forms = [LinearForm(len(cols), arr.order, restrict_row((c, 1), columns, d))
-                 for c, supp in all_coords if find(supp[0]) == find(cols[0])]
-        factors.append(make_arrangement(len(cols), arr.order, forms))
+        forms.append(LinearForm(n, arr.order, restrict_row((c, 1), range(n, 2 * n), d)))
+    coords = Arrangement(n, arr.order, tuple(forms))
+    blocks, masks = _coordinate_blocks(coords)
+    if len(blocks) < 2:
+        factors = [coords]
+    else:
+        factors = [_block_arrangement(coords, block, masks)[1] for block in blocks]
+    factors = [make_arrangement(f.ambient, f.order, f.hyperplanes) for f in factors]
     assert sum(f.ambient for f in factors) == n
     assert sum(len(f) for f in factors) == len(arr)
     return factors

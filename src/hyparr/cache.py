@@ -53,7 +53,8 @@ def lattice_payload(lattice: IntersectionLattice) -> dict:
     }
 
 
-def lattice_from_payload(arr: Arrangement, payload: dict) -> IntersectionLattice:
+def lattice_from_payload(arr: Arrangement, payload: dict,
+                         max_flats: int | None = None) -> IntersectionLattice:
     """The lattice of a cache entry, checked by integers only to be shaped
     like a built one: every level holds decimal supports in ascending order,
     with no bit past the last hyperplane; the rank-1 supports partition the
@@ -61,7 +62,9 @@ def lattice_from_payload(arr: Arrangement, payload: dict) -> IntersectionLattice
     hyperplanes) and one top (every hyperplane).  A failed check raises
     ``ValueError`` (or ``TypeError`` for a support that is not a string).
     A support of the wrong rank passes, and its flat raises
-    ``InternalInconsistencyError`` when its subspace is read."""
+    ``InternalInconsistencyError`` when its subspace is read.  An entry
+    with more than ``max_flats`` supports is refused as the build refuses
+    it, before any flat is made."""
     if payload.get("format") != FORMAT:
         raise ValueError(f"unsupported cache format {payload.get('format')!r}")
     if payload.get("arrangement") != arrangement_payload(arr):
@@ -76,23 +79,27 @@ def lattice_from_payload(arr: Arrangement, payload: dict) -> IntersectionLattice
             raise ValueError(f"cache entry lists rank {rank} out of ascending order")
         if supports[0] < 0 or supports[-1] > full:
             raise ValueError("cache entry has a support past the last hyperplane")
-        levels.append(tuple(Flat.of_support(arr, s, rank) for s in supports))
-    if not levels or len(levels[0]) != 1 or levels[0][0].support:
+        levels.append(supports)
+    if not levels or levels[0] != [0]:
         raise ValueError("cache entry has no bottom flat")
-    if len(levels[-1]) != 1 or levels[-1][0].support != full:
+    if levels[-1] != [full]:
         raise ValueError("cache entry has no top flat")
     if len(levels) > 1:
         seen = 0
-        for f in levels[1]:
-            if f.support & seen:
+        for s in levels[1]:
+            if s & seen:
                 raise ValueError("cache entry has rank-1 flats sharing a hyperplane")
-            seen |= f.support
+            seen |= s
         if seen != full:
             raise ValueError("cache entry has a hyperplane on no rank-1 flat")
-    lattice = IntersectionLattice(arr, tuple(levels))
-    if len(lattice.index) != len(lattice):
+    count = sum(len(level) for level in levels)
+    if len(set().union(*levels)) != count:
         raise ValueError("cache entry repeats a support")
-    return lattice
+    if max_flats is not None and count > max_flats:
+        raise _over_budget(max_flats)
+    return IntersectionLattice(arr, tuple(
+        tuple(Flat.of_support(arr, s, rank) for s in level)
+        for rank, level in enumerate(levels)))
 
 
 def cache_path(arr: Arrangement, cache_dir: str) -> str:
@@ -127,14 +134,18 @@ def save_lattice(lattice: IntersectionLattice, cache_dir: str) -> str:
     return path
 
 
-def load_lattice(arr: Arrangement, cache_dir: str) -> IntersectionLattice | None:
+def load_lattice(arr: Arrangement, cache_dir: str,
+                 max_flats: int | None = None) -> IntersectionLattice | None:
+    """The lattice of ``arr``'s entry in ``cache_dir``, or None on a miss.
+    An entry with more than ``max_flats`` flats raises the build's
+    ``RefusalError`` before any flat is made."""
     path = cache_path(arr, cache_dir)
     if not os.path.exists(path):
         return None
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-        return lattice_from_payload(arr, payload)
+        return lattice_from_payload(arr, payload, max_flats)
     except (ValueError, KeyError, TypeError, AttributeError, OSError):
         # unreadable, stale or malformed (JSON of the wrong shape) entries are misses
         return None
@@ -147,10 +158,9 @@ def load_or_build(arr: Arrangement, cache_dir: str | None = None,
     build the lattice (``lattice_of``, from its factors' lattices when it
     splits by coordinates) and save it.  A loaded lattice holds no factor
     lattices, so a warm command scans it directly.  One with more than
-    ``max_flats`` flats is refused as the build refuses it."""
-    lattice = load_lattice(arr, cache_dir) if cache_dir else None
-    if lattice is not None and len(lattice) > max_flats:
-        raise _over_budget(max_flats)
+    ``max_flats`` flats is refused as the build refuses it, before its
+    flats are made."""
+    lattice = load_lattice(arr, cache_dir, max_flats) if cache_dir else None
     if lattice is None:
         if cache_dir:
             with _using(cache_dir):

@@ -150,9 +150,6 @@ class CyclotomicNumber:
     def is_zero(self) -> bool:
         return not any(self.nums)
 
-    def is_one(self) -> bool:
-        return self.nums[0] == self.den and not any(self.nums[1:])
-
     def _pair(self):
         return (self.nums, self.den)
 

@@ -149,9 +149,6 @@ class Subspace:
     def dim(self) -> int:
         return self.ambient - len(self.rows)
 
-    def is_full_space(self) -> bool:
-        return not self.rows
-
     def basis(self) -> tuple[Row, ...]:
         """Deterministic solution basis (one vector per free column)."""
         if self._basis is None:

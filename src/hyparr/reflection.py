@@ -13,8 +13,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from . import _kernel
 from .arrangement import Arrangement, make_arrangement
-from .cyclo import CyclotomicNumber, root_of_unity
+from .cyclo import field_context, root_elem
 from .linalg import LinearForm
 from .parse import parse_form
 
@@ -25,32 +26,33 @@ def monomial_arrangement(r: int, p: int, ell: int) -> Arrangement:
     Hyperplanes x_i - z^m x_j for i < j and 0 <= m < r, preceded by the
     coordinate hyperplanes exactly when p != r and r >= 2.  The field order is
     r (order 1 meaning the rationals).  For any p != r the hyperplane set is
-    the one of G(r, 1, l); p only matters through the p = r case.
+    the one of G(r, 1, l); p only matters through the p = r case.  Each
+    form is built as a packed row with integer entries, -z^m being
+    ``root_elem(r, m)`` negated, as the parser builds its rows.
     """
     if r < 1 or ell < 1:
         raise ValueError("need r >= 1 and l >= 1")
     if p < 1 or r % p:
         raise ValueError(f"p = {p} must divide r = {r}")
-    # zeta_1 = 1 and zeta_2 = -1 are rational, so r <= 2 lives over Q.
+    # zeta_1 = 1 and zeta_2 = -1 are rational, so r <= 2 lives over Q, where
+    # root_elem(r, m) has the one coordinate of a rational.
     order = r if r > 2 else 1
-    zero = CyclotomicNumber.zero(order)
-    one = CyclotomicNumber.one(order)
+    d = field_context(order).degree
+
+    def form(entries: dict[int, tuple[int, ...]]) -> LinearForm:
+        nums = [0] * (ell * d)
+        for col, e in entries.items():
+            nums[col * d:(col + 1) * d] = e
+        return LinearForm(ell, order, (tuple(nums), 1))
+
+    one = (1,) + (0,) * (d - 1)
     forms: list[LinearForm] = []
     if p != r and r >= 2:
-        for i in range(ell):
-            coeffs = [zero] * ell
-            coeffs[i] = one
-            forms.append(LinearForm.from_coefficients(coeffs, order))
+        forms += [form({i: one}) for i in range(ell)]
     for i in range(ell):
         for j in range(i + 1, ell):
             for m in range(r):
-                coeffs = [zero] * ell
-                coeffs[i] = one
-                if r <= 2:
-                    coeffs[j] = CyclotomicNumber.from_rational(-((-1) ** m), 1)
-                else:
-                    coeffs[j] = -root_of_unity(order, m)
-                forms.append(LinearForm.from_coefficients(coeffs, order))
+                forms.append(form({i: one, j: _kernel.elem_neg(root_elem(r, m))[0]}))
     return make_arrangement(ell, order, forms)
 
 

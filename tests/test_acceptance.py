@@ -11,10 +11,10 @@ import json
 import random
 import time
 
-from hyparr.analysis import (exponents_from_poincare, exponents_if_supersolvable,
+from hyparr.analysis import (checked_exponents, exponents_from_poincare,
                              is_modular, is_supersolvable, mobius,
                              modular_flats_of_rank, poincare, validate_certificate)
-from hyparr.arrangement import (brute_force_lattice, build_lattice, product)
+from hyparr.arrangement import (brute_force_lattice, build_lattice, closure, product)
 from hyparr.claims import RANK2_EMPTY, WITNESS_CLAIMS, run_witness_claim
 from hyparr.cyclo import CyclotomicNumber, field_context
 from hyparr.linalg import contains, intersect, subspace_from_forms, subspace_sum
@@ -78,8 +78,11 @@ def test_criterion_03_supersolvable_family(store):
             for k in range(1, ell + 1):
                 forms = [parse_form(f"x{j + 1}", ell, arr.order)
                          for j in range(k)]
-                flat = lattice.flat_of(subspace_from_forms(forms, ell, arr.order))
-                assert flat is not None and flat.rank == k, (name, k)
+                sub = subspace_from_forms(forms, ell, arr.order)
+                hit = closure(arr, sub)
+                assert hit.subspace == sub, (name, k)
+                flat = lattice.index[hit.support]
+                assert flat.rank == k, (name, k)
                 assert is_modular(arr, lattice, flat).modular, (name, k)
             checked_chains += 1
     elapsed = time.perf_counter() - t0
@@ -104,8 +107,11 @@ def test_criterion_05_product_theorem(store):
     names = ["G(2,1,2)", "G(1,1,3)", "G(3,1,3)", "D4", "G(3,3,3)"]
     arrs = {n: store.arrangement(n) for n in names}
     verdicts = {n: store.certificate(n).verdict for n in names}
-    exps = {n: exponents_if_supersolvable(arrs[n], store.certificate(n))
-            for n in names if verdicts[n]}
+    exps = {}
+    for n in names:
+        if verdicts[n]:
+            cert = store.certificate(n)
+            exps[n] = checked_exponents(poincare(cert.arrangement, cert.lattice), cert)
     bad = []
     pairs = 0
     for n1, n2 in itertools.product(names, repeat=2):
@@ -141,8 +147,8 @@ def test_criterion_07_builder_counts(store):
                 "G29": 40, "G31": 60}
     for name, count in expected.items():
         assert len(store.arrangement(name)) == count, name
-    same = (store.arrangement("D4").hyperplane_set()
-            == monomial_arrangement(2, 2, 4).hyperplane_set())
+    same = (frozenset(store.arrangement("D4").hyperplanes)
+            == frozenset(monomial_arrangement(2, 2, 4).hyperplanes))
     note(same, "criterion 7: transcribed hyperplane counts",
          "counts 12/24/15/12/21/40/60; D4 = G(2,2,4)")
 
@@ -209,7 +215,7 @@ def test_criterion_10_property_suites(store):
         assert (a + b) + c == a + (b + c)
         assert a * (b + c) == a * b + a * c
         if not a.is_zero():
-            assert (a * a.inverse()).is_one()
+            assert a * a.inverse() == 1
     counts["field axioms"] = 1000
 
     rng = random.Random(2020)

@@ -10,10 +10,10 @@ import hyparr._kernel
 import hyparr.analysis
 from hyparr.analysis import (ModularityVerdict, Refutation, SupersolvabilityCertificate,
                              check_rank2_criterion, checked_exponents, exponents_from_poincare,
-                             exponents_if_supersolvable, irreducible_factor_count, is_modular,
-                             is_supersolvable, mobius, modular_flats_of_rank, poincare,
-                             replay_witness, validate_certificate)
-from hyparr.arrangement import (Flat, build_lattice, closure, essentialize, in_lattice,
+                             irreducible_factor_count, is_modular, is_supersolvable, mobius,
+                             modular_flats_of_rank, poincare, replay_witness,
+                             validate_certificate)
+from hyparr.arrangement import (Flat, build_lattice, closure, essentialize,
                                 irreducible_decomposition, make_arrangement, product)
 from hyparr.cli import resolve_spec
 from hyparr.errors import InternalInconsistencyError, RefusalError
@@ -33,9 +33,9 @@ def _pair(a, b):
 
 def flat_for(lattice, arr, texts):
     sub = subspace_from_forms([parse_form(t, arr.ambient, arr.order) for t in texts])
-    flat = lattice.flat_of(sub)
-    assert flat is not None, f"{texts} is not a flat"
-    return flat
+    hit = closure(arr, sub)
+    assert hit.subspace == sub, f"{texts} is not a flat"
+    return lattice.index[hit.support]
 
 
 def mobius_oracle(lattice):
@@ -384,22 +384,22 @@ class TestMobiusPoincare:
             assert poincare(arr, lattice).coefficients[1] == len(arr)
 
 
+def _exponents(arr):
+    cert = is_supersolvable(arr)
+    return checked_exponents(poincare(cert.arrangement, cert.lattice), cert)
+
+
 class TestExponents:
     def test_known_exponents(self):
-        assert exponents_if_supersolvable(monomial_arrangement(1, 1, 4)) == [1, 2, 3]
-        assert exponents_if_supersolvable(monomial_arrangement(2, 1, 3)) == [1, 3, 5]
-        assert exponents_if_supersolvable(monomial_arrangement(3, 1, 3)) == [1, 4, 7]
-
-    def test_refuses_non_supersolvable(self):
-        with pytest.raises(RefusalError):
-            exponents_if_supersolvable(exceptional_arrangement("D4"))
+        assert _exponents(monomial_arrangement(1, 1, 4)) == [1, 2, 3]
+        assert _exponents(monomial_arrangement(2, 1, 3)) == [1, 3, 5]
+        assert _exponents(monomial_arrangement(3, 1, 3)) == [1, 4, 7]
 
     def test_product_exponents_union(self):
         a = monomial_arrangement(2, 1, 2)
         b = monomial_arrangement(1, 1, 3)
         pr = product(a, b)
-        assert exponents_if_supersolvable(pr) == sorted(
-            exponents_if_supersolvable(a) + exponents_if_supersolvable(b))
+        assert _exponents(pr) == sorted(_exponents(a) + _exponents(b))
 
 
 class TestChainExponents:
@@ -436,8 +436,6 @@ class TestChainExponents:
         forged = dataclasses.replace(cert, chain=chain[:2] + [other] + chain[3:])
         with pytest.raises(InternalInconsistencyError):
             checked_exponents(poly, forged)
-        with pytest.raises(InternalInconsistencyError):
-            exponents_if_supersolvable(cert.arrangement, forged)
 
 
 class TestFactorCount:
@@ -564,7 +562,7 @@ class TestForgedEvidence:
     def off_lattice_line():
         line = subspace_from_forms([parse_form("a + 2*b + 5*c", 3, 3),
                                     parse_form("a - 3*b + 7*c", 3, 3)])
-        assert not in_lattice(build_named("G(3,1,3)"), line)
+        assert closure(build_named("G(3,1,3)"), line).subspace != line
         return line
 
     def test_repeated_verdict_rejected(self, cert):
@@ -580,7 +578,8 @@ class TestForgedEvidence:
             if v.modular:
                 # the support of a rank-2 flat on a line that is not one
                 y = Flat(line, lattice.levels[2][0].support, 2)
-                assert not in_lattice(cert.arrangement, subspace_sum(v.flat.subspace, line))
+                both = subspace_sum(v.flat.subspace, line)
+                assert closure(cert.arrangement, both).subspace != both
                 v = ModularityVerdict(v.flat, False, y, lattice.meet(v.flat, y))
             forged.append(v)
         assert not validate_certificate(self.refuted(cert, forged))
@@ -594,7 +593,8 @@ class TestForgedEvidence:
                 x = Flat(line, v.flat.support, 2)
                 y = next(f for f in lattice.levels[2]
                          if f.support & x.support not in (x.support, f.support))
-                assert not in_lattice(cert.arrangement, subspace_sum(line, y.subspace))
+                both = subspace_sum(line, y.subspace)
+                assert closure(cert.arrangement, both).subspace != both
                 v = ModularityVerdict(x, False, y, lattice.meet(x, y))
             forged.append(v)
         assert not validate_certificate(self.refuted(cert, forged))

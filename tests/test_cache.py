@@ -7,11 +7,11 @@ import pytest
 
 import hyparr
 from hyparr.analysis import is_supersolvable, poincare
-from hyparr.arrangement import build_lattice, parallel_map
+from hyparr.arrangement import Flat, build_lattice, parallel_map
 from hyparr.cache import (arrangement_key, cache_path, lattice_from_payload,
-                          lattice_payload, load_lattice, save_lattice)
+                          lattice_payload, load_lattice, load_or_build, save_lattice)
 from hyparr.cli import main
-from hyparr.errors import InternalInconsistencyError
+from hyparr.errors import InternalInconsistencyError, RefusalError
 from hyparr.reflection import build_named, catalog, exceptional_arrangement, monomial_arrangement
 from tests.conftest import v1_lattice_payload
 
@@ -92,6 +92,23 @@ class TestCache:
         b = monomial_arrangement(3, 3, 2)
         assert arrangement_key(a) != arrangement_key(b)
         assert arrangement_key(a) == arrangement_key(monomial_arrangement(2, 1, 2))
+
+    def test_over_budget_entry_refused_before_any_flat(self, tmp_path, monkeypatch):
+        arr = build_named("G31")
+        save_lattice(build_lattice(arr), str(tmp_path))
+        made = []
+        of_support = Flat.of_support.__func__
+
+        def counted(cls, *args):
+            made.append(args)
+            return of_support(cls, *args)
+
+        monkeypatch.setattr(Flat, "of_support", classmethod(counted))
+        with pytest.raises(RefusalError, match=r"exceeds the flat budget \(20\); "
+                                               "raise --max-flats to proceed"):
+            load_or_build(arr, str(tmp_path), max_flats=20)
+        assert made == []
+        assert len(load_or_build(arr, str(tmp_path), max_flats=2272)) == len(made) == 2272
 
     def test_miss_on_absent_or_corrupt(self, tmp_path):
         arr = monomial_arrangement(2, 1, 2)

@@ -1,9 +1,14 @@
 """Builders: hyperplane counts, coincidences, and catalog consistency."""
 
+import re
+
 import pytest
 
 from hyparr.analysis import poincare
-from hyparr.arrangement import build_lattice, essentialize, irreducible_decomposition
+from hyparr.arrangement import (build_lattice, essentialize, irreducible_decomposition,
+                                make_arrangement)
+from hyparr.cyclo import CyclotomicNumber, root_of_unity
+from hyparr.linalg import LinearForm
 from hyparr.reflection import (build_named, catalog, catalog_entry,
                                exceptional_arrangement, monomial_arrangement)
 
@@ -11,7 +16,31 @@ EXPECTED_COUNTS = {"D4": 12, "F4": 24, "H3": 15, "G25": 12, "G26": 21,
                    "G29": 40, "G31": 60}
 
 
+def monomial_by_coefficients(r, p, ell):
+    """G(r, p, l) built from field elements, one coefficient at a time."""
+    order = r if r > 2 else 1
+    zero, one = CyclotomicNumber.zero(order), CyclotomicNumber.one(order)
+    rows = [{i: one} for i in range(ell)] if p != r and r >= 2 else []
+    for i in range(ell):
+        for j in range(i + 1, ell):
+            for m in range(r):
+                minus = (CyclotomicNumber.from_rational(-((-1) ** m), 1) if r <= 2
+                         else -root_of_unity(order, m))
+                rows.append({i: one, j: minus})
+    return make_arrangement(ell, order, [
+        LinearForm.from_coefficients([row.get(c, zero) for c in range(ell)], order)
+        for row in rows])
+
+
 class TestMonomialBuilder:
+    @pytest.mark.parametrize("name", [e.name for e in catalog() if e.name.startswith("G(")])
+    def test_catalog_rows_equal_the_coefficient_construction(self, name):
+        r, p, ell = map(int, re.findall(r"[0-9]+", name))
+        arr, ref = monomial_arrangement(r, p, ell), monomial_by_coefficients(r, p, ell)
+        assert arr == ref
+        assert [h.row for h in arr.hyperplanes] == [h.row for h in ref.hyperplanes]
+        assert arr.duplicates_removed == ref.duplicates_removed
+
     def test_braid_on_three(self):
         arr = monomial_arrangement(1, 1, 3)
         assert len(arr) == 3 and arr.order == 1
@@ -20,8 +49,8 @@ class TestMonomialBuilder:
         assert len(monomial_arrangement(2, 1, 3)) == 9
 
     def test_d4_equals_transcription(self):
-        assert (monomial_arrangement(2, 2, 4).hyperplane_set()
-                == exceptional_arrangement("D4").hyperplane_set())
+        assert (frozenset(monomial_arrangement(2, 2, 4).hyperplanes)
+                == frozenset(exceptional_arrangement("D4").hyperplanes))
 
     def test_counts_formula(self):
         for (r, p, ell, n) in ((3, 3, 3, 9), (4, 4, 3, 12), (5, 5, 3, 15),
@@ -43,10 +72,10 @@ class TestMonomialBuilder:
 
     def test_proper_divisor_arrangements_coincide(self):
         # any p != r regenerates the p = 1 hyperplane set
-        assert (monomial_arrangement(4, 2, 3).hyperplane_set()
-                == monomial_arrangement(4, 1, 3).hyperplane_set())
-        assert (monomial_arrangement(4, 2, 4).hyperplane_set()
-                == monomial_arrangement(4, 1, 4).hyperplane_set())
+        assert (frozenset(monomial_arrangement(4, 2, 3).hyperplanes)
+                == frozenset(monomial_arrangement(4, 1, 3).hyperplanes))
+        assert (frozenset(monomial_arrangement(4, 2, 4).hyperplanes)
+                == frozenset(monomial_arrangement(4, 1, 4).hyperplanes))
 
 
 class TestExceptionalBuilder:
@@ -112,8 +141,8 @@ class TestAliases:
         assert build_named("A(3)").ambient == 4
         assert len(build_named("B3")) == 9
         assert len(build_named("D5")) == 20
-        assert build_named("D4").hyperplane_set() == \
-            monomial_arrangement(2, 2, 4).hyperplane_set()
+        assert frozenset(build_named("D4").hyperplanes) == \
+            frozenset(monomial_arrangement(2, 2, 4).hyperplanes)
         assert len(build_named("G(3,1,3)")) == 12
 
     def test_unknown_rejected(self):

@@ -139,7 +139,7 @@ class TestRowRenderer:
             ambient = rng.randint(1, 7)
             row = random_row(rng, ambient, order, kinds)
             form = LinearForm(ambient, order, row)
-            if not form.is_zero() and not form.coefficient(form.leading_index()).is_one():
+            if not form.is_zero() and form.coefficient(form.leading_index()) != 1:
                 kinds["non-monic lead"] += 1
             assert_renders_like_reference(form)
         assert all(kinds.values()), kinds
