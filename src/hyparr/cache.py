@@ -93,13 +93,16 @@ def lattice_from_payload(arr: Arrangement, payload: dict,
         if seen != full:
             raise ValueError("cache entry has a hyperplane on no rank-1 flat")
     count = sum(len(level) for level in levels)
-    if len(set().union(*levels)) != count:
-        raise ValueError("cache entry repeats a support")
-    if max_flats is not None and count > max_flats:
+    # an entry that repeats a support is a miss, not a refusal, so its
+    # supports are counted once each before it is refused
+    if max_flats is not None and count > max_flats and len(set().union(*levels)) == count:
         raise _over_budget(max_flats)
-    return IntersectionLattice(arr, tuple(
+    lattice = IntersectionLattice(arr, tuple(
         tuple(Flat.of_support(arr, s, rank) for s in level)
         for rank, level in enumerate(levels)))
+    if len(lattice.index) != count:
+        raise ValueError("cache entry repeats a support")
+    return lattice
 
 
 def cache_path(arr: Arrangement, cache_dir: str) -> str:

@@ -146,6 +146,13 @@ class TestCache:
         with pytest.raises(ValueError, match=reason):
             lattice_from_payload(lattice.arrangement, forge(good))
 
+    def test_malformed_entry_reason_precedes_the_budget(self):
+        lattice = build_lattice(build_named("G(3,1,3)"))
+        good = json.loads(canonical(lattice))
+        for forge, reason in (v for v in MALFORMED.values() if v[1]):
+            with pytest.raises(ValueError, match=reason):
+                lattice_from_payload(lattice.arrangement, forge(good), max_flats=1)
+
     def test_supports_must_be_strings(self):
         lattice = build_lattice(build_named("G(3,1,3)"))
         payload = json.loads(canonical(lattice))
