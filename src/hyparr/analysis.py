@@ -25,10 +25,10 @@ without the scan's membership test or join table.  Scans run in the
 deterministic flat order (rank, then support bitset), so witnesses are
 reproducible.
 
-A lattice assembled from its factors' lattices (``lattice_of``) is not
-walked.  Ranks add up over the factors and the semimodular inequality holds
-in each, so X is modular exactly when every component x_i is, each read
-off its factor lattice and kept there.  The partner of a non-modular X is
+A lattice with factor lattices (``lattice_of``, or a cache load of a
+product) is not walked.  Ranks add up over the factors and the semimodular
+inequality holds in each, so X is modular exactly when every component x_i
+is, each read off its factor lattice and kept there.  The partner of a non-modular X is
 the candidate (0, ..., y_i*, ..., 0), y_i* the first failing complement of a
 failing x_i, that comes first by rank, then by support in the product.
 That is the first failing complement the walk finds, so the witnesses are
@@ -36,11 +36,11 @@ the same (``_verdict_from_factors``).
 
 Supersolvability is the existence of a maximal chain of modular flats
 (Stanley, 1972).  ``is_supersolvable`` searches for one depth first, up the
-cover table from the rank-2 flats, and tests each flat by ``is_modular`` on
-its first visit, so a supersolvable arrangement has only the flats along
-its search path tested.  Only a failed search scans the interior ranks in
-full, for the witnesses of an empty rank or the counts of a ``no-chain``
-refutation.  The exploration order is that of a search over the full scan,
+upper covers from the rank-2 flats (off the factor lattices, for a
+product), and tests each flat by ``is_modular`` on its first visit, so a
+supersolvable arrangement has only the flats along its search path tested.
+Only a failed search scans the interior ranks in full, for the witnesses of
+an empty rank or the counts of a ``no-chain`` refutation.  The exploration order is that of a search over the full scan,
 so the chain and the refutation are the same as after one.  Verdicts are
 kept on the lattice, so each flat is tested once per lattice.
 
@@ -199,10 +199,10 @@ def is_modular(arr: Arrangement, lattice: IntersectionLattice, x: Flat) -> Modul
     a complement atom does not lie under X.
 
     The bottom, the atoms and the top are modular in every geometric
-    lattice and are not walked.  A lattice assembled from its factors'
-    lattices (``lattice_of``) is not walked either: its verdict is read off
-    theirs (``_verdict_from_factors``).  The verdict certifies its witness
-    when it is read.
+    lattice and are not walked.  A lattice with factor lattices
+    (``IntersectionLattice.factors``) is not walked either: its verdict is
+    read off theirs (``_verdict_from_factors``).  The verdict certifies its
+    witness when it is read.
     """
     x = _require_flat(lattice, x)
     if x.rank <= 1 or x.rank == lattice.rank():
@@ -287,14 +287,15 @@ def is_supersolvable(arr: Arrangement, lattice: IntersectionLattice | None = Non
     The full space, the center, and the rank-1 flats are always modular, so
     only interior flats are tested, each at most once, by ``is_modular``.
     The depth-first search starts from the rank-2 flats in flat order and
-    climbs through the upper covers of the current flat in flat order,
-    testing a flat on its first visit and skipping the flats from which no
-    chain extends; the first chain in this order is returned, with nothing
-    else tested.  Only when no chain exists are the interior ranks scanned
-    in full, in ascending order, reusing the verdicts already found: the
-    first rank with no modular flat refutes with that rank's verdicts as
-    witnesses, and otherwise the refutation counts every rank's modular
-    flats.  The verdicts stay on the lattice the search ran on.
+    climbs through the upper covers of the current flat in flat order
+    (``upper_covers``: off the factor lattices of a product, so its own
+    cover table is never built), testing a flat on its first visit and
+    skipping the flats from which no chain extends; the first chain in this
+    order is returned, with nothing else tested.  Only when no chain exists
+    are the interior ranks scanned in full, in ascending order, reusing the
+    verdicts already found: the first rank with no modular flat refutes with
+    that rank's verdicts as witnesses, and otherwise the refutation counts
+    every rank's modular flats.  The verdicts stay on the lattice the search ran on.
     """
     ess = essentialize(arr)
     essentialized = ess.ambient != arr.ambient
@@ -317,17 +318,17 @@ def is_supersolvable(arr: Arrangement, lattice: IntersectionLattice | None = Non
     # of X_k are the rank-(k+1) flats above it, listed in flat order.  The
     # search keeps its own stack: a recursive closure would hold itself, and
     # with it the lattice, in a reference cycle after the call returns.
-    covers, index = lattice.covers(), lattice.index
+    upper, index = lattice.upper_covers, lattice.index
     dead: set[int] = set()
     for start in lattice.levels[2]:
         if not _verdict(ess, lattice, start).modular:
             continue
-        path, todo = [start], [iter(covers[start.support])]
+        path, todo = [start], [iter(upper(start.support))]
         while path and len(path) < r - 2:
             for s in todo[-1]:
                 if s not in dead and _verdict(ess, lattice, index[s]).modular:
                     path.append(index[s])
-                    todo.append(iter(covers[s]))
+                    todo.append(iter(upper(s)))
                     break
             else:
                 # no chain extends through path[-1]
@@ -441,11 +442,27 @@ def mobius(lattice: IntersectionLattice) -> dict[Flat, int]:
 
 def poincare(arr: Arrangement, lattice: IntersectionLattice) -> PoincarePolynomial:
     """Sum of mu(X) * (-t)**rank(X) over the lattice; coefficients are the
-    unsigned per-rank Moebius sums."""
-    mu = mobius(lattice)
-    coeffs = [0] * (lattice.rank() + 1)
-    for f, value in mu.items():
-        coeffs[f.rank] += value * (-1) ** f.rank
+    unsigned per-rank Moebius sums.
+
+    A lattice with factors (``IntersectionLattice.factors``) is not walked:
+    the polynomial of a product is the product of its factors' polynomials
+    (Orlik-Terao, Lemma 2.50), each from ``mobius`` on its factor lattice,
+    so the product's cover table is not built.  Either way the constant
+    term must be 1, every coefficient positive, and the linear coefficient
+    the number of hyperplanes, the lattice's rank-1 flats."""
+    if lattice.factors:
+        coeffs = [1]
+        for factor in lattice.factors:
+            other = poincare(factor.lattice.arrangement, factor.lattice).coefficients
+            grown = [0] * (len(coeffs) + len(other) - 1)
+            for i, a in enumerate(coeffs):
+                for j, b in enumerate(other):
+                    grown[i + j] += a * b
+            coeffs = grown
+    else:
+        coeffs = [0] * (lattice.rank() + 1)
+        for f, value in mobius(lattice).items():
+            coeffs[f.rank] += value * (-1) ** f.rank
     poly = PoincarePolynomial(tuple(coeffs))
     if coeffs[0] != 1 or any(c <= 0 for c in coeffs):
         raise InternalInconsistencyError(

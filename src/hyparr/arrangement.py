@@ -28,15 +28,18 @@ columns and assembles the product's levels from ORs of their supports, moved
 back to the input's hyperplane indices, with no field arithmetic: the
 lattice of a product is the product of its factors' lattices (Orlik-Terao,
 Prop. 2.14).  The factor lattices stay on the result, where the modular
-scan reads the product's verdicts off theirs.  ``build_lattice`` is the
-direct build, for every other input and for the tests that check the
-product theorem.  ``irreducible_decomposition`` splits by the same blocks,
-read off each normal's coordinates in a basis of normals.
+scan reads the product's verdicts off theirs, the chain search its upper
+covers and ``poincare`` its polynomial.  A lattice loaded from the cache
+splits the same way when its factors are first read, its factor lattices
+read off its own flats (``_resplit``).  ``build_lattice`` is the direct
+build, for every other input and for the tests that check the product
+theorem.  ``irreducible_decomposition`` splits by the same blocks, read off
+each normal's coordinates in a basis of normals.
 """
 
 from __future__ import annotations
 
-from math import lcm
+from math import lcm, prod
 
 from . import _kernel
 from .cyclo import embed_row, field_context
@@ -263,26 +266,35 @@ class IntersectionLattice:
     built on first use; both read supports only, so ``_tables`` holding them
     may be shared with a lattice of the same supports
     (``transport_lattice``).  So may ``factors``, the factor lattices of a
-    lattice assembled from them (``lattice_of``), None otherwise.
-    ``verdicts`` maps supports to modularity verdicts, which hold this
-    lattice's flats and are not shared.
+    product: set by ``lattice_of`` when it assembles the lattice from them,
+    read off the flats by ``_resplit`` when first asked for on a lattice
+    made with ``resplit`` (a cache load), and None otherwise.  ``verdicts``
+    maps supports to modularity verdicts, which hold this lattice's flats
+    and are not shared.
     """
 
     __slots__ = ("arrangement", "levels", "index", "_tables", "verdicts")
 
-    def __init__(self, arrangement: Arrangement, levels: tuple[tuple[Flat, ...], ...]):
+    def __init__(self, arrangement: Arrangement, levels: tuple[tuple[Flat, ...], ...],
+                 resplit: bool = False):
         self.arrangement = arrangement
         self.levels = levels
         self.index: dict[int, Flat] = {}
         for level in levels:
             for f in level:
                 self.index[f.support] = f
-        self._tables: list = [None, None, None]  # cover table, join table, factors
+        # cover table, join table, factors; an arrangement in the factors'
+        # place is the one to re-split by on first read
+        self._tables: list = [None, None, arrangement if resplit else None]
         self.verdicts: dict = {}
 
     @property
     def factors(self) -> tuple[Factor, ...] | None:
-        return self._tables[2]
+        factors = self._tables[2]
+        if isinstance(factors, Arrangement):
+            # a concurrent first read re-splits into equal factors
+            factors = self._tables[2] = _resplit(factors, self.levels)
+        return factors
 
     def flats(self):
         for level in self.levels:
@@ -330,6 +342,18 @@ class IntersectionLattice:
                     table[s] = tuple(u for u in by_atom.get(s & -s, ()) if u & s == s)
             self._tables[0] = table
         return table
+
+    def upper_covers(self, support: int) -> tuple[int, ...] | list[int]:
+        """The supports of the flats covering the flat of ``support``, in
+        flat order.  With factors, they are read off the factor lattices and
+        no cover table of this lattice is built: a flat (x_1, ..., x_m) is
+        covered by the flats with one x_i replaced by one of its covers in
+        factor i (Orlik-Terao, Prop. 2.14).  Otherwise they are read off
+        ``covers()``."""
+        factors = self.factors
+        if not factors:
+            return self.covers()[support]
+        return sorted(support & ~f.mask | c for f in factors for c in f.upper(support & f.mask))
 
     def meet(self, x: Flat, y: Flat) -> Flat:
         """Greatest lower bound: the flat supported on the common hyperplanes."""
@@ -601,6 +625,11 @@ class Factor:
             self.flat_at[s] = f
         self.mask = self.moved[lattice.top().support]
 
+    def upper(self, component: int) -> list[int]:
+        """The input's supports of the factor flats covering the one on the
+        input's support ``component``, in flat order."""
+        return [self.moved[c] for c in self.lattice.covers()[self.flat_at[component].support]]
+
 
 def _coordinate_blocks(arr: Arrangement) -> tuple[list[int], list[int]]:
     """The column masks of the coordinate blocks of ``arr``, lowest column
@@ -651,12 +680,78 @@ def _block_arrangement(arr: Arrangement, block: int,
     return indices, Arrangement(len(cols), arr.order, forms)
 
 
+def _split(arr: Arrangement) -> list[tuple[list[int], Arrangement]] | None:
+    """How ``arr`` splits as a product: for each of its two or more blocks
+    of coordinates (``_coordinate_blocks``), the indices of its forms and
+    those forms on the block's columns (``_block_arrangement``).  None for
+    a single block, and when a row repeats, since ``build_lattice`` puts
+    repeated rows on one rank-1 flat and a product of factor lattices
+    would not."""
+    blocks, masks = _coordinate_blocks(arr)
+    if len(blocks) < 2 or len({h.row for h in arr.hyperplanes}) < len(arr):
+        return None
+    return [_block_arrangement(arr, block, masks) for block in blocks]
+
+
+def _resplit(arr: Arrangement, levels: tuple[tuple[Flat, ...], ...]
+             ) -> tuple[Factor, ...] | None:
+    """The factors of a loaded lattice of ``arr`` with these ``levels``,
+    read off its flats with no field arithmetic; None when ``arr`` does not
+    split (``_split``) or the flats are not those of a product.
+
+    Factor i's flats are the flats whose support lies inside block i's
+    hyperplanes, each moved to the block's own hyperplane indices with its
+    rank kept.  The entry is then checked by integers to be their product
+    (Orlik-Terao, Prop. 2.14): it has prod |L_i| flats, and each flat X
+    splits into the factor flats X .cap. block i, with ranks that add up to
+    X's.  Distinct flats split differently, so the flats are then exactly
+    the tuples of factor flats.  No factor may skip a rank.  The entry's
+    one bottom and one top (``cache.lattice_from_payload``) then give each
+    factor one bottom and one top, the flat on all of its block's
+    hyperplanes.
+    """
+    parts = _split(arr)
+    if parts is None:
+        return None
+    masks = [sum(1 << i for i in indices) for indices, _ in parts]
+    inside: list[dict[int, int]] = [{} for _ in parts]  # support -> rank, in flat order
+    for level in levels:
+        for f in level:
+            for mask, ranks in zip(masks, inside):
+                if not f.support & ~mask:
+                    ranks[f.support] = f.rank
+    if prod(len(ranks) for ranks in inside) != sum(len(level) for level in levels):
+        return None
+    for level in levels:
+        for f in level:
+            total = 0
+            for mask, ranks in zip(masks, inside):
+                rank = ranks.get(f.support & mask)
+                if rank is None:
+                    return None
+                total += rank
+            if total != f.rank:
+                return None
+    factors = []
+    for (indices, forms), mask, ranks in zip(parts, masks, inside):
+        position = {1 << i: 1 << k for k, i in enumerate(indices)}
+        by_rank: list[list[Flat]] = [[] for _ in range(ranks[mask] + 1)]
+        for s, rank in ranks.items():
+            own = 0
+            for bit in _bits(s):
+                own |= position[bit]
+            by_rank[rank].append(Flat.of_support(forms, own, rank))
+        if not all(by_rank):
+            return None
+        factors.append(Factor(IntersectionLattice(forms, tuple(map(tuple, by_rank))), indices))
+    return tuple(factors)
+
+
 def lattice_of(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS,
                threads: int = 1) -> IntersectionLattice:
     """The lattice of ``arr``: assembled from its factors' lattices when its
-    forms split into two or more blocks of coordinates
-    (``_coordinate_blocks``), and built by ``build_lattice`` otherwise or
-    when a row repeats.
+    forms split into two or more blocks of coordinates (``_split``), and
+    built by ``build_lattice`` otherwise or when a row repeats.
 
     The lattice of a product is the product of its factors' lattices
     (Orlik-Terao, *Arrangements of Hyperplanes*, Prop. 2.14): a flat is one
@@ -671,16 +766,17 @@ def lattice_of(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS,
     ``max_flats`` is refused before it is assembled, with the refusal of
     ``build_lattice``.  The factor lattices stay on the result
     (``IntersectionLattice.factors``), where ``is_modular`` reads the
-    product's verdicts off theirs.  Input that splits only after a change
-    of coordinates is built directly.
+    product's verdicts off theirs, the chain search its covers
+    (``upper_covers``) and ``poincare`` its polynomial, so no command builds
+    the product's cover table.  Input that splits only after a change of
+    coordinates is built directly.
     """
-    blocks, masks = _coordinate_blocks(arr)
-    if len(blocks) < 2 or len({h.row for h in arr.hyperplanes}) < len(arr):
+    parts = _split(arr)
+    if parts is None:
         return build_lattice(arr, max_flats, threads)
     factors = []
     size = 1
-    for block in blocks:
-        indices, forms = _block_arrangement(arr, block, masks)
+    for indices, forms in parts:
         factor = Factor(build_lattice(forms, max_flats, threads), indices)
         factors.append(factor)
         size *= len(factor.lattice)
@@ -818,7 +914,8 @@ def transport_lattice(lattice: IntersectionLattice, ess: Arrangement) -> Interse
     derives its subspace in the essential coordinates when read.  The cover
     and join tables and the factor lattices read supports only, so the two
     lattices share them, and whichever of the two builds a table first
-    builds it for both.
+    builds it for both; a loaded lattice's factors are re-split by its own
+    arrangement, whichever of the two reads them first.
     """
     moved = IntersectionLattice(ess, tuple(tuple(Flat.of_support(ess, f.support, f.rank)
                                                  for f in level)
@@ -831,14 +928,13 @@ def irreducible_decomposition(arr: Arrangement) -> list[Arrangement]:
     """Finest factorization of an essential arrangement as a product.
 
     Express every normal over a basis of normals, and split the arrangement
-    of those coordinates into its blocks of coordinates
-    (``_coordinate_blocks``, two basis directions being linked when some
-    normal uses both): the blocks span complementary coordinate subspaces,
-    each hyperplane lives in exactly one, and each factor is its block's
-    forms on its block's columns (``_block_arrangement``), normalized.  The
-    basis B takes each normal, in order, whose residue modulo the span so
-    far is nonzero, and extends that span's RREF by it (``form_residue``,
-    ``extend_rref``).  The RREF (I | B^-1) of (B | I) grows from the full
+    of those coordinates as ``lattice_of`` splits its input (``_split``,
+    two basis directions being linked when some normal uses both): the
+    blocks span complementary coordinate subspaces, each hyperplane lives
+    in exactly one, and each factor is its block's forms on its block's
+    columns, normalized.  The basis B takes each normal, in order, whose
+    residue modulo the span so far is nonzero, and extends that span's RREF
+    by it (``form_residue``, ``extend_rref``).  The RREF (I | B^-1) of (B | I) grows from the full
     space by its rows (``subspace_from_rows``), and reducing (h | 0) by it
     leaves (0 | -h B^-1), h's coordinates up to a scalar that normalizing
     the factors' forms removes.
@@ -871,11 +967,8 @@ def irreducible_decomposition(arr: Arrangement) -> list[Arrangement]:
         c = _kernel.reduce(h.row[0] + (0,) * (n * d), inv.rows, inv.pivots, 2 * n, d, ctx.red)
         forms.append(LinearForm(n, arr.order, restrict_row((c, 1), range(n, 2 * n), d)))
     coords = Arrangement(n, arr.order, tuple(forms))
-    blocks, masks = _coordinate_blocks(coords)
-    if len(blocks) < 2:
-        factors = [coords]
-    else:
-        factors = [_block_arrangement(coords, block, masks)[1] for block in blocks]
+    parts = _split(coords)
+    factors = [coords] if parts is None else [forms for _, forms in parts]
     factors = [make_arrangement(f.ambient, f.order, f.hyperplanes) for f in factors]
     assert sum(f.ambient for f in factors) == n
     assert sum(len(f) for f in factors) == len(arr)

@@ -64,7 +64,9 @@ def lattice_from_payload(arr: Arrangement, payload: dict,
     A support of the wrong rank passes, and its flat raises
     ``InternalInconsistencyError`` when its subspace is read.  An entry
     with more than ``max_flats`` supports is refused as the build refuses
-    it, before any flat is made."""
+    it, before any flat is made.  The lattice re-splits into its factor
+    lattices when its factors are first read (``IntersectionLattice``), so
+    reading the entry alone does no more."""
     if payload.get("format") != FORMAT:
         raise ValueError(f"unsupported cache format {payload.get('format')!r}")
     if payload.get("arrangement") != arrangement_payload(arr):
@@ -99,7 +101,7 @@ def lattice_from_payload(arr: Arrangement, payload: dict,
         raise _over_budget(max_flats)
     lattice = IntersectionLattice(arr, tuple(
         tuple(Flat.of_support(arr, s, rank) for s in level)
-        for rank, level in enumerate(levels)))
+        for rank, level in enumerate(levels)), resplit=True)
     if len(lattice.index) != count:
         raise ValueError("cache entry repeats a support")
     return lattice
@@ -159,10 +161,11 @@ def load_or_build(arr: Arrangement, cache_dir: str | None = None,
                   ) -> IntersectionLattice:
     """The cached lattice of ``arr``; on a miss, make the directory, then
     build the lattice (``lattice_of``, from its factors' lattices when it
-    splits by coordinates) and save it.  A loaded lattice holds no factor
-    lattices, so a warm command scans it directly.  One with more than
-    ``max_flats`` flats is refused as the build refuses it, before its
-    flats are made."""
+    splits by coordinates) and save it.  A loaded lattice of a product gets
+    its factor lattices back from its own flats when a command first reads
+    them, so a warm command reads the factors as a cold one does; a
+    ``lattice`` command never reads them.  One with more than ``max_flats``
+    flats is refused as the build refuses it, before its flats are made."""
     lattice = load_lattice(arr, cache_dir, max_flats) if cache_dir else None
     if lattice is None:
         if cache_dir:

@@ -117,6 +117,8 @@ def test_criterion_05_product_theorem(store):
     for n1, n2 in itertools.product(names, repeat=2):
         pr = product(arrs[n1], arrs[n2])
         cert = is_supersolvable(pr, threads=store.threads)
+        # the direct build: the product theorem is checked, not used
+        assert cert.lattice.factors is None
         expected = verdicts[n1] and verdicts[n2]
         if cert.verdict != expected:
             bad.append((n1, n2, "verdict"))
