@@ -39,7 +39,7 @@ each normal's coordinates in a basis of normals.
 
 from __future__ import annotations
 
-from math import lcm, prod
+from math import lcm
 
 from . import _kernel
 from .cyclo import embed_row, field_context
@@ -693,6 +693,21 @@ def _split(arr: Arrangement) -> list[tuple[list[int], Arrangement]] | None:
     return [_block_arrangement(arr, block, masks) for block in blocks]
 
 
+def _product_supports(factors: list[Factor]) -> list[list[int]]:
+    """The supports of the product of the factor lattices, by rank and not
+    sorted: the ORs of one moved support of each factor, at the sum of
+    their ranks (Orlik-Terao, Prop. 2.14)."""
+    supports: list[list[int]] = [[0]]
+    for factor in factors:
+        grown: list[list[int]] = [[] for _ in range(len(supports) + factor.lattice.rank())]
+        moved = [[factor.moved[f.support] for f in level] for level in factor.lattice.levels]
+        for r, level in enumerate(supports):
+            for k, extra in enumerate(moved):
+                grown[r + k].extend(a | b for a in level for b in extra)
+        supports = grown
+    return supports
+
+
 def _resplit(arr: Arrangement, levels: tuple[tuple[Flat, ...], ...]
              ) -> tuple[Factor, ...] | None:
     """The factors of a loaded lattice of ``arr`` with these ``levels``,
@@ -701,49 +716,38 @@ def _resplit(arr: Arrangement, levels: tuple[tuple[Flat, ...], ...]
 
     Factor i's flats are the flats whose support lies inside block i's
     hyperplanes, each moved to the block's own hyperplane indices with its
-    rank kept.  The entry is then checked by integers to be their product
-    (Orlik-Terao, Prop. 2.14): it has prod |L_i| flats, and each flat X
-    splits into the factor flats X .cap. block i, with ranks that add up to
-    X's.  Distinct flats split differently, so the flats are then exactly
-    the tuples of factor flats.  No factor may skip a rank.  The entry's
-    one bottom and one top (``cache.lattice_from_payload``) then give each
-    factor one bottom and one top, the flat on all of its block's
-    hyperplanes.
+    rank kept, and no factor may skip a rank.  The entry is then checked by
+    integers to be their product: its levels must be those ``lattice_of``
+    assembles from these factors (``_product_supports``).  So it has
+    prod |L_i| flats, and every support splits into factor supports whose
+    ranks add up to its own.
     """
     parts = _split(arr)
     if parts is None:
         return None
-    masks = [sum(1 << i for i in indices) for indices, _ in parts]
-    inside: list[dict[int, int]] = [{} for _ in parts]  # support -> rank, in flat order
-    for level in levels:
-        for f in level:
-            for mask, ranks in zip(masks, inside):
-                if not f.support & ~mask:
-                    ranks[f.support] = f.rank
-    if prod(len(ranks) for ranks in inside) != sum(len(level) for level in levels):
-        return None
-    for level in levels:
-        for f in level:
-            total = 0
-            for mask, ranks in zip(masks, inside):
-                rank = ranks.get(f.support & mask)
-                if rank is None:
-                    return None
-                total += rank
-            if total != f.rank:
-                return None
     factors = []
-    for (indices, forms), mask, ranks in zip(parts, masks, inside):
+    for indices, forms in parts:
+        outside = ~sum(1 << i for i in indices)
         position = {1 << i: 1 << k for k, i in enumerate(indices)}
-        by_rank: list[list[Flat]] = [[] for _ in range(ranks[mask] + 1)]
-        for s, rank in ranks.items():
-            own = 0
-            for bit in _bits(s):
-                own |= position[bit]
-            by_rank[rank].append(Flat.of_support(forms, own, rank))
-        if not all(by_rank):
-            return None
+        by_rank: list[list[Flat]] = []
+        for rank, level in enumerate(levels):
+            inside = [f.support for f in level if not f.support & outside]
+            if not inside:
+                continue
+            if rank != len(by_rank):
+                return None
+            by_rank.append([])
+            for s in inside:
+                own = 0
+                for bit in _bits(s):
+                    own |= position[bit]
+                by_rank[rank].append(Flat.of_support(forms, own, rank))
         factors.append(Factor(IntersectionLattice(forms, tuple(map(tuple, by_rank))), indices))
+    product = _product_supports(factors)
+    if len(product) != len(levels) or any(
+            sorted(supports) != [f.support for f in level]
+            for supports, level in zip(product, levels)):
+        return None
     return tuple(factors)
 
 
@@ -782,17 +786,9 @@ def lattice_of(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS,
         size *= len(factor.lattice)
     if size > max_flats:
         raise _over_budget(max_flats)
-    supports: list[list[int]] = [[0]]
-    for factor in factors:
-        grown: list[list[int]] = [[] for _ in range(len(supports) + factor.lattice.rank())]
-        moved = [[factor.moved[f.support] for f in level] for level in factor.lattice.levels]
-        for r, level in enumerate(supports):
-            for k, extra in enumerate(moved):
-                grown[r + k].extend(a | b for a in level for b in extra)
-        supports = grown
     lattice = IntersectionLattice(arr, tuple(
         tuple(Flat.of_support(arr, s, r) for s in sorted(level))
-        for r, level in enumerate(supports)))
+        for r, level in enumerate(_product_supports(factors))))
     lattice._tables[2] = tuple(factors)
     return lattice
 
