@@ -39,7 +39,7 @@ each normal's coordinates in a basis of normals.
 
 from __future__ import annotations
 
-from math import lcm
+from math import lcm, prod
 
 from . import _kernel
 from .cyclo import embed_row, field_context
@@ -743,6 +743,9 @@ def _resplit(arr: Arrangement, levels: tuple[tuple[Flat, ...], ...]
                     own |= position[bit]
                 by_rank[rank].append(Flat.of_support(forms, own, rank))
         factors.append(Factor(IntersectionLattice(forms, tuple(map(tuple, by_rank))), indices))
+    # the sizes first, so that no entry assembles a product larger than itself
+    if prod(len(f.lattice) for f in factors) != sum(len(level) for level in levels):
+        return None
     product = _product_supports(factors)
     if len(product) != len(levels) or any(
             sorted(supports) != [f.support for f in level]
