@@ -25,8 +25,8 @@ without the scan's membership test or join table.  Scans run in the
 deterministic flat order (rank, then support bitset), so witnesses are
 reproducible.
 
-A lattice with factor lattices (``lattice_of``, or a cache load of a
-product) is not walked.  Ranks add up over the factors and the semimodular
+A lattice with factor lattices (``lattice_of``, built or assembled from
+cached factors) is not walked.  Ranks add up over the factors and the semimodular
 inequality holds in each, so X is modular exactly when every component x_i
 is, each read off its factor lattice and kept there.  The partner of a non-modular X is
 the candidate (0, ..., y_i*, ..., 0), y_i* the first failing complement of a

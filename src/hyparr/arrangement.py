@@ -21,20 +21,23 @@ comparing one residue with H's.  Every new flat above rank 1 keeps X's
 RREF and H's residue, and is extended only when its subspace is read: as a
 parent with covers still to find, in a witness or a chain, or when printed.
 
-A lattice that is not loaded is made by ``lattice_of``.  When the forms
+Every lattice a command reads is made by ``lattice_of``.  When the forms
 split into two or more blocks of coordinates, two coordinates being linked
-when some form uses both, it builds each block's lattice on the block's
+when some form uses both, it takes each block's lattice on the block's
 columns and assembles the product's levels from ORs of their supports, moved
 back to the input's hyperplane indices, with no field arithmetic: the
 lattice of a product is the product of its factors' lattices (Orlik-Terao,
 Prop. 2.14).  The factor lattices stay on the result, where the modular
 scan reads the product's verdicts off theirs, the chain search its upper
-covers and ``poincare`` its polynomial.  A lattice loaded from the cache
-splits the same way when its factors are first read, its factor lattices
-read off its own flats (``_resplit``).  ``build_lattice`` is the direct
-build, for every other input and for the tests that check the product
-theorem.  ``irreducible_decomposition`` splits by the same blocks, read off
-each normal's coordinates in a basis of normals.
+covers and ``poincare`` its polynomial.  Each block's lattice, or the
+input's when it does not split, comes from the function ``lattice_of`` is
+given: ``build_lattice`` by default, and for the cache a load or build of
+that arrangement's own entry (``cache.load_or_build``), so a cached product
+is assembled from its factors' entries as a built one is.
+``build_lattice`` is the direct build, for every other input and for the
+tests that check the product theorem.  ``irreducible_decomposition`` splits
+by the same blocks, read off each normal's coordinates in a basis of
+normals.
 """
 
 from __future__ import annotations
@@ -266,35 +269,26 @@ class IntersectionLattice:
     built on first use; both read supports only, so ``_tables`` holding them
     may be shared with a lattice of the same supports
     (``transport_lattice``).  So may ``factors``, the factor lattices of a
-    product: set by ``lattice_of`` when it assembles the lattice from them,
-    read off the flats by ``_resplit`` when first asked for on a lattice
-    made with ``resplit`` (a cache load), and None otherwise.  ``verdicts``
-    maps supports to modularity verdicts, which hold this lattice's flats
-    and are not shared.
+    product, set by ``lattice_of`` when it assembles the lattice from them
+    and None otherwise.  ``verdicts`` maps supports to modularity verdicts,
+    which hold this lattice's flats and are not shared.
     """
 
     __slots__ = ("arrangement", "levels", "index", "_tables", "verdicts")
 
-    def __init__(self, arrangement: Arrangement, levels: tuple[tuple[Flat, ...], ...],
-                 resplit: bool = False):
+    def __init__(self, arrangement: Arrangement, levels: tuple[tuple[Flat, ...], ...]):
         self.arrangement = arrangement
         self.levels = levels
         self.index: dict[int, Flat] = {}
         for level in levels:
             for f in level:
                 self.index[f.support] = f
-        # cover table, join table, factors; an arrangement in the factors'
-        # place is the one to re-split by on first read
-        self._tables: list = [None, None, arrangement if resplit else None]
+        self._tables: list = [None, None, None]  # cover table, join table, factors
         self.verdicts: dict = {}
 
     @property
     def factors(self) -> tuple[Factor, ...] | None:
-        factors = self._tables[2]
-        if isinstance(factors, Arrangement):
-            # a concurrent first read re-splits into equal factors
-            factors = self._tables[2] = _resplit(factors, self.levels)
-        return factors
+        return self._tables[2]
 
     def flats(self):
         for level in self.levels:
@@ -708,86 +702,38 @@ def _product_supports(factors: list[Factor]) -> list[list[int]]:
     return supports
 
 
-def _resplit(arr: Arrangement, levels: tuple[tuple[Flat, ...], ...]
-             ) -> tuple[Factor, ...] | None:
-    """The factors of a loaded lattice of ``arr`` with these ``levels``,
-    read off its flats with no field arithmetic; None when ``arr`` does not
-    split (``_split``) or the flats are not those of a product.
-
-    Factor i's flats are the flats whose support lies inside block i's
-    hyperplanes, each moved to the block's own hyperplane indices with its
-    rank kept, and no factor may skip a rank.  The entry is then checked by
-    integers to be their product: its levels must be those ``lattice_of``
-    assembles from these factors (``_product_supports``).  So it has
-    prod |L_i| flats, and every support splits into factor supports whose
-    ranks add up to its own.
-    """
-    parts = _split(arr)
-    if parts is None:
-        return None
-    factors = []
-    for indices, forms in parts:
-        outside = ~sum(1 << i for i in indices)
-        position = {1 << i: 1 << k for k, i in enumerate(indices)}
-        by_rank: list[list[Flat]] = []
-        for rank, level in enumerate(levels):
-            inside = [f.support for f in level if not f.support & outside]
-            if not inside:
-                continue
-            if rank != len(by_rank):
-                return None
-            by_rank.append([])
-            for s in inside:
-                own = 0
-                for bit in _bits(s):
-                    own |= position[bit]
-                by_rank[rank].append(Flat.of_support(forms, own, rank))
-        factors.append(Factor(IntersectionLattice(forms, tuple(map(tuple, by_rank))), indices))
-    # the sizes first, so that no entry assembles a product larger than itself
-    if prod(len(f.lattice) for f in factors) != sum(len(level) for level in levels):
-        return None
-    product = _product_supports(factors)
-    if len(product) != len(levels) or any(
-            sorted(supports) != [f.support for f in level]
-            for supports, level in zip(product, levels)):
-        return None
-    return tuple(factors)
-
-
-def lattice_of(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS,
-               threads: int = 1) -> IntersectionLattice:
+def lattice_of(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS, threads: int = 1,
+               build=build_lattice) -> IntersectionLattice:
     """The lattice of ``arr``: assembled from its factors' lattices when its
     forms split into two or more blocks of coordinates (``_split``), and
-    built by ``build_lattice`` otherwise or when a row repeats.
+    ``build(arr, max_flats, threads)`` otherwise or when a row repeats.
+    ``build`` gives each factor's lattice too, from the factor's forms:
+    ``build_lattice`` by default, a load or build of the factor's cache
+    entry for ``cache.load_or_build``.
 
     The lattice of a product is the product of its factors' lattices
     (Orlik-Terao, *Arrangements of Hyperplanes*, Prop. 2.14): a flat is one
     flat of each factor, with the union of their supports and the sum of
-    their ranks.  Each factor's lattice is built from the forms of its block
+    their ranks.  Each factor's lattice is that of the forms of its block
     restricted to the block's columns (``_block_arrangement``), in the
     input's order, and its supports are moved back to the input's
-    hyperplane indices (``Factor``).  The product's flats are made from their supports
-    (``Flat.of_support``), each level sorted by support, so the result has
-    the supports and ranks ``build_lattice`` gives, and each flat derives
-    the same subspace when read.  A product with more flats than
-    ``max_flats`` is refused before it is assembled, with the refusal of
-    ``build_lattice``.  The factor lattices stay on the result
-    (``IntersectionLattice.factors``), where ``is_modular`` reads the
-    product's verdicts off theirs, the chain search its covers
-    (``upper_covers``) and ``poincare`` its polynomial, so no command builds
-    the product's cover table.  Input that splits only after a change of
-    coordinates is built directly.
+    hyperplane indices (``Factor``).  The product's flats are made from
+    their supports (``Flat.of_support``), each level sorted by support, so
+    the result has the supports and ranks ``build_lattice`` gives, and each
+    flat derives the same subspace when read.  A product with more flats
+    than ``max_flats`` is refused from its factors' sizes before it is
+    assembled, with the refusal of ``build_lattice``.  The factor lattices
+    stay on the result (``IntersectionLattice.factors``), where
+    ``is_modular`` reads the product's verdicts off theirs, the chain
+    search its covers (``upper_covers``) and ``poincare`` its polynomial, so
+    no command builds the product's cover table.  Input that splits only
+    after a change of coordinates is built directly.
     """
     parts = _split(arr)
     if parts is None:
-        return build_lattice(arr, max_flats, threads)
-    factors = []
-    size = 1
-    for indices, forms in parts:
-        factor = Factor(build_lattice(forms, max_flats, threads), indices)
-        factors.append(factor)
-        size *= len(factor.lattice)
-    if size > max_flats:
+        return build(arr, max_flats, threads)
+    factors = [Factor(build(forms, max_flats, threads), indices) for indices, forms in parts]
+    if prod(len(f.lattice) for f in factors) > max_flats:
         raise _over_budget(max_flats)
     lattice = IntersectionLattice(arr, tuple(
         tuple(Flat.of_support(arr, s, r) for s in sorted(level))
@@ -913,8 +859,7 @@ def transport_lattice(lattice: IntersectionLattice, ess: Arrangement) -> Interse
     derives its subspace in the essential coordinates when read.  The cover
     and join tables and the factor lattices read supports only, so the two
     lattices share them, and whichever of the two builds a table first
-    builds it for both; a loaded lattice's factors are re-split by its own
-    arrangement, whichever of the two reads them first.
+    builds it for both.
     """
     moved = IntersectionLattice(ess, tuple(tuple(Flat.of_support(ess, f.support, f.rank)
                                                  for f in level)

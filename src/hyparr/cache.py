@@ -3,11 +3,13 @@
 One JSON file per arrangement, keyed by a content hash of its canonical
 serialization.  An entry holds the arrangement and, per level, the sorted
 supports of its flats as decimal strings: a flat is fixed by the hyperplanes
-that contain it, so no rows are stored.  A loaded flat derives its canonical
-RREF subspace when it is first read (``Flat.of_support``), equal to the one
-the build made, so a warm run is byte-identical to a cold one.  Writes go
-through a temp file and an atomic rename so concurrent commands never see a
-partial file.
+that contain it, so no rows are stored.  ``load_or_build`` keeps one entry
+per factor of a product, on the factor's own columns, and none for the
+product, which is assembled from its factors' lattices cold and warm alike
+(``lattice_of``).  A loaded flat derives its canonical RREF subspace when
+it is first read (``Flat.of_support``), equal to the one the build made, so
+a warm run is byte-identical to a cold one.  Writes go through a temp file
+and an atomic rename so concurrent commands never see a partial file.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import tempfile
 from contextlib import contextmanager
 
 from .arrangement import (DEFAULT_MAX_FLATS, Arrangement, Flat, IntersectionLattice,
-                          _over_budget, lattice_of)
+                          _over_budget, build_lattice, lattice_of)
 from .errors import ParseError
 
 FORMAT = "hyparr-lattice-v2"
@@ -64,9 +66,8 @@ def lattice_from_payload(arr: Arrangement, payload: dict,
     A support of the wrong rank passes, and its flat raises
     ``InternalInconsistencyError`` when its subspace is read.  An entry
     with more than ``max_flats`` supports is refused as the build refuses
-    it, before any flat is made.  The lattice re-splits into its factor
-    lattices when its factors are first read (``IntersectionLattice``), so
-    reading the entry alone does no more."""
+    it, before any flat is made.  The lattice has no factors, even when
+    ``arr`` is a product."""
     if payload.get("format") != FORMAT:
         raise ValueError(f"unsupported cache format {payload.get('format')!r}")
     if payload.get("arrangement") != arrangement_payload(arr):
@@ -101,7 +102,7 @@ def lattice_from_payload(arr: Arrangement, payload: dict,
         raise _over_budget(max_flats)
     lattice = IntersectionLattice(arr, tuple(
         tuple(Flat.of_support(arr, s, rank) for s in level)
-        for rank, level in enumerate(levels)), resplit=True)
+        for rank, level in enumerate(levels)))
     if len(lattice.index) != count:
         raise ValueError("cache entry repeats a support")
     return lattice
@@ -159,19 +160,25 @@ def load_lattice(arr: Arrangement, cache_dir: str,
 def load_or_build(arr: Arrangement, cache_dir: str | None = None,
                   max_flats: int = DEFAULT_MAX_FLATS, threads: int = 1
                   ) -> IntersectionLattice:
-    """The cached lattice of ``arr``; on a miss, make the directory, then
-    build the lattice (``lattice_of``, from its factors' lattices when it
-    splits by coordinates) and save it.  A loaded lattice of a product gets
-    its factor lattices back from its own flats when a command first reads
-    them, so a warm command reads the factors as a cold one does; a
-    ``lattice`` command never reads them.  One with more than ``max_flats``
-    flats is refused as the build refuses it, before its flats are made."""
-    lattice = load_lattice(arr, cache_dir, max_flats) if cache_dir else None
-    if lattice is None:
-        if cache_dir:
-            with _using(cache_dir):
-                os.makedirs(cache_dir, exist_ok=True)
-        lattice = lattice_of(arr, max_flats=max_flats, threads=threads)
-        if cache_dir:
+    """The lattice of ``arr`` by ``lattice_of``, which takes the lattice of
+    each factor of a product, or of ``arr`` itself when it does not split,
+    from that arrangement's entry in ``cache_dir``, or on a miss builds and
+    saves it.  So a product has one entry per factor and none of its own,
+    one entry serves equal factors and the factor's own name, and a cold and
+    a warm command assemble the product alike.  The directory is made before
+    anything is built.  An entry with more than ``max_flats`` flats is
+    refused as the build refuses it, before its flats are made, and a
+    product with more is refused from its factors' sizes before it is
+    assembled."""
+    if not cache_dir:
+        return lattice_of(arr, max_flats, threads)
+    with _using(cache_dir):
+        os.makedirs(cache_dir, exist_ok=True)
+
+    def load_or_save(forms, max_flats, threads):
+        lattice = load_lattice(forms, cache_dir, max_flats)
+        if lattice is None:
+            lattice = build_lattice(forms, max_flats, threads)
             save_lattice(lattice, cache_dir)
-    return lattice
+        return lattice
+    return lattice_of(arr, max_flats, threads, load_or_save)

@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 import time
+from math import lcm
 
 from . import __version__
 from .analysis import checked_exponents, is_supersolvable, modular_flats_of_rank, poincare
@@ -21,7 +22,7 @@ from .arrangement import (DEFAULT_MAX_FLATS, Arrangement, essentialize,
 from .cache import CACHE_ENV, load_or_build
 from .claims import LatticeStore, claim_scopes, run_claims
 from .errors import ParseError, RefusalError
-from .parse import MAX_NESTING, parse_arrangement_file
+from .parse import MAX_NESTING, check_packed_size, parse_arrangement_file
 from .reflection import build_named
 from .report import (arrangement_payload, certificate_payload, lattice_payload,
                      poincare_payload, render_human, report_json, verdict_payload)
@@ -34,8 +35,9 @@ EXIT_REFUSED = 3
 
 def resolve_spec(spec: str, nesting: int = 0) -> tuple[str, Arrangement]:
     """Turn a spec string into an arrangement, rejecting unknown names early.
-    ``product(`` nests at most ``MAX_NESTING`` levels deep; deeper specs are
-    a ``ParseError``."""
+    ``product(`` nests at most ``MAX_NESTING`` levels deep, and a product
+    packs at most ``MAX_PACKED`` integers, checked before its rows are made
+    (``check_packed_size``); deeper or larger specs are a ``ParseError``."""
     spec = spec.strip()
     if spec.startswith("product(") and spec.endswith(")"):
         if nesting == MAX_NESTING:
@@ -57,6 +59,7 @@ def resolve_spec(spec: str, nesting: int = 0) -> tuple[str, Arrangement]:
             raise ParseError(f"product(...) takes exactly two specs: {spec!r}")
         name1, a1 = resolve_spec(parts[0], nesting + 1)
         name2, a2 = resolve_spec(parts[1], nesting + 1)
+        check_packed_size(len(a1) + len(a2), a1.ambient + a2.ambient, lcm(a1.order, a2.order))
         return f"product({name1}, {name2})", product(a1, a2)
     if spec.startswith("file:"):
         return spec, parse_arrangement_file(spec[len("file:"):])

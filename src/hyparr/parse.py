@@ -10,7 +10,9 @@ accepted expression is genuinely linear.  Parentheses nest at most
 
 Arrangement files carry a header line ``ambient <l> field <n>`` followed by
 one linear form per line; ``#`` starts a comment.  The header allows at most
-``MAX_AMBIENT`` variables and field order ``MAX_FIELD_ORDER``.
+``MAX_AMBIENT`` variables and field order ``MAX_FIELD_ORDER``, and the
+packed rows at most ``MAX_PACKED`` integers in all (``check_packed_size``),
+checked from the header and the count of form lines before any row is made.
 
 Expressions are evaluated on the kernel's packed elements, ``(nums, den)``
 pairs, with ``_kernel.elem_add``, ``elem_mul``, ``elem_inv`` and friends: a
@@ -39,6 +41,7 @@ _TOKEN_CHARS = set("+-*/^(),")
 MAX_NESTING = 100  # parenthesis levels: each costs four frames of the descent
 MAX_AMBIENT = 1000  # header bounds: far above any reflection arrangement, and
 MAX_FIELD_ORDER = 1000  # small enough that a row and its field stay cheap
+MAX_PACKED = 1_000_000  # integers in all packed rows; G31 packs 480
 MAX_EXPONENT = 1000  # with a printable base, a power stays within 1000 times its size
 MAX_DIGITS = 4300  # Python's default int-string limit: longer integers do not print
 _MAX_BITS = int(MAX_DIGITS * log2(10))  # an integer of at most this many bits prints
@@ -315,38 +318,44 @@ def _header_value(word: str, tok: str, bound: int) -> int:
     return value
 
 
+def check_packed_size(forms: int, ambient: int, order: int) -> None:
+    """Refuse, as a ``ParseError``, ``forms`` packed rows of ``ambient``
+    columns over field order ``order`` that would hold more than
+    ``MAX_PACKED`` integers in all: each column of a row is phi(order)
+    integers, and every one of them is printed."""
+    size = forms * ambient * field_context(order).degree
+    if size > MAX_PACKED:
+        raise ParseError(f"{forms} forms in {ambient} variables over field order {order} "
+                         f"pack {size} integers, above {MAX_PACKED}")
+
+
 def parse_arrangement_text(text: str, source: str = "<string>") -> Arrangement:
     """Parse the arrangement file format."""
-    header = None
+    lines = [(lineno, line) for lineno, raw in enumerate(text.splitlines(), start=1)
+             if (line := raw.split("#", 1)[0].strip())]
+    if not lines:
+        raise ParseError(f"{source}: missing 'ambient <l> field <n>' header")
+    lineno, header = lines[0]
+    parts = header.split()
+    if (len(parts) != 4 or parts[0] != "ambient" or parts[2] != "field"
+            or not parts[1].isdigit() or not parts[3].isdigit()):
+        raise ParseError(f"{source}:{lineno}: expected header "
+                         f"'ambient <l> field <n>', found {header!r}")
+    try:
+        ambient = _header_value("ambient", parts[1], MAX_AMBIENT)
+        order = _header_value("field", parts[3], MAX_FIELD_ORDER)
+        if order < 1:
+            raise ParseError("field order must be >= 1")
+        check_packed_size(len(lines) - 1, ambient, order)
+    except ParseError as exc:
+        raise ParseError(f"{source}:{lineno}: {exc}") from None
+    variables = _variables_for(ambient)
     forms = []
-    ambient = order = 0
-    variables: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if header is None:
-            parts = line.split()
-            if (len(parts) != 4 or parts[0] != "ambient" or parts[2] != "field"
-                    or not parts[1].isdigit() or not parts[3].isdigit()):
-                raise ParseError(f"{source}:{lineno}: expected header "
-                                 f"'ambient <l> field <n>', found {line!r}")
-            try:
-                ambient = _header_value("ambient", parts[1], MAX_AMBIENT)
-                order = _header_value("field", parts[3], MAX_FIELD_ORDER)
-            except ParseError as exc:
-                raise ParseError(f"{source}:{lineno}: {exc}") from None
-            if order < 1:
-                raise ParseError(f"{source}:{lineno}: field order must be >= 1")
-            variables = _variables_for(ambient)
-            header = line
-            continue
+    for lineno, line in lines[1:]:
         try:
             forms.append(_parse_row(line, ambient, order, variables))
         except ParseError as exc:
             raise ParseError(f"{source}:{lineno}: {exc}") from None
-    if header is None:
-        raise ParseError(f"{source}: missing 'ambient <l> field <n>' header")
     return make_arrangement(ambient, order, forms)
 
 

@@ -6,11 +6,12 @@ import sys
 import pytest
 
 import hyparr
+import hyparr.cache
 from hyparr.analysis import is_supersolvable, poincare
-from hyparr.arrangement import Flat, build_lattice, parallel_map
+from hyparr.arrangement import Flat, _split, build_lattice, lattice_of, parallel_map
 from hyparr.cache import (arrangement_key, cache_path, lattice_from_payload,
                           lattice_payload, load_lattice, load_or_build, save_lattice)
-from hyparr.cli import main
+from hyparr.cli import main, resolve_spec
 from hyparr.errors import InternalInconsistencyError, RefusalError
 from hyparr.reflection import build_named, catalog, exceptional_arrangement, monomial_arrangement
 from tests.conftest import v1_lattice_payload
@@ -245,3 +246,69 @@ class TestCache:
     def test_paths_are_stable(self, tmp_path):
         arr = monomial_arrangement(2, 1, 2)
         assert cache_path(arr, str(tmp_path)) == cache_path(arr, str(tmp_path))
+
+
+class TestFactorEntries:
+    """A product is cached as one entry per factor, and never as a whole."""
+
+    def test_equal_factors_share_one_entry(self, tmp_path, capsys, monkeypatch):
+        cache_dir = str(tmp_path)
+        assert main(["--json", "--cache-dir", cache_dir, "supersolvable", "product(D4,D4)"]) == 0
+        capsys.readouterr()
+        d4 = build_named("D4")
+        assert [str(p) for p in tmp_path.iterdir()] == [cache_path(d4, cache_dir)]
+
+        def refuse(*args):
+            raise AssertionError("the D4 entry was not a hit")
+        monkeypatch.setattr(hyparr.cache, "build_lattice", refuse)
+        assert main(["--json", "--cache-dir", cache_dir, "lattice", "D4"]) == 0
+        assert json.loads(capsys.readouterr().out)["lattice"]["flat_count"] == 72
+
+    @pytest.mark.parametrize("malformed", sorted(MALFORMED))
+    def test_malformed_factor_entry_rebuilt(self, tmp_path, capsys, malformed):
+        argv = ["--json", "--cache-dir", str(tmp_path), "supersolvable", "product(G(3,1,3),A2)"]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        factor = build_named("G(3,1,3)")
+        path = cache_path(factor, str(tmp_path))
+        with open(path, "r", encoding="utf-8") as fh:
+            good = fh.read()
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(MALFORMED[malformed][0](json.loads(good)), fh)
+        assert load_lattice(factor, str(tmp_path)) is None
+        assert main(argv) == 0
+        assert capsys.readouterr().out == cold
+        with open(path, "r", encoding="utf-8") as fh:
+            assert fh.read() == good  # the entry was rebuilt and overwritten
+
+    def test_whole_product_entry_is_never_read(self, tmp_path, capsys, monkeypatch):
+        cache_dir = str(tmp_path)
+        _, arr = resolve_spec("product(H3,B2)")
+        planted = save_lattice(lattice_of(arr), cache_dir)
+        with open(planted, "r", encoding="utf-8") as fh:
+            entry = fh.read()
+        asked = []
+
+        def recorded(forms, *args):
+            asked.append(forms)
+            return load_lattice(forms, *args)
+        monkeypatch.setattr(hyparr.cache, "load_lattice", recorded)
+        for _ in ("cold", "warm"):
+            assert main(["--json", "--cache-dir", cache_dir, "supersolvable",
+                         "product(H3,B2)"]) == 0
+        capsys.readouterr()
+        # each run asks for the two factors' entries, and for no product's
+        assert len(asked) == 4 and not any(_split(forms) for forms in asked)
+        assert len(list(tmp_path.iterdir())) == 3
+        with open(planted, "r", encoding="utf-8") as fh:
+            assert fh.read() == entry
+
+    def test_product_over_budget_refused_before_assembly(self, tmp_path, monkeypatch):
+        _, arr = resolve_spec("product(B3,A2)")
+        assert len(load_or_build(arr, str(tmp_path))) == 120
+
+        def refuse(*args):
+            raise AssertionError("the product was assembled")
+        monkeypatch.setattr(hyparr.arrangement, "_product_supports", refuse)
+        with pytest.raises(RefusalError, match=r"exceeds the flat budget \(119\)"):
+            load_or_build(arr, str(tmp_path), max_flats=119)

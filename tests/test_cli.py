@@ -7,9 +7,11 @@ import re
 
 import pytest
 
+from hyparr.arrangement import Arrangement, _split
 from hyparr.cli import (EXIT_OK, EXIT_PARSE_ERROR, EXIT_REFUSED,
                         EXIT_VERIFICATION_FAILED, main, resolve_spec)
 from hyparr.errors import ParseError
+from hyparr.linalg import LinearForm
 
 
 def run_cli(capsys, *argv):
@@ -148,6 +150,30 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "build", str(path))
         assert code == EXIT_PARSE_ERROR and not out
         assert err.startswith("hyparr: parse error:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("forms", [["x1", "x2", "x1+x2"], [f"x{k}" for k in range(1, 41)]])
+    def test_oversized_input_is_parse_error(self, capsys, tmp_path, forms):
+        # each form would pack 1000 x phi(997) = 996,000 integers
+        path = tmp_path / "big.arr"
+        path.write_text("ambient 1000 field 997\n" + "\n".join(forms) + "\n")
+        code, out, err = run_cli(capsys, "--json", "lattice", str(path))
+        assert code == EXIT_PARSE_ERROR and not out
+        assert err == (f"hyparr: parse error: {path}:1: {len(forms)} forms in 1000 variables "
+                       f"over field order 997 pack {len(forms) * 996_000} integers, "
+                       "above 1000000\n")
+
+    def test_oversized_product_is_parse_error(self, capsys, tmp_path, monkeypatch):
+        import hyparr.cli as cli
+
+        def refuse(*args):
+            raise AssertionError("the product's rows were made")
+        monkeypatch.setattr(cli, "product", refuse)
+        path = tmp_path / "line.arr"
+        path.write_text("ambient 1000 field 997\nx1\n")  # 996,000 integers
+        code, out, err = run_cli(capsys, "build", f"product({path}, A2)")
+        assert code == EXIT_PARSE_ERROR and not out
+        assert err.endswith("4 forms in 1003 variables over field order 997 pack "
+                            "3995952 integers, above 1000000\n")
 
     @pytest.mark.parametrize("argv", [("--json", "modular", "{path}", "--rank", "2"),
                                       ("--json", "supersolvable", "{path}"),
@@ -345,7 +371,16 @@ class TestDeterminism:
             warm = run_cli(capsys, "--json", "--cache-dir", str(tmp_path), *args)
             assert cold[0] == warm[0] == EXIT_OK, args
             assert cold[1] == warm[1], args
-        assert len(list(tmp_path.glob("*.json"))) == 5, "one cache file per arrangement"
+        # G25, H3, D4 and the two factors of each product, none of which
+        # splits; the second product's A(3) is over Q(z_3), not the first's
+        entries = [json.loads(p.read_text()) for p in tmp_path.glob("*.json")]
+        assert len(entries) == 7, "one cache file per factor"
+        for entry in entries:
+            a = entry["arrangement"]
+            arr = Arrangement(a["ambient"], a["field_order"], tuple(
+                LinearForm(a["ambient"], a["field_order"], (tuple(nums), den))
+                for nums, den in a["hyperplanes"]))
+            assert _split(arr) is None
 
     # files read by a relative path, so the printed name is the same in
     # every run: B2 times a point that splits only after a change of basis,

@@ -5,15 +5,15 @@ and their verdicts read off the factors', against the direct build
 import itertools
 import json
 import random
+import tempfile
 
 import pytest
 
-import hyparr.arrangement
 from hyparr.analysis import (irreducible_factor_count, is_modular, is_supersolvable, poincare,
                              validate_certificate)
 from hyparr.arrangement import (Arrangement, build_lattice, irreducible_decomposition,
                                 lattice_of, product)
-from hyparr.cache import cache_path, lattice_from_payload, lattice_payload
+from hyparr.cache import load_or_build
 from hyparr.cli import EXIT_OK, EXIT_REFUSED, main
 from hyparr.errors import RefusalError
 from hyparr.parse import parse_arrangement_text
@@ -49,14 +49,19 @@ def _digest(cert):
 
 
 def assert_matches_direct(arr):
-    """The factor-built lattice of ``arr``, and the same lattice loaded from
-    its cache entry, against the direct build: supports, ranks, derived
-    subspaces, upper covers, Poincare polynomials, certificates, and every
-    verdict with its partner and meet.  Neither builds the product's cover
-    table for the chain search or the polynomial; the loaded one re-splits
-    into the factors ``lattice_of`` built."""
+    """The factor-built lattice of ``arr``, and the same lattice assembled
+    from its factors' cache entries, against the direct build: supports,
+    ranks, derived subspaces, upper covers, Poincare polynomials,
+    certificates, and every verdict with its partner and meet.  Neither
+    builds the product's cover table for the chain search or the
+    polynomial; the loaded one has the factors ``lattice_of`` built."""
     factored, direct = lattice_of(arr), build_lattice(arr)
-    loaded = lattice_from_payload(arr, lattice_payload(factored))
+    with tempfile.TemporaryDirectory() as cache_dir:
+        load_or_build(arr, cache_dir)
+        loaded = load_or_build(arr, cache_dir)
+    # a loaded factor's rank-1 flats derive their subspaces; built ones hold them
+    assert all(f._subspace is None for factor in loaded.factors
+               for f in factor.lattice.levels[1])
     assert factored.factors, "the input did not split by coordinates"
     assert direct.factors is None
     assert [(f.mask, f.moved, _levels(f.lattice)) for f in loaded.factors] == \
@@ -189,7 +194,7 @@ def test_threads_give_identical_json(capsys, argv):
 
 def test_cold_and_warm_product_commands_agree(capsys, tmp_path):
     """The cold run reads the verdicts off the factors it built, the warm run
-    off the factors the loaded lattice re-splits into."""
+    off the factors it loaded from their entries."""
     outs = []
     for _ in ("cold", "warm"):
         assert main(["--json", "--cache-dir", str(tmp_path), "supersolvable",
@@ -197,88 +202,3 @@ def test_cold_and_warm_product_commands_agree(capsys, tmp_path):
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["supersolvable"]["refutation"]["kind"] == "no-chain"
-
-
-def test_warm_lattice_read_does_not_resplit(capsys, tmp_path, monkeypatch):
-    """Only a command that reads the factors re-splits a loaded lattice."""
-    argv = ["--json", "--cache-dir", str(tmp_path), "lattice", "product(B2,A(3))"]
-    assert main(argv) == EXIT_OK
-    cold = capsys.readouterr().out
-
-    def refuse(*args):
-        raise AssertionError("a lattice read re-split the loaded lattice")
-    monkeypatch.setattr(hyparr.arrangement, "_resplit", refuse)
-    assert main(argv) == EXIT_OK
-    assert capsys.readouterr().out == cold
-
-
-# product(A2,A2): hyperplanes 0, 1, 2 come from the first A2, 3, 4, 5 from the second
-FIRST_TOP = 0b000111
-
-
-def _ranks(levels):
-    return {int(s): rank for rank, level in enumerate(levels) for s in level}
-
-
-def _levels_of(ranks):
-    out = [[] for _ in range(max(ranks.values()) + 1)]
-    for s, rank in ranks.items():
-        out[rank].append(s)
-    return [[str(s) for s in sorted(level)] for level in out]
-
-
-def _missing_flat(ranks):
-    # 24 flats, not 5 * 5; every one still splits, with ranks that add up
-    del ranks[0b001001]
-    return ranks
-
-
-def _non_splitting(ranks):
-    # the rank-2 flat on 1, 3 moved to 0, 1, 3, 4, 5: its part in the second
-    # factor is that factor's top, of rank 2, but its part in the first, 0
-    # and 1, is no flat of A2
-    ranks[0b111011] = ranks.pop(0b001010)
-    return ranks
-
-
-def _ranks_do_not_add_up(ranks):
-    # the flat on 0, 3 (rank 1 + 1) and the one on 0, 1, 2, 3 (2 + 1) swap ranks
-    ranks[0b001001], ranks[0b001111] = ranks[0b001111], ranks[0b001001]
-    return ranks
-
-
-def _factor_skips_a_rank(ranks):
-    # the first factor's top, and every flat over it, one rank higher: the
-    # ranks add up, but that factor has no rank-2 flat
-    return {s: rank + (s & FIRST_TOP == FIRST_TOP) for s, rank in ranks.items()}
-
-
-@pytest.mark.parametrize("forge", [_missing_flat, _non_splitting, _ranks_do_not_add_up,
-                                   _factor_skips_a_rank], ids=lambda forge: forge.__name__)
-def test_entry_that_is_no_product_gets_no_factors(forge):
-    arr = product(build_named("A2"), build_named("A2"))
-    entry = lattice_payload(lattice_of(arr))
-    assert lattice_from_payload(arr, entry).factors
-    forged = dict(entry, levels=_levels_of(forge(_ranks(entry["levels"]))))
-    assert lattice_from_payload(arr, forged).factors is None
-
-
-@pytest.mark.parametrize("forge", [_missing_flat, _non_splitting], ids=lambda forge: forge.__name__)
-def test_entry_that_is_no_product_is_scanned_directly(capsys, tmp_path, forge):
-    """The search on the forged entry climbs from the rank-2 flat on 0, 1, 2
-    and never visits the forged flats, so it finds the cold run's chain."""
-    argv = ["--json", "--cache-dir", str(tmp_path), "supersolvable", "product(A2,A2)"]
-    assert main(argv) == EXIT_OK
-    cold = capsys.readouterr().out
-    path = cache_path(product(build_named("A2"), build_named("A2")), str(tmp_path))
-    with open(path, encoding="utf-8") as fh:
-        entry = json.load(fh)
-    entry["levels"] = _levels_of(forge(_ranks(entry["levels"])))
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(entry, fh)
-    assert main(argv) == EXIT_OK
-    warm = capsys.readouterr().out
-    assert json.loads(cold)["supersolvable"]["supersolvable"] is True
-    assert json.loads(warm)["supersolvable"] == json.loads(cold)["supersolvable"]
-    # the lattice section counts the flats
-    assert (warm == cold) is (forge is _non_splitting)

@@ -3,6 +3,7 @@
 import importlib.util
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from hyparr.claims import WITNESS_CLAIMS
 from hyparr.cyclo import CyclotomicNumber, root_of_unity
 from hyparr.errors import ParseError
 from hyparr.linalg import form_to_str
-from hyparr.parse import (MAX_AMBIENT, MAX_DIGITS, MAX_EXPONENT, MAX_FIELD_ORDER,
+from hyparr.parse import (MAX_AMBIENT, MAX_DIGITS, MAX_EXPONENT, MAX_FIELD_ORDER, MAX_PACKED,
                           _tokenize, parse_arrangement_text, parse_form, parse_scalar)
 from hyparr.reflection import _EXCEPTIONAL, build_named, catalog, catalog_entry
 from tests.conftest import random_form
@@ -324,6 +325,34 @@ class TestBounds:
     def test_header_bounds(self, header, message):
         with pytest.raises(ParseError, match=f"<string>:1: {message}"):
             parse_arrangement_text(f"{header}\nx1\n")
+
+    # forms x ambient x phi(997) = 996 integers, over MAX_PACKED
+    OVERSIZED = {"three-forms": "ambient 1000 field 997\nx1\nx2\nx1+x2\n",
+                 "forty-forms": "ambient 1000 field 997\n" + "".join(
+                     f"x{k}\n" for k in range(1, 41))}
+
+    @pytest.mark.parametrize("name", sorted(OVERSIZED))
+    def test_packed_size_refused_before_any_row(self, name):
+        text = self.OVERSIZED[name]
+        size = (len(text.splitlines()) - 1) * 1000 * 996
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match=f"<string>:1: .* pack {size} integers, "
+                                                 f"above {MAX_PACKED}"):
+                parse_arrangement_text(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
+    def test_packed_size_just_under_the_bound(self):
+        arr = parse_arrangement_text("ambient 1000 field 997\nx1\n")
+        assert len(arr.hyperplanes[0].row[0]) == 996_000 <= MAX_PACKED
+        # the bound counts form lines, repeated ones too
+        at_bound = "ambient 1000 field 1\n" + "x1\n" * (MAX_PACKED // 1000)
+        assert len(parse_arrangement_text(at_bound)) == 1
+        with pytest.raises(ParseError, match="1001 forms in 1000 variables"):
+            parse_arrangement_text(at_bound + "x2\n")
 
     def test_header_at_the_bounds(self):
         arr = parse_arrangement_text(f"ambient {MAX_AMBIENT} field 1\nx{MAX_AMBIENT}\n")
