@@ -68,6 +68,27 @@ MALFORMED = {
 }
 
 
+def assert_malformed_entry_rebuilt(tmp_path, capsys, spec, malformed):
+    """``lattice SPEC`` with the G(3,1,3) entry forged by ``MALFORMED``
+    prints what it prints with no cache, and rebuilds and overwrites it."""
+    argv = ["--json", "lattice", spec]
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+    cache_dir = str(tmp_path)
+    arr = build_named("G(3,1,3)")
+    path = save_lattice(build_lattice(arr), cache_dir)
+    with open(path, "r", encoding="utf-8") as fh:
+        good = fh.read()
+    payload = MALFORMED[malformed][0](json.loads(good))
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    assert load_lattice(arr, cache_dir) is None
+    assert main(["--cache-dir", cache_dir] + argv) == 0
+    assert capsys.readouterr().out == cold
+    with open(path, "r", encoding="utf-8") as fh:
+        assert fh.read() == good  # the entry was rebuilt and overwritten
+
+
 class TestCache:
     def test_round_trip_byte_identical(self, tmp_path):
         arr = exceptional_arrangement("G25")
@@ -122,22 +143,7 @@ class TestCache:
 
     @pytest.mark.parametrize("malformed", sorted(MALFORMED))
     def test_malformed_entry_rebuilt_by_cli(self, tmp_path, capsys, malformed):
-        argv = ["--json", "lattice", "G(3,1,3)"]
-        assert main(argv) == 0
-        cold = capsys.readouterr().out
-        cache_dir = str(tmp_path)
-        arr = build_named("G(3,1,3)")
-        path = save_lattice(build_lattice(arr), cache_dir)
-        with open(path, "r", encoding="utf-8") as fh:
-            good = fh.read()
-        payload = MALFORMED[malformed][0](json.loads(good))
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-        assert load_lattice(arr, cache_dir) is None
-        assert main(["--cache-dir", cache_dir] + argv) == 0
-        assert capsys.readouterr().out == cold
-        with open(path, "r", encoding="utf-8") as fh:
-            assert fh.read() == good  # the entry was rebuilt and overwritten
+        assert_malformed_entry_rebuilt(tmp_path, capsys, "G(3,1,3)", malformed)
 
     @pytest.mark.parametrize("malformed", sorted(k for k, v in MALFORMED.items() if v[1]))
     def test_malformed_entry_reason(self, malformed):
@@ -266,20 +272,8 @@ class TestFactorEntries:
 
     @pytest.mark.parametrize("malformed", sorted(MALFORMED))
     def test_malformed_factor_entry_rebuilt(self, tmp_path, capsys, malformed):
-        argv = ["--json", "--cache-dir", str(tmp_path), "supersolvable", "product(G(3,1,3),A2)"]
-        assert main(argv) == 0
-        cold = capsys.readouterr().out
-        factor = build_named("G(3,1,3)")
-        path = cache_path(factor, str(tmp_path))
-        with open(path, "r", encoding="utf-8") as fh:
-            good = fh.read()
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(MALFORMED[malformed][0](json.loads(good)), fh)
-        assert load_lattice(factor, str(tmp_path)) is None
-        assert main(argv) == 0
-        assert capsys.readouterr().out == cold
-        with open(path, "r", encoding="utf-8") as fh:
-            assert fh.read() == good  # the entry was rebuilt and overwritten
+        # the G(3,1,3) factor's entry is forged; the A2 factor's is missing
+        assert_malformed_entry_rebuilt(tmp_path, capsys, "product(G(3,1,3),A2)", malformed)
 
     def test_whole_product_entry_is_never_read(self, tmp_path, capsys, monkeypatch):
         cache_dir = str(tmp_path)
