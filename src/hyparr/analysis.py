@@ -1,5 +1,9 @@
 """Modularity detection, supersolvability certificates, and lattice invariants.
 
+Every question here is one about L(A), so each function takes the lattice,
+or a certificate holding it, and reads the arrangement A off
+``IntersectionLattice.arrangement``; none builds a lattice of its own.
+
 A flat X is treated as modular when X + Y is again a lattice element for
 every flat Y.  In a geometric lattice that is the rank identity
 r(X) + r(Y) = r(X v Y) + r(X ^ Y) for every Y (Stanley, 1971), so the scan
@@ -40,9 +44,10 @@ upper covers from the rank-2 flats (off the factor lattices, for a
 product), and tests each flat by ``is_modular`` on its first visit, so a
 supersolvable arrangement has only the flats along its search path tested.
 Only a failed search scans the interior ranks in full, for the witnesses of
-an empty rank or the counts of a ``no-chain`` refutation.  The exploration order is that of a search over the full scan,
-so the chain and the refutation are the same as after one.  Verdicts are
-kept on the lattice, so each flat is tested once per lattice.
+an empty rank or the counts of a ``no-chain`` refutation.  The
+exploration order is that of a search over the full scan, so the chain and
+the refutation are the same as after one.  Verdicts are kept on the
+lattice, so each flat is tested once per lattice.
 
 A supersolvable certificate's chain also gives the exponents, which must
 agree with the factorization of the Poincare polynomial
@@ -55,9 +60,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import _kernel
-from .arrangement import (DEFAULT_MAX_FLATS, Arrangement, Flat, IntersectionLattice,
-                          build_lattice, closure, essentialize, parallel_map,
-                          transport_lattice)
+from .arrangement import (Arrangement, Flat, IntersectionLattice, closure, essentialize,
+                          parallel_map, transport_lattice)
 from .cyclo import field_context
 from .errors import InternalInconsistencyError, RefusalError
 from .linalg import LinearForm, Subspace, extend_by_rows, subspace_from_forms, subspace_sum
@@ -131,7 +135,6 @@ class SupersolvabilityCertificate:
     """
 
     verdict: bool
-    arrangement: Arrangement
     lattice: IntersectionLattice
     essentialized: bool
     chain: list[Flat] | None = None
@@ -176,7 +179,7 @@ def _require_flat(lattice: IntersectionLattice, x: Flat) -> Flat:
     return hit
 
 
-def is_modular(arr: Arrangement, lattice: IntersectionLattice, x: Flat) -> ModularityVerdict:
+def is_modular(lattice: IntersectionLattice, x: Flat) -> ModularityVerdict:
     """Walk the complements Y of X, the flats with X ^ Y = 0 (support
     disjoint from X's), in flat order, for the first one with X + Y outside
     the lattice; its meet is the bottom.
@@ -248,7 +251,7 @@ def _verdict_from_factors(lattice: IntersectionLattice, x: Flat) -> ModularityVe
     first = None
     for factor in lattice.factors:
         component = factor.flat_at[x.support & factor.mask]
-        v = _verdict(factor.lattice.arrangement, factor.lattice, component)
+        v = _verdict(factor.lattice, component)
         if not v.modular:
             candidate = (v.partner.rank, factor.moved[v.partner.support])
             if first is None or candidate < first:
@@ -258,32 +261,31 @@ def _verdict_from_factors(lattice: IntersectionLattice, x: Flat) -> ModularityVe
     return ModularityVerdict(x, False, lattice.index[first[1]], lattice.bottom())
 
 
-def _verdict(arr: Arrangement, lattice: IntersectionLattice, f: Flat) -> ModularityVerdict:
+def _verdict(lattice: IntersectionLattice, f: Flat) -> ModularityVerdict:
     """f's verdict, kept on the lattice; scan workers share the memo, and
     ``setdefault`` keeps one verdict per flat."""
     v = lattice.verdicts.get(f.support)
     if v is None:
-        v = lattice.verdicts.setdefault(f.support, is_modular(arr, lattice, f))
+        v = lattice.verdicts.setdefault(f.support, is_modular(lattice, f))
     return v
 
 
-def modular_flats_of_rank(arr: Arrangement, lattice: IntersectionLattice, rank: int,
+def modular_flats_of_rank(lattice: IntersectionLattice, rank: int,
                           threads: int = 1) -> list[ModularityVerdict]:
     """One verdict per rank-``rank`` flat, in deterministic flat order; only
     flats not yet tested on this lattice are tested."""
     if not 0 <= rank <= lattice.rank():
         raise ValueError(f"rank {rank} out of range 0..{lattice.rank()}")
-    return parallel_map(lambda f: _verdict(arr, lattice, f), lattice.levels[rank], threads)
+    return parallel_map(lambda f: _verdict(lattice, f), lattice.levels[rank], threads)
 
 
-def is_supersolvable(arr: Arrangement, lattice: IntersectionLattice | None = None,
-                     max_flats: int = DEFAULT_MAX_FLATS, threads: int = 1
+def is_supersolvable(lattice: IntersectionLattice, threads: int = 1
                      ) -> SupersolvabilityCertificate:
-    """Search for a maximal chain of modular flats with ranks 0..r(A).
+    """Search ``lattice`` for a maximal chain of modular flats, ranks 0..r(A).
 
-    Non-essential input is essentialized first (recorded on the certificate);
-    a given ``lattice``, the lattice of ``arr``, is then carried to the
-    essential coordinates by ``transport_lattice`` instead of rebuilt.
+    A non-essential arrangement is essentialized first (recorded on the
+    certificate), and ``lattice`` is carried to the essential coordinates by
+    ``transport_lattice`` instead of rebuilt.
     The full space, the center, and the rank-1 flats are always modular, so
     only interior flats are tested, each at most once, by ``is_modular``.
     The depth-first search starts from the rank-2 flats in flat order and
@@ -297,20 +299,18 @@ def is_supersolvable(arr: Arrangement, lattice: IntersectionLattice | None = Non
     that rank's verdicts as witnesses, and otherwise the refutation counts
     every rank's modular flats.  The verdicts stay on the lattice the search ran on.
     """
-    ess = essentialize(arr)
-    essentialized = ess.ambient != arr.ambient
-    if lattice is None:
-        lattice = build_lattice(ess, max_flats=max_flats, threads=threads)
-    elif essentialized:
+    ess = essentialize(lattice.arrangement)
+    essentialized = ess.ambient != lattice.arrangement.ambient
+    if essentialized:
         lattice = transport_lattice(lattice, ess)
     r = lattice.rank()
     bottom = lattice.bottom()
     if r == 0:
-        return SupersolvabilityCertificate(True, ess, lattice, essentialized, [bottom])
+        return SupersolvabilityCertificate(True, lattice, essentialized, [bottom])
     top = lattice.top()
     if r <= 2:
         chain = [bottom, lattice.levels[1][0], top][:r + 1]
-        return SupersolvabilityCertificate(True, ess, lattice, essentialized, chain)
+        return SupersolvabilityCertificate(True, lattice, essentialized, chain)
 
     # Depth-first chain search, each candidate tested on its first visit; a
     # chain X2 < X3 < ... < X_{r-1} extends to a full chain with any
@@ -321,12 +321,12 @@ def is_supersolvable(arr: Arrangement, lattice: IntersectionLattice | None = Non
     upper, index = lattice.upper_covers, lattice.index
     dead: set[int] = set()
     for start in lattice.levels[2]:
-        if not _verdict(ess, lattice, start).modular:
+        if not _verdict(lattice, start).modular:
             continue
         path, todo = [start], [iter(upper(start.support))]
         while path and len(path) < r - 2:
             for s in todo[-1]:
-                if s not in dead and _verdict(ess, lattice, index[s]).modular:
+                if s not in dead and _verdict(lattice, index[s]).modular:
                     path.append(index[s])
                     todo.append(iter(upper(s)))
                     break
@@ -336,25 +336,25 @@ def is_supersolvable(arr: Arrangement, lattice: IntersectionLattice | None = Non
                 dead.add(path.pop().support)
         if path:
             chain = [bottom, index[start.support & -start.support], *path, top]
-            return SupersolvabilityCertificate(True, ess, lattice, essentialized, chain)
+            return SupersolvabilityCertificate(True, lattice, essentialized, chain)
 
     # No chain: finish the scan rank by rank for the refutation's evidence.
     counts: dict[int, int] = {0: 1, 1: len(lattice.levels[1]), r: 1}
     for k in range(2, r):
-        verdicts = modular_flats_of_rank(ess, lattice, k, threads)
+        verdicts = modular_flats_of_rank(lattice, k, threads)
         counts[k] = sum(v.modular for v in verdicts)
         if not counts[k]:
             refutation = Refutation("empty-rank", rank=k, witnesses=verdicts)
-            return SupersolvabilityCertificate(False, ess, lattice, essentialized,
-                                               None, refutation)
+            return SupersolvabilityCertificate(False, lattice, essentialized, None, refutation)
     refutation = Refutation("no-chain", modular_counts=counts)
-    return SupersolvabilityCertificate(False, ess, lattice, essentialized, None, refutation)
+    return SupersolvabilityCertificate(False, lattice, essentialized, None, refutation)
 
 
-def _modular_by_arithmetic(arr: Arrangement, lattice: IntersectionLattice, x: Flat) -> bool:
+def _modular_by_arithmetic(lattice: IntersectionLattice, x: Flat) -> bool:
     """Modularity of x by linear algebra alone: for every flat Y, dim(X + Y)
     from the rank of the stacked forms must equal the dimension of the flat
     on the hyperplanes common to X and Y."""
+    arr = lattice.arrangement
     ctx = field_context(arr.order)
     for y in lattice.flats():
         common = x.support & y.support
@@ -379,7 +379,7 @@ def validate_certificate(cert: SupersolvabilityCertificate) -> bool:
     flat by flat and no-chain refutations by a full rescan, both by stacked
     ranks over the field; witnesses by closure.  Every flat the certificate
     names must be the lattice's own flat for its support."""
-    arr, lattice = cert.arrangement, cert.lattice
+    lattice, arr = cert.lattice, cert.lattice.arrangement
     if cert.verdict:
         chain = cert.chain or []
         if [f.rank for f in chain] != list(range(lattice.rank() + 1)):
@@ -389,7 +389,7 @@ def validate_certificate(cert: SupersolvabilityCertificate) -> bool:
         for prev, nxt in zip(chain, chain[1:]):
             if nxt.support & prev.support != prev.support:
                 return False
-        return all(_modular_by_arithmetic(arr, lattice, f) for f in chain)
+        return all(_modular_by_arithmetic(lattice, f) for f in chain)
     ref = cert.refutation
     if ref is None:
         return False
@@ -411,7 +411,7 @@ def validate_certificate(cert: SupersolvabilityCertificate) -> bool:
     r = lattice.rank()
     if ref.kind != "no-chain" or r < 3:
         return False
-    mods = {k: [f.support for f in lattice.levels[k] if _modular_by_arithmetic(arr, lattice, f)]
+    mods = {k: [f.support for f in lattice.levels[k] if _modular_by_arithmetic(lattice, f)]
             for k in range(2, r)}
     counts = {0: 1, 1: len(lattice.levels[1]), r: 1}
     counts.update((k, len(m)) for k, m in mods.items())
@@ -449,7 +449,8 @@ def poincare(arr: Arrangement, lattice: IntersectionLattice) -> PoincarePolynomi
     (Orlik-Terao, Lemma 2.50), each from ``mobius`` on its factor lattice,
     so the product's cover table is not built.  Either way the constant
     term must be 1, every coefficient positive, and the linear coefficient
-    the number of hyperplanes, the lattice's rank-1 flats."""
+    the number of hyperplanes, the lattice's rank-1 flats.  ``arr``, the
+    lattice's arrangement, is not read."""
     if lattice.factors:
         coeffs = [1]
         for factor in lattice.factors:
@@ -547,14 +548,11 @@ class Rank2Report:
     supersolvable: bool
     modular_rank2_count: int
     agree: bool
-    certificate: SupersolvabilityCertificate
     modular_rank2: list[Flat]
 
 
-def check_rank2_criterion(arr: Arrangement, lattice: IntersectionLattice | None = None,
-                          threads: int = 1,
-                          cert: SupersolvabilityCertificate | None = None) -> Rank2Report:
-    """Supersolvability versus existence of a modular rank-2 flat.
+def check_rank2_criterion(cert: SupersolvabilityCertificate, threads: int = 1) -> Rank2Report:
+    """The certificate's verdict versus existence of a modular rank-2 flat.
 
     Refuses reducible input: a product of a supersolvable and a
     non-supersolvable arrangement has modular flats of every rank while not
@@ -562,21 +560,18 @@ def check_rank2_criterion(arr: Arrangement, lattice: IntersectionLattice | None 
     The factors are counted off the certificate's lattice
     (``irreducible_factor_count``), and its modular rank-2 flats are read
     by ``modular_flats_of_rank``, which tests only the rank-2 flats the
-    search did not; ``is_supersolvable`` runs only when no certificate is
-    given.
+    search did not.
     """
-    if cert is None:
-        cert = is_supersolvable(arr, lattice, threads=threads)
-    factors = irreducible_factor_count(poincare(cert.arrangement, cert.lattice))
+    lattice = cert.lattice
+    factors = irreducible_factor_count(poincare(lattice.arrangement, lattice))
     if factors != 1:
         raise RefusalError(
             f"the rank-2 criterion applies to irreducible arrangements only; "
             f"this one splits into {factors} factors")
-    if cert.lattice.rank() < 2:
+    if lattice.rank() < 2:
         raise RefusalError("the rank-2 criterion needs rank at least 2")
-    mods = [v.flat for v in modular_flats_of_rank(cert.arrangement, cert.lattice, 2, threads)
-            if v.modular]
-    return Rank2Report(cert.verdict, len(mods), cert.verdict == bool(mods), cert, mods)
+    mods = [v.flat for v in modular_flats_of_rank(lattice, 2, threads) if v.modular]
+    return Rank2Report(cert.verdict, len(mods), cert.verdict == bool(mods), mods)
 
 
 @dataclass

@@ -4,8 +4,12 @@ Every row replays one explicit computation from the published proofs the
 catalog arrangements come from: either a sum of two lattice elements that
 lands outside the lattice (witnessing non-modularity), an exhaustive
 no-modular-rank-2 check, or the two-sided rank-2 criterion.  The rows are
-plain data so coverage is auditable by reading this table.  Both rank-2
-kinds read the rank-2 flats of the certificate's lattice with
+plain data so coverage is auditable by reading this table.
+
+``LatticeStore`` makes each arrangement's lattice once, by the commands'
+``load_or_build``, and its certificate once, by ``is_supersolvable`` on that
+lattice; ``max_flats`` bounds the lattice and reaches no analysis call.
+Both rank-2 kinds read the rank-2 flats of the certificate's lattice with
 ``modular_flats_of_rank``, which keeps its verdicts on the lattice: each
 rank-2 flat is tested once per arrangement, by the chain search or by the
 first rank-2 claim, whichever reaches it first.
@@ -103,7 +107,7 @@ class ClaimResult:
 
 
 class LatticeStore:
-    """Builds each named arrangement and its lattice once per run."""
+    """Builds each named arrangement, its lattice and its certificate once per run."""
 
     def __init__(self, threads: int = 1, max_flats: int = DEFAULT_MAX_FLATS,
                  cache_dir: str | None = None):
@@ -127,9 +131,7 @@ class LatticeStore:
 
     def certificate(self, name: str) -> SupersolvabilityCertificate:
         if name not in self._certificates:
-            self._certificates[name] = is_supersolvable(
-                self.arrangement(name), self.lattice(name), max_flats=self.max_flats,
-                threads=self.threads)
+            self._certificates[name] = is_supersolvable(self.lattice(name), self.threads)
         return self._certificates[name]
 
 
@@ -149,7 +151,7 @@ def run_witness_claim(claim: WitnessClaim, store: LatticeStore) -> ClaimResult:
 def run_rank2_empty_claim(name: str, store: LatticeStore) -> ClaimResult:
     t0 = time.perf_counter()
     cert = store.certificate(name)
-    verdicts = modular_flats_of_rank(cert.arrangement, cert.lattice, 2, store.threads)
+    verdicts = modular_flats_of_rank(cert.lattice, 2, store.threads)
     flats, modular = len(verdicts), sum(v.modular for v in verdicts)
     if not modular:
         # the rank-2 verdicts are this claim's evidence; each is certified
@@ -164,8 +166,7 @@ def run_rank2_empty_claim(name: str, store: LatticeStore) -> ClaimResult:
 
 def run_equivalence_claim(name: str, store: LatticeStore) -> ClaimResult:
     t0 = time.perf_counter()
-    report = check_rank2_criterion(store.arrangement(name), store.lattice(name),
-                                   threads=store.threads, cert=store.certificate(name))
+    report = check_rank2_criterion(store.certificate(name), store.threads)
     detail = (f"supersolvable={report.supersolvable}, "
               f"modular rank-2 flats={report.modular_rank2_count}")
     return ClaimResult(f"{name}.rank2-criterion", "rank2-criterion", name,

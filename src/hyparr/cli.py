@@ -194,8 +194,7 @@ def _run(args) -> int:
             raise ParseError(f"--rank must lie in 0..{lattice.rank()} "
                              f"for this arrangement")
         t0 = time.perf_counter()
-        verdicts = modular_flats_of_rank(arr, lattice, args.rank,
-                                         threads=args.threads)
+        verdicts = modular_flats_of_rank(lattice, args.rank, args.threads)
         timings["modular"] = time.perf_counter() - t0
         t0 = time.perf_counter()
         report["modular"] = {
@@ -209,8 +208,7 @@ def _run(args) -> int:
 
     if args.command == "supersolvable":
         t0 = time.perf_counter()
-        cert = is_supersolvable(arr, lattice, max_flats=args.max_flats,
-                                threads=args.threads)
+        cert = is_supersolvable(lattice, args.threads)
         timings["supersolvable"] = time.perf_counter() - t0
         t0 = time.perf_counter()
         report["supersolvable"] = certificate_payload(cert)
@@ -220,8 +218,7 @@ def _run(args) -> int:
     if args.command == "poincare":
         t0 = time.perf_counter()
         poly = poincare(arr, lattice)
-        cert = is_supersolvable(arr, lattice, max_flats=args.max_flats,
-                                threads=args.threads)
+        cert = is_supersolvable(lattice, args.threads)
         exponents = checked_exponents(poly, cert) if cert.verdict else None
         timings["poincare"] = time.perf_counter() - t0
         t0 = time.perf_counter()

@@ -10,9 +10,11 @@ accepted expression is genuinely linear.  Parentheses nest at most
 
 Arrangement files carry a header line ``ambient <l> field <n>`` followed by
 one linear form per line; ``#`` starts a comment.  The header allows at most
-``MAX_AMBIENT`` variables and field order ``MAX_FIELD_ORDER``, and the
-packed rows at most ``MAX_PACKED`` integers in all (``check_packed_size``),
-checked from the header and the count of form lines before any row is made.
+``MAX_AMBIENT`` variables.  ``check_packed_size`` allows field order at most
+``MAX_FIELD_ORDER`` and packed rows of at most ``MAX_PACKED`` integers in
+all, checked from the header and the count of form lines before the field
+or any row is made; the catalog builders and ``product(...)`` specs are
+checked by it the same way.
 
 Expressions are evaluated on the kernel's packed elements, ``(nums, den)``
 pairs, with ``_kernel.elem_add``, ``elem_mul``, ``elem_inv`` and friends: a
@@ -311,18 +313,14 @@ def parse_form(text: str, ambient: int, order: int) -> LinearForm:
     return _parse_row(text, ambient, order, _variables_for(ambient))
 
 
-def _header_value(word: str, tok: str, bound: int) -> int:
-    value = _integer(tok)
-    if value > bound:
-        raise ParseError(f"{word} {tok} is above {bound}")
-    return value
-
-
 def check_packed_size(forms: int, ambient: int, order: int) -> None:
-    """Refuse, as a ``ParseError``, ``forms`` packed rows of ``ambient``
+    """Refuse, as a ``ParseError``, a field order above ``MAX_FIELD_ORDER``,
+    before its field is made, and ``forms`` packed rows of ``ambient``
     columns over field order ``order`` that would hold more than
     ``MAX_PACKED`` integers in all: each column of a row is phi(order)
     integers, and every one of them is printed."""
+    if order > MAX_FIELD_ORDER:
+        raise ParseError(f"field {order} is above {MAX_FIELD_ORDER}")
     size = forms * ambient * field_context(order).degree
     if size > MAX_PACKED:
         raise ParseError(f"{forms} forms in {ambient} variables over field order {order} "
@@ -342,8 +340,10 @@ def parse_arrangement_text(text: str, source: str = "<string>") -> Arrangement:
         raise ParseError(f"{source}:{lineno}: expected header "
                          f"'ambient <l> field <n>', found {header!r}")
     try:
-        ambient = _header_value("ambient", parts[1], MAX_AMBIENT)
-        order = _header_value("field", parts[3], MAX_FIELD_ORDER)
+        ambient = _integer(parts[1])
+        if ambient > MAX_AMBIENT:
+            raise ParseError(f"ambient {parts[1]} is above {MAX_AMBIENT}")
+        order = _integer(parts[3])
         if order < 1:
             raise ParseError("field order must be >= 1")
         check_packed_size(len(lines) - 1, ambient, order)

@@ -17,7 +17,7 @@ from . import _kernel
 from .arrangement import Arrangement, make_arrangement
 from .cyclo import field_context, root_elem
 from .linalg import LinearForm
-from .parse import parse_form
+from .parse import check_packed_size, parse_form
 
 
 def monomial_arrangement(r: int, p: int, ell: int) -> Arrangement:
@@ -28,7 +28,9 @@ def monomial_arrangement(r: int, p: int, ell: int) -> Arrangement:
     r (order 1 meaning the rationals).  For any p != r the hyperplane set is
     the one of G(r, 1, l); p only matters through the p = r case.  Each
     form is built as a packed row with integer entries, -z^m being
-    ``root_elem(r, m)`` negated, as the parser builds its rows.
+    ``root_elem(r, m)`` negated, as the parser builds its rows.  Parameters
+    past the parser's bounds are a ``ParseError`` (``check_packed_size``)
+    before the field or any row is made.
     """
     if r < 1 or ell < 1:
         raise ValueError("need r >= 1 and l >= 1")
@@ -37,6 +39,7 @@ def monomial_arrangement(r: int, p: int, ell: int) -> Arrangement:
     # zeta_1 = 1 and zeta_2 = -1 are rational, so r <= 2 lives over Q, where
     # root_elem(r, m) has the one coordinate of a rational.
     order = r if r > 2 else 1
+    check_packed_size(_monomial_count(r, p, ell), ell, order)
     d = field_context(order).degree
 
     def form(entries: dict[int, tuple[int, ...]]) -> LinearForm:

@@ -86,7 +86,7 @@ def certificate_payload(cert: SupersolvabilityCertificate) -> dict:
         "rank": cert.lattice.rank(),
     }
     if cert.essentialized:
-        out["essential_arrangement"] = arrangement_payload(cert.arrangement)
+        out["essential_arrangement"] = arrangement_payload(cert.lattice.arrangement)
     if cert.chain is not None:
         out["chain"] = [flat_payload(f) for f in cert.chain]
     if cert.refutation is not None:

@@ -48,7 +48,7 @@ def test_criterion_02_rank2_emptiness(store):
         t0 = time.perf_counter()
         arr = store.arrangement(name)
         lattice = store.lattice(name)
-        verdicts = modular_flats_of_rank(arr, lattice, 2, threads=store.threads)
+        verdicts = modular_flats_of_rank(lattice, 2, threads=store.threads)
         elapsed = time.perf_counter() - t0
         budget = 600.0 if name == "G31" else 120.0
         assert not any(v.modular for v in verdicts), name
@@ -83,7 +83,7 @@ def test_criterion_03_supersolvable_family(store):
                 assert hit.subspace == sub, (name, k)
                 flat = lattice.index[hit.support]
                 assert flat.rank == k, (name, k)
-                assert is_modular(arr, lattice, flat).modular, (name, k)
+                assert is_modular(lattice, flat).modular, (name, k)
             checked_chains += 1
     elapsed = time.perf_counter() - t0
     note(elapsed < 120.0, "criterion 3: supersolvable family with modular "
@@ -111,19 +111,19 @@ def test_criterion_05_product_theorem(store):
     for n in names:
         if verdicts[n]:
             cert = store.certificate(n)
-            exps[n] = checked_exponents(poincare(cert.arrangement, cert.lattice), cert)
+            exps[n] = checked_exponents(poincare(cert.lattice.arrangement, cert.lattice), cert)
     bad = []
     pairs = 0
     for n1, n2 in itertools.product(names, repeat=2):
         pr = product(arrs[n1], arrs[n2])
-        cert = is_supersolvable(pr, threads=store.threads)
+        cert = is_supersolvable(build_lattice(pr), threads=store.threads)
         # the direct build: the product theorem is checked, not used
         assert cert.lattice.factors is None
         expected = verdicts[n1] and verdicts[n2]
         if cert.verdict != expected:
             bad.append((n1, n2, "verdict"))
         if expected:
-            got = exponents_from_poincare(poincare(cert.arrangement, cert.lattice))
+            got = exponents_from_poincare(poincare(cert.lattice.arrangement, cert.lattice))
             if got != sorted(exps[n1] + exps[n2]):
                 bad.append((n1, n2, "exponents"))
         pairs += 1
@@ -136,9 +136,9 @@ def test_criterion_06_reducible_modular_ranks(store):
     lattice = build_lattice(pr, threads=store.threads)
     counts = []
     for r in range(lattice.rank() + 1):
-        verdicts = modular_flats_of_rank(pr, lattice, r, threads=store.threads)
+        verdicts = modular_flats_of_rank(lattice, r, threads=store.threads)
         counts.append(sum(v.modular for v in verdicts))
-    cert = is_supersolvable(pr, lattice, threads=store.threads)
+    cert = is_supersolvable(lattice, threads=store.threads)
     ok = all(c > 0 for c in counts) and not cert.verdict and lattice.rank() == 6
     note(ok, "criterion 6: reducible product has modular flats at every rank "
          "yet is not supersolvable", f"modular counts {counts}")
@@ -194,7 +194,7 @@ def test_criterion_09_poincare_properties(store):
         assert p.coefficients[1] == len(arr), entry.name
         if entry.supersolvable:
             exps = exponents_from_poincare(
-                poincare(store.certificate(entry.name).arrangement,
+                poincare(store.certificate(entry.name).lattice.arrangement,
                          store.certificate(entry.name).lattice))
             assert all(b > 0 for b in exps), entry.name
             factored += 1
@@ -245,7 +245,7 @@ def test_criterion_10_property_suites(store):
     while soundness < 1000:
         arr = random_arrangement(rng, rng.randint(2, 4), rng.choice([1, 3]),
                                  max_hyperplanes=6)
-        cert = is_supersolvable(arr)
+        cert = is_supersolvable(build_lattice(arr))
         assert validate_certificate(cert)
         soundness += len(cert.chain) if cert.verdict else \
             (len(cert.refutation.witnesses) or 1)

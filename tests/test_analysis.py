@@ -70,16 +70,16 @@ class TestIsModular:
         for arr in (exceptional_arrangement("D4"), monomial_arrangement(3, 1, 3),
                     monomial_arrangement(3, 3, 3)):
             lattice = build_lattice(arr)
-            assert is_modular(arr, lattice, lattice.bottom()).modular
-            assert is_modular(arr, lattice, lattice.top()).modular
+            assert is_modular(lattice, lattice.bottom()).modular
+            assert is_modular(lattice, lattice.top()).modular
             for h in lattice.levels[1]:
-                assert is_modular(arr, lattice, h).modular
+                assert is_modular(lattice, h).modular
 
     def test_d4_witness(self):
         d4 = exceptional_arrangement("D4")
         lattice = build_lattice(d4)
         x1 = flat_for(lattice, d4, ["a + b", "a - b"])
-        verdict = is_modular(d4, lattice, x1)
+        verdict = is_modular(lattice, x1)
         assert not verdict.modular
         y, total = verdict.witness
         assert closure(d4, total).subspace != total
@@ -89,7 +89,7 @@ class TestIsModular:
         arr = monomial_arrangement(3, 1, 3)
         lattice = build_lattice(arr)
         x2 = flat_for(lattice, arr, ["x1", "x2"])
-        assert is_modular(arr, lattice, x2).modular
+        assert is_modular(lattice, x2).modular
 
     def test_foreign_flat_rejected(self):
         d4 = exceptional_arrangement("D4")
@@ -97,7 +97,7 @@ class TestIsModular:
         other = build_lattice(monomial_arrangement(2, 1, 4))
         foreign = other.levels[2][0]
         with pytest.raises(ValueError):
-            is_modular(d4, lattice, foreign)
+            is_modular(lattice, foreign)
 
     def test_fast_membership_matches_closure_definition(self):
         rng = random.Random(99)
@@ -121,42 +121,39 @@ class TestModularFlatsOfRank:
     def test_rank_zero(self):
         arr = monomial_arrangement(2, 1, 2)
         lattice = build_lattice(arr)
-        verdicts = modular_flats_of_rank(arr, lattice, 0)
+        verdicts = modular_flats_of_rank(lattice, 0)
         assert len(verdicts) == 1 and verdicts[0].modular
 
     def test_f4_rank2_empty(self):
         f4 = exceptional_arrangement("F4")
         lattice = build_lattice(f4)
-        verdicts = modular_flats_of_rank(f4, lattice, 2)
+        verdicts = modular_flats_of_rank(lattice, 2)
         assert verdicts and not any(v.modular for v in verdicts)
 
     def test_rank_out_of_range(self):
         arr = monomial_arrangement(2, 1, 2)
         lattice = build_lattice(arr)
         with pytest.raises(ValueError):
-            modular_flats_of_rank(arr, lattice, 5)
+            modular_flats_of_rank(lattice, 5)
 
     def test_threads_preserve_order(self):
         arr = exceptional_arrangement("G25")
         lattice = build_lattice(arr)
-        seq = modular_flats_of_rank(arr, lattice, 2)
+        seq = modular_flats_of_rank(lattice, 2)
         # a lattice of its own, so that the workers test every flat again
-        par = modular_flats_of_rank(arr, build_lattice(arr), 2, threads=4)
+        par = modular_flats_of_rank(build_lattice(arr), 2, threads=4)
         assert [v.flat.support for v in seq] == [v.flat.support for v in par]
         assert [v.modular for v in seq] == [v.modular for v in par]
 
 
 class TestIsSupersolvable:
-    def test_given_lattice_of_non_essential_input_is_not_rebuilt(self, monkeypatch):
+    def test_given_lattice_of_non_essential_input_is_not_rebuilt(self):
         arr = _pair("B2", "A(3)")
         lattice = build_lattice(arr)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("the essential lattice was rebuilt")
-
-        monkeypatch.setattr(hyparr.analysis, "build_lattice", refuse)
-        cert = is_supersolvable(arr, lattice)
+        cert = is_supersolvable(lattice)
         assert cert.essentialized and cert.lattice.arrangement == essentialize(arr)
+        # transported, not rebuilt: a rebuilt lattice has tables of its own
+        assert cert.lattice._tables is lattice._tables
         assert cert.lattice.level_sizes() == lattice.level_sizes()
         assert validate_certificate(cert)
 
@@ -164,28 +161,28 @@ class TestIsSupersolvable:
         for arr in (make_arrangement(2, 1, []),
                     monomial_arrangement(2, 1, 2),
                     monomial_arrangement(5, 5, 2)):
-            cert = is_supersolvable(arr)
+            cert = is_supersolvable(build_lattice(arr))
             assert cert.verdict and validate_certificate(cert)
 
     def test_monomial_chain(self):
-        cert = is_supersolvable(monomial_arrangement(3, 1, 3))
+        cert = is_supersolvable(build_lattice(monomial_arrangement(3, 1, 3)))
         assert cert.verdict
         assert [f.rank for f in cert.chain] == [0, 1, 2, 3]
         assert validate_certificate(cert)
 
     def test_d4_refuted_at_rank_2(self):
-        cert = is_supersolvable(exceptional_arrangement("D4"))
+        cert = is_supersolvable(build_lattice(exceptional_arrangement("D4")))
         assert not cert.verdict
         assert cert.refutation.kind == "empty-rank" and cert.refutation.rank == 2
         assert validate_certificate(cert)
 
     def test_braid_essentialized(self):
-        cert = is_supersolvable(monomial_arrangement(1, 1, 4))
+        cert = is_supersolvable(build_lattice(monomial_arrangement(1, 1, 4)))
         assert cert.verdict and cert.essentialized
         assert cert.lattice.rank() == 3
 
 
-def full_scan_search(arr, lattice):
+def full_scan_search(lattice):
     """The reference search: scan every interior rank in full, refute at the
     first rank without a modular flat, else search the modular flats depth
     first in flat order.  Returns the outcome in plain supports.  Each flat
@@ -193,7 +190,7 @@ def full_scan_search(arr, lattice):
     r = lattice.rank()
     if r == 2:
         return True, [f.support for f in (lattice.bottom(), lattice.levels[1][0], lattice.top())]
-    scans = {k: [is_modular(arr, lattice, f) for f in lattice.levels[k]] for k in range(2, r)}
+    scans = {k: [is_modular(lattice, f) for f in lattice.levels[k]] for k in range(2, r)}
     mods = {k: [v.flat for v in scans[k] if v.modular] for k in scans}
     for k in range(2, r):
         if not mods[k]:
@@ -239,7 +236,7 @@ class TestChainSearch:
 
     @staticmethod
     def assert_matches_full_scan(cert, label):
-        assert search_outcome(cert) == full_scan_search(cert.arrangement, cert.lattice), label
+        assert search_outcome(cert) == full_scan_search(cert.lattice), label
 
     @pytest.mark.parametrize("name", [e.name for e in catalog()])
     def test_catalog_matches_full_scan(self, store, name):
@@ -248,7 +245,8 @@ class TestChainSearch:
     @pytest.mark.parametrize("pair", PRODUCT_PAIRS)
     def test_product_pairs_match_full_scan(self, pair):
         # two threads share the search's verdicts while they finish the scan
-        self.assert_matches_full_scan(is_supersolvable(_pair(*pair), threads=2), pair)
+        cert = is_supersolvable(build_lattice(_pair(*pair)), threads=2)
+        self.assert_matches_full_scan(cert, pair)
 
     def test_random_arrangements_match_full_scan(self):
         rng = random.Random(16)
@@ -258,7 +256,7 @@ class TestChainSearch:
                                      max_hyperplanes=9)
             if arr.rank() < 3:
                 continue
-            cert = is_supersolvable(arr)
+            cert = is_supersolvable(build_lattice(arr))
             self.assert_matches_full_scan(cert, f"random case {case}")
             kinds.add(cert.refutation.kind if cert.refutation else "chain")
         assert kinds >= {"chain", "empty-rank"}
@@ -267,14 +265,14 @@ class TestChainSearch:
         tested = []
         real = hyparr.analysis.is_modular
 
-        def counted(arr, lattice, x):
+        def counted(lattice, x):
             tested.append(x.support)
-            return real(arr, lattice, x)
+            return real(lattice, x)
 
         monkeypatch.setattr(hyparr.analysis, "is_modular", counted)
         # a lattice of its own: the session store's may hold verdicts already
         lattice = build_lattice(store.arrangement("G(4,1,5)"))
-        cert = is_supersolvable(lattice.arrangement, lattice)
+        cert = is_supersolvable(lattice)
         interior = sum(len(level) for level in lattice.levels[2:-1])
         assert cert.verdict and interior > 2000
         assert 3 <= len(tested) == len(set(tested)) < 100
@@ -288,7 +286,7 @@ class TestChainSearch:
         gc.disable()
         try:
             lattice = build_lattice(arr)
-            cert = is_supersolvable(arr, lattice)
+            cert = is_supersolvable(lattice)
             assert cert.verdict == (spec == "G(4,1,4)")
             del cert, lattice
             assert gc.collect() == 0
@@ -303,30 +301,30 @@ class TestVerdictMemo:
         tested = []
         real = hyparr.analysis.is_modular
 
-        def counted(arr, lattice, x):
+        def counted(lattice, x):
             tested.append(x.support)
-            return real(arr, lattice, x)
+            return real(lattice, x)
 
         monkeypatch.setattr(hyparr.analysis, "is_modular", counted)
-        cert = is_supersolvable(build_named("G(3,1,3)"))
+        cert = is_supersolvable(build_lattice(build_named("G(3,1,3)")))
         assert cert.verdict and tested
         searched = set(tested)
         tested.clear()
-        verdicts = modular_flats_of_rank(cert.arrangement, cert.lattice, 2)
+        verdicts = modular_flats_of_rank(cert.lattice, 2)
         level = {f.support for f in cert.lattice.levels[2]}
         assert sorted(tested) == sorted(level - searched)
         assert len(tested) < len(level)
         assert [v.flat for v in verdicts] == list(cert.lattice.levels[2])
         tested.clear()
-        assert modular_flats_of_rank(cert.arrangement, cert.lattice, 2, threads=2) == verdicts
+        assert modular_flats_of_rank(cert.lattice, 2, threads=2) == verdicts
         assert tested == []
 
     def test_transported_lattice_keeps_its_own_verdicts(self):
         arr = build_named("A(3)")
         lattice = build_lattice(arr)
-        cert = is_supersolvable(arr, lattice)
+        cert = is_supersolvable(lattice)
         assert cert.essentialized and cert.lattice is not lattice
-        for v in modular_flats_of_rank(arr, lattice, 2):
+        for v in modular_flats_of_rank(lattice, 2):
             assert v.flat is lattice.index[v.flat.support]
             assert v.flat.subspace.ambient == arr.ambient
 
@@ -385,8 +383,8 @@ class TestMobiusPoincare:
 
 
 def _exponents(arr):
-    cert = is_supersolvable(arr)
-    return checked_exponents(poincare(cert.arrangement, cert.lattice), cert)
+    cert = is_supersolvable(build_lattice(arr))
+    return checked_exponents(poincare(cert.lattice.arrangement, cert.lattice), cert)
 
 
 class TestExponents:
@@ -411,7 +409,7 @@ class TestChainExponents:
         for entry in catalog():
             cert = store.certificate(entry.name)
             if cert.verdict:
-                poly = poincare(cert.arrangement, cert.lattice)
+                poly = poincare(cert.lattice.arrangement, cert.lattice)
                 assert cert.chain_exponents() == exponents_from_poincare(poly), entry.name
                 checked += 1
         assert checked >= 10
@@ -420,7 +418,7 @@ class TestChainExponents:
     def test_product_pairs_agree(self, pair):
         arr = _pair(*pair)
         lattice = build_lattice(arr)
-        cert = is_supersolvable(arr, lattice)
+        cert = is_supersolvable(lattice)
         if not cert.verdict:
             assert cert.chain_exponents() is None
             return
@@ -428,8 +426,8 @@ class TestChainExponents:
         assert checked_exponents(poly, cert) == cert.chain_exponents()
 
     def test_swapped_chain_flat_raises(self):
-        cert = is_supersolvable(monomial_arrangement(2, 1, 3))  # B3: 1, 3, 5
-        poly = poincare(cert.arrangement, cert.lattice)
+        cert = is_supersolvable(build_lattice(monomial_arrangement(2, 1, 3)))  # B3: 1, 3, 5
+        poly = poincare(cert.lattice.arrangement, cert.lattice)
         chain = cert.chain
         other = next(f for f in cert.lattice.levels[2]
                      if bin(f.support).count("1") != bin(chain[2].support).count("1"))
@@ -471,23 +469,24 @@ class TestFactorCount:
 
 class TestRank2Criterion:
     def test_supersolvable_side(self):
-        rep = check_rank2_criterion(monomial_arrangement(3, 1, 3))
+        rep = check_rank2_criterion(is_supersolvable(build_lattice(monomial_arrangement(3, 1, 3))))
         assert rep.agree and rep.supersolvable and rep.modular_rank2_count > 0
 
     def test_refuted_side(self):
-        rep = check_rank2_criterion(exceptional_arrangement("G25"))
+        cert = is_supersolvable(build_lattice(exceptional_arrangement("G25")))
+        rep = check_rank2_criterion(cert)
         assert rep.agree and not rep.supersolvable and rep.modular_rank2_count == 0
 
     def test_reducible_refused(self):
         pr = product(monomial_arrangement(2, 1, 3), monomial_arrangement(3, 3, 3))
         with pytest.raises(RefusalError):
-            check_rank2_criterion(pr)
+            check_rank2_criterion(is_supersolvable(build_lattice(pr)))
 
     def test_refusal_message_counts_factors(self):
         for arr, count in ((_pair("B2", "D4"), 2),
                            (product(_pair("A2", "B2"), build_named("A(3)")), 3)):
             with pytest.raises(RefusalError, match=f"splits into {count} factors"):
-                check_rank2_criterion(arr)
+                check_rank2_criterion(is_supersolvable(build_lattice(arr)))
 
     def test_reads_factors_off_the_certificate(self, monkeypatch, store):
         store.certificate("G(1,1,4)")
@@ -498,14 +497,13 @@ class TestRank2Criterion:
         # no essentialize and no irreducible_decomposition: integers only
         for name in ("rref", "rank", "in_rowspace"):
             monkeypatch.setattr(hyparr._kernel, name, refuse)
-        rep = check_rank2_criterion(store.arrangement("G(1,1,4)"), store.lattice("G(1,1,4)"),
-                                    cert=store.certificate("G(1,1,4)"))
+        rep = check_rank2_criterion(store.certificate("G(1,1,4)"))
         assert rep.agree and rep.supersolvable
 
     def test_rank_one_refused(self):
         single = parse_arrangement_text("ambient 1 field 1\na\n")
         with pytest.raises(RefusalError):
-            check_rank2_criterion(single)
+            check_rank2_criterion(is_supersolvable(build_lattice(single)))
 
 
 class TestNoChainRefutation:
@@ -515,7 +513,7 @@ class TestNoChainRefutation:
     @pytest.fixture(scope="class")
     def cert(self):
         point = parse_arrangement_text("ambient 1 field 1\na\n")
-        cert = is_supersolvable(product(point, build_named("G(3,3,3)")))
+        cert = is_supersolvable(build_lattice(product(point, build_named("G(3,3,3)"))))
         assert not cert.verdict and cert.refutation.kind == "no-chain"
         return cert
 
@@ -530,14 +528,13 @@ class TestNoChainRefutation:
         assert not validate_certificate(bad)
 
     def test_existing_chain_rejected(self):
-        cert = is_supersolvable(build_named("A(4)"))
+        cert = is_supersolvable(build_lattice(build_named("A(4)")))
         assert cert.verdict
         # true counts, so only the reachability check, which finds the
         # chain, can reject the forgery
         counts = {0: 1, 1: len(cert.lattice.levels[1]), 4: 1}
         for k in (2, 3):
-            counts[k] = sum(v.modular for v in modular_flats_of_rank(cert.arrangement,
-                                                                    cert.lattice, k))
+            counts[k] = sum(v.modular for v in modular_flats_of_rank(cert.lattice, k))
         forged = dataclasses.replace(cert, verdict=False, chain=None,
                                      refutation=Refutation("no-chain", modular_counts=counts))
         assert not validate_certificate(forged)
@@ -549,7 +546,7 @@ class TestForgedEvidence:
 
     @pytest.fixture(scope="class")
     def cert(self):
-        cert = is_supersolvable(build_named("G(3,1,3)"))
+        cert = is_supersolvable(build_lattice(build_named("G(3,1,3)")))
         assert cert.verdict and validate_certificate(cert)
         return cert
 
@@ -566,7 +563,7 @@ class TestForgedEvidence:
         return line
 
     def test_repeated_verdict_rejected(self, cert):
-        verdicts = modular_flats_of_rank(cert.arrangement, cert.lattice, 2)
+        verdicts = modular_flats_of_rank(cert.lattice, 2)
         failing = next(v for v in verdicts if not v.modular)
         assert not validate_certificate(self.refuted(cert, [failing] * len(verdicts)))
 
@@ -574,12 +571,12 @@ class TestForgedEvidence:
         lattice = cert.lattice
         line = self.off_lattice_line()
         forged = []
-        for v in modular_flats_of_rank(cert.arrangement, lattice, 2):
+        for v in modular_flats_of_rank(lattice, 2):
             if v.modular:
                 # the support of a rank-2 flat on a line that is not one
                 y = Flat(line, lattice.levels[2][0].support, 2)
                 both = subspace_sum(v.flat.subspace, line)
-                assert closure(cert.arrangement, both).subspace != both
+                assert closure(cert.lattice.arrangement, both).subspace != both
                 v = ModularityVerdict(v.flat, False, y, lattice.meet(v.flat, y))
             forged.append(v)
         assert not validate_certificate(self.refuted(cert, forged))
@@ -588,13 +585,13 @@ class TestForgedEvidence:
         lattice = cert.lattice
         line = self.off_lattice_line()
         forged = []
-        for v in modular_flats_of_rank(cert.arrangement, lattice, 2):
+        for v in modular_flats_of_rank(lattice, 2):
             if v.modular:
                 x = Flat(line, v.flat.support, 2)
                 y = next(f for f in lattice.levels[2]
                          if f.support & x.support not in (x.support, f.support))
                 both = subspace_sum(line, y.subspace)
-                assert closure(cert.arrangement, both).subspace != both
+                assert closure(cert.lattice.arrangement, both).subspace != both
                 v = ModularityVerdict(x, False, y, lattice.meet(x, y))
             forged.append(v)
         assert not validate_certificate(self.refuted(cert, forged))
@@ -619,7 +616,7 @@ class TestForgedEvidence:
         for support in (0b111, 0b11001, 0b101010, 0b110000):
             assert lattice.index[support].rank == 2
         chain = [lattice.bottom(), lattice.index[0b1], lattice.index[0b111], lattice.top()]
-        forged = SupersolvabilityCertificate(True, arr, lattice, False, chain)
+        forged = SupersolvabilityCertificate(True, lattice, False, chain)
         assert not validate_certificate(forged)
 
 
@@ -670,7 +667,7 @@ class TestCertificateSoundness:
             order = rng.choice([1, 3])
             ambient = rng.randint(2, 4)
             arr = random_arrangement(rng, ambient, order, max_hyperplanes=6)
-            cert = is_supersolvable(arr)
+            cert = is_supersolvable(build_lattice(arr))
             assert validate_certificate(cert)
             if cert.verdict:
                 cases += len(cert.chain)

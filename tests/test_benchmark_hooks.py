@@ -6,7 +6,11 @@ import importlib.util
 from pathlib import Path
 
 import hyparr
-from hyparr.arrangement import IntersectionLattice
+from hyparr.analysis import poincare
+from hyparr.arrangement import IntersectionLattice, arrangement_to_text
+from hyparr.cache import load_lattice, load_or_build
+from hyparr.parse import parse_arrangement_file
+from hyparr.reflection import build_named
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -34,3 +38,17 @@ def test_kernel_backend_stamp():
 
 def test_sum_membership_exists():
     assert callable(getattr(IntersectionLattice, "sum_membership", None))
+
+
+def test_loaded_lattice_calls(tmp_path):
+    """The benchmark's warm check reads an arrangement file, loads its
+    lattice with ``load_lattice(arr, cache_dir)`` and reads
+    ``poincare(arr, lattice)``, both called positionally."""
+    path = tmp_path / "b3.arr"
+    path.write_text(arrangement_to_text(build_named("B3")))
+    arr = parse_arrangement_file(str(path))
+    cache = str(tmp_path / "cache")
+    assert load_lattice(arr, cache) is None
+    load_or_build(arr, cache)
+    lattice = load_lattice(arr, cache)
+    assert list(poincare(arr, lattice).coefficients) == [1, 9, 23, 15]  # (1+t)(1+3t)(1+5t)

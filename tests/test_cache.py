@@ -229,7 +229,7 @@ class TestCache:
                 calls.append(args)
                 return _real(*args)
             monkeypatch.setattr(hyparr.arrangement, attr, counted)
-        cert = is_supersolvable(loaded.arrangement, loaded)
+        cert = is_supersolvable(loaded)
         poly = poincare(loaded.arrangement, loaded)
         assert all(f == f for f in loaded.flats())
         assert not calls

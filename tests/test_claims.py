@@ -32,9 +32,9 @@ def test_rank2_claims_share_one_scan(monkeypatch):
     calls = []
     original = hyparr.analysis.is_modular
 
-    def counting(arr, lattice, x):
+    def counting(lattice, x):
         calls.append(x)
-        return original(arr, lattice, x)
+        return original(lattice, x)
 
     monkeypatch.setattr(hyparr.analysis, "is_modular", counting)
     store = LatticeStore()
@@ -45,5 +45,5 @@ def test_rank2_claims_share_one_scan(monkeypatch):
 
     calls.clear()
     cert = store.certificate("D4")
-    check_rank2_criterion(store.arrangement("D4"), store.lattice("D4"), cert=cert)
+    check_rank2_criterion(cert)
     assert calls == []

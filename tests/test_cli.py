@@ -4,6 +4,8 @@ import hashlib
 import json
 import os
 import re
+import time
+import tracemalloc
 
 import pytest
 
@@ -12,6 +14,8 @@ from hyparr.cli import (EXIT_OK, EXIT_PARSE_ERROR, EXIT_REFUSED,
                         EXIT_VERIFICATION_FAILED, main, resolve_spec)
 from hyparr.errors import ParseError
 from hyparr.linalg import LinearForm
+from hyparr.reflection import catalog
+from tests.test_factors import CRITERION_5
 
 
 def run_cli(capsys, *argv):
@@ -25,11 +29,17 @@ class TestResolveSpec:
         for name in ("D4", "G31", "G(3,1,3)", "A(3)", "B3"):
             _, arr = resolve_spec(name)
             assert len(arr) > 0
+        for entry in catalog():
+            assert len(resolve_spec(entry.name)[1]) == entry.expected_count, entry.name
 
     def test_product_expression(self):
         name, arr = resolve_spec("product(B2, G(1,1,3))")
         assert len(arr) == 7 and arr.ambient == 5
         assert name == "product(B2, G(1,1,3))"
+        for a in CRITERION_5:  # the pairs of acceptance criterion 5
+            for b in CRITERION_5:
+                _, arr = resolve_spec(f"product({a},{b})")
+                assert len(arr) == len(resolve_spec(a)[1]) + len(resolve_spec(b)[1])
 
     def test_nested_product(self):
         _, arr = resolve_spec("product(product(B2, B2), A(2))")
@@ -190,6 +200,27 @@ class TestExitCodes:
         assert longest > 4300
         if argv[0] == "--json":
             json.loads(out)
+
+    # A(150) packs 1,710,075 integers; G(30030,1,1) and the product, over
+    # the lcm 30030 of its factors' field orders, are above MAX_FIELD_ORDER
+    @pytest.mark.parametrize("spec, message", [
+        ("A(150)", "11325 forms in 151 variables over field order 1 pack 1710075 integers"),
+        ("G(30030,1,1)", "field 30030 is above 1000"),
+        ("product(G(910,1,1),G(33,1,1))", "field 30030 is above 1000"),
+    ])
+    def test_oversized_catalog_spec_refused_before_any_row(self, capsys, spec, message):
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            code, out, err = run_cli(capsys, "--json", "build", spec)
+            seconds = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_PARSE_ERROR and not out
+        assert err.startswith("hyparr: parse error: ") and err.count("\n") == 1
+        assert message in err
+        assert seconds < 1 and peak < 2_000_000
 
     @pytest.mark.parametrize("spec", ["G(3,1,0)", "G(3,2,3)"])
     def test_bad_monomial_parameters_are_parse_errors(self, capsys, spec):

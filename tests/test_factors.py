@@ -67,16 +67,16 @@ def assert_matches_direct(arr):
     assert [(f.mask, f.moved, _levels(f.lattice)) for f in loaded.factors] == \
         [(f.mask, f.moved, _levels(f.lattice)) for f in factored.factors]
     covers = direct.covers()
-    cert, poly = _digest(is_supersolvable(arr, direct)), poincare(arr, direct)
+    cert, poly = _digest(is_supersolvable(direct)), poincare(arr, direct)
     for lattice in (factored, loaded):
         assert _levels(lattice) == _levels(direct)
         for f in direct.flats():
             assert list(lattice.upper_covers(f.support)) == list(covers[f.support]), f
-        assert _digest(is_supersolvable(arr, lattice)) == cert
+        assert _digest(is_supersolvable(lattice)) == cert
         assert poincare(arr, lattice) == poly
         assert lattice._tables[0] is None, "the product's cover table was built"
         for f in direct.flats():
-            got, want = is_modular(arr, lattice, lattice.index[f.support]), is_modular(arr, direct, f)
+            got, want = is_modular(lattice, lattice.index[f.support]), is_modular(direct, f)
             assert got.modular == want.modular, f
             if not want.modular:
                 assert got.partner.support == want.partner.support, f
@@ -120,9 +120,9 @@ def test_certificates_match_the_direct_build(pair):
     """Non-essential pairs take the transported lattice, which shares the
     factor lattices; every pair prints the same certificate."""
     arr = _shuffled(_pair(*pair), 7)
-    cert = is_supersolvable(arr, lattice_of(arr))
+    cert = is_supersolvable(lattice_of(arr))
     assert cert.lattice.factors
-    direct = is_supersolvable(arr, build_lattice(arr))
+    direct = is_supersolvable(build_lattice(arr))
     assert report_json(certificate_payload(cert)) == report_json(certificate_payload(direct))
 
 
@@ -130,7 +130,7 @@ def test_certificate_kinds_validate():
     kinds = set()
     for pair in (("B2", "A(3)"), ("H3", "H3"), ("G(3,3,3)", "B2")):
         arr = _pair(*pair)
-        cert = is_supersolvable(arr, lattice_of(arr))
+        cert = is_supersolvable(lattice_of(arr))
         assert validate_certificate(cert)
         kinds.add("chain" if cert.verdict else cert.refutation.kind)
     assert kinds == {"chain", "empty-rank", "no-chain"}

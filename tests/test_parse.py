@@ -354,6 +354,18 @@ class TestBounds:
         with pytest.raises(ParseError, match="1001 forms in 1000 variables"):
             parse_arrangement_text(at_bound + "x2\n")
 
+    def test_catalog_packed_size_at_the_bound(self):
+        # A(n) = G(1,1,n+1): n(n+1)/2 forms in n+1 variables over the rationals
+        assert len(build_named("A(125)")) == 7875  # 992,250 integers
+        with pytest.raises(ParseError, match="8001 forms in 127 variables over field order 1 "
+                                             f"pack 1016127 integers, above {MAX_PACKED}"):
+            build_named("A(126)")
+
+    def test_catalog_field_order_at_the_bound(self):
+        assert build_named(f"G({MAX_FIELD_ORDER},1,1)").order == MAX_FIELD_ORDER
+        with pytest.raises(ParseError, match=f"field {MAX_FIELD_ORDER + 1} is above"):
+            build_named(f"G({MAX_FIELD_ORDER + 1},1,1)")
+
     def test_header_at_the_bounds(self):
         arr = parse_arrangement_text(f"ambient {MAX_AMBIENT} field 1\nx{MAX_AMBIENT}\n")
         assert arr.ambient == MAX_AMBIENT

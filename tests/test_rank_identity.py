@@ -121,9 +121,9 @@ def test_cover_table_is_the_cover_relation(tmp_path):
 
 def test_threads_on_a_loaded_lattice(tmp_path):
     arr = build_named("G25")
-    single = modular_flats_of_rank(arr, _loaded(arr, tmp_path), 2)
+    single = modular_flats_of_rank(_loaded(arr, tmp_path), 2)
     fresh = load_lattice(arr, str(tmp_path))
-    pooled = modular_flats_of_rank(arr, fresh, 2, threads=4)
+    pooled = modular_flats_of_rank(fresh, 2, threads=4)
     assert [(v.flat.support, v.modular) for v in single] == \
         [(v.flat.support, v.modular) for v in pooled]
 
@@ -147,14 +147,14 @@ def test_scan_operation_counts(name, monkeypatch):
                         counted("subspace_sum", hyparr.analysis.subspace_sum))
     original = hyparr.analysis.is_modular
 
-    def verdict_counted(arr, lattice, x):
-        verdict = original(arr, lattice, x)
+    def verdict_counted(lattice, x):
+        verdict = original(lattice, x)
         calls["non_modular"] += not verdict.modular
         return verdict
 
     monkeypatch.setattr(hyparr.analysis, "is_modular", verdict_counted)
     arr = build_named("D4") if name == "D4" else _b2_times_a2()
-    cert = is_supersolvable(arr)
+    cert = is_supersolvable(build_lattice(arr))
     assert cert.verdict == (name != "D4")
     # the scan decides each complement by one bitset test: no field
     # arithmetic, no pairwise membership test and no cover walk
@@ -176,7 +176,7 @@ def test_read_witnesses_satisfy_the_closure_definition():
                 _b2_times_a2(), product(point, build_named("G(3,3,3)"))):
         lattice = build_lattice(arr)
         for k in range(lattice.rank() + 1):
-            for verdict in modular_flats_of_rank(arr, lattice, k):
+            for verdict in modular_flats_of_rank(lattice, k):
                 if verdict.modular:
                     assert verdict.witness is None
                     continue
@@ -230,7 +230,7 @@ def test_first_failing_partners_are_complements(tmp_path):
     for label, lattice in cases:
         arr = lattice.arrangement
         for k in range(2, lattice.rank()):
-            for verdict in modular_flats_of_rank(arr, lattice, k):
+            for verdict in modular_flats_of_rank(lattice, k):
                 if not verdict.modular:
                     failures += 1
                     assert not verdict.partner.support & verdict.flat.support, (label, k)
@@ -249,7 +249,7 @@ def _full_order_scan(lattice, x):
 
 
 def _scanned(lattice, x):
-    v = is_modular(lattice.arrangement, lattice, x)
+    v = is_modular(lattice, x)
     return v.modular, v.partner and v.partner.support, v.meet and v.meet.support
 
 
@@ -341,7 +341,7 @@ def test_rank2_empty_claim_builds_no_sum(monkeypatch):
 
 def test_validator_ignores_a_lying_scan(monkeypatch):
     d4 = build_named("D4")
-    cert = is_supersolvable(d4)
+    cert = is_supersolvable(build_lattice(d4))
     assert not cert.verdict
     lattice = cert.lattice
     chain = [lattice.bottom()]
@@ -349,9 +349,9 @@ def test_validator_ignores_a_lying_scan(monkeypatch):
         chain.append(next(f for f in level
                           if f.support & chain[-1].support == chain[-1].support))
     forged = dataclasses.replace(cert, verdict=True, chain=chain, refutation=None)
-    genuine = is_supersolvable(build_named("A(3)"))
+    genuine = is_supersolvable(build_lattice(build_named("A(3)")))
     assert genuine.verdict
-    assert not is_modular(d4, lattice, chain[2]).modular
+    assert not is_modular(lattice, chain[2]).modular
 
     def lying_steps(self):
         # every flat claimed to cover the bottom, so that each complement Y of
@@ -359,7 +359,7 @@ def test_validator_ignores_a_lying_scan(monkeypatch):
         return tuple((0, f.support & -f.support) for f in self.flats() if f.rank)
 
     monkeypatch.setattr(IntersectionLattice, "join_steps", lying_steps)
-    assert all(is_modular(d4, lattice, f).modular for f in chain)
+    assert all(is_modular(lattice, f).modular for f in chain)
     assert not validate_certificate(forged)
     assert validate_certificate(genuine)
 

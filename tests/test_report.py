@@ -184,8 +184,7 @@ class TestDefiningFormsAreMonic:
             if ref is not None and ref.kind == "empty-rank":
                 verdicts += ref.witnesses
         for name in ("D4", "H3", "G25", "G31"):
-            verdicts += modular_flats_of_rank(store.arrangement(name),
-                                              store.lattice(name), 2)
+            verdicts += modular_flats_of_rank(store.lattice(name), 2)
         sums = [v.witness[1] for v in verdicts if v.witness is not None]
         assert len(sums) > 100
         for total in sums:
@@ -214,8 +213,8 @@ class TestNoArithmeticInReports:
         cases = {}
         for name in self.NAMES:
             arr, lattice = store.arrangement(name), store.lattice(name)
-            verdicts = modular_flats_of_rank(arr, lattice, 2)
-            cert = is_supersolvable(arr, lattice)
+            verdicts = modular_flats_of_rank(lattice, 2)
+            cert = is_supersolvable(lattice)
             assert not cert.essentialized
             witnessed = list(verdicts)
             if cert.refutation is not None and cert.refutation.kind == "empty-rank":
