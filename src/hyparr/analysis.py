@@ -13,29 +13,33 @@ failing Y with a larger meet Z has a complement Y' below it that fails too,
 the join of atoms extending a basis of Z to one of Y, and Y' comes first in
 flat order (Brylawski, 1975; ``is_modular``).  So the first failing
 complement is the first failing flat of a scan over every flat, and the
-witnesses are the same.  The scan walks the complements up the lattice's
-join table, each Y = P v a from a complement P that already passed, and
-decides each by one bitset test: Y fails exactly when the atom a lies under
-X v P.  The bottom, the atoms and the top are modular in every geometric
-lattice and are not walked.  The scan records the first failing Y and its
-meet, the bottom, only.  ``ModularityVerdict.certify`` checks that witness
-over the field, independently of the join table: by
-Grassmann's formula, dim(X + Y) from X's RREF grown by Y's defining rows
-must be strictly smaller than the meet flat, which is the closure of X + Y.
+witnesses are the same.  The scan decides a whole rank of complements at
+once: a rank-r complement Y fails exactly when X v Y has rank below
+r(X) + r, that is when Y lies under some flat of rank r(X) + r - 1 above X,
+and all of them fail once that rank reaches the top.  The lattice's mask
+tables (``IntersectionLattice.flats_through`` and ``flats_under``) turn
+that into a few ORs and ANDs of bitmasks over one level, and the first
+failing complement is the lowest set bit at the lowest rank that has one.
+The bottom, the atoms and the top are modular in every geometric lattice
+and are not scanned.  The scan records the first failing Y and its meet,
+the bottom, only.  ``ModularityVerdict.certify`` checks that witness over
+the field, independently of the mask tables: by Grassmann's formula,
+dim(X + Y) from X's RREF grown by Y's defining rows must be strictly
+smaller than the meet flat, which is the closure of X + Y.
 The sum subspace itself is built only for the outputs that print it
 (``ModularityVerdict.witness``).  ``validate_certificate`` re-checks
 modularity by stacked ranks over the field and witnesses by ``closure``,
-without the scan's membership test or join table.  Scans run in the
+without the scan's mask tables.  Scans run in the
 deterministic flat order (rank, then support bitset), so witnesses are
 reproducible.
 
 A lattice with factor lattices (``lattice_of``, built or assembled from
-cached factors) is not walked.  Ranks add up over the factors and the semimodular
+cached factors) is not scanned.  Ranks add up over the factors and the semimodular
 inequality holds in each, so X is modular exactly when every component x_i
 is, each read off its factor lattice and kept there.  The partner of a non-modular X is
 the candidate (0, ..., y_i*, ..., 0), y_i* the first failing complement of a
 failing x_i, that comes first by rank, then by support in the product.
-That is the first failing complement the walk finds, so the witnesses are
+That is the first failing complement the scan finds, so the witnesses are
 the same (``_verdict_from_factors``).
 
 Supersolvability is the existence of a maximal chain of modular flats
@@ -60,7 +64,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import _kernel
-from .arrangement import (Arrangement, Flat, IntersectionLattice, closure, essentialize,
+from .arrangement import (Arrangement, Flat, IntersectionLattice, _bits, closure, essentialize,
                           parallel_map, transport_lattice)
 from .cyclo import field_context
 from .errors import InternalInconsistencyError, RefusalError
@@ -180,9 +184,9 @@ def _require_flat(lattice: IntersectionLattice, x: Flat) -> Flat:
 
 
 def is_modular(lattice: IntersectionLattice, x: Flat) -> ModularityVerdict:
-    """Walk the complements Y of X, the flats with X ^ Y = 0 (support
-    disjoint from X's), in flat order, for the first one with X + Y outside
-    the lattice; its meet is the bottom.
+    """Scan the complements Y of X, the flats with X ^ Y = 0 (support
+    disjoint from X's), rank by rank, for the first one in flat order with
+    X + Y outside the lattice; its meet is the bottom.
 
     Only a complement can be the first failing flat of a scan over the
     whole lattice in flat order: if Y fails the rank identity with
@@ -192,18 +196,22 @@ def is_modular(lattice: IntersectionLattice, x: Flat) -> ModularityVerdict:
     before Y (Stanley, 1971; Brylawski, 1975).  The verdict, its partner and
     its meet are therefore those of the full scan.
 
-    The complements form an order ideal, so the lower cover P of Y in
-    ``join_steps()``, with Y = P v a, is a complement visited before Y, and
-    it passed: r(X v P) = r(X) + r(P).  Then Y fails exactly when the atom a
-    lies under X v P, one bitset AND; otherwise X v Y is the one cover of
-    X v P that holds a.  Only the supports of these joins are kept, other
-    flats cost one AND each, and the walk stops at the first rank without a
-    complement, since no rank above has one.  The atoms never fail, since
-    a complement atom does not lie under X.
+    A complement Y of rank r passes exactly when r(X v Y) = r(X) + r, so it
+    fails exactly when it lies under some flat of rank r(X) + r - 1 above X,
+    and every one fails once that rank reaches r(A).  Per rank, the
+    complements are the rank-r flats through none of X's hyperplanes, and
+    the failing ones among them are the OR, over the flats of rank
+    r(X) + r - 1 through all of X's hyperplanes, of the rank-r flats under
+    each (``flats_through``, ``flats_under``): a few bitmask operations per
+    rank, no flat visited one by one.  The partner is the lowest set bit at
+    the lowest rank that has one.  The complements form an order ideal, so
+    the scan stops, modular, at the first rank without one.  The atoms
+    never fail, since a complement atom does not lie under X, and the scan
+    starts at rank 2.
 
     The bottom, the atoms and the top are modular in every geometric
-    lattice and are not walked.  A lattice with factor lattices
-    (``IntersectionLattice.factors``) is not walked either: its verdict is
+    lattice and are not scanned.  A lattice with factor lattices
+    (``IntersectionLattice.factors``) is not scanned either: its verdict is
     read off theirs (``_verdict_from_factors``).  The verdict certifies its
     witness when it is read.
     """
@@ -212,25 +220,30 @@ def is_modular(lattice: IntersectionLattice, x: Flat) -> ModularityVerdict:
         return ModularityVerdict(x, True)
     if lattice.factors:
         return _verdict_from_factors(lattice, x)
-    covers = lattice.covers()
-    xs = x.support
-    steps = iter(lattice.join_steps())
-    joins = {0: xs}
-    for level in lattice.levels[1:]:
-        found = len(joins)
-        for y, (p, atom) in zip(level, steps):
-            s = y.support
-            if s & xs:
-                continue
-            j = joins[p]
-            if j & atom:
-                return ModularityVerdict(x, False, y, lattice.bottom())
-            for c in covers[j]:
-                if c & atom:
-                    joins[s] = c
-                    break
-        if len(joins) == found:
+    top, levels = lattice.rank(), lattice.levels
+    atoms = list(_bits(x.support))
+    for r in range(2, top + 1):
+        through = lattice.flats_through(r)
+        meets = 0
+        for a in atoms:
+            meets |= through[a]
+        complements = ((1 << len(levels[r])) - 1) & ~meets
+        if not complements:
             break
+        span = x.rank + r - 1
+        if span < top:
+            above, upper = -1, lattice.flats_through(span)
+            for a in atoms:
+                above &= upper[a]
+            under, failing = lattice.flats_under(span, r), 0
+            while above:
+                low = above & -above
+                failing |= under[low.bit_length() - 1]
+                above ^= low
+            complements &= failing
+        if complements:
+            y = levels[r][(complements & -complements).bit_length() - 1]
+            return ModularityVerdict(x, False, y, lattice.bottom())
     return ModularityVerdict(x, True)
 
 

@@ -264,13 +264,13 @@ class IntersectionLattice:
     its bottom and rank-1 flats and the parent's subspace and residue of
     each flat above (``Flat.extending``); a loaded or transported one holds
     supports and ranks only (``Flat.of_support``).  Either way a flat
-    computes its subspace when first read.  The
-    cover table (``covers()``) and the join table (``join_steps()``) are
-    built on first use; both read supports only, so ``_tables`` holding them
-    may be shared with a lattice of the same supports
-    (``transport_lattice``).  So may ``factors``, the factor lattices of a
-    product, set by ``lattice_of`` when it assembles the lattice from them
-    and None otherwise.  ``verdicts`` maps supports to modularity verdicts,
+    computes its subspace when first read.  The cover table (``covers()``)
+    and the modular scan's mask tables (``flats_through``, per rank, and
+    ``flats_under``, per pair of ranks) are built on first use; all read
+    supports only, so ``_tables`` holding them may be shared with a lattice
+    of the same supports (``transport_lattice``).  So may ``factors``, the
+    factor lattices of a product, set by ``lattice_of`` when it assembles
+    the lattice from them and None otherwise.  ``verdicts`` maps supports to modularity verdicts,
     which hold this lattice's flats and are not shared.
     """
 
@@ -283,12 +283,12 @@ class IntersectionLattice:
         for level in levels:
             for f in level:
                 self.index[f.support] = f
-        self._tables: list = [None, None, None]  # cover table, join table, factors
+        self._tables: list = [None, {}, {}, None]  # covers, through, under, factors
         self.verdicts: dict = {}
 
     @property
     def factors(self) -> tuple[Factor, ...] | None:
-        return self._tables[2]
+        return self._tables[3]
 
     def flats(self):
         for level in self.levels:
@@ -353,33 +353,58 @@ class IntersectionLattice:
         """Greatest lower bound: the flat supported on the common hyperplanes."""
         return self.index[x.support & y.support]
 
-    def join_steps(self) -> tuple[tuple[int, int], ...]:
-        """For every flat Y above the bottom, in flat order: the support of
-        one lower cover P of Y and one atom (hyperplane bit) of Y outside P,
-        so that Y = P v a.  Read off ``covers()`` once, lazily and as safely
-        from worker threads as the cover table."""
-        steps = self._tables[1]
-        if steps is None:
-            covers = self.covers()
-            lower: dict[int, int] = {}
-            for f in self.flats():
-                for c in covers[f.support]:
-                    lower.setdefault(c, f.support)
-            steps = []
-            for f in self.flats():
-                if f.rank:
-                    p = lower[f.support]
-                    rest = f.support & ~p
-                    steps.append((p, rest & -rest))
-            steps = self._tables[1] = tuple(steps)
-        return steps
+    def flats_through(self, rank: int) -> dict[int, int]:
+        """Hyperplane bit -> the rank-``rank`` flats holding that hyperplane,
+        as a mask over ``levels[rank]``: bit i for its i-th flat in flat
+        order.  The flats through any of X's hyperplanes are those that meet
+        X above the bottom; the flats through all of them are those above X.
+        Built on first use, per rank; a concurrent first call builds an equal
+        table, as ``covers()`` does."""
+        table = self._tables[1].get(rank)
+        if table is None:
+            table = {}
+            for i, f in enumerate(self.levels[rank]):
+                bit = 1 << i
+                for atom in _bits(f.support):
+                    table[atom] = table.get(atom, 0) | bit
+            self._tables[1][rank] = table
+        return table
+
+    def flats_under(self, rank: int, lower: int) -> tuple[int, ...]:
+        """For each rank-``rank`` flat Z, in flat order, the rank-``lower``
+        flats under Z (``lower < rank``), as a mask over ``levels[lower]``.
+        One rank down they are Z's lower covers, read off ``covers()``;
+        further down, the OR of those covers' own masks, memoized down the
+        ranks.  Built on first use, per pair of ranks, as safely from worker
+        threads as ``flats_through``."""
+        table = self._tables[2].get((rank, lower))
+        if table is None:
+            if lower == rank - 1:
+                at = {f.support: i for i, f in enumerate(self.levels[rank])}
+                masks = [0] * len(at)
+                covers = self.covers()
+                for j, w in enumerate(self.levels[lower]):
+                    for c in covers[w.support]:
+                        masks[at[c]] |= 1 << j
+            else:
+                below = self.flats_under(rank - 1, lower)
+                masks = []
+                for covered in self.flats_under(rank, rank - 1):
+                    m = 0
+                    while covered:
+                        low = covered & -covered
+                        m |= below[low.bit_length() - 1]
+                        covered ^= low
+                    masks.append(m)
+            table = self._tables[2][(rank, lower)] = tuple(masks)
+        return table
 
     def join(self, x: Flat, y: Flat) -> Flat:
         """Least upper bound of one pair, the flat of the subspace
         intersection: walk up the covers from x, each step to the one cover
         holding the lowest atom of y still missing, so at most r(A) bitset
-        steps.  The modular scan reads its joins off ``join_steps()`` instead;
-        this walk is the independent check of that table."""
+        steps.  The modular scan decides whole ranks by the mask tables
+        instead; this walk is the independent check of those masks."""
         hit = self.index.get(x.support | y.support)
         if hit is not None:
             return hit
@@ -738,7 +763,7 @@ def lattice_of(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS, threads: in
     lattice = IntersectionLattice(arr, tuple(
         tuple(Flat.of_support(arr, s, r) for s in sorted(level))
         for r, level in enumerate(_product_supports(factors))))
-    lattice._tables[2] = tuple(factors)
+    lattice._tables[3] = tuple(factors)
     return lattice
 
 
@@ -857,7 +882,7 @@ def transport_lattice(lattice: IntersectionLattice, ess: Arrangement) -> Interse
     ``essentialize`` keeps hyperplane order, so supports and ranks carry
     over unchanged: each flat of ``ess`` is made from its support and
     derives its subspace in the essential coordinates when read.  The cover
-    and join tables and the factor lattices read supports only, so the two
+    and mask tables and the factor lattices read supports only, so the two
     lattices share them, and whichever of the two builds a table first
     builds it for both.
     """

@@ -37,7 +37,8 @@ def resolve_spec(spec: str, nesting: int = 0) -> tuple[str, Arrangement]:
     """Turn a spec string into an arrangement, rejecting unknown names early.
     ``product(`` nests at most ``MAX_NESTING`` levels deep, and a product
     packs at most ``MAX_PACKED`` integers, checked before its rows are made
-    (``check_packed_size``); deeper or larger specs are a ``ParseError``."""
+    (``check_packed_size``); deeper or larger specs are a ``ParseError``,
+    which names the innermost refused spec once."""
     spec = spec.strip()
     if spec.startswith("product(") and spec.endswith(")"):
         if nesting == MAX_NESTING:
@@ -59,7 +60,12 @@ def resolve_spec(spec: str, nesting: int = 0) -> tuple[str, Arrangement]:
             raise ParseError(f"product(...) takes exactly two specs: {spec!r}")
         name1, a1 = resolve_spec(parts[0], nesting + 1)
         name2, a2 = resolve_spec(parts[1], nesting + 1)
-        check_packed_size(len(a1) + len(a2), a1.ambient + a2.ambient, lcm(a1.order, a2.order))
+        order = lcm(a1.order, a2.order)
+        try:
+            check_packed_size(len(a1) + len(a2), a1.ambient + a2.ambient, order)
+        except ParseError as exc:
+            raise ParseError(f"arrangement spec {spec!r} over field order {order}, the lcm "
+                             f"of its factors' orders {a1.order} and {a2.order}: {exc}") from None
         return f"product({name1}, {name2})", product(a1, a2)
     if spec.startswith("file:"):
         return spec, parse_arrangement_file(spec[len("file:"):])
@@ -67,7 +73,7 @@ def resolve_spec(spec: str, nesting: int = 0) -> tuple[str, Arrangement]:
         return spec, build_named(spec)
     except KeyError:
         pass
-    except ValueError as exc:  # a name of the right shape with bad parameters
+    except (ValueError, ParseError) as exc:  # bad parameters, or past the parser's bounds
         raise ParseError(f"arrangement spec {spec!r}: {exc}") from None
     if os.path.sep in spec or os.path.isfile(spec):
         return spec, parse_arrangement_file(spec)

@@ -620,8 +620,13 @@ class TestTransportLattice:
         ess = essentialize(arr)
         moved = transport_lattice(lattice, ess)
         fresh = build_lattice(ess)
-        assert moved.join_steps() == fresh.join_steps()  # built on the moved one
-        assert lattice.join_steps() is moved.join_steps()
+        ranks = range(moved.rank() + 1)
+        pairs = [(k, lower) for k in ranks for lower in range(k)]
+        # built on the moved one
+        assert [moved.flats_through(k) for k in ranks] == [fresh.flats_through(k) for k in ranks]
+        assert [moved.flats_under(*p) for p in pairs] == [fresh.flats_under(*p) for p in pairs]
+        assert all(lattice.flats_through(k) is moved.flats_through(k) for k in ranks)
+        assert all(lattice.flats_under(*p) is moved.flats_under(*p) for p in pairs)
         assert lattice.covers() is moved.covers()
         assert moved.covers() == fresh.covers()
 

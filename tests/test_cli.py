@@ -184,6 +184,9 @@ class TestExitCodes:
         assert code == EXIT_PARSE_ERROR and not out
         assert err.endswith("4 forms in 1003 variables over field order 997 pack "
                             "3995952 integers, above 1000000\n")
+        assert err.count("arrangement spec") == 1
+        assert f"arrangement spec 'product({path}, A2)' over field order 997, the lcm " \
+            "of its factors' orders 997 and 1: " in err
 
     @pytest.mark.parametrize("argv", [("--json", "modular", "{path}", "--rank", "2"),
                                       ("--json", "supersolvable", "{path}"),
@@ -220,7 +223,23 @@ class TestExitCodes:
         assert code == EXIT_PARSE_ERROR and not out
         assert err.startswith("hyparr: parse error: ") and err.count("\n") == 1
         assert message in err
+        assert err.startswith(f"hyparr: parse error: arrangement spec {spec!r}")
+        assert err.count("arrangement spec") == 1
+        if spec.startswith("product("):
+            assert "field order 30030, the lcm of its factors' orders 910 and 33" in err
         assert seconds < 1 and peak < 2_000_000
+
+    @pytest.mark.parametrize("spec, refused", [
+        ("product(A2,A(150))", "A(150)"),
+        ("product(A2, product(B2, product(G(910,1,1),G(33,1,1))))",
+         "product(G(910,1,1),G(33,1,1))"),
+    ])
+    def test_refused_part_named_once(self, capsys, spec, refused):
+        # the innermost refused spec is named, and no level above names itself
+        code, out, err = run_cli(capsys, "build", spec)
+        assert code == EXIT_PARSE_ERROR and not out
+        assert err.startswith(f"hyparr: parse error: arrangement spec {refused!r}")
+        assert err.count("arrangement spec") == 1
 
     @pytest.mark.parametrize("spec", ["G(3,1,0)", "G(3,2,3)"])
     def test_bad_monomial_parameters_are_parse_errors(self, capsys, spec):

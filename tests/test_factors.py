@@ -1,6 +1,6 @@
 """Product lattices assembled from their factors' lattices (``lattice_of``)
 and their verdicts read off the factors', against the direct build
-(``build_lattice``) and the complement walk of ``is_modular``."""
+(``build_lattice``) and the complement scan of ``is_modular``."""
 
 import itertools
 import json

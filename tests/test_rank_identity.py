@@ -1,16 +1,19 @@
-"""The modular scan decided by the rank identity over the join table.
+"""The modular scan decided by the rank identity over per-rank bitmasks.
 
-The scan walks the complements Y = P v a of X (X ^ Y = 0) by the join
-table and decides each one by a bitset test, whether a lies under X v P; no
-field arithmetic runs in the scan, witnesses are certified only when read,
-and the certificate validator re-checks by linear algebra without touching
-the join table.  The pairwise cover walk ``join`` is the oracle for the
-table, and a scan over every flat by ``sum_membership`` is the oracle for
-the complement scan's verdicts.
+The scan decides a whole rank of X's complements Y (X ^ Y = 0) at once: Y
+of rank r fails exactly when it lies under a flat of rank r(X) + r - 1
+above X, read off the lattice's mask tables (``flats_through`` and
+``flats_under``) by a few ORs and ANDs.  No field arithmetic runs in the
+scan, witnesses are certified only when read, and the certificate
+validator re-checks by linear algebra without touching the mask tables.
+The pairwise cover walk ``join`` is the oracle for the masks, and a scan
+over every flat by ``sum_membership`` is the oracle for the scan's
+verdicts.
 """
 
 import dataclasses
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -72,37 +75,65 @@ def test_join_walk_matches_subspace_intersection(tmp_path):
             assert lattice.join(x, y).subspace == intersect(x.subspace, y.subspace), label
 
 
-def test_join_table_matches_the_cover_walk(tmp_path):
-    # the scan's step: for a complement Y = P v a of X, P is a complement
-    # too, and X v Y is X v P when a lies under it, else the one cover of
-    # X v P that holds a
+def _failing_complements(lattice, x, r):
+    """The rank-r complements of x that fail the rank identity, as a mask
+    over ``levels[r]``, read off the mask tables as the scan reads them."""
+    meets = 0
+    for a in x.hyperplane_indices():
+        meets |= lattice.flats_through(r)[1 << a]
+    complements = ((1 << len(lattice.levels[r])) - 1) & ~meets
+    span = x.rank + r - 1
+    if span >= lattice.rank():
+        return complements
+    above = -1
+    for a in x.hyperplane_indices():
+        above &= lattice.flats_through(span)[1 << a]
+    failing = 0
+    for i, under in enumerate(lattice.flats_under(span, r)):
+        if above >> i & 1:
+            failing |= under
+    return complements & failing
+
+
+def test_mask_test_matches_the_cover_walk(tmp_path):
+    # the scan's test: a rank-r complement Y of X fails exactly when it lies
+    # under a flat of rank r(X) + r - 1 above X, or every one fails once that
+    # rank reaches the top; the cover walk's join decides each pair alone
     cases = [("D4", build_lattice(build_named("D4"))),
              ("B2 x A2", build_lattice(_b2_times_a2())),
              ("loaded G(3,3,3)", _loaded(build_named("G(3,3,3)"), tmp_path))]
+    failures = 0
     for label, lattice in cases:
-        covers = lattice.covers()
-        flats = list(lattice.flats())
-        for x in flats:
-            for y, (p, atom) in zip(flats[1:], lattice.join_steps()):
-                if y.support & x.support:
-                    continue
-                assert not p & x.support, label
-                below = lattice.join(x, lattice.index[p]).support
-                step = below
-                if not below & atom:
-                    [step] = [c for c in covers[below] if c & atom]
-                assert step == lattice.join(x, y).support, label
+        for x in lattice.flats():
+            if not 2 <= x.rank < lattice.rank():
+                continue
+            for r in range(2, lattice.rank() + 1):
+                want = 0
+                for i, y in enumerate(lattice.levels[r]):
+                    if not y.support & x.support and \
+                            lattice.join(x, y).rank < x.rank + y.rank:
+                        want |= 1 << i
+                assert _failing_complements(lattice, x, r) == want, (label, x, r)
+                failures += bool(want)
+    assert failures
 
 
-def test_join_steps_are_lower_covers_and_atoms(tmp_path):
+def test_mask_tables_are_incidence_and_order(tmp_path):
     for label, lattice in _lattices(tmp_path):
-        covers = lattice.covers()
-        flats = list(lattice.flats())
-        steps = lattice.join_steps()
-        assert len(steps) == len(flats) - 1, label
-        for y, (p, atom) in zip(flats[1:], steps):
-            assert y.support in covers[p], label
-            assert bin(atom).count("1") == 1 and atom & y.support and not atom & p, label
+        levels = lattice.levels
+        for r, level in enumerate(levels):
+            through = lattice.flats_through(r)
+            for a in range(len(lattice.arrangement)):
+                want = sum(1 << i for i, f in enumerate(level) if f.support >> a & 1)
+                assert through.get(1 << a, 0) == want, (label, r, a)
+        for k in range(1, lattice.rank() + 1):
+            for lower in range(k):
+                under = lattice.flats_under(k, lower)
+                assert len(under) == len(levels[k]), label
+                for z, mask in zip(levels[k], under):
+                    want = sum(1 << j for j, w in enumerate(levels[lower])
+                               if w.support & z.support == w.support)
+                    assert mask == want, (label, k, lower)
 
 
 def test_cover_table_is_the_cover_relation(tmp_path):
@@ -280,19 +311,60 @@ def test_scan_from_rank_two_matches_a_full_order_scan(tmp_path):
     assert failures
 
 
+def test_every_rank_matches_a_full_order_scan(tmp_path):
+    failures = 0
+    for label, lattice in _lattices(tmp_path):
+        for x in lattice.flats():
+            got = _scanned(lattice, x)
+            failures += not got[0]
+            assert got == _full_order_scan(lattice, x), (label, x)
+    assert failures
+
+
+def test_rank_three_of_a_rank_five_lattice_matches_a_full_order_scan():
+    # a rank-3 flat tests its rank-2 complements under the rank-4 flats
+    # above it, whose masks are memoized down from their lower covers; B5
+    # has 10 modular rank-3 flats among 330
+    lattice = build_lattice(build_named("G(2,1,5)"))
+    assert lattice.rank() == 5
+    verdicts = [_scanned(lattice, x) for x in lattice.levels[3]]
+    assert verdicts == [_full_order_scan(lattice, x) for x in lattice.levels[3]]
+    assert any(v[0] for v in verdicts) and not all(v[0] for v in verdicts)
+
+
+def test_threads_on_a_fresh_g31_lattice(tmp_path):
+    # the workers race for the lazily built mask tables of a fresh lattice
+    arr = build_named("G31")
+    save_lattice(build_lattice(arr), str(tmp_path))
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # let the workers interleave often
+    try:
+        for threads in (1, 2):
+            fresh = load_lattice(arr, str(tmp_path))
+            runs.append(modular_flats_of_rank(fresh, 2, threads=threads))
+    finally:
+        sys.setswitchinterval(interval)
+    runs = [[(v.flat.support, v.modular, v.partner and v.partner.support,
+              v.meet and v.meet.support) for v in verdicts] for verdicts in runs]
+    assert runs[0] == runs[1]
+    assert len(runs[0]) == 710 and not any(modular for _, modular, _, _ in runs[0])
+
+
 def test_always_modular_ranks_match_a_full_order_scan(monkeypatch):
     # the bottom, the atoms and the top are modular in every geometric
-    # lattice, and the scan answers for them without walking the join table
+    # lattice, and the scan answers for them without reading a mask table
     non_essential = product(build_named("A(3)"), build_named("B2"))
     lattices = [("D4", build_lattice(build_named("D4"))),
                 ("B2 x A2", build_lattice(_b2_times_a2())),
                 ("A(3) x B2", build_lattice(non_essential))]
     assert non_essential.rank() != non_essential.ambient
 
-    def refuse(self):
-        raise AssertionError("the join table was read")
+    def refuse(self, *ranks):
+        raise AssertionError("a mask table was read")
 
-    monkeypatch.setattr(IntersectionLattice, "join_steps", refuse)
+    monkeypatch.setattr(IntersectionLattice, "flats_through", refuse)
+    monkeypatch.setattr(IntersectionLattice, "flats_under", refuse)
     for label, lattice in lattices:
         for k in (0, 1, lattice.rank()):
             for x in lattice.levels[k]:
@@ -353,12 +425,13 @@ def test_validator_ignores_a_lying_scan(monkeypatch):
     assert genuine.verdict
     assert not is_modular(lattice, chain[2]).modular
 
-    def lying_steps(self):
-        # every flat claimed to cover the bottom, so that each complement Y of
-        # X is tested against X v a for one atom a of Y alone, which it passes
-        return tuple((0, f.support & -f.support) for f in self.flats() if f.rank)
+    def lying_through(self, rank):
+        # every flat claimed to hold every hyperplane, so that no flat is a
+        # complement of X and X passes with nothing to test
+        every = (1 << len(self.levels[rank])) - 1
+        return {1 << a: every for a in range(len(self.arrangement))}
 
-    monkeypatch.setattr(IntersectionLattice, "join_steps", lying_steps)
+    monkeypatch.setattr(IntersectionLattice, "flats_through", lying_through)
     assert all(is_modular(lattice, f).modular for f in chain)
     assert not validate_certificate(forged)
     assert validate_certificate(genuine)
