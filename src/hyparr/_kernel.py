@@ -13,7 +13,11 @@ grows one residue at a time (``linalg.extend_by_rows``).
 of field elements (``elem_mul``, ``elem_inv``, ``eliminate``, ``monic``,
 ``rref``, ``rank``) builds the integer matrix of its multiplier, cached per
 element, and applies it to each element of a row.  A rational multiplier
-skips the matrix in ``eliminate``, as over ``Q`` (degree 1).
+skips the matrix in ``eliminate``, as over ``Q`` (degree 1).  The
+commonest degrees have their own paths inside these functions, with no
+function of their own: ``mul_apply`` unrolls degree 2 (orders 3, 4 and
+6), and over degree 1 ``reduce`` and ``monic`` read single entries by
+index rather than slicing one-element segments.
 
 An element of the cyclotomic field of degree ``d`` is a pair ``(nums, den)``:
 a tuple of ``d`` integer coordinates in the power basis over a single
@@ -90,7 +94,17 @@ def mul_matrix(e, d, red):
 
 def mul_apply(mat, nums, m, d):
     """The row of ``m`` packed elements ``nums``, each multiplied by the
-    element whose ``mul_matrix`` is ``mat``."""
+    element whose ``mul_matrix`` is ``mat``.  Degree 2 (orders 3, 4 and 6)
+    is unrolled into two products per element, coordinate by coordinate."""
+    if d == 2:
+        (a, b), (c, e) = mat
+        n = 2 * m
+        xs = nums[0:n:2]
+        ys = nums[1:n:2]
+        out = [0] * n
+        out[0::2] = [a * x + b * y for x, y in zip(xs, ys)]
+        out[1::2] = [c * x + e * y for x, y in zip(xs, ys)]
+        return out
     out = []
     for j in range(0, m * d, d):
         seg = nums[j:j + d]
@@ -275,7 +289,14 @@ def rank(rows, m, d, red):
 def reduce(cur, rows, pivots, m, d, red):
     """The numerators ``cur`` with every pivot column of the canonical rref
     ``rows`` cleared, over a positive multiple of cur's denominator: zero
-    exactly when cur lies in their span."""
+    exactly when cur lies in their span.  Over degree 1 the pivot entry is
+    read by index."""
+    if d == 1:
+        for (pn, pd), col in zip(rows, pivots):
+            e = cur[col]
+            if e:
+                cur = [x * pd - e * y for x, y in zip(cur, pn)]
+        return cur
     for (pn, pd), col in zip(rows, pivots):
         e = cur[col * d:(col + 1) * d]
         if any(e):
@@ -293,7 +314,13 @@ def lead_column(nums, d):
 
 def monic(nums, m, d, red):
     """The row of numerators ``nums`` (over any denominator) scaled to
-    leading coefficient 1, in canonical form, or None for the zero row."""
+    leading coefficient 1, in canonical form, or None for the zero row.
+    Over degree 1 the lead entry is read by index."""
+    if d == 1:
+        for v in nums:
+            if v:
+                return elem_norm(nums, v)
+        return None
     q = lead_column(nums, d)
     if q is None:
         return None

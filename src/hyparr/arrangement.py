@@ -17,9 +17,11 @@ one row (``extend_rref``) is the cover's.  The rank-2 flats over each
 hyperplane X group the others by that residue.  A cover X v H that the
 level already has is found by a bitset lookup, and the support of a new
 cover above rank 2 is read off the rank-2 flats through H, each decided by
-comparing one residue with H's.  Every new flat above rank 1 keeps X's
-RREF and H's residue, and is extended only when its subspace is read: as a
-parent with covers still to find, in a witness or a chain, or when printed.
+comparing one residue with H's.  Parents go largest first, so more of
+those lines meet them and fewer residues are compared.  Every new flat
+above rank 1 keeps X's RREF and H's row, with H's residue when the build
+compared it, and is extended only when its subspace is read: as a parent
+with covers still to find, in a witness or a chain, or when printed.
 
 Every lattice a command reads is made by ``lattice_of``.  When the forms
 split into two or more blocks of coordinates, two coordinates being linked
@@ -142,17 +144,19 @@ class Flat:
     RREF subspace is made eagerly for the bottom and the rank-1 flats of
     ``build_lattice`` and for the flats of ``closure`` and of the
     all-subsets oracle.  Every other flat defers it.  A flat
-    ``build_lattice`` enters above rank 1 holds its parent's
-    subspace and its residue modulo that subspace (``Flat.extending``), and
-    extends the one by the other the first time ``subspace`` is read
-    (``extend_rref``).  A flat made from its support (``Flat.of_support``:
-    cache loads, ``transport_lattice`` and ``lattice_of``) holds its
-    arrangement and grows the subspace from the full space by its
-    hyperplanes when first read (``_subspace_of``).  A deferred flat then
-    keeps the subspace, and keeps its source, so workers reading it at once
-    only derive an equal subspace more than once.  The hash reads the
-    support only, so sets and dicts of flats derive nothing; equality
-    compares supports, then subspaces.
+    ``build_lattice`` enters above rank 1 holds its parent's subspace and
+    the residue modulo it of a hyperplane that cuts the flat out of the
+    parent, or that hyperplane's row where the build compared no residue
+    (``Flat.extending``).  It extends the one by the residue the first time
+    ``subspace`` is read (``extend_rref``), reducing the row then
+    (``form_residue``) if need be.  A flat made from its support
+    (``Flat.of_support``: cache loads, ``transport_lattice`` and
+    ``lattice_of``) holds its arrangement and grows the subspace from the
+    full space by its hyperplanes when first read (``_subspace_of``).  A
+    deferred flat then keeps the subspace, and keeps its source, so workers
+    reading it at once only derive an equal subspace more than once.  The
+    hash reads the support only, so sets and dicts of flats derive nothing;
+    equality compares supports, then subspaces.
     """
 
     __slots__ = ("_subspace", "support", "rank", "_source")
@@ -175,16 +179,19 @@ class Flat:
         return flat
 
     @classmethod
-    def extending(cls, parent: Subspace, residue: Row, support: int, rank: int) -> Flat:
+    def extending(cls, parent: Subspace, residue: Row | None, row: Row | None,
+                  support: int, rank: int) -> Flat:
         """The cover of the flat with subspace ``parent`` by a hyperplane
-        whose residue modulo it is ``residue``, on the hyperplanes of ``support``,
-        its subspace extended when first read.  It holds the parent's
-        subspace, not its flat, so no chain of deferred parents forms."""
+        with packed ``row``, on the hyperplanes of ``support``, its subspace
+        extended when first read by the row's residue modulo ``parent``:
+        ``residue`` if the build has it, else reduced then.  It holds the
+        parent's subspace, not its flat, so no chain of deferred parents
+        forms."""
         flat = cls.__new__(cls)
         flat._subspace = None
         flat.support = support
         flat.rank = rank
-        flat._source = (parent, residue)
+        flat._source = (parent, residue, row)
         return flat
 
     @property
@@ -195,7 +202,8 @@ class Flat:
             if isinstance(source, Arrangement):
                 sub = _subspace_of(source, self.support, self.rank)
             else:
-                sub = extend_rref(*source)
+                parent, residue, row = source
+                sub = extend_rref(parent, residue or form_residue(row, parent))
             self._subspace = sub
         return sub
 
@@ -261,8 +269,9 @@ class IntersectionLattice:
 
     ``levels[k]`` lists the rank-k flats sorted by support bitset; ``index``
     maps each support to its flat.  A built lattice holds the subspaces of
-    its bottom and rank-1 flats and the parent's subspace and residue of
-    each flat above (``Flat.extending``); a loaded or transported one holds
+    its bottom and rank-1 flats and the parent's subspace and hyperplane
+    row, with its residue if the build compared it, of each flat above
+    (``Flat.extending``); a loaded or transported one holds
     supports and ranks only (``Flat.of_support``).  Either way a flat
     computes its subspace when first read.  The cover table (``covers()``)
     and the modular scan's mask tables (``flats_through``, per rank, and
@@ -517,9 +526,12 @@ def _children_of(arr: Arrangement, parent: Flat, level: _Level, lines: list | No
     cover as a whole: a line that meets the parent lies inside, one that
     meets ``covered`` outside the parent lies outside, since a hyperplane
     there lies in another cover, and any other lies inside exactly when its
-    member's residue equals H's.  Each residue is computed once per parent.  Every
-    new cover holds the parent's subspace and its residue, and is extended
-    only when its subspace is read (``Flat.extending``); the parent's is
+    member's residue equals H's.  Each residue is computed once per parent,
+    and H's own only when some line needs it compared: not for the top, nor
+    for a cover whose lines all meet the parent or ``covered``.  Every new
+    cover holds the parent's subspace, H's row and H's residue if it was
+    computed, and is extended only when its subspace is read
+    (``Flat.extending``), H's row reduced then if need be; the parent's is
     read only if some hyperplane is left.
     """
     level.check_budget()  # another worker may have gone over already
@@ -554,14 +566,15 @@ def _children_of(arr: Arrangement, parent: Flat, level: _Level, lines: list | No
             key = form_residue(hyperplanes[bit.bit_length() - 1].row, sub)
             groups[key] = groups.get(key, 0) | bit
         for residue, bits in groups.items():
-            level.add(Flat.extending(sub, residue, below | bits, 2))
+            level.add(Flat.extending(sub, residue, None, below | bits, 2))
         return
     rank = parent.rank + 1
     residues: dict[int, Row] = {}
     while rest:
         bit = rest & -rest
         h = bit.bit_length() - 1
-        key = residues.get(h) or form_residue(hyperplanes[h].row, sub)
+        row = hyperplanes[h].row
+        key = residues.get(h)
         bits = below | bit
         if rank == ambient:
             bits = full
@@ -571,13 +584,15 @@ def _children_of(arr: Arrangement, parent: Flat, level: _Level, lines: list | No
                 if line & below:
                     bits |= line
                 elif not line & off:
+                    if key is None:
+                        key = form_residue(row, sub)
                     residue = residues.get(member)
                     if residue is None:
                         residue = form_residue(hyperplanes[member].row, sub)
                         residues[member] = residue
                     if residue == key:
                         bits |= line
-        level.add(Flat.extending(sub, key, bits, rank))
+        level.add(Flat.extending(sub, key, row, bits, rank))
         covered |= bits
         rest &= ~bits
 
@@ -594,12 +609,16 @@ def build_lattice(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS,
     entered once.  From level 3 on, a new flat's support is read off the
     rank-2 flats through H (``_line_table``), skipping those that meet X's
     other covers and comparing one member's residue modulo X with H's for
-    each other.  Every flat above rank 1 keeps X's subspace and H's residue,
-    and extends the one by the other only when its subspace is read, as a
-    parent with covers left to find or by a caller.  Each level is sorted
-    by support
-    bitset, so the result is deterministic and identical for any worker
-    count; the workers of a level share its ``_Level``.  The flat budget is
+    each other.  The parents of a level go to ``_children_of`` largest
+    support first, ties by support: a larger X meets more lines through H,
+    so fewer residues are compared and more covers are found by lookup.
+    Every flat above rank 1 keeps X's subspace and H's row, with H's
+    residue only if some line needed it compared, and extends the one by
+    the other only when its subspace is read, as a parent with covers left
+    to find or by a caller.  Each level is sorted by support bitset, so the
+    result is deterministic and identical for any worker count, and each
+    subspace is the canonical RREF whichever parent entered the flat; the
+    workers of a level share its ``_Level``.  The flat budget is
     checked whenever a level gains a flat, so an oversized lattice is
     refused before its level is finished.
     """
@@ -609,8 +628,8 @@ def build_lattice(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS,
     lines = None
     while True:
         level = _Level(kept, max_flats)
-        parallel_map(lambda parent: _children_of(arr, parent, level, lines),
-                     levels[-1], threads)
+        parents = sorted(levels[-1], key=lambda f: (-f.support.bit_count(), f.support))
+        parallel_map(lambda parent: _children_of(arr, parent, level, lines), parents, threads)
         found = level.found
         if not found:
             break
@@ -626,23 +645,33 @@ class Factor:
     lattice, ``mask``, the input hyperplanes it holds, and the move of its
     supports to the input's hyperplane indices, both ways (``moved`` maps a
     factor support to the input's, ``flat_at`` an input support to the
-    factor's flat).  The factor's hyperplanes keep the input's order, so the
-    move keeps the order of supports."""
+    factor's flat, built on first read).  The factor's hyperplanes keep the
+    input's order, so the move keeps the order of supports."""
 
-    __slots__ = ("lattice", "mask", "moved", "flat_at")
+    __slots__ = ("lattice", "mask", "moved", "_flat_at")
 
     def __init__(self, lattice: IntersectionLattice, indices: list[int]):
         self.lattice = lattice
         bits = [1 << i for i in indices]
         self.moved: dict[int, int] = {}
-        self.flat_at: dict[int, Flat] = {}
         for f in lattice.flats():
             s = 0
             for bit in _bits(f.support):
                 s |= bits[bit.bit_length() - 1]
             self.moved[f.support] = s
-            self.flat_at[s] = f
         self.mask = self.moved[lattice.top().support]
+        self._flat_at: dict[int, Flat] | None = None
+
+    @property
+    def flat_at(self) -> dict[int, Flat]:
+        """Input support -> the factor's flat.  Built on first read, which
+        assembling the product does not make; a concurrent first call builds
+        an equal table, as ``covers()`` does."""
+        table = self._flat_at
+        if table is None:
+            moved = self.moved
+            table = self._flat_at = {moved[f.support]: f for f in self.lattice.flats()}
+        return table
 
     def upper(self, component: int) -> list[int]:
         """The input's supports of the factor flats covering the one on the

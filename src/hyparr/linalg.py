@@ -15,7 +15,7 @@ implementation of each: ``_kernel.reduce`` under ``form_residue`` and
 from __future__ import annotations
 
 from bisect import bisect_left
-from math import prod
+from math import gcd, prod
 
 from . import _kernel
 from .cyclo import CyclotomicNumber, elem_str, field_context
@@ -72,8 +72,17 @@ class LinearForm:
         return q
 
     def normalized(self) -> LinearForm:
+        """The form scaled to leading coefficient 1 in canonical form: the
+        form itself when its row already is, with tuple numerators whose
+        leading entry is the positive denominator and whose gcd is 1."""
         ctx = field_context(self.order)
-        row = _kernel.monic(self.row[0], self.ambient, ctx.degree, ctx.red)
+        nums, den = self.row
+        d = ctx.degree
+        q = _kernel.lead_column(nums, d)
+        if (q is not None and nums[q * d] == den > 0 and type(nums) is tuple
+                and not any(nums[q * d + 1:(q + 1) * d]) and gcd(*nums) == 1):
+            return self
+        row = _kernel.monic(nums, self.ambient, d, ctx.red)
         if row is None:
             raise ValueError("zero form has no leading coefficient")
         return LinearForm(self.ambient, self.order, row)

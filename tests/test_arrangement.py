@@ -147,12 +147,15 @@ class TestBuildLattice:
     # Kernel calls of a one-worker build.  No flat is fully row-reduced:
     # the rank-1 flats are normalized forms.  A flat above rank 1 is
     # extended only when its subspace is read: in the build, only as a
-    # parent with a cover still to find (in D4, 14 of the 34 rank-2 flats
-    # and the one coatom that finds the top; in G(3,1,3), of rank 3, the
-    # first rank-2 flat, which finds the top).  Its hyperplanes are decided
-    # by comparing residues, with no membership test.  Reading every
-    # subspace afterwards extends each flat above rank 1 once in all.
-    @pytest.mark.parametrize("name, extensions", [("D4", 15), ("G(3,1,3)", 1)])
+    # parent with a cover still to find.  Parents go largest first, so in
+    # D4 the 16 rank-2 flats of three hyperplanes are read and leave none
+    # of the 18 of two a cover to find, and the first of the 12 coatoms of
+    # six hyperplanes finds the top; in G(3,1,3), of rank 3, the first of
+    # the three rank-2 flats of five hyperplanes finds the top.  Its
+    # hyperplanes are decided by comparing residues, with no membership
+    # test.  Reading every subspace afterwards extends each flat above
+    # rank 1 once in all.
+    @pytest.mark.parametrize("name, extensions", [("D4", 17), ("G(3,1,3)", 1)])
     def test_one_worker_kernel_calls(self, monkeypatch, name, extensions):
         arr = build_named(name)
         calls = count_kernel_calls(monkeypatch)
@@ -162,6 +165,22 @@ class TestBuildLattice:
             f.subspace
         assert calls == {"rref": 0, "in_rowspace": 0,
                          "extend": len(lattice) - 1 - len(lattice.levels[1])}
+
+    # Residues (``form_residue``) of a one-worker build, those of parents
+    # read as they extend included.  A cover's own residue is reduced only
+    # when a line through its hyperplane needs it compared, or when its
+    # subspace is read; parents go largest first, so more lines meet them.
+    # Reducing every cover's residue as it was entered, parents in support
+    # order, took 3,936 and 3,775.
+    @pytest.mark.parametrize("name, residues", [("G31", 3070), ("G(4,1,5)", 2150)])
+    def test_one_worker_residues(self, monkeypatch, name, residues):
+        arr = build_named(name)
+        calls = []
+        real = hyparr.arrangement.form_residue
+        monkeypatch.setattr(hyparr.arrangement, "form_residue",
+                            lambda row, sub: calls.append(row) or real(row, sub))
+        build_lattice(arr, threads=1)
+        assert len(calls) == residues
 
     def test_max_flats_holds_within_a_level(self, monkeypatch):
         # G31 has 771 flats up to rank 2 and 1500 of rank 3: the build stops
@@ -244,8 +263,9 @@ def assert_canonical_subspaces(arr) -> int:
 
 
 class TestDeferredSubspaces:
-    """A flat the build enters above rank 2 holds its parent's subspace and
-    its residue, and extends the one by the other when first read."""
+    """A flat the build enters above rank 1 holds its parent's subspace and
+    a hyperplane's row, with the row's residue if the build compared it,
+    and extends the one by that residue when first read."""
 
     @pytest.mark.parametrize("name", [entry.name for entry in catalog()])
     def test_catalog_subspaces_are_canonical(self, name):
@@ -258,6 +278,21 @@ class TestDeferredSubspaces:
         assert len(benchmark_inputs[workload]) == {"lattice": 6, "products": 12}[workload]
         for arr in benchmark_inputs[workload]:
             assert_canonical_subspaces(arr)
+
+    @pytest.mark.parametrize("name", ["G31", "G(4,1,5)"])
+    def test_covers_without_a_residue_reduce_on_read(self, name):
+        # a cover whose lines all meet its parent or the parent's other
+        # covers, and the top, keep the hyperplane's row unreduced
+        arr = build_named(name)
+        lattice = build_lattice(arr)
+        unreduced = [f for f in lattice.flats()
+                     if f._subspace is None and f._source[1] is None]
+        assert lattice.top() in unreduced
+        assert {f.rank for f in unreduced} >= {arr.rank() - 1, arr.rank()}
+        for f in unreduced:
+            parent, _, row = f._source
+            assert form_residue(row, parent) is not None
+            assert f.subspace == _subspace_of(arr, f.support, f.rank)
 
     def test_concurrent_first_reads(self):
         arr = build_named("G31")

@@ -7,6 +7,7 @@ import pytest
 
 import hyparr
 import hyparr.cache
+import hyparr.cli
 from hyparr.analysis import is_supersolvable, poincare
 from hyparr.arrangement import Flat, _split, build_lattice, lattice_of, parallel_map
 from hyparr.cache import (arrangement_key, cache_path, lattice_from_payload,
@@ -296,6 +297,28 @@ class TestFactorEntries:
         assert len(list(tmp_path.iterdir())) == 3
         with open(planted, "r", encoding="utf-8") as fh:
             assert fh.read() == entry
+
+    def test_warm_lattice_builds_no_factor_flat_table(self, tmp_path, capsys, monkeypatch):
+        cache_dir = str(tmp_path)
+        spec = "product(B2,H3)"
+        assert main(["--json", "supersolvable", spec]) == 0
+        expected = capsys.readouterr().out
+        read = []
+
+        def recorded(*args):
+            read.append(load_or_build(*args))
+            return read[-1]
+        monkeypatch.setattr(hyparr.cli, "load_or_build", recorded)
+        for _ in ("cold", "warm"):
+            assert main(["--json", "--cache-dir", cache_dir, "lattice", spec]) == 0
+        capsys.readouterr()
+        # the lattice command reads only the factors' moved supports
+        assert len(read[-1].factors) == 2
+        assert all(f._flat_at is None for f in read[-1].factors)
+        assert main(["--json", "--cache-dir", cache_dir, "supersolvable", spec]) == 0
+        assert capsys.readouterr().out == expected
+        # the verdicts read each factor's flats by the product's supports
+        assert all(f._flat_at is not None for f in read[-1].factors)
 
     def test_product_over_budget_refused_before_assembly(self, tmp_path, monkeypatch):
         _, arr = resolve_spec("product(B3,A2)")

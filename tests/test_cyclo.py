@@ -125,6 +125,75 @@ class TestKernelMultiplication:
             assert _kernel.eliminate(cur, e, pn, pd, m, d, ctx.red) == expected
 
 
+def segment_product(mat, nums, m, d):
+    """Each length-d segment of ``nums`` multiplied by the matrix ``mat``,
+    row by row: the reference for ``mul_apply``."""
+    out = []
+    for j in range(0, m * d, d):
+        seg = nums[j:j + d]
+        out += [sum(r[k] * seg[k] for k in range(d)) for r in mat]
+    return out
+
+
+def random_row(rng, m, d):
+    return _kernel.elem_norm(random_coords(rng, m * d, dense=0.5), rng.randint(1, 9))
+
+
+DEGREE_PATH_CASES = 1000
+
+
+class TestKernelDegreePaths:
+    """The degree-1 paths of ``reduce`` and ``monic`` and the unrolled
+    degree-2 ``mul_apply``, with the general path at degree 4, against
+    references written out here, over orders of degree 1 (1, 2), 2 (3, 4,
+    6) and 4 (5, 8)."""
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 6, 5, 8])
+    def test_mul_apply_matches_segment_products(self, order):
+        ctx = field_context(order)
+        d = ctx.degree
+        rng = random.Random(4000 + order)
+        for _ in range(DEGREE_PATH_CASES):
+            mat = _kernel.mul_matrix(random_coords(rng, d), d, ctx.red)
+            m = rng.randint(1, 5)
+            nums = random_coords(rng, m * d, dense=0.5)
+            assert _kernel.mul_apply(mat, nums, m, d) == segment_product(mat, nums, m, d)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 6, 5, 8])
+    def test_reduce_then_monic_is_the_stacked_rref_row(self, order):
+        """The residue of a row modulo a canonical rref is the row of the
+        stacked rows' rref at the residue's leading column, and None
+        exactly when the stacked rref is the rref itself."""
+        ctx = field_context(order)
+        d, red = ctx.degree, ctx.red
+        rng = random.Random(5000 + order)
+        members = 0
+        for trial in range(DEGREE_PATH_CASES):
+            m = rng.randint(1, 4)
+            rows, pivots = _kernel.rref([random_row(rng, m, d) for _ in range(rng.randint(0, m))],
+                                        m, d, red)
+            if trial % 4 == 0 and rows:  # a member of the span
+                nums = [0] * (m * d)
+                den = 1
+                for pn, pd in rows:
+                    k = rng.randint(-3, 3)
+                    nums = [x * pd + k * y * den for x, y in zip(nums, pn)]
+                    den *= pd
+                row = _kernel.elem_norm(nums, den)
+            else:
+                row = random_row(rng, m, d)
+            residue = _kernel.monic(_kernel.reduce(row[0], rows, pivots, m, d, red), m, d, red)
+            full_rows, full_pivots = _kernel.rref(list(rows) + [row], m, d, red)
+            if residue is None:
+                assert (full_rows, full_pivots) == (rows, pivots)
+                members += 1
+                continue
+            q = _kernel.lead_column(residue[0], d)
+            assert full_pivots == tuple(sorted(pivots + (q,)))
+            assert full_rows[full_pivots.index(q)] == (tuple(residue[0]), residue[1])
+        assert members >= DEGREE_PATH_CASES // 5
+
+
 class TestKernelInverse:
     @pytest.mark.parametrize("order", [3, 4, 5, 7, 8, 9, 12, 15, 16])
     def test_matches_euclid(self, order):

@@ -6,6 +6,7 @@ import pytest
 
 import hyparr.linalg
 from hyparr import _kernel
+from hyparr.arrangement import make_arrangement
 from hyparr.cyclo import CyclotomicNumber, field_context, root_of_unity
 from hyparr.linalg import (LinearForm, contains, extend_by_rows, form_residue,
                            form_vanishes_on, full_space, intersect, subspace_from_forms,
@@ -285,6 +286,35 @@ class TestLinearForms:
     def test_zero_form_rejected(self):
         with pytest.raises(ValueError):
             q_form([0, 0, 0])
+
+    def test_canonical_form_normalizes_to_itself(self):
+        rng = random.Random(505)
+        for order in (1, 2, 3, 4, 5, 8):
+            for _ in range(50):
+                f = random_form(rng, rng.randint(1, 4), order)
+                assert f.normalized() is f
+        forms = [q_form([1, 2, 0]), q_form([0, 1, -1]), q_form([0, 0, 1])]
+        arr = make_arrangement(3, 1, forms)
+        assert all(a is b for a, b in zip(arr.hyperplanes, forms))
+
+    @pytest.mark.parametrize("order, row, canonical", [
+        # leading entry equal to the denominator, with a common factor
+        (1, ((2, 4, 6), 2), ((1, 2, 3), 1)),
+        (3, ((0, 0, 6, 0, 3, 9), 6), ((0, 0, 2, 0, 1, 3), 2)),
+        # a negative denominator
+        (1, ((-1, 3, 0), -1), ((1, -3, 0), 1)),
+        # list numerators, otherwise canonical
+        (1, ([1, 3, 0], 1), ((1, 3, 0), 1)),
+        # a leading entry 2i that is not 1: b + 1/(2i)*c = b - i/2*c
+        (4, ((0, 0, 0, 2, 1, 0), 1), ((0, 0, 2, 0, 0, -1), 2)),
+    ])
+    def test_noncanonical_row_goes_to_monic(self, order, row, canonical):
+        form = LinearForm(3, order, row)
+        ctx = field_context(order)
+        norm = form.normalized()
+        assert norm is not form
+        assert norm.row == canonical == _kernel.monic(row[0], 3, ctx.degree, ctx.red)
+        assert norm.normalized() is norm
 
     def test_scalar_multiples_identified(self):
         order = 3
