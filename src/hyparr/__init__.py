@@ -16,7 +16,7 @@ from .analysis import (ModularityVerdict, PoincarePolynomial, Rank2Report,
 from .arrangement import (Arrangement, Flat, IntersectionLattice, build_lattice,
                           brute_force_lattice, closure, deletion, essentialize,
                           irreducible_decomposition, lattice_of, localization,
-                          make_arrangement, product, restriction, transport_lattice)
+                          make_arrangement, product, restriction)
 from .cyclo import CyclotomicNumber, cyclotomic_polynomial, embed, root_of_unity
 from .errors import (HyparrError, InternalInconsistencyError, InvalidHyperplaneError,
                      ParseError, RefusalError)

@@ -64,8 +64,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import _kernel
-from .arrangement import (Arrangement, Flat, IntersectionLattice, _bits, closure, essentialize,
-                          parallel_map, transport_lattice)
+from .arrangement import Arrangement, Flat, IntersectionLattice, _bits, closure, parallel_map
 from .cyclo import field_context
 from .errors import InternalInconsistencyError, RefusalError
 from .linalg import LinearForm, Subspace, extend_by_rows, subspace_from_forms, subspace_sum
@@ -296,9 +295,10 @@ def is_supersolvable(lattice: IntersectionLattice, threads: int = 1
                      ) -> SupersolvabilityCertificate:
     """Search ``lattice`` for a maximal chain of modular flats, ranks 0..r(A).
 
-    A non-essential arrangement is essentialized first (recorded on the
-    certificate), and ``lattice`` is carried to the essential coordinates by
-    ``transport_lattice`` instead of rebuilt.
+    The certificate is of ``lattice`` itself.  Essentializing changes the
+    coordinates, not the lattice (Orlik-Terao, Ch. 1), so a non-essential
+    arrangement is only recorded as essentialized, from its rank, and
+    ``report.certificate_payload`` prints the essential coordinates.
     The full space, the center, and the rank-1 flats are always modular, so
     only interior flats are tested, each at most once, by ``is_modular``.
     The depth-first search starts from the rank-2 flats in flat order and
@@ -310,13 +310,10 @@ def is_supersolvable(lattice: IntersectionLattice, threads: int = 1
     are the interior ranks scanned in full, in ascending order, reusing the
     verdicts already found: the first rank with no modular flat refutes with
     that rank's verdicts as witnesses, and otherwise the refutation counts
-    every rank's modular flats.  The verdicts stay on the lattice the search ran on.
+    every rank's modular flats.  The verdicts stay on ``lattice``.
     """
-    ess = essentialize(lattice.arrangement)
-    essentialized = ess.ambient != lattice.arrangement.ambient
-    if essentialized:
-        lattice = transport_lattice(lattice, ess)
     r = lattice.rank()
+    essentialized = r != lattice.arrangement.ambient
     bottom = lattice.bottom()
     if r == 0:
         return SupersolvabilityCertificate(True, lattice, essentialized, [bottom])

@@ -149,14 +149,13 @@ class Flat:
     parent, or that hyperplane's row where the build compared no residue
     (``Flat.extending``).  It extends the one by the residue the first time
     ``subspace`` is read (``extend_rref``), reducing the row then
-    (``form_residue``) if need be.  A flat made from its support
-    (``Flat.of_support``: cache loads, ``transport_lattice`` and
-    ``lattice_of``) holds its arrangement and grows the subspace from the
-    full space by its hyperplanes when first read (``_subspace_of``).  A
-    deferred flat then keeps the subspace, and keeps its source, so workers
-    reading it at once only derive an equal subspace more than once.  The
-    hash reads the support only, so sets and dicts of flats derive nothing;
-    equality compares supports, then subspaces.
+    (``form_residue``) if need be.  A flat made from its support (cache
+    loads and ``lattice_of``) grows it from the full space by its
+    hyperplanes (``_subspace_of``).  A deferred flat then keeps the
+    subspace, and keeps its source, so workers reading it at once only
+    derive an equal subspace more than once.  The hash reads the support
+    only, so sets and dicts of flats derive nothing; equality compares
+    supports, then subspaces.
     """
 
     __slots__ = ("_subspace", "support", "rank", "_source")
@@ -271,19 +270,16 @@ class IntersectionLattice:
     maps each support to its flat.  A built lattice holds the subspaces of
     its bottom and rank-1 flats and the parent's subspace and hyperplane
     row, with its residue if the build compared it, of each flat above
-    (``Flat.extending``); a loaded or transported one holds
-    supports and ranks only (``Flat.of_support``).  Either way a flat
-    computes its subspace when first read.  The cover table (``covers()``)
-    and the modular scan's mask tables (``flats_through``, per rank, and
-    ``flats_under``, per pair of ranks) are built on first use; all read
-    supports only, so ``_tables`` holding them may be shared with a lattice
-    of the same supports (``transport_lattice``).  So may ``factors``, the
-    factor lattices of a product, set by ``lattice_of`` when it assembles
-    the lattice from them and None otherwise.  ``verdicts`` maps supports to modularity verdicts,
-    which hold this lattice's flats and are not shared.
+    (``Flat.extending``); a loaded one holds supports and ranks only
+    (``Flat.of_support``).  Either way a flat computes its subspace when
+    first read.  The cover table (``covers()``) and the modular scan's mask
+    tables (``flats_through``, ``flats_under``) are built on first use.
+    ``factors`` holds the factor lattices of a product that ``lattice_of``
+    assembled, else None.  ``verdicts`` maps supports to verdicts.
     """
 
-    __slots__ = ("arrangement", "levels", "index", "_tables", "verdicts")
+    __slots__ = ("arrangement", "levels", "index", "factors", "verdicts",
+                 "_covers", "_through", "_under")
 
     def __init__(self, arrangement: Arrangement, levels: tuple[tuple[Flat, ...], ...]):
         self.arrangement = arrangement
@@ -292,12 +288,11 @@ class IntersectionLattice:
         for level in levels:
             for f in level:
                 self.index[f.support] = f
-        self._tables: list = [None, {}, {}, None]  # covers, through, under, factors
+        self.factors: tuple[Factor, ...] | None = None
         self.verdicts: dict = {}
-
-    @property
-    def factors(self) -> tuple[Factor, ...] | None:
-        return self._tables[3]
+        self._covers: dict[int, tuple[int, ...]] | None = None
+        self._through: dict[int, dict[int, int]] = {}
+        self._under: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def flats(self):
         for level in self.levels:
@@ -327,7 +322,7 @@ class IntersectionLattice:
         concurrent first call builds an equal table, so the lazy build is
         safe from worker threads.
         """
-        table = self._tables[0]
+        table = self._covers
         if table is None:
             table = {}
             levels = self.levels
@@ -343,7 +338,7 @@ class IntersectionLattice:
                 for f in lower:
                     s = f.support
                     table[s] = tuple(u for u in by_atom.get(s & -s, ()) if u & s == s)
-            self._tables[0] = table
+            self._covers = table
         return table
 
     def upper_covers(self, support: int) -> tuple[int, ...] | list[int]:
@@ -369,14 +364,14 @@ class IntersectionLattice:
         X above the bottom; the flats through all of them are those above X.
         Built on first use, per rank; a concurrent first call builds an equal
         table, as ``covers()`` does."""
-        table = self._tables[1].get(rank)
+        table = self._through.get(rank)
         if table is None:
             table = {}
             for i, f in enumerate(self.levels[rank]):
                 bit = 1 << i
                 for atom in _bits(f.support):
                     table[atom] = table.get(atom, 0) | bit
-            self._tables[1][rank] = table
+            self._through[rank] = table
         return table
 
     def flats_under(self, rank: int, lower: int) -> tuple[int, ...]:
@@ -386,7 +381,7 @@ class IntersectionLattice:
         further down, the OR of those covers' own masks, memoized down the
         ranks.  Built on first use, per pair of ranks, as safely from worker
         threads as ``flats_through``."""
-        table = self._tables[2].get((rank, lower))
+        table = self._under.get((rank, lower))
         if table is None:
             if lower == rank - 1:
                 at = {f.support: i for i, f in enumerate(self.levels[rank])}
@@ -405,7 +400,7 @@ class IntersectionLattice:
                         m |= below[low.bit_length() - 1]
                         covered ^= low
                     masks.append(m)
-            table = self._tables[2][(rank, lower)] = tuple(masks)
+            table = self._under[(rank, lower)] = tuple(masks)
         return table
 
     def join(self, x: Flat, y: Flat) -> Flat:
@@ -792,7 +787,7 @@ def lattice_of(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS, threads: in
     lattice = IntersectionLattice(arr, tuple(
         tuple(Flat.of_support(arr, s, r) for s in sorted(level))
         for r, level in enumerate(_product_supports(factors))))
-    lattice._tables[3] = tuple(factors)
+    lattice.factors = tuple(factors)
     return lattice
 
 
@@ -902,24 +897,6 @@ def essentialize(arr: Arrangement) -> Arrangement:
     forms = [LinearForm(center.codim, arr.order, restrict_row(h.row, center.pivots, d))
              for h in arr.hyperplanes]
     return make_arrangement(center.codim, arr.order, forms)
-
-
-def transport_lattice(lattice: IntersectionLattice, ess: Arrangement) -> IntersectionLattice:
-    """The lattice of ``ess = essentialize(A)`` from the lattice of A, with
-    no field arithmetic.
-
-    ``essentialize`` keeps hyperplane order, so supports and ranks carry
-    over unchanged: each flat of ``ess`` is made from its support and
-    derives its subspace in the essential coordinates when read.  The cover
-    and mask tables and the factor lattices read supports only, so the two
-    lattices share them, and whichever of the two builds a table first
-    builds it for both.
-    """
-    moved = IntersectionLattice(ess, tuple(tuple(Flat.of_support(ess, f.support, f.rank)
-                                                 for f in level)
-                                           for level in lattice.levels))
-    moved._tables = lattice._tables
-    return moved
 
 
 def irreducible_decomposition(arr: Arrangement) -> list[Arrangement]:

@@ -58,10 +58,10 @@ def lattice_payload(lattice: IntersectionLattice) -> dict:
 def lattice_from_payload(arr: Arrangement, payload: dict,
                          max_flats: int | None = None) -> IntersectionLattice:
     """The lattice of a cache entry, checked by integers only to be shaped
-    like a built one: every level holds decimal supports in ascending order,
-    with no bit past the last hyperplane; the rank-1 supports partition the
-    hyperplanes; supports are distinct; and there is one bottom (no
-    hyperplanes) and one top (every hyperplane).  A failed check raises
+    like a built one: ``levels`` is a list of lists of decimal supports, each
+    ascending, with no bit past the last hyperplane; the rank-1 supports
+    partition the hyperplanes; supports are distinct; and there is one
+    bottom (no hyperplanes) and one top (every hyperplane).  A failed check raises
     ``ValueError`` (or ``TypeError`` for a support that is not a string).
     A support of the wrong rank passes, and its flat raises
     ``InternalInconsistencyError`` when its subspace is read.  An entry
@@ -74,7 +74,10 @@ def lattice_from_payload(arr: Arrangement, payload: dict,
         raise ValueError("cache entry describes a different arrangement")
     full = arr.full_support()
     levels = []
-    for rank, level in enumerate(payload["levels"]):
+    given = payload["levels"]
+    if not isinstance(given, list) or not all(isinstance(level, list) for level in given):
+        raise ValueError("cache entry has levels that are not lists")
+    for rank, level in enumerate(given):
         supports = [int(s, 10) for s in level]
         if not supports:
             raise ValueError(f"cache entry has no rank-{rank} flat")

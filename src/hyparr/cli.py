@@ -10,6 +10,7 @@ files.  Exit codes: 0 success, 1 verification failure, 2 parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -87,7 +88,9 @@ def _worker_count(text: str) -> int:
     return int(text)
 
 
+@functools.cache
 def _make_parser() -> argparse.ArgumentParser:
+    """Built once per process; ``main`` reads ``$HYPARR_CACHE_DIR`` at run time."""
     parser = argparse.ArgumentParser(
         prog="hyparr",
         description="Exact intersection lattices, modular elements and "
@@ -96,7 +99,7 @@ def _make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"hyparr {__version__}")
     parser.add_argument("--json", action="store_true",
                         help="emit a machine-readable JSON report on stdout")
-    parser.add_argument("--cache-dir", default=os.environ.get(CACHE_ENV),
+    parser.add_argument("--cache-dir",
                         help=f"lattice cache directory (default: ${CACHE_ENV})")
     parser.add_argument("--max-flats", type=int, default=DEFAULT_MAX_FLATS,
                         help="abort lattice builds beyond this many flats")
@@ -237,8 +240,9 @@ def _run(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _make_parser()
-    args = parser.parse_args(argv)
+    args = _make_parser().parse_args(argv)
+    if args.cache_dir is None:
+        args.cache_dir = os.environ.get(CACHE_ENV)
     try:
         return _run(args)
     except ParseError as exc:

@@ -36,6 +36,16 @@ def restrict_row(row: Row, columns, d: int) -> Row:
     return _kernel.elem_norm([v for c in columns for v in nums[c * d:(c + 1) * d]], row[1])
 
 
+def restrict_subspace(s: Subspace, columns: tuple[int, ...]) -> Subspace:
+    """``s`` on ``columns``, the pivots of an RREF whose subspace ``s`` contains
+    (the center, for ``essentialize``): each row of ``s`` is in its row space,
+    so it leads in ``columns`` and is 0 in the rest of them but its own pivot."""
+    d = field_context(s.order).degree
+    at = {c: k for k, c in enumerate(columns)}
+    return Subspace(len(columns), s.order, tuple(restrict_row(r, columns, d) for r in s.rows),
+                    tuple(at[p] for p in s.pivots))
+
+
 class LinearForm:
     """A nonzero linear form on C**l, normalized to leading coefficient 1."""
 

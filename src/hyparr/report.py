@@ -14,9 +14,9 @@ from json.encoder import encode_basestring_ascii as _encode_str
 
 from .analysis import (ModularityVerdict, PoincarePolynomial, Rank2Report,
                        SupersolvabilityCertificate)
-from .arrangement import Arrangement, Flat, IntersectionLattice
+from .arrangement import Arrangement, Flat, IntersectionLattice, essentialize
 from .cyclo import field_context, int_str, rational_str
-from .linalg import LinearForm, Subspace, form_to_str
+from .linalg import LinearForm, Subspace, form_to_str, restrict_subspace
 
 
 def form_payload(form: LinearForm) -> dict:
@@ -29,18 +29,20 @@ def form_payload(form: LinearForm) -> dict:
     return {"text": form_to_str(form), "coeffs": coeffs}
 
 
-def subspace_payload(sub: Subspace) -> dict:
+def subspace_payload(sub: Subspace, columns: tuple[int, ...] | None = None) -> dict:
+    """The subspace, restricted to ``columns`` if given (``restrict_subspace``)."""
+    sub = sub if columns is None else restrict_subspace(sub, columns)
     return {
         "codim": sub.codim,
         "forms": [form_payload(f) for f in sub.defining_forms()],
     }
 
 
-def flat_payload(flat: Flat) -> dict:
+def flat_payload(flat: Flat, columns: tuple[int, ...] | None = None) -> dict:
     return {
         "rank": flat.rank,
         "hyperplanes": flat.hyperplane_indices(),
-        "subspace": subspace_payload(flat.subspace),
+        "subspace": subspace_payload(flat.subspace, columns),
     }
 
 
@@ -68,32 +70,36 @@ def lattice_payload(lattice: IntersectionLattice) -> dict:
     }
 
 
-def verdict_payload(v: ModularityVerdict) -> dict:
-    out = {"flat": flat_payload(v.flat), "modular": v.modular}
+def verdict_payload(v: ModularityVerdict, columns: tuple[int, ...] | None = None) -> dict:
+    out = {"flat": flat_payload(v.flat, columns), "modular": v.modular}
     if v.witness is not None:
         y, total = v.witness
         out["witness"] = {
-            "partner": flat_payload(y),
-            "sum": subspace_payload(total),
+            "partner": flat_payload(y, columns),
+            "sum": subspace_payload(total, columns),
         }
     return out
 
 
 def certificate_payload(cert: SupersolvabilityCertificate) -> dict:
+    """The certificate; for a non-essential arrangement, its flats and witness
+    sums contain the center (the top), so they print on its pivot columns."""
     out: dict = {
         "supersolvable": cert.verdict,
         "essentialized": cert.essentialized,
         "rank": cert.lattice.rank(),
     }
+    columns = None
     if cert.essentialized:
-        out["essential_arrangement"] = arrangement_payload(cert.lattice.arrangement)
+        out["essential_arrangement"] = arrangement_payload(essentialize(cert.lattice.arrangement))
+        columns = cert.lattice.top().subspace.pivots
     if cert.chain is not None:
-        out["chain"] = [flat_payload(f) for f in cert.chain]
+        out["chain"] = [flat_payload(f, columns) for f in cert.chain]
     if cert.refutation is not None:
         ref: dict = {"kind": cert.refutation.kind}
         if cert.refutation.kind == "empty-rank":
             ref["rank"] = cert.refutation.rank
-            ref["witnesses"] = [verdict_payload(v) for v in cert.refutation.witnesses]
+            ref["witnesses"] = [verdict_payload(v, columns) for v in cert.refutation.witnesses]
         else:
             ref["modular_counts"] = {str(k): v for k, v in
                                      sorted(cert.refutation.modular_counts.items())}

@@ -13,7 +13,7 @@ from hyparr.analysis import (ModularityVerdict, Refutation, SupersolvabilityCert
                              irreducible_factor_count, is_modular, is_supersolvable, mobius,
                              modular_flats_of_rank, poincare, replay_witness,
                              validate_certificate)
-from hyparr.arrangement import (Flat, build_lattice, closure, essentialize,
+from hyparr.arrangement import (Arrangement, Flat, build_lattice, closure, essentialize,
                                 irreducible_decomposition, make_arrangement, product)
 from hyparr.cli import resolve_spec
 from hyparr.errors import InternalInconsistencyError, RefusalError
@@ -146,16 +146,37 @@ class TestModularFlatsOfRank:
         assert [v.modular for v in seq] == [v.modular for v in par]
 
 
+def is_modular_calls(monkeypatch) -> list[int]:
+    """The supports ``is_modular`` tests from now on, in order."""
+    tested = []
+    real = hyparr.analysis.is_modular
+
+    def counted(lattice, x):
+        tested.append(x.support)
+        return real(lattice, x)
+
+    monkeypatch.setattr(hyparr.analysis, "is_modular", counted)
+    return tested
+
+
 class TestIsSupersolvable:
-    def test_given_lattice_of_non_essential_input_is_not_rebuilt(self):
+    def test_given_lattice_of_non_essential_input_is_not_rebuilt(self, monkeypatch):
         arr = _pair("B2", "A(3)")
         lattice = build_lattice(arr)
-        cert = is_supersolvable(lattice)
-        assert cert.essentialized and cert.lattice.arrangement == essentialize(arr)
-        # transported, not rebuilt: a rebuilt lattice has tables of its own
-        assert cert.lattice._tables is lattice._tables
-        assert cert.lattice.level_sizes() == lattice.level_sizes()
+        tested = is_modular_calls(monkeypatch)
+        with monkeypatch.context() as m:
+            # the rank says the input is not essential; no center is computed
+            m.setattr(Arrangement, "center", None)
+            cert = is_supersolvable(lattice)
+        assert cert.essentialized and cert.lattice is lattice
+        assert lattice.level_sizes() == build_lattice(essentialize(arr)).level_sizes()
         assert validate_certificate(cert)
+        # the search's verdicts stay on the given lattice: a rank-2 scan after
+        # it tests only the flats the search did not
+        searched = set(tested)
+        tested.clear()
+        modular_flats_of_rank(lattice, 2)
+        assert sorted(tested) == sorted({f.support for f in lattice.levels[2]} - searched)
 
     def test_low_rank_always_true(self):
         for arr in (make_arrangement(2, 1, []),
@@ -298,14 +319,7 @@ class TestVerdictMemo:
     """Each lattice keeps the verdicts of the flats tested on it."""
 
     def test_rank2_scan_tests_only_what_the_search_did_not(self, monkeypatch):
-        tested = []
-        real = hyparr.analysis.is_modular
-
-        def counted(lattice, x):
-            tested.append(x.support)
-            return real(lattice, x)
-
-        monkeypatch.setattr(hyparr.analysis, "is_modular", counted)
+        tested = is_modular_calls(monkeypatch)
         cert = is_supersolvable(build_lattice(build_named("G(3,1,3)")))
         assert cert.verdict and tested
         searched = set(tested)
@@ -319,14 +333,29 @@ class TestVerdictMemo:
         assert modular_flats_of_rank(cert.lattice, 2, threads=2) == verdicts
         assert tested == []
 
-    def test_transported_lattice_keeps_its_own_verdicts(self):
+    def test_non_essential_lattice_keeps_the_search_verdicts(self, monkeypatch):
         arr = build_named("A(3)")
         lattice = build_lattice(arr)
+        tested = is_modular_calls(monkeypatch)
         cert = is_supersolvable(lattice)
-        assert cert.essentialized and cert.lattice is not lattice
+        assert cert.essentialized and cert.lattice is lattice
+        searched = set(tested)
+        tested.clear()
         for v in modular_flats_of_rank(lattice, 2):
             assert v.flat is lattice.index[v.flat.support]
             assert v.flat.subspace.ambient == arr.ambient
+        assert sorted(tested) == sorted({f.support for f in lattice.levels[2]} - searched)
+        # D4 padded by a fifth coordinate is refuted at rank 2, so its search
+        # tests every rank-2 flat, and a rank-2 scan after it tests none
+        lattice = build_lattice(product(build_named("D4"), make_arrangement(1, 1, [])))
+        tested.clear()
+        cert = is_supersolvable(lattice)
+        assert cert.essentialized and cert.lattice is lattice
+        assert cert.refutation.kind == "empty-rank" and cert.refutation.rank == 2
+        assert len(tested) == len(lattice.levels[2])
+        tested.clear()
+        assert modular_flats_of_rank(lattice, 2) == cert.refutation.witnesses
+        assert tested == []
 
 
 class TestMobiusPoincare:

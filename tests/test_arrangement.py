@@ -15,18 +15,20 @@ import pytest
 
 import hyparr.arrangement
 from hyparr import _kernel
+from hyparr.analysis import is_supersolvable, modular_flats_of_rank
 from hyparr.arrangement import (Arrangement, _subspace_of, brute_force_lattice, build_lattice,
                                 closure, deletion, essentialize,
                                 irreducible_decomposition, localization, make_arrangement,
-                                parallel_map, product, restriction, transport_lattice)
+                                parallel_map, product, restriction)
 from hyparr.cli import resolve_spec
 from hyparr.cyclo import CyclotomicNumber, embed, field_context
 from hyparr.errors import InvalidHyperplaneError, RefusalError
-from hyparr.linalg import (LinearForm, extend_rref, form_residue, intersect,
+from hyparr.linalg import (LinearForm, extend_rref, form_residue, intersect, restrict_subspace,
                            subspace_from_forms, subspace_from_rows)
 from hyparr.parse import parse_arrangement_text, parse_form
 from hyparr.reflection import (build_named, catalog, exceptional_arrangement,
                                monomial_arrangement)
+from hyparr.report import arrangement_payload, certificate_payload
 from tests.conftest import random_arrangement, v1_lattice_payload
 
 BOOLEAN3 = "ambient 3 field 1\na\nb\nc\n"
@@ -612,14 +614,33 @@ class TestEssentialize:
             checked += 1
 
 
-def _flat_data(lattice):
-    return [[(f.support, f.rank, f.subspace.ambient, f.subspace.rows, f.subspace.pivots)
-             for f in level] for level in lattice.levels]
+def _subspace_data(sub, columns=None):
+    if columns is not None:
+        sub = restrict_subspace(sub, columns)
+    return sub.ambient, sub.rows, sub.pivots
 
 
-class TestTransportLattice:
-    """The essential lattice carried over from a non-essential one equals a
-    fresh build of the essentialized arrangement, flat for flat."""
+def _flat_data(lattice, columns=None):
+    return [[(f.support, f.rank, *_subspace_data(f.subspace, columns)) for f in level]
+            for level in lattice.levels]
+
+
+def _witness_data(lattice, columns=None):
+    """Every interior verdict's flat, partner and witness sum, the sum
+    restricted to ``columns`` when given."""
+    out = []
+    for k in range(2, lattice.rank()):
+        for v in modular_flats_of_rank(lattice, k):
+            if v.witness is not None:
+                y, total = v.witness
+                out.append((v.flat.support, y.support, *_subspace_data(total, columns)))
+    return out
+
+
+class TestEssentialCoordinates:
+    """The flats of a non-essential arrangement, and its witness sums,
+    restricted to the pivot columns of its center, equal those of a fresh
+    build of the essentialized arrangement in rows and pivots."""
 
     @pytest.mark.parametrize("pair", [("G(3,1,3)", "A(3)"), ("G(3,3,3)", "A(3)"),
                                       ("A2", "G(3,1,3)"), ("B2", "A(3)"), ("A(3)", "H3")])
@@ -627,43 +648,48 @@ class TestTransportLattice:
         arr = product(build_named(pair[0]), build_named(pair[1]))
         ess = essentialize(arr)
         assert ess.ambient < arr.ambient
-        moved = transport_lattice(build_lattice(arr), ess)
-        assert moved.arrangement == ess
-        assert _flat_data(moved) == _flat_data(build_lattice(ess))
+        columns = arr.center().pivots
+        lattice, fresh = build_lattice(arr), build_lattice(ess)
+        assert _flat_data(lattice, columns) == _flat_data(fresh)
+        assert _witness_data(lattice, columns) == _witness_data(fresh)
 
     def test_random_non_essential(self):
+        # one coordinate is always essential; five give rank-3 and rank-4
+        # inputs with witness sums
         rng = random.Random(1975)
-        checked = 0
+        checked = sums = 0
         for _ in range(120):
-            arr = random_arrangement(rng, rng.randint(1, 4), rng.choice([1, 3, 4]),
+            arr = random_arrangement(rng, rng.randint(2, 5), rng.choice([1, 3, 4]),
                                      max_hyperplanes=7)
             ess = essentialize(arr)
             if ess.ambient == arr.ambient:
                 continue
-            moved = transport_lattice(build_lattice(arr), ess)
-            assert _flat_data(moved) == _flat_data(build_lattice(ess)), arr
+            columns = arr.center().pivots
+            lattice, fresh = build_lattice(arr), build_lattice(ess)
+            assert _flat_data(lattice, columns) == _flat_data(fresh), arr
+            witnesses = _witness_data(lattice, columns)
+            assert witnesses == _witness_data(fresh), arr
             checked += 1
-        assert checked >= 20
+            sums += len(witnesses)
+        assert checked >= 20 and sums >= 20
 
-    @pytest.mark.parametrize("factors", [("B2", "A(3)"), ("point", "G(3,3,3)")],
-                             ids=["B2xA(3)", "point x G(3,3,3)"])
-    def test_tables_shared_with_the_source(self, factors):
-        # point x G(3,3,3) is essential, so its transport keeps every column
+    @pytest.mark.parametrize("factors", [("B2", "A(3)"), ("point", "G(3,3,3)"), ("A(3)", "B2")],
+                             ids=["B2xA(3)", "point x G(3,3,3)", "A(3)xB2"])
+    def test_certificate_prints_the_essential_build(self, factors):
+        # point x G(3,3,3) is essential, so its certificate keeps every column;
+        # the center of A(3) x B2 has no pivot in A(3)'s last column
         point = parse_arrangement_text("ambient 1 field 1\na\n")
         arr = product(*(point if f == "point" else build_named(f) for f in factors))
         lattice = build_lattice(arr)
+        cert = is_supersolvable(lattice)
         ess = essentialize(arr)
-        moved = transport_lattice(lattice, ess)
-        fresh = build_lattice(ess)
-        ranks = range(moved.rank() + 1)
-        pairs = [(k, lower) for k in ranks for lower in range(k)]
-        # built on the moved one
-        assert [moved.flats_through(k) for k in ranks] == [fresh.flats_through(k) for k in ranks]
-        assert [moved.flats_under(*p) for p in pairs] == [fresh.flats_under(*p) for p in pairs]
-        assert all(lattice.flats_through(k) is moved.flats_through(k) for k in ranks)
-        assert all(lattice.flats_under(*p) is moved.flats_under(*p) for p in pairs)
-        assert lattice.covers() is moved.covers()
-        assert moved.covers() == fresh.covers()
+        assert cert.lattice is lattice and cert.essentialized == (ess is not arr)
+        printed = certificate_payload(cert)
+        fresh = certificate_payload(is_supersolvable(build_lattice(ess)))
+        if cert.essentialized:
+            assert printed.pop("essential_arrangement") == arrangement_payload(ess)
+            assert printed.pop("essentialized") and not fresh.pop("essentialized")
+        assert printed == fresh
 
 
 class TestIrreducibleDecomposition:

@@ -254,6 +254,38 @@ class TestCache:
         arr = monomial_arrangement(2, 1, 2)
         assert cache_path(arr, str(tmp_path)) == cache_path(arr, str(tmp_path))
 
+    # the levels of two lines in the plane are 0; 1, 2; 3 (lines that split
+    # by coordinates are cached as two factors instead).  A string level
+    # iterates as its characters and a dict as its keys, so both of these
+    # read as that lattice while levels were not checked to be lists
+    FORGED_LEVELS = {
+        "string-levels": ["0", "12", ["3"]],
+        "dict-levels": {"0": [], "12": [], "3": []},
+    }
+
+    @pytest.mark.parametrize("forged", sorted(FORGED_LEVELS))
+    def test_levels_that_are_not_lists_are_rebuilt(self, tmp_path, capsys, forged):
+        spec = tmp_path / "lines.arr"
+        spec.write_text("ambient 2 field 1\na\na + b\n")
+        argv = ["--json", "lattice", str(spec)]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        cache_dir = str(tmp_path / "cache")
+        _, arr = resolve_spec(str(spec))
+        path = save_lattice(build_lattice(arr), cache_dir)
+        with open(path, "r", encoding="utf-8") as fh:
+            good = fh.read()
+        forged_entry = dict(json.loads(good), levels=self.FORGED_LEVELS[forged])
+        with pytest.raises(ValueError, match="levels that are not lists"):
+            lattice_from_payload(arr, forged_entry)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(forged_entry, fh)
+        assert load_lattice(arr, cache_dir) is None
+        assert main(["--cache-dir", cache_dir] + argv) == 0
+        assert capsys.readouterr().out == cold
+        with open(path, "r", encoding="utf-8") as fh:
+            assert fh.read() == good  # the entry was rebuilt and overwritten
+
 
 class TestFactorEntries:
     """A product is cached as one entry per factor, and never as a whole."""

@@ -379,6 +379,18 @@ class TestMoreSurface:
         assert code == EXIT_OK
         assert list(tmp_path.glob("*.json"))
 
+    def test_parser_is_built_once(self, capsys, tmp_path, monkeypatch):
+        from hyparr.cli import _make_parser
+
+        run_cli(capsys, "build", "A2")
+        built = _make_parser.cache_info().misses
+        # the environment is read per run, not when the parser was built
+        monkeypatch.setenv("HYPARR_CACHE_DIR", str(tmp_path))
+        assert run_cli(capsys, "lattice", "A2")[0] == EXIT_OK
+        assert run_cli(capsys, "--cache-dir", "", "lattice", "B2")[0] == EXIT_OK
+        assert _make_parser.cache_info().misses == built == 1
+        assert len(list(tmp_path.glob("*.json"))) == 1
+
     def test_threads_flag_matches_single_worker(self, capsys):
         _, one, _ = run_cli(capsys, "--json", "modular", "G25", "--rank", "2")
         _, four, _ = run_cli(capsys, "--json", "--threads", "4",
@@ -538,6 +550,37 @@ class TestSearchOutputs:
     def test_json_stdout_is_unchanged(self, capsys, argv, threads):
         code, out, _ = run_cli(capsys, "--json", "--threads", threads, *argv)
         assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == self.STDOUT_SHA256[argv]
+
+
+class TestEssentializedOutputs:
+    # SHA-256 of the --json stdout, recorded while certificates of
+    # non-essential input were searched on a second lattice built in the
+    # essential coordinates; the restricted rows must print the same
+    # chains, refutations and witness sums
+    STDOUT_SHA256 = {
+        ("supersolvable", "product(G(3,3,3),A(3))"):
+            "2e3bbd776ca321b5cdf8fcc5af4228c2cb057ef03242b4059311cdc213a63c82",
+        ("supersolvable", "product(D4,A(3))"):
+            "bbbeb93d82e9c5d331ed79aba6928acb017147ab8c87eb06494b77287eb53c5e",
+        ("poincare", "product(A2,G(3,1,3))"):
+            "3e31f9a6be750bd9f28d7817ee1b4a370ad9b57dca6d1a6c109b3b59e53c1fa8",
+        ("supersolvable", "d4-moved.arr"):
+            "4b1817762cc1e6ff9788f90cc84f2fad7d93a72006ed6c06296ec1616bba6ef0",
+    }
+    # D4 with x1 -> x1 + 2*x5 and x4 -> x4 + x5: the products above refute
+    # with no-chain, and this one at rank 2, printing 34 witness sums whose
+    # rows are nonzero in the column the restriction drops
+    D4_MOVED = ("ambient 5 field 1\nx1 - x2 + 2*x5\nx1 + x2 + 2*x5\nx1 - x3 + 2*x5\n"
+                "x1 + x3 + 2*x5\nx1 - x4 + x5\nx1 + x4 + 3*x5\nx2 - x3\nx2 + x3\n"
+                "x2 - x4 - x5\nx2 + x4 + x5\nx3 - x4 - x5\nx3 + x4 + x5\n")
+
+    @pytest.mark.parametrize("argv", sorted(STDOUT_SHA256))
+    def test_json_stdout_is_unchanged(self, capsys, tmp_path, monkeypatch, argv):
+        (tmp_path / "d4-moved.arr").write_text(self.D4_MOVED)
+        monkeypatch.chdir(tmp_path)  # the file's name is printed as given
+        code, out, _ = run_cli(capsys, "--json", *argv)
+        assert code == EXIT_OK and '"essentialized": true' in out
         assert hashlib.sha256(out.encode()).hexdigest() == self.STDOUT_SHA256[argv]
 
 
