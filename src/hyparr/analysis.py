@@ -56,7 +56,8 @@ lattice, so each flat is tested once per lattice.
 A supersolvable certificate's chain also gives the exponents, which must
 agree with the factorization of the Poincare polynomial
 (``checked_exponents``), and the polynomial's root -1 counts the
-irreducible factors (``irreducible_factor_count``).
+irreducible factors (``irreducible_factor_count``).  Both divide by
+``cyclo.poly_divmod``, the program's one polynomial division.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from dataclasses import dataclass, field
 
 from . import _kernel
 from .arrangement import Arrangement, Flat, IntersectionLattice, _bits, closure, parallel_map
-from .cyclo import field_context
+from .cyclo import elem_str, field_context, poly_divmod
 from .errors import InternalInconsistencyError, RefusalError
 from .linalg import LinearForm, Subspace, extend_by_rows, subspace_from_forms, subspace_sum
 
@@ -163,16 +164,7 @@ class PoincarePolynomial:
         return len(self.coefficients) - 1
 
     def __str__(self):
-        parts = []
-        for k, c in enumerate(self.coefficients):
-            if c == 0:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            else:
-                t = "t" if k == 1 else f"t^{k}"
-                parts.append(t if c == 1 else f"{c}*{t}")
-        return " + ".join(parts) or "0"
+        return elem_str(self.coefficients, 1, "t")
 
 
 def _require_flat(lattice: IntersectionLattice, x: Flat) -> Flat:
@@ -486,36 +478,26 @@ def poincare(arr: Arrangement, lattice: IntersectionLattice) -> PoincarePolynomi
 def exponents_from_poincare(poly: PoincarePolynomial) -> list[int]:
     """Factor the polynomial as a product of (1 + b t) with positive integer b.
 
-    Peels integer roots off the reversed (monic) polynomial in increasing
-    order, so the result is the sorted multiset of exponents.
+    The ascending coefficients reversed are those of the monic polynomial
+    t^r * p(1/t), whose roots are the -b.  Each step divides it
+    (``poly_divmod``) by (t + b) for the smallest b that divides its
+    constant term and leaves no remainder, so the result is the sorted
+    multiset of exponents.
     """
-    # The ascending coefficients of the polynomial, read as descending, are
-    # exactly the monic reversed polynomial t^r * p(1/t); its roots are -b_i.
-    rev = list(poly.coefficients)
+    rev = poly.coefficients[::-1]
     out: list[int] = []
     while len(rev) > 1:
-        const = rev[-1]
-        b = 1
-        found = False
-        while b <= abs(const):
-            if const % b == 0:
-                value = 0
-                for c in rev:
-                    value = value * (-b) + c
-                if value == 0:
-                    # synthetic division by (t + b)
-                    quot: list[int] = []
-                    for c in rev[:-1]:
-                        quot.append(c if not quot else c - quot[-1] * b)
-                    rev = quot
-                    out.append(b)
-                    found = True
+        for b in range(1, abs(rev[0]) + 1):
+            if rev[0] % b == 0:
+                quot, rem = poly_divmod(rev, (b, 1))
+                if not rem:
                     break
-            b += 1
-        if not found:
+        else:
             raise InternalInconsistencyError(
                 f"polynomial {poly} does not factor over the integers")
-    return sorted(out)
+        rev = quot
+        out.append(b)
+    return out
 
 
 def checked_exponents(poly: PoincarePolynomial,
@@ -536,18 +518,15 @@ def irreducible_factor_count(poly: PoincarePolynomial) -> int:
     of a product is the product of its factors' polynomials, and each
     irreducible factor has the root -1 exactly once, since the quotient by
     (1 + t) at t = -1 is, up to sign, Crapo's beta invariant, which is
-    nonzero exactly for a connected matroid (Crapo, 1967)."""
-    desc = list(reversed(poly.coefficients))
-    count = 0
-    while len(desc) > 1:
-        # synthetic division by (t + 1); the last entry is the remainder
-        quot = [desc[0]]
-        for c in desc[1:]:
-            quot.append(c - quot[-1])
-        if quot.pop():
+    nonzero exactly for a connected matroid (Crapo, 1967).  The count is
+    the number of divisions of the polynomial by (1 + t), by
+    ``poly_divmod``, that leave no remainder."""
+    rest, count = poly.coefficients, 0
+    while len(rest) > 1:
+        quot, rem = poly_divmod(rest, (1, 1))
+        if rem:
             break
-        desc = quot
-        count += 1
+        rest, count = quot, count + 1
     return count
 
 

@@ -155,8 +155,9 @@ def load_lattice(arr: Arrangement, cache_dir: str,
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
         return lattice_from_payload(arr, payload, max_flats)
-    except (ValueError, KeyError, TypeError, AttributeError, OSError):
-        # unreadable, stale or malformed (JSON of the wrong shape) entries are misses
+    except (ValueError, KeyError, TypeError, AttributeError, OSError, RecursionError):
+        # unreadable (nested too deep for the decoder included), stale or
+        # malformed (JSON of the wrong shape) entries are misses
         return None
 
 

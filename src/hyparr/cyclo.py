@@ -4,6 +4,8 @@ A field element is stored in the power basis 1, zeta, ..., zeta**(phi(n)-1)
 modulo the n-th cyclotomic polynomial, with one positive integer denominator
 under integer numerator coordinates.  That representation is canonical, so
 equality is coordinate-wise and values hash.  No floating point is used.
+Phi_n is built, and reduced modulo, by the one polynomial division
+``poly_divmod``, which also factors Poincare polynomials (``analysis``).
 
 >>> i = root_of_unity(4, 1)
 >>> i * i == CyclotomicNumber.from_rational(-1, 4)
@@ -19,36 +21,36 @@ from math import gcd
 from . import _kernel
 
 
-def _poly_divmod_int(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder for integer polynomials, ascending coefficients.
+def poly_divmod(num, den) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer polynomials with ascending
+    coefficients by the monic ``den``; the remainder has no trailing zeros.
+    The program's one polynomial division: it builds Phi_n, reduces modulo
+    it, and factors Poincare polynomials.
 
-    Raises if a division step is not exact over the integers; the cyclotomic
-    recursion only ever divides by monic factors, where this cannot happen.
+    >>> poly_divmod([2, 3, 1], [1, 1])
+    ([2, 1], [])
     """
-    num = list(num)
-    dd = len(den) - 1
-    lead = den[dd]
-    q = [0] * (len(num) - dd)
-    for k in range(len(num) - dd - 1, -1, -1):
-        c = num[dd + k]
-        if c % lead:
-            raise ArithmeticError("non-exact polynomial division")
-        c //= lead
-        q[k] = c
+    d = len(den) - 1
+    if d < 0 or den[d] != 1:
+        raise ValueError("polynomial division needs a monic divisor")
+    rem = list(num)
+    q = [0] * (len(rem) - d)  # empty when num is the shorter
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = rem[d + k]
         if c:
-            for j in range(dd + 1):
-                num[j + k] -= c * den[j]
-    while num and num[-1] == 0:
-        num.pop()
-    return q, num
+            for j in range(d + 1):
+                rem[k + j] -= c * den[j]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return q, rem
 
 
 @cache
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of the n-th cyclotomic polynomial, ascending and monic.
 
-    Computed by exact division of x**n - 1 by the cyclotomic polynomials of
-    the proper divisors of n.
+    Computed by exact division (``poly_divmod``) of x**n - 1 by the
+    cyclotomic polynomials of the proper divisors of n.
 
     >>> cyclotomic_polynomial(1)
     (-1, 1)
@@ -62,7 +64,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            poly, rem = _poly_divmod_int(poly, list(cyclotomic_polynomial(d)))
+            poly, rem = poly_divmod(poly, cyclotomic_polynomial(d))
             if rem:
                 raise ArithmeticError("cyclotomic division left a remainder")
     return tuple(poly)
@@ -89,20 +91,11 @@ def field_context(order: int) -> FieldContext:
 
 
 def _reduce_long(nums: list[int], order: int) -> list[int]:
-    """Reduce an integer coefficient vector of any length modulo Phi_order."""
+    """An integer coefficient vector of any length modulo Phi_order: the
+    remainder of ``poly_divmod``, padded to phi(order) coordinates."""
     ctx = field_context(order)
-    phi = ctx.phi
-    d = ctx.degree
-    nums = list(nums)
-    for k in range(len(nums) - 1, d - 1, -1):
-        c = nums[k]
-        if c:
-            nums[k] = 0
-            for j in range(d):
-                nums[k - d + j] -= c * phi[j]
-    del nums[d:]
-    nums.extend([0] * (d - len(nums)))
-    return nums
+    rem = poly_divmod(nums, ctx.phi)[1]
+    return rem + [0] * (ctx.degree - len(rem))
 
 
 class CyclotomicNumber:
@@ -233,10 +226,12 @@ class CyclotomicNumber:
         return elem_str(self.nums, self.den)
 
 
-def elem_str(nums, den: int) -> str:
+def elem_str(nums, den: int, var: str = "z") -> str:
     """Expression-syntax rendering of the element with coordinates
     ``nums``/``den``, e.g. '1/2 - 2*z + z^3'; '0' for the zero element.
-    Each coefficient is put in lowest terms by ``rational_str``.
+    Each coefficient is put in lowest terms by ``rational_str``.  ``var``
+    names the power basis: 'z' for field elements, 't' for the Poincare
+    polynomial.
 
     >>> elem_str((1, -4, 0, 2), 2)
     '1/2 - 2*z + z^3'
@@ -249,7 +244,7 @@ def elem_str(nums, den: int) -> str:
         if k == 0:
             body = rational_str(mag, den)
         else:
-            unit = "z" if k == 1 else f"z^{k}"
+            unit = var if k == 1 else f"{var}^{k}"
             body = unit if mag == den else f"{rational_str(mag, den)}*{unit}"
         if not parts:
             parts.append(body if v > 0 else f"-{body}")

@@ -363,6 +363,6 @@ def parse_arrangement_file(path: str) -> Arrangement:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # missing, or not UTF-8
         raise ParseError(f"cannot read arrangement file {path}: {exc}") from None
     return parse_arrangement_text(text, source=path)

@@ -8,7 +8,8 @@ import pytest
 
 import hyparr._kernel
 import hyparr.analysis
-from hyparr.analysis import (ModularityVerdict, Refutation, SupersolvabilityCertificate,
+from hyparr.analysis import (ModularityVerdict, PoincarePolynomial, Refutation,
+                             SupersolvabilityCertificate,
                              check_rank2_criterion, checked_exponents, exponents_from_poincare,
                              irreducible_factor_count, is_modular, is_supersolvable, mobius,
                              modular_flats_of_rank, poincare, replay_witness,
@@ -454,6 +455,18 @@ class TestChainExponents:
         poly = poincare(arr, lattice)
         assert checked_exponents(poly, cert) == cert.chain_exponents()
 
+    def test_polynomial_without_integer_roots_raises(self):
+        # 1 + 3t + 3t^2: its reversal t^2 + 3t + 3 has no integer root
+        with pytest.raises(InternalInconsistencyError) as exc:
+            exponents_from_poincare(PoincarePolynomial((1, 3, 3)))
+        assert "polynomial 1 + 3*t + 3*t^2 does not factor" in str(exc.value)
+
+    @pytest.mark.parametrize("coefficients, text", [
+        ((0,), "0"), ((1, 1), "1 + t"), ((1, 0, 2), "1 + 2*t^2"),
+        ((1, 6, 11, 6), "1 + 6*t + 11*t^2 + 6*t^3")])
+    def test_printed_polynomial(self, coefficients, text):
+        assert str(PoincarePolynomial(coefficients)) == text
+
     def test_swapped_chain_flat_raises(self):
         cert = is_supersolvable(build_lattice(monomial_arrangement(2, 1, 3)))  # B3: 1, 3, 5
         poly = poincare(cert.lattice.arrangement, cert.lattice)
@@ -488,6 +501,11 @@ class TestFactorCount:
         ess = essentialize(arr)
         count = irreducible_factor_count(poincare(arr, build_lattice(arr)))
         assert count == len(irreducible_decomposition(ess)) == 3
+
+    def test_polynomial_examples(self):
+        # (1 + t)^3 (1 + 2t) has the root -1 three times; 1 has no root
+        assert irreducible_factor_count(PoincarePolynomial((1, 5, 9, 7, 2))) == 3
+        assert irreducible_factor_count(PoincarePolynomial((1,))) == 0
 
     def test_trivial_ranks(self):
         empty = make_arrangement(3, 1, [])

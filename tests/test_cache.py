@@ -142,6 +142,23 @@ class TestCache:
             fh.write("{not json")
         assert load_lattice(arr, str(tmp_path)) is None
 
+    @pytest.mark.parametrize("depth", [1_000, 100_000])
+    def test_too_deeply_nested_entry_rebuilt(self, tmp_path, capsys, depth):
+        # JSON the decoder gives up on with RecursionError, not ValueError
+        argv = ["--json", "lattice", "B2"]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        cache_dir = str(tmp_path)
+        path = save_lattice(build_lattice(build_named("B2")), cache_dir)
+        with open(path, "r", encoding="utf-8") as fh:
+            good = fh.read()
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("[" * depth + "]" * depth)
+        assert main(["--cache-dir", cache_dir] + argv) == 0
+        assert capsys.readouterr().out == cold
+        with open(path, "r", encoding="utf-8") as fh:
+            assert fh.read() == good  # the entry was rebuilt and overwritten
+
     @pytest.mark.parametrize("malformed", sorted(MALFORMED))
     def test_malformed_entry_rebuilt_by_cli(self, tmp_path, capsys, malformed):
         assert_malformed_entry_rebuilt(tmp_path, capsys, "G(3,1,3)", malformed)

@@ -126,6 +126,16 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "build", str(path))
         assert code == EXIT_PARSE_ERROR
 
+    # a UTF-8 header and form, then the byte 0xff, which no UTF-8 text holds
+    @pytest.mark.parametrize("argv", [("build", "{}"), ("build", "file:{}"),
+                                      ("lattice", "product({},A2)")])
+    def test_non_utf8_file_is_parse_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "bad.arr"
+        path.write_bytes(b"ambient 2 field 1\na\n\xff\n")
+        code, _, err = run_cli(capsys, argv[0], argv[1].format(path))
+        assert code == EXIT_PARSE_ERROR
+        assert f"cannot read arrangement file {path}" in err
+
     def test_deep_nesting_is_parse_error(self, capsys, tmp_path):
         path = tmp_path / "deep.arr"
         path.write_text("ambient 2 field 1\n" + "(" * 2000 + "x1" + ")" * 2000 + "\n")
@@ -582,6 +592,24 @@ class TestEssentializedOutputs:
         code, out, _ = run_cli(capsys, "--json", *argv)
         assert code == EXIT_OK and '"essentialized": true' in out
         assert hashlib.sha256(out.encode()).hexdigest() == self.STDOUT_SHA256[argv]
+
+
+class TestPoincareOutputs:
+    # SHA-256 of the --json stdout, recorded while polynomials were divided
+    # by four loops of their own: exponents printed (G(4,1,5)), an
+    # empty-rank refutation over field order 5 (H3), and a no-chain product
+    # whose polynomial is multiplied from its factors' (B2 x D4)
+    STDOUT_SHA256 = {
+        "G(4,1,5)": "7d5e227cda2f7afc1616a1e0cca1785be67a803d262c4a188461daaf700d4e66",
+        "H3": "ac77160596b1cefefed5346913117545a42a5950509b1ac72d71da70bff5ed4b",
+        "product(B2,D4)": "634fe101b27e576920c8b892afc2f2d40d3af14c6117d1a7d35fee2424a66d63",
+    }
+
+    @pytest.mark.parametrize("spec", sorted(STDOUT_SHA256))
+    def test_json_stdout_is_unchanged(self, capsys, spec):
+        code, out, _ = run_cli(capsys, "--json", "poincare", spec)
+        assert code == EXIT_OK
+        assert sha256(out) == self.STDOUT_SHA256[spec]
 
 
 def sha256(text: str) -> str:

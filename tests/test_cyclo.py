@@ -4,6 +4,7 @@ import cmath
 import random
 import sys
 from fractions import Fraction
+from itertools import zip_longest
 from math import lcm
 
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from hyparr import _kernel
 from hyparr.cyclo import (CyclotomicNumber, cyclotomic_polynomial, embed,
-                          field_context, int_str, rational_str, root_of_unity)
+                          field_context, int_str, poly_divmod, rational_str,
+                          root_of_unity)
 
 ORDERS = [1, 2, 3, 4, 5, 12]
 
@@ -22,6 +24,13 @@ def poly_mul(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
+
+
+def trimmed(p):
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return p
 
 
 def euclid_inverse(a, d, phi):
@@ -242,6 +251,31 @@ class TestCyclotomicPolynomial:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             cyclotomic_polynomial(0)
+
+
+class TestPolyDivmod:
+    """q * den + rem == num with len(rem) < len(den), for the divisors the
+    program divides by (Phi_n, t + b) and for random monic ones."""
+
+    def test_division_identity(self):
+        rng = random.Random(33)
+        divisors = [list(cyclotomic_polynomial(n)) for n in range(1, 31)]
+        divisors += [[b, 1] for b in range(-20, 21)]
+        for _ in range(1500):
+            if rng.random() < 0.8:
+                den = rng.choice(divisors)
+            else:
+                den = [rng.randint(-9, 9) for _ in range(rng.randint(0, 6))] + [1]
+            num = [rng.randint(-50, 50) for _ in range(rng.randint(0, 40))]
+            q, rem = poly_divmod(num, den)
+            assert len(rem) < len(den) and (not rem or rem[-1])
+            total = [a + b for a, b in zip_longest(poly_mul(q, den), rem, fillvalue=0)]
+            assert trimmed(total) == trimmed(num)
+
+    def test_non_monic_divisor_rejected(self):
+        for den in ([1, 2], [3], [1, 0], []):
+            with pytest.raises(ValueError, match="monic"):
+                poly_divmod([1, 2, 3], den)
 
 
 class TestExamples:
