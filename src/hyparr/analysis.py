@@ -16,10 +16,12 @@ complement is the first failing flat of a scan over every flat, and the
 witnesses are the same.  The scan decides a whole rank of complements at
 once: a rank-r complement Y fails exactly when X v Y has rank below
 r(X) + r, that is when Y lies under some flat of rank r(X) + r - 1 above X,
-and all of them fail once that rank reaches the top.  The lattice's mask
-tables (``IntersectionLattice.flats_through`` and ``flats_under``) turn
-that into a few ORs and ANDs of bitmasks over one level, and the first
-failing complement is the lowest set bit at the lowest rank that has one.
+and all of them fail once that rank reaches the top.  The lattice's one
+incidence table per rank (``IntersectionLattice.flats_through``), the
+flats above X read off it (``above``) and the lower flats of each flat
+built from it (``flats_under``) turn that into a few ORs and ANDs of
+bitmasks over one level, and the first failing complement is the lowest
+set bit at the lowest rank that has one.
 The bottom, the atoms and the top are modular in every geometric lattice
 and are not scanned.  The scan records the first failing Y and its meet,
 the bottom, only.  ``ModularityVerdict.certify`` checks that witness over
@@ -44,17 +46,19 @@ the same (``_verdict_from_factors``).
 
 Supersolvability is the existence of a maximal chain of modular flats
 (Stanley, 1972).  ``is_supersolvable`` searches for one depth first, up the
-upper covers from the rank-2 flats (off the factor lattices, for a
-product), and tests each flat by ``is_modular`` on its first visit, so a
-supersolvable arrangement has only the flats along its search path tested.
+upper covers from the rank-2 flats (``upper_covers``: read off the same
+table, or off the factor lattices for a product), and tests each flat by
+``is_modular`` on its first visit, so a supersolvable arrangement has only
+the flats along its search path tested.
 Only a failed search scans the interior ranks in full, for the witnesses of
 an empty rank or the counts of a ``no-chain`` refutation.  The
 exploration order is that of a search over the full scan, so the chain and
 the refutation are the same as after one.  Verdicts are kept on the
 lattice, so each flat is tested once per lattice.
 
-A supersolvable certificate's chain also gives the exponents, which must
-agree with the factorization of the Poincare polynomial
+The Poincare polynomial sums the Moebius function, which ``mobius`` reads
+up the same upper covers.  A supersolvable certificate's chain also gives
+the exponents, which must agree with the factorization of the polynomial
 (``checked_exponents``), and the polynomial's root -1 counts the
 irreducible factors (``irreducible_factor_count``).  Both divide by
 ``cyclo.poly_divmod``, the program's one polynomial division.
@@ -192,8 +196,8 @@ def is_modular(lattice: IntersectionLattice, x: Flat) -> ModularityVerdict:
     and every one fails once that rank reaches r(A).  Per rank, the
     complements are the rank-r flats through none of X's hyperplanes, and
     the failing ones among them are the OR, over the flats of rank
-    r(X) + r - 1 through all of X's hyperplanes, of the rank-r flats under
-    each (``flats_through``, ``flats_under``): a few bitmask operations per
+    r(X) + r - 1 above X (``above``), of the rank-r flats under each
+    (``flats_through``, ``flats_under``): a few bitmask operations per
     rank, no flat visited one by one.  The partner is the lowest set bit at
     the lowest rank that has one.  The complements form an order ideal, so
     the scan stops, modular, at the first rank without one.  The atoms
@@ -223,9 +227,7 @@ def is_modular(lattice: IntersectionLattice, x: Flat) -> ModularityVerdict:
             break
         span = x.rank + r - 1
         if span < top:
-            above, upper = -1, lattice.flats_through(span)
-            for a in atoms:
-                above &= upper[a]
+            above = lattice.above(x.support, span)
             under, failing = lattice.flats_under(span, r), 0
             while above:
                 low = above & -above
@@ -296,7 +298,7 @@ def is_supersolvable(lattice: IntersectionLattice, threads: int = 1
     The depth-first search starts from the rank-2 flats in flat order and
     climbs through the upper covers of the current flat in flat order
     (``upper_covers``: off the factor lattices of a product, so its own
-    cover table is never built), testing a flat on its first visit and
+    mask tables are never built), testing a flat on its first visit and
     skipping the flats from which no chain extends; the first chain in this
     order is returned, with nothing else tested.  Only when no chain exists
     are the interior ranks scanned in full, in ascending order, reusing the
@@ -429,14 +431,15 @@ def validate_certificate(cert: SupersolvabilityCertificate) -> bool:
 
 def mobius(lattice: IntersectionLattice) -> dict[Flat, int]:
     """Moebius values from the bottom element, by Weisner's theorem over the
-    cover table: for the lowest atom a of X > 0, mu(X) = -sum mu(Y) over the
-    lower covers Y of X that do not lie over a (Weisner, 1935; Stanley,
-    *Enumerative Combinatorics I*, 3.9).  Each cover pair is read once."""
-    covers = lattice.covers()
+    cover relation: for the lowest atom a of X > 0, mu(X) = -sum mu(Y) over
+    the lower covers Y of X that do not lie over a (Weisner, 1935; Stanley,
+    *Enumerative Combinatorics I*, 3.9).  Each cover pair is read once, up
+    the upper covers of each flat (``upper_covers``)."""
+    upper = lattice.upper_covers
     values = {lattice.bottom().support: 1}
     for f in lattice.flats():
         s, mu = f.support, values[f.support]
-        for c in covers[s]:
+        for c in upper(s):
             if not s & (c & -c):
                 values[c] = values.get(c, 0) - mu
     return {f: values[f.support] for f in lattice.flats()}
@@ -449,7 +452,7 @@ def poincare(arr: Arrangement, lattice: IntersectionLattice) -> PoincarePolynomi
     A lattice with factors (``IntersectionLattice.factors``) is not walked:
     the polynomial of a product is the product of its factors' polynomials
     (Orlik-Terao, Lemma 2.50), each from ``mobius`` on its factor lattice,
-    so the product's cover table is not built.  Either way the constant
+    so the product's mask tables are not built.  Either way the constant
     term must be 1, every coefficient positive, and the linear coefficient
     the number of hyperplanes, the lattice's rank-1 flats.  ``arr``, the
     lattice's arrangement, is not read."""

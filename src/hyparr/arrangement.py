@@ -23,6 +23,12 @@ above rank 1 keeps X's RREF and H's row, with H's residue when the build
 compared it, and is extended only when its subspace is read: as a parent
 with covers still to find, in a witness or a chain, or when printed.
 
+A lattice keeps one incidence table per rank, the flats of that rank
+through each hyperplane (``IntersectionLattice.flats_through``), and reads
+every cover relation off it: the flats of a rank above a flat are the AND
+of its hyperplanes' masks (``above``).  ``join`` reads the levels alone,
+so it checks those masks independently.
+
 Every lattice a command reads is made by ``lattice_of``.  When the forms
 split into two or more blocks of coordinates, two coordinates being linked
 when some form uses both, it takes each block's lattice on the block's
@@ -272,14 +278,14 @@ class IntersectionLattice:
     row, with its residue if the build compared it, of each flat above
     (``Flat.extending``); a loaded one holds supports and ranks only
     (``Flat.of_support``).  Either way a flat computes its subspace when
-    first read.  The cover table (``covers()``) and the modular scan's mask
-    tables (``flats_through``, ``flats_under``) are built on first use.
+    first read.  Its one incidence table, ``flats_through``, is built per
+    rank on first use, and every cover relation is read off it (``above``).
     ``factors`` holds the factor lattices of a product that ``lattice_of``
     assembled, else None.  ``verdicts`` maps supports to verdicts.
     """
 
     __slots__ = ("arrangement", "levels", "index", "factors", "verdicts",
-                 "_covers", "_through", "_under")
+                 "_through", "_under")
 
     def __init__(self, arrangement: Arrangement, levels: tuple[tuple[Flat, ...], ...]):
         self.arrangement = arrangement
@@ -290,7 +296,6 @@ class IntersectionLattice:
                 self.index[f.support] = f
         self.factors: tuple[Factor, ...] | None = None
         self.verdicts: dict = {}
-        self._covers: dict[int, tuple[int, ...]] | None = None
         self._through: dict[int, dict[int, int]] = {}
         self._under: dict[tuple[int, int], tuple[int, ...]] = {}
 
@@ -313,45 +318,37 @@ class IntersectionLattice:
     def bottom(self) -> Flat:
         return self.levels[0][0]
 
-    def covers(self) -> dict[int, tuple[int, ...]]:
-        """Support -> supports of the flats covering it, by bitset inclusion.
+    def above(self, support: int, rank: int) -> int:
+        """The rank-``rank`` flats whose support holds ``support``, as a mask
+        over ``levels[rank]``: the AND of ``flats_through(rank)`` over its
+        hyperplanes, the whole level for the bottom."""
+        mask = (1 << len(self.levels[rank])) - 1
+        through = self.flats_through(rank)
+        while support:
+            atom = support & -support
+            mask &= through[atom]
+            support ^= atom
+        return mask
 
-        A rank-(k+1) flat covers a rank-k flat iff its support contains that
-        flat's support, so only the upper flats holding the lower flat's
-        lowest atom are tried (all of them, for the bottom).  Built once; a
-        concurrent first call builds an equal table, so the lazy build is
-        safe from worker threads.
-        """
-        table = self._covers
-        if table is None:
-            table = {}
-            levels = self.levels
-            for k, lower in enumerate(levels):
-                upper = levels[k + 1] if k + 1 < len(levels) else ()
-                by_atom: dict[int, list[int]] = {0: [f.support for f in upper]}
-                for f in upper:
-                    s = f.support
-                    while s:
-                        atom = s & -s
-                        by_atom.setdefault(atom, []).append(f.support)
-                        s ^= atom
-                for f in lower:
-                    s = f.support
-                    table[s] = tuple(u for u in by_atom.get(s & -s, ()) if u & s == s)
-            self._covers = table
-        return table
-
-    def upper_covers(self, support: int) -> tuple[int, ...] | list[int]:
+    def upper_covers(self, support: int) -> list[int]:
         """The supports of the flats covering the flat of ``support``, in
-        flat order.  With factors, they are read off the factor lattices and
-        no cover table of this lattice is built: a flat (x_1, ..., x_m) is
-        covered by the flats with one x_i replaced by one of its covers in
-        factor i (Orlik-Terao, Prop. 2.14).  Otherwise they are read off
-        ``covers()``."""
+        flat order: the flats one rank up whose support holds it
+        (``above``).  With factors, they are read off the factor lattices
+        and no mask table of this lattice is built: a flat (x_1, ..., x_m)
+        is covered by the flats with one x_i replaced by one of its covers
+        in factor i (Orlik-Terao, Prop. 2.14)."""
         factors = self.factors
-        if not factors:
-            return self.covers()[support]
-        return sorted(support & ~f.mask | c for f in factors for c in f.upper(support & f.mask))
+        if factors:
+            return sorted(support & ~f.mask | c for f in factors for c in f.upper(support & f.mask))
+        rank = self.index[support].rank + 1
+        if rank == len(self.levels):
+            return []
+        level, mask, out = self.levels[rank], self.above(support, rank), []
+        while mask:
+            low = mask & -mask
+            out.append(level[low.bit_length() - 1].support)
+            mask ^= low
+        return out
 
     def meet(self, x: Flat, y: Flat) -> Flat:
         """Greatest lower bound: the flat supported on the common hyperplanes."""
@@ -361,9 +358,9 @@ class IntersectionLattice:
         """Hyperplane bit -> the rank-``rank`` flats holding that hyperplane,
         as a mask over ``levels[rank]``: bit i for its i-th flat in flat
         order.  The flats through any of X's hyperplanes are those that meet
-        X above the bottom; the flats through all of them are those above X.
-        Built on first use, per rank; a concurrent first call builds an equal
-        table, as ``covers()`` does."""
+        X above the bottom; the flats through all of them are those above X
+        (``above``).  Built on first use, per rank; a concurrent first call
+        builds an equal table, so worker threads may share it."""
         table = self._through.get(rank)
         if table is None:
             table = {}
@@ -377,19 +374,18 @@ class IntersectionLattice:
     def flats_under(self, rank: int, lower: int) -> tuple[int, ...]:
         """For each rank-``rank`` flat Z, in flat order, the rank-``lower``
         flats under Z (``lower < rank``), as a mask over ``levels[lower]``.
-        One rank down they are Z's lower covers, read off ``covers()``;
-        further down, the OR of those covers' own masks, memoized down the
-        ranks.  Built on first use, per pair of ranks, as safely from worker
-        threads as ``flats_through``."""
+        One rank down they are Z's lower covers: bit j in every flat above
+        the j-th rank-``lower`` flat (``above``); further down, the OR of
+        those covers' own masks, memoized down the ranks.  Built on first
+        use, per pair of ranks, as safely from worker threads as
+        ``flats_through``."""
         table = self._under.get((rank, lower))
         if table is None:
             if lower == rank - 1:
-                at = {f.support: i for i, f in enumerate(self.levels[rank])}
-                masks = [0] * len(at)
-                covers = self.covers()
+                masks = [0] * len(self.levels[rank])
                 for j, w in enumerate(self.levels[lower]):
-                    for c in covers[w.support]:
-                        masks[at[c]] |= 1 << j
+                    for bit in _bits(self.above(w.support, rank)):
+                        masks[bit.bit_length() - 1] |= 1 << j
             else:
                 below = self.flats_under(rank - 1, lower)
                 masks = []
@@ -405,21 +401,13 @@ class IntersectionLattice:
 
     def join(self, x: Flat, y: Flat) -> Flat:
         """Least upper bound of one pair, the flat of the subspace
-        intersection: walk up the covers from x, each step to the one cover
-        holding the lowest atom of y still missing, so at most r(A) bitset
-        steps.  The modular scan decides whole ranks by the mask tables
-        instead; this walk is the independent check of those masks."""
-        hit = self.index.get(x.support | y.support)
-        if hit is not None:
-            return hit
-        covers = self.covers()
-        s = x.support
-        missing = y.support & ~s
-        while missing:
-            atom = missing & -missing
-            s = next(c for c in covers[s] if c & atom)
-            missing = y.support & ~s
-        return self.index[s]
+        intersection: the lowest-rank flat whose support holds both
+        supports, read off ``levels`` alone.  The modular scan decides whole
+        ranks by the mask tables instead; this search reads none of them, so
+        it is the independent check of those masks."""
+        s = x.support | y.support
+        return next(f for level in self.levels[max(x.rank, y.rank):] for f in level
+                    if f.support & s == s)
 
     def sum_membership(self, x: Flat, y: Flat) -> tuple[bool, Flat]:
         """Whether x + y is again a flat, plus the closure of x + y.
@@ -428,7 +416,7 @@ class IntersectionLattice:
         exactly when it contains both x and y.  Since dim(x + y) =
         dim x + dim y - dim(x .cap. y), the sum is that flat iff the rank
         identity r(x) + r(y) = r(x v y) + r(x ^ y) holds, which needs only
-        the rank of the join x v y, walked by ``join``.
+        the rank of the join x v y, found by ``join``.
         The modular scan decides its pairs without this test, which checks
         any single pair independently of the scan.
         """
@@ -661,7 +649,7 @@ class Factor:
     def flat_at(self) -> dict[int, Flat]:
         """Input support -> the factor's flat.  Built on first read, which
         assembling the product does not make; a concurrent first call builds
-        an equal table, as ``covers()`` does."""
+        an equal table, as ``flats_through`` does."""
         table = self._flat_at
         if table is None:
             moved = self.moved
@@ -671,7 +659,8 @@ class Factor:
     def upper(self, component: int) -> list[int]:
         """The input's supports of the factor flats covering the one on the
         input's support ``component``, in flat order."""
-        return [self.moved[c] for c in self.lattice.covers()[self.flat_at[component].support]]
+        return [self.moved[c] for c in
+                self.lattice.upper_covers(self.flat_at[component].support)]
 
 
 def _coordinate_blocks(arr: Arrangement) -> tuple[list[int], list[int]]:
@@ -775,7 +764,7 @@ def lattice_of(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS, threads: in
     stay on the result (``IntersectionLattice.factors``), where
     ``is_modular`` reads the product's verdicts off theirs, the chain
     search its covers (``upper_covers``) and ``poincare`` its polynomial, so
-    no command builds the product's cover table.  Input that splits only
+    no command builds the product's mask tables.  Input that splits only
     after a change of coordinates is built directly.
     """
     parts = _split(arr)

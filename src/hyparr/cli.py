@@ -82,7 +82,7 @@ def resolve_spec(spec: str, nesting: int = 0) -> tuple[str, Arrangement]:
                      "not a product(...) expression, not a readable file")
 
 
-def _worker_count(text: str) -> int:
+def _positive_count(text: str) -> int:
     if not text.isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a whole number of at least 1, got {text!r}")
     return int(text)
@@ -101,9 +101,9 @@ def _make_parser() -> argparse.ArgumentParser:
                         help="emit a machine-readable JSON report on stdout")
     parser.add_argument("--cache-dir",
                         help=f"lattice cache directory (default: ${CACHE_ENV})")
-    parser.add_argument("--max-flats", type=int, default=DEFAULT_MAX_FLATS,
+    parser.add_argument("--max-flats", type=_positive_count, default=DEFAULT_MAX_FLATS,
                         help="abort lattice builds beyond this many flats")
-    parser.add_argument("--threads", type=_worker_count, default=1,
+    parser.add_argument("--threads", type=_positive_count, default=1,
                         help="worker threads for lattice builds and modular scans; "
                              "output is identical for any N")
     sub = parser.add_subparsers(dest="command", required=True)

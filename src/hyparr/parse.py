@@ -360,9 +360,11 @@ def parse_arrangement_text(text: str, source: str = "<string>") -> Arrangement:
 
 
 def parse_arrangement_file(path: str) -> Arrangement:
+    """The arrangement in a UTF-8 file; a byte-order mark at its start is
+    skipped, as the ``utf-8-sig`` codec would, without loading that codec."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            text = fh.read().removeprefix("\ufeff")
     except (OSError, UnicodeDecodeError) as exc:  # missing, or not UTF-8
         raise ParseError(f"cannot read arrangement file {path}: {exc}") from None
     return parse_arrangement_text(text, source=path)

@@ -9,12 +9,12 @@ import tracemalloc
 
 import pytest
 
-from hyparr.arrangement import Arrangement, _split
+from hyparr.arrangement import Arrangement, _split, build_lattice
 from hyparr.cli import (EXIT_OK, EXIT_PARSE_ERROR, EXIT_REFUSED,
                         EXIT_VERIFICATION_FAILED, main, resolve_spec)
-from hyparr.errors import ParseError
+from hyparr.errors import ParseError, RefusalError
 from hyparr.linalg import LinearForm
-from hyparr.reflection import catalog
+from hyparr.reflection import build_named, catalog
 from tests.test_factors import CRITERION_5
 
 
@@ -135,6 +135,17 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, argv[0], argv[1].format(path))
         assert code == EXIT_PARSE_ERROR
         assert f"cannot read arrangement file {path}" in err
+
+    # a UTF-8 byte-order mark before the header is skipped
+    @pytest.mark.parametrize("spec", ["{}", "file:{}", "product({},A2)"])
+    def test_byte_order_mark_is_skipped(self, capsys, tmp_path, spec):
+        text = "ambient 2 field 1\na\nb\n"
+        (tmp_path / "plain.arr").write_bytes(text.encode())
+        (tmp_path / "bom.arr").write_bytes(b"\xef\xbb\xbf" + text.encode())
+        want = run_cli(capsys, "--json", "lattice", spec.format(tmp_path / "plain.arr"))
+        got = run_cli(capsys, "--json", "lattice", spec.format(tmp_path / "bom.arr"))
+        assert got[0] == want[0] == EXIT_OK
+        assert got[1].replace("bom.arr", "plain.arr") == want[1]
 
     def test_deep_nesting_is_parse_error(self, capsys, tmp_path):
         path = tmp_path / "deep.arr"
@@ -414,6 +425,18 @@ class TestMoreSurface:
         assert exc.value.code == EXIT_PARSE_ERROR
         assert "--threads" in capsys.readouterr().err
 
+    # a budget below 1 is a usage error, as for --threads, not a refusal
+    @pytest.mark.parametrize("budget, command", [("-1", "lattice"), ("0", "poincare")])
+    def test_max_flats_below_one_rejected(self, capsys, budget, command):
+        with pytest.raises(SystemExit) as exc:
+            main(["--max-flats", budget, command, "B2"])
+        assert exc.value.code == EXIT_PARSE_ERROR
+        err = capsys.readouterr().err
+        assert "--max-flats" in err and "at least 1" in err
+        # a library call with such a budget is still refused
+        with pytest.raises(RefusalError):
+            build_lattice(build_named("B2"), max_flats=int(budget))
+
     def test_arrangement_file_round_trip(self, tmp_path):
         from hyparr.arrangement import arrangement_to_text
         from hyparr.parse import parse_arrangement_text
@@ -610,6 +633,25 @@ class TestPoincareOutputs:
         code, out, _ = run_cli(capsys, "--json", "poincare", spec)
         assert code == EXIT_OK
         assert sha256(out) == self.STDOUT_SHA256[spec]
+
+
+class TestCoverOutputs:
+    # SHA-256 of the --json stdout, recorded while a per-flat cover table,
+    # built apart from the incidence masks, served the Moebius walk and the
+    # chain search: the polynomial of a rank-6 lattice, and a chain climbed
+    # through ranks 2 to 4 by its upper covers
+    STDOUT_SHA256 = {
+        ("poincare", "G(2,2,6)"):
+            "efb322fea39437ae0b496c60e58bc51cef1f79564ec855f8f3defabb78edfe27",
+        ("supersolvable", "G(2,1,5)"):
+            "eb50819e61c7c61aac1b4e23624e648ce4d66014d22484dba6d2dbe92037532f",
+    }
+
+    @pytest.mark.parametrize("argv", sorted(STDOUT_SHA256))
+    def test_json_stdout_is_unchanged(self, capsys, argv):
+        code, out, _ = run_cli(capsys, "--json", *argv)
+        assert code == EXIT_OK
+        assert sha256(out) == self.STDOUT_SHA256[argv]
 
 
 def sha256(text: str) -> str:

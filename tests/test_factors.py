@@ -53,8 +53,10 @@ def assert_matches_direct(arr):
     from its factors' cache entries, against the direct build: supports,
     ranks, derived subspaces, upper covers, Poincare polynomials,
     certificates, and every verdict with its partner and meet.  Neither
-    builds the product's cover table for the chain search or the
-    polynomial; the loaded one has the factors ``lattice_of`` built."""
+    builds the product's mask tables for the chain search, the scan or the
+    polynomial; the loaded one has the factors ``lattice_of`` built.  The
+    upper covers are checked against support inclusion in the direct
+    lattice, computed here."""
     factored, direct = lattice_of(arr), build_lattice(arr)
     with tempfile.TemporaryDirectory() as cache_dir:
         load_or_build(arr, cache_dir)
@@ -66,15 +68,19 @@ def assert_matches_direct(arr):
     assert direct.factors is None
     assert [(f.mask, f.moved, _levels(f.lattice)) for f in loaded.factors] == \
         [(f.mask, f.moved, _levels(f.lattice)) for f in factored.factors]
-    covers = direct.covers()
+    covers = {f.support: [g.support for g in direct.levels[f.rank + 1]
+                          if g.support & f.support == f.support]
+              for f in direct.flats() if f.rank < direct.rank()}
+    covers[direct.top().support] = []
     cert, poly = _digest(is_supersolvable(direct)), poincare(arr, direct)
     for lattice in (factored, loaded):
         assert _levels(lattice) == _levels(direct)
         for f in direct.flats():
-            assert list(lattice.upper_covers(f.support)) == list(covers[f.support]), f
+            assert list(lattice.upper_covers(f.support)) == covers[f.support], f
         assert _digest(is_supersolvable(lattice)) == cert
         assert poincare(arr, lattice) == poly
-        assert lattice._covers is None, "the product's cover table was built"
+        assert not lattice._through and not lattice._under, \
+            "the product's mask tables were built"
         for f in direct.flats():
             got, want = is_modular(lattice, lattice.index[f.support]), is_modular(direct, f)
             assert got.modular == want.modular, f
@@ -82,7 +88,13 @@ def assert_matches_direct(arr):
                 assert got.partner.support == want.partner.support, f
                 assert got.meet.support == want.meet.support == 0, f
                 assert got.partner is lattice.index[want.partner.support]
-    assert factored.covers() == covers
+    # the product's own incidence masks give the same covers as its factors
+    for f in direct.flats():
+        if f.rank < direct.rank():
+            level = factored.levels[f.rank + 1]
+            above = factored.above(f.support, f.rank + 1)
+            assert [g.support for i, g in enumerate(level) if above >> i & 1] == \
+                covers[f.support], f
     for f in direct.flats():
         assert factored.index[f.support].subspace == f.subspace
 

@@ -23,7 +23,7 @@ import hyparr.analysis
 from hyparr.analysis import (ModularityVerdict, is_modular, is_supersolvable,
                              modular_flats_of_rank, validate_certificate)
 from hyparr.arrangement import (IntersectionLattice, brute_force_lattice, build_lattice,
-                                closure, product)
+                                closure, lattice_of, product)
 from hyparr.cache import load_lattice, save_lattice
 from hyparr.claims import LatticeStore, run_rank2_empty_claim
 from hyparr.cli import main
@@ -137,17 +137,30 @@ def test_mask_tables_are_incidence_and_order(tmp_path):
 
 
 def test_cover_table_is_the_cover_relation(tmp_path):
+    # the upper covers read off the incidence masks, in flat order
     for label, lattice in _lattices(tmp_path):
-        covers = lattice.covers()
-        assert set(covers) == set(lattice.index), label
         for x in lattice.flats():
-            above = {y.support for y in lattice.flats()
-                     if y.rank == x.rank + 1 and y.support & x.support == x.support}
-            assert set(covers[x.support]) == above, label
+            covers = lattice.upper_covers(x.support)
+            above = [y.support for y in lattice.flats()
+                     if y.rank == x.rank + 1 and y.support & x.support == x.support]
+            assert covers == above, label
             # each hyperplane outside x lies in exactly one cover of x
             outside = ((1 << len(lattice.arrangement)) - 1) & ~x.support
-            assert sum(bin(c & outside).count("1") for c in covers[x.support]) == \
+            assert sum(bin(c & outside).count("1") for c in covers) == \
                 bin(outside).count("1"), label
+
+
+def test_above_is_support_inclusion(tmp_path):
+    product_lattice = lattice_of(_b2_times_a2())
+    cases = _lattices(tmp_path) + [("assembled B2 x A2", product_lattice)] + [
+        (f"factor {i} of B2 x A2", f.lattice) for i, f in enumerate(product_lattice.factors)]
+    for label, lattice in cases:
+        for x in lattice.flats():
+            for k in range(x.rank + 1, lattice.rank() + 1):
+                want = sum(1 << i for i, y in enumerate(lattice.levels[k])
+                           if y.support & x.support == x.support)
+                assert lattice.above(x.support, k) == want, (label, x, k)
+        assert lattice.above(0, 0) == 1, label
 
 
 def test_threads_on_a_loaded_lattice(tmp_path):
@@ -411,6 +424,13 @@ def test_rank2_empty_claim_builds_no_sum(monkeypatch):
     assert not sums and not ranks
 
 
+def _lying_through(self, rank):
+    # every flat claimed to hold every hyperplane, so that no flat is a
+    # complement of X and X passes with nothing to test
+    every = (1 << len(self.levels[rank])) - 1
+    return {1 << a: every for a in range(len(self.arrangement))}
+
+
 def test_validator_ignores_a_lying_scan(monkeypatch):
     d4 = build_named("D4")
     cert = is_supersolvable(build_lattice(d4))
@@ -425,23 +445,33 @@ def test_validator_ignores_a_lying_scan(monkeypatch):
     assert genuine.verdict
     assert not is_modular(lattice, chain[2]).modular
 
-    def lying_through(self, rank):
-        # every flat claimed to hold every hyperplane, so that no flat is a
-        # complement of X and X passes with nothing to test
-        every = (1 << len(self.levels[rank])) - 1
-        return {1 << a: every for a in range(len(self.arrangement))}
-
-    monkeypatch.setattr(IntersectionLattice, "flats_through", lying_through)
+    monkeypatch.setattr(IntersectionLattice, "flats_through", _lying_through)
     assert all(is_modular(lattice, f).modular for f in chain)
     assert not validate_certificate(forged)
     assert validate_certificate(genuine)
 
 
-def test_lattice_command_never_builds_the_cover_table(monkeypatch, tmp_path, capsys):
-    def refuse(self):
-        raise AssertionError("the cover table was built")
+@pytest.mark.parametrize("name", ["D4", "G25"])
+def test_join_ignores_a_lying_scan(monkeypatch, name):
+    # join reads the levels alone, so lying masks leave every join the
+    # lowest-rank flat whose support holds both supports
+    lattice = build_lattice(build_named(name))
+    flats = list(lattice.flats())
+    monkeypatch.setattr(IntersectionLattice, "flats_through", _lying_through)
+    for x in flats:
+        for y in flats:
+            s = x.support | y.support
+            want = min((f for f in flats if f.support & s == s), key=lambda f: f.rank)
+            assert lattice.join(x, y) is want, (name, x, y)
 
-    monkeypatch.setattr(IntersectionLattice, "covers", refuse)
+
+def test_lattice_command_never_builds_the_cover_table(monkeypatch, tmp_path, capsys):
+    # no incidence table: the masks every cover relation is read off
+    def refuse(self, *ranks):
+        raise AssertionError("an incidence table was built")
+
+    monkeypatch.setattr(IntersectionLattice, "flats_through", refuse)
+    monkeypatch.setattr(IntersectionLattice, "flats_under", refuse)
     for _ in range(2):  # cold build and save, then warm load
         assert main(["--json", "--cache-dir", str(tmp_path), "lattice", "D4"]) == 0
     capsys.readouterr()
