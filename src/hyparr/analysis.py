@@ -57,9 +57,10 @@ the refutation are the same as after one.  Verdicts are kept on the
 lattice, so each flat is tested once per lattice.
 
 The Poincare polynomial sums the Moebius function, which ``mobius`` reads
-up the same upper covers.  A supersolvable certificate's chain also gives
-the exponents, which must agree with the factorization of the polynomial
-(``checked_exponents``), and the polynomial's root -1 counts the
+off the same incidence table, one pass per rank.  A supersolvable
+certificate's chain also gives the exponents, which must agree with the
+factorization of the polynomial (``checked_exponents``), and the
+polynomial's root -1 counts the
 irreducible factors (``irreducible_factor_count``).  Both divide by
 ``cyclo.poly_divmod``, the program's one polynomial division.
 """
@@ -430,19 +431,43 @@ def validate_certificate(cert: SupersolvabilityCertificate) -> bool:
 
 
 def mobius(lattice: IntersectionLattice) -> dict[Flat, int]:
-    """Moebius values from the bottom element, by Weisner's theorem over the
-    cover relation: for the lowest atom a of X > 0, mu(X) = -sum mu(Y) over
-    the lower covers Y of X that do not lie over a (Weisner, 1935; Stanley,
-    *Enumerative Combinatorics I*, 3.9).  Each cover pair is read once, up
-    the upper covers of each flat (``upper_covers``)."""
-    upper = lattice.upper_covers
-    values = {lattice.bottom().support: 1}
-    for f in lattice.flats():
-        s, mu = f.support, values[f.support]
-        for c in upper(s):
-            if not s & (c & -c):
-                values[c] = values.get(c, 0) - mu
-    return {f: values[f.support] for f in lattice.flats()}
+    """Moebius values from the bottom element, by flat (``_mobius_levels``)."""
+    return {f: mu for level, values in zip(lattice.levels, _mobius_levels(lattice))
+            for f, mu in zip(level, values)}
+
+
+def _mobius_levels(lattice: IntersectionLattice) -> list[list[int]]:
+    """Moebius values from the bottom element, per level in flat order, by
+    Weisner's theorem over the cover relation: for the lowest atom a of
+    X > 0, mu(X) = -sum mu(Y) over the lower covers Y of X that do not lie
+    over a (Weisner, 1935; Stanley, *Enumerative Combinatorics I*, 3.9).
+    A cover X of Y misses X's lowest atom exactly when X holds a hyperplane
+    below Y's lowest, so one pass per rank k adds -mu(Y), for each
+    rank-(k-1) flat Y, to the flats of ``above(Y, k)`` among the prefix OR
+    of ``flats_through(k)`` up to Y's lowest hyperplane: every flat of the
+    level for the bottom.  It reads supports and masks only."""
+    values = [[1]]
+    for k in range(1, lattice.rank() + 1):
+        through = lattice.flats_through(k)
+        prefix, seen = {}, 0
+        for h in range(len(lattice.arrangement)):
+            bit = 1 << h
+            prefix[bit] = seen
+            seen |= through[bit]
+        prefix[0] = seen
+        level = [0] * len(lattice.supports[k])
+        for y, mu in zip(lattice.supports[k - 1], values[-1]):
+            mask = prefix[y & -y]
+            while y and mask:
+                atom = y & -y
+                mask &= through[atom]
+                y ^= atom
+            while mask:
+                low = mask & -mask
+                level[low.bit_length() - 1] -= mu
+                mask ^= low
+        values.append(level)
+    return values
 
 
 def poincare(arr: Arrangement, lattice: IntersectionLattice) -> PoincarePolynomial:
@@ -466,14 +491,12 @@ def poincare(arr: Arrangement, lattice: IntersectionLattice) -> PoincarePolynomi
                     grown[i + j] += a * b
             coeffs = grown
     else:
-        coeffs = [0] * (lattice.rank() + 1)
-        for f, value in mobius(lattice).items():
-            coeffs[f.rank] += value * (-1) ** f.rank
+        coeffs = [sum(values) * (-1) ** k for k, values in enumerate(_mobius_levels(lattice))]
     poly = PoincarePolynomial(tuple(coeffs))
     if coeffs[0] != 1 or any(c <= 0 for c in coeffs):
         raise InternalInconsistencyError(
             f"Poincare coefficients must be positive with constant term 1: {coeffs}")
-    if lattice.rank() >= 1 and coeffs[1] != len(lattice.levels[1]):
+    if lattice.rank() >= 1 and coeffs[1] != len(lattice.supports[1]):
         raise InternalInconsistencyError("linear coefficient must count the hyperplanes")
     return poly
 

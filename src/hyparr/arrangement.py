@@ -33,8 +33,9 @@ Every lattice a command reads is made by ``lattice_of``.  When the forms
 split into two or more blocks of coordinates, two coordinates being linked
 when some form uses both, it takes each block's lattice on the block's
 columns and assembles the product's levels from ORs of their supports, moved
-back to the input's hyperplane indices, with no field arithmetic: the
-lattice of a product is the product of its factors' lattices (Orlik-Terao,
+back to the input's hyperplane indices, with no field arithmetic and no
+flat made (a lattice holds supports until a flat is read): the lattice of
+a product is the product of its factors' lattices (Orlik-Terao,
 Prop. 2.14).  The factor lattices stay on the result, where the modular
 scan reads the product's verdicts off theirs, the chain search its upper
 covers and ``poincare`` its polynomial.  Each block's lattice, or the
@@ -155,11 +156,12 @@ class Flat:
     parent, or that hyperplane's row where the build compared no residue
     (``Flat.extending``).  It extends the one by the residue the first time
     ``subspace`` is read (``extend_rref``), reducing the row then
-    (``form_residue``) if need be.  A flat made from its support (cache
-    loads and ``lattice_of``) grows it from the full space by its
-    hyperplanes (``_subspace_of``).  A deferred flat then keeps the
-    subspace, and keeps its source, so workers reading it at once only
-    derive an equal subspace more than once.  The hash reads the support
+    (``form_residue``) if need be.  A flat made from its support, on the
+    first read of the flats of a lattice made from supports (a cache load,
+    a product's assembly), grows it from the full space by its hyperplanes
+    (``_subspace_of``).  A deferred flat then keeps the subspace, and keeps
+    its source, so workers reading it at once only derive an equal subspace
+    more than once.  The hash reads the support
     only, so sets and dicts of flats derive nothing; equality compares
     supports, then subspaces.
     """
@@ -272,45 +274,76 @@ def closure(arr: Arrangement, x: Subspace) -> Flat:
 class IntersectionLattice:
     """All intersections of subsets of the arrangement, graded by codimension.
 
-    ``levels[k]`` lists the rank-k flats sorted by support bitset; ``index``
-    maps each support to its flat.  A built lattice holds the subspaces of
-    its bottom and rank-1 flats and the parent's subspace and hyperplane
-    row, with its residue if the build compared it, of each flat above
-    (``Flat.extending``); a loaded one holds supports and ranks only
-    (``Flat.of_support``).  Either way a flat computes its subspace when
+    ``supports[k]`` lists the supports of the rank-k flats in ascending
+    order; ``levels[k]`` lists those flats in the same order, and ``index``
+    maps each support to its flat.  The constructor takes the supports
+    alone, as a cache load and a product's assembly give them
+    (``lattice_of``), and makes the flats on the first read of ``levels``
+    or ``index``, each once, from its support (``Flat.of_support``).  Its
+    size, ranks, cache payload, factor moves and mask tables read the
+    supports, so a command that reads no flat makes none.  A built lattice
+    (``of_flats``) holds its flats from the start: the subspaces of its
+    bottom and rank-1 flats, and above them the parent's subspace and
+    hyperplane row, with its residue if the build compared it
+    (``Flat.extending``).  Either way a flat computes its subspace when
     first read.  Its one incidence table, ``flats_through``, is built per
     rank on first use, and every cover relation is read off it (``above``).
     ``factors`` holds the factor lattices of a product that ``lattice_of``
     assembled, else None.  ``verdicts`` maps supports to verdicts.
     """
 
-    __slots__ = ("arrangement", "levels", "index", "factors", "verdicts",
+    __slots__ = ("arrangement", "supports", "factors", "verdicts", "_flats",
                  "_through", "_under")
 
-    def __init__(self, arrangement: Arrangement, levels: tuple[tuple[Flat, ...], ...]):
+    def __init__(self, arrangement: Arrangement, supports: tuple[tuple[int, ...], ...]):
         self.arrangement = arrangement
-        self.levels = levels
-        self.index: dict[int, Flat] = {}
-        for level in levels:
-            for f in level:
-                self.index[f.support] = f
+        self.supports = supports
         self.factors: tuple[Factor, ...] | None = None
         self.verdicts: dict = {}
+        # (levels, index) once made: list.append is atomic, so worker threads
+        # racing on the first read all keep the first pair
+        self._flats: list[tuple[tuple[tuple[Flat, ...], ...], dict[int, Flat]]] = []
         self._through: dict[int, dict[int, int]] = {}
         self._under: dict[tuple[int, int], tuple[int, ...]] = {}
+
+    @classmethod
+    def of_flats(cls, arrangement: Arrangement,
+                 levels: tuple[tuple[Flat, ...], ...]) -> IntersectionLattice:
+        """The lattice whose rank-k flats are ``levels[k]``, sorted by support."""
+        lattice = cls(arrangement, tuple(tuple(f.support for f in level) for level in levels))
+        lattice._flats.append((levels, {f.support: f for level in levels for f in level}))
+        return lattice
+
+    def _made(self) -> tuple[tuple[tuple[Flat, ...], ...], dict[int, Flat]]:
+        """``(levels, index)``, made from the supports on the first call."""
+        made = self._flats
+        if not made:
+            arr = self.arrangement
+            levels = tuple(tuple(Flat.of_support(arr, s, rank) for s in level)
+                           for rank, level in enumerate(self.supports))
+            made.append((levels, {f.support: f for level in levels for f in level}))
+        return made[0]
+
+    @property
+    def levels(self) -> tuple[tuple[Flat, ...], ...]:
+        return self._made()[0]
+
+    @property
+    def index(self) -> dict[int, Flat]:
+        return self._made()[1]
 
     def flats(self):
         for level in self.levels:
             yield from level
 
     def __len__(self):
-        return sum(len(level) for level in self.levels)
+        return sum(map(len, self.supports))
 
     def level_sizes(self) -> list[int]:
-        return [len(level) for level in self.levels]
+        return [len(level) for level in self.supports]
 
     def rank(self) -> int:
-        return len(self.levels) - 1
+        return len(self.supports) - 1
 
     def top(self) -> Flat:
         return self.levels[-1][0]
@@ -322,7 +355,7 @@ class IntersectionLattice:
         """The rank-``rank`` flats whose support holds ``support``, as a mask
         over ``levels[rank]``: the AND of ``flats_through(rank)`` over its
         hyperplanes, the whole level for the bottom."""
-        mask = (1 << len(self.levels[rank])) - 1
+        mask = (1 << len(self.supports[rank])) - 1
         through = self.flats_through(rank)
         while support:
             atom = support & -support
@@ -341,12 +374,12 @@ class IntersectionLattice:
         if factors:
             return sorted(support & ~f.mask | c for f in factors for c in f.upper(support & f.mask))
         rank = self.index[support].rank + 1
-        if rank == len(self.levels):
+        if rank == len(self.supports):
             return []
-        level, mask, out = self.levels[rank], self.above(support, rank), []
+        level, mask, out = self.supports[rank], self.above(support, rank), []
         while mask:
             low = mask & -mask
-            out.append(level[low.bit_length() - 1].support)
+            out.append(level[low.bit_length() - 1])
             mask ^= low
         return out
 
@@ -364,9 +397,9 @@ class IntersectionLattice:
         table = self._through.get(rank)
         if table is None:
             table = {}
-            for i, f in enumerate(self.levels[rank]):
+            for i, support in enumerate(self.supports[rank]):
                 bit = 1 << i
-                for atom in _bits(f.support):
+                for atom in _bits(support):
                     table[atom] = table.get(atom, 0) | bit
             self._through[rank] = table
         return table
@@ -382,9 +415,9 @@ class IntersectionLattice:
         table = self._under.get((rank, lower))
         if table is None:
             if lower == rank - 1:
-                masks = [0] * len(self.levels[rank])
-                for j, w in enumerate(self.levels[lower]):
-                    for bit in _bits(self.above(w.support, rank)):
+                masks = [0] * len(self.supports[rank])
+                for j, w in enumerate(self.supports[lower]):
+                    for bit in _bits(self.above(w, rank)):
                         masks[bit.bit_length() - 1] |= 1 << j
             else:
                 below = self.flats_under(rank - 1, lower)
@@ -620,7 +653,7 @@ def build_lattice(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS,
         kept += len(found)
         if len(levels) == 3:
             lines = _line_table(arr, levels[1], levels[2])
-    return IntersectionLattice(arr, tuple(levels))
+    return IntersectionLattice.of_flats(arr, tuple(levels))
 
 
 class Factor:
@@ -637,12 +670,13 @@ class Factor:
         self.lattice = lattice
         bits = [1 << i for i in indices]
         self.moved: dict[int, int] = {}
-        for f in lattice.flats():
-            s = 0
-            for bit in _bits(f.support):
-                s |= bits[bit.bit_length() - 1]
-            self.moved[f.support] = s
-        self.mask = self.moved[lattice.top().support]
+        for level in lattice.supports:
+            for support in level:
+                s = 0
+                for bit in _bits(support):
+                    s |= bits[bit.bit_length() - 1]
+                self.moved[support] = s
+        self.mask = self.moved[lattice.supports[-1][0]]
         self._flat_at: dict[int, Flat] | None = None
 
     @property
@@ -732,7 +766,7 @@ def _product_supports(factors: list[Factor]) -> list[list[int]]:
     supports: list[list[int]] = [[0]]
     for factor in factors:
         grown: list[list[int]] = [[] for _ in range(len(supports) + factor.lattice.rank())]
-        moved = [[factor.moved[f.support] for f in level] for level in factor.lattice.levels]
+        moved = [[factor.moved[s] for s in level] for level in factor.lattice.supports]
         for r, level in enumerate(supports):
             for k, extra in enumerate(moved):
                 grown[r + k].extend(a | b for a in level for b in extra)
@@ -755,12 +789,14 @@ def lattice_of(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS, threads: in
     their ranks.  Each factor's lattice is that of the forms of its block
     restricted to the block's columns (``_block_arrangement``), in the
     input's order, and its supports are moved back to the input's
-    hyperplane indices (``Factor``).  The product's flats are made from
-    their supports (``Flat.of_support``), each level sorted by support, so
-    the result has the supports and ranks ``build_lattice`` gives, and each
-    flat derives the same subspace when read.  A product with more flats
-    than ``max_flats`` is refused from its factors' sizes before it is
-    assembled, with the refusal of ``build_lattice``.  The factor lattices
+    hyperplane indices (``Factor``).  The product is made from those
+    supports alone, each level sorted (``IntersectionLattice``), so it has
+    the supports and ranks ``build_lattice`` gives; its flats are made from
+    them on first read (``Flat.of_support``), and each derives the same
+    subspace when read.  Assembling it makes no flat, of the product or of
+    a factor.  A product with more flats than ``max_flats`` is refused from
+    its factors' sizes before it is assembled, with the refusal of
+    ``build_lattice``.  The factor lattices
     stay on the result (``IntersectionLattice.factors``), where
     ``is_modular`` reads the product's verdicts off theirs, the chain
     search its covers (``upper_covers``) and ``poincare`` its polynomial, so
@@ -773,9 +809,8 @@ def lattice_of(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS, threads: in
     factors = [Factor(build(forms, max_flats, threads), indices) for indices, forms in parts]
     if prod(len(f.lattice) for f in factors) > max_flats:
         raise _over_budget(max_flats)
-    lattice = IntersectionLattice(arr, tuple(
-        tuple(Flat.of_support(arr, s, r) for s in sorted(level))
-        for r, level in enumerate(_product_supports(factors))))
+    lattice = IntersectionLattice(arr, tuple(tuple(sorted(level))
+                                             for level in _product_supports(factors)))
     lattice.factors = tuple(factors)
     return lattice
 
@@ -805,7 +840,7 @@ def brute_force_lattice(arr: Arrangement) -> IntersectionLattice:
     for k in range(max(ranks) + 1):
         level = ranks.get(k, {})
         levels.append(tuple(level[s] for s in sorted(level)))
-    return IntersectionLattice(arr, tuple(levels))
+    return IntersectionLattice.of_flats(arr, tuple(levels))
 
 
 def localization(arr: Arrangement, x: Flat) -> Arrangement:

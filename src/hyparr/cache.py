@@ -6,7 +6,8 @@ supports of its flats as decimal strings: a flat is fixed by the hyperplanes
 that contain it, so no rows are stored.  ``load_or_build`` keeps one entry
 per factor of a product, on the factor's own columns, and none for the
 product, which is assembled from its factors' lattices cold and warm alike
-(``lattice_of``).  A loaded flat derives its canonical RREF subspace when
+(``lattice_of``).  A loaded lattice holds its supports alone and makes its
+flats on first read; a loaded flat derives its canonical RREF subspace when
 it is first read (``Flat.of_support``), equal to the one the build made, so
 a warm run is byte-identical to a cold one.  Writes go through a temp file
 and an atomic rename so concurrent commands never see a partial file.
@@ -20,7 +21,7 @@ import os
 import tempfile
 from contextlib import contextmanager
 
-from .arrangement import (DEFAULT_MAX_FLATS, Arrangement, Flat, IntersectionLattice,
+from .arrangement import (DEFAULT_MAX_FLATS, Arrangement, IntersectionLattice,
                           _over_budget, build_lattice, lattice_of)
 from .errors import ParseError
 
@@ -51,7 +52,7 @@ def lattice_payload(lattice: IntersectionLattice) -> dict:
     return {
         "format": FORMAT,
         "arrangement": arrangement_payload(lattice.arrangement),
-        "levels": [[str(f.support) for f in level] for level in lattice.levels],
+        "levels": [[str(s) for s in level] for level in lattice.supports],
     }
 
 
@@ -66,8 +67,10 @@ def lattice_from_payload(arr: Arrangement, payload: dict,
     A support of the wrong rank passes, and its flat raises
     ``InternalInconsistencyError`` when its subspace is read.  An entry
     with more than ``max_flats`` supports is refused as the build refuses
-    it, before any flat is made.  The lattice has no factors, even when
-    ``arr`` is a product."""
+    it.  The lattice is made from the supports alone
+    (``IntersectionLattice``): no flat is made until its ``levels`` or
+    ``index`` is first read, so a command that prints only counts makes
+    none.  It has no factors, even when ``arr`` is a product."""
     if payload.get("format") != FORMAT:
         raise ValueError(f"unsupported cache format {payload.get('format')!r}")
     if payload.get("arrangement") != arrangement_payload(arr):
@@ -98,17 +101,13 @@ def lattice_from_payload(arr: Arrangement, payload: dict,
             seen |= s
         if seen != full:
             raise ValueError("cache entry has a hyperplane on no rank-1 flat")
-    count = sum(len(level) for level in levels)
-    # an entry that repeats a support is a miss, not a refusal, so its
-    # supports are counted once each before it is refused
-    if max_flats is not None and count > max_flats and len(set().union(*levels)) == count:
-        raise _over_budget(max_flats)
-    lattice = IntersectionLattice(arr, tuple(
-        tuple(Flat.of_support(arr, s, rank) for s in level)
-        for rank, level in enumerate(levels)))
-    if len(lattice.index) != count:
+    count = sum(map(len, levels))
+    # an entry that repeats a support is a miss, not a refusal
+    if len(set().union(*levels)) != count:
         raise ValueError("cache entry repeats a support")
-    return lattice
+    if max_flats is not None and count > max_flats:
+        raise _over_budget(max_flats)
+    return IntersectionLattice(arr, tuple(map(tuple, levels)))
 
 
 def cache_path(arr: Arrangement, cache_dir: str) -> str:

@@ -195,6 +195,11 @@ def claim_scopes() -> list[str]:
     return sorted({*CATEGORIES, *(e.name for e in catalog())})
 
 
+def unknown_scope(scope: str) -> str:
+    """The message for a scope outside ``claim_scopes``."""
+    return f"unknown claim scope {scope!r}; choose one of {', '.join(claim_scopes())}"
+
+
 def run_claims(scope: str = "all", store: LatticeStore | None = None) -> list[ClaimResult]:
     """Run the selected claims; scope is 'all', a category, or a catalog name.
 
@@ -210,8 +215,7 @@ def run_claims(scope: str = "all", store: LatticeStore | None = None) -> list[Cl
     want_class = scope in ("all", "classification")
     by_name = scope not in CATEGORIES
     if by_name and scope not in claim_scopes():
-        raise KeyError(f"unknown claim scope {scope!r}; "
-                       f"choose one of {', '.join(claim_scopes())}")
+        raise KeyError(unknown_scope(scope))
     for claim in WITNESS_CLAIMS:
         if want_witness or (by_name and claim.arrangement == scope):
             results.append(run_witness_claim(claim, store))

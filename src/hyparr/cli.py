@@ -21,7 +21,7 @@ from .analysis import checked_exponents, is_supersolvable, modular_flats_of_rank
 from .arrangement import (DEFAULT_MAX_FLATS, Arrangement, essentialize,
                           irreducible_decomposition, product)
 from .cache import CACHE_ENV, load_or_build
-from .claims import LatticeStore, claim_scopes, run_claims
+from .claims import LatticeStore, claim_scopes, run_claims, unknown_scope
 from .errors import ParseError, RefusalError
 from .parse import MAX_NESTING, check_packed_size, parse_arrangement_file
 from .reflection import build_named
@@ -147,13 +147,12 @@ def _emit(report: dict, args, timings: dict[str, float],
 
 def _run(args) -> int:
     if args.command == "verify-paper":
+        if args.scope not in claim_scopes():
+            raise ParseError(unknown_scope(args.scope))
         t0 = time.perf_counter()
         store = LatticeStore(threads=args.threads, max_flats=args.max_flats,
                              cache_dir=args.cache_dir)
-        try:
-            results = run_claims(args.scope, store)
-        except KeyError as exc:
-            raise ParseError(str(exc)) from None
+        results = run_claims(args.scope, store)
         report = {
             "command": "verify-paper",
             "scope": args.scope,

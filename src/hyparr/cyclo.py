@@ -15,7 +15,7 @@ True
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from math import gcd
 
 from . import _kernel
@@ -297,8 +297,10 @@ def root_of_unity(n: int, m: int) -> CyclotomicNumber:
     return CyclotomicNumber(n, *root_elem(n, m))
 
 
+@lru_cache(maxsize=4096)
 def root_elem(n: int, m: int) -> tuple[tuple[int, ...], int]:
     """zeta_n**(m mod n) as the kernel's canonical ``(nums, den)`` pair.
+    Cached: the parser reads ``z`` and ``i`` for every token that names one.
 
     >>> root_elem(3, 2)
     ((-1, -1), 1)

@@ -31,6 +31,7 @@ power's base is checked before the power is computed.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import lcm, log2
 
 from . import _kernel
@@ -264,9 +265,11 @@ class _Parser:
         return value
 
 
+@lru_cache(maxsize=64)
 def _variables_for(ambient: int) -> dict[str, int]:
     """Variable name -> column: x1..xl, and a..d for the same columns when
-    l <= 4."""
+    l <= 4.  Cached, since every form of a transcription reads it: the
+    parser only looks names up in the one table per dimension."""
     names = {f"x{j + 1}": j for j in range(ambient)}
     if ambient <= 4:
         names.update(zip("abcd", range(ambient)))

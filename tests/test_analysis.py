@@ -16,6 +16,7 @@ from hyparr.analysis import (ModularityVerdict, PoincarePolynomial, Refutation,
                              validate_certificate)
 from hyparr.arrangement import (Arrangement, Flat, build_lattice, closure, essentialize,
                                 irreducible_decomposition, make_arrangement, product)
+from hyparr.cache import load_lattice, save_lattice
 from hyparr.cli import resolve_spec
 from hyparr.errors import InternalInconsistencyError, RefusalError
 from hyparr.linalg import contains, subspace_from_forms, subspace_sum
@@ -395,6 +396,20 @@ class TestMobiusPoincare:
             arr = build_named(label)
         lattice = build_lattice(arr)
         assert lattice.rank() >= 2
+        assert {f.support: v for f, v in mobius(lattice).items()} == \
+            mobius_by_recursion(lattice)
+
+    @pytest.mark.parametrize("label", ["G29", "F4 loaded"])
+    def test_weisner_passes_match_the_recursion_at_scale(self, label, store, tmp_path):
+        if label == "G29":
+            lattice = store.lattice("G29")
+        else:
+            built = store.lattice("F4")
+            save_lattice(built, str(tmp_path))
+            lattice = load_lattice(built.arrangement, str(tmp_path))
+            # the polynomial reads supports and masks, and makes no flat
+            assert poincare(lattice.arrangement, lattice) == poincare(built.arrangement, built)
+            assert lattice._flats == []
         assert {f.support: v for f, v in mobius(lattice).items()} == \
             mobius_by_recursion(lattice)
 

@@ -1,6 +1,7 @@
 """Lattice disk cache: byte identity, key stability, stale handling."""
 
 import json
+import random
 import sys
 
 import pytest
@@ -8,12 +9,15 @@ import pytest
 import hyparr
 import hyparr.cache
 import hyparr.cli
-from hyparr.analysis import is_supersolvable, poincare
-from hyparr.arrangement import Flat, _split, build_lattice, lattice_of, parallel_map
+from hyparr.analysis import is_supersolvable, modular_flats_of_rank, poincare
+from hyparr.arrangement import (Arrangement, Flat, _split, arrangement_to_text, build_lattice,
+                                lattice_of, parallel_map)
 from hyparr.cache import (arrangement_key, cache_path, lattice_from_payload,
                           lattice_payload, load_lattice, load_or_build, save_lattice)
+from hyparr.claims import RANK2_EMPTY
 from hyparr.cli import main, resolve_spec
 from hyparr.errors import InternalInconsistencyError, RefusalError
+from hyparr.parse import parse_arrangement_file
 from hyparr.reflection import build_named, catalog, exceptional_arrangement, monomial_arrangement
 from tests.conftest import v1_lattice_payload
 
@@ -131,7 +135,17 @@ class TestCache:
                                                "raise --max-flats to proceed"):
             load_or_build(arr, str(tmp_path), max_flats=20)
         assert made == []
-        assert len(load_or_build(arr, str(tmp_path), max_flats=2272)) == len(made) == 2272
+        # a load within budget makes none, and the first read of its levels
+        # makes each flat once, from its support, in flat order
+        lattice = load_or_build(arr, str(tmp_path), max_flats=2272)
+        assert len(lattice) == 2272 and lattice.level_sizes() == [1, 60, 710, 1500, 1]
+        assert made == []
+        levels = lattice.levels
+        assert len(made) == 2272
+        assert [(s, r) for _, s, r in made] == \
+            [(f.support, f.rank) for level in levels for f in level]
+        assert lattice.levels is levels and len(lattice.index) == 2272
+        assert len(made) == 2272
 
     def test_miss_on_absent_or_corrupt(self, tmp_path):
         arr = monomial_arrangement(2, 1, 2)
@@ -302,6 +316,79 @@ class TestCache:
         assert capsys.readouterr().out == cold
         with open(path, "r", encoding="utf-8") as fh:
             assert fh.read() == good  # the entry was rebuilt and overwritten
+
+
+def shuffled_file(tmp_path, name: str, seed: int) -> str:
+    """Catalog arrangement ``name`` written to a file in a shuffled
+    hyperplane order, as the benchmark writes its inputs."""
+    arr = build_named(name)
+    forms = list(arr.hyperplanes)
+    random.Random(seed).shuffle(forms)
+    path = tmp_path / f"{seed}.arr"
+    path.write_text(arrangement_to_text(Arrangement(arr.ambient, arr.order, tuple(forms))),
+                    encoding="utf-8")
+    return str(path)
+
+
+def _rank2_verdicts(lattice, threads):
+    return [(v.flat.support, v.modular, v.partner and v.partner.support,
+             v.meet and v.meet.support) for v in modular_flats_of_rank(lattice, 2, threads)]
+
+
+class TestSupportsOnly:
+    """A loaded or assembled lattice holds supports until a flat is read."""
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        made = []
+        of_support = Flat.of_support.__func__
+
+        def counted(cls, *args):
+            made.append(args)
+            return of_support(cls, *args)
+
+        monkeypatch.setattr(Flat, "of_support", classmethod(counted))
+        return made
+
+    @pytest.mark.parametrize("spec", ["G31", "{file}", "product(H3,H3)"])
+    def test_warm_lattice_makes_no_flat(self, tmp_path, capsys, made, spec):
+        spec = spec.format(file=shuffled_file(tmp_path, "G(3,3,4)", 35))
+        argv = ["--json", "--cache-dir", str(tmp_path / "cache"), "lattice", spec]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        made.clear()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == cold
+        assert made == []
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_loaded_equals_built(self, tmp_path, store, threads):
+        arr = parse_arrangement_file(shuffled_file(tmp_path, "G(3,3,4)", 1935))
+        cache_dir = str(tmp_path / "cache")
+        for built in [store.lattice(name) for name in RANK2_EMPTY] + \
+                [build_lattice(arr, threads=threads)]:
+            save_lattice(built, cache_dir)
+            loaded = load_lattice(built.arrangement, cache_dir)
+            assert loaded.supports == built.supports
+            assert [[(f.support, f.rank) for f in level] for level in loaded.levels] == \
+                [[(f.support, f.rank) for f in level] for level in built.levels]
+            assert [f.subspace for f in loaded.flats()] == [f.subspace for f in built.flats()]
+            assert _rank2_verdicts(loaded, threads) == _rank2_verdicts(built, threads)
+
+    def test_first_read_from_workers_keeps_one_set_of_flats(self, tmp_path):
+        built = build_lattice(exceptional_arrangement("F4"))
+        save_lattice(built, str(tmp_path))
+        loaded = load_lattice(built.arrangement, str(tmp_path))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            read = parallel_map(lambda k: loaded.index if k % 2 else loaded.levels,
+                                range(8), threads=4)
+        finally:
+            sys.setswitchinterval(interval)
+        levels, index = loaded.levels, loaded.index
+        assert all(r is (index if k % 2 else levels) for k, r in enumerate(read))
+        assert all(index[f.support] is f for f in loaded.flats())
 
 
 class TestFactorEntries:

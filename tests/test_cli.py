@@ -9,6 +9,7 @@ import tracemalloc
 
 import pytest
 
+import hyparr.claims
 from hyparr.arrangement import Arrangement, _split, build_lattice
 from hyparr.cli import (EXIT_OK, EXIT_PARSE_ERROR, EXIT_REFUSED,
                         EXIT_VERIFICATION_FAILED, main, resolve_spec)
@@ -313,8 +314,17 @@ class TestExitCodes:
         assert code == EXIT_PARSE_ERROR
 
     def test_unknown_scope_is_parse_error(self, capsys):
-        code, _, _ = run_cli(capsys, "verify-paper", "nonsense")
+        code, _, err = run_cli(capsys, "verify-paper", "nosuch")
         assert code == EXIT_PARSE_ERROR
+        assert err.startswith("hyparr: parse error: unknown claim scope 'nosuch'; choose one of ")
+
+    def test_key_error_in_a_claim_propagates(self, capsys, monkeypatch):
+        # a KeyError raised inside a claim is a fault, not a parse error
+        def broken(name, store):
+            raise KeyError("inside the claim")
+        monkeypatch.setattr(hyparr.claims, "run_rank2_empty_claim", broken)
+        with pytest.raises(KeyError, match="inside the claim"):
+            main(["verify-paper", "rank2"])
 
     @pytest.mark.parametrize("argv", [
         ("--cache-dir", "{file}", "lattice", "D4"),

@@ -9,14 +9,17 @@ from pathlib import Path
 
 import pytest
 
+import hyparr.cyclo
 from hyparr.arrangement import arrangement_to_text
 from hyparr.claims import WITNESS_CLAIMS
-from hyparr.cyclo import CyclotomicNumber, root_of_unity
+from hyparr.cyclo import CyclotomicNumber, root_elem, root_of_unity
 from hyparr.errors import ParseError
 from hyparr.linalg import form_to_str
 from hyparr.parse import (MAX_AMBIENT, MAX_DIGITS, MAX_EXPONENT, MAX_FIELD_ORDER, MAX_PACKED,
-                          _tokenize, parse_arrangement_text, parse_form, parse_scalar)
-from hyparr.reflection import _EXCEPTIONAL, build_named, catalog, catalog_entry
+                          _tokenize, _variables_for, parse_arrangement_text, parse_form,
+                          parse_scalar)
+from hyparr.reflection import (_EXCEPTIONAL, build_named, catalog, catalog_entry,
+                               monomial_arrangement)
 from tests.conftest import random_form
 from tests.parse_reference import (reference_coefficients, reference_parse_form,
                                    reference_parse_scalar)
@@ -101,6 +104,30 @@ class TestForms:
             ambient = rng.randint(1, 5)
             f = random_form(rng, ambient, order)
             assert parse_form(form_to_str(f), ambient, order) == f
+
+    def test_constants_are_made_once(self, monkeypatch):
+        # the roots named by z and i, and the variable table, once per field
+        # order or dimension, not once per token or form
+        want = parse_form("a + (-z)*b + i*c", 3, 4)
+        divisions = []
+        real = hyparr.cyclo.poly_divmod
+        monkeypatch.setattr(hyparr.cyclo, "poly_divmod",
+                            lambda *args: divisions.append(args) or real(*args))
+        for _ in range(50):
+            assert parse_form("a + (-z)*b + i*c", 3, 4) == want
+        assert divisions == []
+        assert _variables_for(3) is _variables_for(3)
+
+    def test_monomial_roots_made_once_per_order(self, monkeypatch):
+        # G(4,1,5) has 40 forms x_i - z^m x_j, and z^m is divided out once per m
+        want = monomial_arrangement(4, 1, 5)
+        root_elem.cache_clear()
+        divisions = []
+        real = hyparr.cyclo.poly_divmod
+        monkeypatch.setattr(hyparr.cyclo, "poly_divmod",
+                            lambda *args: divisions.append(args) or real(*args))
+        assert monomial_arrangement(4, 1, 5) == want
+        assert len(divisions) == 4
 
 
 class TestArrangementFiles:
