@@ -155,7 +155,7 @@ class SupersolvabilityCertificate:
         lattices*, 1972); None without a chain."""
         if self.chain is None:
             return None
-        counts = [bin(f.support).count("1") for f in self.chain]
+        counts = [f.support.bit_count() for f in self.chain]
         return sorted(b - a for a, b in zip(counts, counts[1:]))
 
 

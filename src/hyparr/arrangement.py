@@ -8,20 +8,20 @@ computes it when first read, if it was not made with it (``Flat``).  Joins,
 meets and the modularity test read bitsets and integer ranks only.  Every
 RREF here grows one residue at a time (``linalg.extend_by_rows``).
 
-The lattice is built level by level: the hyperplanes are grouped into
-rank-1 flats by their normalized forms, each already its own canonical
-RREF, and the covers of a flat X are the hyperplanes of the restriction
-A^X: two hyperplanes off X give the same cover X v H exactly when their
-residues modulo X (``form_residue``) agree, and X's RREF extended by that
-one row (``extend_rref``) is the cover's.  The rank-2 flats over each
-hyperplane X group the others by that residue.  A cover X v H that the
-level already has is found by a bitset lookup, and the support of a new
-cover above rank 2 is read off the rank-2 flats through H, each decided by
-comparing one residue with H's.  Parents go largest first, so more of
-those lines meet them and fewer residues are compared.  Every new flat
-above rank 1 keeps X's RREF and H's row, with H's residue when the build
-compared it, and is extended only when its subspace is read: as a parent
-with covers still to find, in a witness or a chain, or when printed.
+The lattice is built level by level.  The covers of a flat X are the
+hyperplanes of the restriction A^X: two hyperplanes off X give the same
+cover X v H exactly when their residues modulo X (``form_residue``) agree,
+and X's RREF extended by that one row (``extend_rref``) is the cover's.
+One grouping step by that residue makes the rank-1 flats over the bottom
+and the rank-2 flats over each hyperplane.  A cover X v H that the level
+already has is found by a bitset lookup, and the support of a new cover
+above rank 2 is read off the rank-2 flats through H that level 2's
+registry lists, each decided by comparing one residue with H's.  Parents
+go largest first, so more of those lines meet them and fewer residues are
+compared.  Every new flat keeps X's RREF and H's row, with H's residue when
+the build compared it, and is extended only when its subspace is read: as
+a parent with covers still to find, in a witness or a chain, or when
+printed.
 
 A lattice keeps one incidence table per rank, the flats of that rank
 through each hyperplane (``IntersectionLattice.flats_through``), and reads
@@ -148,20 +148,19 @@ class Flat:
     """A lattice element: subspace, support bitset over hyperplane indices, rank.
 
     A flat of a simple arrangement is fixed by its support.  Its canonical
-    RREF subspace is made eagerly for the bottom and the rank-1 flats of
-    ``build_lattice`` and for the flats of ``closure`` and of the
-    all-subsets oracle.  Every other flat defers it.  A flat
-    ``build_lattice`` enters above rank 1 holds its parent's subspace and
-    the residue modulo it of a hyperplane that cuts the flat out of the
-    parent, or that hyperplane's row where the build compared no residue
-    (``Flat.extending``).  It extends the one by the residue the first time
-    ``subspace`` is read (``extend_rref``), reducing the row then
-    (``form_residue``) if need be.  A flat made from its support, on the
-    first read of the flats of a lattice made from supports (a cache load,
-    a product's assembly), grows it from the full space by its hyperplanes
-    (``_subspace_of``).  A deferred flat then keeps the subspace, and keeps
-    its source, so workers reading it at once only derive an equal subspace
-    more than once.  The hash reads the support
+    RREF subspace is made eagerly for the bottom of ``build_lattice`` and
+    for the flats of ``closure`` and of the all-subsets oracle.  Every
+    other flat defers it.  A flat ``build_lattice`` enters holds its
+    parent's subspace and the residue modulo it of a hyperplane that cuts
+    the flat out of the parent, or that hyperplane's row where the build
+    compared no residue (``Flat.extending``).  It extends the one by the
+    residue the first time ``subspace`` is read (``extend_rref``), reducing
+    the row then (``form_residue``) if need be.  A flat made from its
+    support, on the first read of the flats of a lattice made from supports
+    (a cache load, a product's assembly), grows it from the full space by
+    its hyperplanes (``_subspace_of``).  A deferred flat then keeps the
+    subspace, and keeps its source, so workers reading it at once only
+    derive an equal subspace more than once.  The hash reads the support
     only, so sets and dicts of flats derive nothing; equality compares
     supports, then subspaces.
     """
@@ -219,15 +218,7 @@ class Flat:
         return self.subspace.dim
 
     def hyperplane_indices(self) -> list[int]:
-        out = []
-        s = self.support
-        i = 0
-        while s:
-            if s & 1:
-                out.append(i)
-            s >>= 1
-            i += 1
-        return out
+        return [bit.bit_length() - 1 for bit in _bits(self.support)]
 
     def __eq__(self, other):
         if self is other:
@@ -282,12 +273,12 @@ class IntersectionLattice:
     or ``index``, each once, from its support (``Flat.of_support``).  Its
     size, ranks, cache payload, factor moves and mask tables read the
     supports, so a command that reads no flat makes none.  A built lattice
-    (``of_flats``) holds its flats from the start: the subspaces of its
-    bottom and rank-1 flats, and above them the parent's subspace and
-    hyperplane row, with its residue if the build compared it
-    (``Flat.extending``).  Either way a flat computes its subspace when
-    first read.  Its one incidence table, ``flats_through``, is built per
-    rank on first use, and every cover relation is read off it (``above``).
+    (``of_flats``) holds its flats from the start: the subspace of its
+    bottom, and above it the parent's subspace and hyperplane row, with its
+    residue if the build compared it (``Flat.extending``).  Either way a
+    flat computes its subspace when first read.  Its one incidence table,
+    ``flats_through``, is built per rank on first use, and every cover
+    relation is read off it (``above``).
     ``factors`` holds the factor lattices of a product that ``lattice_of``
     assembled, else None.  ``verdicts`` maps supports to verdicts.
     """
@@ -482,10 +473,12 @@ class _Level:
     """The flats of one rank found so far, shared by the workers building it.
 
     ``found`` maps support -> flat and ``by_atom`` maps each hyperplane bit
-    to the supports found that hold it.  Dict and list updates are atomic
-    under the GIL: a race only enters an equal flat twice, and ``found``
-    keeps one per support.  ``room`` is how many flats the level may add
-    within the budget, checked on every entry.
+    to the supports found that hold it: level 2's lists the lines through
+    each hyperplane for the levels above it (``build_lattice``).  Dict and
+    list updates are atomic under the GIL: a race only enters an equal flat
+    twice, ``found`` keeps one per support, and ``by_atom`` may list it
+    twice.  ``room`` is how many flats the level may add within the
+    budget, checked on every entry.
     """
 
     __slots__ = ("found", "by_atom", "room", "max_flats")
@@ -507,64 +500,42 @@ class _Level:
         self.check_budget()
 
 
-def _line_table(arr: Arrangement, rank1: tuple, rank2: tuple) -> list[list[tuple[int, int]]]:
-    """For each hyperplane h, (support, member) of every rank-2 flat through h,
-    the member being a hyperplane of that flat off the rank-1 flat of h."""
-    point_of = {bit: p.support for p in rank1 for bit in _bits(p.support)}
-    table: list[list[tuple[int, int]]] = [[] for _ in arr.hyperplanes]
-    for line in rank2:
-        for bit in _bits(line.support):
-            rest = line.support & ~point_of[bit]
-            table[bit.bit_length() - 1].append((line.support, (rest & -rest).bit_length() - 1))
-    return table
-
-
-def _children_of(arr: Arrangement, parent: Flat, level: _Level, lines: list | None) -> None:
+def _children_of(arr: Arrangement, parent: Flat, level: _Level, lines: tuple | None) -> None:
     """Enter the covers of one flat in ``level``: the flats parent .cap. H for
     the hyperplanes H outside the parent.
 
-    The covers of the bottom, the rank-1 flats, are the hyperplanes grouped
-    by normalized form; a normalized form is its own canonical RREF, so no
-    reduction runs.  Above them, the covers of a flat X are the hyperplanes
-    of the restriction A^X (Orlik-Terao, Ch. 1): two hyperplanes off X cut
-    the same cover X v H exactly when their residues modulo X, reduced by
-    X's RREF and scaled to leading coefficient 1 (``form_residue``), are
-    equal, and X's RREF extended by that residue (``extend_rref``) is the
-    cover's.  For a rank-1 parent each hyperplane off it is reduced once:
-    each residue class is one rank-2 flat.  For any other parent, a flat the
+    The covers of a flat X are the hyperplanes of the restriction A^X
+    (Orlik-Terao, Ch. 1): two hyperplanes off X cut the same cover X v H
+    exactly when their residues modulo X, reduced by X's RREF and scaled to
+    leading coefficient 1 (``form_residue``), are equal, and X's RREF
+    extended by that residue (``extend_rref``) is the cover's.  A flat the
     level already has whose support contains the parent's is parent v H for
-    each H it holds, the only rank-(k+1) flat above both, so these are
+    each H it holds, the only flat one rank up above both, so these are
     looked up under the parent's lowest atom in ``level.by_atom``;
     ``covered`` holds their hyperplanes, and only the hyperplanes left open
-    a cover, each once.  A new cover's support is the parent's plus the
-    rank-2 flats through H that it holds (``lines``, from ``_line_table``,
-    which exists once the parents have rank 2), each inside or outside the
-    cover as a whole: a line that meets the parent lies inside, one that
-    meets ``covered`` outside the parent lies outside, since a hyperplane
-    there lies in another cover, and any other lies inside exactly when its
-    member's residue equals H's.  Each residue is computed once per parent,
-    and H's own only when some line needs it compared: not for the top, nor
-    for a cover whose lines all meet the parent or ``covered``.  Every new
-    cover holds the parent's subspace, H's row and H's residue if it was
-    computed, and is extended only when its subspace is read
-    (``Flat.extending``), H's row reduced then if need be; the parent's is
-    read only if some hyperplane is left.
+    a cover.  For the bottom and a rank-1 parent each hyperplane left is
+    reduced once, and each residue class is one cover: the rank-1 flats
+    group the hyperplanes by normalized form, the rank-2 flats over a
+    hyperplane X the others by residue modulo X.  For a higher parent the
+    lowest hyperplane H left opens one cover at a time.  Its support is the
+    parent's plus the rank-2 flats through H that it holds (``lines``:
+    level 2's ``by_atom`` and each hyperplane's rank-1 support), each
+    inside or outside the cover as a whole: a line that meets the parent
+    lies inside, one that meets ``covered`` outside the parent lies
+    outside, since a hyperplane there lies in another cover, and any other
+    lies inside exactly when its member's residue equals H's, the member
+    being its lowest hyperplane off H's rank-1 flat.  A line listed twice,
+    by workers that raced to enter it, is read twice to the same effect.
+    Each residue is computed once per parent, and H's own only when some
+    line needs it compared: not for the top, nor for a cover whose lines
+    all meet the parent or ``covered``.  Every new cover holds the parent's
+    subspace, H's row and H's residue if it was computed, and is extended
+    only when its subspace is read (``Flat.extending``), H's row reduced
+    then if need be; the parent's is read only if some hyperplane is left.
     """
     level.check_budget()  # another worker may have gone over already
     hyperplanes = arr.hyperplanes
-    ambient = arr.ambient
     below = parent.support
-    if not below:
-        # the rank-1 flats: a repeated hyperplane has an equal normalized row,
-        # which is already the canonical RREF of its hyperplane
-        atoms: dict = {}
-        for h, form in enumerate(hyperplanes):
-            row = form.normalized().row
-            atoms[row] = atoms.get(row, 0) | 1 << h
-        for row, bits in atoms.items():
-            pivot = LinearForm(ambient, arr.order, row).leading_index()
-            level.add(Flat(Subspace(ambient, arr.order, (row,), (pivot,)), bits, 1))
-        return
     by_atom = level.by_atom
     covered = below
     for s in by_atom.get(below & -below, ()):
@@ -575,36 +546,39 @@ def _children_of(arr: Arrangement, parent: Flat, level: _Level, lines: list | No
     if not rest:
         return
     sub = parent.subspace
-    if parent.rank == 1:
-        # the rank-2 flats: hyperplanes off the parent with equal residues
+    rank = parent.rank + 1
+    if rank <= 2:
         groups: dict = {}
         for bit in _bits(rest):
             key = form_residue(hyperplanes[bit.bit_length() - 1].row, sub)
+            if key is None:  # a zero row, which make_arrangement refuses
+                raise ValueError("zero form has no leading coefficient")
             groups[key] = groups.get(key, 0) | bit
         for residue, bits in groups.items():
-            level.add(Flat.extending(sub, residue, None, below | bits, 2))
+            level.add(Flat.extending(sub, residue, None, below | bits, rank))
         return
-    rank = parent.rank + 1
+    through, point_of = lines
     residues: dict[int, Row] = {}
     while rest:
         bit = rest & -rest
-        h = bit.bit_length() - 1
-        row = hyperplanes[h].row
-        key = residues.get(h)
+        row = hyperplanes[bit.bit_length() - 1].row
+        key = residues.get(bit)
         bits = below | bit
-        if rank == ambient:
+        if rank == arr.ambient:
             bits = full
         else:
             off = covered & ~below
-            for line, member in lines[h]:
+            for line in through[bit]:
                 if line & below:
                     bits |= line
                 elif not line & off:
                     if key is None:
                         key = form_residue(row, sub)
+                    member = line & ~point_of[bit]
+                    member &= -member
                     residue = residues.get(member)
                     if residue is None:
-                        residue = form_residue(hyperplanes[member].row, sub)
+                        residue = form_residue(hyperplanes[member.bit_length() - 1].row, sub)
                         residues[member] = residue
                     if residue == key:
                         bits |= line
@@ -618,18 +592,19 @@ def build_lattice(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS,
     """Breadth-first lattice construction, level by level.
 
     Rank k+1 flats are the flats X .cap. H for X of rank k and H outside X
-    (``_children_of``); rank-1 flats group equal normalized forms, and the
-    rank-2 flats over a hyperplane X group the other hyperplanes by their
-    normalized residues modulo X, so no flat is fully row-reduced.  A cover
-    the level already has is found by a bitset lookup, so each flat is
-    entered once.  From level 3 on, a new flat's support is read off the
-    rank-2 flats through H (``_line_table``), skipping those that meet X's
-    other covers and comparing one member's residue modulo X with H's for
-    each other.  The parents of a level go to ``_children_of`` largest
-    support first, ties by support: a larger X meets more lines through H,
-    so fewer residues are compared and more covers are found by lookup.
-    Every flat above rank 1 keeps X's subspace and H's row, with H's
-    residue only if some line needed it compared, and extends the one by
+    (``_children_of``).  One grouping step makes ranks 1 and 2: the covers
+    of the bottom and of each rank-1 flat X group the hyperplanes off X by
+    their normalized residues modulo X, so no flat is fully row-reduced.  A
+    cover the level already has is found by a bitset lookup, so each flat
+    is entered once.  Level 2's ``_Level`` is kept, with each hyperplane's
+    rank-1 support: from level 3 on, a new flat's support is read off the
+    rank-2 flats through H that its ``by_atom`` lists, skipping those that
+    meet X's other covers and comparing one member's residue modulo X with
+    H's for each other.  The parents of a level go to ``_children_of``
+    largest support first, ties by support: a larger X meets more lines
+    through H, so fewer residues are compared and more covers are found by
+    lookup.  Every flat above the bottom keeps X's subspace and H's row,
+    with H's residue only if the build compared it, and extends the one by
     the other only when its subspace is read, as a parent with covers left
     to find or by a caller.  Each level is sorted by support bitset, so the
     result is deterministic and identical for any worker count, and each
@@ -652,7 +627,8 @@ def build_lattice(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS,
         levels.append(tuple(found[s] for s in sorted(found)))
         kept += len(found)
         if len(levels) == 3:
-            lines = _line_table(arr, levels[1], levels[2])
+            lines = (level.by_atom,
+                     {bit: p.support for p in levels[1] for bit in _bits(p.support)})
     return IntersectionLattice.of_flats(arr, tuple(levels))
 
 

@@ -277,12 +277,10 @@ def _variables_for(ambient: int) -> dict[str, int]:
 
 
 def parse_scalar(text: str, order: int) -> CyclotomicNumber:
-    """Parse a field element, e.g. ``1 - 2*(z+1)`` over field order 5."""
+    """Parse a field element, e.g. ``1 - 2*(z+1)`` over field order 5.  With
+    no variables every name is an unknown symbol, so the value is a scalar."""
     p = _Parser(text, order, {})
-    value = p.finish(p.parse_expr())
-    if value.coeffs is not None:
-        raise ParseError(f"expected a scalar, found variables in {text!r}")
-    nums, den = value.scalar
+    nums, den = p.finish(p.parse_expr()).scalar
     if not _fits(nums, den):
         raise ParseError(f"the value of {text!r} has an integer of more than "
                          f"{MAX_DIGITS} digits")

@@ -681,6 +681,51 @@ class TestForgedEvidence:
         forged = SupersolvabilityCertificate(True, lattice, False, chain)
         assert not validate_certificate(forged)
 
+    def test_chain_skipping_a_rank_rejected(self, cert):
+        bottom, h, _, top = cert.chain
+        assert not validate_certificate(dataclasses.replace(cert, chain=[bottom, h, top]))
+
+    def test_chain_not_nested_rejected(self, cert):
+        bottom, h, _, top = cert.chain
+        line = next(f for f in cert.lattice.levels[2] if f.support & h.support != h.support)
+        forged = dataclasses.replace(cert, chain=[bottom, h, line, top])
+        assert not validate_certificate(forged)
+
+    @pytest.fixture(scope="class")
+    def d4(self):
+        cert = is_supersolvable(build_lattice(exceptional_arrangement("D4")))
+        assert not cert.verdict and cert.refutation.kind == "empty-rank"
+        assert validate_certificate(cert)
+        return cert
+
+    def test_refuted_without_a_refutation_rejected(self, d4):
+        assert not validate_certificate(dataclasses.replace(d4, refutation=None))
+
+    @pytest.mark.parametrize("rank", [9, None])
+    def test_empty_rank_off_the_lattice_rejected(self, d4, rank):
+        ref = dataclasses.replace(d4.refutation, rank=rank)
+        assert not validate_certificate(dataclasses.replace(d4, refutation=ref))
+
+    def test_witness_whose_sum_is_a_flat_rejected(self, d4):
+        # the bottom as partner: X + V is V, the bottom flat itself
+        first, *rest = d4.refutation.witnesses
+        swapped = ModularityVerdict(first.flat, False, d4.lattice.bottom(), d4.lattice.bottom())
+        ref = dataclasses.replace(d4.refutation, witnesses=[swapped, *rest])
+        assert not validate_certificate(dataclasses.replace(d4, refutation=ref))
+
+    def test_unknown_kind_rejected(self, d4):
+        ref = dataclasses.replace(d4.refutation, kind="no-such-kind")
+        assert not validate_certificate(dataclasses.replace(d4, refutation=ref))
+
+    def test_no_chain_below_rank_3_rejected(self):
+        # every rank-2 lattice is supersolvable: a no-chain refutation of one
+        # is refused before any rescan
+        cert = is_supersolvable(build_lattice(build_named("G(3,3,2)")))
+        assert cert.verdict and cert.lattice.rank() == 2
+        forged = dataclasses.replace(cert, verdict=False, chain=None, refutation=Refutation(
+            "no-chain", modular_counts={0: 1, 1: len(cert.lattice.levels[1]), 2: 1}))
+        assert not validate_certificate(forged)
+
 
 class TestReplayWitness:
     def test_d4_positive(self):
@@ -709,6 +754,14 @@ class TestReplayWitness:
             [parse_form("a - b", 4, 1)],
             None)
         assert not replay.passed and not replay.sum_outside_lattice
+
+    def test_input_off_the_lattice_fails(self):
+        # ker a is no hyperplane of D4, so its closure is the full space
+        d4 = exceptional_arrangement("D4")
+        replay = replay_witness(d4, [parse_form("a", 4, 1)],
+                                [parse_form(t, 4, 1) for t in ("b + d", "b - d")], None)
+        assert not replay.passed and not replay.inputs_are_flats
+        assert replay.message.startswith("X or Y is not a lattice element")
 
 
 class TestCertificateSoundness:

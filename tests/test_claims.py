@@ -47,3 +47,11 @@ def test_rank2_claims_share_one_scan(monkeypatch):
     cert = store.certificate("D4")
     check_rank2_criterion(cert)
     assert calls == []
+
+
+def test_rank2_empty_claim_fails_on_a_modular_flat():
+    # G(3,1,3) is supersolvable, so the claim that it has no modular rank-2
+    # flat fails, naming how many it has
+    result = claims.run_rank2_empty_claim("G(3,1,3)", LatticeStore())
+    assert not result.passed
+    assert result.detail == "3 of 21 rank-2 flats are modular"

@@ -268,6 +268,27 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "build", spec)
         assert code == EXIT_PARSE_ERROR and "parse error" in err
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "{path}: missing 'ambient <l> field <n>' header"),
+        ("ambient 2 field 0\na\n", "{path}:1: field order must be >= 1"),
+        ("ambient 2 field 1\na^b\n",
+         "{path}:2: exponent must be a nonnegative integer in 'a^b'"),
+        ("ambient 2 field 1\n(a b\n", "{path}:2: expected ')' but found 'b' in '(a b'"),
+        ("ambient 2 field 1\na $ b\n", "{path}:2: unexpected character '$' in 'a $ b'"),
+    ], ids=["empty", "field-0", "symbolic-exponent", "open-paren", "stray-character"])
+    def test_malformed_file_message(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.arr"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "build", str(path))
+        assert code == EXIT_PARSE_ERROR and not out
+        assert err == f"hyparr: parse error: {message.format(path=path)}\n"
+
+    def test_product_of_three_is_parse_error(self, capsys):
+        code, out, err = run_cli(capsys, "lattice", "product(A2,A2,A2)")
+        assert code == EXIT_PARSE_ERROR and not out
+        assert err == ("hyparr: parse error: product(...) takes exactly two specs: "
+                       "'product(A2,A2,A2)'\n")
+
     def test_deep_product_is_parse_error(self, capsys):
         spec = "product(" * 1200 + "A2" + ", A2)" * 1200
         code, _, err = run_cli(capsys, "build", spec)
@@ -695,6 +716,12 @@ class TestRenderedOutputs:
             "9be80643e2e78e88efcbf36723866806940c191c31c806e8b17aafa601d96635",
         ("build", "G29"):
             "b289bb225c991c422b130bc8f5bc1c2b8ddbd839d24580123d5023fab8f9e1a6",
+        # the Poincare polynomial and exponents lines, and a no-chain
+        # refutation, recorded from the renderer that reads packed rows
+        ("poincare", "A(3)"):
+            "ddb28d39dd349ccb24bcf4bc98094bbc0cdd1f6c004de8b008febf3957418c90",
+        ("supersolvable", "product(B2,D4)"):
+            "96103cd75389df38b92f2bd1f5fc79748c35f0e34fffa7833f8be645d889f1ad",
     }
     # arrangement_to_text writes the benchmark's input files, so these bytes
     # also fix what the ``lattice`` workload reads (before it shuffles)
@@ -719,6 +746,24 @@ class TestRenderedOutputs:
         code, out, _ = run_cli(capsys, *argv)
         assert code == EXIT_OK
         assert sha256(without_timings(out)) == self.HUMAN_SHA256[argv]
+
+    def test_human_stdout_of_a_repeated_form(self, capsys, tmp_path):
+        path = tmp_path / "repeated.arr"
+        path.write_text("ambient 2 field 1\na\na\nb\n")
+        code, out, _ = run_cli(capsys, "poincare", str(path))
+        assert code == EXIT_OK
+        assert without_timings(out) == f"""\
+arrangement {path}: 2 hyperplanes in C^2, field order 1, rank 2
+  1 duplicate input forms removed
+lattice: 4 flats, level sizes [1, 2, 1]
+supersolvable: True
+  modular chain:
+    rank 0: full space
+    rank 1: a
+    rank 2: a ; b
+poincare polynomial: 1 + 2*t + t^2
+exponents: [1, 1]
+"""
 
     @pytest.mark.parametrize("spec", sorted(TEXT_SHA256), ids=lambda s: s[:12])
     def test_arrangement_text_is_unchanged(self, spec):

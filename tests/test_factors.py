@@ -61,7 +61,7 @@ def assert_matches_direct(arr):
     with tempfile.TemporaryDirectory() as cache_dir:
         load_or_build(arr, cache_dir)
         loaded = load_or_build(arr, cache_dir)
-    # a loaded factor's rank-1 flats derive their subspaces; built ones hold them
+    # a loaded factor's rank-1 flats derive their subspaces only when read
     assert all(f._subspace is None for factor in loaded.factors
                for f in factor.lattice.levels[1])
     assert factored.factors, "the input did not split by coordinates"

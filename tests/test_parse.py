@@ -67,6 +67,15 @@ class TestScalars:
         with pytest.raises(ParseError):
             parse_scalar("1 2", 1)
 
+    def test_variable_is_an_unknown_symbol(self):
+        with pytest.raises(ParseError, match=r"^unknown symbol 'a' in 'a'$"):
+            parse_scalar("a", 1)
+
+    def test_oversized_product_of_literals(self):
+        digits = "9" * MAX_DIGITS
+        with pytest.raises(ParseError, match=f"has an integer of more than {MAX_DIGITS} digits"):
+            parse_scalar(f"{digits}*{digits}", 1)
+
 
 class TestForms:
     def test_aliases_and_x_names(self):
