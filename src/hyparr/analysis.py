@@ -71,7 +71,7 @@ from dataclasses import dataclass, field
 
 from . import _kernel
 from .arrangement import Arrangement, Flat, IntersectionLattice, _bits, closure, parallel_map
-from .cyclo import elem_str, field_context, poly_divmod
+from .cyclo import elem_str, field_context, poly_divmod, poly_mul
 from .errors import InternalInconsistencyError, RefusalError
 from .linalg import LinearForm, Subspace, extend_by_rows, subspace_from_forms, subspace_sum
 
@@ -484,12 +484,8 @@ def poincare(arr: Arrangement, lattice: IntersectionLattice) -> PoincarePolynomi
     if lattice.factors:
         coeffs = [1]
         for factor in lattice.factors:
-            other = poincare(factor.lattice.arrangement, factor.lattice).coefficients
-            grown = [0] * (len(coeffs) + len(other) - 1)
-            for i, a in enumerate(coeffs):
-                for j, b in enumerate(other):
-                    grown[i + j] += a * b
-            coeffs = grown
+            coeffs = poly_mul(coeffs, poincare(factor.lattice.arrangement,
+                                               factor.lattice).coefficients)
     else:
         coeffs = [sum(values) * (-1) ** k for k, values in enumerate(_mobius_levels(lattice))]
     poly = PoincarePolynomial(tuple(coeffs))
@@ -558,12 +554,14 @@ def irreducible_factor_count(poly: PoincarePolynomial) -> int:
 
 @dataclass
 class Rank2Report:
-    """Both sides of the rank-2 criterion, read off one certificate."""
+    """Both sides of the rank-2 criterion, read off one certificate, and the
+    Poincare polynomial its factor count was read from."""
 
     supersolvable: bool
     modular_rank2_count: int
     agree: bool
     modular_rank2: list[Flat]
+    poincare: PoincarePolynomial
 
 
 def check_rank2_criterion(cert: SupersolvabilityCertificate, threads: int = 1) -> Rank2Report:
@@ -578,7 +576,8 @@ def check_rank2_criterion(cert: SupersolvabilityCertificate, threads: int = 1) -
     search did not.
     """
     lattice = cert.lattice
-    factors = irreducible_factor_count(poincare(lattice.arrangement, lattice))
+    poly = poincare(lattice.arrangement, lattice)
+    factors = irreducible_factor_count(poly)
     if factors != 1:
         raise RefusalError(
             f"the rank-2 criterion applies to irreducible arrangements only; "
@@ -586,7 +585,7 @@ def check_rank2_criterion(cert: SupersolvabilityCertificate, threads: int = 1) -
     if lattice.rank() < 2:
         raise RefusalError("the rank-2 criterion needs rank at least 2")
     mods = [v.flat for v in modular_flats_of_rank(lattice, 2, threads) if v.modular]
-    return Rank2Report(cert.verdict, len(mods), cert.verdict == bool(mods), mods)
+    return Rank2Report(cert.verdict, len(mods), cert.verdict == bool(mods), mods, poly)
 
 
 @dataclass

@@ -397,29 +397,17 @@ class IntersectionLattice:
 
     def flats_under(self, rank: int, lower: int) -> tuple[int, ...]:
         """For each rank-``rank`` flat Z, in flat order, the rank-``lower``
-        flats under Z (``lower < rank``), as a mask over ``levels[lower]``.
-        One rank down they are Z's lower covers: bit j in every flat above
-        the j-th rank-``lower`` flat (``above``); further down, the OR of
-        those covers' own masks, memoized down the ranks.  Built on first
-        use, per pair of ranks, as safely from worker threads as
+        flats under Z (``lower < rank``), as a mask over ``levels[lower]``:
+        Z lies over the j-th rank-``lower`` flat W exactly when Z is above
+        W, so bit j is set in every flat of ``above(W, rank)``.  Built on
+        first use, per pair of ranks, as safely from worker threads as
         ``flats_through``."""
         table = self._under.get((rank, lower))
         if table is None:
-            if lower == rank - 1:
-                masks = [0] * len(self.supports[rank])
-                for j, w in enumerate(self.supports[lower]):
-                    for bit in _bits(self.above(w, rank)):
-                        masks[bit.bit_length() - 1] |= 1 << j
-            else:
-                below = self.flats_under(rank - 1, lower)
-                masks = []
-                for covered in self.flats_under(rank, rank - 1):
-                    m = 0
-                    while covered:
-                        low = covered & -covered
-                        m |= below[low.bit_length() - 1]
-                        covered ^= low
-                    masks.append(m)
+            masks = [0] * len(self.supports[rank])
+            for j, w in enumerate(self.supports[lower]):
+                for bit in _bits(self.above(w, rank)):
+                    masks[bit.bit_length() - 1] |= 1 << j
             table = self._under[(rank, lower)] = tuple(masks)
         return table
 

@@ -3,8 +3,10 @@
 Every row replays one explicit computation from the published proofs the
 catalog arrangements come from: either a sum of two lattice elements that
 lands outside the lattice (witnessing non-modularity), an exhaustive
-no-modular-rank-2 check, or the two-sided rank-2 criterion.  The rows are
-plain data so coverage is auditable by reading this table.
+no-modular-rank-2 check, or the two-sided rank-2 criterion, which also
+checks the Poincare polynomial it computes against prod(1 + b t) over the
+entry's coexponents (Orlik-Solomon; Orlik-Terao, Table C).
+The rows are plain data so coverage is auditable by reading this table.
 
 ``LatticeStore`` makes each arrangement's lattice once, by the commands'
 ``load_or_build``, and its certificate once, by ``is_supersolvable`` on that
@@ -23,8 +25,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .analysis import (SupersolvabilityCertificate, check_rank2_criterion, is_supersolvable,
-                       modular_flats_of_rank, replay_witness)
+from .analysis import (PoincarePolynomial, SupersolvabilityCertificate, check_rank2_criterion,
+                       is_supersolvable, modular_flats_of_rank, replay_witness)
 from .arrangement import DEFAULT_MAX_FLATS, Arrangement, IntersectionLattice
 from .cache import load_or_build
 from .parse import parse_form
@@ -169,8 +171,13 @@ def run_equivalence_claim(name: str, store: LatticeStore) -> ClaimResult:
     report = check_rank2_criterion(store.certificate(name), store.threads)
     detail = (f"supersolvable={report.supersolvable}, "
               f"modular rank-2 flats={report.modular_rank2_count}")
+    expected = catalog_entry(name).poincare_coefficients()
+    matches = list(report.poincare.coefficients) == expected
+    if not matches:
+        detail += (f"; Poincare polynomial {report.poincare} is not "
+                   f"{PoincarePolynomial(tuple(expected))} from the coexponents")
     return ClaimResult(f"{name}.rank2-criterion", "rank2-criterion", name,
-                       report.agree, detail, time.perf_counter() - t0)
+                       report.agree and matches, detail, time.perf_counter() - t0)
 
 
 def run_supersolvable_claim(name: str, store: LatticeStore) -> ClaimResult:

@@ -5,7 +5,8 @@ modulo the n-th cyclotomic polynomial, with one positive integer denominator
 under integer numerator coordinates.  That representation is canonical, so
 equality is coordinate-wise and values hash.  No floating point is used.
 Phi_n is built, and reduced modulo, by the one polynomial division
-``poly_divmod``, which also factors Poincare polynomials (``analysis``).
+``poly_divmod``, which also factors Poincare polynomials (``analysis``);
+``poly_mul`` is the one polynomial product.
 
 >>> i = root_of_unity(4, 1)
 >>> i * i == CyclotomicNumber.from_rational(-1, 4)
@@ -43,6 +44,17 @@ def poly_divmod(num, den) -> tuple[list[int], list[int]]:
     while rem and rem[-1] == 0:
         rem.pop()
     return q, rem
+
+
+def poly_mul(a, b) -> list[int]:
+    """Product of integer polynomials with ascending coefficients: the
+    Poincare polynomial of a product of arrangements, and prod(1 + b t)
+    over a catalog entry's coexponents."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 @cache

@@ -17,13 +17,17 @@ or any row is made; the catalog builders and ``product(...)`` specs are
 checked by it the same way.
 
 Expressions are evaluated on the kernel's packed elements, ``(nums, den)``
-pairs, with ``_kernel.elem_add``, ``elem_mul``, ``elem_inv`` and friends: a
-form is a sparse map from column to element, packed into one row and scaled
-to leading coefficient 1 (``_kernel.monic``) at the end.  Every integer must
-stay printable: a literal longer than ``MAX_DIGITS`` digits, an exponent
-above ``MAX_EXPONENT``, and a power or a coefficient of the result with an
-integer past ``MAX_DIGITS`` digits are each a ``ParseError``; the size of a
-power's base is checked before the power is computed.
+pairs, with ``_kernel.elem_add``, ``elem_mul``, ``elem_inv`` and friends.
+Every value is one sparse row, a map from column to element, with the
+constant in the reserved column ``_CONST``: a scalar is a row of the
+constant alone, a form a row of variables alone, and a nonzero constant
+beside variables is refused where the two first meet.  A form's row is
+packed and scaled to leading coefficient 1 (``_kernel.monic``) at the end.
+Every integer must stay printable: a literal longer than ``MAX_DIGITS``
+digits, an exponent above ``MAX_EXPONENT``, and a power or a coefficient of
+the result with an integer past ``MAX_DIGITS`` digits are each a
+``ParseError``; the size of a power's base is checked before the power is
+computed.
 
 >>> parse_form("2*a - 4*z*b", 2, 3).row
 ((1, 0, 0, -2), 1)
@@ -97,17 +101,7 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
-class _Value:
-    """Either a scalar element or a linear combination of variables, a map
-    from column to element (never both mixed with a constant part: affine
-    expressions are rejected on the way out).  Elements are the kernel's
-    canonical ``(nums, den)`` pairs."""
-
-    __slots__ = ("scalar", "coeffs")
-
-    def __init__(self, scalar, coeffs: dict | None = None):
-        self.scalar = scalar
-        self.coeffs = coeffs
+_CONST = -1  # the column of a row's constant
 
 
 class _Parser:
@@ -137,32 +131,25 @@ class _Parser:
         if got != tok:
             raise ParseError(f"expected {tok!r} but found {got!r} in {self.text!r}")
 
-    def _linear(self, v: _Value) -> dict:
-        if v.coeffs is None:
-            if any(v.scalar[0]):
-                raise ParseError(f"affine expression (constant {elem_str(*v.scalar)} "
-                                 f"plus variables) in {self.text!r}")
-            return {}
-        return v.coeffs
-
-    def _combine(self, a: _Value, b: _Value, subtract: bool) -> _Value:
+    def _combine(self, a: dict, b: dict, subtract: bool) -> dict:
         op = _kernel.elem_sub if subtract else _kernel.elem_add
-        if a.coeffs is None and b.coeffs is None:
-            return _Value(op(a.scalar, b.scalar))
-        out = dict(self._linear(a))
-        for col, e in self._linear(b).items():
+        out = dict(a)
+        for col, e in b.items():
             if col in out:
                 out[col] = op(out[col], e)
             else:
                 out[col] = _kernel.elem_neg(e) if subtract else e
-        return _Value(None, out)
+        if len(out) > 1 and _CONST in out:  # one of a and b is a scalar
+            c = a.get(_CONST) or b[_CONST]
+            if any(c[0]):
+                raise ParseError(f"affine expression (constant {elem_str(*c)} "
+                                 f"plus variables) in {self.text!r}")
+            del out[_CONST]
+        return out
 
-    def _scale(self, v: _Value, s) -> _Value:
+    def _scale(self, v: dict, s) -> dict:
         d, red = self.d, self.red
-        if v.coeffs is None:
-            return _Value(_kernel.elem_mul(s, v.scalar, d, red))
-        return _Value(None, {col: _kernel.elem_mul(s, e, d, red)
-                             for col, e in v.coeffs.items()})
+        return {col: _kernel.elem_mul(s, e, d, red) for col, e in v.items()}
 
     def _power(self, a, k: int):
         if k > MAX_EXPONENT:
@@ -183,7 +170,7 @@ class _Parser:
                              f"digits in {self.text!r}")
         return out
 
-    def parse_expr(self) -> _Value:
+    def parse_expr(self) -> dict:
         value = self.parse_term()
         while self.peek() in ("+", "-"):
             op = self.take()
@@ -191,26 +178,26 @@ class _Parser:
             value = self._combine(value, rhs, op == "-")
         return value
 
-    def parse_term(self) -> _Value:
+    def parse_term(self) -> dict:
         value = self.parse_factor()
         while self.peek() in ("*", "/"):
             op = self.take()
             rhs = self.parse_factor()
             if op == "*":
-                if value.coeffs is not None and rhs.coeffs is not None:
-                    raise ParseError(f"product of two variable expressions in {self.text!r}")
-                if rhs.coeffs is not None:
+                if _CONST not in rhs:
+                    if _CONST not in value:
+                        raise ParseError(f"product of two variable expressions in {self.text!r}")
                     value, rhs = rhs, value
-                value = self._scale(value, rhs.scalar)
+                value = self._scale(value, rhs[_CONST])
             else:
-                if rhs.coeffs is not None:
+                if _CONST not in rhs:
                     raise ParseError(f"division by a variable expression in {self.text!r}")
-                if not any(rhs.scalar[0]):
+                if not any(rhs[_CONST][0]):
                     raise ParseError(f"division by zero in {self.text!r}")
-                value = self._scale(value, _kernel.elem_inv(rhs.scalar, self.d, self.red))
+                value = self._scale(value, _kernel.elem_inv(rhs[_CONST], self.d, self.red))
         return value
 
-    def parse_factor(self) -> _Value:
+    def parse_factor(self) -> dict:
         sign = 1
         while self.peek() in ("+", "-"):
             if self.take() == "-":
@@ -221,19 +208,15 @@ class _Parser:
             exp_tok = self.take()
             if not exp_tok.isdigit():
                 raise ParseError(f"exponent must be a nonnegative integer in {self.text!r}")
-            if value.coeffs is not None:
+            if _CONST not in value:
                 raise ParseError(f"cannot raise a variable expression to a power "
                                  f"in {self.text!r}")
-            value = _Value(self._power(value.scalar, _integer(exp_tok)))
+            value = {_CONST: self._power(value[_CONST], _integer(exp_tok))}
         if sign < 0:
-            if value.coeffs is None:
-                value = _Value(_kernel.elem_neg(value.scalar))
-            else:
-                value = _Value(None, {col: _kernel.elem_neg(e)
-                                      for col, e in value.coeffs.items()})
+            value = {col: _kernel.elem_neg(e) for col, e in value.items()}
         return value
 
-    def parse_atom(self) -> _Value:
+    def parse_atom(self) -> dict:
         tok = self.take()
         if tok == "(":
             self.depth += 1
@@ -244,22 +227,22 @@ class _Parser:
             self.depth -= 1
             return value
         if tok.isdigit():
-            return _Value(((_integer(tok),) + (0,) * (self.d - 1), 1))
+            return {_CONST: ((_integer(tok),) + (0,) * (self.d - 1), 1)}
         if tok == "z":
             if self.order == 1:
                 raise ParseError("'z' is undefined over the rationals (field order 1)")
-            return _Value(root_elem(self.order, 1))
+            return {_CONST: root_elem(self.order, 1)}
         if tok == "i":
             if self.order % 4:
                 raise ParseError(f"'i' requires the field order to be a multiple of 4 "
                                  f"(got {self.order})")
-            return _Value(root_elem(self.order, self.order // 4))
+            return {_CONST: root_elem(self.order, self.order // 4)}
         col = self.variables.get(tok)
-        if col is not None:
-            return _Value(None, {col: ((1,) + (0,) * (self.d - 1), 1)})
-        raise ParseError(f"unknown symbol {tok!r} in {self.text!r}")
+        if col is None:
+            raise ParseError(f"unknown symbol {tok!r} in {self.text!r}")
+        return {col: ((1,) + (0,) * (self.d - 1), 1)}
 
-    def finish(self, value: _Value) -> _Value:
+    def finish(self, value: dict) -> dict:
         if self.peek() is not None:
             raise ParseError(f"trailing input {self.peek()!r} in {self.text!r}")
         return value
@@ -280,7 +263,7 @@ def parse_scalar(text: str, order: int) -> CyclotomicNumber:
     """Parse a field element, e.g. ``1 - 2*(z+1)`` over field order 5.  With
     no variables every name is an unknown symbol, so the value is a scalar."""
     p = _Parser(text, order, {})
-    nums, den = p.finish(p.parse_expr()).scalar
+    nums, den = p.finish(p.parse_expr())[_CONST]
     if not _fits(nums, den):
         raise ParseError(f"the value of {text!r} has an integer of more than "
                          f"{MAX_DIGITS} digits")
@@ -290,13 +273,13 @@ def parse_scalar(text: str, order: int) -> CyclotomicNumber:
 def _parse_row(text: str, ambient: int, order: int, variables: dict[str, int]) -> LinearForm:
     p = _Parser(text, order, variables)
     value = p.finish(p.parse_expr())
-    if value.coeffs is None:
+    if _CONST in value:
         raise ParseError(f"expected a linear form, found the scalar "
-                         f"{elem_str(*value.scalar)} in {text!r}")
+                         f"{elem_str(*value[_CONST])} in {text!r}")
     d = p.d
-    den = lcm(*(e[1] for e in value.coeffs.values()))
+    den = lcm(*(e[1] for e in value.values()))
     nums = [0] * (ambient * d)
-    for col, (en, ed) in value.coeffs.items():
+    for col, (en, ed) in value.items():
         s = den // ed
         nums[col * d:(col + 1) * d] = [v * s for v in en] if s > 1 else en
     row = _kernel.monic(nums, ambient, d, p.red)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import _kernel
 from .arrangement import Arrangement, make_arrangement
-from .cyclo import field_context, root_elem
+from .cyclo import field_context, poly_mul, root_elem
 from .linalg import LinearForm
 from .parse import check_packed_size, parse_form
 
@@ -193,6 +193,13 @@ class CatalogEntry:
 
     def build(self) -> Arrangement:
         return build_named(self.name)
+
+    def poincare_coefficients(self) -> list[int]:
+        """prod(1 + b_i t) over the coexponents, ascending."""
+        out = [1]
+        for b in self.coexponents:
+            out = poly_mul(out, (1, b))
+        return out
 
 
 def _monomial_count(r: int, p: int, ell: int) -> int:

@@ -1,10 +1,12 @@
 """The claims table: unique ids, and one rank-2 scan per arrangement."""
 
+from dataclasses import replace
+
 import hyparr.analysis
 from hyparr import claims
 from hyparr.analysis import check_rank2_criterion
 from hyparr.claims import ClaimResult, LatticeStore, run_claims
-from hyparr.reflection import catalog
+from hyparr.reflection import catalog, catalog_entry
 
 
 def test_catalog_names_and_claim_ids_unique(monkeypatch):
@@ -55,3 +57,22 @@ def test_rank2_empty_claim_fails_on_a_modular_flat():
     result = claims.run_rank2_empty_claim("G(3,1,3)", LatticeStore())
     assert not result.passed
     assert result.detail == "3 of 21 rank-2 flats are modular"
+
+
+def test_rank2_criterion_claim_checks_the_coexponents(monkeypatch):
+    # the lattice's Poincare polynomial must be prod(1 + b t) over the
+    # entry's coexponents: with one wrong coexponent in the table, that
+    # name's rank2-criterion claim fails, naming both polynomials, and its
+    # other claims still pass
+    entry = catalog_entry("D4")
+    monkeypatch.setattr(claims, "catalog_entry",
+                        lambda name: replace(entry, coexponents=(1, 3, 4, 5))
+                        if name == "D4" else catalog_entry(name))
+    results = {r.kind: r for r in run_claims("D4", LatticeStore())}
+    assert results.keys() == {"witness", "rank2-empty", "rank2-criterion"}
+    failed = results.pop("rank2-criterion")
+    assert all(r.passed for r in results.values())
+    assert not failed.passed
+    assert failed.detail == ("supersolvable=False, modular rank-2 flats=0; Poincare polynomial "
+                             "1 + 12*t + 50*t^2 + 84*t^3 + 45*t^4 is not "
+                             "1 + 13*t + 59*t^2 + 107*t^3 + 60*t^4 from the coexponents")

@@ -321,6 +321,29 @@ class TestAgainstReference:
         assert kinds["form"] > 500 and kinds["error"] > 100, kinds
         assert all(kinds.values()), kinds
 
+    @pytest.mark.parametrize("text, message", [
+        ("(a + 1) - 1", "affine expression (constant 1 plus variables) in '(a + 1) - 1'"),
+        ("(a+1)*0", "affine expression (constant 1 plus variables) in '(a+1)*0'"),
+        ("z*(a + 1)", "affine expression (constant 1 plus variables) in 'z*(a + 1)'"),
+        ("a - 2", "affine expression (constant 2 plus variables) in 'a - 2'"),
+        ("a + (1 - 1)", None),
+        ("3 - 3 + a", None),
+        ("a*0 + b", None),
+        ("a - a + b", None),
+        ("(a - a)*b", "product of two variable expressions in '(a - a)*b'"),
+        ("a^0", "cannot raise a variable expression to a power in 'a^0'"),
+        ("a/(b - b)", "division by a variable expression in 'a/(b - b)'"),
+        ("a/(1 - 1)", "division by zero in 'a/(1 - 1)'"),
+        ("3 - 3", "expected a linear form, found the scalar 0 in '3 - 3'"),
+        ("a*0 - b*0", "the expression 'a*0 - b*0' is the zero form"),
+    ])
+    def test_edge_expressions(self, text, message):
+        # a nonzero constant beside variables is refused where it first
+        # appears and never cancels later; a zero constant is dropped
+        new = assert_parses_like_reference(text, 3, 3, valid=message is None)
+        if message is not None:
+            assert new == f"ParseError: {message}"
+
     def test_random_scalars(self):
         rng = random.Random(2021)
         for k in range(800):

@@ -336,8 +336,8 @@ def test_every_rank_matches_a_full_order_scan(tmp_path):
 
 def test_rank_three_of_a_rank_five_lattice_matches_a_full_order_scan():
     # a rank-3 flat tests its rank-2 complements under the rank-4 flats
-    # above it, whose masks are memoized down from their lower covers; B5
-    # has 10 modular rank-3 flats among 330
+    # above it, whose masks span two ranks (``flats_under(4, 2)``); B5 has
+    # 10 modular rank-3 flats among 330
     lattice = build_lattice(build_named("G(2,1,5)"))
     assert lattice.rank() == 5
     verdicts = [_scanned(lattice, x) for x in lattice.levels[3]]
