@@ -56,9 +56,9 @@ from math import lcm, prod
 from . import _kernel
 from .cyclo import embed_row, field_context
 from .errors import InternalInconsistencyError, InvalidHyperplaneError, RefusalError
-from .linalg import (LinearForm, Row, Subspace, extend_rref, form_residue, form_to_str,
-                     form_vanishes_on, full_space, restrict_row, subspace_from_rows,
-                     variable_names)
+from .linalg import (LinearForm, Row, Subspace, extend_by_rows, extend_rref, form_residue,
+                     form_to_str, form_vanishes_on, full_space, restrict_row,
+                     subspace_from_rows, variable_names)
 
 DEFAULT_MAX_FLATS = 500_000
 
@@ -150,15 +150,16 @@ class Flat:
     A flat of a simple arrangement is fixed by its support.  Its canonical
     RREF subspace is made eagerly for the bottom of ``build_lattice`` and
     for the flats of ``closure`` and of the all-subsets oracle.  Every
-    other flat defers it.  A flat ``build_lattice`` enters holds its
-    parent's subspace and the residue modulo it of a hyperplane that cuts
-    the flat out of the parent, or that hyperplane's row where the build
-    compared no residue (``Flat.extending``).  It extends the one by the
-    residue the first time ``subspace`` is read (``extend_rref``), reducing
-    the row then (``form_residue``) if need be.  A flat made from its
-    support, on the first read of the flats of a lattice made from supports
-    (a cache load, a product's assembly), grows it from the full space by
-    its hyperplanes (``_subspace_of``).  A deferred flat then keeps the
+    other flat defers it in one form (``Flat.extending``): a parent
+    subspace, with the residue modulo it of a hyperplane that cuts the flat
+    out of it, or the rows of hyperplanes that do.  A flat ``build_lattice``
+    enters holds its parent's subspace with that residue, or the one
+    hyperplane's row where the build compared no residue; a flat made on
+    the first read of the flats of a lattice made from supports (a cache
+    load, a product's assembly) holds the full space and its support's
+    rows.  The first read of ``subspace`` extends the parent by the residue
+    (``extend_rref``), or else by the rows (``extend_by_rows``), and checks
+    that the result has the flat's rank.  A deferred flat then keeps the
     subspace, and keeps its source, so workers reading it at once only
     derive an equal subspace more than once.  The hash reads the support
     only, so sets and dicts of flats derive nothing; equality compares
@@ -174,42 +175,30 @@ class Flat:
         self._source = None
 
     @classmethod
-    def of_support(cls, arr: Arrangement, support: int, rank: int) -> Flat:
-        """The rank-``rank`` flat of ``arr`` on the hyperplanes of
-        ``support``, its subspace derived when first read."""
+    def extending(cls, parent: Subspace, residue: Row | None, rows, support: int,
+                  rank: int) -> Flat:
+        """The rank-``rank`` flat on the hyperplanes of ``support``, its
+        subspace ``parent`` extended when first read: by ``residue``, a
+        hyperplane's residue modulo ``parent``, if the caller has it, else by
+        the packed ``rows``.  A built flat holds its parent's subspace, not
+        its flat, so no chain of deferred parents forms."""
         flat = cls.__new__(cls)
         flat._subspace = None
         flat.support = support
         flat.rank = rank
-        flat._source = arr
-        return flat
-
-    @classmethod
-    def extending(cls, parent: Subspace, residue: Row | None, row: Row | None,
-                  support: int, rank: int) -> Flat:
-        """The cover of the flat with subspace ``parent`` by a hyperplane
-        with packed ``row``, on the hyperplanes of ``support``, its subspace
-        extended when first read by the row's residue modulo ``parent``:
-        ``residue`` if the build has it, else reduced then.  It holds the
-        parent's subspace, not its flat, so no chain of deferred parents
-        forms."""
-        flat = cls.__new__(cls)
-        flat._subspace = None
-        flat.support = support
-        flat.rank = rank
-        flat._source = (parent, residue, row)
+        flat._source = (parent, residue, rows)
         return flat
 
     @property
     def subspace(self) -> Subspace:
         sub = self._subspace
         if sub is None:
-            source = self._source
-            if isinstance(source, Arrangement):
-                sub = _subspace_of(source, self.support, self.rank)
-            else:
-                parent, residue, row = source
-                sub = extend_rref(parent, residue or form_residue(row, parent))
+            parent, residue, rows = self._source
+            sub = (extend_rref(parent, residue) if residue is not None
+                   else extend_by_rows(parent, rows))
+            if sub.codim != self.rank:
+                raise InternalInconsistencyError(
+                    f"the hyperplanes of a rank-{self.rank} flat have rank {sub.codim}")
             self._subspace = sub
         return sub
 
@@ -232,19 +221,6 @@ class Flat:
 
     def __repr__(self):
         return f"Flat(rank={self.rank}, support={self.support:b})"
-
-
-def _subspace_of(arr: Arrangement, support: int, rank: int) -> Subspace:
-    """The canonical RREF of the hyperplanes of ``support``, grown by their
-    residues (``subspace_from_rows``), as the build extends a parent.  A
-    rank other than ``rank`` means the support was not that of a
-    rank-``rank`` flat and raises InternalInconsistencyError."""
-    sub = subspace_from_rows([arr.hyperplanes[bit.bit_length() - 1].row
-                              for bit in _bits(support)], arr.ambient, arr.order)
-    if sub.codim != rank:
-        raise InternalInconsistencyError(
-            f"the hyperplanes of a rank-{rank} flat have rank {sub.codim}")
-    return sub
 
 
 def closure(arr: Arrangement, x: Subspace) -> Flat:
@@ -270,13 +246,14 @@ class IntersectionLattice:
     maps each support to its flat.  The constructor takes the supports
     alone, as a cache load and a product's assembly give them
     (``lattice_of``), and makes the flats on the first read of ``levels``
-    or ``index``, each once, from its support (``Flat.of_support``).  Its
-    size, ranks, cache payload, factor moves and mask tables read the
-    supports, so a command that reads no flat makes none.  A built lattice
-    (``of_flats``) holds its flats from the start: the subspace of its
-    bottom, and above it the parent's subspace and hyperplane row, with its
-    residue if the build compared it (``Flat.extending``).  Either way a
-    flat computes its subspace when first read.  Its one incidence table,
+    or ``index``, each once, holding the full space and its support's rows
+    (``Flat.extending``).  Its size, ranks, cache payload, factor moves and
+    mask tables read the supports, so a command that reads no flat makes
+    none.  A built lattice (``of_flats``) holds its flats from the start:
+    the subspace of its bottom, and above it the parent's subspace and a
+    hyperplane's residue modulo it, or its row where the build compared no
+    residue.  Either way a flat extends its subspace when first read and
+    checks its rank.  Its one incidence table,
     ``flats_through``, is built per rank on first use, and every cover
     relation is read off it (``above``).
     ``factors`` holds the factor lattices of a product that ``lattice_of``
@@ -310,7 +287,15 @@ class IntersectionLattice:
         made = self._flats
         if not made:
             arr = self.arrangement
-            levels = tuple(tuple(Flat.of_support(arr, s, rank) for s in level)
+            space = full_space(arr.ambient, arr.order)
+            rows = [h.row for h in arr.hyperplanes]
+
+            def flat(support: int, rank: int) -> Flat:
+                # the collector stops tracking a tuple of rows, never a list
+                return Flat.extending(space, None, tuple([rows[bit.bit_length() - 1]
+                                                          for bit in _bits(support)]),
+                                      support, rank)
+            levels = tuple(tuple(flat(s, rank) for s in level)
                            for rank, level in enumerate(self.supports))
             made.append((levels, {f.support: f for level in levels for f in level}))
         return made[0]
@@ -570,7 +555,7 @@ def _children_of(arr: Arrangement, parent: Flat, level: _Level, lines: tuple | N
                         residues[member] = residue
                     if residue == key:
                         bits |= line
-        level.add(Flat.extending(sub, key, row, bits, rank))
+        level.add(Flat.extending(sub, key, (row,), bits, rank))
         covered |= bits
         rest &= ~bits
 
@@ -756,8 +741,8 @@ def lattice_of(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS, threads: in
     hyperplane indices (``Factor``).  The product is made from those
     supports alone, each level sorted (``IntersectionLattice``), so it has
     the supports and ranks ``build_lattice`` gives; its flats are made from
-    them on first read (``Flat.of_support``), and each derives the same
-    subspace when read.  Assembling it makes no flat, of the product or of
+    them on first read, and each grows the same subspace from the full
+    space by its rows when read (``Flat.extending``).  Assembling it makes no flat, of the product or of
     a factor.  A product with more flats than ``max_flats`` is refused from
     its factors' sizes before it is assembled, with the refusal of
     ``build_lattice``.  The factor lattices

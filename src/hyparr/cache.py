@@ -7,9 +7,10 @@ that contain it, so no rows are stored.  ``load_or_build`` keeps one entry
 per factor of a product, on the factor's own columns, and none for the
 product, which is assembled from its factors' lattices cold and warm alike
 (``lattice_of``).  A loaded lattice holds its supports alone and makes its
-flats on first read; a loaded flat derives its canonical RREF subspace when
-it is first read (``Flat.of_support``), equal to the one the build made, so
-a warm run is byte-identical to a cold one.  Writes go through a temp file
+flats on first read; a loaded flat grows its canonical RREF subspace from
+the full space by its hyperplanes' rows when it is first read
+(``Flat.extending``), checks its rank, and equals the flat the build made,
+so a warm run is byte-identical to a cold one.  Writes go through a temp file
 and an atomic rename so concurrent commands never see a partial file.
 """
 

@@ -22,6 +22,7 @@ r = 4, hence they share an equation id.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -198,8 +199,9 @@ def equivalence_names() -> list[str]:
 CATEGORIES = ("all", "witnesses", "rank2", "equivalence", "classification")
 
 
-def claim_scopes() -> list[str]:
-    return sorted({*CATEGORIES, *(e.name for e in catalog())})
+@functools.cache
+def claim_scopes() -> tuple[str, ...]:
+    return tuple(sorted({*CATEGORIES, *(e.name for e in catalog())}))
 
 
 def unknown_scope(scope: str) -> str:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 
 from . import _kernel
 from .arrangement import Arrangement, make_arrangement
@@ -217,8 +218,10 @@ def _monomial_coexponents(r: int, p: int, ell: int) -> tuple[int, ...]:
     return tuple(sorted(b for b in out if b))
 
 
-def catalog() -> list[CatalogEntry]:
-    """The named catalog driving the verification suite.
+@cache
+def catalog() -> tuple[CatalogEntry, ...]:
+    """The named catalog driving the verification suite, made on the first
+    call and shared by every later one.
 
     Supersolvability flags follow the classification: the full monomial
     arrangements G(r, 1, l) (and every G(r, p, l) with p != r, which share
@@ -257,14 +260,19 @@ def catalog() -> list[CatalogEntry]:
             ("G31", 60, False, (1, 13, 17, 29))):
         ambient, order, _ = _EXCEPTIONAL[name]
         entries.append(CatalogEntry(name, ambient, order, count, ss, ambient, coexponents))
-    return entries
+    return tuple(entries)
+
+
+@cache
+def _catalog_by_name() -> dict[str, CatalogEntry]:
+    return {entry.name: entry for entry in catalog()}
 
 
 def catalog_entry(name: str) -> CatalogEntry:
-    for entry in catalog():
-        if entry.name == name:
-            return entry
-    raise KeyError(f"{name!r} is not a catalog entry")
+    entry = _catalog_by_name().get(name)
+    if entry is None:
+        raise KeyError(f"{name!r} is not a catalog entry")
+    return entry
 
 
 def build_named(name: str) -> Arrangement:

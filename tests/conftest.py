@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from hyparr import _kernel
 from hyparr.arrangement import Arrangement, IntersectionLattice, make_arrangement
 from hyparr.cache import arrangement_payload
 from hyparr.claims import LatticeStore
@@ -36,6 +37,15 @@ def v1_lattice_payload(lattice: IntersectionLattice) -> dict:
         "arrangement": arrangement_payload(lattice.arrangement),
         "levels": levels,
     }
+
+
+def reference_subspace(arr: Arrangement, support: int) -> Subspace:
+    """The canonical RREF of the hyperplanes of ``support``, by the kernel's
+    full elimination (``_kernel.rref``), which no flat's subspace goes
+    through."""
+    ctx = field_context(arr.order)
+    rows = [h.row for i, h in enumerate(arr.hyperplanes) if support >> i & 1]
+    return Subspace(arr.ambient, arr.order, *_kernel.rref(rows, arr.ambient, ctx.degree, ctx.red))
 
 
 def random_cyclo(rng: random.Random, order: int, span: int = 4) -> CyclotomicNumber:

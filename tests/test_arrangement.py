@@ -14,22 +14,23 @@ from pathlib import Path
 import pytest
 
 import hyparr.arrangement
+import hyparr.linalg
 from hyparr import _kernel
 from hyparr.analysis import is_supersolvable, modular_flats_of_rank
-from hyparr.arrangement import (Arrangement, _subspace_of, brute_force_lattice, build_lattice,
-                                closure, deletion, essentialize,
-                                irreducible_decomposition, lattice_of, localization,
-                                make_arrangement, parallel_map, product, restriction)
+from hyparr.arrangement import (Arrangement, brute_force_lattice, build_lattice, closure,
+                                deletion, essentialize, irreducible_decomposition, lattice_of,
+                                localization, make_arrangement, parallel_map, product,
+                                restriction)
 from hyparr.cli import resolve_spec
 from hyparr.cyclo import CyclotomicNumber, embed, field_context
-from hyparr.errors import InvalidHyperplaneError, RefusalError
+from hyparr.errors import InternalInconsistencyError, InvalidHyperplaneError, RefusalError
 from hyparr.linalg import (LinearForm, extend_rref, form_residue, intersect, restrict_subspace,
                            subspace_from_forms, subspace_from_rows)
 from hyparr.parse import parse_arrangement_text, parse_form
 from hyparr.reflection import (build_named, catalog, exceptional_arrangement,
                                monomial_arrangement)
 from hyparr.report import arrangement_payload, certificate_payload
-from tests.conftest import random_arrangement, v1_lattice_payload
+from tests.conftest import random_arrangement, reference_subspace, v1_lattice_payload
 
 BOOLEAN3 = "ambient 3 field 1\na\nb\nc\n"
 
@@ -263,14 +264,15 @@ def benchmark_inputs(tmp_path_factory):
 
 
 def assert_canonical_subspaces(arr) -> int:
-    """Every flat of a build reads the canonical RREF of its support, and no
-    two flats of a level share a subspace; returns how many flats the build
-    left to extend or derive when read."""
+    """Every flat of a build reads the canonical RREF of its support, of its
+    rank, and no two flats of a level share a subspace; returns how many
+    flats the build left to extend when read."""
     lattice = build_lattice(arr)
     deferred = sum(f._subspace is None for f in lattice.flats())
     for level in lattice.levels:
         for f in level:
-            assert f.subspace == _subspace_of(arr, f.support, f.rank), f
+            assert f.subspace == reference_subspace(arr, f.support), f
+            assert f.subspace.codim == f.rank, f
         assert len({f.subspace for f in level}) == len(level)
     return deferred
 
@@ -303,9 +305,20 @@ class TestDeferredSubspaces:
         assert lattice.top() in unreduced
         assert {f.rank for f in unreduced} >= {arr.rank() - 1, arr.rank()}
         for f in unreduced:
-            parent, _, row = f._source
+            parent, _, (row,) = f._source
             assert form_residue(row, parent) is not None
-            assert f.subspace == _subspace_of(arr, f.support, f.rank)
+            assert f.subspace == reference_subspace(arr, f.support)
+
+    def test_row_in_the_parent_span_is_inconsistent(self):
+        # a built flat whose row source cuts nothing out of its parent's
+        # subspace would read the parent's rank, not its own
+        lattice = build_lattice(build_named("G(4,1,5)"))
+        flat = next(f for f in lattice.levels[3] if f._subspace is None)
+        parent = flat._source[0]
+        flat._source = (parent, None, (parent.rows[0],))
+        with pytest.raises(InternalInconsistencyError,
+                           match="the hyperplanes of a rank-3 flat have rank 2"):
+            flat.subspace
 
     def test_concurrent_first_reads(self):
         arr = build_named("G31")
@@ -320,7 +333,7 @@ class TestDeferredSubspaces:
                 reads = list(pool.map(lambda _: [f.subspace for f in coatoms], range(3)))
         finally:
             sys.setswitchinterval(interval)
-        expected = [_subspace_of(arr, f.support, f.rank) for f in coatoms]
+        expected = [reference_subspace(arr, f.support) for f in coatoms]
         assert reads == [expected] * 3
 
     def test_worker_count_changes_no_flat(self):
@@ -340,11 +353,13 @@ class TestDeferredSubspaces:
 
 def count_kernel_calls(monkeypatch) -> dict[str, int]:
     """Count ``_kernel.rref`` and ``_kernel.in_rowspace`` calls, and the
-    build's ``extend_rref`` steps, from here on."""
-    targets = {"rref": (_kernel, "rref"), "in_rowspace": (_kernel, "in_rowspace"),
-               "extend": (hyparr.arrangement, "extend_rref")}
-    calls = dict.fromkeys(targets, 0)
-    for key, (module, attr) in targets.items():
+    ``extend_rref`` steps of flats, those of ``extend_by_rows`` included,
+    from here on."""
+    targets = [("rref", _kernel, "rref"), ("in_rowspace", _kernel, "in_rowspace"),
+               ("extend", hyparr.arrangement, "extend_rref"),
+               ("extend", hyparr.linalg, "extend_rref")]
+    calls = dict.fromkeys((key for key, _, _ in targets), 0)
+    for key, module, attr in targets:
         def counted(*args, _key=key, _real=getattr(module, attr)):
             calls[_key] += 1
             return _real(*args)

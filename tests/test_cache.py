@@ -124,26 +124,31 @@ class TestCache:
         arr = build_named("G31")
         save_lattice(build_lattice(arr), str(tmp_path))
         made = []
-        of_support = Flat.of_support.__func__
+        extending = Flat.extending.__func__
 
         def counted(cls, *args):
             made.append(args)
-            return of_support(cls, *args)
+            return extending(cls, *args)
 
-        monkeypatch.setattr(Flat, "of_support", classmethod(counted))
+        monkeypatch.setattr(Flat, "extending", classmethod(counted))
         with pytest.raises(RefusalError, match=r"exceeds the flat budget \(20\); "
                                                "raise --max-flats to proceed"):
             load_or_build(arr, str(tmp_path), max_flats=20)
         assert made == []
         # a load within budget makes none, and the first read of its levels
-        # makes each flat once, from its support, in flat order
+        # makes each flat once, from the full space and its support's rows,
+        # in flat order
         lattice = load_or_build(arr, str(tmp_path), max_flats=2272)
         assert len(lattice) == 2272 and lattice.level_sizes() == [1, 60, 710, 1500, 1]
         assert made == []
         levels = lattice.levels
         assert len(made) == 2272
-        assert [(s, r) for _, s, r in made] == \
+        assert [(s, r) for *_, s, r in made] == \
             [(f.support, f.rank) for level in levels for f in level]
+        rows = [h.row for h in arr.hyperplanes]
+        assert all(parent.codim == 0 and residue is None
+                   and list(source) == [rows[i] for i in range(len(rows)) if s >> i & 1]
+                   for parent, residue, source, s, _ in made)
         assert lattice.levels is levels and len(lattice.index) == 2272
         assert len(made) == 2272
 
@@ -253,10 +258,10 @@ class TestCache:
         save_lattice(built, str(tmp_path))
         loaded = load_lattice(built.arrangement, str(tmp_path))
         calls = []
-        # a flat derives its subspace through ``_subspace_of`` or
+        # a flat extends its subspace through ``extend_by_rows`` or
         # ``extend_rref``, and a build computes residues; the center that
         # ``essentialize`` grows is not a flat's subspace
-        for attr in ("_subspace_of", "extend_rref", "form_residue"):
+        for attr in ("extend_by_rows", "extend_rref", "form_residue"):
             def counted(*args, _real=getattr(hyparr.arrangement, attr)):
                 calls.append(args)
                 return _real(*args)
@@ -341,13 +346,13 @@ class TestSupportsOnly:
     @pytest.fixture
     def made(self, monkeypatch):
         made = []
-        of_support = Flat.of_support.__func__
+        extending = Flat.extending.__func__
 
         def counted(cls, *args):
             made.append(args)
-            return of_support(cls, *args)
+            return extending(cls, *args)
 
-        monkeypatch.setattr(Flat, "of_support", classmethod(counted))
+        monkeypatch.setattr(Flat, "extending", classmethod(counted))
         return made
 
     @pytest.mark.parametrize("spec", ["G31", "{file}", "product(H3,H3)"])
