@@ -18,7 +18,7 @@ already has is found by a bitset lookup, and the support of a new cover
 above rank 2 is read off the rank-2 flats through H that level 2's
 registry lists, each decided by comparing one residue with H's.  Parents
 go largest first, so more of those lines meet them and fewer residues are
-compared.  Every new flat keeps X's RREF and H's row, with H's residue when
+compared.  Every new flat keeps X's RREF and H's bit, with H's residue when
 the build compared it, and is extended only when its subspace is read: as
 a parent with covers still to find, in a witness or a chain, or when
 printed.
@@ -152,16 +152,19 @@ class Flat:
     for the flats of ``closure`` and of the all-subsets oracle.  Every
     other flat defers it in one form (``Flat.extending``): a parent
     subspace, with the residue modulo it of a hyperplane that cuts the flat
-    out of it, or the rows of hyperplanes that do.  A flat ``build_lattice``
-    enters holds its parent's subspace with that residue, or the one
-    hyperplane's row where the build compared no residue; a flat made on
-    the first read of the flats of a lattice made from supports (a cache
-    load, a product's assembly) holds the full space and its support's
-    rows.  The first read of ``subspace`` extends the parent by the residue
-    (``extend_rref``), or else by the rows (``extend_by_rows``), and checks
-    that the result has the flat's rank.  A deferred flat then keeps the
-    subspace, and keeps its source, so workers reading it at once only
-    derive an equal subspace more than once.  The hash reads the support
+    out of it, or the arrangement's hyperplanes and a mask of those that
+    do.  A flat ``build_lattice`` enters holds its parent's subspace with
+    that residue, or the one hyperplane's bit where the build compared no
+    residue; a flat made on the first read of the flats of a lattice made
+    from supports (a cache load, a product's assembly) holds the full space
+    and its support.  Every flat of a lattice shares the arrangement's
+    tuple of hyperplanes, and picks their rows only when it is read.  The
+    first read of ``subspace`` extends the parent by the residue
+    (``extend_rref``), or else by the rows of the masked hyperplanes
+    (``extend_by_rows``), and checks that the result has the flat's rank.
+    A deferred flat then keeps the subspace, and keeps its source, so
+    workers reading it at once only derive an equal subspace more than
+    once.  The hash reads the support
     only, so sets and dicts of flats derive nothing; equality compares
     supports, then subspaces.
     """
@@ -175,27 +178,29 @@ class Flat:
         self._source = None
 
     @classmethod
-    def extending(cls, parent: Subspace, residue: Row | None, rows, support: int,
-                  rank: int) -> Flat:
+    def extending(cls, parent: Subspace, residue: Row | None, hyperplanes, mask: int,
+                  support: int, rank: int) -> Flat:
         """The rank-``rank`` flat on the hyperplanes of ``support``, its
         subspace ``parent`` extended when first read: by ``residue``, a
         hyperplane's residue modulo ``parent``, if the caller has it, else by
-        the packed ``rows``.  A built flat holds its parent's subspace, not
-        its flat, so no chain of deferred parents forms."""
+        the rows of the forms of ``hyperplanes`` whose bits ``mask`` sets.
+        A built flat holds its parent's subspace, not its flat, so no chain
+        of deferred parents forms."""
         flat = cls.__new__(cls)
         flat._subspace = None
         flat.support = support
         flat.rank = rank
-        flat._source = (parent, residue, rows)
+        flat._source = (parent, residue, hyperplanes, mask)
         return flat
 
     @property
     def subspace(self) -> Subspace:
         sub = self._subspace
         if sub is None:
-            parent, residue, rows = self._source
+            parent, residue, hyperplanes, mask = self._source
             sub = (extend_rref(parent, residue) if residue is not None
-                   else extend_by_rows(parent, rows))
+                   else extend_by_rows(parent, (hyperplanes[bit.bit_length() - 1].row
+                                                for bit in _bits(mask))))
             if sub.codim != self.rank:
                 raise InternalInconsistencyError(
                     f"the hyperplanes of a rank-{self.rank} flat have rank {sub.codim}")
@@ -246,12 +251,12 @@ class IntersectionLattice:
     maps each support to its flat.  The constructor takes the supports
     alone, as a cache load and a product's assembly give them
     (``lattice_of``), and makes the flats on the first read of ``levels``
-    or ``index``, each once, holding the full space and its support's rows
+    or ``index``, each once, holding the full space and its support
     (``Flat.extending``).  Its size, ranks, cache payload, factor moves and
     mask tables read the supports, so a command that reads no flat makes
     none.  A built lattice (``of_flats``) holds its flats from the start:
     the subspace of its bottom, and above it the parent's subspace and a
-    hyperplane's residue modulo it, or its row where the build compared no
+    hyperplane's residue modulo it, or its bit where the build compared no
     residue.  Either way a flat extends its subspace when first read and
     checks its rank.  Its one incidence table,
     ``flats_through``, is built per rank on first use, and every cover
@@ -288,14 +293,9 @@ class IntersectionLattice:
         if not made:
             arr = self.arrangement
             space = full_space(arr.ambient, arr.order)
-            rows = [h.row for h in arr.hyperplanes]
-
-            def flat(support: int, rank: int) -> Flat:
-                # the collector stops tracking a tuple of rows, never a list
-                return Flat.extending(space, None, tuple([rows[bit.bit_length() - 1]
-                                                          for bit in _bits(support)]),
-                                      support, rank)
-            levels = tuple(tuple(flat(s, rank) for s in level)
+            hyperplanes = arr.hyperplanes
+            extending = Flat.extending
+            levels = tuple(tuple(extending(space, None, hyperplanes, s, s, rank) for s in level)
                            for rank, level in enumerate(self.supports))
             made.append((levels, {f.support: f for level in levels for f in level}))
         return made[0]
@@ -502,7 +502,7 @@ def _children_of(arr: Arrangement, parent: Flat, level: _Level, lines: tuple | N
     Each residue is computed once per parent, and H's own only when some
     line needs it compared: not for the top, nor for a cover whose lines
     all meet the parent or ``covered``.  Every new cover holds the parent's
-    subspace, H's row and H's residue if it was computed, and is extended
+    subspace, H's bit and H's residue if it was computed, and is extended
     only when its subspace is read (``Flat.extending``), H's row reduced
     then if need be; the parent's is read only if some hyperplane is left.
     """
@@ -528,7 +528,7 @@ def _children_of(arr: Arrangement, parent: Flat, level: _Level, lines: tuple | N
                 raise ValueError("zero form has no leading coefficient")
             groups[key] = groups.get(key, 0) | bit
         for residue, bits in groups.items():
-            level.add(Flat.extending(sub, residue, None, below | bits, rank))
+            level.add(Flat.extending(sub, residue, None, 0, below | bits, rank))
         return
     through, point_of = lines
     residues: dict[int, Row] = {}
@@ -555,7 +555,7 @@ def _children_of(arr: Arrangement, parent: Flat, level: _Level, lines: tuple | N
                         residues[member] = residue
                     if residue == key:
                         bits |= line
-        level.add(Flat.extending(sub, key, (row,), bits, rank))
+        level.add(Flat.extending(sub, key, hyperplanes, bit, bits, rank))
         covered |= bits
         rest &= ~bits
 
@@ -576,7 +576,7 @@ def build_lattice(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS,
     H's for each other.  The parents of a level go to ``_children_of``
     largest support first, ties by support: a larger X meets more lines
     through H, so fewer residues are compared and more covers are found by
-    lookup.  Every flat above the bottom keeps X's subspace and H's row,
+    lookup.  Every flat above the bottom keeps X's subspace and H's bit,
     with H's residue only if the build compared it, and extends the one by
     the other only when its subspace is read, as a parent with covers left
     to find or by a caller.  Each level is sorted by support bitset, so the

@@ -2,16 +2,20 @@
 
 One JSON file per arrangement, keyed by a content hash of its canonical
 serialization.  An entry holds the arrangement and, per level, the sorted
-supports of its flats as decimal strings: a flat is fixed by the hyperplanes
-that contain it, so no rows are stored.  ``load_or_build`` keeps one entry
-per factor of a product, on the factor's own columns, and none for the
-product, which is assembled from its factors' lattices cold and warm alike
-(``lattice_of``).  A loaded lattice holds its supports alone and makes its
-flats on first read; a loaded flat grows its canonical RREF subspace from
-the full space by its hyperplanes' rows when it is first read
+supports of its flats packed into one hex string: each support is
+``ceil(n / 64)`` big-endian 64-bit words for n hyperplanes, so a level
+decodes by one ``bytes.fromhex`` and one ``struct.unpack``, with no decimal
+conversion and no limit on the width of a support.  A flat is fixed by the
+hyperplanes that contain it, so no rows are stored.  ``load_or_build`` keeps
+one entry per factor of a product, on the factor's own columns, and none
+for the product, which is assembled from its factors' lattices cold and
+warm alike (``lattice_of``).  A loaded lattice holds its supports alone and
+makes its flats on first read; a loaded flat grows its canonical RREF
+subspace from the full space by its hyperplanes' rows when it is first read
 (``Flat.extending``), checks its rank, and equals the flat the build made,
-so a warm run is byte-identical to a cold one.  Writes go through a temp file
-and an atomic rename so concurrent commands never see a partial file.
+so a warm run is byte-identical to a cold one.  An entry of an older format
+is a miss, rebuilt and overwritten.  Writes go through a temp file and an
+atomic rename so concurrent commands never see a partial file.
 """
 
 from __future__ import annotations
@@ -19,14 +23,16 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import struct
 import tempfile
 from contextlib import contextmanager
+from itertools import repeat
 
 from .arrangement import (DEFAULT_MAX_FLATS, Arrangement, IntersectionLattice,
                           _over_budget, build_lattice, lattice_of)
 from .errors import ParseError
 
-FORMAT = "hyparr-lattice-v2"
+FORMAT = "hyparr-lattice-v3"
 CACHE_ENV = "HYPARR_CACHE_DIR"
 
 
@@ -43,56 +49,97 @@ def arrangement_payload(arr: Arrangement) -> dict:
     }
 
 
-def arrangement_key(arr: Arrangement) -> str:
-    blob = json.dumps(arrangement_payload(arr), sort_keys=True,
-                      separators=(",", ":")).encode()
+def _key(described: dict) -> str:
+    blob = json.dumps(described, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
 
 
+def arrangement_key(arr: Arrangement) -> str:
+    return _key(arrangement_payload(arr))
+
+
+def _width(arr: Arrangement) -> int:
+    """Bytes per support: one 64-bit word per 64 hyperplanes, at least one."""
+    return 8 * max(1, -(-len(arr) // 64))
+
+
+def _pack(level, width: int) -> str:
+    """The supports of one level as big-endian words of ``width`` bytes, in hex."""
+    if width == 8:
+        return struct.pack(f">{len(level)}Q", *level).hex()
+    return b"".join(s.to_bytes(width, "big") for s in level).hex()
+
+
+def _unpack(text: str, width: int, rank: int) -> tuple[int, ...]:
+    """The supports that ``_pack`` wrote as ``text``: one ``struct.unpack``
+    of the words, which are the supports when they are one word wide, and
+    otherwise of one ``width``-byte string per support.  A string that is
+    not hex digits in pairs, or not whole supports, raises ``ValueError``."""
+    try:
+        data = bytes.fromhex(text)
+        if len(text) != 2 * len(data) or len(data) % width:  # fromhex skips spaces
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"cache entry has a rank-{rank} level that is not "
+                         f"whole {width}-byte supports in hex") from None
+    count = len(data) // width
+    if width == 8:
+        return struct.unpack(f">{count}Q", data)
+    return tuple(map(int.from_bytes, struct.unpack(f"{width}s" * count, data),
+                     repeat("big")))
+
+
 def lattice_payload(lattice: IntersectionLattice) -> dict:
+    width = _width(lattice.arrangement)
     return {
         "format": FORMAT,
         "arrangement": arrangement_payload(lattice.arrangement),
-        "levels": [[str(s) for s in level] for level in lattice.supports],
+        "levels": [_pack(level, width) for level in lattice.supports],
     }
 
 
-def lattice_from_payload(arr: Arrangement, payload: dict,
-                         max_flats: int | None = None) -> IntersectionLattice:
+def lattice_from_payload(arr: Arrangement, payload: dict, max_flats: int | None = None,
+                         described: dict | None = None) -> IntersectionLattice:
     """The lattice of a cache entry, checked by integers only to be shaped
-    like a built one: ``levels`` is a list of lists of decimal supports, each
-    ascending, with no bit past the last hyperplane; the rank-1 supports
-    partition the hyperplanes; supports are distinct; and there is one
-    bottom (no hyperplanes) and one top (every hyperplane).  A failed check raises
-    ``ValueError`` (or ``TypeError`` for a support that is not a string).
-    A support of the wrong rank passes, and its flat raises
-    ``InternalInconsistencyError`` when its subspace is read.  An entry
-    with more than ``max_flats`` supports is refused as the build refuses
-    it.  The lattice is made from the supports alone
-    (``IntersectionLattice``): no flat is made until its ``levels`` or
-    ``index`` is first read, so a command that prints only counts makes
-    none.  It has no factors, even when ``arr`` is a product."""
+    like a built one: ``levels`` is a list of hex strings, one per rank, of
+    supports ``_width(arr)`` bytes wide (the bottom's string is one
+    support), each level ascending, with no bit past the last hyperplane;
+    the rank-1 supports partition the hyperplanes; supports are distinct;
+    and there is one bottom (no hyperplanes) and one top (every
+    hyperplane).  ``described`` is ``arrangement_payload(arr)`` if the
+    caller has it.  A failed check raises ``ValueError``.  A support of the
+    wrong rank passes, and its flat raises ``InternalInconsistencyError``
+    when its subspace is read.  An entry with more than ``max_flats``
+    supports is refused as the build refuses it.  The lattice is made from
+    the supports alone (``IntersectionLattice``): no flat is made until its
+    ``levels`` or ``index`` is first read, so a command that prints only
+    counts makes none.  It has no factors, even when ``arr`` is a product."""
     if payload.get("format") != FORMAT:
         raise ValueError(f"unsupported cache format {payload.get('format')!r}")
-    if payload.get("arrangement") != arrangement_payload(arr):
+    if described is None:
+        described = arrangement_payload(arr)
+    if payload.get("arrangement") != described:
         raise ValueError("cache entry describes a different arrangement")
     full = arr.full_support()
-    levels = []
+    width = _width(arr)
     given = payload["levels"]
-    if not isinstance(given, list) or not all(isinstance(level, list) for level in given):
-        raise ValueError("cache entry has levels that are not lists")
-    for rank, level in enumerate(given):
-        supports = [int(s, 10) for s in level]
+    if not isinstance(given, list) or not all(isinstance(level, str) for level in given):
+        raise ValueError("cache entry has levels that are not a list of hex strings")
+    if given and len(given[0]) != 2 * width:
+        raise ValueError(f"cache entry has supports that are not {width} bytes wide")
+    levels = []
+    for rank, text in enumerate(given):
+        supports = _unpack(text, width, rank)
         if not supports:
             raise ValueError(f"cache entry has no rank-{rank} flat")
-        if any(a >= b for a, b in zip(supports, supports[1:])):
+        if sorted(supports) != list(supports):
             raise ValueError(f"cache entry lists rank {rank} out of ascending order")
-        if supports[0] < 0 or supports[-1] > full:
+        if supports[-1] > full:
             raise ValueError("cache entry has a support past the last hyperplane")
         levels.append(supports)
-    if not levels or levels[0] != [0]:
+    if not levels or levels[0] != (0,):
         raise ValueError("cache entry has no bottom flat")
-    if levels[-1] != [full]:
+    if levels[-1] != (full,):
         raise ValueError("cache entry has no top flat")
     if len(levels) > 1:
         seen = 0
@@ -108,11 +155,15 @@ def lattice_from_payload(arr: Arrangement, payload: dict,
         raise ValueError("cache entry repeats a support")
     if max_flats is not None and count > max_flats:
         raise _over_budget(max_flats)
-    return IntersectionLattice(arr, tuple(map(tuple, levels)))
+    return IntersectionLattice(arr, tuple(levels))
+
+
+def _entry_path(cache_dir: str, described: dict) -> str:
+    return os.path.join(cache_dir, f"{_key(described)}.json")
 
 
 def cache_path(arr: Arrangement, cache_dir: str) -> str:
-    return os.path.join(cache_dir, f"{arrangement_key(arr)}.json")
+    return _entry_path(cache_dir, arrangement_payload(arr))
 
 
 @contextmanager
@@ -148,16 +199,18 @@ def load_lattice(arr: Arrangement, cache_dir: str,
     """The lattice of ``arr``'s entry in ``cache_dir``, or None on a miss.
     An entry with more than ``max_flats`` flats raises the build's
     ``RefusalError`` before any flat is made."""
-    path = cache_path(arr, cache_dir)
+    described = arrangement_payload(arr)
+    path = _entry_path(cache_dir, described)
     if not os.path.exists(path):
         return None
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-        return lattice_from_payload(arr, payload, max_flats)
+        return lattice_from_payload(arr, payload, max_flats, described)
     except (ValueError, KeyError, TypeError, AttributeError, OSError, RecursionError):
-        # unreadable (nested too deep for the decoder included), stale or
-        # malformed (JSON of the wrong shape) entries are misses
+        # unreadable (nested too deep for the decoder included), stale (an
+        # older format included) or malformed (JSON of the wrong shape, or
+        # levels that are not hex of whole supports) entries are misses
         return None
 
 

@@ -279,6 +279,7 @@ def rational_str(v: int, den: int) -> str:
 
 
 _STR_BITS = 13_000  # about 3,900 digits, within the interpreter's default limit
+_STR_LIMIT = 1 << _STR_BITS  # the integers of at most _STR_BITS bits lie strictly within it
 
 
 def int_str(v: int) -> str:
@@ -296,6 +297,14 @@ def int_str(v: int) -> str:
     k = v.bit_length() * 3 // 20  # about half the digits, since log10(2) > 0.3
     high, low = divmod(v, 10 ** k)
     return int_str(high) + int_str(low).zfill(k)
+
+
+def ints_str(nums) -> list[str]:
+    """``[int_str(v) for v in nums]`` for a nonempty sequence of integers, by
+    one ``map(str, ...)`` when all of them are within ``int_str``'s bound."""
+    if -_STR_LIMIT < min(nums) and max(nums) < _STR_LIMIT:
+        return list(map(str, nums))
+    return list(map(int_str, nums))
 
 
 def root_of_unity(n: int, m: int) -> CyclotomicNumber:

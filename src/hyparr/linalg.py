@@ -18,7 +18,7 @@ from bisect import bisect_left
 from math import gcd, prod
 
 from . import _kernel
-from .cyclo import CyclotomicNumber, elem_str, field_context
+from .cyclo import CyclotomicNumber, elem_str, field_context, rational_str
 
 Row = tuple[tuple[int, ...], int]
 
@@ -122,24 +122,29 @@ class LinearForm:
 
 
 def form_to_str(form: LinearForm, names: list[str] | None = None) -> str:
-    """Render a form in the expression syntax, e.g. 'a - 2*(z^2+z^3+1)*b',
-    one ``elem_str`` per nonzero slice of its packed row."""
+    """Render a form in the expression syntax, e.g. 'a - 2*(z^2+z^3+1)*b'.
+    A rational coefficient is written by one ``rational_str`` of its
+    magnitude, and any other by one ``elem_str`` of its slice of the
+    packed row."""
     names = names or variable_names(form.ambient)
     d = field_context(form.order).degree
     nums, den = form.row
     parts: list[str] = []
     for j in range(form.ambient):
-        e = nums[j * d:(j + 1) * d]
-        if not any(e):
-            continue
-        negative = e[0] < 0 and not any(e[1:])
-        text = elem_str((-e[0], *e[1:]) if negative else e, den)
-        if text == "1":
-            body = names[j]
-        elif " + " in text or " - " in text or text.startswith("-"):
-            body = f"({text})*{names[j]}"
+        lead = nums[j * d]
+        if d == 1 or not any(nums[j * d + 1:(j + 1) * d]):  # a rational coefficient
+            if not lead:
+                continue
+            negative = lead < 0
+            text = rational_str(-lead if negative else lead, den)
+            body = names[j] if text == "1" else f"{text}*{names[j]}"
         else:
-            body = f"{text}*{names[j]}"
+            negative = False
+            text = elem_str(nums[j * d:(j + 1) * d], den)
+            if " + " in text or " - " in text or text.startswith("-"):
+                body = f"({text})*{names[j]}"
+            else:
+                body = f"{text}*{names[j]}"
         if not parts:
             parts.append(f"-{body}" if negative else body)
         else:

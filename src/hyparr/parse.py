@@ -21,8 +21,12 @@ pairs, with ``_kernel.elem_add``, ``elem_mul``, ``elem_inv`` and friends.
 Every value is one sparse row, a map from column to element, with the
 constant in the reserved column ``_CONST``: a scalar is a row of the
 constant alone, a form a row of variables alone, and a nonzero constant
-beside variables is refused where the two first meet.  A form's row is
-packed and scaled to leading coefficient 1 (``_kernel.monic``) at the end.
+beside variables is refused where the two first meet.  Rows on disjoint
+columns merge by one dict union, and a variable's coefficient is the one
+shared unit element, which a factor replaces with no multiplication.  The
+descent reads its tokens by index.  A form's row is packed once at the
+end, and scaled to leading coefficient 1 (``_kernel.monic``) unless its
+leading coefficient is already the unit over denominator 1.
 Every integer must stay printable: a literal longer than ``MAX_DIGITS``
 digits, an exponent above ``MAX_EXPONENT``, and a power or a coefficient of
 the result with an integer past ``MAX_DIGITS`` digits are each a
@@ -35,6 +39,7 @@ computed.
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from math import lcm, log2
 
@@ -71,10 +76,23 @@ def _integer(tok: str) -> int:
 def _fits(nums, den: int) -> bool:
     """Whether every integer of an element or row has at most ``MAX_DIGITS``
     digits, so that it prints."""
-    return max(den.bit_length(), max(map(int.bit_length, nums), default=0)) <= _MAX_BITS
+    return max(max(nums, default=0), -min(nums, default=0), den).bit_length() <= _MAX_BITS
+
+
+_ASCII_TOKEN = re.compile(r"[-+*/^(),]|[A-Za-z][0-9A-Za-z_]*|[0-9]+")
 
 
 def _tokenize(text: str) -> list[str]:
+    """The tokens of ``text``: the characters of ``+-*/^(),``, runs of digits
+    (``str.isdigit``), and names, a letter followed by letters, digits and
+    ``_``; whitespace (``str.isspace``) separates them.  Any other character
+    is a ``ParseError``.  One regular expression finds the ASCII tokens,
+    which are the tokens when they and the spaces make up the whole text;
+    other text (a tab, a non-ASCII letter or digit, a character to report)
+    is scanned one character at a time."""
+    tokens = _ASCII_TOKEN.findall(text)
+    if len("".join(tokens)) + text.count(" ") == len(text):
+        return tokens
     tokens = []
     k = 0
     while k < len(text):
@@ -104,23 +122,33 @@ def _tokenize(text: str) -> list[str]:
 _CONST = -1  # the column of a row's constant
 
 
+@lru_cache(maxsize=None)
+def _one(d: int):
+    """The unit element of degree ``d``, one shared tuple: a variable's
+    coefficient, which ``_Parser._scale`` recognizes by identity."""
+    return (1,) + (0,) * (d - 1), 1
+
+
 class _Parser:
+    """The recursive descent over the tokens of one expression.  The tokens
+    end with None, so each method reads the next one by index, and the one
+    that takes a token refuses None as the end of the expression."""
+
     def __init__(self, text: str, order: int, variables: dict[str, int]):
         self.text = text
         self.tokens = _tokenize(text)
+        self.tokens.append(None)
         self.pos = 0
         self.depth = 0
         self.order = order
         ctx = field_context(order)
         self.d = ctx.degree
         self.red = ctx.red
+        self.one = _one(ctx.degree)
         self.variables = variables
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
     def take(self):
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok is None:
             raise ParseError(f"unexpected end of expression in {self.text!r}")
         self.pos += 1
@@ -132,13 +160,16 @@ class _Parser:
             raise ParseError(f"expected {tok!r} but found {got!r} in {self.text!r}")
 
     def _combine(self, a: dict, b: dict, subtract: bool) -> dict:
-        op = _kernel.elem_sub if subtract else _kernel.elem_add
-        out = dict(a)
-        for col, e in b.items():
-            if col in out:
-                out[col] = op(out[col], e)
-            else:
-                out[col] = _kernel.elem_neg(e) if subtract else e
+        if a.keys().isdisjoint(b):
+            out = a | ({col: _kernel.elem_neg(e) for col, e in b.items()} if subtract else b)
+        else:
+            op = _kernel.elem_sub if subtract else _kernel.elem_add
+            out = dict(a)
+            for col, e in b.items():
+                if col in out:
+                    out[col] = op(out[col], e)
+                else:
+                    out[col] = _kernel.elem_neg(e) if subtract else e
         if len(out) > 1 and _CONST in out:  # one of a and b is a scalar
             c = a.get(_CONST) or b[_CONST]
             if any(c[0]):
@@ -148,8 +179,14 @@ class _Parser:
         return out
 
     def _scale(self, v: dict, s) -> dict:
+        """``v`` times the element ``s``; a unit factor on either side is
+        not multiplied."""
+        one = self.one
+        if s is one:
+            return v
         d, red = self.d, self.red
-        return {col: _kernel.elem_mul(s, e, d, red) for col, e in v.items()}
+        return {col: s if e is one else _kernel.elem_mul(s, e, d, red)
+                for col, e in v.items()}
 
     def _power(self, a, k: int):
         if k > MAX_EXPONENT:
@@ -158,7 +195,7 @@ class _Parser:
             raise ParseError(f"a power's base has an integer of more than "
                              f"{MAX_DIGITS} digits in {self.text!r}")
         d, red = self.d, self.red
-        out = ((1,) + (0,) * (d - 1), 1)
+        out = self.one
         while k:
             if k & 1:
                 out = _kernel.elem_mul(out, a, d, red)
@@ -172,16 +209,17 @@ class _Parser:
 
     def parse_expr(self) -> dict:
         value = self.parse_term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.parse_term()
-            value = self._combine(value, rhs, op == "-")
+        tokens = self.tokens
+        while (op := tokens[self.pos]) in ("+", "-"):
+            self.pos += 1
+            value = self._combine(value, self.parse_term(), op == "-")
         return value
 
     def parse_term(self) -> dict:
         value = self.parse_factor()
-        while self.peek() in ("*", "/"):
-            op = self.take()
+        tokens = self.tokens
+        while (op := tokens[self.pos]) in ("*", "/"):
+            self.pos += 1
             rhs = self.parse_factor()
             if op == "*":
                 if _CONST not in rhs:
@@ -198,13 +236,15 @@ class _Parser:
         return value
 
     def parse_factor(self) -> dict:
+        tokens = self.tokens
         sign = 1
-        while self.peek() in ("+", "-"):
-            if self.take() == "-":
+        while (tok := tokens[self.pos]) in ("+", "-"):
+            self.pos += 1
+            if tok == "-":
                 sign = -sign
         value = self.parse_atom()
-        if self.peek() == "^":
-            self.take()
+        if tokens[self.pos] == "^":
+            self.pos += 1
             exp_tok = self.take()
             if not exp_tok.isdigit():
                 raise ParseError(f"exponent must be a nonnegative integer in {self.text!r}")
@@ -218,6 +258,9 @@ class _Parser:
 
     def parse_atom(self) -> dict:
         tok = self.take()
+        col = self.variables.get(tok)
+        if col is not None:
+            return {col: self.one}
         if tok == "(":
             self.depth += 1
             if self.depth > MAX_NESTING:
@@ -227,7 +270,7 @@ class _Parser:
             self.depth -= 1
             return value
         if tok.isdigit():
-            return {_CONST: ((_integer(tok),) + (0,) * (self.d - 1), 1)}
+            return {_CONST: ((_integer(tok),) + self.one[0][1:], 1)}
         if tok == "z":
             if self.order == 1:
                 raise ParseError("'z' is undefined over the rationals (field order 1)")
@@ -237,14 +280,12 @@ class _Parser:
                 raise ParseError(f"'i' requires the field order to be a multiple of 4 "
                                  f"(got {self.order})")
             return {_CONST: root_elem(self.order, self.order // 4)}
-        col = self.variables.get(tok)
-        if col is None:
-            raise ParseError(f"unknown symbol {tok!r} in {self.text!r}")
-        return {col: ((1,) + (0,) * (self.d - 1), 1)}
+        raise ParseError(f"unknown symbol {tok!r} in {self.text!r}")
 
     def finish(self, value: dict) -> dict:
-        if self.peek() is not None:
-            raise ParseError(f"trailing input {self.peek()!r} in {self.text!r}")
+        tok = self.tokens[self.pos]
+        if tok is not None:
+            raise ParseError(f"trailing input {tok!r} in {self.text!r}")
         return value
 
 
@@ -282,9 +323,12 @@ def _parse_row(text: str, ambient: int, order: int, variables: dict[str, int]) -
     for col, (en, ed) in value.items():
         s = den // ed
         nums[col * d:(col + 1) * d] = [v * s for v in en] if s > 1 else en
-    row = _kernel.monic(nums, ambient, d, p.red)
-    if row is None:
-        raise ParseError(f"the expression {text!r} is the zero form")
+    if den == 1 and value[min(value)] is p.one:
+        row = tuple(nums), 1  # its leading coefficient is 1 already
+    else:
+        row = _kernel.monic(nums, ambient, d, p.red)
+        if row is None:
+            raise ParseError(f"the expression {text!r} is the zero form")
     if not _fits(*row):
         raise ParseError(f"a coefficient of {text!r} has an integer of more than "
                          f"{MAX_DIGITS} digits")

@@ -2,7 +2,9 @@
 
 Machine output is JSON with a stable key order; exact field elements appear
 as coefficient arrays of rational strings, never floats.  Forms are rendered
-straight from their packed rows, with no field arithmetic.  Human output is
+straight from their packed rows, with no field arithmetic: the coordinates
+of a row over denominator 1 by one ``map(str, ...)`` (``ints_str``), and
+of any other row one ``rational_str`` each.  Human output is
 rendered from the same dictionary, so both carry identical facts.  Volatile
 timings are kept out of the machine payload to keep it byte-deterministic;
 the CLI reports them separately.
@@ -15,18 +17,19 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from .analysis import (ModularityVerdict, PoincarePolynomial, Rank2Report,
                        SupersolvabilityCertificate)
 from .arrangement import Arrangement, Flat, IntersectionLattice, essentialize
-from .cyclo import field_context, int_str, rational_str
+from .cyclo import field_context, int_str, ints_str, rational_str
 from .linalg import LinearForm, Subspace, form_to_str, restrict_subspace
 
 
 def form_payload(form: LinearForm) -> dict:
     """The form's text and its coordinates, one list of rational strings per
-    coefficient, each in lowest terms by one ``gcd`` (``rational_str``)."""
+    coefficient, each in lowest terms by one ``gcd`` (``rational_str``); a
+    row over denominator 1 is written by one ``map`` (``ints_str``)."""
     nums, den = form.row
     d = field_context(form.order).degree
-    coeffs = [[rational_str(v, den) for v in nums[j:j + d]]
-              for j in range(0, len(nums), d)]
-    return {"text": form_to_str(form), "coeffs": coeffs}
+    texts = ints_str(nums) if den == 1 else [rational_str(v, den) for v in nums]
+    # zip of one iterator d times: d consecutive texts per coefficient
+    return {"text": form_to_str(form), "coeffs": list(map(list, zip(*[iter(texts)] * d)))}
 
 
 def subspace_payload(sub: Subspace, columns: tuple[int, ...] | None = None) -> dict:

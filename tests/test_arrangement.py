@@ -305,8 +305,9 @@ class TestDeferredSubspaces:
         assert lattice.top() in unreduced
         assert {f.rank for f in unreduced} >= {arr.rank() - 1, arr.rank()}
         for f in unreduced:
-            parent, _, (row,) = f._source
-            assert form_residue(row, parent) is not None
+            parent, _, hyperplanes, bit = f._source
+            assert hyperplanes is arr.hyperplanes and bit.bit_count() == 1
+            assert form_residue(hyperplanes[bit.bit_length() - 1].row, parent) is not None
             assert f.subspace == reference_subspace(arr, f.support)
 
     def test_row_in_the_parent_span_is_inconsistent(self):
@@ -314,8 +315,11 @@ class TestDeferredSubspaces:
         # subspace would read the parent's rank, not its own
         lattice = build_lattice(build_named("G(4,1,5)"))
         flat = next(f for f in lattice.levels[3] if f._subspace is None)
-        parent = flat._source[0]
-        flat._source = (parent, None, (parent.rows[0],))
+        parent, _, hyperplanes, _ = flat._source
+        # a hyperplane through the parent: its residue modulo the parent is None
+        inside = next(1 << i for i, h in enumerate(hyperplanes)
+                      if form_residue(h.row, parent) is None)
+        flat._source = (parent, None, hyperplanes, inside)
         with pytest.raises(InternalInconsistencyError,
                            match="the hyperplanes of a rank-3 flat have rank 2"):
             flat.subspace

@@ -1,8 +1,10 @@
 """Lattice disk cache: byte identity, key stability, stale handling."""
 
+import gc
 import json
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -10,13 +12,15 @@ import hyparr
 import hyparr.cache
 import hyparr.cli
 from hyparr.analysis import is_supersolvable, modular_flats_of_rank, poincare
-from hyparr.arrangement import (Arrangement, Flat, _split, arrangement_to_text, build_lattice,
+from hyparr.arrangement import (Arrangement, Flat, IntersectionLattice, _split,
+                                arrangement_to_text, build_lattice,
                                 lattice_of, parallel_map)
 from hyparr.cache import (arrangement_key, cache_path, lattice_from_payload,
                           lattice_payload, load_lattice, load_or_build, save_lattice)
 from hyparr.claims import RANK2_EMPTY
 from hyparr.cli import main, resolve_spec
 from hyparr.errors import InternalInconsistencyError, RefusalError
+from hyparr.linalg import LinearForm
 from hyparr.parse import parse_arrangement_file
 from hyparr.reflection import build_named, catalog, exceptional_arrangement, monomial_arrangement
 from tests.conftest import v1_lattice_payload
@@ -32,44 +36,78 @@ def _with_level(good, rank, level):
     return dict(good, levels=levels)
 
 
+def _supports(good, rank):
+    """The supports of one level of an entry of fewer than 64 hyperplanes:
+    one 16-digit hex word each."""
+    text = good["levels"][rank]
+    return [int(text[k:k + 16], 16) for k in range(0, len(text), 16)]
+
+
+def _with_supports(good, rank, supports):
+    return _with_level(good, rank, "".join(f"{s:016x}" for s in supports))
+
+
 def _bit_past_last(good):
     n = len(good["arrangement"]["hyperplanes"])
-    level = good["levels"][2]
-    return _with_level(good, 2, level[:-1] + [str(int(level[-1]) | 1 << n)])
+    level = _supports(good, 2)
+    return _with_supports(good, 2, level[:-1] + [level[-1] | 1 << n])
 
 
 def _out_of_order(good):
-    level = good["levels"][2]
-    return _with_level(good, 2, [level[1], level[0]] + level[2:])
+    level = _supports(good, 2)
+    return _with_supports(good, 2, [level[1], level[0]] + level[2:])
 
 
 def _overlap_rank1(good):
-    level = good["levels"][1]
-    return _with_level(good, 1, level[:-1] + [str(int(level[-1]) | int(level[0]))])
+    level = _supports(good, 1)
+    return _with_supports(good, 1, level[:-1] + [level[-1] | level[0]])
 
 
 def _repeat_a_support(good):
     # a rank-1 support listed at rank 2 too, in ascending order
-    level = good["levels"][2] + [good["levels"][1][-1]]
-    return _with_level(good, 2, sorted(level, key=int))
+    return _with_supports(good, 2, sorted(_supports(good, 2) + [_supports(good, 1)[-1]]))
+
+
+def _two_words_wide(good):
+    # every support written as two 64-bit words, one more than it needs
+    return dict(good, levels=["".join(f"{s:032x}" for s in _supports(good, rank))
+                              for rank in range(len(good["levels"]))])
+
+
+def _v2(good):
+    # the version-2 entry: one list of decimal supports per level
+    return dict(good, format="hyparr-lattice-v2",
+                levels=[[str(s) for s in _supports(good, rank)]
+                        for rank in range(len(good["levels"]))])
+
+
+def _edit_level_2(edit):
+    return lambda good: _with_level(good, 2, edit(good["levels"][2]))
 
 
 # well-formed JSON that is not a lattice entry, each made from a good entry of
 # G(3,1,3), with the reason ``lattice_from_payload`` gives
 MALFORMED = {
     "list": (lambda good: [], None),
-    "levels-int": (lambda good: dict(good, levels=5), None),
+    "levels-int": (lambda good: dict(good, levels=5), "not a list of hex strings"),
     "empty-levels": (lambda good: dict(good, levels=[]), "no bottom"),
     "bit-past-last": (_bit_past_last, "past the last hyperplane"),
     "level-order": (_out_of_order, "out of ascending order"),
-    "empty-level": (lambda good: _with_level(good, 2, []), "no rank-2 flat"),
-    "rank1-partition": (lambda good: _with_level(good, 1, good["levels"][1][1:]),
+    "empty-level": (lambda good: _with_level(good, 2, ""), "no rank-2 flat"),
+    "rank1-partition": (lambda good: _with_supports(good, 1, _supports(good, 1)[1:]),
                         "on no rank-1 flat"),
     "rank1-overlap": (_overlap_rank1, "sharing a hyperplane"),
     "duplicate-support": (_repeat_a_support, "repeats a support"),
     "missing-top": (lambda good: dict(good, levels=good["levels"][:-1]), "no top"),
+    "odd-length-hex": (_edit_level_2(lambda text: text[:-1]), "not whole 8-byte supports"),
+    "non-hex": (_edit_level_2(lambda text: "g" + text[1:]), "not whole 8-byte supports"),
+    "spaced-hex": (_edit_level_2(lambda text: text[:16] + " " + text[16:]),
+                   "not whole 8-byte supports"),
+    "part-support": (_edit_level_2(lambda text: text[:-2]), "not whole 8-byte supports"),
+    "word-width": (_two_words_wide, "not 8 bytes wide"),
     "v1": (lambda good: v1_lattice_payload(build_lattice(build_named("G(3,1,3)"))),
            "unsupported cache format"),
+    "v2": (_v2, "unsupported cache format"),
 }
 
 
@@ -145,10 +183,9 @@ class TestCache:
         assert len(made) == 2272
         assert [(s, r) for *_, s, r in made] == \
             [(f.support, f.rank) for level in levels for f in level]
-        rows = [h.row for h in arr.hyperplanes]
         assert all(parent.codim == 0 and residue is None
-                   and list(source) == [rows[i] for i in range(len(rows)) if s >> i & 1]
-                   for parent, residue, source, s, _ in made)
+                   and hyperplanes is arr.hyperplanes and mask == s
+                   for parent, residue, hyperplanes, mask, s, _ in made)
         assert lattice.levels is levels and len(lattice.index) == 2272
         assert len(made) == 2272
 
@@ -198,18 +235,19 @@ class TestCache:
                 lattice_from_payload(lattice.arrangement, forge(good), max_flats=1)
 
     def test_supports_must_be_strings(self):
+        # a level must be one hex string, not a list of its supports' words
         lattice = build_lattice(build_named("G(3,1,3)"))
         payload = json.loads(canonical(lattice))
-        payload["levels"][2] = [int(s) for s in payload["levels"][2]]
-        with pytest.raises(TypeError):
+        payload["levels"][2] = [f"{s:016x}" for s in _supports(payload, 2)]
+        with pytest.raises(ValueError, match="not a list of hex strings"):
             lattice_from_payload(lattice.arrangement, payload)
 
     def test_entry_holds_supports_only(self, tmp_path):
         lattice = build_lattice(build_named("G(3,1,3)"))
         with open(save_lattice(lattice, str(tmp_path)), encoding="utf-8") as fh:
             payload = json.load(fh)
-        assert payload["format"] == "hyparr-lattice-v2"
-        assert payload["levels"] == [[str(f.support) for f in level]
+        assert payload["format"] == "hyparr-lattice-v3"
+        assert payload["levels"] == ["".join(f"{f.support:016x}" for f in level)
                                      for level in lattice.levels]
 
     def test_loaded_flats_derive_the_built_subspaces(self, tmp_path, store):
@@ -290,13 +328,30 @@ class TestCache:
         arr = monomial_arrangement(2, 1, 2)
         assert cache_path(arr, str(tmp_path)) == cache_path(arr, str(tmp_path))
 
+    def test_supports_wider_than_a_printable_integer(self, tmp_path):
+        # the lattice of 15,000 lines a + k*b in the plane, made from its
+        # supports: the top and most rank-1 supports have more than 4,300
+        # decimal digits, which ``str`` refuses; the entry holds each as
+        # 235 64-bit words
+        n = 15_000
+        arr = Arrangement(2, 1, tuple(LinearForm(2, 1, ((1, k), 1)) for k in range(n)))
+        lattice = IntersectionLattice(arr, ((0,), tuple(1 << i for i in range(n)),
+                                            ((1 << n) - 1,)))
+        path = save_lattice(lattice, str(tmp_path))
+        loaded = load_lattice(arr, str(tmp_path))
+        assert loaded is not None and loaded.supports == lattice.supports
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+        assert [len(level) for level in payload["levels"]] == [16 * 235, 16 * 235 * n, 16 * 235]
+
     # the levels of two lines in the plane are 0; 1, 2; 3 (lines that split
-    # by coordinates are cached as two factors instead).  A string level
-    # iterates as its characters and a dict as its keys, so both of these
-    # read as that lattice while levels were not checked to be lists
+    # by coordinates are cached as two factors instead), one 64-bit word per
+    # support.  Levels that are one string of them all, or a dict whose
+    # keys are the levels, are not a list of hex strings
+    WORD = "{:016x}".format
     FORGED_LEVELS = {
-        "string-levels": ["0", "12", ["3"]],
-        "dict-levels": {"0": [], "12": [], "3": []},
+        "string-levels": WORD(0) + WORD(1) + WORD(2) + WORD(3),
+        "dict-levels": {WORD(0): [], WORD(1) + WORD(2): [], WORD(3): []},
     }
 
     @pytest.mark.parametrize("forged", sorted(FORGED_LEVELS))
@@ -312,7 +367,7 @@ class TestCache:
         with open(path, "r", encoding="utf-8") as fh:
             good = fh.read()
         forged_entry = dict(json.loads(good), levels=self.FORGED_LEVELS[forged])
-        with pytest.raises(ValueError, match="levels that are not lists"):
+        with pytest.raises(ValueError, match="levels that are not a list of hex strings"):
             lattice_from_payload(arr, forged_entry)
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(forged_entry, fh)
@@ -342,6 +397,26 @@ def _rank2_verdicts(lattice, threads):
 
 class TestSupportsOnly:
     """A loaded or assembled lattice holds supports until a flat is read."""
+
+    def test_made_flats_share_the_hyperplanes(self, tmp_path):
+        # each flat of a loaded lattice holds the arrangement's own tuple of
+        # hyperplanes and its support, and no rows of its own: making G31's
+        # 2,272 flats takes under 200 bytes a flat, for the flat, its source
+        # and its share of the levels and the index (with a tuple of rows
+        # each, it took about 240)
+        arr = build_named("G31")
+        save_lattice(build_lattice(arr), str(tmp_path))
+        loaded = load_lattice(arr, str(tmp_path))
+        gc.collect()  # empties the free lists, so that every tuple made is counted
+        tracemalloc.start()
+        try:
+            levels = loaded.levels
+            grown = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert grown < 200 * 2272
+        assert all(f._source[2] is arr.hyperplanes and f._source[3] == f.support
+                   for level in levels for f in level)
 
     @pytest.fixture
     def made(self, monkeypatch):

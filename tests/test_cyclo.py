@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from hyparr import _kernel
 from hyparr.cyclo import (CyclotomicNumber, cyclotomic_polynomial, embed,
-                          field_context, int_str, poly_divmod, rational_str,
+                          field_context, int_str, ints_str, poly_divmod, rational_str,
                           root_of_unity)
 
 ORDERS = [1, 2, 3, 4, 5, 12]
@@ -436,6 +436,13 @@ class TestIntegerPrinter:
         values = self.VALUES + [rng.getrandbits(rng.randint(1, 60_000)) * rng.choice((1, -1))
                                 for _ in range(150)]
         assert [int_str(v) for v in values] == _lifted(lambda: [str(v) for v in values])
+
+    def test_ints_str_matches_int_str(self):
+        # each value at or past the bound alone, and beside small ones
+        for v in self.VALUES:
+            for nums in ((v,), (3, v, -1), (0, 0, v)):
+                assert ints_str(nums) == [int_str(x) for x in nums]
+        assert ints_str((3, -120, 0)) == ["3", "-120", "0"]
 
     def test_rational_str_matches_fraction(self):
         rng = random.Random(22)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import hyparr.cyclo
-from hyparr.arrangement import arrangement_to_text
+from hyparr.arrangement import arrangement_to_text, make_arrangement
 from hyparr.claims import WITNESS_CLAIMS
 from hyparr.cyclo import CyclotomicNumber, root_elem, root_of_unity
 from hyparr.errors import ParseError
@@ -22,7 +22,7 @@ from hyparr.reflection import (_EXCEPTIONAL, build_named, catalog, catalog_entry
                                monomial_arrangement)
 from tests.conftest import random_form
 from tests.parse_reference import (reference_coefficients, reference_parse_form,
-                                   reference_parse_scalar)
+                                   reference_parse_scalar, reference_tokenize)
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -351,6 +351,119 @@ class TestAgainstReference:
             text = random_scalar(rng, order, 4)
             assert outcome(parse_scalar, text, order) == \
                 outcome(reference_parse_scalar, text, order), text
+
+
+# characters the fuzz draws from: ASCII names, digits and operators; the
+# whitespace that ``str.isspace`` knows beyond the space, U+001C-U+001F
+# (information separators) included; ``_``; digits that ``str.isdigit``
+# accepts and ``int`` refuses (superscripts, circled) or reads (Arabic-Indic,
+# fullwidth); non-ASCII letters; a numeric that is no digit (one half); and
+# characters that no token starts with
+FUZZ_PIECES = (
+    ["a", "b", "c", "d", "x1", "x2", "x3", "x12", "z", "i", "e", "ab", "a_1", "x1_"]
+    + ["0", "1", "2", "3", "10", "007"]
+    + list("+-*/^(),") * 3
+    + [" ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\u00a0", "\u2003"]
+    + ["_", "__", "²", "³", "①", "٣", "\uff17", "é", "ß", "Ω", "xé", "aⅡ", "½",
+       "!", ".", "$", "'", "~", "\u200b"]
+)
+
+# every message the descent and the tokenizer give, in the words that
+# start it or a phrase it holds
+FUZZ_MESSAGES = (
+    "unexpected character", "unexpected end of expression", "expected ')' but found",
+    "trailing input", "unknown symbol", "exponent must be a nonnegative integer",
+    "cannot raise a variable expression to a power", "product of two variable expressions",
+    "division by a variable expression", "division by zero", "affine expression",
+    "expected a linear form, found the scalar", "is the zero form",
+    "'z' is undefined over the rationals", "'i' requires the field order",
+    "parentheses nested deeper than", "is not a readable integer",
+)
+
+# inputs that random draws seldom or never make, for the messages above, in
+# two variables over field order 1 (the rationals)
+FUZZ_EXTRA = ("(" * 101 + "a" + ")" * 101, "(" * 100 + "a" + ")" * 100, "a^0", "1/(2-2)*a",
+              "a/(b)", "a*b", "2" * 4301 + "*a", "a + 2^", "a + 2^b", "(a", "(a b", "z*a", "i*a",
+              "a - a", "3", "a + 1", "a ²")
+
+
+def _fuzz_text(rng) -> str:
+    return "".join(rng.choice(FUZZ_PIECES) for _ in range(rng.randint(1, 12)))
+
+
+def _message_kind(message: str) -> str:
+    kinds = [kind for kind in FUZZ_MESSAGES if kind in message]
+    assert kinds, message
+    return kinds[0]
+
+
+def reference_arrangement_outcome(text: str, ambient: int, order: int):
+    """What ``parse_arrangement_text`` of a file with a valid header should
+    give, line by line from the reference parser: the rows of the
+    arrangement, or the first failing line's message."""
+    lines = [(lineno, line) for lineno, raw in enumerate(text.splitlines(), start=1)
+             if (line := raw.split("#", 1)[0].strip())][1:]
+    forms = []
+    for lineno, line in lines:
+        got = outcome(reference_parse_form, line, ambient, order)
+        if isinstance(got, str):
+            return got.replace("ParseError: ", f"ParseError: <string>:{lineno}: ", 1)
+        forms.append(got)
+    return [h.row for h in make_arrangement(ambient, order, forms).hyperplanes]
+
+
+class TestFuzzAgainstReference:
+    """Random text, Unicode included, through the library's parser and the
+    reference (``tests/parse_reference.py``), which has its own tokenizer:
+    the same form or the same message, and every message made."""
+
+    def test_tokens_match_the_character_scan(self):
+        rng = random.Random(4040)
+        for _ in range(3000):
+            text = _fuzz_text(rng)
+            assert outcome(_tokenize, text) == outcome(reference_tokenize, text), repr(text)
+
+    def test_forms(self):
+        rng = random.Random(4041)
+        seen = set()
+        forms = 0
+        fields = ((1, 1), (2, 3), (3, 4), (4, 5), (5, 12), (12, 4))
+        cases = [(_fuzz_text(rng), *fields[k % 6]) for k in range(4000)]
+        # random forms with each space made other whitespace, or none
+        spaces = [" ", "\t", "\x1c", "\x1d", "\x1e", "\x1f", "\u00a0", "\u2003", ""]
+        for k in range(1000):
+            ambient, order = fields[k % 6]
+            text = random_expression(rng, ambient, order)
+            cases.append(("".join(part + rng.choice(spaces) for part in text.split(" ")),
+                          ambient, order))
+        for text, ambient, order in cases + [(text, 2, 1) for text in FUZZ_EXTRA]:
+            new = assert_parses_like_reference(text, ambient, order)
+            if isinstance(new, str):
+                seen.add(_message_kind(new))
+            else:
+                forms += 1
+        assert seen == set(FUZZ_MESSAGES)
+        assert forms > 400
+
+    def test_arrangement_files(self):
+        rng = random.Random(4042)
+        lines = ["a + z*b", "a - b", "(1 + z)*c", "b", "x3 + x1", "2*a - 4*z*b"]
+        errors = 0
+        for _ in range(400):
+            body = []
+            for _ in range(rng.randint(1, 6)):
+                line = rng.choice(lines) if rng.random() < 0.7 else _fuzz_text(rng)
+                if rng.random() < 0.2:
+                    line += " # " + _fuzz_text(rng)
+                body.append(line)
+            text = "ambient 3 field 3\n" + "\n".join(body) + "\n"
+            new = outcome(parse_arrangement_text, text)
+            if not isinstance(new, str):
+                new = [h.row for h in new.hyperplanes]
+            else:
+                errors += 1
+            assert new == reference_arrangement_outcome(text, 3, 3), repr(text)
+        assert 50 < errors < 350
 
 
 class TestBounds:
