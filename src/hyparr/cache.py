@@ -65,8 +65,6 @@ def _width(arr: Arrangement) -> int:
 
 def _pack(level, width: int) -> str:
     """The supports of one level as big-endian words of ``width`` bytes, in hex."""
-    if width == 8:
-        return struct.pack(f">{len(level)}Q", *level).hex()
     return b"".join(s.to_bytes(width, "big") for s in level).hex()
 
 

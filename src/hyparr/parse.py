@@ -39,7 +39,6 @@ computed.
 
 from __future__ import annotations
 
-import re
 from functools import lru_cache
 from math import lcm, log2
 
@@ -79,20 +78,11 @@ def _fits(nums, den: int) -> bool:
     return max(max(nums, default=0), -min(nums, default=0), den).bit_length() <= _MAX_BITS
 
 
-_ASCII_TOKEN = re.compile(r"[-+*/^(),]|[A-Za-z][0-9A-Za-z_]*|[0-9]+")
-
-
 def _tokenize(text: str) -> list[str]:
     """The tokens of ``text``: the characters of ``+-*/^(),``, runs of digits
     (``str.isdigit``), and names, a letter followed by letters, digits and
     ``_``; whitespace (``str.isspace``) separates them.  Any other character
-    is a ``ParseError``.  One regular expression finds the ASCII tokens,
-    which are the tokens when they and the spaces make up the whole text;
-    other text (a tab, a non-ASCII letter or digit, a character to report)
-    is scanned one character at a time."""
-    tokens = _ASCII_TOKEN.findall(text)
-    if len("".join(tokens)) + text.count(" ") == len(text):
-        return tokens
+    is a ``ParseError``."""
     tokens = []
     k = 0
     while k < len(text):

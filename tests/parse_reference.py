@@ -3,10 +3,9 @@
 
 It evaluates with ``CyclotomicNumber`` arithmetic over one dense list of
 coefficients per variable, folds the aliases ``a b c d`` into ``x1..x4`` at
-the end and normalizes through ``LinearForm.from_coefficients``.  Its
-tokenizer scans one character at a time, by ``str.isspace``, ``isdigit``,
-``isalpha`` and ``isalnum``, as the library's did before it found ASCII
-tokens by a regular expression; the digit check is the library's.
+the end and normalizes through ``LinearForm.from_coefficients``.  The
+tokenizer and the digit check are the library's; only the evaluation is
+kept here.
 """
 
 from __future__ import annotations
@@ -14,36 +13,7 @@ from __future__ import annotations
 from hyparr.cyclo import CyclotomicNumber, root_of_unity
 from hyparr.errors import ParseError
 from hyparr.linalg import LinearForm
-from hyparr.parse import MAX_NESTING, _integer
-
-_TOKEN_CHARS = set("+-*/^(),")
-
-
-def reference_tokenize(text: str) -> list[str]:
-    tokens = []
-    k = 0
-    while k < len(text):
-        c = text[k]
-        if c.isspace():
-            k += 1
-        elif c in _TOKEN_CHARS:
-            tokens.append(c)
-            k += 1
-        elif c.isdigit():
-            j = k
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(text[k:j])
-            k = j
-        elif c.isalpha():
-            j = k
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(text[k:j])
-            k = j
-        else:
-            raise ParseError(f"unexpected character {c!r} in {text!r}")
-    return tokens
+from hyparr.parse import MAX_NESTING, _integer, _tokenize
 
 
 class _Value:
@@ -57,7 +27,7 @@ class _Value:
 class _Parser:
     def __init__(self, text: str, order: int, variables: list[str]):
         self.text = text
-        self.tokens = reference_tokenize(text)
+        self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
         self.order = order

@@ -329,20 +329,19 @@ class TestCache:
         assert cache_path(arr, str(tmp_path)) == cache_path(arr, str(tmp_path))
 
     def test_supports_wider_than_a_printable_integer(self, tmp_path):
-        # the lattice of 15,000 lines a + k*b in the plane, made from its
-        # supports: the top and most rank-1 supports have more than 4,300
-        # decimal digits, which ``str`` refuses; the entry holds each as
-        # 235 64-bit words
+        # 15,000 lines a + k*b in the plane, with levels shaped as the
+        # loader checks them: the bottom, then one support of every
+        # hyperplane, which has more than 4,300 decimal digits and which
+        # ``str`` refuses; the entry holds it as 235 64-bit words
         n = 15_000
         arr = Arrangement(2, 1, tuple(LinearForm(2, 1, ((1, k), 1)) for k in range(n)))
-        lattice = IntersectionLattice(arr, ((0,), tuple(1 << i for i in range(n)),
-                                            ((1 << n) - 1,)))
+        lattice = IntersectionLattice(arr, ((0,), ((1 << n) - 1,)))
         path = save_lattice(lattice, str(tmp_path))
         loaded = load_lattice(arr, str(tmp_path))
         assert loaded is not None and loaded.supports == lattice.supports
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-        assert [len(level) for level in payload["levels"]] == [16 * 235, 16 * 235 * n, 16 * 235]
+        assert [len(level) for level in payload["levels"]] == [16 * 235, 16 * 235]
 
     # the levels of two lines in the plane are 0; 1, 2; 3 (lines that split
     # by coordinates are cached as two factors instead), one 64-bit word per

@@ -22,7 +22,7 @@ from hyparr.reflection import (_EXCEPTIONAL, build_named, catalog, catalog_entry
                                monomial_arrangement)
 from tests.conftest import random_form
 from tests.parse_reference import (reference_coefficients, reference_parse_form,
-                                   reference_parse_scalar, reference_tokenize)
+                                   reference_parse_scalar)
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -414,14 +414,8 @@ def reference_arrangement_outcome(text: str, ambient: int, order: int):
 
 class TestFuzzAgainstReference:
     """Random text, Unicode included, through the library's parser and the
-    reference (``tests/parse_reference.py``), which has its own tokenizer:
-    the same form or the same message, and every message made."""
-
-    def test_tokens_match_the_character_scan(self):
-        rng = random.Random(4040)
-        for _ in range(3000):
-            text = _fuzz_text(rng)
-            assert outcome(_tokenize, text) == outcome(reference_tokenize, text), repr(text)
+    reference (``tests/parse_reference.py``): the same form or the same
+    message, and every message made."""
 
     def test_forms(self):
         rng = random.Random(4041)
