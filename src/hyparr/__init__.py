@@ -20,8 +20,7 @@ from .arrangement import (Arrangement, Flat, IntersectionLattice, build_lattice,
 from .cyclo import CyclotomicNumber, cyclotomic_polynomial, embed, root_of_unity
 from .errors import (HyparrError, InternalInconsistencyError, InvalidHyperplaneError,
                      ParseError, RefusalError)
-from .linalg import (LinearForm, Subspace, contains, intersect, subspace_from_forms,
-                     subspace_sum)
+from .linalg import LinearForm, Subspace, subspace_from_forms, subspace_sum
 from .parse import parse_arrangement_file, parse_arrangement_text, parse_form, parse_scalar
 from .reflection import (CatalogEntry, build_named, catalog, exceptional_arrangement,
                          monomial_arrangement)

@@ -873,20 +873,25 @@ def essentialize(arr: Arrangement) -> Arrangement:
 
 
 def irreducible_decomposition(arr: Arrangement) -> list[Arrangement]:
-    """Finest factorization of an essential arrangement as a product.
+    """Finest factorization of an arrangement, essential or not, as a
+    product, in the coordinates of a basis of its normals.
 
-    Express every normal over a basis of normals, and split the arrangement
-    of those coordinates as ``lattice_of`` splits its input (``_split``,
-    two basis directions being linked when some normal uses both): the
-    blocks span complementary coordinate subspaces, each hyperplane lives
-    in exactly one, and each factor is its block's forms on its block's
-    columns, normalized.  The basis B takes each normal, in order, whose
-    residue modulo the span so far is nonzero, and extends that span's RREF
-    by it (``form_residue``, ``extend_rref``).  The RREF (I | B^-1) of (B | I) grows from the full
-    space by its rows (``subspace_from_rows``), and reducing (h | 0) by it
-    leaves (0 | -h B^-1), h's coordinates up to a scalar that normalizing
-    the factors' forms removes.
+    Express every normal over a basis B of r normals, r the rank, and split
+    the arrangement of those coordinates as ``lattice_of`` splits its input
+    (``_split``, two basis directions being linked when some normal uses
+    both): the blocks span complementary coordinate subspaces, each
+    hyperplane lives in exactly one, and each factor is its block's forms on
+    its block's columns, normalized, so the factors' dimensions add up to r.
+    B takes each normal, in order, whose residue modulo the span so far is
+    nonzero, and extends that span's RREF by it (``form_residue``,
+    ``extend_rref``).  The RREF of (B | I_r), grown from the full space by
+    its rows (``subspace_from_rows``), has its pivots among the first l
+    columns, and reducing (h | 0) by it leaves (0 | -c) for h = cB: h's
+    coordinates up to a scalar that normalizing the factors' forms removes.
+    A repeated row is a ValueError, raised before any arithmetic.
     """
+    if len({h.row for h in arr.hyperplanes}) < len(arr):
+        raise ValueError("irreducible_decomposition requires distinct hyperplanes")
     n = arr.ambient
     ctx = field_context(arr.order)
     d = ctx.degree
@@ -899,28 +904,23 @@ def irreducible_decomposition(arr: Arrangement) -> list[Arrangement]:
         if residue is not None:
             basis.append(h.row)
             span = extend_rref(span, residue)
-    if len(basis) < n:
-        raise ValueError("irreducible_decomposition requires an essential arrangement")
-    if n == 0:
+    r = len(basis)
+    if r == 0:
         return []
     aug = []
     for i, (nums, den) in enumerate(basis):
-        ext = list(nums) + [0] * (n * d)
+        ext = list(nums) + [0] * (r * d)
         ext[(n + i) * d] = den
         aug.append((ext, den))
-    inv = subspace_from_rows(aug, 2 * n, arr.order)
-    assert inv.pivots[:n] == tuple(range(n)), "basis matrix failed to invert"
+    inv = subspace_from_rows(aug, n + r, arr.order)
     forms = []
     for h in arr.hyperplanes:
-        c = _kernel.reduce(h.row[0] + (0,) * (n * d), inv.rows, inv.pivots, 2 * n, d, ctx.red)
-        forms.append(LinearForm(n, arr.order, restrict_row((c, 1), range(n, 2 * n), d)))
-    coords = Arrangement(n, arr.order, tuple(forms))
+        c = _kernel.reduce(h.row[0] + (0,) * (r * d), inv.rows, inv.pivots, n + r, d, ctx.red)
+        forms.append(LinearForm(r, arr.order, restrict_row((c, 1), range(n, n + r), d)))
+    coords = Arrangement(r, arr.order, tuple(forms))
     parts = _split(coords)
     factors = [coords] if parts is None else [forms for _, forms in parts]
-    factors = [make_arrangement(f.ambient, f.order, f.hyperplanes) for f in factors]
-    assert sum(f.ambient for f in factors) == n
-    assert sum(len(f) for f in factors) == len(arr)
-    return factors
+    return [make_arrangement(f.ambient, f.order, f.hyperplanes) for f in factors]
 
 
 def arrangement_to_text(arr: Arrangement) -> str:

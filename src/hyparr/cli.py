@@ -4,7 +4,9 @@ Subcommands: build | lattice | modular | supersolvable | poincare | decompose
 | verify-paper.  Arrangement specs are catalog names (D4, G31, G(3,1,3),
 A(3), B3, ...), product(spec, spec) expressions, or paths to arrangement
 files.  Exit codes: 0 success, 1 verification failure, 2 parse error,
-3 computation refusal.
+3 computation refusal.  Stdout holds only the rendered report, human or
+``--json``, so two runs print the same bytes; the ``time`` lines go to
+stderr.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from math import lcm
 
 from . import __version__
 from .analysis import checked_exponents, is_supersolvable, modular_flats_of_rank, poincare
-from .arrangement import (DEFAULT_MAX_FLATS, Arrangement, essentialize,
-                          irreducible_decomposition, product)
+from .arrangement import (DEFAULT_MAX_FLATS, Arrangement, irreducible_decomposition,
+                          product)
 from .cache import CACHE_ENV, load_or_build
 from .claims import LatticeStore, claim_scopes, run_claims, unknown_scope
 from .errors import ParseError, RefusalError
@@ -113,7 +115,7 @@ def _make_parser() -> argparse.ArgumentParser:
         ("lattice", "build the intersection lattice and report level sizes"),
         ("supersolvable", "compute a supersolvability certificate"),
         ("poincare", "compute the Poincare polynomial (and exponents when defined)"),
-        ("decompose", "essentialize and split into irreducible factors"),
+        ("decompose", "split into irreducible factors in essential coordinates"),
     ):
         p = sub.add_parser(name, help=extra)
         p.add_argument("spec", help="arrangement spec (name, product(...), or file)")
@@ -131,7 +133,8 @@ def _make_parser() -> argparse.ArgumentParser:
 
 def _emit(report: dict, args, timings: dict[str, float],
           report_started: float | None = None) -> None:
-    """Render and write the report, then the timings.  With ``report_started``,
+    """Write the rendered report to stdout, then the timings to stderr, one
+    ``time KEY: SECONDS`` line each, in both modes.  With ``report_started``,
     the perf_counter reading taken before the payload was built, the timings
     gain ``report``: payload building, witness certification and rendering."""
     text = report_json(report) if args.json else render_human(report)
@@ -139,10 +142,7 @@ def _emit(report: dict, args, timings: dict[str, float],
         timings["report"] = time.perf_counter() - report_started
     sys.stdout.write(text)
     for key, dt in timings.items():
-        if args.json:
-            print(f"time {key}: {dt:.3f}s", file=sys.stderr)
-        else:
-            sys.stdout.write(f"time {key}: {dt:.3f}s\n")
+        print(f"time {key}: {dt:.3f}s", file=sys.stderr)
 
 
 def _run(args) -> int:
@@ -180,10 +180,9 @@ def _run(args) -> int:
 
     if args.command == "decompose":
         t0 = time.perf_counter()
-        ess = essentialize(arr)
-        factors = irreducible_decomposition(ess)
+        factors = irreducible_decomposition(arr)
         timings["decompose"] = time.perf_counter() - t0
-        report["essentialized"] = ess.ambient != arr.ambient
+        report["essentialized"] = sum(f.ambient for f in factors) != arr.ambient
         report["factors"] = [arrangement_payload(f) for f in factors]
         _emit(report, args, timings)
         return EXIT_OK

@@ -222,12 +222,6 @@ def full_space(ambient: int, order: int) -> Subspace:
     return Subspace(ambient, order, (), ())
 
 
-def intersect(x: Subspace, y: Subspace) -> Subspace:
-    """Canonical form of the set intersection: x's RREF grown by y's rows."""
-    _check_compatible(x, y)
-    return extend_by_rows(x, y.rows)
-
-
 def subspace_sum(x: Subspace, y: Subspace) -> Subspace:
     """The subspace x + y: annihilate the combined span of both solution sets."""
     _check_compatible(x, y)
@@ -237,14 +231,6 @@ def subspace_sum(x: Subspace, y: Subspace) -> Subspace:
     span = subspace_from_rows(x.basis() + y.basis(), x.ambient, x.order)
     forms = _kernel.nullspace(span.rows, span.pivots, x.ambient, ctx.degree, ctx.red)
     return subspace_from_rows(forms, x.ambient, x.order)
-
-
-def contains(x: Subspace, y: Subspace) -> bool:
-    """Whether y is a subset of x as point sets."""
-    _check_compatible(x, y)
-    ctx = field_context(x.order)
-    return all(_kernel.in_rowspace(r, y.rows, y.pivots, x.ambient, ctx.degree, ctx.red)
-               for r in x.rows)
 
 
 def form_vanishes_on(form: LinearForm, s: Subspace) -> bool:

@@ -12,7 +12,15 @@ from hyparr.cache import arrangement_payload
 from hyparr.claims import LatticeStore
 from hyparr.cyclo import CyclotomicNumber, field_context, root_of_unity
 from hyparr.errors import InvalidHyperplaneError
-from hyparr.linalg import LinearForm, Subspace, subspace_from_forms
+from hyparr.linalg import (LinearForm, Subspace, _check_compatible, extend_by_rows,
+                           subspace_from_forms)
+
+
+# D4 with x1 -> x1 + 2*x5 and x4 -> x4 + x5: a rank-4 arrangement in C^5
+# whose center has no pivot in the last column
+D4_MOVED = ("ambient 5 field 1\nx1 - x2 + 2*x5\nx1 + x2 + 2*x5\nx1 - x3 + 2*x5\n"
+            "x1 + x3 + 2*x5\nx1 - x4 + x5\nx1 + x4 + 3*x5\nx2 - x3\nx2 + x3\n"
+            "x2 - x4 - x5\nx2 + x4 + x5\nx3 - x4 - x5\nx3 + x4 + x5\n")
 
 
 @pytest.fixture(scope="session")
@@ -46,6 +54,21 @@ def reference_subspace(arr: Arrangement, support: int) -> Subspace:
     ctx = field_context(arr.order)
     rows = [h.row for i, h in enumerate(arr.hyperplanes) if support >> i & 1]
     return Subspace(arr.ambient, arr.order, *_kernel.rref(rows, arr.ambient, ctx.degree, ctx.red))
+
+
+def intersect(x: Subspace, y: Subspace) -> Subspace:
+    """Canonical form of the set intersection: x's RREF grown by y's rows."""
+    _check_compatible(x, y)
+    return extend_by_rows(x, y.rows)
+
+
+def contains(x: Subspace, y: Subspace) -> bool:
+    """Whether y is a subset of x as point sets: every defining row of x
+    lies in the row space of y's."""
+    _check_compatible(x, y)
+    ctx = field_context(x.order)
+    return all(_kernel.in_rowspace(r, y.rows, y.pivots, x.ambient, ctx.degree, ctx.red)
+               for r in x.rows)
 
 
 def random_cyclo(rng: random.Random, order: int, span: int = 4) -> CyclotomicNumber:

@@ -19,11 +19,11 @@ from hyparr.arrangement import (Arrangement, Flat, build_lattice, closure, essen
 from hyparr.cache import load_lattice, save_lattice
 from hyparr.cli import resolve_spec
 from hyparr.errors import InternalInconsistencyError, RefusalError
-from hyparr.linalg import contains, subspace_from_forms, subspace_sum
+from hyparr.linalg import subspace_from_forms, subspace_sum
 from hyparr.parse import parse_arrangement_text, parse_form
 from hyparr.reflection import (build_named, catalog, exceptional_arrangement,
                                monomial_arrangement)
-from tests.conftest import random_arrangement
+from tests.conftest import contains, random_arrangement
 
 PRODUCT_PAIRS = (("G(3,1,3)", "A(3)"), ("B3", "B3"), ("G(3,3,3)", "A(3)"),
                  ("B2", "H3"), ("A2", "G(3,1,3)"), ("B2", "D4"))

@@ -24,13 +24,14 @@ from hyparr.arrangement import (Arrangement, brute_force_lattice, build_lattice,
 from hyparr.cli import resolve_spec
 from hyparr.cyclo import CyclotomicNumber, embed, field_context
 from hyparr.errors import InternalInconsistencyError, InvalidHyperplaneError, RefusalError
-from hyparr.linalg import (LinearForm, extend_rref, form_residue, intersect, restrict_subspace,
+from hyparr.linalg import (LinearForm, extend_rref, form_residue, restrict_subspace,
                            subspace_from_forms, subspace_from_rows)
 from hyparr.parse import parse_arrangement_text, parse_form
 from hyparr.reflection import (build_named, catalog, exceptional_arrangement,
                                monomial_arrangement)
 from hyparr.report import arrangement_payload, certificate_payload
-from tests.conftest import random_arrangement, reference_subspace, v1_lattice_payload
+from tests.conftest import (D4_MOVED, intersect, random_arrangement, reference_subspace,
+                            v1_lattice_payload)
 
 BOOLEAN3 = "ambient 3 field 1\na\nb\nc\n"
 
@@ -739,9 +740,34 @@ class TestIrreducibleDecomposition:
         assert len(factors) == 2
         assert sorted(len(f) for f in factors) == [3, 4]
 
-    def test_requires_essential(self):
-        with pytest.raises(ValueError):
-            irreducible_decomposition(monomial_arrangement(1, 1, 3))
+    def test_non_essential_splits_as_its_essentialization(self):
+        # the factors are read in the coordinates of a basis of normals,
+        # which are essential whatever the input's ambient dimension
+        for arr in (build_named("A(3)"), resolve_spec("product(A(3),G(3,3,3))")[1],
+                    parse_arrangement_text(D4_MOVED)):
+            ess = essentialize(arr)
+            assert ess.ambient < arr.ambient
+            assert irreducible_decomposition(arr) == irreducible_decomposition(ess)
+
+    def test_random_non_essential_splits_as_its_essentialization(self):
+        rng = random.Random(41)
+        checked = split = 0
+        for _ in range(150):
+            arr = random_arrangement(rng, rng.randint(2, 5), rng.choice([1, 3, 4]),
+                                     max_hyperplanes=7)
+            ess = essentialize(arr)
+            if ess is arr:
+                continue
+            factors = irreducible_decomposition(arr)
+            assert factors == irreducible_decomposition(ess), arr
+            checked += 1
+            split += len(factors) > 1
+        assert checked >= 40 and split >= 20
+
+    def test_repeated_row_refused(self):
+        a, b = parse_arrangement_text("ambient 2 field 1\na\nb\n").hyperplanes
+        with pytest.raises(ValueError, match="distinct hyperplanes"):
+            irreducible_decomposition(Arrangement(2, 1, (a, a, b)))
 
 
 class TestOracleEquivalence:

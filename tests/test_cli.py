@@ -16,6 +16,7 @@ from hyparr.cli import (EXIT_OK, EXIT_PARSE_ERROR, EXIT_REFUSED,
 from hyparr.errors import ParseError, RefusalError
 from hyparr.linalg import LinearForm
 from hyparr.reflection import build_named, catalog
+from tests.conftest import D4_MOVED
 from tests.test_factors import CRITERION_5
 
 
@@ -325,10 +326,10 @@ class TestExitCodes:
             warm = run_cli(capsys, "--cache-dir", warm_dir, *argv)
             expected = EXIT_OK if budget == flats else EXIT_REFUSED
             assert cold[0] == warm[0] == expected, budget
-            assert cold[2] == warm[2], budget
-            assert bool(cold[2]) == (budget < flats)
-            untimed = [re.sub(r"(?m)^time .*\n", "", r[1]) for r in (cold, warm)]
-            assert untimed[0] == untimed[1]
+            assert cold[1] == warm[1], budget
+            untimed = [re.sub(r"(?m)^time .*\n", "", r[2]) for r in (cold, warm)]
+            assert untimed[0] == untimed[1], budget
+            assert bool(untimed[0]) == (budget < flats)
 
     def test_bad_rank_is_parse_error(self, capsys):
         code, _, _ = run_cli(capsys, "modular", "D4", "--rank", "9")
@@ -413,6 +414,19 @@ class TestOneRowReduction:
         monkeypatch.setattr(_kernel, "rank", refuse)
         code, out, _ = run_cli(capsys, "--json", *argv)
         assert code == EXIT_OK and out
+
+    def test_decompose_essentializes_nothing(self, capsys, monkeypatch):
+        # coordinates over a basis of normals are already essential
+        import hyparr.arrangement
+        import hyparr.cli
+
+        def refuse(*args):
+            raise AssertionError("decompose essentialized its input")
+
+        monkeypatch.setattr(hyparr.arrangement, "essentialize", refuse)
+        monkeypatch.setattr(hyparr.cli, "essentialize", refuse, raising=False)
+        code, out, _ = run_cli(capsys, "--json", "decompose", "product(D4,A(3))")
+        assert code == EXIT_OK and '"essentialized": true' in out
 
 
 class TestMoreSurface:
@@ -533,6 +547,11 @@ class TestDeterminism:
             "97959b6b0d6ddd116f5adcba3ea42968f3677d6c2ce23aa3f97fc24e69dd61aa",
         "shuffled.arr":
             "368dd0d5802d1186a98d8917fb628cb23302802945fd723b302370f36ba3c8d2",
+        # recorded while non-essential input was essentialized first
+        "product(D4,A(3))":
+            "2b18a79e9caf9b957a014cf86b53c46ab7b362381dfb59b41433979b94043306",
+        "A(5)":
+            "4e671536ed0c47dae24b09162a343d265d448e1afa12d67cb83e776cb8f1a792",
     }
 
     @pytest.mark.parametrize("spec", sorted(DECOMPOSE_SHA256))
@@ -587,10 +606,13 @@ class TestTimings:
         assert keys == ["lattice", argv[0], "report"]
 
     def test_human_output_ends_with_the_report_time(self, capsys):
-        code, out, _ = run_cli(capsys, "modular", "D4", "--rank", "2")
-        assert code == EXIT_OK
-        assert re.findall(r"^time (\w+): ", out, re.M) == ["lattice", "modular", "report"]
-        assert re.search(r"\ntime report: \d+\.\d{3}s\n$", out)
+        # human stdout holds the report alone; its timings go to stderr, as
+        # those of --json do
+        code, out, err = run_cli(capsys, "modular", "D4", "--rank", "2")
+        assert code == EXIT_OK and out and "time " not in out
+        assert re.findall(r"^time (\w+): \d+\.\d{3}s$", err, re.M) == [
+            "lattice", "modular", "report"]
+        assert re.search(r"\ntime report: \d+\.\d{3}s\n$", err)
 
 
 class TestSearchOutputs:
@@ -632,16 +654,13 @@ class TestEssentializedOutputs:
         ("supersolvable", "d4-moved.arr"):
             "4b1817762cc1e6ff9788f90cc84f2fad7d93a72006ed6c06296ec1616bba6ef0",
     }
-    # D4 with x1 -> x1 + 2*x5 and x4 -> x4 + x5: the products above refute
-    # with no-chain, and this one at rank 2, printing 34 witness sums whose
-    # rows are nonzero in the column the restriction drops
-    D4_MOVED = ("ambient 5 field 1\nx1 - x2 + 2*x5\nx1 + x2 + 2*x5\nx1 - x3 + 2*x5\n"
-                "x1 + x3 + 2*x5\nx1 - x4 + x5\nx1 + x4 + 3*x5\nx2 - x3\nx2 + x3\n"
-                "x2 - x4 - x5\nx2 + x4 + x5\nx3 - x4 - x5\nx3 + x4 + x5\n")
+    # the products above refute with no-chain, and D4_MOVED at rank 2,
+    # printing 34 witness sums whose rows are nonzero in the column the
+    # restriction drops
 
     @pytest.mark.parametrize("argv", sorted(STDOUT_SHA256))
     def test_json_stdout_is_unchanged(self, capsys, tmp_path, monkeypatch, argv):
-        (tmp_path / "d4-moved.arr").write_text(self.D4_MOVED)
+        (tmp_path / "d4-moved.arr").write_text(D4_MOVED)
         monkeypatch.chdir(tmp_path)  # the file's name is printed as given
         code, out, _ = run_cli(capsys, "--json", *argv)
         assert code == EXIT_OK and '"essentialized": true' in out
@@ -689,17 +708,14 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def without_timings(text: str) -> str:
-    return re.sub(r"^time \w+: \d+\.\d{3}s\n", "", text, flags=re.M)
-
-
 NESTED_A2 = "product(" * 100 + "A2" + ", A2)" * 100
 
 
 class TestRenderedOutputs:
     """Pins recorded while every printed coefficient was still decoded into a
     field element; the renderer that reads packed rows prints the same bytes.
-    Human pins leave out the ``time`` lines."""
+    Human stdout holds the report alone (the ``time`` lines go to stderr),
+    so its pins cover all of it."""
 
     JSON_SHA256 = {
         ("modular", "G31", "--rank", "2"):
@@ -745,14 +761,14 @@ class TestRenderedOutputs:
     def test_human_stdout_is_unchanged(self, capsys, argv):
         code, out, _ = run_cli(capsys, *argv)
         assert code == EXIT_OK
-        assert sha256(without_timings(out)) == self.HUMAN_SHA256[argv]
+        assert sha256(out) == self.HUMAN_SHA256[argv]
 
     def test_human_stdout_of_a_repeated_form(self, capsys, tmp_path):
         path = tmp_path / "repeated.arr"
         path.write_text("ambient 2 field 1\na\na\nb\n")
         code, out, _ = run_cli(capsys, "poincare", str(path))
         assert code == EXIT_OK
-        assert without_timings(out) == f"""\
+        assert out == f"""\
 arrangement {path}: 2 hyperplanes in C^2, field order 1, rank 2
   1 duplicate input forms removed
 lattice: 4 flats, level sizes [1, 2, 1]

@@ -8,10 +8,10 @@ import hyparr.linalg
 from hyparr import _kernel
 from hyparr.arrangement import make_arrangement
 from hyparr.cyclo import CyclotomicNumber, field_context, root_of_unity
-from hyparr.linalg import (LinearForm, contains, extend_by_rows, form_residue,
-                           form_vanishes_on, full_space, intersect, subspace_from_forms,
-                           subspace_from_rows, subspace_sum)
-from tests.conftest import random_form, random_nonzero_cyclo, random_subspace
+from hyparr.linalg import (LinearForm, extend_by_rows, form_residue, form_vanishes_on,
+                           full_space, subspace_from_forms, subspace_from_rows, subspace_sum)
+from tests.conftest import (contains, intersect, random_form, random_nonzero_cyclo,
+                            random_subspace)
 
 CASES_PER_SUITE = 1000
 

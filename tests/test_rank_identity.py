@@ -28,10 +28,10 @@ from hyparr.cache import load_lattice, save_lattice
 from hyparr.claims import LatticeStore, run_rank2_empty_claim
 from hyparr.cli import main
 from hyparr.errors import InternalInconsistencyError
-from hyparr.linalg import intersect, subspace_sum
+from hyparr.linalg import subspace_sum
 from hyparr.parse import parse_arrangement_text
 from hyparr.reflection import build_named
-from tests.conftest import random_arrangement
+from tests.conftest import intersect, random_arrangement
 
 
 def _b2_times_a2():
