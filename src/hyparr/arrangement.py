@@ -13,15 +13,17 @@ hyperplanes of the restriction A^X: two hyperplanes off X give the same
 cover X v H exactly when their residues modulo X (``form_residue``) agree,
 and X's RREF extended by that one row (``extend_rref``) is the cover's.
 One grouping step by that residue makes the rank-1 flats over the bottom
-and the rank-2 flats over each hyperplane.  A cover X v H that the level
-already has is found by a bitset lookup, and the support of a new cover
-above rank 2 is read off the rank-2 flats through H that level 2's
-registry lists, each decided by comparing one residue with H's.  Parents
-go largest first, so more of those lines meet them and fewer residues are
-compared.  Every new flat keeps X's RREF and H's bit, with H's residue when
-the build compared it, and is extended only when its subspace is read: as
-a parent with covers still to find, in a witness or a chain, or when
-printed.
+and the rank-2 flats over each hyperplane.  The level under construction
+numbers its flats and keeps one mask of them per hyperplane, so the covers
+of X that it already has are the AND of the masks of X's hyperplanes.  The
+support of a new cover above rank 2 is read off the rank-2 flats through
+H, listed from the finished level 2, each decided by comparing one residue
+with H's.  Parents go largest first, so more of those lines meet them and
+fewer residues are compared.  A level of the ambient dimension's rank is
+the top alone, entered once.  Every new flat keeps X's RREF and H's bit,
+with H's residue when the build compared it, and is extended only when its
+subspace is read: as a parent with covers still to find, in a witness or a
+chain, or when printed.
 
 A lattice keeps one incidence table per rank, the flats of that rank
 through each hyperplane (``IntersectionLattice.flats_through``), and reads
@@ -52,6 +54,7 @@ normals.
 from __future__ import annotations
 
 from math import lcm, prod
+from threading import Lock
 
 from . import _kernel
 from .cyclo import embed_row, field_context
@@ -443,22 +446,28 @@ def _over_budget(max_flats: int) -> RefusalError:
 
 
 class _Level:
-    """The flats of one rank found so far, shared by the workers building it.
+    """The flats of one rank found so far, numbered in the order they are
+    entered, shared by the workers building it.
 
-    ``found`` maps support -> flat and ``by_atom`` maps each hyperplane bit
-    to the supports found that hold it: level 2's lists the lines through
-    each hyperplane for the levels above it (``build_lattice``).  Dict and
-    list updates are atomic under the GIL: a race only enters an equal flat
-    twice, ``found`` keeps one per support, and ``by_atom`` may list it
-    twice.  ``room`` is how many flats the level may add within the
+    ``found`` maps support -> flat, ``supports`` lists the supports by
+    number, and ``through`` maps each hyperplane bit to the mask of the
+    numbered flats that hold it: bit i for ``supports[i]``.  The level's
+    flats over a parent are the AND of the masks of the parent's
+    hyperplanes (``_children_of``).  ``add`` numbers a flat and updates
+    the masks under ``lock``, so no two flats share a number and every bit
+    a mask sets names a listed support; a worker racing an entry may miss
+    the new flat and compute it again, and the level keeps the first one
+    entered.  ``room`` is how many flats the level may add within the
     budget, checked on every entry.
     """
 
-    __slots__ = ("found", "by_atom", "room", "max_flats")
+    __slots__ = ("found", "supports", "through", "lock", "room", "max_flats")
 
     def __init__(self, kept: int, max_flats: int):
         self.found: dict[int, Flat] = {}
-        self.by_atom: dict[int, list[int]] = {}
+        self.supports: list[int] = []
+        self.through: dict[int, int] = {}
+        self.lock = Lock()
         self.room = max_flats - kept
         self.max_flats = max_flats
 
@@ -467,9 +476,18 @@ class _Level:
             raise _over_budget(self.max_flats)
 
     def add(self, flat: Flat) -> None:
-        self.found.setdefault(flat.support, flat)
-        for atom in _bits(flat.support):
-            self.by_atom.setdefault(atom, []).append(flat.support)
+        support = flat.support
+        found, supports, through = self.found, self.supports, self.through
+        with self.lock:
+            if support in found:
+                return
+            found[support] = flat
+            bit = 1 << len(supports)
+            supports.append(support)
+            while support:
+                atom = support & -support
+                through[atom] = through.get(atom, 0) | bit
+                support ^= atom
         self.check_budget()
 
 
@@ -483,39 +501,48 @@ def _children_of(arr: Arrangement, parent: Flat, level: _Level, lines: tuple | N
     leading coefficient 1 (``form_residue``), are equal, and X's RREF
     extended by that residue (``extend_rref``) is the cover's.  A flat the
     level already has whose support contains the parent's is parent v H for
-    each H it holds, the only flat one rank up above both, so these are
-    looked up under the parent's lowest atom in ``level.by_atom``;
-    ``covered`` holds their hyperplanes, and only the hyperplanes left open
-    a cover.  For the bottom and a rank-1 parent each hyperplane left is
-    reduced once, and each residue class is one cover: the rank-1 flats
-    group the hyperplanes by normalized form, the rank-2 flats over a
-    hyperplane X the others by residue modulo X.  For a higher parent the
-    lowest hyperplane H left opens one cover at a time.  Its support is the
-    parent's plus the rank-2 flats through H that it holds (``lines``:
-    level 2's ``by_atom`` and each hyperplane's rank-1 support), each
-    inside or outside the cover as a whole: a line that meets the parent
-    lies inside, one that meets ``covered`` outside the parent lies
-    outside, since a hyperplane there lies in another cover, and any other
-    lies inside exactly when its member's residue equals H's, the member
-    being its lowest hyperplane off H's rank-1 flat.  A line listed twice,
-    by workers that raced to enter it, is read twice to the same effect.
-    Each residue is computed once per parent, and H's own only when some
-    line needs it compared: not for the top, nor for a cover whose lines
-    all meet the parent or ``covered``.  Every new cover holds the parent's
-    subspace, H's bit and H's residue if it was computed, and is extended
-    only when its subspace is read (``Flat.extending``), H's row reduced
-    then if need be; the parent's is read only if some hyperplane is left.
+    each H it holds, the only flat one rank up above both: these are the
+    AND of the masks ``level.through`` keeps for the parent's hyperplanes,
+    which stops at the first zero, and ``covered`` ORs their supports into
+    the parent's, so only the hyperplanes left open a cover.  For the
+    bottom and a rank-1 parent each hyperplane left is reduced once, and
+    each residue class is one cover: the rank-1 flats group the hyperplanes
+    by normalized form, the rank-2 flats over a hyperplane X the others by
+    residue modulo X.  For a higher parent the lowest hyperplane H left
+    opens one cover at a time.  Its support is the parent's plus the
+    rank-2 flats through H that it holds (``lines``: the supports of the
+    finished level 2 through each hyperplane, and each hyperplane's rank-1
+    support), each inside or outside the cover as a whole: a line that
+    meets the parent lies inside, one that meets ``covered`` outside the
+    parent lies outside, since a hyperplane there lies in another cover,
+    and any other lies inside exactly when its member's residue equals
+    H's, the member being its lowest hyperplane off H's rank-1 flat.  Each
+    residue is computed once per parent, and H's own only when some line
+    needs it compared: not for a cover whose lines all meet the parent or
+    ``covered``.  Every new cover holds the parent's subspace, H's bit and
+    H's residue if it was computed, and is extended only when its subspace
+    is read (``Flat.extending``), H's row reduced then if need be; the
+    parent's is read only if some hyperplane is left.  The top of an
+    essential arrangement of rank 2 or more is entered by ``build_lattice``
+    itself.
     """
     level.check_budget()  # another worker may have gone over already
     hyperplanes = arr.hyperplanes
     below = parent.support
-    by_atom = level.by_atom
+    through = level.through
+    above = through.get(below & -below, 0)
+    atoms = below & (below - 1)
+    while above and atoms:
+        atom = atoms & -atoms
+        above &= through.get(atom, 0)
+        atoms ^= atom
     covered = below
-    for s in by_atom.get(below & -below, ()):
-        if s & below == below:
-            covered |= s
-    full = arr.full_support()
-    rest = full & ~covered
+    supports = level.supports
+    while above:  # highest first, so the mask shrinks as it goes
+        top = above.bit_length() - 1
+        covered |= supports[top]
+        above ^= 1 << top
+    rest = arr.full_support() & ~covered
     if not rest:
         return
     sub = parent.subspace
@@ -530,34 +557,42 @@ def _children_of(arr: Arrangement, parent: Flat, level: _Level, lines: tuple | N
         for residue, bits in groups.items():
             level.add(Flat.extending(sub, residue, None, 0, below | bits, rank))
         return
-    through, point_of = lines
+    lines_through, point_of = lines
     residues: dict[int, Row] = {}
     while rest:
         bit = rest & -rest
         row = hyperplanes[bit.bit_length() - 1].row
         key = residues.get(bit)
         bits = below | bit
-        if rank == arr.ambient:
-            bits = full
-        else:
-            off = covered & ~below
-            for line in through[bit]:
-                if line & below:
+        off = covered & ~below
+        for line in lines_through[bit]:
+            if line & below:
+                bits |= line
+            elif not line & off:
+                if key is None:
+                    key = form_residue(row, sub)
+                member = line & ~point_of[bit]
+                member &= -member
+                residue = residues.get(member)
+                if residue is None:
+                    residue = form_residue(hyperplanes[member.bit_length() - 1].row, sub)
+                    residues[member] = residue
+                if residue == key:
                     bits |= line
-                elif not line & off:
-                    if key is None:
-                        key = form_residue(row, sub)
-                    member = line & ~point_of[bit]
-                    member &= -member
-                    residue = residues.get(member)
-                    if residue is None:
-                        residue = form_residue(hyperplanes[member.bit_length() - 1].row, sub)
-                        residues[member] = residue
-                    if residue == key:
-                        bits |= line
         level.add(Flat.extending(sub, key, hyperplanes, bit, bits, rank))
         covered |= bits
         rest &= ~bits
+
+
+def _lines(levels: list[tuple]) -> tuple[dict[int, list[int]], dict[int, int]]:
+    """What ``_children_of`` reads above rank 2, from the finished levels 1
+    and 2: each hyperplane bit's rank-2 supports, in flat order, and its
+    rank-1 support."""
+    lines_through: dict[int, list[int]] = {}
+    for line in levels[2]:
+        for atom in _bits(line.support):
+            lines_through.setdefault(atom, []).append(line.support)
+    return lines_through, {bit: p.support for p in levels[1] for bit in _bits(p.support)}
 
 
 def build_lattice(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS,
@@ -567,41 +602,56 @@ def build_lattice(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS,
     Rank k+1 flats are the flats X .cap. H for X of rank k and H outside X
     (``_children_of``).  One grouping step makes ranks 1 and 2: the covers
     of the bottom and of each rank-1 flat X group the hyperplanes off X by
-    their normalized residues modulo X, so no flat is fully row-reduced.  A
-    cover the level already has is found by a bitset lookup, so each flat
-    is entered once.  Level 2's ``_Level`` is kept, with each hyperplane's
-    rank-1 support: from level 3 on, a new flat's support is read off the
-    rank-2 flats through H that its ``by_atom`` lists, skipping those that
-    meet X's other covers and comparing one member's residue modulo X with
-    H's for each other.  The parents of a level go to ``_children_of``
-    largest support first, ties by support: a larger X meets more lines
-    through H, so fewer residues are compared and more covers are found by
-    lookup.  Every flat above the bottom keeps X's subspace and H's bit,
-    with H's residue only if the build compared it, and extends the one by
-    the other only when its subspace is read, as a parent with covers left
-    to find or by a caller.  Each level is sorted by support bitset, so the
-    result is deterministic and identical for any worker count, and each
-    subspace is the canonical RREF whichever parent entered the flat; the
-    workers of a level share its ``_Level``.  The flat budget is
-    checked whenever a level gains a flat, so an oversized lattice is
-    refused before its level is finished.
+    their normalized residues modulo X, so no flat is fully row-reduced.
+    Each level under construction numbers its flats and keeps, per
+    hyperplane, the mask of its flats through it (``_Level``): a cover the
+    level already has is found by one AND per hyperplane of X, so each flat
+    is entered once.  From level 3 on, a new flat's support is read off the
+    rank-2 flats through H, listed from the finished level 2 (``_lines``),
+    skipping those that meet X's other covers and comparing one member's
+    residue modulo X with H's for each other.  The parents of a level go to
+    ``_children_of`` largest support first, ties by support: a larger X
+    meets more lines through H, so fewer residues are compared and more
+    covers are found by lookup.  A level whose rank is the ambient
+    dimension can only be the top, the zero subspace on every hyperplane:
+    it is entered once, from the first parent in that order that leaves a
+    hyperplane, with no ``_children_of`` call for the coatoms.  Rank 1 is
+    still grouped, so that a zero row is refused; a top below the ambient
+    dimension comes from ``_children_of``.  Every flat above the bottom
+    keeps X's subspace and H's bit, with H's residue only if the build
+    compared it, and extends the one by the other only when its subspace is
+    read, as a parent with covers left to find or by a caller.  Each level
+    is sorted by support bitset, so the result is deterministic and
+    identical for any worker count, and each subspace is the canonical RREF
+    whichever parent entered the flat; the workers of a level share its
+    ``_Level``.  The flat budget is checked whenever a level gains a flat,
+    so an oversized lattice is refused before its level is finished.
     """
     bottom = Flat(full_space(arr.ambient, arr.order), 0, 0)
     levels: list[tuple] = [(bottom,)]
     kept = 1
     lines = None
-    while True:
+    full = arr.full_support()
+    for rank in range(1, arr.ambient + 1):
         level = _Level(kept, max_flats)
-        parents = sorted(levels[-1], key=lambda f: (-f.support.bit_count(), f.support))
-        parallel_map(lambda parent: _children_of(arr, parent, level, lines), parents, threads)
+        # a level is sorted by support and the sort is stable, so ties keep that order
+        parents = sorted(levels[-1], key=lambda f: -f.support.bit_count())
+        if rank == arr.ambient > 1:
+            # largest support first: only a lone top of rank l - 1 holds every hyperplane
+            parent = parents[0]
+            if parent.support != full:
+                off = full & ~parent.support
+                level.add(Flat.extending(parent.subspace, None, arr.hyperplanes, off & -off,
+                                         full, rank))
+        else:
+            if rank == 3:
+                lines = _lines(levels)
+            parallel_map(lambda parent: _children_of(arr, parent, level, lines), parents, threads)
         found = level.found
         if not found:
             break
         levels.append(tuple(found[s] for s in sorted(found)))
         kept += len(found)
-        if len(levels) == 3:
-            lines = (level.by_atom,
-                     {bit: p.support for p in levels[1] for bit in _bits(p.support)})
     return IntersectionLattice.of_flats(arr, tuple(levels))
 
 
@@ -888,9 +938,10 @@ def irreducible_decomposition(arr: Arrangement) -> list[Arrangement]:
     its rows (``subspace_from_rows``), has its pivots among the first l
     columns, and reducing (h | 0) by it leaves (0 | -c) for h = cB: h's
     coordinates up to a scalar that normalizing the factors' forms removes.
-    A repeated row is a ValueError, raised before any arithmetic.
+    Two forms of one hyperplane, the same normalized row however scaled,
+    are a ValueError, raised before any row reduction.
     """
-    if len({h.row for h in arr.hyperplanes}) < len(arr):
+    if len({h.normalized().row for h in arr.hyperplanes}) < len(arr):
         raise ValueError("irreducible_decomposition requires distinct hyperplanes")
     n = arr.ambient
     ctx = field_context(arr.order)

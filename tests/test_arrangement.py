@@ -17,10 +17,10 @@ import hyparr.arrangement
 import hyparr.linalg
 from hyparr import _kernel
 from hyparr.analysis import is_supersolvable, modular_flats_of_rank
-from hyparr.arrangement import (Arrangement, brute_force_lattice, build_lattice, closure,
-                                deletion, essentialize, irreducible_decomposition, lattice_of,
-                                localization, make_arrangement, parallel_map, product,
-                                restriction)
+from hyparr.arrangement import (DEFAULT_MAX_FLATS, Arrangement, Flat, brute_force_lattice,
+                                build_lattice, closure, deletion, essentialize,
+                                irreducible_decomposition, lattice_of, localization,
+                                make_arrangement, parallel_map, product, restriction)
 from hyparr.cli import resolve_spec
 from hyparr.cyclo import CyclotomicNumber, embed, field_context
 from hyparr.errors import InternalInconsistencyError, InvalidHyperplaneError, RefusalError
@@ -146,6 +146,10 @@ class TestBuildLattice:
         a, zero = LinearForm(2, 1, ((1, 0), 1)), LinearForm(2, 1, ((0, 0), 1))
         with pytest.raises(ValueError, match="^zero form has no leading coefficient$"):
             build(Arrangement(2, 1, (a, zero)))
+        # in one coordinate the top is rank 1, which the bottom's grouping
+        # still makes, so the zero row is refused there too
+        with pytest.raises(ValueError, match="^zero form has no leading coefficient$"):
+            build(Arrangement(1, 1, (LinearForm(1, 1, ((0,), 1)),)))
 
     def test_deterministic_and_thread_invariant(self):
         arr = monomial_arrangement(3, 1, 3)
@@ -177,6 +181,57 @@ class TestBuildLattice:
         for f in lattice.flats():
             f.subspace
         assert calls == {"rref": 0, "in_rowspace": 0, "extend": len(lattice) - 1}
+
+    # ``_children_of`` calls of a one-worker build: one per flat below the
+    # coatoms, since the top of an essential arrangement is entered once
+    # from the first coatom with no call.  Calling it for every flat, the
+    # coatoms and the top included, took 2,272, 3,008 and 72.
+    @pytest.mark.parametrize("name, bound", [("G31", 772), ("G(4,1,5)", 2227), ("D4", 48)],
+                             ids=["G31", "G(4,1,5)", "D4"])
+    def test_one_worker_children_of_calls(self, monkeypatch, name, bound):
+        arr = build_named(name)
+        parents = count_children_of(monkeypatch)
+        lattice = build_lattice(arr, threads=1)
+        assert len(parents) <= bound
+        assert max(parents) == arr.ambient - 2
+        assert len(parents) == len(lattice) - len(lattice.levels[-2]) - 1
+
+    def test_non_essential_top_comes_from_children_of(self, monkeypatch):
+        # D4 moved into five coordinates has its top at rank 4, below the
+        # ambient dimension: the coatoms go to ``_children_of`` and the first
+        # enters the top, which the others find by their masks
+        arr = parse_arrangement_text(D4_MOVED)
+        parents = count_children_of(monkeypatch)
+        lattice = build_lattice(arr, threads=1)
+        assert arr.rank() == 4 < arr.ambient
+        assert lattice.level_sizes() == [1, 12, 34, 24, 1]
+        assert parents.count(3) == 24 and max(parents) == 3
+        top = lattice.top()
+        assert top.support == arr.full_support() and top._source[0].codim == 3
+        assert top.subspace == reference_subspace(arr, arr.full_support())
+
+    def test_level_numbers_each_flat_once_under_workers(self):
+        # four workers enter the same 3,000 supports at once, each from its
+        # own start: every support gets one number, and each hyperplane's
+        # mask names exactly the numbered supports that hold it
+        rng = random.Random(42)
+        supports = [rng.getrandbits(16) | 1 << rng.randrange(16) for _ in range(3000)]
+        flats = [Flat(None, s, 2) for s in supports]
+        for _ in range(5):
+            level = hyparr.arrangement._Level(1, DEFAULT_MAX_FLATS)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    list(pool.map(lambda k: [level.add(f) for f in flats[k:] + flats[:k]],
+                                  range(0, 3000, 750)))
+            finally:
+                sys.setswitchinterval(interval)
+            assert sorted(level.supports) == sorted(set(supports)) == sorted(level.found)
+            for i in range(16):
+                atom = 1 << i
+                assert level.through[atom] == sum(1 << n for n, s in enumerate(level.supports)
+                                                  if s & atom)
 
     # Residues (``form_residue``) of a one-worker build, those of parents
     # read as they extend included: one per hyperplane for the covers of
@@ -342,18 +397,35 @@ class TestDeferredSubspaces:
         assert reads == [expected] * 3
 
     def test_worker_count_changes_no_flat(self):
-        arr = build_named("G(4,1,5)")
-        one = build_lattice(arr, threads=1)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            three = build_lattice(arr, threads=3)
-        finally:
-            sys.setswitchinterval(interval)
-        assert one.level_sizes() == three.level_sizes()
-        for x, y in zip(one.flats(), three.flats()):
-            assert x.support == y.support and x.rank == y.rank
-            assert x.subspace == y.subspace
+        # three workers number the flats of a level in their own order and
+        # AND the masks of a level that others are filling: the same flats
+        cases = {"G(4,1,5)": build_named("G(4,1,5)"), "G31": build_named("G31"),
+                 **LINE_TABLE_CASES}
+        for name, arr in cases.items():
+            one = build_lattice(arr, threads=1)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                three = build_lattice(arr, threads=3)
+            finally:
+                sys.setswitchinterval(interval)
+            assert one.level_sizes() == three.level_sizes(), name
+            for x, y in zip(one.flats(), three.flats()):
+                assert x.support == y.support and x.rank == y.rank, name
+                assert x.subspace == y.subspace, name
+
+
+def count_children_of(monkeypatch) -> list[int]:
+    """The rank of each parent handed to ``_children_of`` from here on."""
+    ranks = []
+    real = hyparr.arrangement._children_of
+
+    def counted(arr, parent, level, lines):
+        ranks.append(parent.rank)
+        return real(arr, parent, level, lines)
+
+    monkeypatch.setattr(hyparr.arrangement, "_children_of", counted)
+    return ranks
 
 
 def count_kernel_calls(monkeypatch) -> dict[str, int]:
@@ -422,11 +494,13 @@ class TestExtendRref:
 
 def line_table_cases() -> dict:
     """Rank >= 4 arrangements, whose levels 3 and up read their lines off
-    level 2's registry, and non-essential ones, whose top does too.  Random forms rarely put
-    three hyperplanes on one line, so nine random hyperplanes of B5 and of
-    G(3,1,5) are drawn as well.  D4 with its first hyperplane listed twice
-    has a rank-1 flat of two hyperplanes on every line through it, also when
-    the repeat is an unnormalized multiple."""
+    the finished level 2, and non-essential ones, whose top lies below the
+    ambient dimension and so comes from ``_children_of``, reading the lines
+    too.  Random forms rarely put three hyperplanes on one line, so nine
+    random hyperplanes of B5 and of G(3,1,5) are drawn as well.  D4 with
+    its first hyperplane listed twice has a rank-1 flat of two hyperplanes
+    on every line through it, also when the repeat is an unnormalized
+    multiple."""
     rng = random.Random(2012)
     d4 = exceptional_arrangement("D4")
     nums, den = d4.hyperplanes[0].row
@@ -768,6 +842,16 @@ class TestIrreducibleDecomposition:
         a, b = parse_arrangement_text("ambient 2 field 1\na\nb\n").hyperplanes
         with pytest.raises(ValueError, match="distinct hyperplanes"):
             irreducible_decomposition(Arrangement(2, 1, (a, a, b)))
+
+    @pytest.mark.parametrize("scale", [2, -1], ids=["2a", "-a"])
+    def test_rescaled_row_refused(self, scale):
+        # a multiple of a row is the same hyperplane: refused like a repeat,
+        # not merged into one factor of one hyperplane
+        a, b = parse_arrangement_text("ambient 2 field 1\na\nb\n").hyperplanes
+        nums, den = a.row
+        multiple = LinearForm(2, 1, (tuple(scale * v for v in nums), den))
+        with pytest.raises(ValueError, match="distinct hyperplanes"):
+            irreducible_decomposition(Arrangement(2, 1, (a, multiple, b)))
 
 
 class TestOracleEquivalence:
