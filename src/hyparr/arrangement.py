@@ -12,8 +12,10 @@ The lattice is built level by level.  The covers of a flat X are the
 hyperplanes of the restriction A^X: two hyperplanes off X give the same
 cover X v H exactly when their residues modulo X (``form_residue``) agree,
 and X's RREF extended by that one row (``extend_rref``) is the cover's.
-One grouping step by that residue makes the rank-1 flats over the bottom
-and the rank-2 flats over each hyperplane.  The level under construction
+Every lattice is of distinct, nonzero hyperplanes, checked once
+(``_distinct_rows``), so the rank-1 flats are the hyperplanes themselves,
+each its normalized row over the full space.  One grouping step by residue
+makes the rank-2 flats over each hyperplane.  The level under construction
 numbers its flats and keeps one mask of them per hyperplane, so the covers
 of X that it already has are the AND of the masks of X's hyperplanes.  The
 support of a new cover above rank 2 is read off the rank-2 flats through
@@ -81,7 +83,10 @@ def parallel_map(fn, items, threads: int) -> list:
 
 
 class Arrangement:
-    """An ordered, duplicate-free set of hyperplanes through the origin of C**l."""
+    """An ordered set of hyperplanes through the origin of C**l, each given
+    by one form.  ``make_arrangement`` drops repeated hyperplanes; a lattice
+    or a decomposition of one made directly with a repeat is refused
+    (``_distinct_rows``)."""
 
     __slots__ = ("ambient", "order", "hyperplanes", "duplicates_removed")
 
@@ -491,7 +496,7 @@ class _Level:
         self.check_budget()
 
 
-def _children_of(arr: Arrangement, parent: Flat, level: _Level, lines: tuple | None) -> None:
+def _children_of(arr: Arrangement, parent: Flat, level: _Level, lines: dict | None) -> None:
     """Enter the covers of one flat in ``level``: the flats parent .cap. H for
     the hyperplanes H outside the parent.
 
@@ -504,22 +509,23 @@ def _children_of(arr: Arrangement, parent: Flat, level: _Level, lines: tuple | N
     each H it holds, the only flat one rank up above both: these are the
     AND of the masks ``level.through`` keeps for the parent's hyperplanes,
     which stops at the first zero, and ``covered`` ORs their supports into
-    the parent's, so only the hyperplanes left open a cover.  For the
-    bottom and a rank-1 parent each hyperplane left is reduced once, and
-    each residue class is one cover: the rank-1 flats group the hyperplanes
-    by normalized form, the rank-2 flats over a hyperplane X the others by
-    residue modulo X.  For a higher parent the lowest hyperplane H left
+    the parent's, so only the hyperplanes left open a cover.  The
+    hyperplanes are distinct (``build_lattice`` refuses a repeat), so the
+    bottom's covers are the hyperplanes themselves and ``build_lattice``
+    enters them; this function starts at a rank-1 parent.  For a
+    hyperplane X each other hyperplane is reduced once, and each residue
+    class modulo X is one rank-2 cover, which no residue of a distinct
+    hyperplane misses.  For a higher parent the lowest hyperplane H left
     opens one cover at a time.  Its support is the parent's plus the
     rank-2 flats through H that it holds (``lines``: the supports of the
-    finished level 2 through each hyperplane, and each hyperplane's rank-1
-    support), each inside or outside the cover as a whole: a line that
-    meets the parent lies inside, one that meets ``covered`` outside the
-    parent lies outside, since a hyperplane there lies in another cover,
-    and any other lies inside exactly when its member's residue equals
-    H's, the member being its lowest hyperplane off H's rank-1 flat.  Each
-    residue is computed once per parent, and H's own only when some line
-    needs it compared: not for a cover whose lines all meet the parent or
-    ``covered``.  Every new cover holds the parent's subspace, H's bit and
+    finished level 2 through each hyperplane), each inside or outside the
+    cover as a whole: a line that meets the parent lies inside, one that
+    meets ``covered`` outside the parent lies outside, since a hyperplane
+    there lies in another cover, and any other lies inside exactly when its
+    member's residue equals H's, the member being its lowest hyperplane
+    other than H.  Each residue is computed once per parent, and H's own
+    only when some line needs it compared: not for a cover whose lines all
+    meet the parent or ``covered``.  Every new cover holds the parent's subspace, H's bit and
     H's residue if it was computed, and is extended only when its subspace
     is read (``Flat.extending``), H's row reduced then if need be; the
     parent's is read only if some hyperplane is left.  The top of an
@@ -547,17 +553,14 @@ def _children_of(arr: Arrangement, parent: Flat, level: _Level, lines: tuple | N
         return
     sub = parent.subspace
     rank = parent.rank + 1
-    if rank <= 2:
+    if rank == 2:
         groups: dict = {}
         for bit in _bits(rest):
             key = form_residue(hyperplanes[bit.bit_length() - 1].row, sub)
-            if key is None:  # a zero row, which make_arrangement refuses
-                raise ValueError("zero form has no leading coefficient")
             groups[key] = groups.get(key, 0) | bit
         for residue, bits in groups.items():
             level.add(Flat.extending(sub, residue, None, 0, below | bits, rank))
         return
-    lines_through, point_of = lines
     residues: dict[int, Row] = {}
     while rest:
         bit = rest & -rest
@@ -565,13 +568,13 @@ def _children_of(arr: Arrangement, parent: Flat, level: _Level, lines: tuple | N
         key = residues.get(bit)
         bits = below | bit
         off = covered & ~below
-        for line in lines_through[bit]:
+        for line in lines[bit]:
             if line & below:
                 bits |= line
             elif not line & off:
                 if key is None:
                     key = form_residue(row, sub)
-                member = line & ~point_of[bit]
+                member = line & ~bit
                 member &= -member
                 residue = residues.get(member)
                 if residue is None:
@@ -584,26 +587,39 @@ def _children_of(arr: Arrangement, parent: Flat, level: _Level, lines: tuple | N
         rest &= ~bits
 
 
-def _lines(levels: list[tuple]) -> tuple[dict[int, list[int]], dict[int, int]]:
-    """What ``_children_of`` reads above rank 2, from the finished levels 1
-    and 2: each hyperplane bit's rank-2 supports, in flat order, and its
-    rank-1 support."""
-    lines_through: dict[int, list[int]] = {}
-    for line in levels[2]:
+def _lines(level: tuple) -> dict[int, list[int]]:
+    """What ``_children_of`` reads above rank 2, from the finished level 2:
+    each hyperplane bit's rank-2 supports, in flat order."""
+    lines: dict[int, list[int]] = {}
+    for line in level:
         for atom in _bits(line.support):
-            lines_through.setdefault(atom, []).append(line.support)
-    return lines_through, {bit: p.support for p in levels[1] for bit in _bits(p.support)}
+            lines.setdefault(atom, []).append(line.support)
+    return lines
+
+
+def _distinct_rows(arr: Arrangement) -> list[Row]:
+    """The normalized rows of ``arr``'s forms, in order: a ``ValueError``
+    for a zero form (``LinearForm.normalized``) and for two forms of one
+    hyperplane, however scaled, which no lattice or decomposition takes."""
+    rows = [h.normalized().row for h in arr.hyperplanes]
+    if len(set(rows)) < len(rows):
+        raise ValueError("an arrangement's forms must define distinct hyperplanes")
+    return rows
 
 
 def build_lattice(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS,
                   threads: int = 1) -> IntersectionLattice:
     """Breadth-first lattice construction, level by level.
 
-    Rank k+1 flats are the flats X .cap. H for X of rank k and H outside X
-    (``_children_of``).  One grouping step makes ranks 1 and 2: the covers
-    of the bottom and of each rank-1 flat X group the hyperplanes off X by
-    their normalized residues modulo X, so no flat is fully row-reduced.
-    Each level under construction numbers its flats and keeps, per
+    The forms must define distinct hyperplanes (``_distinct_rows``): a
+    zero form or a repeat, however scaled, is a ``ValueError`` before any
+    flat is made.  So the rank-1 flats are the hyperplanes themselves, each
+    entered with its normalized row, its residue modulo the full space.
+    Rank k+1 flats are the flats X .cap. H for X of rank k >= 1 and H
+    outside X (``_children_of``).  One grouping step makes rank 2: the
+    covers of each rank-1 flat X group the hyperplanes off X by their
+    normalized residues modulo X, so no flat is fully row-reduced.  Each
+    level under construction numbers its flats and keeps, per
     hyperplane, the mask of its flats through it (``_Level``): a cover the
     level already has is found by one AND per hyperplane of X, so each flat
     is entered once.  From level 3 on, a new flat's support is read off the
@@ -615,10 +631,9 @@ def build_lattice(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS,
     covers are found by lookup.  A level whose rank is the ambient
     dimension can only be the top, the zero subspace on every hyperplane:
     it is entered once, from the first parent in that order that leaves a
-    hyperplane, with no ``_children_of`` call for the coatoms.  Rank 1 is
-    still grouped, so that a zero row is refused; a top below the ambient
-    dimension comes from ``_children_of``.  Every flat above the bottom
-    keeps X's subspace and H's bit, with H's residue only if the build
+    hyperplane, with no ``_children_of`` call for the coatoms; a top below
+    the ambient dimension comes from ``_children_of``.  Every flat above
+    rank 1 keeps X's subspace and H's bit, with H's residue only if the build
     compared it, and extends the one by the other only when its subspace is
     read, as a parent with covers left to find or by a caller.  Each level
     is sorted by support bitset, so the result is deterministic and
@@ -627,8 +642,9 @@ def build_lattice(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS,
     ``_Level``.  The flat budget is checked whenever a level gains a flat,
     so an oversized lattice is refused before its level is finished.
     """
-    bottom = Flat(full_space(arr.ambient, arr.order), 0, 0)
-    levels: list[tuple] = [(bottom,)]
+    rows = _distinct_rows(arr)
+    space = full_space(arr.ambient, arr.order)
+    levels: list[tuple] = [(Flat(space, 0, 0),)]
     kept = 1
     lines = None
     full = arr.full_support()
@@ -636,7 +652,10 @@ def build_lattice(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS,
         level = _Level(kept, max_flats)
         # a level is sorted by support and the sort is stable, so ties keep that order
         parents = sorted(levels[-1], key=lambda f: -f.support.bit_count())
-        if rank == arr.ambient > 1:
+        if rank == 1:
+            for i, row in enumerate(rows):
+                level.add(Flat.extending(space, row, None, 0, 1 << i, rank))
+        elif rank == arr.ambient:
             # largest support first: only a lone top of rank l - 1 holds every hyperplane
             parent = parents[0]
             if parent.support != full:
@@ -645,7 +664,7 @@ def build_lattice(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS,
                                          full, rank))
         else:
             if rank == 3:
-                lines = _lines(levels)
+                lines = _lines(levels[2])
             parallel_map(lambda parent: _children_of(arr, parent, level, lines), parents, threads)
         found = level.found
         if not found:
@@ -748,12 +767,12 @@ def _block_arrangement(arr: Arrangement, block: int,
 def _split(arr: Arrangement) -> list[tuple[list[int], Arrangement]] | None:
     """How ``arr`` splits as a product: for each of its two or more blocks
     of coordinates (``_coordinate_blocks``), the indices of its forms and
-    those forms on the block's columns (``_block_arrangement``).  None for
-    a single block, and when a row repeats, since ``build_lattice`` puts
-    repeated rows on one rank-1 flat and a product of factor lattices
-    would not."""
+    those forms on the block's columns (``_block_arrangement``), or None
+    for a single block.  A repeated hyperplane is not looked for: both its
+    forms use the same coordinates, so they fall in one block, whose build
+    refuses them (``_distinct_rows``)."""
     blocks, masks = _coordinate_blocks(arr)
-    if len(blocks) < 2 or len({h.row for h in arr.hyperplanes}) < len(arr):
+    if len(blocks) < 2:
         return None
     return [_block_arrangement(arr, block, masks) for block in blocks]
 
@@ -777,10 +796,12 @@ def lattice_of(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS, threads: in
                build=build_lattice) -> IntersectionLattice:
     """The lattice of ``arr``: assembled from its factors' lattices when its
     forms split into two or more blocks of coordinates (``_split``), and
-    ``build(arr, max_flats, threads)`` otherwise or when a row repeats.
-    ``build`` gives each factor's lattice too, from the factor's forms:
-    ``build_lattice`` by default, a load or build of the factor's cache
-    entry for ``cache.load_or_build``.
+    ``build(arr, max_flats, threads)`` otherwise.  ``build`` gives each
+    factor's lattice too, from the factor's forms: ``build_lattice`` by
+    default, a load or build of the factor's cache entry for
+    ``cache.load_or_build``.  The forms must define distinct hyperplanes:
+    ``build_lattice`` refuses a zero form or a repeat, in the block that
+    holds it, with a ``ValueError`` (``_distinct_rows``).
 
     The lattice of a product is the product of its factors' lattices
     (Orlik-Terao, *Arrangements of Hyperplanes*, Prop. 2.14): a flat is one
@@ -939,10 +960,10 @@ def irreducible_decomposition(arr: Arrangement) -> list[Arrangement]:
     columns, and reducing (h | 0) by it leaves (0 | -c) for h = cB: h's
     coordinates up to a scalar that normalizing the factors' forms removes.
     Two forms of one hyperplane, the same normalized row however scaled,
-    are a ValueError, raised before any row reduction.
+    are refused as ``build_lattice`` refuses them (``_distinct_rows``),
+    before any row reduction.
     """
-    if len({h.normalized().row for h in arr.hyperplanes}) < len(arr):
-        raise ValueError("irreducible_decomposition requires distinct hyperplanes")
+    _distinct_rows(arr)
     n = arr.ambient
     ctx = field_context(arr.order)
     d = ctx.degree

@@ -4,18 +4,21 @@ One JSON file per arrangement, keyed by a content hash of its canonical
 serialization.  An entry holds the arrangement and, per level, the sorted
 supports of its flats packed into one hex string: each support is
 ``ceil(n / 64)`` big-endian 64-bit words for n hyperplanes, so a level
-decodes by one ``bytes.fromhex`` and one ``struct.unpack``, with no decimal
-conversion and no limit on the width of a support.  A flat is fixed by the
-hyperplanes that contain it, so no rows are stored.  ``load_or_build`` keeps
-one entry per factor of a product, on the factor's own columns, and none
-for the product, which is assembled from its factors' lattices cold and
-warm alike (``lattice_of``).  A loaded lattice holds its supports alone and
-makes its flats on first read; a loaded flat grows its canonical RREF
-subspace from the full space by its hyperplanes' rows when it is first read
-(``Flat.extending``), checks its rank, and equals the flat the build made,
-so a warm run is byte-identical to a cold one.  An entry of an older format
-is a miss, rebuilt and overwritten.  Writes go through a temp file and an
-atomic rename so concurrent commands never see a partial file.
+decodes by one ``bytes.fromhex`` and one ``struct.unpack``, with no
+decimal conversion and no limit on the width of a support.  A flat is fixed
+by the hyperplanes that contain it, so no rows are stored.  A lattice is of
+distinct hyperplanes (``build_lattice`` refuses a repeat), so its rank-1
+flats are the n singletons: an entry omits that level, and the loader
+inserts it.
+``load_or_build`` keeps one entry per factor of a product, on the factor's
+own columns, and none for the product, which is assembled from its factors'
+lattices cold and warm alike (``lattice_of``).  A loaded lattice holds its
+supports alone and makes its flats on first read; a loaded flat grows its
+canonical RREF subspace from the full space by its hyperplanes' rows when it
+is first read (``Flat.extending``), checks its rank, and equals the flat the
+build made, so a warm run is byte-identical to a cold one.  An entry of an
+older format is a miss, rebuilt and overwritten.  Writes go through a temp
+file and an atomic rename so concurrent commands never see a partial file.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .arrangement import (DEFAULT_MAX_FLATS, Arrangement, IntersectionLattice,
                           _over_budget, build_lattice, lattice_of)
 from .errors import ParseError
 
-FORMAT = "hyparr-lattice-v3"
+FORMAT = "hyparr-lattice-v4"
 CACHE_ENV = "HYPARR_CACHE_DIR"
 
 
@@ -87,25 +90,38 @@ def _unpack(text: str, width: int, rank: int) -> tuple[int, ...]:
                      repeat("big")))
 
 
+def _singletons(n: int) -> tuple[int, ...]:
+    """The rank-1 supports of a lattice of n distinct hyperplanes, ascending."""
+    return tuple(1 << i for i in range(n))
+
+
 def lattice_payload(lattice: IntersectionLattice) -> dict:
-    width = _width(lattice.arrangement)
+    """The lattice's entry: every level but rank 1, which is the
+    singletons; a lattice whose rank-1 level is not raises ``ValueError``."""
+    arr, supports = lattice.arrangement, lattice.supports
+    if len(arr) and supports[1:2] != (_singletons(len(arr)),):
+        raise ValueError("a cached lattice must have the singletons at rank 1")
+    width = _width(arr)
     return {
         "format": FORMAT,
-        "arrangement": arrangement_payload(lattice.arrangement),
-        "levels": [_pack(level, width) for level in lattice.supports],
+        "arrangement": arrangement_payload(arr),
+        "levels": [_pack(level, width) for level in supports[:1] + supports[2:]],
     }
 
 
 def lattice_from_payload(arr: Arrangement, payload: dict, max_flats: int | None = None,
                          described: dict | None = None) -> IntersectionLattice:
     """The lattice of a cache entry, checked by integers only to be shaped
-    like a built one: ``levels`` is a list of hex strings, one per rank, of
-    supports ``_width(arr)`` bytes wide (the bottom's string is one
-    support), each level ascending, with no bit past the last hyperplane;
-    the rank-1 supports partition the hyperplanes; supports are distinct;
-    and there is one bottom (no hyperplanes) and one top (every
-    hyperplane).  ``described`` is ``arrangement_payload(arr)`` if the
-    caller has it.  A failed check raises ``ValueError``.  A support of the
+    like a built one: ``levels`` is a list of hex strings, one per rank but
+    rank 1, of supports ``_width(arr)`` bytes wide (the bottom's string is
+    one support), each level ascending, with no bit past the last
+    hyperplane; the rank-1 level is the singletons, inserted here when
+    ``arr`` has a hyperplane; supports are distinct, so an entry that lists
+    rank 1 too is refused; and there is one bottom (no hyperplanes) and one
+    top (every hyperplane).  ``arr`` is taken to be of distinct
+    hyperplanes, as every arrangement that has an entry is, and is not
+    checked.  ``described`` is ``arrangement_payload(arr)`` if the caller
+    has it.  A failed check raises ``ValueError``.  A support of the
     wrong rank passes, and its flat raises ``InternalInconsistencyError``
     when its subspace is read.  An entry with more than ``max_flats``
     supports is refused as the build refuses it.  The lattice is made from
@@ -126,7 +142,8 @@ def lattice_from_payload(arr: Arrangement, payload: dict, max_flats: int | None 
     if given and len(given[0]) != 2 * width:
         raise ValueError(f"cache entry has supports that are not {width} bytes wide")
     levels = []
-    for rank, text in enumerate(given):
+    for k, text in enumerate(given):
+        rank = k + 1 if k and full else k  # rank 1 is not stored
         supports = _unpack(text, width, rank)
         if not supports:
             raise ValueError(f"cache entry has no rank-{rank} flat")
@@ -137,16 +154,10 @@ def lattice_from_payload(arr: Arrangement, payload: dict, max_flats: int | None 
         levels.append(supports)
     if not levels or levels[0] != (0,):
         raise ValueError("cache entry has no bottom flat")
+    if full:
+        levels.insert(1, _singletons(len(arr)))
     if levels[-1] != (full,):
         raise ValueError("cache entry has no top flat")
-    if len(levels) > 1:
-        seen = 0
-        for s in levels[1]:
-            if s & seen:
-                raise ValueError("cache entry has rank-1 flats sharing a hyperplane")
-            seen |= s
-        if seen != full:
-            raise ValueError("cache entry has a hyperplane on no rank-1 flat")
     count = sum(map(len, levels))
     # an entry that repeats a support is a miss, not a refusal
     if len(set().union(*levels)) != count:

@@ -170,11 +170,11 @@ def _run(args) -> int:
         return EXIT_OK if report["passed"] else EXIT_VERIFICATION_FAILED
 
     name, arr = resolve_spec(args.spec)
-    report: dict = {"command": args.command,
-                    "arrangement": arrangement_payload(arr, name)}
+    report: dict = {"command": args.command}
     timings: dict[str, float] = {}
 
     if args.command == "build":
+        report["arrangement"] = arrangement_payload(arr, arr.rank(), name)
         _emit(report, args, timings)
         return EXIT_OK
 
@@ -182,14 +182,18 @@ def _run(args) -> int:
         t0 = time.perf_counter()
         factors = irreducible_decomposition(arr)
         timings["decompose"] = time.perf_counter() - t0
-        report["essentialized"] = sum(f.ambient for f in factors) != arr.ambient
-        report["factors"] = [arrangement_payload(f) for f in factors]
+        # the factors are essential, so their dimensions add up to the rank
+        rank = sum(f.ambient for f in factors)
+        report["arrangement"] = arrangement_payload(arr, rank, name)
+        report["essentialized"] = rank != arr.ambient
+        report["factors"] = [arrangement_payload(f, f.ambient) for f in factors]
         _emit(report, args, timings)
         return EXIT_OK
 
     t0 = time.perf_counter()
     lattice = load_or_build(arr, args.cache_dir, args.max_flats, args.threads)
     timings["lattice"] = time.perf_counter() - t0
+    report["arrangement"] = arrangement_payload(arr, lattice.rank(), name)
     report["lattice"] = lattice_payload(lattice)
 
     if args.command == "lattice":

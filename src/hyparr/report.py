@@ -49,8 +49,9 @@ def flat_payload(flat: Flat, columns: tuple[int, ...] | None = None) -> dict:
     }
 
 
-def arrangement_payload(arr: Arrangement, name: str | None = None) -> dict:
-    rank = arr.rank()
+def arrangement_payload(arr: Arrangement, rank: int, name: str | None = None) -> dict:
+    """The arrangement, with ``rank``, its rank, as the caller has it (a
+    lattice's, or its factors' dimensions), so that no center is reduced."""
     out = {
         "ambient": arr.ambient,
         "field_order": arr.order,
@@ -94,7 +95,8 @@ def certificate_payload(cert: SupersolvabilityCertificate) -> dict:
     }
     columns = None
     if cert.essentialized:
-        out["essential_arrangement"] = arrangement_payload(essentialize(cert.lattice.arrangement))
+        out["essential_arrangement"] = arrangement_payload(
+            essentialize(cert.lattice.arrangement), cert.lattice.rank())
         columns = cert.lattice.top().subspace.pivots
     if cert.chain is not None:
         out["chain"] = [flat_payload(f, columns) for f in cert.chain]

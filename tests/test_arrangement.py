@@ -142,12 +142,12 @@ class TestBuildLattice:
     @pytest.mark.parametrize("build", [build_lattice, lattice_of])
     def test_zero_row_is_refused(self, build):
         # make_arrangement refuses a zero form; a zero row in an Arrangement
-        # made directly has no residue modulo the bottom
+        # made directly cannot be normalized, which every build does first
         a, zero = LinearForm(2, 1, ((1, 0), 1)), LinearForm(2, 1, ((0, 0), 1))
         with pytest.raises(ValueError, match="^zero form has no leading coefficient$"):
             build(Arrangement(2, 1, (a, zero)))
-        # in one coordinate the top is rank 1, which the bottom's grouping
-        # still makes, so the zero row is refused there too
+        # in one coordinate the top is rank 1, and the zero row is refused
+        # before it is made
         with pytest.raises(ValueError, match="^zero form has no leading coefficient$"):
             build(Arrangement(1, 1, (LinearForm(1, 1, ((0,), 1)),)))
 
@@ -183,10 +183,12 @@ class TestBuildLattice:
         assert calls == {"rref": 0, "in_rowspace": 0, "extend": len(lattice) - 1}
 
     # ``_children_of`` calls of a one-worker build: one per flat below the
-    # coatoms, since the top of an essential arrangement is entered once
-    # from the first coatom with no call.  Calling it for every flat, the
-    # coatoms and the top included, took 2,272, 3,008 and 72.
-    @pytest.mark.parametrize("name, bound", [("G31", 772), ("G(4,1,5)", 2227), ("D4", 48)],
+    # coatoms but the bottom, since the rank-1 flats are the hyperplanes,
+    # entered as they are, and the top of an essential arrangement is
+    # entered once from the first coatom with no call.  Calling it for
+    # every flat, the coatoms and the top included, took 2,272, 3,008 and
+    # 72.
+    @pytest.mark.parametrize("name, bound", [("G31", 771), ("G(4,1,5)", 2226), ("D4", 47)],
                              ids=["G31", "G(4,1,5)", "D4"])
     def test_one_worker_children_of_calls(self, monkeypatch, name, bound):
         arr = build_named(name)
@@ -194,7 +196,7 @@ class TestBuildLattice:
         lattice = build_lattice(arr, threads=1)
         assert len(parents) <= bound
         assert max(parents) == arr.ambient - 2
-        assert len(parents) == len(lattice) - len(lattice.levels[-2]) - 1
+        assert len(parents) == len(lattice) - len(lattice.levels[-2]) - 2
 
     def test_non_essential_top_comes_from_children_of(self, monkeypatch):
         # D4 moved into five coordinates has its top at rank 4, below the
@@ -234,13 +236,13 @@ class TestBuildLattice:
                                                   if s & atom)
 
     # Residues (``form_residue``) of a one-worker build, those of parents
-    # read as they extend included: one per hyperplane for the covers of
-    # the bottom (60 and 45).  A cover's own residue above rank 2 is reduced only
-    # when a line through its hyperplane needs it compared, or when its
-    # subspace is read; parents go largest first, so more lines meet them.
-    # Reducing every cover's residue as it was entered, parents in support
-    # order, took 3,936 and 3,775 without the bottom's 60 and 45.
-    @pytest.mark.parametrize("name, residues", [("G31", 3130), ("G(4,1,5)", 2195)],
+    # read as they extend included, and none for the rank-1 flats, which
+    # hold their hyperplanes' normalized rows.  A cover's own residue above
+    # rank 2 is reduced only when a line through its hyperplane needs it
+    # compared, or when its subspace is read; parents go largest first, so
+    # more lines meet them.  Reducing every cover's residue as it was
+    # entered, parents in support order, took 3,936 and 3,775.
+    @pytest.mark.parametrize("name, residues", [("G31", 3070), ("G(4,1,5)", 2150)],
                              ids=["G31", "G(4,1,5)"])
     def test_one_worker_residues(self, monkeypatch, name, residues):
         arr = build_named(name)
@@ -497,17 +499,9 @@ def line_table_cases() -> dict:
     the finished level 2, and non-essential ones, whose top lies below the
     ambient dimension and so comes from ``_children_of``, reading the lines
     too.  Random forms rarely put three hyperplanes on one line, so nine
-    random hyperplanes of B5 and of G(3,1,5) are drawn as well.  D4 with
-    its first hyperplane listed twice has a rank-1 flat of two hyperplanes
-    on every line through it, also when the repeat is an unnormalized
-    multiple."""
+    random hyperplanes of B5 and of G(3,1,5) are drawn as well."""
     rng = random.Random(2012)
-    d4 = exceptional_arrangement("D4")
-    nums, den = d4.hyperplanes[0].row
-    rescaled = LinearForm(4, 1, (tuple(-2 * v for v in nums), den))
-    cases = {"D4": d4,
-             "D4-repeated": Arrangement(4, 1, d4.hyperplanes[:1] + d4.hyperplanes),
-             "D4-rescaled": Arrangement(4, 1, (rescaled,) + d4.hyperplanes),
+    cases = {"D4": exceptional_arrangement("D4"),
              "B2xA(3)": product(build_named("B2"), build_named("A(3)"))}
     for k in range(20):
         cases[f"random-{k}"] = random_arrangement(rng, 5, rng.choice([1, 3]), max_hyperplanes=9)
@@ -792,7 +786,7 @@ class TestEssentialCoordinates:
         printed = certificate_payload(cert)
         fresh = certificate_payload(is_supersolvable(build_lattice(ess)))
         if cert.essentialized:
-            assert printed.pop("essential_arrangement") == arrangement_payload(ess)
+            assert printed.pop("essential_arrangement") == arrangement_payload(ess, ess.rank())
             assert printed.pop("essentialized") and not fresh.pop("essentialized")
         assert printed == fresh
 
@@ -838,20 +832,34 @@ class TestIrreducibleDecomposition:
             split += len(factors) > 1
         assert checked >= 40 and split >= 20
 
+    # the decomposition and both lattice builds take distinct hyperplanes
+    # only, and refuse a repeat with one message, in the plane and in D4,
+    # where the repeated hyperplane lies on every line through it
+    REFUSERS = (irreducible_decomposition, build_lattice, lattice_of)
+
     def test_repeated_row_refused(self):
         a, b = parse_arrangement_text("ambient 2 field 1\na\nb\n").hyperplanes
-        with pytest.raises(ValueError, match="distinct hyperplanes"):
-            irreducible_decomposition(Arrangement(2, 1, (a, a, b)))
+        d4 = exceptional_arrangement("D4")
+        for arr in (Arrangement(2, 1, (a, a, b)),
+                    Arrangement(4, 1, d4.hyperplanes[:1] + d4.hyperplanes)):
+            for refuser in self.REFUSERS:
+                with pytest.raises(ValueError, match="distinct hyperplanes"):
+                    refuser(arr)
 
     @pytest.mark.parametrize("scale", [2, -1], ids=["2a", "-a"])
     def test_rescaled_row_refused(self, scale):
         # a multiple of a row is the same hyperplane: refused like a repeat,
-        # not merged into one factor of one hyperplane
+        # not merged into one factor or one rank-1 flat of two hyperplanes
+        def rescaled(form):
+            nums, den = form.row
+            return LinearForm(form.ambient, 1, (tuple(scale * v for v in nums), den))
         a, b = parse_arrangement_text("ambient 2 field 1\na\nb\n").hyperplanes
-        nums, den = a.row
-        multiple = LinearForm(2, 1, (tuple(scale * v for v in nums), den))
-        with pytest.raises(ValueError, match="distinct hyperplanes"):
-            irreducible_decomposition(Arrangement(2, 1, (a, multiple, b)))
+        d4 = exceptional_arrangement("D4")
+        for arr in (Arrangement(2, 1, (a, rescaled(a), b)),
+                    Arrangement(4, 1, (rescaled(d4.hyperplanes[0]),) + d4.hyperplanes)):
+            for refuser in self.REFUSERS:
+                with pytest.raises(ValueError, match="distinct hyperplanes"):
+                    refuser(arr)
 
 
 class TestOracleEquivalence:

@@ -36,36 +36,43 @@ def _with_level(good, rank, level):
     return dict(good, levels=levels)
 
 
-def _supports(good, rank):
-    """The supports of one level of an entry of fewer than 64 hyperplanes:
-    one 16-digit hex word each."""
-    text = good["levels"][rank]
-    return [int(text[k:k + 16], 16) for k in range(0, len(text), 16)]
+def _words(supports):
+    return "".join(f"{s:016x}" for s in supports)
 
 
-def _with_supports(good, rank, supports):
-    return _with_level(good, rank, "".join(f"{s:016x}" for s in supports))
+def _supports(good, k):
+    """The supports of the k-th stored level of an entry of fewer than 64
+    hyperplanes, one 16-digit hex word each.  Rank 1 is not stored, so
+    rank 2 is at index 1."""
+    text = good["levels"][k]
+    return [int(text[i:i + 16], 16) for i in range(0, len(text), 16)]
+
+
+def _with_supports(good, k, supports):
+    return _with_level(good, k, _words(supports))
 
 
 def _bit_past_last(good):
     n = len(good["arrangement"]["hyperplanes"])
-    level = _supports(good, 2)
-    return _with_supports(good, 2, level[:-1] + [level[-1] | 1 << n])
+    level = _supports(good, 1)
+    return _with_supports(good, 1, level[:-1] + [level[-1] | 1 << n])
 
 
 def _out_of_order(good):
-    level = _supports(good, 2)
-    return _with_supports(good, 2, [level[1], level[0]] + level[2:])
-
-
-def _overlap_rank1(good):
     level = _supports(good, 1)
-    return _with_supports(good, 1, level[:-1] + [level[-1] | level[0]])
+    return _with_supports(good, 1, [level[1], level[0]] + level[2:])
 
 
 def _repeat_a_support(good):
     # a rank-1 support listed at rank 2 too, in ascending order
-    return _with_supports(good, 2, sorted(_supports(good, 2) + [_supports(good, 1)[-1]]))
+    return _with_supports(good, 1, sorted(_supports(good, 1) + [1]))
+
+
+def _with_rank1(good):
+    # the entry that lists its rank-1 singletons as well
+    n = len(good["arrangement"]["hyperplanes"])
+    levels = good["levels"]
+    return dict(good, levels=levels[:1] + [_words(1 << i for i in range(n))] + levels[1:])
 
 
 def _two_words_wide(good):
@@ -82,7 +89,7 @@ def _v2(good):
 
 
 def _edit_level_2(edit):
-    return lambda good: _with_level(good, 2, edit(good["levels"][2]))
+    return lambda good: _with_level(good, 1, edit(good["levels"][1]))
 
 
 # well-formed JSON that is not a lattice entry, each made from a good entry of
@@ -93,10 +100,8 @@ MALFORMED = {
     "empty-levels": (lambda good: dict(good, levels=[]), "no bottom"),
     "bit-past-last": (_bit_past_last, "past the last hyperplane"),
     "level-order": (_out_of_order, "out of ascending order"),
-    "empty-level": (lambda good: _with_level(good, 2, ""), "no rank-2 flat"),
-    "rank1-partition": (lambda good: _with_supports(good, 1, _supports(good, 1)[1:]),
-                        "on no rank-1 flat"),
-    "rank1-overlap": (_overlap_rank1, "sharing a hyperplane"),
+    "empty-level": (lambda good: _with_level(good, 1, ""), "no rank-2 flat"),
+    "rank1-listed": (_with_rank1, "repeats a support"),
     "duplicate-support": (_repeat_a_support, "repeats a support"),
     "missing-top": (lambda good: dict(good, levels=good["levels"][:-1]), "no top"),
     "odd-length-hex": (_edit_level_2(lambda text: text[:-1]), "not whole 8-byte supports"),
@@ -108,6 +113,8 @@ MALFORMED = {
     "v1": (lambda good: v1_lattice_payload(build_lattice(build_named("G(3,1,3)"))),
            "unsupported cache format"),
     "v2": (_v2, "unsupported cache format"),
+    "v3": (lambda good: dict(_with_rank1(good), format="hyparr-lattice-v3"),
+           "unsupported cache format"),
 }
 
 
@@ -238,17 +245,27 @@ class TestCache:
         # a level must be one hex string, not a list of its supports' words
         lattice = build_lattice(build_named("G(3,1,3)"))
         payload = json.loads(canonical(lattice))
-        payload["levels"][2] = [f"{s:016x}" for s in _supports(payload, 2)]
+        payload["levels"][1] = [f"{s:016x}" for s in _supports(payload, 1)]
         with pytest.raises(ValueError, match="not a list of hex strings"):
             lattice_from_payload(lattice.arrangement, payload)
 
     def test_entry_holds_supports_only(self, tmp_path):
+        # every level but rank 1, the singletons, which the loader inserts
         lattice = build_lattice(build_named("G(3,1,3)"))
         with open(save_lattice(lattice, str(tmp_path)), encoding="utf-8") as fh:
             payload = json.load(fh)
-        assert payload["format"] == "hyparr-lattice-v3"
+        assert payload["format"] == "hyparr-lattice-v4"
         assert payload["levels"] == ["".join(f"{f.support:016x}" for f in level)
-                                     for level in lattice.levels]
+                                     for level in lattice.levels[:1] + lattice.levels[2:]]
+        assert lattice.supports[1] == tuple(1 << i for i in range(len(lattice.arrangement)))
+
+    @pytest.mark.parametrize("levels", [((0,), (3,)), ((0,), (1, 3), (3,)), ((0,),)],
+                             ids=["top-at-rank-1", "non-singleton", "no-rank-1"])
+    def test_save_refuses_a_rank1_level_of_non_singletons(self, tmp_path, levels):
+        arr = Arrangement(2, 1, (LinearForm(2, 1, ((1, 0), 1)), LinearForm(2, 1, ((0, 1), 1))))
+        with pytest.raises(ValueError, match="singletons at rank 1"):
+            save_lattice(IntersectionLattice(arr, levels), str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
 
     def test_loaded_flats_derive_the_built_subspaces(self, tmp_path, store):
         for entry in catalog():
@@ -278,12 +295,13 @@ class TestCache:
         assert all(f.subspace == b.subspace for f, b in zip(loaded.flats(), built.flats()))
 
     def test_forged_rank_raises_when_read(self):
-        # D4 has rank 4: its rank-2 and rank-3 supports swapped still pass
-        # every integer check, and each flat derives a rank it does not claim
+        # D4 has rank 4: its rank-2 and rank-3 supports, stored at indices 1
+        # and 2, swapped still pass every integer check, and each flat
+        # derives a rank it does not claim
         lattice = build_lattice(exceptional_arrangement("D4"))
         good = json.loads(canonical(lattice))
         levels = good["levels"]
-        forged = dict(good, levels=levels[:2] + [levels[3], levels[2]] + levels[4:])
+        forged = dict(good, levels=levels[:1] + [levels[2], levels[1]] + levels[3:])
         loaded = lattice_from_payload(lattice.arrangement, forged)
         assert loaded.bottom().subspace == lattice.bottom().subspace
         for flat in (loaded.levels[2][0], loaded.levels[3][-1]):
@@ -329,13 +347,14 @@ class TestCache:
         assert cache_path(arr, str(tmp_path)) == cache_path(arr, str(tmp_path))
 
     def test_supports_wider_than_a_printable_integer(self, tmp_path):
-        # 15,000 lines a + k*b in the plane, with levels shaped as the
-        # loader checks them: the bottom, then one support of every
-        # hyperplane, which has more than 4,300 decimal digits and which
-        # ``str`` refuses; the entry holds it as 235 64-bit words
+        # the lattice of 15,000 lines a + k*b in the plane: the bottom, the
+        # 15,000 singletons, which the entry omits, and the top, one support
+        # of every hyperplane, which has more than 4,300 decimal digits and
+        # which ``str`` refuses; the entry holds it as 235 64-bit words
         n = 15_000
         arr = Arrangement(2, 1, tuple(LinearForm(2, 1, ((1, k), 1)) for k in range(n)))
-        lattice = IntersectionLattice(arr, ((0,), ((1 << n) - 1,)))
+        lattice = IntersectionLattice(arr, ((0,), tuple(1 << k for k in range(n)),
+                                            ((1 << n) - 1,)))
         path = save_lattice(lattice, str(tmp_path))
         loaded = load_lattice(arr, str(tmp_path))
         assert loaded is not None and loaded.supports == lattice.supports
@@ -345,8 +364,9 @@ class TestCache:
 
     # the levels of two lines in the plane are 0; 1, 2; 3 (lines that split
     # by coordinates are cached as two factors instead), one 64-bit word per
-    # support.  Levels that are one string of them all, or a dict whose
-    # keys are the levels, are not a list of hex strings
+    # support, of which the entry stores 0 and 3.  Levels that are one
+    # string of them all, or a dict whose keys are the levels, are not a
+    # list of hex strings
     WORD = "{:016x}".format
     FORGED_LEVELS = {
         "string-levels": WORD(0) + WORD(1) + WORD(2) + WORD(3),

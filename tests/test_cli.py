@@ -415,6 +415,26 @@ class TestOneRowReduction:
         code, out, _ = run_cli(capsys, "--json", *argv)
         assert code == EXIT_OK and out
 
+    def test_printed_rank_reduces_no_center(self, capsys, monkeypatch, tmp_path):
+        # the report takes the arrangement's rank off the lattice, or off the
+        # factors' dimensions, so no center is grown for it: a warm lattice
+        # of G31 reduces no residue, and the decomposition of
+        # product(D4,A(3)) only the 25 that pick its basis of normals
+        import hyparr.arrangement
+        import hyparr.linalg
+
+        cache = ("--cache-dir", str(tmp_path))
+        assert run_cli(capsys, "--json", *cache, "lattice", "G31")[0] == EXIT_OK
+        calls = []
+        real = hyparr.linalg.form_residue
+        for module in (hyparr.arrangement, hyparr.linalg):
+            monkeypatch.setattr(module, "form_residue",
+                                lambda row, sub: calls.append(row) or real(row, sub))
+        assert run_cli(capsys, "--json", *cache, "lattice", "G31")[0] == EXIT_OK
+        assert len(calls) == 0
+        assert run_cli(capsys, "--json", "decompose", "product(D4,A(3))")[0] == EXIT_OK
+        assert len(calls) == 25
+
     def test_decompose_essentializes_nothing(self, capsys, monkeypatch):
         # coordinates over a basis of normals are already essential
         import hyparr.arrangement

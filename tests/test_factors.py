@@ -161,12 +161,21 @@ def test_mixed_coordinates_take_the_direct_build():
         [[f.subspace for f in level] for level in build_lattice(arr).levels]
 
 
-def test_repeated_rows_take_the_direct_build():
+def test_repeated_rows_are_refused():
+    # a repeated hyperplane lies in one block, whose build refuses it with
+    # the direct build's message before the other block is asked for
     arr = _pair("B2", "A(3)")
     repeated = Arrangement(arr.ambient, arr.order, arr.hyperplanes + arr.hyperplanes[:1])
-    lattice = lattice_of(repeated)
-    assert lattice.factors is None
-    assert lattice.level_sizes() == build_lattice(repeated).level_sizes()
+    asked = []
+
+    def recorded(forms, *args):
+        asked.append(forms)
+        return build_lattice(forms, *args)
+    for build in (build_lattice, lambda a: lattice_of(a, build=recorded)):
+        with pytest.raises(ValueError, match="^an arrangement's forms must define "
+                                             "distinct hyperplanes$"):
+            build(repeated)
+    assert [forms.ambient for forms in asked] == [2]
 
 
 def test_irreducible_input_takes_the_direct_build():

@@ -201,7 +201,8 @@ def raiser(name):
 class TestNoArithmeticInReports:
     """With every kernel function raising, the payloads and both renderings
     are unchanged: the report layer reads rows and does no field arithmetic.
-    ``arrangement_payload`` reports the rank, so it is built beforehand."""
+    ``arrangement_payload`` takes the rank from the lattice, so it is built
+    under the patch too."""
 
     NAMES = ("D4", "H3", "G25", "G(3,1,3)")
 
@@ -217,15 +218,14 @@ class TestNoArithmeticInReports:
                 witnessed += cert.refutation.witnesses
             for v in witnessed:
                 v.witness  # certified and summed once, before the patch
-            cases[name] = (arr, lattice, verdicts, cert,
-                           arrangement_payload(arr, name))
+            cases[name] = (arr, lattice, verdicts, cert)
 
         def render():
             out = {}
-            for name, (arr, lattice, verdicts, cert, arr_payload) in cases.items():
+            for name, (arr, lattice, verdicts, cert) in cases.items():
                 report = {
                     "command": "modular",
-                    "arrangement": arr_payload,
+                    "arrangement": arrangement_payload(arr, lattice.rank(), name),
                     "lattice": lattice_payload(lattice),
                     "modular": {"rank": 2, "flat_count": len(verdicts),
                                 "modular_count": sum(v.modular for v in verdicts),
