@@ -516,10 +516,31 @@ def line_table_cases() -> dict:
 LINE_TABLE_CASES = line_table_cases()
 
 
+def repeated_cases() -> dict:
+    """D4 with its first hyperplane entered twice, as it is and rescaled by
+    -2: the oracle merges the two forms into one rank-1 flat, lying on every
+    line through it, and no build takes such a repeat."""
+    d4 = exceptional_arrangement("D4")
+    nums, den = d4.hyperplanes[0].row
+    rescaled = LinearForm(4, 1, (tuple(-2 * v for v in nums), den))
+    return {"D4-repeated": Arrangement(4, 1, d4.hyperplanes[:1] + d4.hyperplanes),
+            "D4-rescaled": Arrangement(4, 1, (rescaled,) + d4.hyperplanes)}
+
+
+ORACLE_CASES = {**LINE_TABLE_CASES, **repeated_cases()}
+
+
 class TestLineTable:
-    @pytest.mark.parametrize("arr", LINE_TABLE_CASES.values(), ids=LINE_TABLE_CASES.keys())
+    @pytest.mark.parametrize("arr", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
     def test_matches_oracle_at_any_worker_count(self, arr):
         slow = brute_force_lattice(arr)
+        if len(slow.levels[1]) < len(arr.hyperplanes):
+            # the oracle finds a rank-1 flat of two forms: every worker
+            # count refuses the repeat before any flat is made
+            for threads in (1, 3):
+                with pytest.raises(ValueError, match="distinct hyperplanes"):
+                    build_lattice(arr, threads=threads)
+            return
         one = build_lattice(arr, threads=1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # let the three workers interleave often
