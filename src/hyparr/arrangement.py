@@ -22,10 +22,12 @@ support of a new cover above rank 2 is read off the rank-2 flats through
 H, listed from the finished level 2, each decided by comparing one residue
 with H's.  Parents go largest first, so more of those lines meet them and
 fewer residues are compared.  A level of the ambient dimension's rank is
-the top alone, entered once.  Every new flat keeps X's RREF and H's bit,
-with H's residue when the build compared it, and is extended only when its
-subspace is read: as a parent with covers still to find, in a witness or a
-chain, or when printed.
+the top alone, entered once.  Every new flat keeps the flat X and H's bit,
+in slots of its own, with H's residue when the build compared it, and is
+extended only when its subspace is read: as a parent that a residue is
+compared against, in a witness or a chain, or when printed.  X's subspace
+is read first then, and extended if nothing has read it yet, so a read
+extends at most a chain of covers as long as the flat's rank.
 
 A lattice keeps one incidence table per rank, the flats of that rank
 through each hyperplane (``IntersectionLattice.flats_through``), and reads
@@ -156,59 +158,67 @@ class Flat:
     """A lattice element: subspace, support bitset over hyperplane indices, rank.
 
     A flat of a simple arrangement is fixed by its support.  Its canonical
-    RREF subspace is made eagerly for the bottom of ``build_lattice`` and
-    for the flats of ``closure`` and of the all-subsets oracle.  Every
-    other flat defers it in one form (``Flat.extending``): a parent
-    subspace, with the residue modulo it of a hyperplane that cuts the flat
-    out of it, or the arrangement's hyperplanes and a mask of those that
-    do.  A flat ``build_lattice`` enters holds its parent's subspace with
-    that residue, or the one hyperplane's bit where the build compared no
-    residue; a flat made on the first read of the flats of a lattice made
-    from supports (a cache load, a product's assembly) holds the full space
-    and its support.  Every flat of a lattice shares the arrangement's
-    tuple of hyperplanes, and picks their rows only when it is read.  The
-    first read of ``subspace`` extends the parent by the residue
-    (``extend_rref``), or else by the rows of the masked hyperplanes
-    (``extend_by_rows``), and checks that the result has the flat's rank.
-    A deferred flat then keeps the subspace, and keeps its source, so
-    workers reading it at once only derive an equal subspace more than
-    once.  The hash reads the support
-    only, so sets and dicts of flats derive nothing; equality compares
-    supports, then subspaces.
+    RREF subspace is made eagerly for the bottom of a lattice and for the
+    flats of ``closure`` and of the all-subsets oracle.  Every other flat
+    defers it (``Flat.extending``): it holds a parent flat one or more ranks
+    below, with the residue modulo the parent's subspace of a hyperplane
+    that cuts the flat out of it, or the arrangement's hyperplanes and a
+    mask of those that do, each in a slot of its own.  A flat
+    ``build_lattice`` enters holds the flat it covers with that residue, or
+    the one hyperplane's bit where the build compared no residue; a rank-1
+    flat holds the bottom and its hyperplane's normalized row, and a flat
+    made on the first read of the flats of a lattice made from supports (a
+    cache load, a product's assembly) the bottom and its support.  Every
+    flat of a lattice shares the arrangement's tuple of hyperplanes, and
+    picks their rows only when it is read.  The first read of ``subspace``
+    reads the parent's first, which extends the parent if nothing has read
+    it yet, so a read goes at most the rank deep; it then extends that
+    subspace by the residue (``extend_rref``), or else by the rows of the
+    masked hyperplanes (``extend_by_rows``), and checks that the result has
+    the flat's rank.  A deferred flat then keeps the subspace, and keeps its
+    sources, so workers reading it at once only derive an equal subspace
+    more than once.  The hash reads the support only, so sets and dicts of
+    flats derive nothing; equality compares supports, then subspaces.
     """
 
-    __slots__ = ("_subspace", "support", "rank", "_source")
+    __slots__ = ("_subspace", "support", "rank", "_parent", "_residue", "_rows", "_mask")
 
     def __init__(self, subspace: Subspace, support: int, rank: int):
         self._subspace = subspace
         self.support = support
         self.rank = rank
-        self._source = None
+        self._parent = self._residue = self._rows = None
+        self._mask = 0
 
     @classmethod
-    def extending(cls, parent: Subspace, residue: Row | None, hyperplanes, mask: int,
+    def extending(cls, parent: Flat, residue: Row | None, rows, mask: int,
                   support: int, rank: int) -> Flat:
         """The rank-``rank`` flat on the hyperplanes of ``support``, its
-        subspace ``parent`` extended when first read: by ``residue``, a
-        hyperplane's residue modulo ``parent``, if the caller has it, else by
-        the rows of the forms of ``hyperplanes`` whose bits ``mask`` sets.
-        A built flat holds its parent's subspace, not its flat, so no chain
-        of deferred parents forms."""
+        subspace that of the flat ``parent`` extended when first read: by
+        ``residue``, a hyperplane's residue modulo the parent's subspace, if
+        the caller has it, else by the rows of the forms of ``rows`` whose
+        bits ``mask`` sets."""
         flat = cls.__new__(cls)
         flat._subspace = None
         flat.support = support
         flat.rank = rank
-        flat._source = (parent, residue, hyperplanes, mask)
+        flat._parent = parent
+        flat._residue = residue
+        flat._rows = rows
+        flat._mask = mask
         return flat
 
     @property
     def subspace(self) -> Subspace:
         sub = self._subspace
         if sub is None:
-            parent, residue, hyperplanes, mask = self._source
-            sub = (extend_rref(parent, residue) if residue is not None
-                   else extend_by_rows(parent, (hyperplanes[bit.bit_length() - 1].row
-                                                for bit in _bits(mask))))
+            parent, residue = self._parent.subspace, self._residue
+            if residue is not None:
+                sub = extend_rref(parent, residue)
+            else:
+                rows = self._rows
+                sub = extend_by_rows(parent, (rows[bit.bit_length() - 1].row
+                                              for bit in _bits(self._mask)))
             if sub.codim != self.rank:
                 raise InternalInconsistencyError(
                     f"the hyperplanes of a rank-{self.rank} flat have rank {sub.codim}")
@@ -259,21 +269,23 @@ class IntersectionLattice:
     maps each support to its flat.  The constructor takes the supports
     alone, as a cache load and a product's assembly give them
     (``lattice_of``), and makes the flats on the first read of ``levels``
-    or ``index``, each once, holding the full space and its support
-    (``Flat.extending``).  Its size, ranks, cache payload, factor moves and
-    mask tables read the supports, so a command that reads no flat makes
-    none.  A built lattice (``of_flats``) holds its flats from the start:
-    the subspace of its bottom, and above it the parent's subspace and a
-    hyperplane's residue modulo it, or its bit where the build compared no
-    residue.  Either way a flat extends its subspace when first read and
-    checks its rank.  Its one incidence table,
-    ``flats_through``, is built per rank on first use, and every cover
-    relation is read off it (``above``).
+    or ``index``, each once: the bottom with the full space, every other
+    flat holding the bottom and its support (``Flat.extending``).  Its
+    size, ranks, cache payload, factor moves and mask tables read the
+    supports, so a command that reads no flat makes none.  A built lattice
+    (``of_flats``) holds its flats from the start: the bottom with its
+    subspace, and above it each flat holding the flat it covers and a
+    hyperplane's residue modulo that flat's subspace, or the hyperplane's
+    bit where the build compared no residue.  Either way a flat extends its
+    subspace when first read and checks its rank.  ``index`` is made on its
+    first read, from ``levels``, built or loaded alike.  The one incidence
+    table, ``flats_through``, is built per rank on first use, and every
+    cover relation is read off it (``above``).
     ``factors`` holds the factor lattices of a product that ``lattice_of``
     assembled, else None.  ``verdicts`` maps supports to verdicts.
     """
 
-    __slots__ = ("arrangement", "supports", "factors", "verdicts", "_flats",
+    __slots__ = ("arrangement", "supports", "factors", "verdicts", "_flats", "_index",
                  "_through", "_under")
 
     def __init__(self, arrangement: Arrangement, supports: tuple[tuple[int, ...], ...]):
@@ -281,9 +293,11 @@ class IntersectionLattice:
         self.supports = supports
         self.factors: tuple[Factor, ...] | None = None
         self.verdicts: dict = {}
-        # (levels, index) once made: list.append is atomic, so worker threads
-        # racing on the first read all keep the first pair
-        self._flats: list[tuple[tuple[tuple[Flat, ...], ...], dict[int, Flat]]] = []
+        # the levels once made: list.append is atomic, so worker threads
+        # racing on the first read all keep the first
+        self._flats: list[tuple[tuple[Flat, ...], ...]] = []
+        # a concurrent first read of ``index`` makes an equal dict of the same flats
+        self._index: dict[int, Flat] | None = None
         self._through: dict[int, dict[int, int]] = {}
         self._under: dict[tuple[int, int], tuple[int, ...]] = {}
 
@@ -292,29 +306,29 @@ class IntersectionLattice:
                  levels: tuple[tuple[Flat, ...], ...]) -> IntersectionLattice:
         """The lattice whose rank-k flats are ``levels[k]``, sorted by support."""
         lattice = cls(arrangement, tuple(tuple(f.support for f in level) for level in levels))
-        lattice._flats.append((levels, {f.support: f for level in levels for f in level}))
+        lattice._flats.append(levels)
         return lattice
-
-    def _made(self) -> tuple[tuple[tuple[Flat, ...], ...], dict[int, Flat]]:
-        """``(levels, index)``, made from the supports on the first call."""
-        made = self._flats
-        if not made:
-            arr = self.arrangement
-            space = full_space(arr.ambient, arr.order)
-            hyperplanes = arr.hyperplanes
-            extending = Flat.extending
-            levels = tuple(tuple(extending(space, None, hyperplanes, s, s, rank) for s in level)
-                           for rank, level in enumerate(self.supports))
-            made.append((levels, {f.support: f for level in levels for f in level}))
-        return made[0]
 
     @property
     def levels(self) -> tuple[tuple[Flat, ...], ...]:
-        return self._made()[0]
+        """The flats by rank, made from the supports on the first read."""
+        made = self._flats
+        if not made:
+            arr = self.arrangement
+            bottom = Flat(full_space(arr.ambient, arr.order), 0, 0)
+            hyperplanes = arr.hyperplanes
+            extending = Flat.extending
+            made.append(((bottom,),) + tuple(
+                tuple(extending(bottom, None, hyperplanes, s, s, rank) for s in level)
+                for rank, level in enumerate(self.supports[1:], 1)))
+        return made[0]
 
     @property
     def index(self) -> dict[int, Flat]:
-        return self._made()[1]
+        index = self._index
+        if index is None:
+            index = self._index = {f.support: f for level in self.levels for f in level}
+        return index
 
     def flats(self):
         for level in self.levels:
@@ -525,12 +539,15 @@ def _children_of(arr: Arrangement, parent: Flat, level: _Level, lines: dict | No
     member's residue equals H's, the member being its lowest hyperplane
     other than H.  Each residue is computed once per parent, and H's own
     only when some line needs it compared: not for a cover whose lines all
-    meet the parent or ``covered``.  Every new cover holds the parent's subspace, H's bit and
-    H's residue if it was computed, and is extended only when its subspace
-    is read (``Flat.extending``), H's row reduced then if need be; the
-    parent's is read only if some hyperplane is left.  The top of an
-    essential arrangement of rank 2 or more is entered by ``build_lattice``
-    itself.
+    meet the parent or ``covered``.  The parent's subspace is read, and
+    extended if nothing has read it yet, for a rank-1 parent's grouping and
+    above rank 2 only when a first residue is compared, so a parent whose
+    covers are all found by lookup or by lines that meet it or ``covered``
+    is never extended by the build.  Every new cover holds the parent flat,
+    H's bit and H's residue if it was computed, and is extended only when
+    its subspace is read (``Flat.extending``), H's row reduced then if need
+    be.  The top of an essential arrangement of rank 2 or more is entered
+    by ``build_lattice`` itself.
     """
     level.check_budget()  # another worker may have gone over already
     hyperplanes = arr.hyperplanes
@@ -551,16 +568,17 @@ def _children_of(arr: Arrangement, parent: Flat, level: _Level, lines: dict | No
     rest = arr.full_support() & ~covered
     if not rest:
         return
-    sub = parent.subspace
     rank = parent.rank + 1
     if rank == 2:
+        sub = parent.subspace
         groups: dict = {}
         for bit in _bits(rest):
             key = form_residue(hyperplanes[bit.bit_length() - 1].row, sub)
             groups[key] = groups.get(key, 0) | bit
         for residue, bits in groups.items():
-            level.add(Flat.extending(sub, residue, None, 0, below | bits, rank))
+            level.add(Flat.extending(parent, residue, None, 0, below | bits, rank))
         return
+    sub = None  # read when a first residue is compared
     residues: dict[int, Row] = {}
     while rest:
         bit = rest & -rest
@@ -573,6 +591,8 @@ def _children_of(arr: Arrangement, parent: Flat, level: _Level, lines: dict | No
                 bits |= line
             elif not line & off:
                 if key is None:
+                    if sub is None:
+                        sub = parent.subspace
                     key = form_residue(row, sub)
                 member = line & ~bit
                 member &= -member
@@ -582,7 +602,7 @@ def _children_of(arr: Arrangement, parent: Flat, level: _Level, lines: dict | No
                     residues[member] = residue
                 if residue == key:
                     bits |= line
-        level.add(Flat.extending(sub, key, hyperplanes, bit, bits, rank))
+        level.add(Flat.extending(parent, key, hyperplanes, bit, bits, rank))
         covered |= bits
         rest &= ~bits
 
@@ -614,8 +634,8 @@ def build_lattice(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS,
     The forms must define distinct hyperplanes (``_distinct_rows``): a
     zero form or a repeat, however scaled, is a ``ValueError`` before any
     flat is made.  So the rank-1 flats are the hyperplanes themselves, each
-    entered with its normalized row, its residue modulo the full space.
-    Rank k+1 flats are the flats X .cap. H for X of rank k >= 1 and H
+    entered with its normalized row, its residue modulo the bottom's full
+    space.  Rank k+1 flats are the flats X .cap. H for X of rank k >= 1 and H
     outside X (``_children_of``).  One grouping step makes rank 2: the
     covers of each rank-1 flat X group the hyperplanes off X by their
     normalized residues modulo X, so no flat is fully row-reduced.  Each
@@ -630,21 +650,25 @@ def build_lattice(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS,
     meets more lines through H, so fewer residues are compared and more
     covers are found by lookup.  A level whose rank is the ambient
     dimension can only be the top, the zero subspace on every hyperplane:
-    it is entered once, from the first parent in that order that leaves a
-    hyperplane, with no ``_children_of`` call for the coatoms; a top below
-    the ambient dimension comes from ``_children_of``.  Every flat above
-    rank 1 keeps X's subspace and H's bit, with H's residue only if the build
-    compared it, and extends the one by the other only when its subspace is
-    read, as a parent with covers left to find or by a caller.  Each level
-    is sorted by support bitset, so the result is deterministic and
-    identical for any worker count, and each subspace is the canonical RREF
-    whichever parent entered the flat; the workers of a level share its
-    ``_Level``.  The flat budget is checked whenever a level gains a flat,
-    so an oversized lattice is refused before its level is finished.
+    it is entered once, holding the first parent in that order that leaves
+    a hyperplane, unread, with no ``_children_of`` call for the coatoms; a
+    top below the ambient dimension comes from ``_children_of``.  Every
+    flat of rank 1 holds the bottom and its normalized row, and every flat
+    above keeps the flat X and H's bit, with H's residue only if the build
+    compared it (``Flat.extending``).  It extends X's subspace by the one or
+    the other only when its own is read, as a parent that a residue is
+    compared against or by a caller, reading X's first, so a read goes at
+    most the flat's rank deep.  The lattice makes its ``index`` when first
+    read.  Each level is sorted by support bitset, so the result is
+    deterministic and identical for any worker count, and each subspace is
+    the canonical RREF whichever parent entered the flat; the workers of a
+    level share its ``_Level``.  The flat budget is checked whenever a
+    level gains a flat, so an oversized lattice is refused before its level
+    is finished.
     """
     rows = _distinct_rows(arr)
-    space = full_space(arr.ambient, arr.order)
-    levels: list[tuple] = [(Flat(space, 0, 0),)]
+    bottom = Flat(full_space(arr.ambient, arr.order), 0, 0)
+    levels: list[tuple] = [(bottom,)]
     kept = 1
     lines = None
     full = arr.full_support()
@@ -654,14 +678,13 @@ def build_lattice(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS,
         parents = sorted(levels[-1], key=lambda f: -f.support.bit_count())
         if rank == 1:
             for i, row in enumerate(rows):
-                level.add(Flat.extending(space, row, None, 0, 1 << i, rank))
+                level.add(Flat.extending(bottom, row, None, 0, 1 << i, rank))
         elif rank == arr.ambient:
             # largest support first: only a lone top of rank l - 1 holds every hyperplane
             parent = parents[0]
             if parent.support != full:
                 off = full & ~parent.support
-                level.add(Flat.extending(parent.subspace, None, arr.hyperplanes, off & -off,
-                                         full, rank))
+                level.add(Flat.extending(parent, None, arr.hyperplanes, off & -off, full, rank))
         else:
             if rank == 3:
                 lines = _lines(levels[2])
@@ -812,12 +835,12 @@ def lattice_of(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS, threads: in
     hyperplane indices (``Factor``).  The product is made from those
     supports alone, each level sorted (``IntersectionLattice``), so it has
     the supports and ranks ``build_lattice`` gives; its flats are made from
-    them on first read, and each grows the same subspace from the full
-    space by its rows when read (``Flat.extending``).  Assembling it makes no flat, of the product or of
-    a factor.  A product with more flats than ``max_flats`` is refused from
-    its factors' sizes before it is assembled, with the refusal of
-    ``build_lattice``.  The factor lattices
-    stay on the result (``IntersectionLattice.factors``), where
+    them on first read, and each grows the same subspace from the bottom's
+    full space by its rows when read (``Flat.extending``).  Assembling it
+    makes no flat, of the product or of a factor.  A product with more
+    flats than ``max_flats`` is refused from its factors' sizes before it
+    is assembled, with the refusal of ``build_lattice``.  The factor
+    lattices stay on the result (``IntersectionLattice.factors``), where
     ``is_modular`` reads the product's verdicts off theirs, the chain
     search its covers (``upper_covers``) and ``poincare`` its polynomial, so
     no command builds the product's mask tables.  Input that splits only

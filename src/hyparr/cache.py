@@ -13,12 +13,13 @@ inserts it.
 ``load_or_build`` keeps one entry per factor of a product, on the factor's
 own columns, and none for the product, which is assembled from its factors'
 lattices cold and warm alike (``lattice_of``).  A loaded lattice holds its
-supports alone and makes its flats on first read; a loaded flat grows its
-canonical RREF subspace from the full space by its hyperplanes' rows when it
-is first read (``Flat.extending``), checks its rank, and equals the flat the
-build made, so a warm run is byte-identical to a cold one.  An entry of an
-older format is a miss, rebuilt and overwritten.  Writes go through a temp
-file and an atomic rename so concurrent commands never see a partial file.
+supports alone and makes its flats on first read; a loaded flat holds the
+bottom, and grows its canonical RREF subspace from the bottom's full space
+by its hyperplanes' rows when it is first read (``Flat.extending``), checks
+its rank, and equals the flat the build made, so a warm run is
+byte-identical to a cold one.  An entry of an older format is a miss,
+rebuilt and overwritten.  Writes go through a temp file and an atomic
+rename so concurrent commands never see a partial file.
 """
 
 from __future__ import annotations

@@ -181,20 +181,22 @@ class TestCache:
             load_or_build(arr, str(tmp_path), max_flats=20)
         assert made == []
         # a load within budget makes none, and the first read of its levels
-        # makes each flat once, from the full space and its support's rows,
-        # in flat order
+        # makes the bottom with the full space and each other flat once,
+        # holding the bottom and its support, in flat order
         lattice = load_or_build(arr, str(tmp_path), max_flats=2272)
         assert len(lattice) == 2272 and lattice.level_sizes() == [1, 60, 710, 1500, 1]
         assert made == []
         levels = lattice.levels
-        assert len(made) == 2272
+        assert len(made) == 2271
         assert [(s, r) for *_, s, r in made] == \
-            [(f.support, f.rank) for level in levels for f in level]
-        assert all(parent.codim == 0 and residue is None
+            [(f.support, f.rank) for level in levels[1:] for f in level]
+        bottom = lattice.bottom()
+        assert bottom.support == 0 and bottom._subspace.codim == 0
+        assert all(parent is bottom and residue is None
                    and hyperplanes is arr.hyperplanes and mask == s
                    for parent, residue, hyperplanes, mask, s, _ in made)
         assert lattice.levels is levels and len(lattice.index) == 2272
-        assert len(made) == 2272
+        assert len(made) == 2271
 
     def test_miss_on_absent_or_corrupt(self, tmp_path):
         arr = monomial_arrangement(2, 1, 2)
@@ -274,7 +276,8 @@ class TestCache:
             loaded = load_lattice(built.arrangement, str(tmp_path))
             assert loaded is not None and loaded.level_sizes() == built.level_sizes()
             for a, b in zip(loaded.flats(), built.flats()):
-                assert a._subspace is None  # nothing derived before it is read
+                # nothing derived before it is read; the bottom holds the full space
+                assert a._subspace is None or a.rank == 0
                 assert (a.support, a.rank) == (b.support, b.rank)
                 assert (a.subspace.rows, a.subspace.pivots) == (b.subspace.rows,
                                                                 b.subspace.pivots)
@@ -418,11 +421,13 @@ class TestSupportsOnly:
     """A loaded or assembled lattice holds supports until a flat is read."""
 
     def test_made_flats_share_the_hyperplanes(self, tmp_path):
-        # each flat of a loaded lattice holds the arrangement's own tuple of
-        # hyperplanes and its support, and no rows of its own: making G31's
-        # 2,272 flats takes under 200 bytes a flat, for the flat, its source
-        # and its share of the levels and the index (with a tuple of rows
-        # each, it took about 240)
+        # each flat of a loaded lattice but the bottom holds the bottom, the
+        # arrangement's own tuple of hyperplanes and its support, each in a
+        # slot, and no rows of its own, and reading the levels makes no
+        # index: making G31's 2,272 flats takes about 97 bytes a flat, for
+        # the flat and its share of the levels (with a 4-tuple source each
+        # and the index it took about 177, and with a tuple of rows each as
+        # well about 240)
         arr = build_named("G31")
         save_lattice(build_lattice(arr), str(tmp_path))
         loaded = load_lattice(arr, str(tmp_path))
@@ -433,20 +438,29 @@ class TestSupportsOnly:
             grown = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert grown < 200 * 2272
-        assert all(f._source[2] is arr.hyperplanes and f._source[3] == f.support
-                   for level in levels for f in level)
+        assert grown < 120 * 2272
+        bottom = loaded.bottom()
+        assert all(f._parent is bottom and f._residue is None and f._rows is arr.hyperplanes
+                   and f._mask == f.support for level in levels[1:] for f in level)
+        assert loaded._index is None
 
     @pytest.fixture
     def made(self, monkeypatch):
+        """The support and rank of each flat made from here on, with its
+        subspace or deferred."""
         made = []
-        extending = Flat.extending.__func__
+        extending, init = Flat.extending.__func__, Flat.__init__
 
-        def counted(cls, *args):
-            made.append(args)
-            return extending(cls, *args)
+        def counted_extending(cls, parent, residue, rows, mask, support, rank):
+            made.append((support, rank))
+            return extending(cls, parent, residue, rows, mask, support, rank)
 
-        monkeypatch.setattr(Flat, "extending", classmethod(counted))
+        def counted_init(flat, subspace, support, rank):
+            made.append((support, rank))
+            init(flat, subspace, support, rank)
+
+        monkeypatch.setattr(Flat, "extending", classmethod(counted_extending))
+        monkeypatch.setattr(Flat, "__init__", counted_init)
         return made
 
     @pytest.mark.parametrize("spec", ["G31", "{file}", "product(H3,H3)"])
