@@ -23,11 +23,12 @@ built from it (``flats_under``) turn that into a few ORs and ANDs of
 bitmasks over one level, and the first failing complement is the lowest
 set bit at the lowest rank that has one.
 The bottom, the atoms and the top are modular in every geometric lattice
-and are not scanned.  The scan records the first failing Y and its meet,
-the bottom, only.  ``ModularityVerdict.certify`` checks that witness over
-the field, independently of the mask tables: by Grassmann's formula,
-dim(X + Y) from X's RREF grown by Y's defining rows must be strictly
-smaller than the meet flat, which is the closure of X + Y.
+and are not scanned.  A verdict holds the flat and, when it fails, its
+first failing complement Y, and nothing else.  ``ModularityVerdict.certify``
+checks that witness over the field, independently of the mask tables:
+Y's support must be disjoint from X's, so that the only flat holding
+X + Y is the whole space, and dim(X + Y), from X's RREF grown by Y's
+defining rows (Grassmann's formula), must be below the ambient dimension.
 The sum subspace itself is built only for the outputs that print it
 (``ModularityVerdict.witness``).  ``validate_certificate`` re-checks
 modularity by stacked ranks over the field and witnesses by ``closure``,
@@ -78,8 +79,8 @@ from .linalg import LinearForm, Subspace, extend_by_rows, subspace_from_forms, s
 
 @dataclass
 class ModularityVerdict:
-    """Outcome of testing one flat: modular, or the first failing partner Y
-    with the meet flat, the closure of X + Y.
+    """Outcome of testing one flat X: modular without a partner, or not,
+    with the first failing complement Y of X as its partner.
 
     ``certify`` checks the failure over the field by growing one RREF on
     first call; ``witness`` certifies and then builds the pair (Y, X + Y)
@@ -87,23 +88,30 @@ class ModularityVerdict:
     """
 
     flat: Flat
-    modular: bool
     partner: Flat | None = None
-    meet: Flat | None = None
     _sum_dim: int | None = field(default=None, init=False, repr=False, compare=False)
     _witness: tuple[Flat, Subspace] | None = field(default=None, init=False, repr=False,
                                                    compare=False)
 
+    @property
+    def modular(self) -> bool:
+        """Whether no partner witnesses a failure."""
+        return self.partner is None
+
     def certify(self) -> int | None:
-        """dim(X + Y), checked to be strictly smaller than the meet flat, so
-        X + Y is not a flat; None for a modular flat.  Grassmann's formula
+        """dim(X + Y), checked to be smaller than the ambient dimension, so
+        X + Y is not a flat; None for a modular flat.  The partner must be a
+        complement (supports disjoint), so that X ^ Y is the bottom, the
+        whole space, the only flat containing X + Y.  Grassmann's formula
         gives dim(X + Y) = dim X + dim Y - dim(X .cap. Y), and X .cap. Y is
         X's RREF grown by Y's defining rows (``extend_by_rows``), which
         stops once it reaches the ambient dimension."""
         if self._sum_dim is None and self.partner is not None:
+            if self.flat.support & self.partner.support:
+                raise InternalInconsistencyError("the partner is not a complement of the flat")
             x, y = self.flat.subspace, self.partner.subspace
             dim = x.dim + y.dim - extend_by_rows(x, y.rows).dim
-            if dim >= self.meet.dim:
+            if dim >= x.ambient:
                 raise InternalInconsistencyError(
                     "the rank identity disagrees with the stacked rank")
             self._sum_dim = dim
@@ -138,16 +146,25 @@ class Refutation:
 
 @dataclass
 class SupersolvabilityCertificate:
-    """The verdict with its evidence: a maximal chain of modular flats, or a
+    """The evidence of a verdict: a maximal chain of modular flats, or a
     refutation.  The verdicts the search found stay on ``lattice``, where
     ``modular_flats_of_rank`` reads them for any rank.
     """
 
-    verdict: bool
     lattice: IntersectionLattice
-    essentialized: bool
     chain: list[Flat] | None = None
     refutation: Refutation | None = None
+
+    @property
+    def verdict(self) -> bool:
+        """Supersolvable: whether the certificate holds a chain."""
+        return self.chain is not None
+
+    @property
+    def essentialized(self) -> bool:
+        """Whether the lattice's rank is below the ambient dimension, so the
+        certificate prints in essential coordinates."""
+        return self.lattice.rank() < self.lattice.arrangement.ambient
 
     def chain_exponents(self) -> list[int] | None:
         """The sorted b_k = |A_{X_k}| - |A_{X_(k-1)}| along the modular chain,
@@ -182,15 +199,15 @@ def _require_flat(lattice: IntersectionLattice, x: Flat) -> Flat:
 def is_modular(lattice: IntersectionLattice, x: Flat) -> ModularityVerdict:
     """Scan the complements Y of X, the flats with X ^ Y = 0 (support
     disjoint from X's), rank by rank, for the first one in flat order with
-    X + Y outside the lattice; its meet is the bottom.
+    X + Y outside the lattice, the verdict's partner.
 
     Only a complement can be the first failing flat of a scan over the
     whole lattice in flat order: if Y fails the rank identity with
     Z = X ^ Y above the bottom, extend a basis of atoms of Z to one of Y,
     and let Y' be the join of the added atoms; then X ^ Y' = 0,
     X v Y' = X v Y and r(Y') = r(Y) - r(Z), so Y' fails too and comes
-    before Y (Stanley, 1971; Brylawski, 1975).  The verdict, its partner and
-    its meet are therefore those of the full scan.
+    before Y (Stanley, 1971; Brylawski, 1975).  The verdict and its partner
+    are therefore those of the full scan, and the partner is a complement.
 
     A complement Y of rank r passes exactly when r(X v Y) = r(X) + r, so it
     fails exactly when it lies under some flat of rank r(X) + r - 1 above X,
@@ -213,7 +230,7 @@ def is_modular(lattice: IntersectionLattice, x: Flat) -> ModularityVerdict:
     """
     x = _require_flat(lattice, x)
     if x.rank <= 1 or x.rank == lattice.rank():
-        return ModularityVerdict(x, True)
+        return ModularityVerdict(x)
     if lattice.factors:
         return _verdict_from_factors(lattice, x)
     top, levels = lattice.rank(), lattice.levels
@@ -237,8 +254,8 @@ def is_modular(lattice: IntersectionLattice, x: Flat) -> ModularityVerdict:
             complements &= failing
         if complements:
             y = levels[r][(complements & -complements).bit_length() - 1]
-            return ModularityVerdict(x, False, y, lattice.bottom())
-    return ModularityVerdict(x, True)
+            return ModularityVerdict(x, y)
+    return ModularityVerdict(x)
 
 
 def _verdict_from_factors(lattice: IntersectionLattice, x: Flat) -> ModularityVerdict:
@@ -253,7 +270,7 @@ def _verdict_from_factors(lattice: IntersectionLattice, x: Flat) -> ModularityVe
     failing complement is the candidate (0, ..., y_i*, ..., 0), y_i* the
     first failing complement of x_i, that comes first by rank, then by its
     support in the product: a factor's flat order embeds in the product's,
-    since the move of supports keeps their order.  Its meet is the bottom.
+    since the move of supports keeps their order.  It is a complement of X.
     """
     first = None
     for factor in lattice.factors:
@@ -264,8 +281,8 @@ def _verdict_from_factors(lattice: IntersectionLattice, x: Flat) -> ModularityVe
             if first is None or candidate < first:
                 first = candidate
     if first is None:
-        return ModularityVerdict(x, True)
-    return ModularityVerdict(x, False, lattice.index[first[1]], lattice.bottom())
+        return ModularityVerdict(x)
+    return ModularityVerdict(x, lattice.index[first[1]])
 
 
 def _verdict(lattice: IntersectionLattice, f: Flat) -> ModularityVerdict:
@@ -291,9 +308,10 @@ def is_supersolvable(lattice: IntersectionLattice, threads: int = 1
     """Search ``lattice`` for a maximal chain of modular flats, ranks 0..r(A).
 
     The certificate is of ``lattice`` itself.  Essentializing changes the
-    coordinates, not the lattice (Orlik-Terao, Ch. 1), so a non-essential
-    arrangement is only recorded as essentialized, from its rank, and
-    ``report.certificate_payload`` prints the essential coordinates.
+    coordinates, not the lattice (Orlik-Terao, Ch. 1), so the certificate
+    of a non-essential arrangement reads as essentialized off the lattice's
+    rank, and ``report.certificate_payload`` prints the essential
+    coordinates.
     The full space, the center, and the rank-1 flats are always modular, so
     only interior flats are tested, each at most once, by ``is_modular``.
     The depth-first search starts from the rank-2 flats in flat order and
@@ -308,14 +326,13 @@ def is_supersolvable(lattice: IntersectionLattice, threads: int = 1
     every rank's modular flats.  The verdicts stay on ``lattice``.
     """
     r = lattice.rank()
-    essentialized = r != lattice.arrangement.ambient
     bottom = lattice.bottom()
     if r == 0:
-        return SupersolvabilityCertificate(True, lattice, essentialized, [bottom])
+        return SupersolvabilityCertificate(lattice, [bottom])
     top = lattice.top()
     if r <= 2:
         chain = [bottom, lattice.levels[1][0], top][:r + 1]
-        return SupersolvabilityCertificate(True, lattice, essentialized, chain)
+        return SupersolvabilityCertificate(lattice, chain)
 
     # Depth-first chain search, each candidate tested on its first visit; a
     # chain X2 < X3 < ... < X_{r-1} extends to a full chain with any
@@ -341,7 +358,7 @@ def is_supersolvable(lattice: IntersectionLattice, threads: int = 1
                 dead.add(path.pop().support)
         if path:
             chain = [bottom, index[start.support & -start.support], *path, top]
-            return SupersolvabilityCertificate(True, lattice, essentialized, chain)
+            return SupersolvabilityCertificate(lattice, chain)
 
     # No chain: finish the scan rank by rank for the refutation's evidence.
     counts: dict[int, int] = {0: 1, 1: len(lattice.levels[1]), r: 1}
@@ -350,9 +367,9 @@ def is_supersolvable(lattice: IntersectionLattice, threads: int = 1
         counts[k] = sum(v.modular for v in verdicts)
         if not counts[k]:
             refutation = Refutation("empty-rank", rank=k, witnesses=verdicts)
-            return SupersolvabilityCertificate(False, lattice, essentialized, None, refutation)
+            return SupersolvabilityCertificate(lattice, refutation=refutation)
     refutation = Refutation("no-chain", modular_counts=counts)
-    return SupersolvabilityCertificate(False, lattice, essentialized, None, refutation)
+    return SupersolvabilityCertificate(lattice, refutation=refutation)
 
 
 def _modular_by_arithmetic(lattice: IntersectionLattice, x: Flat) -> bool:
@@ -558,10 +575,17 @@ class Rank2Report:
     Poincare polynomial its factor count was read from."""
 
     supersolvable: bool
-    modular_rank2_count: int
-    agree: bool
     modular_rank2: list[Flat]
     poincare: PoincarePolynomial
+
+    @property
+    def modular_rank2_count(self) -> int:
+        return len(self.modular_rank2)
+
+    @property
+    def agree(self) -> bool:
+        """Whether the verdict holds exactly when a modular rank-2 flat exists."""
+        return self.supersolvable == bool(self.modular_rank2)
 
 
 def check_rank2_criterion(cert: SupersolvabilityCertificate, threads: int = 1) -> Rank2Report:
@@ -585,14 +609,14 @@ def check_rank2_criterion(cert: SupersolvabilityCertificate, threads: int = 1) -
     if lattice.rank() < 2:
         raise RefusalError("the rank-2 criterion needs rank at least 2")
     mods = [v.flat for v in modular_flats_of_rank(lattice, 2, threads) if v.modular]
-    return Rank2Report(cert.verdict, len(mods), cert.verdict == bool(mods), mods, poly)
+    return Rank2Report(cert.verdict, mods, poly)
 
 
 @dataclass
 class WitnessReplay:
-    """Re-execution of one explicit sum-goes-outside-the-lattice equation."""
+    """Re-execution of one explicit sum-goes-outside-the-lattice equation:
+    the subspaces and the three checks, from which it passes or fails."""
 
-    passed: bool
     x: Subspace
     y: Subspace
     total: Subspace
@@ -600,7 +624,23 @@ class WitnessReplay:
     sum_matches_expected: bool | None
     sum_outside_lattice: bool
     inputs_are_flats: bool
-    message: str
+
+    @property
+    def passed(self) -> bool:
+        return (self.sum_outside_lattice and self.inputs_are_flats
+                and self.sum_matches_expected is not False)
+
+    @property
+    def message(self) -> str:
+        """Each failed check, or "ok"."""
+        parts = []
+        if not self.inputs_are_flats:
+            parts.append("X or Y is not a lattice element")
+        if self.sum_matches_expected is False:
+            parts.append(f"sum {self.total!r} differs from expected {self.expected!r}")
+        if not self.sum_outside_lattice:
+            parts.append(f"sum {self.total!r} lies in the lattice")
+        return "; ".join(parts) if parts else "ok"
 
 
 def replay_witness(arr: Arrangement, x_forms: list[LinearForm],
@@ -618,14 +658,4 @@ def replay_witness(arr: Arrangement, x_forms: list[LinearForm],
         expected = subspace_from_forms([expected_form], arr.ambient, arr.order)
         matches = (total == expected)
     outside = closure(arr, total).subspace != total
-    passed = outside and inputs_ok and (matches is not False)
-    parts = []
-    if not inputs_ok:
-        parts.append("X or Y is not a lattice element")
-    if matches is False:
-        parts.append(f"sum {total!r} differs from expected {expected!r}")
-    if not outside:
-        parts.append(f"sum {total!r} lies in the lattice")
-    message = "; ".join(parts) if parts else "ok"
-    return WitnessReplay(passed, x, y, total, expected, matches, outside,
-                         inputs_ok, message)
+    return WitnessReplay(x, y, total, expected, matches, outside, inputs_ok)

@@ -10,11 +10,13 @@ The rows are plain data so coverage is auditable by reading this table.
 
 ``LatticeStore`` makes each arrangement's lattice once, by the commands'
 ``load_or_build``, and its certificate once, by ``is_supersolvable`` on that
-lattice; ``max_flats`` bounds the lattice and reaches no analysis call.
-Both rank-2 kinds read the rank-2 flats of the certificate's lattice with
-``modular_flats_of_rank``, which keeps its verdicts on the lattice: each
-rank-2 flat is tested once per arrangement, by the chain search or by the
-first rank-2 claim, whichever reaches it first.
+lattice, when a claim first asks for it; ``max_flats`` bounds the lattice
+and reaches no analysis call.  Both rank-2 kinds read the rank-2 flats of
+the stored lattice with ``modular_flats_of_rank``, which keeps its verdicts
+on the lattice: each rank-2 flat is tested once per arrangement, by the
+chain search or by the first rank-2 claim, whichever reaches it first.  A
+rank2-empty claim reads the lattice alone and makes no certificate; the
+rank2-criterion and classification claims read the certificate.
 
 The two G(r,r,4) rows instantiate a single published equation for r = 3 and
 r = 4, hence they share an equation id.
@@ -153,8 +155,7 @@ def run_witness_claim(claim: WitnessClaim, store: LatticeStore) -> ClaimResult:
 
 def run_rank2_empty_claim(name: str, store: LatticeStore) -> ClaimResult:
     t0 = time.perf_counter()
-    cert = store.certificate(name)
-    verdicts = modular_flats_of_rank(cert.lattice, 2, store.threads)
+    verdicts = modular_flats_of_rank(store.lattice(name), 2, store.threads)
     flats, modular = len(verdicts), sum(v.modular for v in verdicts)
     if not modular:
         # the rank-2 verdicts are this claim's evidence; each is certified

@@ -23,6 +23,7 @@ from hyparr.linalg import subspace_from_forms, subspace_sum
 from hyparr.parse import parse_arrangement_text, parse_form
 from hyparr.reflection import (build_named, catalog, exceptional_arrangement,
                                monomial_arrangement)
+from hyparr.report import flat_payload, rank2_payload
 from tests.conftest import contains, random_arrangement
 
 PRODUCT_PAIRS = (("G(3,1,3)", "A(3)"), ("B3", "B3"), ("G(3,3,3)", "A(3)"),
@@ -217,7 +218,8 @@ def full_scan_search(lattice):
     mods = {k: [v.flat for v in scans[k] if v.modular] for k in scans}
     for k in range(2, r):
         if not mods[k]:
-            witnesses = [(v.flat.support, v.partner.support, v.meet.support) for v in scans[k]]
+            witnesses = [(v.flat.support, v.partner.support) for v in scans[k]]
+            assert all(x & y == 0 for x, y in witnesses)
             return False, ("empty-rank", k, witnesses)
 
     def extend(current, k, acc):
@@ -247,8 +249,8 @@ def search_outcome(cert):
         return True, [f.support for f in cert.chain]
     ref = cert.refutation
     if ref.kind == "empty-rank":
-        witnesses = [(v.flat.support, v.partner.support, v.meet.support)
-                     for v in ref.witnesses]
+        witnesses = [(v.flat.support, v.partner.support) for v in ref.witnesses]
+        assert all(x & y == 0 for x, y in witnesses)
         return False, ("empty-rank", ref.rank, witnesses)
     return False, ("no-chain", ref.modular_counts)
 
@@ -533,11 +535,20 @@ class TestRank2Criterion:
     def test_supersolvable_side(self):
         rep = check_rank2_criterion(is_supersolvable(build_lattice(monomial_arrangement(3, 1, 3))))
         assert rep.agree and rep.supersolvable and rep.modular_rank2_count > 0
+        # the payload reads the count and the agreement off the flats
+        lattice = build_lattice(monomial_arrangement(3, 1, 3))
+        mods = [v.flat for v in modular_flats_of_rank(lattice, 2) if v.modular]
+        assert rank2_payload(rep) == {"supersolvable": True, "modular_rank2_count": len(mods),
+                                      "agree": True,
+                                      "modular_rank2": [flat_payload(f) for f in mods]}
 
     def test_refuted_side(self):
         cert = is_supersolvable(build_lattice(exceptional_arrangement("G25")))
         rep = check_rank2_criterion(cert)
         assert rep.agree and not rep.supersolvable and rep.modular_rank2_count == 0
+        d4 = check_rank2_criterion(is_supersolvable(build_lattice(build_named("D4"))))
+        assert rank2_payload(d4) == {"supersolvable": False, "modular_rank2_count": 0,
+                                     "agree": True, "modular_rank2": []}
 
     def test_reducible_refused(self):
         pr = product(monomial_arrangement(2, 1, 3), monomial_arrangement(3, 3, 3))
@@ -597,7 +608,7 @@ class TestNoChainRefutation:
         counts = {0: 1, 1: len(cert.lattice.levels[1]), 4: 1}
         for k in (2, 3):
             counts[k] = sum(v.modular for v in modular_flats_of_rank(cert.lattice, k))
-        forged = dataclasses.replace(cert, verdict=False, chain=None,
+        forged = dataclasses.replace(cert, chain=None,
                                      refutation=Refutation("no-chain", modular_counts=counts))
         assert not validate_certificate(forged)
 
@@ -614,7 +625,7 @@ class TestForgedEvidence:
 
     @staticmethod
     def refuted(cert, witnesses):
-        return dataclasses.replace(cert, verdict=False, chain=None, refutation=Refutation(
+        return dataclasses.replace(cert, chain=None, refutation=Refutation(
             "empty-rank", rank=2, witnesses=witnesses))
 
     @staticmethod
@@ -639,7 +650,7 @@ class TestForgedEvidence:
                 y = Flat(line, lattice.levels[2][0].support, 2)
                 both = subspace_sum(v.flat.subspace, line)
                 assert closure(cert.lattice.arrangement, both).subspace != both
-                v = ModularityVerdict(v.flat, False, y, lattice.meet(v.flat, y))
+                v = ModularityVerdict(v.flat, y)
             forged.append(v)
         assert not validate_certificate(self.refuted(cert, forged))
 
@@ -654,7 +665,7 @@ class TestForgedEvidence:
                          if f.support & x.support not in (x.support, f.support))
                 both = subspace_sum(line, y.subspace)
                 assert closure(cert.lattice.arrangement, both).subspace != both
-                v = ModularityVerdict(x, False, y, lattice.meet(x, y))
+                v = ModularityVerdict(x, y)
             forged.append(v)
         assert not validate_certificate(self.refuted(cert, forged))
 
@@ -678,7 +689,7 @@ class TestForgedEvidence:
         for support in (0b111, 0b11001, 0b101010, 0b110000):
             assert lattice.index[support].rank == 2
         chain = [lattice.bottom(), lattice.index[0b1], lattice.index[0b111], lattice.top()]
-        forged = SupersolvabilityCertificate(True, lattice, False, chain)
+        forged = SupersolvabilityCertificate(lattice, chain)
         assert not validate_certificate(forged)
 
     def test_chain_skipping_a_rank_rejected(self, cert):
@@ -707,11 +718,16 @@ class TestForgedEvidence:
         assert not validate_certificate(dataclasses.replace(d4, refutation=ref))
 
     def test_witness_whose_sum_is_a_flat_rejected(self, d4):
-        # the bottom as partner: X + V is V, the bottom flat itself
-        first, *rest = d4.refutation.witnesses
-        swapped = ModularityVerdict(first.flat, False, d4.lattice.bottom(), d4.lattice.bottom())
-        ref = dataclasses.replace(d4.refutation, witnesses=[swapped, *rest])
-        assert not validate_certificate(dataclasses.replace(d4, refutation=ref))
+        # the bottom as partner: X + V is V, the bottom flat itself; and, for
+        # X on hyperplanes 0 and 1 (a - b, a + b), the flat on 0, 2 and 6
+        # (a - b, a - c, b - c), which also holds a - b: X + Y is ker(a - b)
+        lattice, witnesses = d4.lattice, d4.refutation.witnesses
+        k = next(i for i, v in enumerate(witnesses) if v.flat.support == 0b11)
+        for partner in (lattice.bottom(), lattice.index[1 << 0 | 1 << 2 | 1 << 6]):
+            forged = list(witnesses)
+            forged[k] = ModularityVerdict(witnesses[k].flat, partner)
+            ref = dataclasses.replace(d4.refutation, witnesses=forged)
+            assert not validate_certificate(dataclasses.replace(d4, refutation=ref))
 
     def test_unknown_kind_rejected(self, d4):
         ref = dataclasses.replace(d4.refutation, kind="no-such-kind")
@@ -722,7 +738,7 @@ class TestForgedEvidence:
         # is refused before any rescan
         cert = is_supersolvable(build_lattice(build_named("G(3,3,2)")))
         assert cert.verdict and cert.lattice.rank() == 2
-        forged = dataclasses.replace(cert, verdict=False, chain=None, refutation=Refutation(
+        forged = dataclasses.replace(cert, chain=None, refutation=Refutation(
             "no-chain", modular_counts={0: 1, 1: len(cert.lattice.levels[1]), 2: 1}))
         assert not validate_certificate(forged)
 

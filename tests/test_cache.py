@@ -413,8 +413,9 @@ def shuffled_file(tmp_path, name: str, seed: int) -> str:
 
 
 def _rank2_verdicts(lattice, threads):
-    return [(v.flat.support, v.modular, v.partner and v.partner.support,
-             v.meet and v.meet.support) for v in modular_flats_of_rank(lattice, 2, threads)]
+    verdicts = modular_flats_of_rank(lattice, 2, threads)
+    assert all(v.modular or v.flat.support & v.partner.support == 0 for v in verdicts)
+    return [(v.flat.support, v.modular, v.partner and v.partner.support) for v in verdicts]
 
 
 class TestSupportsOnly:

@@ -32,7 +32,7 @@ def test_catalog_names_and_claim_ids_unique(monkeypatch):
 
 def test_rank2_claims_share_one_scan(monkeypatch):
     calls = []
-    original = hyparr.analysis.is_modular
+    original, original_search = hyparr.analysis.is_modular, claims.is_supersolvable
 
     def counting(lattice, x):
         calls.append(x)
@@ -49,6 +49,17 @@ def test_rank2_claims_share_one_scan(monkeypatch):
     cert = store.certificate("D4")
     check_rank2_criterion(cert)
     assert calls == []
+
+    # the rank2-empty claims read the lattices alone: no certificate is made
+    searches = []
+
+    def searching(*args):
+        searches.append(args)
+        return original_search(*args)
+
+    monkeypatch.setattr(claims, "is_supersolvable", searching)
+    assert all(r.passed for r in run_claims("rank2", LatticeStore()))
+    assert searches == []
 
 
 def test_rank2_empty_claim_fails_on_a_modular_flat():

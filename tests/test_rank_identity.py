@@ -229,21 +229,37 @@ def test_read_witnesses_satisfy_the_closure_definition():
                 assert total == subspace_sum(x.subspace, y.subspace)
                 check = closure(arr, total)
                 assert check.subspace != total
-                assert check.support == x.support & y.support == verdict.meet.support
+                assert check.support == x.support & y.support == 0
 
 
 def test_certify_rejects_a_pair_whose_sum_is_a_flat(monkeypatch):
     sums = _counted(monkeypatch, hyparr.analysis, "subspace_sum")
+    growths = _counted(monkeypatch, hyparr.analysis, "extend_by_rows")
     d4 = build_named("D4")
     lattice = build_lattice(d4)
     x = lattice.levels[2][0]
     y = next(f for f in lattice.levels[1] if f.support & x.support == f.support)
-    wrong = ModularityVerdict(x, False, y, lattice.meet(x, y))
-    with pytest.raises(InternalInconsistencyError):
-        wrong.certify()
-    assert not sums  # the stacked rank alone refutes the forged verdict
-    with pytest.raises(InternalInconsistencyError):
-        wrong.witness
+    # ker(a - b) ^ ker(a + b) with ker(a - b) ^ ker(a - c) ^ ker(b - c):
+    # both hold a - b, and the sum is ker(a - b), a flat
+    line = lattice.index[0b11]
+    shared = lattice.index[1 << 0 | 1 << 2 | 1 << 6]
+    assert (line.rank, shared.rank) == (2, 2)
+    assert closure(d4, subspace_sum(line.subspace, shared.subspace)).rank == 1
+    # a complement that passes: x v spanning is the top, so the sum is the
+    # whole space, the bottom flat
+    spanning = next(f for f in lattice.levels[2]
+                    if not f.support & x.support and lattice.join(x, f) == lattice.top())
+    for flat, partner, grown in ((x, y, 0), (line, shared, 0), (x, spanning, 1)):
+        growths.clear()
+        wrong = ModularityVerdict(flat, partner)
+        with pytest.raises(InternalInconsistencyError):
+            wrong.certify()
+        # the supports alone refute a partner that is not a complement, the
+        # stacked rank a complement whose sum is the whole space
+        assert len(growths) == grown and not sums
+        with pytest.raises(InternalInconsistencyError):
+            wrong.witness
+        assert not sums
 
 
 def _skip_lattices(tmp_path):
@@ -278,23 +294,27 @@ def test_first_failing_partners_are_complements(tmp_path):
                 if not verdict.modular:
                     failures += 1
                     assert not verdict.partner.support & verdict.flat.support, (label, k)
-                    assert verdict.meet == lattice.bottom(), (label, k)
+                    assert lattice.meet(verdict.flat, verdict.partner) == lattice.bottom(), \
+                        (label, k)
     assert failures
 
 
 def _full_order_scan(lattice, x):
     """Modularity of x against every flat, in flat order, with the cover walk
-    as the join: (modular, support of the first failing Y, of its meet)."""
+    as the join: (modular, support of the first failing Y, of its meet).  The
+    meet is the bottom: the first failing flat is a complement of x."""
     for y in lattice.flats():
         member, meet = lattice.sum_membership(x, y)
         if not member:
+            assert meet == lattice.bottom(), (x, y)
             return False, y.support, meet.support
     return True, None, None
 
 
 def _scanned(lattice, x):
     v = is_modular(lattice, x)
-    return v.modular, v.partner and v.partner.support, v.meet and v.meet.support
+    return v.modular, v.partner and v.partner.support, \
+        v.partner and v.flat.support & v.partner.support
 
 
 def _random_lattices(count, seed=11):
@@ -359,9 +379,11 @@ def test_threads_on_a_fresh_g31_lattice(tmp_path):
     finally:
         sys.setswitchinterval(interval)
     runs = [[(v.flat.support, v.modular, v.partner and v.partner.support,
-              v.meet and v.meet.support) for v in verdicts] for verdicts in runs]
+              v.partner and v.flat.support & v.partner.support) for v in verdicts]
+            for verdicts in runs]
     assert runs[0] == runs[1]
     assert len(runs[0]) == 710 and not any(modular for _, modular, _, _ in runs[0])
+    assert all(common == 0 for _, _, _, common in runs[0])
 
 
 def test_always_modular_ranks_match_a_full_order_scan(monkeypatch):
@@ -405,9 +427,11 @@ def test_a_rank_three_failure_behind_passing_lines():
 def test_stacked_rank_gives_the_sum_dimension(name, store):
     witnesses = store.certificate(name).refutation.witnesses
     assert witnesses
+    ambient = store.arrangement(name).ambient
     for verdict in witnesses:
+        assert verdict.flat.support & verdict.partner.support == 0
         total = subspace_sum(verdict.flat.subspace, verdict.partner.subspace)
-        assert verdict.certify() == total.dim < verdict.meet.dim
+        assert verdict.certify() == total.dim < ambient
 
 
 def test_rank2_empty_claim_builds_no_sum(monkeypatch):
@@ -440,7 +464,7 @@ def test_validator_ignores_a_lying_scan(monkeypatch):
     for level in lattice.levels[1:]:
         chain.append(next(f for f in level
                           if f.support & chain[-1].support == chain[-1].support))
-    forged = dataclasses.replace(cert, verdict=True, chain=chain, refutation=None)
+    forged = dataclasses.replace(cert, chain=chain, refutation=None)
     genuine = is_supersolvable(build_lattice(build_named("A(3)")))
     assert genuine.verdict
     assert not is_modular(lattice, chain[2]).modular
