@@ -8,14 +8,15 @@ verification suite.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .analysis import (ModularityVerdict, PoincarePolynomial, Rank2Report,
                        SupersolvabilityCertificate, check_rank2_criterion,
                        checked_exponents, exponents_from_poincare, irreducible_factor_count,
                        is_modular, is_supersolvable, mobius, modular_flats_of_rank, poincare,
                        replay_witness, validate_certificate)
-from .arrangement import (Arrangement, Flat, IntersectionLattice, build_lattice,
-                          brute_force_lattice, closure, deletion, essentialize,
-                          irreducible_decomposition, lattice_of, localization,
+from .arrangement import (Arrangement, Flat, IntersectionLattice, build_lattice, closure,
+                          essentialize, irreducible_decomposition, lattice_of,
                           make_arrangement, product, restriction)
 from .cyclo import CyclotomicNumber, cyclotomic_polynomial, embed, root_of_unity
 from .errors import (HyparrError, InternalInconsistencyError, InvalidHyperplaneError,
@@ -31,4 +32,7 @@ def kernel_backend() -> str:
     return "python"
 
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names bound above; importing them binds their submodules too
+# (``analysis``, ``parse``, ...), which are left out
+__all__ = [name for name, value in sorted(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

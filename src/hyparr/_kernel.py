@@ -6,9 +6,11 @@ and witness certificate.  Callers look these functions up on the module at
 call time (``_kernel.reduce(...)``), so they can be wrapped or counted there.
 ``reduce``, ``monic`` and ``lead_column`` are the one pivot-clearing loop,
 scaling to leading coefficient 1 and search for the leading entry.  ``rref``
-and ``rank`` keep their own full elimination as the tests' independent
-references, and run time never calls them: every RREF outside the tests
-grows one residue at a time (``linalg.extend_by_rows``).
+and ``rank`` keep their own full elimination.  Only the tests call
+``rref``, as an independent reference: every RREF outside them grows one
+residue at a time (``linalg.extend_by_rows``).  ``rank`` has one library
+caller, ``analysis.validate_certificate``, which re-checks modularity by
+stacked ranks.
 ``mul_matrix`` and ``mul_apply`` are the one multiplication: every product
 of field elements (``elem_mul``, ``elem_inv``, ``eliminate``, ``monic``,
 ``rref``, ``rank``) builds the integer matrix of its multiplier, cached per

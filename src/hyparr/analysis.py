@@ -57,8 +57,10 @@ exploration order is that of a search over the full scan, so the chain and
 the refutation are the same as after one.  Verdicts are kept on the
 lattice, so each flat is tested once per lattice.
 
-The Poincare polynomial sums the Moebius function, which ``mobius`` reads
-off the same incidence table, one pass per rank.  A supersolvable
+The Poincare polynomial sums the Moebius function per rank, which
+``_mobius_levels`` reads off the same incidence table, one pass per rank
+(``mobius`` holds the same values by flat); a product's polynomial is the
+product of ``poincare`` on each factor lattice.  A supersolvable
 certificate's chain also gives the exponents, which must agree with the
 factorization of the polynomial (``checked_exponents``), and the
 polynomial's root -1 counts the
@@ -181,9 +183,6 @@ class PoincarePolynomial:
     """Integer coefficients, ascending; constant term 1, degree = rank."""
 
     coefficients: tuple[int, ...]
-
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
 
     def __str__(self):
         return elem_str(self.coefficients, 1, "t")
@@ -493,11 +492,12 @@ def poincare(arr: Arrangement, lattice: IntersectionLattice) -> PoincarePolynomi
 
     A lattice with factors (``IntersectionLattice.factors``) is not walked:
     the polynomial of a product is the product of its factors' polynomials
-    (Orlik-Terao, Lemma 2.50), each from ``mobius`` on its factor lattice,
-    so the product's mask tables are not built.  Either way the constant
-    term must be 1, every coefficient positive, and the linear coefficient
-    the number of hyperplanes, the lattice's rank-1 flats.  ``arr``, the
-    lattice's arrangement, is not read."""
+    (Orlik-Terao, Lemma 2.50), each from ``poincare`` on its factor
+    lattice, so the product's mask tables are not built; any other lattice
+    sums its Moebius values per rank (``_mobius_levels``).  Either way the
+    constant term must be 1, every coefficient positive, and the linear
+    coefficient the number of hyperplanes, the lattice's rank-1 flats.
+    ``arr``, the lattice's arrangement, is not read."""
     if lattice.factors:
         coeffs = [1]
         for factor in lattice.factors:

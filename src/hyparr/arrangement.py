@@ -159,26 +159,26 @@ class Flat:
 
     A flat of a simple arrangement is fixed by its support.  Its canonical
     RREF subspace is made eagerly for the bottom of a lattice and for the
-    flats of ``closure`` and of the all-subsets oracle.  Every other flat
-    defers it (``Flat.extending``): it holds a parent flat one or more ranks
-    below, with the residue modulo the parent's subspace of a hyperplane
-    that cuts the flat out of it, or the arrangement's hyperplanes and a
-    mask of those that do, each in a slot of its own.  A flat
-    ``build_lattice`` enters holds the flat it covers with that residue, or
-    the one hyperplane's bit where the build compared no residue; a rank-1
-    flat holds the bottom and its hyperplane's normalized row, and a flat
-    made on the first read of the flats of a lattice made from supports (a
-    cache load, a product's assembly) the bottom and its support.  Every
-    flat of a lattice shares the arrangement's tuple of hyperplanes, and
-    picks their rows only when it is read.  The first read of ``subspace``
-    reads the parent's first, which extends the parent if nothing has read
-    it yet, so a read goes at most the rank deep; it then extends that
-    subspace by the residue (``extend_rref``), or else by the rows of the
-    masked hyperplanes (``extend_by_rows``), and checks that the result has
-    the flat's rank.  A deferred flat then keeps the subspace, and keeps its
-    sources, so workers reading it at once only derive an equal subspace
-    more than once.  The hash reads the support only, so sets and dicts of
-    flats derive nothing; equality compares supports, then subspaces.
+    flats of ``closure``.  Every other flat defers it (``Flat.extending``):
+    it holds a parent flat one or more ranks below, with the residue modulo
+    the parent's subspace of a hyperplane that cuts the flat out of it, or
+    the arrangement's hyperplanes and a mask of those that do, each in a
+    slot of its own.  A flat ``build_lattice`` enters holds the flat it
+    covers with that residue, or the one hyperplane's bit where the build
+    compared no residue; a rank-1 flat holds the bottom and its hyperplane's
+    normalized row, and a flat made on the first read of the flats of a
+    lattice made from supports (a cache load, a product's assembly) the
+    bottom and its support.  Every flat of a lattice shares the arrangement's
+    tuple of hyperplanes, and picks their rows only when it is read.  The
+    first read of ``subspace`` reads the parent's first, which extends the
+    parent if nothing has read it yet, so a read goes at most the rank deep;
+    it then extends that subspace by the residue (``extend_rref``), or else
+    by the rows of the masked hyperplanes (``extend_by_rows``), and checks
+    that the result has the flat's rank.  A deferred flat then keeps the
+    subspace, and keeps its sources, so workers reading it at once only
+    derive an equal subspace more than once.  The hash reads the support
+    only, so sets and dicts of flats derive nothing; equality compares
+    supports, then subspaces.
     """
 
     __slots__ = ("_subspace", "support", "rank", "_parent", "_residue", "_rows", "_mask")
@@ -858,50 +858,6 @@ def lattice_of(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS, threads: in
     return lattice
 
 
-def brute_force_lattice(arr: Arrangement) -> IntersectionLattice:
-    """All-subsets oracle: intersect every subset of hyperplanes, deduplicate.
-
-    Exponential in the number of hyperplanes; kept as an independent test
-    oracle for build_lattice, not for production use.
-    """
-    n = len(arr.hyperplanes)
-    if n > 22:
-        raise RefusalError("the all-subsets oracle is limited to 22 hyperplanes")
-    ctx = field_context(arr.order)
-    by_sub: dict[Subspace, int] = {}
-    by_sub[full_space(arr.ambient, arr.order)] = 0
-    for mask in range(1, 1 << n):
-        rows = [arr.hyperplanes[i].row for i in range(n) if mask & (1 << i)]
-        sub = Subspace(arr.ambient, arr.order,
-                       *_kernel.rref(rows, arr.ambient, ctx.degree, ctx.red))
-        by_sub[sub] = by_sub.get(sub, 0) | mask
-    ranks: dict[int, dict[int, Flat]] = {}
-    for sub, bits in by_sub.items():
-        flat = Flat(sub, bits, sub.codim)
-        ranks.setdefault(sub.codim, {})[bits] = flat
-    levels = []
-    for k in range(max(ranks) + 1):
-        level = ranks.get(k, {})
-        levels.append(tuple(level[s] for s in sorted(level)))
-    return IntersectionLattice.of_flats(arr, tuple(levels))
-
-
-def localization(arr: Arrangement, x: Flat) -> Arrangement:
-    """The subarrangement of hyperplanes containing x, in the ambient space."""
-    check = closure(arr, x.subspace)
-    if check.subspace != x.subspace or check.support != x.support:
-        raise ValueError("localization requires a flat of this arrangement")
-    forms = [arr.hyperplanes[i] for i in x.hyperplane_indices()]
-    return Arrangement(arr.ambient, arr.order, tuple(forms))
-
-
-def deletion(arr: Arrangement, h: int) -> Arrangement:
-    if not 0 <= h < len(arr.hyperplanes):
-        raise IndexError(f"hyperplane index {h} out of range")
-    forms = arr.hyperplanes[:h] + arr.hyperplanes[h + 1:]
-    return Arrangement(arr.ambient, arr.order, forms)
-
-
 def restriction(arr: Arrangement, h: int) -> Arrangement:
     """The arrangement {H' .cap. H} inside the hyperplane H, in l-1 coordinates.
 
@@ -960,10 +916,16 @@ def essentialize(arr: Arrangement) -> Arrangement:
     center = arr.center()
     if center.codim == arr.ambient:
         return arr
+    return _on_columns(arr, center.pivots)
+
+
+def _on_columns(arr: Arrangement, columns: tuple[int, ...]) -> Arrangement:
+    """``arr`` on ``columns``, the pivots of its center's RREF (the top of
+    its lattice has that RREF): every hyperplane row restricted to them."""
     d = field_context(arr.order).degree
-    forms = [LinearForm(center.codim, arr.order, restrict_row(h.row, center.pivots, d))
+    forms = [LinearForm(len(columns), arr.order, restrict_row(h.row, columns, d))
              for h in arr.hyperplanes]
-    return make_arrangement(center.codim, arr.order, forms)
+    return make_arrangement(len(columns), arr.order, forms)
 
 
 def irreducible_decomposition(arr: Arrangement) -> list[Arrangement]:

@@ -58,10 +58,6 @@ def _key(described: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def arrangement_key(arr: Arrangement) -> str:
-    return _key(arrangement_payload(arr))
-
-
 def _width(arr: Arrangement) -> int:
     """Bytes per support: one 64-bit word per 64 hyperplanes, at least one."""
     return 8 * max(1, -(-len(arr) // 64))

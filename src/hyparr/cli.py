@@ -85,7 +85,7 @@ def resolve_spec(spec: str, nesting: int = 0) -> tuple[str, Arrangement]:
 
 
 def _positive_count(text: str) -> int:
-    if not text.isdigit() or int(text) < 1:
+    if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a whole number of at least 1, got {text!r}")
     return int(text)
 

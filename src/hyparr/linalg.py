@@ -8,14 +8,15 @@ basis-conversion cost instead.  Row operations run the kernel's one
 implementation of each: ``_kernel.reduce`` under ``form_residue`` and
 ``form_vanishes_on``, ``_kernel.monic`` under ``form_residue`` and
 ``LinearForm.normalized``.  Every RREF grows one row's residue at a time
-(``extend_by_rows``); the kernel's full eliminations ``_kernel.rref`` and
-``_kernel.rank`` are left to the tests as independent references.
+(``extend_by_rows``); the kernel's full elimination ``_kernel.rref`` is
+left to the tests as an independent reference, and ``_kernel.rank`` to
+``analysis.validate_certificate``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from math import gcd, prod
+from math import gcd
 
 from . import _kernel
 from .cyclo import CyclotomicNumber, elem_str, field_context, rational_str
@@ -56,30 +57,8 @@ class LinearForm:
         self.order = order
         self.row = row
 
-    @staticmethod
-    def from_coefficients(coeffs, order: int | None = None) -> LinearForm:
-        coeffs = list(coeffs)
-        if order is None:
-            order = coeffs[0].order
-        coeffs = [c if isinstance(c, CyclotomicNumber)
-                  else CyclotomicNumber.from_rational(c, order) for c in coeffs]
-        if any(c.order != order for c in coeffs):
-            raise ValueError("coefficients must share the field order")
-        den = prod(c.den for c in coeffs)
-        row = _kernel.elem_norm([v * (den // c.den) for c in coeffs for v in c.nums], den)
-        form = LinearForm(len(coeffs), order, row)
-        if form.is_zero():
-            raise ValueError("a linear form must have a nonzero coefficient")
-        return form.normalized()
-
     def is_zero(self) -> bool:
         return not any(self.row[0])
-
-    def leading_index(self) -> int:
-        q = _kernel.lead_column(self.row[0], field_context(self.order).degree)
-        if q is None:
-            raise ValueError("zero form has no leading coefficient")
-        return q
 
     def normalized(self) -> LinearForm:
         """The form scaled to leading coefficient 1 in canonical form: the

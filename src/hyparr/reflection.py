@@ -192,9 +192,6 @@ class CatalogEntry:
     rank: int
     coexponents: tuple[int, ...]
 
-    def build(self) -> Arrangement:
-        return build_named(self.name)
-
     def poincare_coefficients(self) -> list[int]:
         """prod(1 + b_i t) over the coexponents, ascending."""
         out = [1]

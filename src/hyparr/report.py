@@ -16,7 +16,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 
 from .analysis import (ModularityVerdict, PoincarePolynomial, Rank2Report,
                        SupersolvabilityCertificate)
-from .arrangement import Arrangement, Flat, IntersectionLattice, essentialize
+from .arrangement import Arrangement, Flat, IntersectionLattice, _on_columns
 from .cyclo import field_context, int_str, ints_str, rational_str
 from .linalg import LinearForm, Subspace, form_to_str, restrict_subspace
 
@@ -87,7 +87,9 @@ def verdict_payload(v: ModularityVerdict, columns: tuple[int, ...] | None = None
 
 def certificate_payload(cert: SupersolvabilityCertificate) -> dict:
     """The certificate; for a non-essential arrangement, its flats and witness
-    sums contain the center (the top), so they print on its pivot columns."""
+    sums contain the center (the top), so they print on its pivot columns,
+    and so does the essential arrangement, with no second reduction of the
+    center (``essentialize`` on the top's pivots)."""
     out: dict = {
         "supersolvable": cert.verdict,
         "essentialized": cert.essentialized,
@@ -95,9 +97,9 @@ def certificate_payload(cert: SupersolvabilityCertificate) -> dict:
     }
     columns = None
     if cert.essentialized:
-        out["essential_arrangement"] = arrangement_payload(
-            essentialize(cert.lattice.arrangement), cert.lattice.rank())
         columns = cert.lattice.top().subspace.pivots
+        out["essential_arrangement"] = arrangement_payload(
+            _on_columns(cert.lattice.arrangement, columns), cert.lattice.rank())
     if cert.chain is not None:
         out["chain"] = [flat_payload(f, columns) for f in cert.chain]
     if cert.refutation is not None:

@@ -1,17 +1,19 @@
-"""Shared fixtures: a session-wide lattice store and seeded random generators."""
+"""Shared fixtures: a session-wide lattice store, seeded random generators,
+and the independent references the tests check the library against."""
 
 from __future__ import annotations
 
 import random
+from math import prod
 
 import pytest
 
 from hyparr import _kernel
-from hyparr.arrangement import Arrangement, IntersectionLattice, make_arrangement
+from hyparr.arrangement import Arrangement, Flat, IntersectionLattice, make_arrangement
 from hyparr.cache import arrangement_payload
 from hyparr.claims import LatticeStore
-from hyparr.cyclo import CyclotomicNumber, field_context, root_of_unity
-from hyparr.errors import InvalidHyperplaneError
+from hyparr.cyclo import CyclotomicNumber, field_context
+from hyparr.errors import RefusalError
 from hyparr.linalg import (LinearForm, Subspace, _check_compatible, extend_by_rows,
                            subspace_from_forms)
 
@@ -56,6 +58,55 @@ def reference_subspace(arr: Arrangement, support: int) -> Subspace:
     return Subspace(arr.ambient, arr.order, *_kernel.rref(rows, arr.ambient, ctx.degree, ctx.red))
 
 
+def brute_force_lattice(arr: Arrangement) -> IntersectionLattice:
+    """All-subsets oracle: intersect every subset of hyperplanes, deduplicate.
+
+    Exponential in the number of hyperplanes; an independent oracle for
+    ``build_lattice``, whose every subspace comes from ``reference_subspace``.
+    """
+    n = len(arr.hyperplanes)
+    if n > 22:
+        raise RefusalError("the all-subsets oracle is limited to 22 hyperplanes")
+    by_sub: dict[Subspace, int] = {}
+    for mask in range(1 << n):
+        sub = reference_subspace(arr, mask)
+        by_sub[sub] = by_sub.get(sub, 0) | mask
+    ranks: dict[int, dict[int, Flat]] = {}
+    for sub, bits in by_sub.items():
+        ranks.setdefault(sub.codim, {})[bits] = Flat(sub, bits, sub.codim)
+    levels = []
+    for k in range(max(ranks) + 1):
+        level = ranks.get(k, {})
+        levels.append(tuple(level[s] for s in sorted(level)))
+    return IntersectionLattice.of_flats(arr, tuple(levels))
+
+
+def form_from_coefficients(coeffs, order: int | None = None) -> LinearForm:
+    """The normalized form with coefficients ``coeffs``: CyclotomicNumber
+    values, or rationals in the field of ``order``."""
+    coeffs = list(coeffs)
+    if order is None:
+        order = coeffs[0].order
+    coeffs = [c if isinstance(c, CyclotomicNumber)
+              else CyclotomicNumber.from_rational(c, order) for c in coeffs]
+    if any(c.order != order for c in coeffs):
+        raise ValueError("coefficients must share the field order")
+    den = prod(c.den for c in coeffs)
+    row = _kernel.elem_norm([v * (den // c.den) for c in coeffs for v in c.nums], den)
+    form = LinearForm(len(coeffs), order, row)
+    if form.is_zero():
+        raise ValueError("a linear form must have a nonzero coefficient")
+    return form.normalized()
+
+
+def leading_index(form: LinearForm) -> int:
+    """The column of the form's first nonzero coefficient."""
+    q = _kernel.lead_column(form.row[0], field_context(form.order).degree)
+    if q is None:
+        raise ValueError("zero form has no leading coefficient")
+    return q
+
+
 def intersect(x: Subspace, y: Subspace) -> Subspace:
     """Canonical form of the set intersection: x's RREF grown by y's rows."""
     _check_compatible(x, y)
@@ -90,7 +141,7 @@ def random_form(rng: random.Random, ambient: int, order: int,
     while True:
         coeffs = [random_cyclo(rng, order, span) for _ in range(ambient)]
         if any(not c.is_zero() for c in coeffs):
-            return LinearForm.from_coefficients(coeffs, order)
+            return form_from_coefficients(coeffs, order)
 
 
 def random_subspace(rng: random.Random, ambient: int, order: int,
@@ -114,6 +165,6 @@ def random_arrangement(rng: random.Random, ambient: int, order: int,
                           for _ in range(d)]
                 coeffs.append(CyclotomicNumber.from_coords(order, coords))
             if any(not c.is_zero() for c in coeffs):
-                forms.append(LinearForm.from_coefficients(coeffs, order))
+                forms.append(form_from_coefficients(coeffs, order))
                 break
     return make_arrangement(ambient, order, forms)

@@ -3,7 +3,7 @@
 
 It evaluates with ``CyclotomicNumber`` arithmetic over one dense list of
 coefficients per variable, folds the aliases ``a b c d`` into ``x1..x4`` at
-the end and normalizes through ``LinearForm.from_coefficients``.  The
+the end and normalizes through ``conftest.form_from_coefficients``.  The
 tokenizer and the digit check are the library's; only the evaluation is
 kept here.
 """
@@ -14,6 +14,7 @@ from hyparr.cyclo import CyclotomicNumber, root_of_unity
 from hyparr.errors import ParseError
 from hyparr.linalg import LinearForm
 from hyparr.parse import MAX_NESTING, _integer, _tokenize
+from tests.conftest import form_from_coefficients
 
 
 class _Value:
@@ -196,4 +197,4 @@ def reference_coefficients(text: str, ambient: int, order: int) -> list[Cyclotom
 
 
 def reference_parse_form(text: str, ambient: int, order: int) -> LinearForm:
-    return LinearForm.from_coefficients(reference_coefficients(text, ambient, order), order)
+    return form_from_coefficients(reference_coefficients(text, ambient, order), order)

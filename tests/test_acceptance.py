@@ -14,14 +14,14 @@ import time
 from hyparr.analysis import (checked_exponents, exponents_from_poincare,
                              is_modular, is_supersolvable, mobius,
                              modular_flats_of_rank, poincare, validate_certificate)
-from hyparr.arrangement import (brute_force_lattice, build_lattice, closure, product)
+from hyparr.arrangement import build_lattice, closure, product
 from hyparr.claims import RANK2_EMPTY, WITNESS_CLAIMS, run_witness_claim
 from hyparr.cyclo import CyclotomicNumber, field_context
 from hyparr.linalg import subspace_from_forms, subspace_sum
 from hyparr.parse import parse_form
 from hyparr.reflection import build_named, catalog, monomial_arrangement
-from tests.conftest import (contains, intersect, random_arrangement, random_subspace,
-                            v1_lattice_payload)
+from tests.conftest import (brute_force_lattice, contains, intersect, random_arrangement,
+                            random_subspace, v1_lattice_payload)
 from tests.test_analysis import mobius_oracle
 
 

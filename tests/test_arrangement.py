@@ -19,9 +19,8 @@ import hyparr.arrangement
 import hyparr.linalg
 from hyparr import _kernel
 from hyparr.analysis import is_supersolvable, modular_flats_of_rank
-from hyparr.arrangement import (DEFAULT_MAX_FLATS, Arrangement, Flat, brute_force_lattice,
-                                build_lattice, closure, deletion, essentialize,
-                                irreducible_decomposition, lattice_of, localization,
+from hyparr.arrangement import (DEFAULT_MAX_FLATS, Arrangement, Flat, build_lattice, closure,
+                                essentialize, irreducible_decomposition, lattice_of,
                                 make_arrangement, parallel_map, product, restriction)
 from hyparr.cli import resolve_spec
 from hyparr.cyclo import CyclotomicNumber, embed, field_context
@@ -32,7 +31,8 @@ from hyparr.parse import parse_arrangement_text, parse_form
 from hyparr.reflection import (build_named, catalog, exceptional_arrangement,
                                monomial_arrangement)
 from hyparr.report import arrangement_payload, certificate_payload
-from tests.conftest import (D4_MOVED, intersect, random_arrangement, reference_subspace,
+from tests.conftest import (D4_MOVED, brute_force_lattice, form_from_coefficients, intersect,
+                            leading_index, random_arrangement, reference_subspace,
                             v1_lattice_payload)
 
 BOOLEAN3 = "ambient 3 field 1\na\nb\nc\n"
@@ -58,7 +58,7 @@ def reference_restriction(arr, h):
     for i, other in enumerate(arr.hyperplanes):
         if i != h:
             coeffs = other.coefficients()
-            forms.append(LinearForm.from_coefficients(
+            forms.append(form_from_coefficients(
                 [sum((c * v for c, v in zip(coeffs, b)), zero) for b in basis], arr.order))
     return make_arrangement(arr.ambient - 1, arr.order, forms)
 
@@ -69,7 +69,7 @@ def reference_product(a1, a2):
     zero = CyclotomicNumber.zero(order)
 
     def padded(arr, left, right):
-        return [LinearForm.from_coefficients(
+        return [form_from_coefficients(
             [zero] * left + [embed(c, order) for c in f.coefficients()] + [zero] * right,
             order) for f in arr.hyperplanes]
 
@@ -529,7 +529,7 @@ class TestExtendRref:
             for h in arr.hyperplanes:
                 row = h.normalized().row
                 rows, pivots = _kernel.rref([row], arr.ambient, ctx.degree, ctx.red)
-                assert rows == (row,) and pivots == (h.leading_index(),)
+                assert rows == (row,) and pivots == (leading_index(h),)
                 checked += 1
         assert checked == 580
 
@@ -622,36 +622,6 @@ class TestParallelMap:
         assert out.stdout == "False\n"
 
 
-class TestLocalization:
-    def test_at_full_space_is_empty(self):
-        arr = parse_arrangement_text(BOOLEAN3)
-        lattice = build_lattice(arr)
-        assert len(localization(arr, lattice.bottom())) == 0
-
-    def test_at_hyperplane(self):
-        arr = parse_arrangement_text(BOOLEAN3)
-        lattice = build_lattice(arr)
-        for flat in lattice.levels[1]:
-            assert len(localization(arr, flat)) == 1
-
-    def test_monomial_double_zero_flat(self):
-        arr = monomial_arrangement(3, 1, 3)
-        lattice = build_lattice(arr)
-        x2 = subspace_from_forms(forms_of(["x1", "x2"], 3, 3))
-        flat = lattice.index[closure(arr, x2).support]
-        assert flat.subspace == x2
-        local = localization(arr, flat)
-        assert len(local) == 5  # x1, x2, and x1 - z^m x2 for m = 0, 1, 2
-
-    def test_rejects_non_flat(self):
-        d4 = exceptional_arrangement("D4")
-        from hyparr.arrangement import Flat
-
-        hb = subspace_from_forms([parse_form("b", 4, 1)])
-        with pytest.raises(ValueError):
-            localization(d4, Flat(hb, 0, 1))
-
-
 class TestRestrictionDeletion:
     def test_boolean_restriction(self):
         arr = parse_arrangement_text(BOOLEAN3)
@@ -682,14 +652,6 @@ class TestRestrictionDeletion:
         a = parse_form("a - b", 2, 1)
         with pytest.raises(ValueError):
             restriction(Arrangement(2, 1, (a, parse_form("a", 2, 1), a)), 0)
-
-    def test_deletion(self):
-        arr = make_arrangement(2, 1, forms_of(["a"], 2, 1))
-        assert len(deletion(arr, 0)) == 0
-        b2 = monomial_arrangement(2, 1, 2)
-        assert len(deletion(b2, 0)) == 3
-        with pytest.raises(IndexError):
-            deletion(b2, 9)
 
 
 class TestProduct:

@@ -15,7 +15,7 @@ from hyparr.analysis import is_supersolvable, modular_flats_of_rank, poincare
 from hyparr.arrangement import (Arrangement, Flat, IntersectionLattice, _split,
                                 arrangement_to_text, build_lattice,
                                 lattice_of, parallel_map)
-from hyparr.cache import (arrangement_key, cache_path, lattice_from_payload,
+from hyparr.cache import (_key, arrangement_payload, cache_path, lattice_from_payload,
                           lattice_payload, load_lattice, load_or_build, save_lattice)
 from hyparr.claims import RANK2_EMPTY
 from hyparr.cli import main, resolve_spec
@@ -24,6 +24,10 @@ from hyparr.linalg import LinearForm
 from hyparr.parse import parse_arrangement_file
 from hyparr.reflection import build_named, catalog, exceptional_arrangement, monomial_arrangement
 from tests.conftest import v1_lattice_payload
+
+
+def arrangement_key(arr) -> str:
+    return _key(arrangement_payload(arr))
 
 
 def canonical(lattice) -> str:

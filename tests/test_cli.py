@@ -450,6 +450,28 @@ class TestOneRowReduction:
 
 
 class TestMoreSurface:
+    def test_star_import_binds_the_public_names(self):
+        # the package's public names, and no submodule; a name leaves this
+        # set only on purpose
+        import hyparr
+        names = {}
+        exec("from hyparr import *", names)
+        names.pop("__builtins__")
+        assert sorted(names) == sorted(hyparr.__all__) == [
+            "Arrangement", "CatalogEntry", "CyclotomicNumber", "Flat", "HyparrError",
+            "InternalInconsistencyError", "IntersectionLattice", "InvalidHyperplaneError",
+            "LinearForm", "ModularityVerdict", "ParseError", "PoincarePolynomial",
+            "Rank2Report", "RefusalError", "Subspace", "SupersolvabilityCertificate",
+            "build_lattice", "build_named", "catalog", "check_rank2_criterion",
+            "checked_exponents", "closure", "cyclotomic_polynomial", "embed", "essentialize",
+            "exceptional_arrangement", "exponents_from_poincare", "irreducible_decomposition",
+            "irreducible_factor_count", "is_modular", "is_supersolvable", "kernel_backend",
+            "lattice_of", "make_arrangement", "mobius", "modular_flats_of_rank",
+            "monomial_arrangement", "parse_arrangement_file", "parse_arrangement_text",
+            "parse_form", "parse_scalar", "poincare", "product", "replay_witness",
+            "restriction", "root_of_unity", "subspace_from_forms", "subspace_sum",
+            "validate_certificate"]
+
     def test_failing_claim_gives_exit_1(self, capsys, monkeypatch):
         import hyparr.cli as cli
         from hyparr.claims import ClaimResult
@@ -483,12 +505,14 @@ class TestMoreSurface:
                              "modular", "G25", "--rank", "2")
         assert one == four
 
-    @pytest.mark.parametrize("count", ["0", "-4", "two"])
+    # "²" is a digit to str.isdigit but not to int()
+    @pytest.mark.parametrize("count", ["0", "-4", "two", "²"])
     def test_threads_below_one_rejected(self, capsys, count):
         with pytest.raises(SystemExit) as exc:
             main(["--threads", count, "lattice", "G(2,1,2)"])
         assert exc.value.code == EXIT_PARSE_ERROR
-        assert "--threads" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--threads" in err and "at least 1" in err
 
     # a budget below 1 is a usage error, as for --threads, not a refusal
     @pytest.mark.parametrize("budget, command", [("-1", "lattice"), ("0", "poincare")])

@@ -22,8 +22,7 @@ import hyparr._kernel
 import hyparr.analysis
 from hyparr.analysis import (ModularityVerdict, is_modular, is_supersolvable,
                              modular_flats_of_rank, validate_certificate)
-from hyparr.arrangement import (IntersectionLattice, brute_force_lattice, build_lattice,
-                                closure, lattice_of, product)
+from hyparr.arrangement import IntersectionLattice, build_lattice, closure, lattice_of, product
 from hyparr.cache import load_lattice, save_lattice
 from hyparr.claims import LatticeStore, run_rank2_empty_claim
 from hyparr.cli import main
@@ -31,7 +30,7 @@ from hyparr.errors import InternalInconsistencyError
 from hyparr.linalg import subspace_sum
 from hyparr.parse import parse_arrangement_text
 from hyparr.reflection import build_named
-from tests.conftest import intersect, random_arrangement
+from tests.conftest import brute_force_lattice, intersect, random_arrangement
 
 
 def _b2_times_a2():

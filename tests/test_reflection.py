@@ -5,12 +5,11 @@ import re
 import pytest
 
 from hyparr.analysis import poincare
-from hyparr.arrangement import (build_lattice, essentialize, irreducible_decomposition,
-                                make_arrangement)
+from hyparr.arrangement import essentialize, irreducible_decomposition, make_arrangement
 from hyparr.cyclo import CyclotomicNumber, root_of_unity
-from hyparr.linalg import LinearForm
 from hyparr.reflection import (build_named, catalog, catalog_entry,
                                exceptional_arrangement, monomial_arrangement)
+from tests.conftest import form_from_coefficients
 
 EXPECTED_COUNTS = {"D4": 12, "F4": 24, "H3": 15, "G25": 12, "G26": 21,
                    "G29": 40, "G31": 60}
@@ -28,7 +27,7 @@ def monomial_by_coefficients(r, p, ell):
                          else -root_of_unity(order, m))
                 rows.append({i: one, j: minus})
     return make_arrangement(ell, order, [
-        LinearForm.from_coefficients([row.get(c, zero) for c in range(ell)], order)
+        form_from_coefficients([row.get(c, zero) for c in range(ell)], order)
         for row in rows])
 
 
@@ -97,7 +96,7 @@ class TestExceptionalBuilder:
 class TestCatalog:
     def test_expected_counts_match_builders(self):
         for entry in catalog():
-            arr = entry.build()
+            arr = build_named(entry.name)
             assert len(arr) == entry.expected_count, entry.name
             assert arr.ambient == entry.ambient
             assert arr.order == entry.field_order
@@ -110,7 +109,7 @@ class TestCatalog:
 
     def test_every_member_essential_irreducible_after_essentialize(self):
         for entry in catalog():
-            ess = essentialize(entry.build())
+            ess = essentialize(build_named(entry.name))
             assert ess.rank() == ess.ambient
             assert len(irreducible_decomposition(ess)) == 1, entry.name
 

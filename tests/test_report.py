@@ -17,13 +17,14 @@ from hypothesis import given, settings, strategies as st
 
 from hyparr import _kernel
 from hyparr.analysis import is_supersolvable, modular_flats_of_rank
-from hyparr.arrangement import build_lattice, product
+from hyparr.arrangement import build_lattice, essentialize, lattice_of, product
 from hyparr.cyclo import field_context
 from hyparr.linalg import LinearForm, form_to_str, restrict_subspace, variable_names
 from hyparr.reflection import build_named, catalog
 from hyparr.report import (arrangement_payload, certificate_payload, flat_payload,
                            form_payload, lattice_payload, render_human, report_json,
                            subspace_payload, verdict_payload)
+from tests.conftest import leading_index
 
 ORDERS = (1, 3, 4, 5, 12)
 RANDOM_ROWS = 600
@@ -139,7 +140,7 @@ class TestRowRenderer:
             ambient = rng.randint(1, 7)
             row = random_row(rng, ambient, order, kinds)
             form = LinearForm(ambient, order, row)
-            if not form.is_zero() and form.coefficient(form.leading_index()) != 1:
+            if not form.is_zero() and form.coefficient(leading_index(form)) != 1:
                 kinds["non-monic lead"] += 1
             assert_renders_like_reference(form)
         assert all(kinds.values()), kinds
@@ -250,6 +251,28 @@ class TestNoArithmeticInReports:
         with pytest.raises(RuntimeError, match="called while rendering"):
             store.arrangement("D4").rank()  # the patch is live
         assert render() == expected
+
+
+class TestEssentialArrangement:
+    def test_center_is_not_reduced_again(self, monkeypatch):
+        # the essential arrangement of a non-essential certificate is read on
+        # the pivots of the lattice's top, the center's RREF, so the payload
+        # reduces no center of its own: on product(A2,G(3,1,3)) it reduces
+        # 31 residues, where a second reduction of the center made 46
+        import hyparr.arrangement
+        import hyparr.linalg
+
+        lattice = lattice_of(product(build_named("A2"), build_named("G(3,1,3)")))
+        cert = is_supersolvable(lattice)
+        expected = arrangement_payload(essentialize(lattice.arrangement), lattice.rank())
+        calls = []
+        real = hyparr.linalg.form_residue
+        for module in (hyparr.arrangement, hyparr.linalg):
+            monkeypatch.setattr(module, "form_residue",
+                                lambda row, sub: calls.append(row) or real(row, sub))
+        payload = certificate_payload(cert)
+        assert cert.essentialized and payload["essential_arrangement"] == expected
+        assert len(calls) == 31
 
 
 # one call of every CLI command, between them every payload shape: a chain,
