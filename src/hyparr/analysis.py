@@ -13,15 +13,16 @@ failing Y with a larger meet Z has a complement Y' below it that fails too,
 the join of atoms extending a basis of Z to one of Y, and Y' comes first in
 flat order (Brylawski, 1975; ``is_modular``).  So the first failing
 complement is the first failing flat of a scan over every flat, and the
-witnesses are the same.  The scan decides a whole rank of complements at
-once: a rank-r complement Y fails exactly when X v Y has rank below
-r(X) + r, that is when Y lies under some flat of rank r(X) + r - 1 above X,
-and all of them fail once that rank reaches the top.  The lattice's one
-incidence table per rank (``IntersectionLattice.flats_through``), the
-flats above X read off it (``above``) and the lower flats of each flat
-built from it (``flats_under``) turn that into a few ORs and ANDs of
-bitmasks over one level, and the first failing complement is the lowest
-set bit at the lowest rank that has one.
+witnesses are the same.  The scan goes rank by rank: a rank-r complement Y
+fails exactly when X v Y has rank below r(X) + r, that is when Y lies
+under some flat of rank r(X) + r - 1 above X, and all of them fail once
+that rank reaches the top.  Everything is read off the lattice's one
+incidence table per rank (``IntersectionLattice.flats_through``) and the
+flats above X (``above``).  The lines are decided together, by the covers
+of X: a line fails exactly when two of its hyperplanes lie in one cover.
+At a higher rank the complements are walked in flat order, each by an AND
+of its hyperplanes' masks over the flats above X, up to the first that
+fails.
 The bottom, the atoms and the top are modular in every geometric lattice
 and are not scanned.  A verdict holds the flat and, when it fails, its
 first failing complement Y, and nothing else.  ``ModularityVerdict.certify``
@@ -211,15 +212,18 @@ def is_modular(lattice: IntersectionLattice, x: Flat) -> ModularityVerdict:
     A complement Y of rank r passes exactly when r(X v Y) = r(X) + r, so it
     fails exactly when it lies under some flat of rank r(X) + r - 1 above X,
     and every one fails once that rank reaches r(A).  Per rank, the
-    complements are the rank-r flats through none of X's hyperplanes, and
-    the failing ones among them are the OR, over the flats of rank
-    r(X) + r - 1 above X (``above``), of the rank-r flats under each
-    (``flats_through``, ``flats_under``): a few bitmask operations per
-    rank, no flat visited one by one.  The partner is the lowest set bit at
-    the lowest rank that has one.  The complements form an order ideal, so
-    the scan stops, modular, at the first rank without one.  The atoms
-    never fail, since a complement atom does not lie under X, and the scan
-    starts at rank 2.
+    complements are the rank-r flats through none of X's hyperplanes
+    (``flats_through``).  At rank 2 the flats above X are its covers
+    (``above``), which split the hyperplanes off X, and a line fails
+    exactly when two of its hyperplanes lie in one cover: one OR per
+    hyperplane of each cover finds every failing line at once.  At a
+    higher rank below the top, the complements are walked in flat order,
+    each by the AND of the masks of its hyperplanes over the flats above X,
+    stopped once it is 0; the first nonzero one fails.  The partner is the
+    first failing complement at the lowest rank that has one.  The
+    complements form an order ideal, so the scan stops, modular, at the
+    first rank without one.  The atoms never fail, since a complement atom
+    does not lie under X, and the scan starts at rank 2.
 
     The bottom, the atoms and the top are modular in every geometric
     lattice and are not scanned.  A lattice with factor lattices
@@ -245,12 +249,36 @@ def is_modular(lattice: IntersectionLattice, x: Flat) -> ModularityVerdict:
         span = x.rank + r - 1
         if span < top:
             above = lattice.above(x.support, span)
-            under, failing = lattice.flats_under(span, r), 0
-            while above:
-                low = above & -above
-                failing |= under[low.bit_length() - 1]
-                above ^= low
-            complements &= failing
+            if r == 2:
+                # a line fails exactly when two of its hyperplanes lie in
+                # one cover of X; a cover adding one hyperplane holds none
+                covers, failing = lattice.supports[span], 0
+                while above:
+                    low = above & -above
+                    above ^= low
+                    off = covers[low.bit_length() - 1] & ~x.support
+                    if off & (off - 1):
+                        seen = 0
+                        while off:
+                            a = off & -off
+                            off ^= a
+                            t = through[a]
+                            failing |= seen & t
+                            seen |= t
+                complements &= failing
+            else:
+                # the first complement under some rank-``span`` flat above X
+                level, over = lattice.supports[r], lattice.flats_through(span)
+                while complements:
+                    low = complements & -complements
+                    s, mask = level[low.bit_length() - 1], above
+                    while s and mask:
+                        a = s & -s
+                        s ^= a
+                        mask &= over[a]
+                    if mask:
+                        break
+                    complements ^= low
         if complements:
             y = levels[r][(complements & -complements).bit_length() - 1]
             return ModularityVerdict(x, y)

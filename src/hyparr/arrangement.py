@@ -286,7 +286,7 @@ class IntersectionLattice:
     """
 
     __slots__ = ("arrangement", "supports", "factors", "verdicts", "_flats", "_index",
-                 "_through", "_under")
+                 "_through")
 
     def __init__(self, arrangement: Arrangement, supports: tuple[tuple[int, ...], ...]):
         self.arrangement = arrangement
@@ -299,7 +299,6 @@ class IntersectionLattice:
         # a concurrent first read of ``index`` makes an equal dict of the same flats
         self._index: dict[int, Flat] | None = None
         self._through: dict[int, dict[int, int]] = {}
-        self._under: dict[tuple[int, int], tuple[int, ...]] = {}
 
     @classmethod
     def of_flats(cls, arrangement: Arrangement,
@@ -402,28 +401,12 @@ class IntersectionLattice:
             self._through[rank] = table
         return table
 
-    def flats_under(self, rank: int, lower: int) -> tuple[int, ...]:
-        """For each rank-``rank`` flat Z, in flat order, the rank-``lower``
-        flats under Z (``lower < rank``), as a mask over ``levels[lower]``:
-        Z lies over the j-th rank-``lower`` flat W exactly when Z is above
-        W, so bit j is set in every flat of ``above(W, rank)``.  Built on
-        first use, per pair of ranks, as safely from worker threads as
-        ``flats_through``."""
-        table = self._under.get((rank, lower))
-        if table is None:
-            masks = [0] * len(self.supports[rank])
-            for j, w in enumerate(self.supports[lower]):
-                for bit in _bits(self.above(w, rank)):
-                    masks[bit.bit_length() - 1] |= 1 << j
-            table = self._under[(rank, lower)] = tuple(masks)
-        return table
-
     def join(self, x: Flat, y: Flat) -> Flat:
         """Least upper bound of one pair, the flat of the subspace
         intersection: the lowest-rank flat whose support holds both
-        supports, read off ``levels`` alone.  The modular scan decides whole
-        ranks by the mask tables instead; this search reads none of them, so
-        it is the independent check of those masks."""
+        supports, read off ``levels`` alone.  The modular scan reads the
+        incidence masks instead; this search reads none of them, so it is
+        the independent check of those masks."""
         s = x.support | y.support
         return next(f for level in self.levels[max(x.rank, y.rank):] for f in level
                     if f.support & s == s)

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -301,6 +302,22 @@ class TestChainSearch:
         interior = sum(len(level) for level in lattice.levels[2:-1])
         assert cert.verdict and interior > 2000
         assert 3 <= len(tested) == len(set(tested)) < 100
+
+    def test_search_memory_stays_small(self):
+        # the search reads one incidence mask table per rank it touches and
+        # nothing sized by a pair of levels: under 2 MB traced on G(3,1,6)
+        is_supersolvable(build_lattice(build_named("G(3,1,3)")))  # warm-up
+        lattice = build_lattice(build_named("G(3,1,6)"))
+        assert len(lattice) == 12349
+        gc.collect()
+        tracemalloc.start()
+        try:
+            cert = is_supersolvable(lattice)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert.verdict
+        assert peak < 2_000_000, peak
 
     @pytest.mark.parametrize("spec", ["product(B2,D4)", "G(4,1,4)"])
     def test_search_leaves_no_reference_cycle(self, spec):

@@ -1,9 +1,10 @@
 """The modular scan decided by the rank identity over per-rank bitmasks.
 
-The scan decides a whole rank of X's complements Y (X ^ Y = 0) at once: Y
-of rank r fails exactly when it lies under a flat of rank r(X) + r - 1
-above X, read off the lattice's mask tables (``flats_through`` and
-``flats_under``) by a few ORs and ANDs.  No field arithmetic runs in the
+The scan tests X's complements Y (X ^ Y = 0) rank by rank: Y of rank r
+fails exactly when it lies under a flat of rank r(X) + r - 1 above X, read
+off the lattice's one incidence table (``flats_through``) by ORs and ANDs,
+the lines all at once by X's covers and a higher rank by a walk up to its
+first failing complement.  No field arithmetic runs in the
 scan, witnesses are certified only when read, and the certificate
 validator re-checks by linear algebra without touching the mask tables.
 The pairwise cover walk ``join`` is the oracle for the masks, and a scan
@@ -74,24 +75,15 @@ def test_join_walk_matches_subspace_intersection(tmp_path):
             assert lattice.join(x, y).subspace == intersect(x.subspace, y.subspace), label
 
 
-def _failing_complements(lattice, x, r):
-    """The rank-r complements of x that fail the rank identity, as a mask
-    over ``levels[r]``, read off the mask tables as the scan reads them."""
-    meets = 0
-    for a in x.hyperplane_indices():
-        meets |= lattice.flats_through(r)[1 << a]
-    complements = ((1 << len(lattice.levels[r])) - 1) & ~meets
-    span = x.rank + r - 1
-    if span >= lattice.rank():
-        return complements
-    above = -1
-    for a in x.hyperplane_indices():
-        above &= lattice.flats_through(span)[1 << a]
-    failing = 0
-    for i, under in enumerate(lattice.flats_under(span, r)):
-        if above >> i & 1:
-            failing |= under
-    return complements & failing
+def _first_failing_complement(lattice, x):
+    """The first complement Y of x, by rank and then in flat order, with
+    X v Y of rank below r(X) + r(Y) by the cover walk ``join``; None when
+    no complement fails.  Reads no mask table."""
+    for level in lattice.levels[2:]:
+        for y in level:
+            if not y.support & x.support and lattice.join(x, y).rank < x.rank + y.rank:
+                return y
+    return None
 
 
 def test_mask_test_matches_the_cover_walk(tmp_path):
@@ -101,20 +93,16 @@ def test_mask_test_matches_the_cover_walk(tmp_path):
     cases = [("D4", build_lattice(build_named("D4"))),
              ("B2 x A2", build_lattice(_b2_times_a2())),
              ("loaded G(3,3,3)", _loaded(build_named("G(3,3,3)"), tmp_path))]
-    failures = 0
+    failing_ranks = set()
     for label, lattice in cases:
         for x in lattice.flats():
             if not 2 <= x.rank < lattice.rank():
                 continue
-            for r in range(2, lattice.rank() + 1):
-                want = 0
-                for i, y in enumerate(lattice.levels[r]):
-                    if not y.support & x.support and \
-                            lattice.join(x, y).rank < x.rank + y.rank:
-                        want |= 1 << i
-                assert _failing_complements(lattice, x, r) == want, (label, x, r)
-                failures += bool(want)
-    assert failures
+            want = _first_failing_complement(lattice, x)
+            assert is_modular(lattice, x).partner is want, (label, x)
+            if want:
+                failing_ranks.add(want.rank)
+    assert failing_ranks == {2, 3}
 
 
 def test_mask_tables_are_incidence_and_order(tmp_path):
@@ -125,14 +113,6 @@ def test_mask_tables_are_incidence_and_order(tmp_path):
             for a in range(len(lattice.arrangement)):
                 want = sum(1 << i for i, f in enumerate(level) if f.support >> a & 1)
                 assert through.get(1 << a, 0) == want, (label, r, a)
-        for k in range(1, lattice.rank() + 1):
-            for lower in range(k):
-                under = lattice.flats_under(k, lower)
-                assert len(under) == len(levels[k]), label
-                for z, mask in zip(levels[k], under):
-                    want = sum(1 << j for j, w in enumerate(levels[lower])
-                               if w.support & z.support == w.support)
-                    assert mask == want, (label, k, lower)
 
 
 def test_cover_table_is_the_cover_relation(tmp_path):
@@ -354,9 +334,9 @@ def test_every_rank_matches_a_full_order_scan(tmp_path):
 
 
 def test_rank_three_of_a_rank_five_lattice_matches_a_full_order_scan():
-    # a rank-3 flat tests its rank-2 complements under the rank-4 flats
-    # above it, whose masks span two ranks (``flats_under(4, 2)``); B5 has
-    # 10 modular rank-3 flats among 330
+    # a rank-3 flat tests its rank-2 complements against the rank-4 flats
+    # above it, its covers, each line by two of its hyperplanes in one
+    # cover; B5 has 10 modular rank-3 flats among 330
     lattice = build_lattice(build_named("G(2,1,5)"))
     assert lattice.rank() == 5
     verdicts = [_scanned(lattice, x) for x in lattice.levels[3]]
@@ -398,7 +378,6 @@ def test_always_modular_ranks_match_a_full_order_scan(monkeypatch):
         raise AssertionError("a mask table was read")
 
     monkeypatch.setattr(IntersectionLattice, "flats_through", refuse)
-    monkeypatch.setattr(IntersectionLattice, "flats_under", refuse)
     for label, lattice in lattices:
         for k in (0, 1, lattice.rank()):
             for x in lattice.levels[k]:
@@ -410,16 +389,23 @@ def test_a_rank_three_failure_behind_passing_lines():
     # U(4,5) over Q: any four of the five hyperplanes are independent.  For X
     # on hyperplanes 1 and 2, every line among hyperplanes 3, 4 and 5 is a
     # complement with X v Y the top and passes, yet the rank-3 flat on all
-    # three has X v Y the top too, of rank 4 < 2 + 3
-    arr = parse_arrangement_text("ambient 4 field 1\na\nb\nc\nd\na + b + c + d\n")
-    lattice = build_lattice(arr)
-    assert lattice.level_sizes() == [1, 5, 10, 10, 1]
-    bits = [1 << k for k in range(5)]  # hyperplanes keep the source order
-    x = lattice.index[bits[0] | bits[1]]
-    for i, j in combinations(bits[2:], 2):
-        assert lattice.sum_membership(x, lattice.index[i | j])[0]
-    partner = bits[2] | bits[3] | bits[4]
-    assert _scanned(lattice, x) == _full_order_scan(lattice, x) == (False, partner, 0)
+    # three has X v Y the top too, of rank 4 < 2 + 3.  With a sixth
+    # hyperplane x5 off the other five, the lattice has rank 5: the six lines
+    # among hyperplanes 3 to 6 pass, and the same rank-3 flat fails under
+    # a rank-4 flat above X, below the top
+    cases = [("ambient 4 field 1\na\nb\nc\nd\na + b + c + d\n", [1, 5, 10, 10, 1]),
+             ("ambient 5 field 1\nx1\nx2\nx3\nx4\nx1 + x2 + x3 + x4\nx5\n",
+              [1, 6, 15, 20, 11, 1])]
+    for text, sizes in cases:
+        lattice = build_lattice(parse_arrangement_text(text))
+        assert lattice.level_sizes() == sizes
+        # hyperplanes keep the source order
+        bits = [1 << k for k in range(len(lattice.arrangement))]
+        x = lattice.index[bits[0] | bits[1]]
+        for i, j in combinations(bits[2:], 2):
+            assert lattice.sum_membership(x, lattice.index[i | j])[0]
+        partner = bits[2] | bits[3] | bits[4]
+        assert _scanned(lattice, x) == _full_order_scan(lattice, x) == (False, partner, 0)
 
 
 @pytest.mark.parametrize("name", ["D4", "F4", "H3", "G25", "G(3,3,4)", "G(4,4,4)"])
@@ -494,7 +480,6 @@ def test_lattice_command_never_builds_the_cover_table(monkeypatch, tmp_path, cap
         raise AssertionError("an incidence table was built")
 
     monkeypatch.setattr(IntersectionLattice, "flats_through", refuse)
-    monkeypatch.setattr(IntersectionLattice, "flats_under", refuse)
     for _ in range(2):  # cold build and save, then warm load
         assert main(["--json", "--cache-dir", str(tmp_path), "lattice", "D4"]) == 0
     capsys.readouterr()
