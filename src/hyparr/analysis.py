@@ -18,18 +18,22 @@ fails exactly when X v Y has rank below r(X) + r, that is when Y lies
 under some flat of rank r(X) + r - 1 above X, and all of them fail once
 that rank reaches the top.  Everything is read off the lattice's one
 incidence table per rank (``IntersectionLattice.flats_through``) and the
-flats above X (``above``).  The lines are decided together, by the covers
-of X: a line fails exactly when two of its hyperplanes lie in one cover.
-At a higher rank the complements are walked in flat order, each by an AND
-of its hyperplanes' masks over the flats above X, up to the first that
-fails.
+flats above X (``above``).  The rank-2 complements are decided together,
+by the covers of X: a line fails exactly when two of its hyperplanes lie in
+one cover.  At a higher rank the complements are walked in flat order, each
+by an AND of its hyperplanes' masks over the flats above X, up to the first
+that fails.  A scan of a whole level of lines turns this around and makes
+one pass over the rank-3 flats: the lines under each are read off the same
+table, and each line's partner is the first line disjoint from it under any
+of its covers (``_line_partners``); only the lines without such a partner
+are tested one by one.
 The bottom, the atoms and the top are modular in every geometric lattice
 and are not scanned.  A verdict holds the flat and, when it fails, its
 first failing complement Y, and nothing else.  ``ModularityVerdict.certify``
 checks that witness over the field, independently of the mask tables:
 Y's support must be disjoint from X's, so that the only flat holding
-X + Y is the whole space, and dim(X + Y), from X's RREF grown by Y's
-defining rows (Grassmann's formula), must be below the ambient dimension.
+X + Y is the whole space, and dim(X + Y), dim X plus the rank of X's
+defining rows reduced modulo Y's RREF, must be below the ambient dimension.
 The sum subspace itself is built only for the outputs that print it
 (``ModularityVerdict.witness``).  ``validate_certificate`` re-checks
 modularity by stacked ranks over the field and witnesses by ``closure``,
@@ -77,7 +81,8 @@ from . import _kernel
 from .arrangement import Arrangement, Flat, IntersectionLattice, _bits, closure, parallel_map
 from .cyclo import elem_str, field_context, poly_divmod, poly_mul
 from .errors import InternalInconsistencyError, RefusalError
-from .linalg import LinearForm, Subspace, extend_by_rows, subspace_from_forms, subspace_sum
+from .linalg import (LinearForm, Subspace, form_residue, subspace_from_forms,
+                     subspace_from_rows, subspace_sum)
 
 
 @dataclass
@@ -85,9 +90,10 @@ class ModularityVerdict:
     """Outcome of testing one flat X: modular without a partner, or not,
     with the first failing complement Y of X as its partner.
 
-    ``certify`` checks the failure over the field by growing one RREF on
-    first call; ``witness`` certifies and then builds the pair (Y, X + Y)
-    for printing, once.  A verdict nobody reads costs no field arithmetic.
+    ``certify`` checks the failure over the field on first call, by X's
+    rows reduced modulo Y; ``witness`` certifies and then builds the pair
+    (Y, X + Y) for printing, once.  A verdict nobody reads costs no field
+    arithmetic.
     """
 
     flat: Flat
@@ -105,18 +111,26 @@ class ModularityVerdict:
         """dim(X + Y), checked to be smaller than the ambient dimension, so
         X + Y is not a flat; None for a modular flat.  The partner must be a
         complement (supports disjoint), so that X ^ Y is the bottom, the
-        whole space, the only flat containing X + Y.  Grassmann's formula
-        gives dim(X + Y) = dim X + dim Y - dim(X .cap. Y), and X .cap. Y is
-        X's RREF grown by Y's defining rows (``extend_by_rows``), which
-        stops once it reaches the ambient dimension."""
+        whole space, the only flat containing X + Y.  By Grassmann's formula
+        dim(X + Y) = dim X + dim Y - dim(X .cap. Y), and the defining rows of
+        X .cap. Y span Y's rows plus X's rows reduced modulo Y's RREF
+        (``form_residue``), which vanish in Y's pivot columns; so
+        dim(X + Y) = dim X + k, with k the rank of those residues.  Each
+        residue is monic, so two of them are dependent exactly when they are
+        equal; more grow an RREF of their own (``subspace_from_rows``).  No
+        RREF of Y's subspace cut by X's rows is made."""
         if self._sum_dim is None and self.partner is not None:
             if self.flat.support & self.partner.support:
                 raise InternalInconsistencyError("the partner is not a complement of the flat")
             x, y = self.flat.subspace, self.partner.subspace
-            dim = x.dim + y.dim - extend_by_rows(x, y.rows).dim
+            residues = [r for r in (form_residue(row, y) for row in x.rows) if r is not None]
+            if len(residues) > 2:
+                dim = x.dim + subspace_from_rows(residues, x.ambient, x.order).codim
+            else:
+                dim = x.dim + len(set(residues))
             if dim >= x.ambient:
                 raise InternalInconsistencyError(
-                    "the rank identity disagrees with the stacked rank")
+                    "the rank identity disagrees with the residues modulo the partner")
             self._sum_dim = dim
         return self._sum_dim
 
@@ -127,7 +141,7 @@ class ModularityVerdict:
             total = subspace_sum(self.flat.subspace, self.partner.subspace)
             if total.dim != self._sum_dim:
                 raise InternalInconsistencyError(
-                    "the sum subspace disagrees with the stacked rank")
+                    "the sum subspace disagrees with the residues modulo the partner")
             self._witness = (self.partner, total)
         return self._witness
 
@@ -321,12 +335,66 @@ def _verdict(lattice: IntersectionLattice, f: Flat) -> ModularityVerdict:
     return v
 
 
+def _line_partners(lattice: IntersectionLattice) -> None:
+    """Enter the verdict of every line that has a failing rank-2 complement,
+    each with the first one, by one pass over the rank-3 flats, for a
+    lattice of rank at least 4.
+
+    A complement Y of a line X fails exactly when X and Y lie under one
+    cover Z of X (``is_modular``), so the failing rank-2 complements of X
+    are the lines under its covers with support disjoint from X's.  The
+    lines under a rank-3 flat Z are those with two hyperplanes in Z: one
+    ``seen & t`` OR over the ``flats_through(2)`` masks of Z's hyperplanes.
+    The lowest of them disjoint from X is a candidate, and X's partner is
+    its lowest candidate over all its covers, the partner ``is_modular``
+    finds.  The pass keeps one index per line and the lines of one Z at a
+    time.  A verdict already on the lattice is kept (``setdefault``); a
+    line with no candidate is left to ``is_modular``, which goes on to the
+    higher ranks."""
+    lines, through = lattice.supports[2], lattice.flats_through(2)
+    none = len(lines)
+    partner = [none] * none
+    for z in lattice.supports[3]:
+        seen = under = 0
+        while z:
+            a = z & -z
+            z ^= a
+            t = through[a]
+            under |= seen & t
+            seen |= t
+        members = []
+        while under:
+            low = under & -under
+            under ^= low
+            i = low.bit_length() - 1
+            members.append((i, lines[i]))
+        for i, x in members:
+            first = partner[i]
+            for j, y in members:
+                if j >= first:
+                    break
+                if not x & y:
+                    partner[i] = j
+                    break
+    level, verdicts = lattice.levels[2], lattice.verdicts
+    for x, j in zip(level, partner):
+        if j < none and x.support not in verdicts:
+            verdicts.setdefault(x.support, ModularityVerdict(x, level[j]))
+
+
 def modular_flats_of_rank(lattice: IntersectionLattice, rank: int,
                           threads: int = 1) -> list[ModularityVerdict]:
     """One verdict per rank-``rank`` flat, in deterministic flat order; only
-    flats not yet tested on this lattice are tested."""
+    flats not yet tested on this lattice are tested.  On a lattice of rank
+    at least 4 without factors, the lines are decided together by one pass
+    over the rank-3 flats (``_line_partners``) unless every line already
+    has its verdict, and ``is_modular`` tests only the lines that pass
+    leaves."""
     if not 0 <= rank <= lattice.rank():
         raise ValueError(f"rank {rank} out of range 0..{lattice.rank()}")
+    if (rank == 2 and lattice.rank() >= 4 and not lattice.factors
+            and any(s not in lattice.verdicts for s in lattice.supports[2])):
+        _line_partners(lattice)
     return parallel_map(lambda f: _verdict(lattice, f), lattice.levels[rank], threads)
 
 

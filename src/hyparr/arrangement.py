@@ -69,6 +69,9 @@ from .linalg import (LinearForm, Row, Subspace, extend_by_rows, extend_rref, for
 
 DEFAULT_MAX_FLATS = 500_000
 
+# held only to publish a lattice's ``index`` once made
+_PUBLISH = Lock()
+
 
 def parallel_map(fn, items, threads: int) -> list:
     """``[fn(x) for x in items]``, in order, on up to ``threads`` worker threads.
@@ -278,7 +281,8 @@ class IntersectionLattice:
     hyperplane's residue modulo that flat's subspace, or the hyperplane's
     bit where the build compared no residue.  Either way a flat extends its
     subspace when first read and checks its rank.  ``index`` is made on its
-    first read, from ``levels``, built or loaded alike.  The one incidence
+    first read, from ``levels``, built or loaded alike; workers racing on
+    that read all get the one dict published first.  The one incidence
     table, ``flats_through``, is built per rank on first use, and every
     cover relation is read off it (``above``).
     ``factors`` holds the factor lattices of a product that ``lattice_of``
@@ -296,7 +300,8 @@ class IntersectionLattice:
         # the levels once made: list.append is atomic, so worker threads
         # racing on the first read all keep the first
         self._flats: list[tuple[tuple[Flat, ...], ...]] = []
-        # a concurrent first read of ``index`` makes an equal dict of the same flats
+        # the index once published: worker threads racing on the first read
+        # each make a dict, and all keep the first one published
         self._index: dict[int, Flat] | None = None
         self._through: dict[int, dict[int, int]] = {}
 
@@ -324,9 +329,14 @@ class IntersectionLattice:
 
     @property
     def index(self) -> dict[int, Flat]:
+        """Support -> flat, made from ``levels`` on the first read."""
         index = self._index
         if index is None:
-            index = self._index = {f.support: f for level in self.levels for f in level}
+            made = {f.support: f for level in self.levels for f in level}
+            with _PUBLISH:
+                if self._index is None:
+                    self._index = made
+                index = self._index
         return index
 
     def flats(self):

@@ -159,7 +159,7 @@ def run_rank2_empty_claim(name: str, store: LatticeStore) -> ClaimResult:
     flats, modular = len(verdicts), sum(v.modular for v in verdicts)
     if not modular:
         # the rank-2 verdicts are this claim's evidence; each is certified
-        # by growing X's RREF by Y's rows, and no sum subspace is built
+        # by X's two rows reduced modulo Y, and no sum subspace is built
         for verdict in verdicts:
             verdict.certify()
     detail = (f"all {flats} rank-2 flats non-modular" if not modular

@@ -176,11 +176,19 @@ class TestIsSupersolvable:
         assert lattice.level_sizes() == build_lattice(essentialize(arr)).level_sizes()
         assert validate_certificate(cert)
         # the search's verdicts stay on the given lattice: a rank-2 scan after
-        # it tests only the flats the search did not
-        searched = set(tested)
+        # it returns those verdict objects, and ``is_modular`` tests only the
+        # lines neither the search nor the pass over level 3 decided, the
+        # lines without a failing rank-2 complement, each once
+        searched = dict(lattice.verdicts)
+        assert sorted(tested) == sorted(searched)
         tested.clear()
-        modular_flats_of_rank(lattice, 2)
-        assert sorted(tested) == sorted({f.support for f in lattice.levels[2]} - searched)
+        verdicts = modular_flats_of_rank(lattice, 2)
+        assert all(v is searched[v.flat.support] for v in verdicts
+                   if v.flat.support in searched)
+        assert sorted(tested) == sorted(
+            v.flat.support for v in verdicts
+            if v.flat.support not in searched and (v.modular or v.partner.rank > 2))
+        assert all(lattice.verdicts[v.flat.support] is v for v in verdicts)
 
     def test_low_rank_always_true(self):
         for arr in (make_arrangement(2, 1, []),

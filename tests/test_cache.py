@@ -4,6 +4,7 @@ import gc
 import json
 import random
 import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -507,6 +508,25 @@ class TestSupportsOnly:
         levels, index = loaded.levels, loaded.index
         assert all(r is (index if k % 2 else levels) for k, r in enumerate(read))
         assert all(index[f.support] is f for f in loaded.flats())
+
+    def test_racing_first_reads_of_the_index_get_one_dict(self, tmp_path, monkeypatch):
+        # both workers read ``levels`` for the index, so both have passed the
+        # check that no index is made yet before either publishes one: each
+        # makes a dict, and both must get the one published first
+        built = build_lattice(exceptional_arrangement("F4"))
+        save_lattice(built, str(tmp_path))
+        loaded = load_lattice(built.arrangement, str(tmp_path))
+        levels, barrier = loaded.levels, threading.Barrier(2, timeout=30)
+
+        def racing(self):
+            barrier.wait()
+            return levels
+
+        with monkeypatch.context() as m:
+            m.setattr(IntersectionLattice, "levels", property(racing))
+            read = parallel_map(lambda _: loaded.index, range(2), threads=2)
+        assert read[0] is read[1] is loaded.index
+        assert all(loaded.index[f.support] is f for f in loaded.flats())
 
 
 class TestFactorEntries:

@@ -770,6 +770,16 @@ class TestRenderedOutputs:
             "62cacf733d4eb3a147cf7db44967037507e2ddb336fb1ea9f0728226a8f082db",
         ("build", "G26"):
             "2ffac37d6c15f86272d34308412e986764bfbd05653c38200dfd46531c14f2eb",
+        # lines left by the pass over level 3 to the per-flat test, which
+        # finds their partners at rank 3 or finds them modular
+        ("modular", "G(2,2,6)", "--rank", "2"):
+            "9905b446c05cfba0781b70e15701b7f3441b5ca9769f0c21b0c0bb48a5787fd6",
+        ("modular", "F4", "--rank", "2"):
+            "12a6ff718305c0e85fdc00ea01f1b8e6f8fa4c1b0c88d1285027645de15e0bf1",
+        ("modular", "D4", "--rank", "2"):
+            "d0629f177ed59685bcfe85737baf38ce226ad2dac42ad7114b3f78634cd78f17",
+        ("modular", "G(4,1,5)", "--rank", "2"):
+            "47ea27771cc1846fe93e13d88a2bcd44f2671453b0823f0611f3ab5cee43f1e5",
     }
     HUMAN_SHA256 = {
         ("modular", "H3", "--rank", "2"):

@@ -4,9 +4,12 @@ The scan tests X's complements Y (X ^ Y = 0) rank by rank: Y of rank r
 fails exactly when it lies under a flat of rank r(X) + r - 1 above X, read
 off the lattice's one incidence table (``flats_through``) by ORs and ANDs,
 the lines all at once by X's covers and a higher rank by a walk up to its
-first failing complement.  No field arithmetic runs in the
-scan, witnesses are certified only when read, and the certificate
-validator re-checks by linear algebra without touching the mask tables.
+first failing complement; a whole level of lines is decided by one pass
+over the rank-3 flats, checked against the per-flat test.  No field
+arithmetic runs in the scan, witnesses are certified only when read (by
+residues modulo the partner, checked against a grown RREF), and the
+certificate validator re-checks by linear algebra without touching the mask
+tables.
 The pairwise cover walk ``join`` is the oracle for the masks, and a scan
 over every flat by ``sum_membership`` is the oracle for the scan's
 verdicts.
@@ -28,9 +31,9 @@ from hyparr.cache import load_lattice, save_lattice
 from hyparr.claims import LatticeStore, run_rank2_empty_claim
 from hyparr.cli import main
 from hyparr.errors import InternalInconsistencyError
-from hyparr.linalg import subspace_sum
+from hyparr.linalg import extend_by_rows, subspace_sum
 from hyparr.parse import parse_arrangement_text
-from hyparr.reflection import build_named
+from hyparr.reflection import build_named, catalog
 from tests.conftest import brute_force_lattice, intersect, random_arrangement
 
 
@@ -213,7 +216,8 @@ def test_read_witnesses_satisfy_the_closure_definition():
 
 def test_certify_rejects_a_pair_whose_sum_is_a_flat(monkeypatch):
     sums = _counted(monkeypatch, hyparr.analysis, "subspace_sum")
-    growths = _counted(monkeypatch, hyparr.analysis, "extend_by_rows")
+    growths = _counted(monkeypatch, hyparr.analysis, "subspace_from_rows")
+    residues = _counted(monkeypatch, hyparr.analysis, "form_residue")
     d4 = build_named("D4")
     lattice = build_lattice(d4)
     x = lattice.levels[2][0]
@@ -228,14 +232,21 @@ def test_certify_rejects_a_pair_whose_sum_is_a_flat(monkeypatch):
     # whole space, the bottom flat
     spanning = next(f for f in lattice.levels[2]
                     if not f.support & x.support and lattice.join(x, f) == lattice.top())
-    for flat, partner, grown in ((x, y, 0), (line, shared, 0), (x, spanning, 1)):
+    # a coatom and a hyperplane off it: the sum is the whole space too
+    coatom = lattice.levels[3][0]
+    off = next(f for f in lattice.levels[1] if not f.support & coatom.support)
+    for flat, partner, reduced, grown in ((x, y, 0, 0), (line, shared, 0, 0),
+                                          (x, spanning, 2, 0), (coatom, off, 3, 1)):
+        residues.clear()
         growths.clear()
         wrong = ModularityVerdict(flat, partner)
         with pytest.raises(InternalInconsistencyError):
             wrong.certify()
-        # the supports alone refute a partner that is not a complement, the
-        # stacked rank a complement whose sum is the whole space
-        assert len(growths) == grown and not sums
+        # the supports alone refute a partner that is not a complement; the
+        # residues of the flat's rows modulo a complement whose sum is the
+        # whole space are independent: two unequal ones, or more that grow
+        # an RREF of full rank
+        assert (len(residues), len(growths)) == (reduced, grown) and not sums
         with pytest.raises(InternalInconsistencyError):
             wrong.witness
         assert not sums
@@ -419,18 +430,82 @@ def test_stacked_rank_gives_the_sum_dimension(name, store):
         assert verdict.certify() == total.dim < ambient
 
 
+def _sum_dim_by_growth(x, y):
+    """dim(X + Y) by Grassmann's formula, with X .cap. Y made by growing X's
+    RREF by Y's defining rows: the oracle for ``certify``."""
+    return x.dim + y.dim - extend_by_rows(x, y.rows).dim
+
+
+def _catalog_and_random_rank4(count=12, seed=49):
+    """Every catalog arrangement, then ``count`` from
+    ``conftest.random_arrangement`` of rank 4 or 5."""
+    cases = [(e.name, build_named(e.name)) for e in catalog()]
+    rng, made = random.Random(seed), 0
+    while made < count:
+        arr = random_arrangement(rng, rng.choice([4, 5]), rng.choice([1, 1, 3]),
+                                 max_hyperplanes=10)
+        if arr.rank() >= 4:
+            cases.append((f"random {made}", arr))
+            made += 1
+    return cases
+
+
+def test_line_pass_matches_the_per_flat_test(monkeypatch):
+    # the lines of a fresh lattice of rank 4 or more are decided by one
+    # pass over level 3, and the rest by ``is_modular``: the same verdicts
+    # and partners as ``is_modular`` on each line of another fresh lattice,
+    # with exactly the lines that have no failing rank-2 complement left
+    # to ``is_modular``, each once
+    tested = _counted(monkeypatch, hyparr.analysis, "is_modular")
+    by_pass = by_test = 0
+    for label, arr in _catalog_and_random_rank4():
+        reference = build_lattice(arr)
+        expected = [_scanned(reference, x) for x in reference.levels[2]]
+        lattice = build_lattice(arr)
+        tested.clear()
+        verdicts = modular_flats_of_rank(lattice, 2)
+        assert [(v.modular, v.partner and v.partner.support,
+                 v.partner and v.flat.support & v.partner.support)
+                for v in verdicts] == expected, label
+        left = [v.flat.support for v in verdicts
+                if lattice.rank() < 4 or v.modular or v.partner.rank > 2]
+        assert [x.support for _, x in tested] == left, label
+        if lattice.rank() >= 4:
+            by_pass += len(verdicts) - len(left)
+            by_test += len(left)
+    assert by_pass and by_test
+
+
+def test_certify_matches_the_grown_intersection():
+    # every witness of every interior rank: dim X plus the rank of X's rows
+    # modulo the partner is the Grassmann dimension of X + Y
+    ranks = set()
+    for label, arr in _catalog_and_random_rank4():
+        lattice = build_lattice(arr)
+        for k in range(2, lattice.rank()):
+            for v in modular_flats_of_rank(lattice, k):
+                if not v.modular:
+                    x, y = v.flat.subspace, v.partner.subspace
+                    assert v.certify() == _sum_dim_by_growth(x, y) < x.ambient, (label, k)
+                    ranks.add((v.flat.rank, v.partner.rank))
+    assert {k for k, _ in ranks} == {2, 3, 4, 5}
+    assert {k for _, k in ranks} >= {2, 3}
+
+
 def test_rank2_empty_claim_builds_no_sum(monkeypatch):
     sums = _counted(monkeypatch, hyparr.analysis, "subspace_sum")
-    growths = _counted(monkeypatch, hyparr.analysis, "extend_by_rows")
+    growths = _counted(monkeypatch, hyparr.analysis, "subspace_from_rows")
+    residues = _counted(monkeypatch, hyparr.analysis, "form_residue")
     ranks = _counted(monkeypatch, hyparr._kernel, "rank")
     store = LatticeStore()
     result = run_rank2_empty_claim("G(3,3,4)", store)
     assert result.passed
     witnesses = store.certificate("G(3,3,4)").refutation.witnesses
     assert len(witnesses) == len(store.lattice("G(3,3,4)").levels[2])
-    # one RREF grown by the partner's rows per witness, and no sum subspace
-    assert len(growths) == len(witnesses)
-    assert not sums and not ranks
+    # per witness, X's two rows reduced modulo the partner and compared; no
+    # RREF is grown, and no sum subspace is built
+    assert len(residues) == 2 * len(witnesses)
+    assert not growths and not sums and not ranks
 
 
 def _lying_through(self, rank):
