@@ -75,18 +75,16 @@ irreducible factors (``irreducible_factor_count``).  Both divide by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import _kernel
-from .arrangement import Arrangement, Flat, IntersectionLattice, _bits, closure, parallel_map
+from .arrangement import (Arrangement, Flat, IntersectionLattice, Record, _bits, closure,
+                          parallel_map)
 from .cyclo import elem_str, field_context, poly_divmod, poly_mul
 from .errors import InternalInconsistencyError, RefusalError
 from .linalg import (LinearForm, Subspace, form_residue, subspace_from_forms,
                      subspace_from_rows, subspace_sum)
 
 
-@dataclass
-class ModularityVerdict:
+class ModularityVerdict(Record):
     """Outcome of testing one flat X: modular without a partner, or not,
     with the first failing complement Y of X as its partner.
 
@@ -96,11 +94,13 @@ class ModularityVerdict:
     arithmetic.
     """
 
-    flat: Flat
-    partner: Flat | None = None
-    _sum_dim: int | None = field(default=None, init=False, repr=False, compare=False)
-    _witness: tuple[Flat, Subspace] | None = field(default=None, init=False, repr=False,
-                                                   compare=False)
+    __slots__ = ("flat", "partner", "_sum_dim", "_witness")
+
+    def __init__(self, flat: Flat, partner: Flat | None = None):
+        self.flat = flat
+        self.partner = partner
+        self._sum_dim: int | None = None
+        self._witness: tuple[Flat, Subspace] | None = None
 
     @property
     def modular(self) -> bool:
@@ -146,31 +146,39 @@ class ModularityVerdict:
         return self._witness
 
 
-@dataclass
-class Refutation:
+class Refutation(Record):
     """Why no maximal modular chain exists.
 
     ``empty-rank``: some rank has no modular flat at all (one re-checkable
     witness per flat of that rank).  ``no-chain``: every rank has modular
-    flats but none of them nest into a full chain.
+    flats but none of them nest into a full chain.  ``witnesses`` and
+    ``modular_counts`` default to a new list and a new dict.
     """
 
-    kind: str
-    rank: int | None = None
-    witnesses: list[ModularityVerdict] = field(default_factory=list)
-    modular_counts: dict[int, int] = field(default_factory=dict)
+    __slots__ = ("kind", "rank", "witnesses", "modular_counts")
+
+    def __init__(self, kind: str, rank: int | None = None,
+                 witnesses: list[ModularityVerdict] | None = None,
+                 modular_counts: dict[int, int] | None = None):
+        self.kind = kind
+        self.rank = rank
+        self.witnesses = [] if witnesses is None else witnesses
+        self.modular_counts = {} if modular_counts is None else modular_counts
 
 
-@dataclass
-class SupersolvabilityCertificate:
+class SupersolvabilityCertificate(Record):
     """The evidence of a verdict: a maximal chain of modular flats, or a
     refutation.  The verdicts the search found stay on ``lattice``, where
     ``modular_flats_of_rank`` reads them for any rank.
     """
 
-    lattice: IntersectionLattice
-    chain: list[Flat] | None = None
-    refutation: Refutation | None = None
+    __slots__ = ("lattice", "chain", "refutation")
+
+    def __init__(self, lattice: IntersectionLattice, chain: list[Flat] | None = None,
+                 refutation: Refutation | None = None):
+        self.lattice = lattice
+        self.chain = chain
+        self.refutation = refutation
 
     @property
     def verdict(self) -> bool:
@@ -193,11 +201,13 @@ class SupersolvabilityCertificate:
         return sorted(b - a for a, b in zip(counts, counts[1:]))
 
 
-@dataclass
-class PoincarePolynomial:
+class PoincarePolynomial(Record):
     """Integer coefficients, ascending; constant term 1, degree = rank."""
 
-    coefficients: tuple[int, ...]
+    __slots__ = ("coefficients",)
+
+    def __init__(self, coefficients: tuple[int, ...]):
+        self.coefficients = coefficients
 
     def __str__(self):
         return elem_str(self.coefficients, 1, "t")
@@ -665,14 +675,17 @@ def irreducible_factor_count(poly: PoincarePolynomial) -> int:
     return count
 
 
-@dataclass
-class Rank2Report:
+class Rank2Report(Record):
     """Both sides of the rank-2 criterion, read off one certificate, and the
     Poincare polynomial its factor count was read from."""
 
-    supersolvable: bool
-    modular_rank2: list[Flat]
-    poincare: PoincarePolynomial
+    __slots__ = ("supersolvable", "modular_rank2", "poincare")
+
+    def __init__(self, supersolvable: bool, modular_rank2: list[Flat],
+                 poincare: PoincarePolynomial):
+        self.supersolvable = supersolvable
+        self.modular_rank2 = modular_rank2
+        self.poincare = poincare
 
     @property
     def modular_rank2_count(self) -> int:
@@ -708,18 +721,23 @@ def check_rank2_criterion(cert: SupersolvabilityCertificate, threads: int = 1) -
     return Rank2Report(cert.verdict, mods, poly)
 
 
-@dataclass
-class WitnessReplay:
+class WitnessReplay(Record):
     """Re-execution of one explicit sum-goes-outside-the-lattice equation:
     the subspaces and the three checks, from which it passes or fails."""
 
-    x: Subspace
-    y: Subspace
-    total: Subspace
-    expected: Subspace | None
-    sum_matches_expected: bool | None
-    sum_outside_lattice: bool
-    inputs_are_flats: bool
+    __slots__ = ("x", "y", "total", "expected", "sum_matches_expected",
+                 "sum_outside_lattice", "inputs_are_flats")
+
+    def __init__(self, x: Subspace, y: Subspace, total: Subspace, expected: Subspace | None,
+                 sum_matches_expected: bool | None, sum_outside_lattice: bool,
+                 inputs_are_flats: bool):
+        self.x = x
+        self.y = y
+        self.total = total
+        self.expected = expected
+        self.sum_matches_expected = sum_matches_expected
+        self.sum_outside_lattice = sum_outside_lattice
+        self.inputs_are_flats = inputs_are_flats
 
     @property
     def passed(self) -> bool:

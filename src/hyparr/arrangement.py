@@ -87,6 +87,57 @@ def parallel_map(fn, items, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
+class Record:
+    """A record of named values: its class's ``__slots__``, less those
+    starting with ``_``, which it keeps for itself.  Two records of one
+    class are equal when their values are, in slot order; ``repr`` lists
+    them.  A record is mutable and so unhashable; ``FrozenRecord`` is the
+    read-only, hashable kind.  The analysis results, the claims and the
+    catalog entries are records: plain classes, so that no command pays for
+    importing ``dataclasses``."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__ if name[0] != "_")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__ if name[0] != "_")
+        return f"{type(self).__name__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A read-only ``Record``, hashed by its values: its constructor sets
+    them once, in slot order, by ``_freeze``, and any later assignment
+    raises ``AttributeError``.  ``copy`` and ``pickle`` rebuild one by its
+    constructor, which takes the values in slot order."""
+
+    __slots__ = ()
+
+    def _freeze(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return (type(self), self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r} of a {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r} of a {type(self).__name__}")
+
+    def __hash__(self):
+        return hash(self._values())
+
+
 class Arrangement:
     """An ordered set of hyperplanes through the origin of C**l, each given
     by one form.  ``make_arrangement`` drops repeated hyperplanes; a lattice

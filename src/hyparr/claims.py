@@ -26,24 +26,24 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass
 
 from .analysis import (PoincarePolynomial, SupersolvabilityCertificate, check_rank2_criterion,
                        is_supersolvable, modular_flats_of_rank, replay_witness)
-from .arrangement import DEFAULT_MAX_FLATS, Arrangement, IntersectionLattice
+from .arrangement import DEFAULT_MAX_FLATS, Arrangement, FrozenRecord, IntersectionLattice, Record
 from .cache import load_or_build
 from .parse import parse_form
 from .reflection import build_named, catalog, catalog_entry
 
 
-@dataclass(frozen=True)
-class WitnessClaim:
-    claim_id: str
-    equation_id: str
-    arrangement: str
-    x_forms: tuple[str, ...]
-    y_forms: tuple[str, ...]
-    expected: str
+class WitnessClaim(FrozenRecord):
+    """One published sum X + Y, each side given by its forms, and the form
+    of the hyperplane it is expected to equal."""
+
+    __slots__ = ("claim_id", "equation_id", "arrangement", "x_forms", "y_forms", "expected")
+
+    def __init__(self, claim_id: str, equation_id: str, arrangement: str,
+                 x_forms: tuple[str, ...], y_forms: tuple[str, ...], expected: str):
+        self._freeze(claim_id, equation_id, arrangement, x_forms, y_forms, expected)
 
 
 # H3 lives over field order 5 where the element w := z^2 + z^3 satisfies
@@ -101,14 +101,19 @@ RANK2_EMPTY: tuple[str, ...] = (
 )
 
 
-@dataclass
-class ClaimResult:
-    claim_id: str
-    kind: str
-    arrangement: str
-    passed: bool
-    detail: str
-    seconds: float
+class ClaimResult(Record):
+    """The outcome of one claim, with what it found and how long it took."""
+
+    __slots__ = ("claim_id", "kind", "arrangement", "passed", "detail", "seconds")
+
+    def __init__(self, claim_id: str, kind: str, arrangement: str, passed: bool,
+                 detail: str, seconds: float):
+        self.claim_id = claim_id
+        self.kind = kind
+        self.arrangement = arrangement
+        self.passed = passed
+        self.detail = detail
+        self.seconds = seconds
 
 
 class LatticeStore:

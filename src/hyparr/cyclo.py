@@ -6,7 +6,10 @@ under integer numerator coordinates.  That representation is canonical, so
 equality is coordinate-wise and values hash.  No floating point is used.
 Phi_n is built, and reduced modulo, by the one polynomial division
 ``poly_divmod``, which also factors Poincare polynomials (``analysis``);
-``poly_mul`` is the one polynomial product.
+``poly_mul`` is the one polynomial product.  ``fractions`` is imported
+by the first ``CyclotomicNumber`` method that takes or returns a
+``Fraction`` (``from_rational``, ``coeffs``, and arithmetic or ``==`` with
+a rational), which no command calls, so no command loads it.
 
 >>> i = root_of_unity(4, 1)
 >>> i * i == CyclotomicNumber.from_rational(-1, 4)
@@ -15,7 +18,6 @@ True
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache, lru_cache
 from math import gcd
 
@@ -132,6 +134,7 @@ class CyclotomicNumber:
 
     @staticmethod
     def from_rational(value, order: int = 1) -> CyclotomicNumber:
+        from fractions import Fraction
         q = Fraction(value)
         d = field_context(order).degree
         nums = [q.numerator] + [0] * (d - 1)
@@ -150,6 +153,7 @@ class CyclotomicNumber:
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """Exact rational coordinates in the power basis, length phi(n)."""
+        from fractions import Fraction
         return tuple(Fraction(v, self.den) for v in self.nums)
 
     def is_zero(self) -> bool:
@@ -164,6 +168,7 @@ class CyclotomicNumber:
                 raise ValueError(
                     f"field order mismatch: {self.order} vs {other.order}; embed first")
             return other
+        from fractions import Fraction
         if isinstance(other, (int, Fraction)):
             return CyclotomicNumber.from_rational(other, self.order)
         raise TypeError(f"cannot mix CyclotomicNumber with {type(other).__name__}")
@@ -221,10 +226,11 @@ class CyclotomicNumber:
         return out
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = CyclotomicNumber.from_rational(other, self.order)
         if not isinstance(other, CyclotomicNumber):
-            return NotImplemented
+            from fractions import Fraction
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = CyclotomicNumber.from_rational(other, self.order)
         return (self.order == other.order and self.nums == other.nums
                 and self.den == other.den)
 

@@ -11,11 +11,10 @@ builder puts coordinate hyperplanes first, then x_i - z^m x_j by (i, j, m).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cache
 
 from . import _kernel
-from .arrangement import Arrangement, make_arrangement
+from .arrangement import Arrangement, FrozenRecord, make_arrangement
 from .cyclo import field_context, poly_mul, root_elem
 from .linalg import LinearForm
 from .parse import check_packed_size, parse_form
@@ -177,20 +176,19 @@ def exceptional_arrangement(name: str) -> Arrangement:
     return make_arrangement(ambient, order, forms)
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(FrozenRecord):
     """A named arrangement with its expected hyperplane count and class, and
     its coexponents b_i from the literature: the Poincare polynomial of the
     reflection arrangement is prod(1 + b_i t) (Orlik-Solomon, 1980;
     Orlik-Terao, *Arrangements of Hyperplanes*, Table C)."""
 
-    name: str
-    ambient: int
-    field_order: int
-    expected_count: int
-    supersolvable: bool
-    rank: int
-    coexponents: tuple[int, ...]
+    __slots__ = ("name", "ambient", "field_order", "expected_count", "supersolvable", "rank",
+                 "coexponents")
+
+    def __init__(self, name: str, ambient: int, field_order: int, expected_count: int,
+                 supersolvable: bool, rank: int, coexponents: tuple[int, ...]):
+        self._freeze(name, ambient, field_order, expected_count, supersolvable, rank,
+                     coexponents)
 
     def poincare_coefficients(self) -> list[int]:
         """prod(1 + b_i t) over the coexponents, ascending."""

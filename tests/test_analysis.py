@@ -1,7 +1,9 @@
 """Modularity, supersolvability, Moebius/Poincare, and their invariants."""
 
-import dataclasses
+import copy
 import gc
+import inspect
+import pickle
 import random
 import tracemalloc
 
@@ -9,8 +11,8 @@ import pytest
 
 import hyparr._kernel
 import hyparr.analysis
-from hyparr.analysis import (ModularityVerdict, PoincarePolynomial, Refutation,
-                             SupersolvabilityCertificate,
+from hyparr.analysis import (ModularityVerdict, PoincarePolynomial, Rank2Report, Refutation,
+                             SupersolvabilityCertificate, WitnessReplay,
                              check_rank2_criterion, checked_exponents, exponents_from_poincare,
                              irreducible_factor_count, is_modular, is_supersolvable, mobius,
                              modular_flats_of_rank, poincare, replay_witness,
@@ -18,12 +20,13 @@ from hyparr.analysis import (ModularityVerdict, PoincarePolynomial, Refutation,
 from hyparr.arrangement import (Arrangement, Flat, build_lattice, closure, essentialize,
                                 irreducible_decomposition, make_arrangement, product)
 from hyparr.cache import load_lattice, save_lattice
+from hyparr.claims import WITNESS_CLAIMS, ClaimResult, WitnessClaim
 from hyparr.cli import resolve_spec
 from hyparr.errors import InternalInconsistencyError, RefusalError
 from hyparr.linalg import subspace_from_forms, subspace_sum
 from hyparr.parse import parse_arrangement_text, parse_form
-from hyparr.reflection import (build_named, catalog, exceptional_arrangement,
-                               monomial_arrangement)
+from hyparr.reflection import (CatalogEntry, build_named, catalog, catalog_entry,
+                               exceptional_arrangement, monomial_arrangement)
 from hyparr.report import flat_payload, rank2_payload
 from tests.conftest import contains, random_arrangement
 
@@ -515,7 +518,8 @@ class TestChainExponents:
         chain = cert.chain
         other = next(f for f in cert.lattice.levels[2]
                      if bin(f.support).count("1") != bin(chain[2].support).count("1"))
-        forged = dataclasses.replace(cert, chain=chain[:2] + [other] + chain[3:])
+        forged = SupersolvabilityCertificate(cert.lattice, chain[:2] + [other] + chain[3:],
+                                             cert.refutation)
         with pytest.raises(InternalInconsistencyError):
             checked_exponents(poly, forged)
 
@@ -621,8 +625,9 @@ class TestNoChainRefutation:
     def test_wrong_counts_rejected(self, cert):
         counts = dict(cert.refutation.modular_counts)
         counts[2] += 1
-        bad = dataclasses.replace(cert, refutation=dataclasses.replace(
-            cert.refutation, modular_counts=counts))
+        ref = cert.refutation
+        bad = SupersolvabilityCertificate(cert.lattice, cert.chain,
+                                          Refutation(ref.kind, ref.rank, ref.witnesses, counts))
         assert not validate_certificate(bad)
 
     def test_existing_chain_rejected(self):
@@ -633,8 +638,8 @@ class TestNoChainRefutation:
         counts = {0: 1, 1: len(cert.lattice.levels[1]), 4: 1}
         for k in (2, 3):
             counts[k] = sum(v.modular for v in modular_flats_of_rank(cert.lattice, k))
-        forged = dataclasses.replace(cert, chain=None,
-                                     refutation=Refutation("no-chain", modular_counts=counts))
+        forged = SupersolvabilityCertificate(cert.lattice, None,
+                                             Refutation("no-chain", modular_counts=counts))
         assert not validate_certificate(forged)
 
 
@@ -650,7 +655,7 @@ class TestForgedEvidence:
 
     @staticmethod
     def refuted(cert, witnesses):
-        return dataclasses.replace(cert, chain=None, refutation=Refutation(
+        return SupersolvabilityCertificate(cert.lattice, None, Refutation(
             "empty-rank", rank=2, witnesses=witnesses))
 
     @staticmethod
@@ -699,7 +704,8 @@ class TestForgedEvidence:
         # the hyperplane again, claiming rank 2: nested and modular by itself
         posing = Flat(h.subspace, h.support, 2)
         assert posing == h
-        forged = dataclasses.replace(cert, chain=[bottom, h, posing, top])
+        forged = SupersolvabilityCertificate(cert.lattice, [bottom, h, posing, top],
+                                             cert.refutation)
         assert not validate_certificate(forged)
 
     def test_chain_passing_a_fixed_hyperplane_check_rejected(self):
@@ -719,12 +725,13 @@ class TestForgedEvidence:
 
     def test_chain_skipping_a_rank_rejected(self, cert):
         bottom, h, _, top = cert.chain
-        assert not validate_certificate(dataclasses.replace(cert, chain=[bottom, h, top]))
+        forged = SupersolvabilityCertificate(cert.lattice, [bottom, h, top], cert.refutation)
+        assert not validate_certificate(forged)
 
     def test_chain_not_nested_rejected(self, cert):
         bottom, h, _, top = cert.chain
         line = next(f for f in cert.lattice.levels[2] if f.support & h.support != h.support)
-        forged = dataclasses.replace(cert, chain=[bottom, h, line, top])
+        forged = SupersolvabilityCertificate(cert.lattice, [bottom, h, line, top], cert.refutation)
         assert not validate_certificate(forged)
 
     @pytest.fixture(scope="class")
@@ -735,12 +742,13 @@ class TestForgedEvidence:
         return cert
 
     def test_refuted_without_a_refutation_rejected(self, d4):
-        assert not validate_certificate(dataclasses.replace(d4, refutation=None))
+        assert not validate_certificate(SupersolvabilityCertificate(d4.lattice, d4.chain, None))
 
     @pytest.mark.parametrize("rank", [9, None])
     def test_empty_rank_off_the_lattice_rejected(self, d4, rank):
-        ref = dataclasses.replace(d4.refutation, rank=rank)
-        assert not validate_certificate(dataclasses.replace(d4, refutation=ref))
+        ref = d4.refutation
+        ref = Refutation(ref.kind, rank, ref.witnesses, ref.modular_counts)
+        assert not validate_certificate(SupersolvabilityCertificate(d4.lattice, d4.chain, ref))
 
     def test_witness_whose_sum_is_a_flat_rejected(self, d4):
         # the bottom as partner: X + V is V, the bottom flat itself; and, for
@@ -751,19 +759,21 @@ class TestForgedEvidence:
         for partner in (lattice.bottom(), lattice.index[1 << 0 | 1 << 2 | 1 << 6]):
             forged = list(witnesses)
             forged[k] = ModularityVerdict(witnesses[k].flat, partner)
-            ref = dataclasses.replace(d4.refutation, witnesses=forged)
-            assert not validate_certificate(dataclasses.replace(d4, refutation=ref))
+            ref = d4.refutation
+            ref = Refutation(ref.kind, ref.rank, forged, ref.modular_counts)
+            assert not validate_certificate(SupersolvabilityCertificate(d4.lattice, d4.chain, ref))
 
     def test_unknown_kind_rejected(self, d4):
-        ref = dataclasses.replace(d4.refutation, kind="no-such-kind")
-        assert not validate_certificate(dataclasses.replace(d4, refutation=ref))
+        ref = d4.refutation
+        ref = Refutation("no-such-kind", ref.rank, ref.witnesses, ref.modular_counts)
+        assert not validate_certificate(SupersolvabilityCertificate(d4.lattice, d4.chain, ref))
 
     def test_no_chain_below_rank_3_rejected(self):
         # every rank-2 lattice is supersolvable: a no-chain refutation of one
         # is refused before any rescan
         cert = is_supersolvable(build_lattice(build_named("G(3,3,2)")))
         assert cert.verdict and cert.lattice.rank() == 2
-        forged = dataclasses.replace(cert, chain=None, refutation=Refutation(
+        forged = SupersolvabilityCertificate(cert.lattice, None, Refutation(
             "no-chain", modular_counts={0: 1, 1: len(cert.lattice.levels[1]), 2: 1}))
         assert not validate_certificate(forged)
 
@@ -830,3 +840,104 @@ class TestCertificateSoundness:
             else:
                 cases += len(cert.refutation.witnesses) or 1
         assert rounds >= 50
+
+
+REQUIRED = inspect.Parameter.empty
+
+# each record's constructor parameters, in order, with their defaults
+SIGNATURES = {
+    ModularityVerdict: [("flat", REQUIRED), ("partner", None)],
+    Refutation: [("kind", REQUIRED), ("rank", None), ("witnesses", None),
+                 ("modular_counts", None)],
+    SupersolvabilityCertificate: [("lattice", REQUIRED), ("chain", None), ("refutation", None)],
+    PoincarePolynomial: [("coefficients", REQUIRED)],
+    Rank2Report: [("supersolvable", REQUIRED), ("modular_rank2", REQUIRED),
+                  ("poincare", REQUIRED)],
+    WitnessReplay: [(name, REQUIRED) for name in (
+        "x", "y", "total", "expected", "sum_matches_expected", "sum_outside_lattice",
+        "inputs_are_flats")],
+    WitnessClaim: [(name, REQUIRED) for name in (
+        "claim_id", "equation_id", "arrangement", "x_forms", "y_forms", "expected")],
+    ClaimResult: [(name, REQUIRED) for name in (
+        "claim_id", "kind", "arrangement", "passed", "detail", "seconds")],
+    CatalogEntry: [(name, REQUIRED) for name in (
+        "name", "ambient", "field_order", "expected_count", "supersolvable", "rank",
+        "coexponents")],
+}
+
+
+class TestRecords:
+    """The result records are plain classes: each keeps its constructor's
+    parameters, in order and with their defaults, and compares by value."""
+
+    @pytest.mark.parametrize("record", SIGNATURES, ids=lambda record: record.__name__)
+    def test_constructor_signature(self, record):
+        found = inspect.signature(record).parameters.values()
+        assert [(p.name, p.default) for p in found] == SIGNATURES[record]
+        assert {p.kind for p in found} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
+
+    def test_positional_and_keyword_construction_agree(self):
+        lattice = build_lattice(build_named("B2"))
+        line = lattice.levels[1][0]
+        assert (ModularityVerdict(line, lattice.bottom())
+                == ModularityVerdict(flat=line, partner=lattice.bottom()))
+        assert (SupersolvabilityCertificate(lattice, [line])
+                == SupersolvabilityCertificate(chain=[line], lattice=lattice))
+        assert (ClaimResult("c", "witness", "B2", True, "ok", 0.5)
+                == ClaimResult(seconds=0.5, detail="ok", passed=True, arrangement="B2",
+                               kind="witness", claim_id="c"))
+
+    def test_each_refutation_has_its_own_list_and_dict(self):
+        one, two = Refutation("no-chain"), Refutation("no-chain")
+        assert one == two and one.witnesses == [] and one.modular_counts == {}
+        one.witnesses.append(None)
+        one.modular_counts[2] = 1
+        assert two.witnesses == [] and two.modular_counts == {}
+        assert one != two
+
+    def test_poincare_polynomial_compares_by_value(self):
+        assert PoincarePolynomial((1, 3, 2)) == PoincarePolynomial((1, 3, 2))
+        assert PoincarePolynomial((1, 3, 2)) != PoincarePolynomial((1, 3, 3))
+        assert PoincarePolynomial((1, 3, 2)) != (1, 3, 2)
+        with pytest.raises(TypeError):
+            hash(PoincarePolynomial((1, 3, 2)))
+
+    def test_verdict_compares_without_its_certified_sum(self):
+        lattice = build_lattice(exceptional_arrangement("D4"))
+        failing = next(v for v in modular_flats_of_rank(lattice, 2) if not v.modular)
+        fresh = ModularityVerdict(failing.flat, failing.partner)
+        assert failing.witness is not None and fresh._witness is None
+        assert fresh == failing
+
+    @pytest.mark.parametrize("record", ["CatalogEntry", "WitnessClaim"])
+    def test_frozen_records_hash_by_value_and_refuse_assignment(self, record):
+        if record == "CatalogEntry":
+            entry = catalog_entry("D4")
+            rebuilt = CatalogEntry(entry.name, entry.ambient, entry.field_order,
+                                entry.expected_count, entry.supersolvable, entry.rank,
+                                entry.coexponents)
+            field = "coexponents"
+        else:
+            entry = WITNESS_CLAIMS[0]
+            rebuilt = WitnessClaim(entry.claim_id, entry.equation_id, entry.arrangement,
+                                entry.x_forms, entry.y_forms, entry.expected)
+            field = "expected"
+        assert rebuilt is not entry and rebuilt == entry and hash(rebuilt) == hash(entry)
+        assert len({rebuilt, entry}) == 1
+        with pytest.raises(AttributeError):
+            setattr(entry, field, None)
+        with pytest.raises(AttributeError):
+            delattr(entry, field)
+        with pytest.raises(AttributeError):
+            entry.unknown = 1
+        assert rebuilt == entry
+
+    @pytest.mark.parametrize("entry", [catalog_entry("D4"), WITNESS_CLAIMS[0],
+                                       ClaimResult("c", "witness", "B2", True, "ok", 0.5)],
+                             ids=["CatalogEntry", "WitnessClaim", "ClaimResult"])
+    def test_records_copy_and_pickle(self, entry):
+        # a frozen record refuses assignment, so copy and pickle rebuild it
+        # by its constructor; each must give back an equal record
+        for other in (copy.copy(entry), copy.deepcopy(entry),
+                      pickle.loads(pickle.dumps(entry))):
+            assert type(other) is type(entry) and other == entry

@@ -246,21 +246,29 @@ class TestBuildLattice:
 
     # Residues (``form_residue``) of a one-worker build, those of parents
     # read as they extend included, and none for the rank-1 flats, which
-    # hold their hyperplanes' normalized rows.  A cover's own residue above
-    # rank 2 is reduced only when a line through its hyperplane needs it
-    # compared, or when its subspace is read; parents go largest first, so
-    # more lines meet them.  Reducing every cover's residue as it was
-    # entered, parents in support order, took 3,936 and 3,775.
-    @pytest.mark.parametrize("name, residues", [("G31", 3070), ("G(4,1,5)", 2150)],
-                             ids=["G31", "G(4,1,5)"])
+    # hold their hyperplanes' normalized rows, by the rank of the cover
+    # (the parent's plus one).  A cover's own residue above rank 2 is
+    # reduced only when a line through its hyperplane needs it compared, or
+    # when its subspace is read; parents go largest first, so more lines
+    # meet them.  Reducing every cover's residue as it was entered, parents
+    # in support order, took 3,936 and 3,775 for G31 and G(4,1,5).
+    @pytest.mark.parametrize("name, residues", [
+        ("G31", {2: 1150, 3: 1920}),
+        ("G(4,1,5)", {2: 730, 3: 1406, 4: 14}),
+        ("G(2,2,6)", {2: 355, 3: 1036, 4: 890, 5: 160}),
+    ], ids=["G31", "G(4,1,5)", "G(2,2,6)"])
     def test_one_worker_residues(self, monkeypatch, name, residues):
         arr = build_named(name)
-        calls = []
+        calls = {}
         real = hyparr.arrangement.form_residue
-        monkeypatch.setattr(hyparr.arrangement, "form_residue",
-                            lambda row, sub: calls.append(row) or real(row, sub))
+
+        def counted(row, sub):
+            calls[sub.codim + 1] = calls.get(sub.codim + 1, 0) + 1
+            return real(row, sub)
+
+        monkeypatch.setattr(hyparr.arrangement, "form_residue", counted)
         build_lattice(arr, threads=1)
-        assert len(calls) == residues
+        assert calls == residues
 
     def test_max_flats_holds_within_a_level(self, monkeypatch):
         # G31 has 771 flats up to rank 2 and 1500 of rank 3: the build stops

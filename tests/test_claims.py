@@ -1,12 +1,10 @@
 """The claims table: unique ids, and one rank-2 scan per arrangement."""
 
-from dataclasses import replace
-
 import hyparr.analysis
 from hyparr import claims
 from hyparr.analysis import check_rank2_criterion
 from hyparr.claims import ClaimResult, LatticeStore, run_claims
-from hyparr.reflection import catalog, catalog_entry
+from hyparr.reflection import CatalogEntry, catalog, catalog_entry
 
 
 def test_catalog_names_and_claim_ids_unique(monkeypatch):
@@ -91,7 +89,9 @@ def test_rank2_criterion_claim_checks_the_coexponents(monkeypatch):
     # other claims still pass
     entry = catalog_entry("D4")
     monkeypatch.setattr(claims, "catalog_entry",
-                        lambda name: replace(entry, coexponents=(1, 3, 4, 5))
+                        lambda name: CatalogEntry(entry.name, entry.ambient, entry.field_order,
+                                                  entry.expected_count, entry.supersolvable,
+                                                  entry.rank, (1, 3, 4, 5))
                         if name == "D4" else catalog_entry(name))
     results = {r.kind: r for r in run_claims("D4", LatticeStore())}
     assert results.keys() == {"witness", "rank2-empty", "rank2-criterion"}

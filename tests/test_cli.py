@@ -4,8 +4,12 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
+import textwrap
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -657,6 +661,32 @@ class TestTimings:
         assert re.findall(r"^time (\w+): \d+\.\d{3}s$", err, re.M) == [
             "lattice", "modular", "report"]
         assert re.search(r"\ntime report: \d+\.\d{3}s\n$", err)
+
+
+class TestStartUp:
+    def test_cli_import_loads_no_heavy_module(self):
+        # every command starts by importing hyparr.cli: the records are plain
+        # classes, so ``dataclasses`` (and ``inspect`` under it) is never
+        # loaded, and ``fractions`` (with ``decimal``) only by the first
+        # CyclotomicNumber method that takes or returns a Fraction, which
+        # still works then; ``-S`` keeps site packages from loading any
+        code = textwrap.dedent("""
+            import sys
+            import hyparr.cli
+            heavy = {"dataclasses", "inspect", "fractions", "decimal"}
+            print(sorted(heavy & set(sys.modules)))
+            from fractions import Fraction
+            from hyparr import CyclotomicNumber
+            half = CyclotomicNumber.from_rational(Fraction(1, 2), 3)
+            assert half.coeffs == (Fraction(1, 2), Fraction(0))
+            assert half == Fraction(1, 2) and half != Fraction(1, 3)
+            assert half + Fraction(1, 2) == 1
+            print("ok")
+        """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert out.stdout == "[]\nok\n"
 
 
 class TestSearchOutputs:

@@ -15,7 +15,6 @@ over every flat by ``sum_membership`` is the oracle for the scan's
 verdicts.
 """
 
-import dataclasses
 import random
 import sys
 from itertools import combinations
@@ -24,8 +23,8 @@ import pytest
 
 import hyparr._kernel
 import hyparr.analysis
-from hyparr.analysis import (ModularityVerdict, is_modular, is_supersolvable,
-                             modular_flats_of_rank, validate_certificate)
+from hyparr.analysis import (ModularityVerdict, SupersolvabilityCertificate, is_modular,
+                             is_supersolvable, modular_flats_of_rank, validate_certificate)
 from hyparr.arrangement import IntersectionLattice, build_lattice, closure, lattice_of, product
 from hyparr.cache import load_lattice, save_lattice
 from hyparr.claims import LatticeStore, run_rank2_empty_claim
@@ -524,7 +523,7 @@ def test_validator_ignores_a_lying_scan(monkeypatch):
     for level in lattice.levels[1:]:
         chain.append(next(f for f in level
                           if f.support & chain[-1].support == chain[-1].support))
-    forged = dataclasses.replace(cert, chain=chain, refutation=None)
+    forged = SupersolvabilityCertificate(cert.lattice, chain, None)
     genuine = is_supersolvable(build_lattice(build_named("A(3)")))
     assert genuine.verdict
     assert not is_modular(lattice, chain[2]).modular
