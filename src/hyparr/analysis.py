@@ -76,8 +76,7 @@ irreducible factors (``irreducible_factor_count``).  Both divide by
 from __future__ import annotations
 
 from . import _kernel
-from .arrangement import (Arrangement, Flat, IntersectionLattice, Record, _bits, closure,
-                          parallel_map)
+from .arrangement import Arrangement, Flat, IntersectionLattice, Record, _bits, closure
 from .cyclo import elem_str, field_context, poly_divmod, poly_mul
 from .errors import InternalInconsistencyError, RefusalError
 from .linalg import (LinearForm, Subspace, form_residue, subspace_from_forms,
@@ -337,11 +336,10 @@ def _verdict_from_factors(lattice: IntersectionLattice, x: Flat) -> ModularityVe
 
 
 def _verdict(lattice: IntersectionLattice, f: Flat) -> ModularityVerdict:
-    """f's verdict, kept on the lattice; scan workers share the memo, and
-    ``setdefault`` keeps one verdict per flat."""
+    """f's verdict, kept on the lattice, so each flat is tested once."""
     v = lattice.verdicts.get(f.support)
     if v is None:
-        v = lattice.verdicts.setdefault(f.support, is_modular(lattice, f))
+        v = lattice.verdicts[f.support] = is_modular(lattice, f)
     return v
 
 
@@ -399,13 +397,13 @@ def modular_flats_of_rank(lattice: IntersectionLattice, rank: int,
     at least 4 without factors, the lines are decided together by one pass
     over the rank-3 flats (``_line_partners``) unless every line already
     has its verdict, and ``is_modular`` tests only the lines that pass
-    leaves."""
+    leaves.  ``threads`` is accepted and ignored: one worker runs."""
     if not 0 <= rank <= lattice.rank():
         raise ValueError(f"rank {rank} out of range 0..{lattice.rank()}")
     if (rank == 2 and lattice.rank() >= 4 and not lattice.factors
             and any(s not in lattice.verdicts for s in lattice.supports[2])):
         _line_partners(lattice)
-    return parallel_map(lambda f: _verdict(lattice, f), lattice.levels[rank], threads)
+    return [_verdict(lattice, f) for f in lattice.levels[rank]]
 
 
 def is_supersolvable(lattice: IntersectionLattice, threads: int = 1
@@ -429,6 +427,7 @@ def is_supersolvable(lattice: IntersectionLattice, threads: int = 1
     verdicts already found: the first rank with no modular flat refutes with
     that rank's verdicts as witnesses, and otherwise the refutation counts
     every rank's modular flats.  The verdicts stay on ``lattice``.
+    ``threads`` is accepted and ignored: one worker runs.
     """
     r = lattice.rank()
     bottom = lattice.bottom()
@@ -468,7 +467,7 @@ def is_supersolvable(lattice: IntersectionLattice, threads: int = 1
     # No chain: finish the scan rank by rank for the refutation's evidence.
     counts: dict[int, int] = {0: 1, 1: len(lattice.levels[1]), r: 1}
     for k in range(2, r):
-        verdicts = modular_flats_of_rank(lattice, k, threads)
+        verdicts = modular_flats_of_rank(lattice, k)
         counts[k] = sum(v.modular for v in verdicts)
         if not counts[k]:
             refutation = Refutation("empty-rank", rank=k, witnesses=verdicts)
@@ -706,7 +705,7 @@ def check_rank2_criterion(cert: SupersolvabilityCertificate, threads: int = 1) -
     The factors are counted off the certificate's lattice
     (``irreducible_factor_count``), and its modular rank-2 flats are read
     by ``modular_flats_of_rank``, which tests only the rank-2 flats the
-    search did not.
+    search did not.  ``threads`` is accepted and ignored: one worker runs.
     """
     lattice = cert.lattice
     poly = poincare(lattice.arrangement, lattice)
@@ -717,7 +716,7 @@ def check_rank2_criterion(cert: SupersolvabilityCertificate, threads: int = 1) -
             f"this one splits into {factors} factors")
     if lattice.rank() < 2:
         raise RefusalError("the rank-2 criterion needs rank at least 2")
-    mods = [v.flat for v in modular_flats_of_rank(lattice, 2, threads) if v.modular]
+    mods = [v.flat for v in modular_flats_of_rank(lattice, 2) if v.modular]
     return Rank2Report(cert.verdict, mods, poly)
 
 

@@ -58,7 +58,6 @@ normals.
 from __future__ import annotations
 
 from math import lcm, prod
-from threading import Lock
 
 from . import _kernel
 from .cyclo import embed_row, field_context
@@ -68,23 +67,6 @@ from .linalg import (LinearForm, Row, Subspace, extend_by_rows, extend_rref, for
                      subspace_from_rows, variable_names)
 
 DEFAULT_MAX_FLATS = 500_000
-
-# held only to publish a lattice's ``index`` once made
-_PUBLISH = Lock()
-
-
-def parallel_map(fn, items, threads: int) -> list:
-    """``[fn(x) for x in items]``, in order, on up to ``threads`` worker threads.
-
-    The kernels hold the GIL, so workers give the same result, not a speed-up.
-    The pool's module is imported only here, so a one-worker run never
-    loads it.
-    """
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
-        return list(pool.map(fn, items))
 
 
 class Record:
@@ -229,10 +211,9 @@ class Flat:
     it then extends that subspace by the residue (``extend_rref``), or else
     by the rows of the masked hyperplanes (``extend_by_rows``), and checks
     that the result has the flat's rank.  A deferred flat then keeps the
-    subspace, and keeps its sources, so workers reading it at once only
-    derive an equal subspace more than once.  The hash reads the support
-    only, so sets and dicts of flats derive nothing; equality compares
-    supports, then subspaces.
+    subspace, and its sources.  The hash reads the support only, so sets
+    and dicts of flats derive nothing; equality compares supports, then
+    subspaces.
     """
 
     __slots__ = ("_subspace", "support", "rank", "_parent", "_residue", "_rows", "_mask")
@@ -332,8 +313,7 @@ class IntersectionLattice:
     hyperplane's residue modulo that flat's subspace, or the hyperplane's
     bit where the build compared no residue.  Either way a flat extends its
     subspace when first read and checks its rank.  ``index`` is made on its
-    first read, from ``levels``, built or loaded alike; workers racing on
-    that read all get the one dict published first.  The one incidence
+    first read, from ``levels``, built or loaded alike.  The one incidence
     table, ``flats_through``, is built per rank on first use, and every
     cover relation is read off it (``above``).
     ``factors`` holds the factor lattices of a product that ``lattice_of``
@@ -348,11 +328,7 @@ class IntersectionLattice:
         self.supports = supports
         self.factors: tuple[Factor, ...] | None = None
         self.verdicts: dict = {}
-        # the levels once made: list.append is atomic, so worker threads
-        # racing on the first read all keep the first
-        self._flats: list[tuple[tuple[Flat, ...], ...]] = []
-        # the index once published: worker threads racing on the first read
-        # each make a dict, and all keep the first one published
+        self._flats: tuple[tuple[Flat, ...], ...] | None = None
         self._index: dict[int, Flat] | None = None
         self._through: dict[int, dict[int, int]] = {}
 
@@ -361,33 +337,29 @@ class IntersectionLattice:
                  levels: tuple[tuple[Flat, ...], ...]) -> IntersectionLattice:
         """The lattice whose rank-k flats are ``levels[k]``, sorted by support."""
         lattice = cls(arrangement, tuple(tuple(f.support for f in level) for level in levels))
-        lattice._flats.append(levels)
+        lattice._flats = levels
         return lattice
 
     @property
     def levels(self) -> tuple[tuple[Flat, ...], ...]:
         """The flats by rank, made from the supports on the first read."""
-        made = self._flats
-        if not made:
+        levels = self._flats
+        if levels is None:
             arr = self.arrangement
             bottom = Flat(full_space(arr.ambient, arr.order), 0, 0)
             hyperplanes = arr.hyperplanes
             extending = Flat.extending
-            made.append(((bottom,),) + tuple(
+            levels = self._flats = ((bottom,),) + tuple(
                 tuple(extending(bottom, None, hyperplanes, s, s, rank) for s in level)
-                for rank, level in enumerate(self.supports[1:], 1)))
-        return made[0]
+                for rank, level in enumerate(self.supports[1:], 1))
+        return levels
 
     @property
     def index(self) -> dict[int, Flat]:
         """Support -> flat, made from ``levels`` on the first read."""
         index = self._index
         if index is None:
-            made = {f.support: f for level in self.levels for f in level}
-            with _PUBLISH:
-                if self._index is None:
-                    self._index = made
-                index = self._index
+            index = self._index = {f.support: f for level in self.levels for f in level}
         return index
 
     def flats(self):
@@ -450,8 +422,7 @@ class IntersectionLattice:
         as a mask over ``levels[rank]``: bit i for its i-th flat in flat
         order.  The flats through any of X's hyperplanes are those that meet
         X above the bottom; the flats through all of them are those above X
-        (``above``).  Built on first use, per rank; a concurrent first call
-        builds an equal table, so worker threads may share it."""
+        (``above``).  Built on first use, per rank."""
         table = self._through.get(rank)
         if table is None:
             table = {}
@@ -510,48 +481,41 @@ def _over_budget(max_flats: int) -> RefusalError:
 
 class _Level:
     """The flats of one rank found so far, numbered in the order they are
-    entered, shared by the workers building it.
+    entered.
 
     ``found`` maps support -> flat, ``supports`` lists the supports by
     number, and ``through`` maps each hyperplane bit to the mask of the
     numbered flats that hold it: bit i for ``supports[i]``.  The level's
     flats over a parent are the AND of the masks of the parent's
-    hyperplanes (``_children_of``).  ``add`` numbers a flat and updates
-    the masks under ``lock``, so no two flats share a number and every bit
-    a mask sets names a listed support; a worker racing an entry may miss
-    the new flat and compute it again, and the level keeps the first one
-    entered.  ``room`` is how many flats the level may add within the
-    budget, checked on every entry.
+    hyperplanes (``_children_of``).  ``add`` numbers a new flat and
+    updates the masks, and keeps the first flat entered for a support.
+    ``room`` is how many flats the level may add within the budget, checked
+    on every entry.
     """
 
-    __slots__ = ("found", "supports", "through", "lock", "room", "max_flats")
+    __slots__ = ("found", "supports", "through", "room", "max_flats")
 
     def __init__(self, kept: int, max_flats: int):
         self.found: dict[int, Flat] = {}
         self.supports: list[int] = []
         self.through: dict[int, int] = {}
-        self.lock = Lock()
         self.room = max_flats - kept
         self.max_flats = max_flats
-
-    def check_budget(self) -> None:
-        if len(self.found) > self.room:
-            raise _over_budget(self.max_flats)
 
     def add(self, flat: Flat) -> None:
         support = flat.support
         found, supports, through = self.found, self.supports, self.through
-        with self.lock:
-            if support in found:
-                return
-            found[support] = flat
-            bit = 1 << len(supports)
-            supports.append(support)
-            while support:
-                atom = support & -support
-                through[atom] = through.get(atom, 0) | bit
-                support ^= atom
-        self.check_budget()
+        if support in found:
+            return
+        found[support] = flat
+        bit = 1 << len(supports)
+        supports.append(support)
+        while support:
+            atom = support & -support
+            through[atom] = through.get(atom, 0) | bit
+            support ^= atom
+        if len(found) > self.room:
+            raise _over_budget(self.max_flats)
 
 
 def _children_of(arr: Arrangement, parent: Flat, level: _Level, lines: dict | None) -> None:
@@ -593,7 +557,6 @@ def _children_of(arr: Arrangement, parent: Flat, level: _Level, lines: dict | No
     be.  The top of an essential arrangement of rank 2 or more is entered
     by ``build_lattice`` itself.
     """
-    level.check_budget()  # another worker may have gone over already
     hyperplanes = arr.hyperplanes
     below = parent.support
     through = level.through
@@ -704,11 +667,10 @@ def build_lattice(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS,
     compared against or by a caller, reading X's first, so a read goes at
     most the flat's rank deep.  The lattice makes its ``index`` when first
     read.  Each level is sorted by support bitset, so the result is
-    deterministic and identical for any worker count, and each subspace is
-    the canonical RREF whichever parent entered the flat; the workers of a
-    level share its ``_Level``.  The flat budget is checked whenever a
-    level gains a flat, so an oversized lattice is refused before its level
-    is finished.
+    deterministic, and each subspace is the canonical RREF whichever parent
+    entered the flat.  The flat budget is checked whenever a level gains a
+    flat, so an oversized lattice is refused before its level is finished.
+    ``threads`` is accepted and ignored: one worker runs.
     """
     rows = _distinct_rows(arr)
     bottom = Flat(full_space(arr.ambient, arr.order), 0, 0)
@@ -732,7 +694,8 @@ def build_lattice(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS,
         else:
             if rank == 3:
                 lines = _lines(levels[2])
-            parallel_map(lambda parent: _children_of(arr, parent, level, lines), parents, threads)
+            for parent in parents:
+                _children_of(arr, parent, level, lines)
         found = level.found
         if not found:
             break
@@ -767,8 +730,7 @@ class Factor:
     @property
     def flat_at(self) -> dict[int, Flat]:
         """Input support -> the factor's flat.  Built on first read, which
-        assembling the product does not make; a concurrent first call builds
-        an equal table, as ``flats_through`` does."""
+        assembling the product does not make."""
         table = self._flat_at
         if table is None:
             moved = self.moved
@@ -863,12 +825,13 @@ def lattice_of(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS, threads: in
                build=build_lattice) -> IntersectionLattice:
     """The lattice of ``arr``: assembled from its factors' lattices when its
     forms split into two or more blocks of coordinates (``_split``), and
-    ``build(arr, max_flats, threads)`` otherwise.  ``build`` gives each
+    ``build(arr, max_flats)`` otherwise.  ``build`` gives each
     factor's lattice too, from the factor's forms: ``build_lattice`` by
     default, a load or build of the factor's cache entry for
     ``cache.load_or_build``.  The forms must define distinct hyperplanes:
     ``build_lattice`` refuses a zero form or a repeat, in the block that
-    holds it, with a ``ValueError`` (``_distinct_rows``).
+    holds it, with a ``ValueError`` (``_distinct_rows``).  ``threads`` is
+    accepted and ignored: one worker runs.
 
     The lattice of a product is the product of its factors' lattices
     (Orlik-Terao, *Arrangements of Hyperplanes*, Prop. 2.14): a flat is one
@@ -892,8 +855,8 @@ def lattice_of(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS, threads: in
     """
     parts = _split(arr)
     if parts is None:
-        return build(arr, max_flats, threads)
-    factors = [Factor(build(forms, max_flats, threads), indices) for indices, forms in parts]
+        return build(arr, max_flats)
+    factors = [Factor(build(forms, max_flats), indices) for indices, forms in parts]
     if prod(len(f.lattice) for f in factors) > max_flats:
         raise _over_budget(max_flats)
     lattice = IntersectionLattice(arr, tuple(tuple(sorted(level))

@@ -232,16 +232,16 @@ def load_or_build(arr: Arrangement, cache_dir: str | None = None,
     anything is built.  An entry with more than ``max_flats`` flats is
     refused as the build refuses it, before its flats are made, and a
     product with more is refused from its factors' sizes before it is
-    assembled."""
+    assembled.  ``threads`` is accepted and ignored: one worker runs."""
     if not cache_dir:
-        return lattice_of(arr, max_flats, threads)
+        return lattice_of(arr, max_flats)
     with _using(cache_dir):
         os.makedirs(cache_dir, exist_ok=True)
 
-    def load_or_save(forms, max_flats, threads):
+    def load_or_save(forms, max_flats):
         lattice = load_lattice(forms, cache_dir, max_flats)
         if lattice is None:
-            lattice = build_lattice(forms, max_flats, threads)
+            lattice = build_lattice(forms, max_flats)
             save_lattice(lattice, cache_dir)
         return lattice
-    return lattice_of(arr, max_flats, threads, load_or_save)
+    return lattice_of(arr, max_flats, build=load_or_save)

@@ -117,11 +117,11 @@ class ClaimResult(Record):
 
 
 class LatticeStore:
-    """Builds each named arrangement, its lattice and its certificate once per run."""
+    """Builds each named arrangement, its lattice and its certificate once
+    per run.  ``threads`` is accepted and ignored: one worker runs."""
 
     def __init__(self, threads: int = 1, max_flats: int = DEFAULT_MAX_FLATS,
                  cache_dir: str | None = None):
-        self.threads = threads
         self.max_flats = max_flats
         self.cache_dir = cache_dir
         self._arrangements: dict[str, Arrangement] = {}
@@ -136,12 +136,12 @@ class LatticeStore:
     def lattice(self, name: str) -> IntersectionLattice:
         if name not in self._lattices:
             self._lattices[name] = load_or_build(self.arrangement(name), self.cache_dir,
-                                                 self.max_flats, self.threads)
+                                                 self.max_flats)
         return self._lattices[name]
 
     def certificate(self, name: str) -> SupersolvabilityCertificate:
         if name not in self._certificates:
-            self._certificates[name] = is_supersolvable(self.lattice(name), self.threads)
+            self._certificates[name] = is_supersolvable(self.lattice(name))
         return self._certificates[name]
 
 
@@ -160,7 +160,7 @@ def run_witness_claim(claim: WitnessClaim, store: LatticeStore) -> ClaimResult:
 
 def run_rank2_empty_claim(name: str, store: LatticeStore) -> ClaimResult:
     t0 = time.perf_counter()
-    verdicts = modular_flats_of_rank(store.lattice(name), 2, store.threads)
+    verdicts = modular_flats_of_rank(store.lattice(name), 2)
     flats, modular = len(verdicts), sum(v.modular for v in verdicts)
     if not modular:
         # the rank-2 verdicts are this claim's evidence; each is certified
@@ -175,7 +175,7 @@ def run_rank2_empty_claim(name: str, store: LatticeStore) -> ClaimResult:
 
 def run_equivalence_claim(name: str, store: LatticeStore) -> ClaimResult:
     t0 = time.perf_counter()
-    report = check_rank2_criterion(store.certificate(name), store.threads)
+    report = check_rank2_criterion(store.certificate(name))
     detail = (f"supersolvable={report.supersolvable}, "
               f"modular rank-2 flats={report.modular_rank2_count}")
     expected = catalog_entry(name).poincare_coefficients()

@@ -4,7 +4,7 @@ Subcommands: build | lattice | modular | supersolvable | poincare | decompose
 | verify-paper.  Arrangement specs are catalog names (D4, G31, G(3,1,3),
 A(3), B3, ...), product(spec, spec) expressions, or paths to arrangement
 files.  Exit codes: 0 success, 1 verification failure, 2 parse error,
-3 computation refusal.  Stdout holds only the rendered report, human or
+3 computation refusal, 4 internal error.  Stdout holds only the rendered report, human or
 ``--json``, so two runs print the same bytes; the ``time`` lines go to
 stderr.
 """
@@ -24,7 +24,7 @@ from .arrangement import (DEFAULT_MAX_FLATS, Arrangement, irreducible_decomposit
                           product)
 from .cache import CACHE_ENV, load_or_build
 from .claims import LatticeStore, claim_scopes, run_claims, unknown_scope
-from .errors import ParseError, RefusalError
+from .errors import InternalInconsistencyError, ParseError, RefusalError
 from .parse import MAX_NESTING, check_packed_size, parse_arrangement_file
 from .reflection import build_named
 from .report import (arrangement_payload, certificate_payload, lattice_payload,
@@ -34,6 +34,7 @@ EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_PARSE_ERROR = 2
 EXIT_REFUSED = 3
+EXIT_INTERNAL = 4
 
 
 def resolve_spec(spec: str, nesting: int = 0) -> tuple[str, Arrangement]:
@@ -106,8 +107,8 @@ def _make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-flats", type=_positive_count, default=DEFAULT_MAX_FLATS,
                         help="abort lattice builds beyond this many flats")
     parser.add_argument("--threads", type=_positive_count, default=1,
-                        help="worker threads for lattice builds and modular scans; "
-                             "output is identical for any N")
+                        help="accepted for compatibility; every command runs on "
+                             "one thread, and the output is the same for any N")
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, extra in (
@@ -150,8 +151,7 @@ def _run(args) -> int:
         if args.scope not in claim_scopes():
             raise ParseError(unknown_scope(args.scope))
         t0 = time.perf_counter()
-        store = LatticeStore(threads=args.threads, max_flats=args.max_flats,
-                             cache_dir=args.cache_dir)
+        store = LatticeStore(max_flats=args.max_flats, cache_dir=args.cache_dir)
         results = run_claims(args.scope, store)
         report = {
             "command": "verify-paper",
@@ -191,7 +191,7 @@ def _run(args) -> int:
         return EXIT_OK
 
     t0 = time.perf_counter()
-    lattice = load_or_build(arr, args.cache_dir, args.max_flats, args.threads)
+    lattice = load_or_build(arr, args.cache_dir, args.max_flats)
     timings["lattice"] = time.perf_counter() - t0
     report["arrangement"] = arrangement_payload(arr, lattice.rank(), name)
     report["lattice"] = lattice_payload(lattice)
@@ -205,7 +205,7 @@ def _run(args) -> int:
             raise ParseError(f"--rank must lie in 0..{lattice.rank()} "
                              f"for this arrangement")
         t0 = time.perf_counter()
-        verdicts = modular_flats_of_rank(lattice, args.rank, args.threads)
+        verdicts = modular_flats_of_rank(lattice, args.rank)
         timings["modular"] = time.perf_counter() - t0
         t0 = time.perf_counter()
         report["modular"] = {
@@ -219,7 +219,7 @@ def _run(args) -> int:
 
     if args.command == "supersolvable":
         t0 = time.perf_counter()
-        cert = is_supersolvable(lattice, args.threads)
+        cert = is_supersolvable(lattice)
         timings["supersolvable"] = time.perf_counter() - t0
         t0 = time.perf_counter()
         report["supersolvable"] = certificate_payload(cert)
@@ -229,7 +229,7 @@ def _run(args) -> int:
     if args.command == "poincare":
         t0 = time.perf_counter()
         poly = poincare(arr, lattice)
-        cert = is_supersolvable(lattice, args.threads)
+        cert = is_supersolvable(lattice)
         exponents = checked_exponents(poly, cert) if cert.verdict else None
         timings["poincare"] = time.perf_counter() - t0
         t0 = time.perf_counter()
@@ -253,6 +253,9 @@ def main(argv: list[str] | None = None) -> int:
     except RefusalError as exc:
         print(f"hyparr: refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
+    except InternalInconsistencyError as exc:
+        print(f"hyparr: internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

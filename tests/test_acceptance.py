@@ -49,7 +49,7 @@ def test_criterion_02_rank2_emptiness(store):
         t0 = time.perf_counter()
         arr = store.arrangement(name)
         lattice = store.lattice(name)
-        verdicts = modular_flats_of_rank(lattice, 2, threads=store.threads)
+        verdicts = modular_flats_of_rank(lattice, 2)
         elapsed = time.perf_counter() - t0
         budget = 600.0 if name == "G31" else 120.0
         assert not any(v.modular for v in verdicts), name
@@ -117,7 +117,7 @@ def test_criterion_05_product_theorem(store):
     pairs = 0
     for n1, n2 in itertools.product(names, repeat=2):
         pr = product(arrs[n1], arrs[n2])
-        cert = is_supersolvable(build_lattice(pr), threads=store.threads)
+        cert = is_supersolvable(build_lattice(pr))
         # the direct build: the product theorem is checked, not used
         assert cert.lattice.factors is None
         expected = verdicts[n1] and verdicts[n2]
@@ -134,12 +134,12 @@ def test_criterion_05_product_theorem(store):
 
 def test_criterion_06_reducible_modular_ranks(store):
     pr = product(store.arrangement("G(2,1,3)"), store.arrangement("G(3,3,3)"))
-    lattice = build_lattice(pr, threads=store.threads)
+    lattice = build_lattice(pr)
     counts = []
     for r in range(lattice.rank() + 1):
-        verdicts = modular_flats_of_rank(lattice, r, threads=store.threads)
+        verdicts = modular_flats_of_rank(lattice, r)
         counts.append(sum(v.modular for v in verdicts))
-    cert = is_supersolvable(lattice, threads=store.threads)
+    cert = is_supersolvable(lattice)
     ok = all(c > 0 for c in counts) and not cert.verdict and lattice.rank() == 6
     note(ok, "criterion 6: reducible product has modular flats at every rank "
          "yet is not supersolvable", f"modular counts {counts}")

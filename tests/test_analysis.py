@@ -147,7 +147,7 @@ class TestModularFlatsOfRank:
         arr = exceptional_arrangement("G25")
         lattice = build_lattice(arr)
         seq = modular_flats_of_rank(lattice, 2)
-        # a lattice of its own, so that the workers test every flat again
+        # a lattice of its own, so that every flat is tested again
         par = modular_flats_of_rank(build_lattice(arr), 2, threads=4)
         assert [v.flat.support for v in seq] == [v.flat.support for v in par]
         assert [v.modular for v in seq] == [v.modular for v in par]
@@ -281,7 +281,7 @@ class TestChainSearch:
 
     @pytest.mark.parametrize("pair", PRODUCT_PAIRS)
     def test_product_pairs_match_full_scan(self, pair):
-        # two threads share the search's verdicts while they finish the scan
+        # the scan finishes on the search's verdicts; ``threads`` is ignored
         cert = is_supersolvable(build_lattice(_pair(*pair)), threads=2)
         self.assert_matches_full_scan(cert, pair)
 
@@ -439,7 +439,7 @@ class TestMobiusPoincare:
             lattice = load_lattice(built.arrangement, str(tmp_path))
             # the polynomial reads supports and masks, and makes no flat
             assert poincare(lattice.arrangement, lattice) == poincare(built.arrangement, built)
-            assert lattice._flats == []
+            assert lattice._flats is None
         assert {f.support: v for f, v in mobius(lattice).items()} == \
             mobius_by_recursion(lattice)
 

@@ -1,12 +1,11 @@
 """Arrangements, lattices, and the structural constructions."""
 
+import ast
 import gc
 import hashlib
 import importlib.util
 import json
-import os
 import random
-import subprocess
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -19,9 +18,9 @@ import hyparr.arrangement
 import hyparr.linalg
 from hyparr import _kernel
 from hyparr.analysis import is_supersolvable, modular_flats_of_rank
-from hyparr.arrangement import (DEFAULT_MAX_FLATS, Arrangement, Flat, build_lattice, closure,
-                                essentialize, irreducible_decomposition, lattice_of,
-                                make_arrangement, parallel_map, product, restriction)
+from hyparr.arrangement import (Arrangement, build_lattice, closure, essentialize,
+                                irreducible_decomposition, lattice_of, make_arrangement,
+                                product, restriction)
 from hyparr.cli import resolve_spec
 from hyparr.cyclo import CyclotomicNumber, embed, field_context
 from hyparr.errors import InternalInconsistencyError, InvalidHyperplaneError, RefusalError
@@ -221,29 +220,6 @@ class TestBuildLattice:
         assert top._parent in lattice.levels[3] and top._parent.rank == 3
         assert top.subspace == reference_subspace(arr, arr.full_support())
 
-    def test_level_numbers_each_flat_once_under_workers(self):
-        # four workers enter the same 3,000 supports at once, each from its
-        # own start: every support gets one number, and each hyperplane's
-        # mask names exactly the numbered supports that hold it
-        rng = random.Random(42)
-        supports = [rng.getrandbits(16) | 1 << rng.randrange(16) for _ in range(3000)]
-        flats = [Flat(None, s, 2) for s in supports]
-        for _ in range(5):
-            level = hyparr.arrangement._Level(1, DEFAULT_MAX_FLATS)
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)
-            try:
-                with ThreadPoolExecutor(max_workers=4) as pool:
-                    list(pool.map(lambda k: [level.add(f) for f in flats[k:] + flats[:k]],
-                                  range(0, 3000, 750)))
-            finally:
-                sys.setswitchinterval(interval)
-            assert sorted(level.supports) == sorted(set(supports)) == sorted(level.found)
-            for i in range(16):
-                atom = 1 << i
-                assert level.through[atom] == sum(1 << n for n, s in enumerate(level.supports)
-                                                  if s & atom)
-
     # Residues (``form_residue``) of a one-worker build, those of parents
     # read as they extend included, and none for the rank-1 flats, which
     # hold their hyperplanes' normalized rows, by the rank of the cover
@@ -289,13 +265,8 @@ class TestBuildLattice:
         # a hyperplane are entered one by one, each checked on entry, so the
         # budget's 239 rank-2 flats cost at most 240 extensions
         calls = count_kernel_calls(monkeypatch)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # let the workers interleave often
-        try:
-            with pytest.raises(RefusalError, match=r"flat budget \(300\)"):
-                build_lattice(build_named("G31"), max_flats=300, threads=threads)
-        finally:
-            sys.setswitchinterval(interval)
+        with pytest.raises(RefusalError, match=r"flat budget \(300\)"):
+            build_lattice(build_named("G31"), max_flats=300, threads=threads)
         assert calls["rref"] + calls["extend"] <= 241
 
     # SHA-256 of each lattice's version-1 cache entry (rows and pivots of
@@ -447,18 +418,12 @@ class TestDeferredSubspaces:
         assert lattice._index is None
 
     def test_worker_count_changes_no_flat(self):
-        # three workers number the flats of a level in their own order and
-        # AND the masks of a level that others are filling: the same flats
+        # ``threads`` is accepted and ignored: the same flats at any count
         cases = {"G(4,1,5)": build_named("G(4,1,5)"), "G31": build_named("G31"),
                  **LINE_TABLE_CASES}
         for name, arr in cases.items():
             one = build_lattice(arr, threads=1)
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)
-            try:
-                three = build_lattice(arr, threads=3)
-            finally:
-                sys.setswitchinterval(interval)
+            three = build_lattice(arr, threads=3)
             assert one.level_sizes() == three.level_sizes(), name
             for x, y in zip(one.flats(), three.flats()):
                 assert x.support == y.support and x.rank == y.rank, name
@@ -583,19 +548,14 @@ class TestLineTable:
     def test_matches_oracle_at_any_worker_count(self, arr):
         slow = brute_force_lattice(arr)
         if len(slow.levels[1]) < len(arr.hyperplanes):
-            # the oracle finds a rank-1 flat of two forms: every worker
+            # the oracle finds a rank-1 flat of two forms: every thread
             # count refuses the repeat before any flat is made
             for threads in (1, 3):
                 with pytest.raises(ValueError, match="distinct hyperplanes"):
                     build_lattice(arr, threads=threads)
             return
         one = build_lattice(arr, threads=1)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # let the three workers interleave often
-        try:
-            three = build_lattice(arr, threads=3)
-        finally:
-            sys.setswitchinterval(interval)
+        three = build_lattice(arr, threads=3)
         for fast in (one, three):
             assert fast.level_sizes() == slow.level_sizes()
             assert {f.support for f in fast.flats()} == {f.support for f in slow.flats()}
@@ -614,20 +574,25 @@ class TestLineTable:
         assert len(rich) >= 10
 
 
-class TestParallelMap:
-    @pytest.mark.parametrize("threads", [1, 2, 8])
-    @pytest.mark.parametrize("items", [[], [7], list(range(40))])
-    def test_ordered_plain_map(self, threads, items):
-        assert parallel_map(lambda x: x * x - 3, items, threads) == [x * x - 3 for x in items]
-
-    def test_cli_import_loads_no_pool(self):
-        # the pool's module is imported when a pool starts, so a one-worker
-        # command does not pay for loading it
-        code = "import sys, hyparr.cli; print('concurrent.futures' in sys.modules)"
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": src}, check=True)
-        assert out.stdout == "False\n"
+class TestOneThread:
+    def test_no_module_imports_a_thread_pool(self):
+        # every build and scan runs on the caller's thread: no module of the
+        # package imports ``threading`` or ``concurrent.futures``, at its top
+        # or inside a function
+        banned = {"threading", "concurrent", "concurrent.futures"}
+        modules = sorted((Path(__file__).resolve().parents[1] / "src" / "hyparr").glob("*.py"))
+        assert len(modules) >= 13
+        found = []
+        for path in modules:
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+                else:
+                    continue
+                found += [(path.name, name) for name in names if name in banned]
+        assert found == []
 
 
 class TestRestrictionDeletion:

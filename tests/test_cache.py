@@ -3,8 +3,6 @@
 import gc
 import json
 import random
-import sys
-import threading
 import tracemalloc
 
 import pytest
@@ -14,8 +12,7 @@ import hyparr.cache
 import hyparr.cli
 from hyparr.analysis import is_supersolvable, modular_flats_of_rank, poincare
 from hyparr.arrangement import (Arrangement, Flat, IntersectionLattice, _split,
-                                arrangement_to_text, build_lattice,
-                                lattice_of, parallel_map)
+                                arrangement_to_text, build_lattice, lattice_of)
 from hyparr.cache import (_key, arrangement_payload, cache_path, lattice_from_payload,
                           lattice_payload, load_lattice, load_or_build, save_lattice)
 from hyparr.claims import RANK2_EMPTY
@@ -287,21 +284,6 @@ class TestCache:
                 assert (a.subspace.rows, a.subspace.pivots) == (b.subspace.rows,
                                                                 b.subspace.pivots)
 
-    def test_workers_derive_equal_subspaces(self, tmp_path):
-        # threads racing on one flat each derive an equal subspace
-        built = build_lattice(exceptional_arrangement("F4"))
-        save_lattice(built, str(tmp_path))
-        loaded = load_lattice(built.arrangement, str(tmp_path))
-        flats = [f for f in loaded.flats() for _ in range(3)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            derived = parallel_map(lambda f: f.subspace, flats, threads=6)
-        finally:
-            sys.setswitchinterval(interval)
-        assert derived == [b.subspace for b in built.flats() for _ in range(3)]
-        assert all(f.subspace == b.subspace for f, b in zip(loaded.flats(), built.flats()))
-
     def test_forged_rank_raises_when_read(self):
         # D4 has rank 4: its rank-2 and rank-3 supports, stored at indices 1
         # and 2, swapped still pass every integer check, and each flat
@@ -493,40 +475,6 @@ class TestSupportsOnly:
                 [[(f.support, f.rank) for f in level] for level in built.levels]
             assert [f.subspace for f in loaded.flats()] == [f.subspace for f in built.flats()]
             assert _rank2_verdicts(loaded, threads) == _rank2_verdicts(built, threads)
-
-    def test_first_read_from_workers_keeps_one_set_of_flats(self, tmp_path):
-        built = build_lattice(exceptional_arrangement("F4"))
-        save_lattice(built, str(tmp_path))
-        loaded = load_lattice(built.arrangement, str(tmp_path))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            read = parallel_map(lambda k: loaded.index if k % 2 else loaded.levels,
-                                range(8), threads=4)
-        finally:
-            sys.setswitchinterval(interval)
-        levels, index = loaded.levels, loaded.index
-        assert all(r is (index if k % 2 else levels) for k, r in enumerate(read))
-        assert all(index[f.support] is f for f in loaded.flats())
-
-    def test_racing_first_reads_of_the_index_get_one_dict(self, tmp_path, monkeypatch):
-        # both workers read ``levels`` for the index, so both have passed the
-        # check that no index is made yet before either publishes one: each
-        # makes a dict, and both must get the one published first
-        built = build_lattice(exceptional_arrangement("F4"))
-        save_lattice(built, str(tmp_path))
-        loaded = load_lattice(built.arrangement, str(tmp_path))
-        levels, barrier = loaded.levels, threading.Barrier(2, timeout=30)
-
-        def racing(self):
-            barrier.wait()
-            return levels
-
-        with monkeypatch.context() as m:
-            m.setattr(IntersectionLattice, "levels", property(racing))
-            read = parallel_map(lambda _: loaded.index, range(2), threads=2)
-        assert read[0] is read[1] is loaded.index
-        assert all(loaded.index[f.support] is f for f in loaded.flats())
 
 
 class TestFactorEntries:

