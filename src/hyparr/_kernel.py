@@ -6,15 +6,17 @@ and witness certificate.  Callers look these functions up on the module at
 call time (``_kernel.reduce(...)``), so they can be wrapped or counted there.
 ``reduce``, ``monic`` and ``lead_column`` are the one pivot-clearing loop,
 scaling to leading coefficient 1 and search for the leading entry.  ``rref``
-and ``rank`` keep their own full elimination.  Only the tests call
-``rref``, as an independent reference: every RREF outside them grows one
-residue at a time (``linalg.extend_by_rows``).  ``rank`` has one library
-caller, ``analysis.validate_certificate``, which re-checks modularity by
-stacked ranks.
+is the one full elimination: ``rank`` counts its rows, ``elem_inv`` reads
+an inverse off its last column over ``Q``, and the tests hold it as an
+independent reference for the RREFs the library grows one residue at a
+time (``linalg.extend_by_rows``).  ``rank`` has one library caller,
+``analysis.validate_certificate``, which re-checks modularity by stacked
+ranks.
 ``mul_matrix`` and ``mul_apply`` are the one multiplication: every product
-of field elements (``elem_mul``, ``elem_inv``, ``eliminate``, ``monic``,
-``rref``, ``rank``) builds the integer matrix of its multiplier, cached per
-element, and applies it to each element of a row.  A rational multiplier
+of field elements (``elem_mul``, ``eliminate``, ``monic``, ``rref``)
+builds the integer matrix of its multiplier, cached per element, and
+applies it to each element of a row; ``elem_inv`` solves against the
+matrix of its argument.  A rational multiplier
 skips the matrix in ``eliminate``, as over ``Q`` (degree 1).  The
 commonest degrees have their own paths inside these functions, with no
 function of their own: ``mul_apply`` unrolls degree 2 (orders 3, 4 and
@@ -127,13 +129,15 @@ def elem_mul(a, b, d, red):
 
 @lru_cache(maxsize=4096)
 def elem_inv(a, d, red):
-    """Inverse modulo the defining polynomial, in integers only, cached like
-    ``mul_matrix`` (``a`` is a pair of a tuple and an int).
+    """Inverse modulo the defining polynomial, cached like ``mul_matrix``
+    (``a`` is a pair of a tuple and an int).
 
     For d > 1 the inverse of ``nums`` solves M v = e0, with M the
-    ``mul_matrix`` of nums; Gauss-Jordan elimination with a
-    gcd reduction per row (fraction-free, after Bareiss) leaves a diagonal
-    system read off over one common denominator.
+    ``mul_matrix`` of nums: ``rref`` over ``Q`` of M augmented by e0, whose
+    pivots take the d = 1 branch here, leaves v in the last column.
+
+    >>> elem_inv(((0, 1), 1), 2, (-1, 0))
+    ((0, -1), 1)
     """
     an, ad = a
     if not any(an):
@@ -143,26 +147,12 @@ def elem_inv(a, d, red):
         if n < 0:
             return (-ad,), -n
         return (ad,), n
-    work = [list(r) + [int(i == 0)] for i, r in enumerate(mul_matrix(an, d, red))]
-    for c in range(d):
-        hit = next((r for r in range(c, d) if work[r][c]), -1)
-        if hit < 0:
-            raise ZeroDivisionError("element shares a factor with the modulus")
-        if hit != c:
-            work[c], work[hit] = work[hit], work[c]
-        p = work[c]
-        pv = p[c]
-        for r in range(d):
-            w = work[r]
-            e = w[c]
-            if r != c and e:
-                nw = [pv * x - e * y for x, y in zip(w, p)]
-                g = gcd(*nw)
-                if g > 1:
-                    nw = [v // g for v in nw]
-                work[r] = nw
-    den = lcm(*(w[i] for i, w in enumerate(work)))
-    return elem_norm([ad * w[d] * (den // w[i]) for i, w in enumerate(work)], den)
+    rows = [(r + (int(i == 0),), 1) for i, r in enumerate(mul_matrix(an, d, red))]
+    out, pivots = rref(rows, d + 1, 1, ())
+    if pivots != tuple(range(d)):
+        raise ZeroDivisionError("element shares a factor with the modulus")
+    den = lcm(*(w[1] for w in out))
+    return elem_norm([ad * w[0][d] * (den // w[1]) for w in out], den)
 
 
 def eliminate(cur, e, pn, pd, m, d, red):
@@ -191,11 +181,7 @@ def rref(rows, m, d, red):
         if prow == nrows:
             break
         base = col * d
-        hit = -1
-        for r in range(prow, nrows):
-            if any(work[r][0][base:base + d]):
-                hit = r
-                break
+        hit = next((r for r in range(prow, nrows) if any(work[r][0][base:base + d])), -1)
         if hit < 0:
             continue
         if hit != prow:
@@ -222,70 +208,16 @@ def rref(rows, m, d, red):
                     work[r] = (list(t), nd)
         pivots.append(col)
         prow += 1
-    out = []
-    for r in range(prow):
-        t, dn = elem_norm(work[r][0], work[r][1])
-        out.append((t, dn))
-    return tuple(out), tuple(pivots)
+    return tuple(elem_norm(*w) for w in work[:prow]), tuple(pivots)
 
 
 def rank(rows, m, d, red):
-    """Rank by fraction-free forward elimination (no inverses, no back pass)."""
-    work = [list(n) for n, _ in rows]
-    nrows = len(work)
-    prow = 0
-    for col in range(m):
-        if prow == nrows:
-            break
-        base = col * d
-        hit = -1
-        for r in range(prow, nrows):
-            w = work[r]
-            for k in range(base, base + d):
-                if w[k]:
-                    hit = r
-                    break
-            if hit >= 0:
-                break
-        if hit < 0:
-            continue
-        if hit != prow:
-            work[prow], work[hit] = work[hit], work[prow]
-        p = work[prow]
-        pe = p[base:base + d]
-        if d > 1:
-            pm = mul_matrix(tuple(pe), d, red)
-        for r in range(prow + 1, nrows):
-            w = work[r]
-            if d == 1:
-                e = w[base]
-                if e:
-                    pv = pe[0]
-                    work[r] = nw = [x * pv - e * y for x, y in zip(w, p)]
-                    g = 0
-                    for v in nw:
-                        g = gcd(g, v)
-                        if g == 1:
-                            break
-                    if g > 1:
-                        for k in range(len(nw)):
-                            nw[k] //= g
-            else:
-                e = w[base:base + d]
-                if any(e):
-                    nw = [x - y for x, y in zip(mul_apply(pm, w, m, d),
-                                                mul_apply(mul_matrix(tuple(e), d, red), p, m, d))]
-                    g = 0
-                    for v in nw:
-                        g = gcd(g, v)
-                        if g == 1:
-                            break
-                    if g > 1:
-                        for k in range(len(nw)):
-                            nw[k] //= g
-                    work[r] = nw
-        prow += 1
-    return prow
+    """The number of rows of ``rref``.
+
+    >>> rank([((1, 2), 1), ((2, 4), 1)], 2, 1, ())
+    1
+    """
+    return len(rref(rows, m, d, red)[0])
 
 
 def reduce(cur, rows, pivots, m, d, red):

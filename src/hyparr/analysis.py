@@ -25,8 +25,8 @@ by an AND of its hyperplanes' masks over the flats above X, up to the first
 that fails.  A scan of a whole level of lines turns this around and makes
 one pass over the rank-3 flats: the lines under each are read off the same
 table, and each line's partner is the first line disjoint from it under any
-of its covers (``_line_partners``); only the lines without such a partner
-are tested one by one.
+of its covers (``_line_partners``); a line without such a partner goes
+on to the higher ranks, with no second rank-2 step.
 The bottom, the atoms and the top are modular in every geometric lattice
 and are not scanned.  A verdict holds the flat and, when it fails, its
 first failing complement Y, and nothing else.  ``ModularityVerdict.certify``
@@ -259,9 +259,19 @@ def is_modular(lattice: IntersectionLattice, x: Flat) -> ModularityVerdict:
         return ModularityVerdict(x)
     if lattice.factors:
         return _verdict_from_factors(lattice, x)
+    return _scan_from(lattice, x, 2)
+
+
+def _scan_from(lattice: IntersectionLattice, x: Flat, first: int) -> ModularityVerdict:
+    """``is_modular``'s scan of the complements of an interior flat X of a
+    lattice without factors, from rank ``first`` on: ``_line_partners``
+    starts it at 3 for a line with no failing rank-2 complement.  That is
+    the verdict of a scan from rank 2: rank 2 either goes on to rank 3, or
+    stops it for having no complement, and then rank 3 has none either,
+    since the complements form an order ideal."""
     top, levels = lattice.rank(), lattice.levels
     atoms = list(_bits(x.support))
-    for r in range(2, top + 1):
+    for r in range(first, top + 1):
         through = lattice.flats_through(r)
         meets = 0
         for a in atoms:
@@ -344,9 +354,9 @@ def _verdict(lattice: IntersectionLattice, f: Flat) -> ModularityVerdict:
 
 
 def _line_partners(lattice: IntersectionLattice) -> None:
-    """Enter the verdict of every line that has a failing rank-2 complement,
-    each with the first one, by one pass over the rank-3 flats, for a
-    lattice of rank at least 4.
+    """Enter the verdict of every line of a lattice of rank at least 4
+    without factors: the first failing rank-2 complement, found by one pass
+    over the rank-3 flats, or else the rest of the scan.
 
     A complement Y of a line X fails exactly when X and Y lie under one
     cover Z of X (``is_modular``), so the failing rank-2 complements of X
@@ -356,9 +366,9 @@ def _line_partners(lattice: IntersectionLattice) -> None:
     The lowest of them disjoint from X is a candidate, and X's partner is
     its lowest candidate over all its covers, the partner ``is_modular``
     finds.  The pass keeps one index per line and the lines of one Z at a
-    time.  A verdict already on the lattice is kept (``setdefault``); a
-    line with no candidate is left to ``is_modular``, which goes on to the
-    higher ranks."""
+    time.  A verdict already on the lattice is kept; a line with no
+    candidate gets the verdict of the scan from rank 3 on (``_scan_from``),
+    which is ``is_modular``'s without the rank-2 step it has just passed."""
     lines, through = lattice.supports[2], lattice.flats_through(2)
     none = len(lines)
     partner = [none] * none
@@ -386,8 +396,9 @@ def _line_partners(lattice: IntersectionLattice) -> None:
                     break
     level, verdicts = lattice.levels[2], lattice.verdicts
     for x, j in zip(level, partner):
-        if j < none and x.support not in verdicts:
-            verdicts.setdefault(x.support, ModularityVerdict(x, level[j]))
+        if x.support not in verdicts:
+            verdicts[x.support] = (ModularityVerdict(x, level[j]) if j < none
+                                   else _scan_from(lattice, x, 3))
 
 
 def modular_flats_of_rank(lattice: IntersectionLattice, rank: int,
@@ -396,8 +407,8 @@ def modular_flats_of_rank(lattice: IntersectionLattice, rank: int,
     flats not yet tested on this lattice are tested.  On a lattice of rank
     at least 4 without factors, the lines are decided together by one pass
     over the rank-3 flats (``_line_partners``) unless every line already
-    has its verdict, and ``is_modular`` tests only the lines that pass
-    leaves.  ``threads`` is accepted and ignored: one worker runs."""
+    has its verdict; a line that pass finds no partner for is scanned from
+    rank 3 on.  ``threads`` is accepted and ignored: one worker runs."""
     if not 0 <= rank <= lattice.rank():
         raise ValueError(f"rank {rank} out of range 0..{lattice.rank()}")
     if (rank == 2 and lattice.rank() >= 4 and not lattice.factors

@@ -8,9 +8,10 @@ basis-conversion cost instead.  Row operations run the kernel's one
 implementation of each: ``_kernel.reduce`` under ``form_residue`` and
 ``form_vanishes_on``, ``_kernel.monic`` under ``form_residue`` and
 ``LinearForm.normalized``.  Every RREF grows one row's residue at a time
-(``extend_by_rows``); the kernel's full elimination ``_kernel.rref`` is
-left to the tests as an independent reference, and ``_kernel.rank`` to
-``analysis.validate_certificate``.
+(``extend_by_rows``).  The kernel's one full elimination, ``_kernel.rref``,
+is the tests' independent reference for these RREFs; the library reaches
+it only through ``_kernel.elem_inv`` and through ``_kernel.rank``, whose
+one caller is ``analysis.validate_certificate``.
 """
 
 from __future__ import annotations

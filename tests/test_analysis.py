@@ -166,6 +166,21 @@ def is_modular_calls(monkeypatch) -> list[int]:
     return tested
 
 
+def rank3_continuations(monkeypatch) -> list[int]:
+    """The supports whose scan starts at rank 3 from now on, in order: the
+    lines that the pass over level 3 finds no partner for."""
+    continued = []
+    real = hyparr.analysis._scan_from
+
+    def counted(lattice, x, first):
+        if first == 3:
+            continued.append(x.support)
+        return real(lattice, x, first)
+
+    monkeypatch.setattr(hyparr.analysis, "_scan_from", counted)
+    return continued
+
+
 class TestIsSupersolvable:
     def test_given_lattice_of_non_essential_input_is_not_rebuilt(self, monkeypatch):
         arr = _pair("B2", "A(3)")
@@ -179,16 +194,20 @@ class TestIsSupersolvable:
         assert lattice.level_sizes() == build_lattice(essentialize(arr)).level_sizes()
         assert validate_certificate(cert)
         # the search's verdicts stay on the given lattice: a rank-2 scan after
-        # it returns those verdict objects, and ``is_modular`` tests only the
-        # lines neither the search nor the pass over level 3 decided, the
-        # lines without a failing rank-2 complement, each once
+        # it returns those verdict objects, ``is_modular`` tests no line, and
+        # the scan from rank 3 on runs only on the lines neither the search
+        # nor the pass over level 3 decided, the lines without a failing
+        # rank-2 complement, each once
         searched = dict(lattice.verdicts)
         assert sorted(tested) == sorted(searched)
         tested.clear()
+        continued = rank3_continuations(monkeypatch)
         verdicts = modular_flats_of_rank(lattice, 2)
         assert all(v is searched[v.flat.support] for v in verdicts
                    if v.flat.support in searched)
-        assert sorted(tested) == sorted(
+        assert tested == []
+        assert continued and len(continued) == len(set(continued))
+        assert sorted(continued) == sorted(
             v.flat.support for v in verdicts
             if v.flat.support not in searched and (v.modular or v.partner.rank > 2))
         assert all(lattice.verdicts[v.flat.support] is v for v in verdicts)

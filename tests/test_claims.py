@@ -30,31 +30,33 @@ def test_catalog_names_and_claim_ids_unique(monkeypatch):
 
 def test_rank2_claims_share_one_scan(monkeypatch):
     calls, passes = [], []
-    original, original_search = hyparr.analysis.is_modular, claims.is_supersolvable
+    original, original_search = hyparr.analysis._scan_from, claims.is_supersolvable
     original_pass = hyparr.analysis._line_partners
 
-    def counting(lattice, x):
-        calls.append(x.support)
-        return original(lattice, x)
+    def counting(lattice, x, first):
+        calls.append((x.support, first))
+        return original(lattice, x, first)
 
     def counting_pass(lattice):
         passes.append(lattice)
         return original_pass(lattice)
 
-    monkeypatch.setattr(hyparr.analysis, "is_modular", counting)
+    monkeypatch.setattr(hyparr.analysis, "_scan_from", counting)
     monkeypatch.setattr(hyparr.analysis, "_line_partners", counting_pass)
     store = LatticeStore()
     results = run_claims("D4", store)
     assert {r.kind for r in results} == {"witness", "rank2-empty", "rank2-criterion"}
     assert all(r.passed for r in results)
     # each line is decided once: 18 of D4's 34 by one pass over level 3, and
-    # the 16 without a failing rank-2 complement by ``is_modular``
+    # the 16 without a failing rank-2 complement by the scan from rank 3 on;
+    # ``is_modular``, which scans from rank 2, tests none
     lattice = store.lattice("D4")
     lines = lattice.levels[2]
     assert passes == [lattice]
     assert len(calls) == len(set(calls)) == 16
-    assert sorted(calls) == sorted(f.support for f in lines
-                                   if lattice.verdicts[f.support].partner.rank > 2)
+    assert {first for _, first in calls} == {3}
+    assert sorted(s for s, _ in calls) == sorted(
+        f.support for f in lines if lattice.verdicts[f.support].partner.rank > 2)
     assert len(lattice.verdicts) == len(lines) == 34
 
     calls.clear()

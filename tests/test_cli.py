@@ -814,8 +814,8 @@ class TestRenderedOutputs:
             "62cacf733d4eb3a147cf7db44967037507e2ddb336fb1ea9f0728226a8f082db",
         ("build", "G26"):
             "2ffac37d6c15f86272d34308412e986764bfbd05653c38200dfd46531c14f2eb",
-        # lines left by the pass over level 3 to the per-flat test, which
-        # finds their partners at rank 3 or finds them modular
+        # lines the pass over level 3 finds no partner for, scanned from
+        # rank 3 on, which finds their partners there or finds them modular
         ("modular", "G(2,2,6)", "--rank", "2"):
             "9905b446c05cfba0781b70e15701b7f3441b5ca9769f0c21b0c0bb48a5787fd6",
         ("modular", "F4", "--rank", "2"):

@@ -225,6 +225,13 @@ class TestKernelInverse:
         with pytest.raises(ZeroDivisionError):
             _kernel.elem_inv(((0,) * ctx.degree, 7), ctx.degree, ctx.red)
 
+    def test_shared_factor_raises(self):
+        # modulo x**2 - 1, which is not irreducible, x - 1 has no inverse;
+        # x + 2 has one, (2 - x)/3
+        with pytest.raises(ZeroDivisionError, match="shares a factor"):
+            _kernel.elem_inv(((-1, 1), 1), 2, (1, 0))
+        assert _kernel.elem_inv(((2, 1), 1), 2, (1, 0)) == ((2, -1), 3)
+
 
 class TestCyclotomicPolynomial:
     def test_small_orders(self):

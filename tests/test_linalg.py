@@ -47,17 +47,20 @@ class TestRref:
         assert len(out) == 2
 
     def test_kernel_rank_and_membership_agree_with_rref(self):
-        """The fraction-free rank counts the rref rows; every input row and a
-        rescaled rref row lie in the row space, a free unit row does not."""
+        """The kernel's rank is the codimension of the RREF grown one residue
+        at a time; every input row and a rescaled rref row lie in the row
+        space, a free unit row does not."""
         rng = random.Random(3)
         for _ in range(250):
-            ctx = field_context(rng.choice([1, 3, 4, 5, 12]))
+            order = rng.choice([1, 3, 4, 5, 12])
+            ctx = field_context(order)
             d = ctx.degree
             m = rng.randint(1, 5)
             rows = [(tuple(rng.randint(-5, 5) for _ in range(m * d)), rng.randint(1, 4))
                     for _ in range(rng.randint(1, 5))]
             out, pivots = _kernel.rref(list(rows), m, d, ctx.red)
-            assert _kernel.rank(list(rows), m, d, ctx.red) == len(out)
+            grown = extend_by_rows(full_space(m, order), rows)
+            assert _kernel.rank(list(rows), m, d, ctx.red) == grown.codim
             assert all(_kernel.in_rowspace(r, out, pivots, m, d, ctx.red) for r in rows)
             if out:
                 pn, pd = out[rng.randrange(len(out))]

@@ -445,28 +445,47 @@ def _catalog_and_random_rank4(count=12, seed=49):
 
 def test_line_pass_matches_the_per_flat_test(monkeypatch):
     # the lines of a fresh lattice of rank 4 or more are decided by one
-    # pass over level 3, and the rest by ``is_modular``: the same verdicts
-    # and partners as ``is_modular`` on each line of another fresh lattice,
-    # with exactly the lines that have no failing rank-2 complement left
-    # to ``is_modular``, each once
+    # pass over level 3, and the rest by the scan from rank 3 on: the same
+    # verdicts and partners as ``is_modular`` on each line of another fresh
+    # lattice, with exactly the lines that have no failing rank-2 complement
+    # scanned, each once, and ``is_modular`` called on none; a lattice of
+    # lower rank still tests each line by ``is_modular``
     tested = _counted(monkeypatch, hyparr.analysis, "is_modular")
+    continued = _counted(monkeypatch, hyparr.analysis, "_scan_from")
     by_pass = by_test = 0
     for label, arr in _catalog_and_random_rank4():
         reference = build_lattice(arr)
         expected = [_scanned(reference, x) for x in reference.levels[2]]
         lattice = build_lattice(arr)
         tested.clear()
+        continued.clear()
         verdicts = modular_flats_of_rank(lattice, 2)
         assert [(v.modular, v.partner and v.partner.support,
                  v.partner and v.flat.support & v.partner.support)
                 for v in verdicts] == expected, label
         left = [v.flat.support for v in verdicts
                 if lattice.rank() < 4 or v.modular or v.partner.rank > 2]
-        assert [x.support for _, x in tested] == left, label
-        if lattice.rank() >= 4:
+        if lattice.rank() < 4:
+            assert [x.support for _, x in tested] == left, label
+        else:
+            assert tested == [], label
+            assert [(x.support, first) for _, x, first in continued] == \
+                [(s, 3) for s in left], label
             by_pass += len(verdicts) - len(left)
             by_test += len(left)
     assert by_pass and by_test
+
+
+def test_line_pass_reads_no_rank3_flats_above_a_line(monkeypatch):
+    # the rank-2 step of every line of G(2,2,6) is the pass over level 3:
+    # the 80 lines without a failing rank-2 complement are scanned from
+    # rank 3 on, so no line reads the rank-3 flats above it again
+    lattice = build_lattice(build_named("G(2,2,6)"))
+    lines = set(lattice.supports[2])
+    reads = _counted(monkeypatch, IntersectionLattice, "above")
+    verdicts = modular_flats_of_rank(lattice, 2)
+    assert len(verdicts) == 275 and sum(v.modular or v.partner.rank > 2 for v in verdicts) == 80
+    assert reads and not [s for _, s, r in reads if s in lines and r == 3]
 
 
 def test_certify_matches_the_grown_intersection():
