@@ -17,16 +17,16 @@ witnesses are the same.  The scan goes rank by rank: a rank-r complement Y
 fails exactly when X v Y has rank below r(X) + r, that is when Y lies
 under some flat of rank r(X) + r - 1 above X, and all of them fail once
 that rank reaches the top.  Everything is read off the lattice's one
-incidence table per rank (``IntersectionLattice.flats_through``) and the
-flats above X (``above``).  The rank-2 complements are decided together,
-by the covers of X: a line fails exactly when two of its hyperplanes lie in
-one cover.  At a higher rank the complements are walked in flat order, each
-by an AND of its hyperplanes' masks over the flats above X, up to the first
-that fails.  A scan of a whole level of lines turns this around and makes
-one pass over the rank-3 flats: the lines under each are read off the same
-table, and each line's partner is the first line disjoint from it under any
-of its covers (``_line_partners``); a line without such a partner goes
-on to the higher ranks, with no second rank-2 step.
+incidence table per rank (``IntersectionLattice.flats_through``).  The
+rank-2 complements are decided together, by the covers of X: a line fails
+exactly when two of its hyperplanes lie in one cover (``_lines_under``).
+At a higher rank the complements are walked in flat order up to the first
+that some flat above X holds (``_holding``), which fails.  A scan of a
+whole level of lines turns this around and makes one pass over the rank-3
+flats: the lines under each are read off the same table, and each line's
+partner is the first line disjoint from it under any of its covers
+(``_line_partners``); a line without such a partner goes on to the higher
+ranks, with no second rank-2 step.
 The bottom, the atoms and the top are modular in every geometric lattice
 and are not scanned.  A verdict holds the flat and, when it fails, its
 first failing complement Y, and nothing else.  ``ModularityVerdict.certify``
@@ -76,7 +76,8 @@ irreducible factors (``irreducible_factor_count``).  Both divide by
 from __future__ import annotations
 
 from . import _kernel
-from .arrangement import Arrangement, Flat, IntersectionLattice, Record, _bits, closure
+from .arrangement import (Arrangement, Flat, IntersectionLattice, Record, _bits, _holding,
+                          _lines_under, closure)
 from .cyclo import elem_str, field_context, poly_divmod, poly_mul
 from .errors import InternalInconsistencyError, RefusalError
 from .linalg import (LinearForm, Subspace, form_residue, subspace_from_forms,
@@ -238,11 +239,10 @@ def is_modular(lattice: IntersectionLattice, x: Flat) -> ModularityVerdict:
     complements are the rank-r flats through none of X's hyperplanes
     (``flats_through``).  At rank 2 the flats above X are its covers
     (``above``), which split the hyperplanes off X, and a line fails
-    exactly when two of its hyperplanes lie in one cover: one OR per
-    hyperplane of each cover finds every failing line at once.  At a
-    higher rank below the top, the complements are walked in flat order,
-    each by the AND of the masks of its hyperplanes over the flats above X,
-    stopped once it is 0; the first nonzero one fails.  The partner is the
+    exactly when two of its hyperplanes lie in one cover, so
+    ``_lines_under`` over each cover finds every failing line at once.  At a higher rank below
+    the top, the complements are walked in flat order, and the first one
+    that some flat above X holds (``_holding``) fails.  The partner is the
     first failing complement at the lowest rank that has one.  The
     complements form an order ideal, so the scan stops, modular, at the
     first rank without one.  The atoms never fail, since a complement atom
@@ -268,7 +268,8 @@ def _scan_from(lattice: IntersectionLattice, x: Flat, first: int) -> ModularityV
     starts it at 3 for a line with no failing rank-2 complement.  That is
     the verdict of a scan from rank 2: rank 2 either goes on to rank 3, or
     stops it for having no complement, and then rank 3 has none either,
-    since the complements form an order ideal."""
+    since the complements form an order ideal.  The lines are read by
+    ``_lines_under`` and every higher rank by ``_holding``."""
     top, levels = lattice.rank(), lattice.levels
     atoms = list(_bits(x.support))
     for r in range(first, top + 1):
@@ -284,32 +285,19 @@ def _scan_from(lattice: IntersectionLattice, x: Flat, first: int) -> ModularityV
             above = lattice.above(x.support, span)
             if r == 2:
                 # a line fails exactly when two of its hyperplanes lie in
-                # one cover of X; a cover adding one hyperplane holds none
+                # one cover of X
                 covers, failing = lattice.supports[span], 0
                 while above:
                     low = above & -above
                     above ^= low
-                    off = covers[low.bit_length() - 1] & ~x.support
-                    if off & (off - 1):
-                        seen = 0
-                        while off:
-                            a = off & -off
-                            off ^= a
-                            t = through[a]
-                            failing |= seen & t
-                            seen |= t
+                    failing |= _lines_under(covers[low.bit_length() - 1] & ~x.support, through)
                 complements &= failing
             else:
                 # the first complement under some rank-``span`` flat above X
                 level, over = lattice.supports[r], lattice.flats_through(span)
                 while complements:
                     low = complements & -complements
-                    s, mask = level[low.bit_length() - 1], above
-                    while s and mask:
-                        a = s & -s
-                        s ^= a
-                        mask &= over[a]
-                    if mask:
+                    if _holding(over, level[low.bit_length() - 1], above):
                         break
                     complements ^= low
         if complements:
@@ -334,8 +322,7 @@ def _verdict_from_factors(lattice: IntersectionLattice, x: Flat) -> ModularityVe
     """
     first = None
     for factor in lattice.factors:
-        component = factor.flat_at[x.support & factor.mask]
-        v = _verdict(factor.lattice, component)
+        v = _verdict(factor.lattice, factor.lattice.index[factor.back[x.support & factor.mask]])
         if not v.modular:
             candidate = (v.partner.rank, factor.moved[v.partner.support])
             if first is None or candidate < first:
@@ -361,26 +348,19 @@ def _line_partners(lattice: IntersectionLattice) -> None:
     A complement Y of a line X fails exactly when X and Y lie under one
     cover Z of X (``is_modular``), so the failing rank-2 complements of X
     are the lines under its covers with support disjoint from X's.  The
-    lines under a rank-3 flat Z are those with two hyperplanes in Z: one
-    ``seen & t`` OR over the ``flats_through(2)`` masks of Z's hyperplanes.
-    The lowest of them disjoint from X is a candidate, and X's partner is
-    its lowest candidate over all its covers, the partner ``is_modular``
-    finds.  The pass keeps one index per line and the lines of one Z at a
-    time.  A verdict already on the lattice is kept; a line with no
-    candidate gets the verdict of the scan from rank 3 on (``_scan_from``),
-    which is ``is_modular``'s without the rank-2 step it has just passed."""
+    lines under a rank-3 flat Z are those with two hyperplanes in Z
+    (``_lines_under``).  The lowest of them disjoint from X is a candidate,
+    and X's partner is its lowest candidate over all its covers, the partner
+    ``is_modular`` finds.  The pass keeps one index per line and the lines
+    of one Z at a time.  A verdict already on the lattice is kept; a line
+    with no candidate gets the verdict of the scan from rank 3 on
+    (``_scan_from``), which is ``is_modular``'s without the rank-2 step it
+    has just passed."""
     lines, through = lattice.supports[2], lattice.flats_through(2)
     none = len(lines)
     partner = [none] * none
     for z in lattice.supports[3]:
-        seen = under = 0
-        while z:
-            a = z & -z
-            z ^= a
-            t = through[a]
-            under |= seen & t
-            seen |= t
-        members = []
+        under, members = _lines_under(z, through), []
         while under:
             low = under & -under
             under ^= low
@@ -575,9 +555,10 @@ def _mobius_levels(lattice: IntersectionLattice) -> list[list[int]]:
     over a (Weisner, 1935; Stanley, *Enumerative Combinatorics I*, 3.9).
     A cover X of Y misses X's lowest atom exactly when X holds a hyperplane
     below Y's lowest, so one pass per rank k adds -mu(Y), for each
-    rank-(k-1) flat Y, to the flats of ``above(Y, k)`` among the prefix OR
-    of ``flats_through(k)`` up to Y's lowest hyperplane: every flat of the
-    level for the bottom.  It reads supports and masks only."""
+    rank-(k-1) flat Y, to the flats holding Y (``_holding`` of
+    ``flats_through(k)``) among the prefix OR of that table up to Y's
+    lowest hyperplane: every flat of the level for the bottom.  It reads
+    supports and masks only."""
     values = [[1]]
     for k in range(1, lattice.rank() + 1):
         through = lattice.flats_through(k)
@@ -589,11 +570,7 @@ def _mobius_levels(lattice: IntersectionLattice) -> list[list[int]]:
         prefix[0] = seen
         level = [0] * len(lattice.supports[k])
         for y, mu in zip(lattice.supports[k - 1], values[-1]):
-            mask = prefix[y & -y]
-            while y and mask:
-                atom = y & -y
-                mask &= through[atom]
-                y ^= atom
+            mask = _holding(through, y, prefix[y & -y])
             while mask:
                 low = mask & -mask
                 level[low.bit_length() - 1] -= mu

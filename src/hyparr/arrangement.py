@@ -16,24 +16,27 @@ Every lattice is of distinct, nonzero hyperplanes, checked once
 (``_distinct_rows``), so the rank-1 flats are the hyperplanes themselves,
 each its normalized row over the full space.  One grouping step by residue
 makes the rank-2 flats over each hyperplane.  The level under construction
-numbers its flats and keeps one mask of them per hyperplane, so the covers
-of X that it already has are the AND of the masks of X's hyperplanes.  The
-support of a new cover above rank 2 is read off the rank-2 flats through
-H, listed from the finished level 2, each decided by comparing one residue
-with H's.  Parents go largest first, so more of those lines meet them and
-fewer residues are compared.  A level of the ambient dimension's rank is
-the top alone, entered once.  Every new flat keeps the flat X and H's bit,
-in slots of its own, with H's residue when the build compared it, and is
-extended only when its subspace is read: as a parent that a residue is
-compared against, in a witness or a chain, or when printed.  X's subspace
-is read first then, and extended if nothing has read it yet, so a read
-extends at most a chain of covers as long as the flat's rank.
+keeps an incidence table of its own (``_Level``), so the covers of X that it
+already has are one ``_holding`` call.  The support of a new cover above
+rank 2 is read off the rank-2 flats through H, listed from the finished
+level 2, each decided by comparing one residue with H's.  Parents go largest
+first, so more of those lines meet them and fewer residues are compared.  A
+level of the ambient dimension's rank is the top alone, entered once.  Every
+new flat keeps the flat X and H's bit, in slots of its own, with H's residue
+when the build compared it, and is extended only when its subspace is read:
+as a parent that a residue is compared against, in a witness or a chain, or
+when printed.  X's subspace is read first then, and extended if nothing has
+read it yet, so a read extends at most a chain of covers as long as the
+flat's rank.
 
 A lattice keeps one incidence table per rank, the flats of that rank
 through each hyperplane (``IntersectionLattice.flats_through``), and reads
-every cover relation off it: the flats of a rank above a flat are the AND
-of its hyperplanes' masks (``above``).  ``join`` reads the levels alone,
-so it checks those masks independently.
+every cover relation off it.  An incidence table, the lattice's or a
+level's under construction, is written by ``_enter``, which enters a flat
+under its hyperplanes, and read by ``_holding``, the flats holding every
+hyperplane of a support (``above``); ``_lines_under`` reads the rank-2
+table for the lines with two hyperplanes in a support.  ``join`` reads the
+levels alone, so it checks those tables independently.
 
 Every lattice a command reads is made by ``lattice_of``.  When the forms
 split into two or more blocks of coordinates, two coordinates being linked
@@ -383,15 +386,9 @@ class IntersectionLattice:
 
     def above(self, support: int, rank: int) -> int:
         """The rank-``rank`` flats whose support holds ``support``, as a mask
-        over ``levels[rank]``: the AND of ``flats_through(rank)`` over its
-        hyperplanes, the whole level for the bottom."""
-        mask = (1 << len(self.supports[rank])) - 1
-        through = self.flats_through(rank)
-        while support:
-            atom = support & -support
-            mask &= through[atom]
-            support ^= atom
-        return mask
+        over ``levels[rank]`` (``_holding``): the whole level for the bottom."""
+        return _holding(self.flats_through(rank), support,
+                        (1 << len(self.supports[rank])) - 1)
 
     def upper_covers(self, support: int) -> list[int]:
         """The supports of the flats covering the flat of ``support``, in
@@ -420,17 +417,13 @@ class IntersectionLattice:
     def flats_through(self, rank: int) -> dict[int, int]:
         """Hyperplane bit -> the rank-``rank`` flats holding that hyperplane,
         as a mask over ``levels[rank]``: bit i for its i-th flat in flat
-        order.  The flats through any of X's hyperplanes are those that meet
-        X above the bottom; the flats through all of them are those above X
-        (``above``).  Built on first use, per rank."""
+        order (``_enter``).  The flats through any of X's hyperplanes are
+        those that meet X above the bottom.  Built on first use, per rank."""
         table = self._through.get(rank)
         if table is None:
-            table = {}
+            table = self._through[rank] = {}
             for i, support in enumerate(self.supports[rank]):
-                bit = 1 << i
-                for atom in _bits(support):
-                    table[atom] = table.get(atom, 0) | bit
-            self._through[rank] = table
+                _enter(table, support, 1 << i)
         return table
 
     def join(self, x: Flat, y: Flat) -> Flat:
@@ -474,6 +467,41 @@ def _bits(s: int):
         s ^= bit
 
 
+def _enter(table: dict[int, int], support: int, bit: int) -> None:
+    """Enter one flat's ``bit`` in ``table``, a map from each hyperplane bit
+    to the mask of the flats through it, under each hyperplane of
+    ``support``."""
+    while support:
+        atom = support & -support
+        table[atom] = table.get(atom, 0) | bit
+        support ^= atom
+
+
+def _holding(table: dict[int, int], support: int, mask: int) -> int:
+    """The flats of ``mask`` that hold every hyperplane of ``support``: the
+    AND of ``mask`` with ``table``'s mask of each such hyperplane, stopped
+    at 0.  A hyperplane the table has no flat for gives 0."""
+    while support and mask:
+        atom = support & -support
+        mask &= table.get(atom, 0)
+        support ^= atom
+    return mask
+
+
+def _lines_under(support: int, lines: dict[int, int]) -> int:
+    """The lines with at least two hyperplanes in ``support``, as a mask over
+    level 2, from ``lines``, the table ``flats_through(2)``: a line in the
+    mask of one hyperplane of ``support`` and of an earlier one."""
+    seen = under = 0
+    while support:
+        atom = support & -support
+        t = lines[atom]
+        under |= seen & t
+        seen |= t
+        support ^= atom
+    return under
+
+
 def _over_budget(max_flats: int) -> RefusalError:
     return RefusalError(f"intersection lattice exceeds the flat budget ({max_flats}); "
                         "raise --max-flats to proceed")
@@ -485,12 +513,11 @@ class _Level:
 
     ``found`` maps support -> flat, ``supports`` lists the supports by
     number, and ``through`` maps each hyperplane bit to the mask of the
-    numbered flats that hold it: bit i for ``supports[i]``.  The level's
-    flats over a parent are the AND of the masks of the parent's
-    hyperplanes (``_children_of``).  ``add`` numbers a new flat and
-    updates the masks, and keeps the first flat entered for a support.
-    ``room`` is how many flats the level may add within the budget, checked
-    on every entry.
+    numbered flats that hold it: bit i for ``supports[i]``, entered by
+    ``_enter``, so the level's flats over a parent are ``_holding`` of its
+    support.  ``add`` numbers a new flat and keeps the first flat entered
+    for a support.  ``room`` is how many flats the level may add within the
+    budget, checked on every entry.
     """
 
     __slots__ = ("found", "supports", "through", "room", "max_flats")
@@ -503,17 +530,12 @@ class _Level:
         self.max_flats = max_flats
 
     def add(self, flat: Flat) -> None:
-        support = flat.support
-        found, supports, through = self.found, self.supports, self.through
+        support, found, supports = flat.support, self.found, self.supports
         if support in found:
             return
         found[support] = flat
-        bit = 1 << len(supports)
+        _enter(self.through, support, 1 << len(supports))
         supports.append(support)
-        while support:
-            atom = support & -support
-            through[atom] = through.get(atom, 0) | bit
-            support ^= atom
         if len(found) > self.room:
             raise _over_budget(self.max_flats)
 
@@ -528,46 +550,38 @@ def _children_of(arr: Arrangement, parent: Flat, level: _Level, lines: dict | No
     leading coefficient 1 (``form_residue``), are equal, and X's RREF
     extended by that residue (``extend_rref``) is the cover's.  A flat the
     level already has whose support contains the parent's is parent v H for
-    each H it holds, the only flat one rank up above both: these are the
-    AND of the masks ``level.through`` keeps for the parent's hyperplanes,
-    which stops at the first zero, and ``covered`` ORs their supports into
-    the parent's, so only the hyperplanes left open a cover.  The
-    hyperplanes are distinct (``build_lattice`` refuses a repeat), so the
-    bottom's covers are the hyperplanes themselves and ``build_lattice``
-    enters them; this function starts at a rank-1 parent.  For a
-    hyperplane X each other hyperplane is reduced once, and each residue
-    class modulo X is one rank-2 cover, which no residue of a distinct
-    hyperplane misses.  For a higher parent the lowest hyperplane H left
-    opens one cover at a time.  Its support is the parent's plus the
-    rank-2 flats through H that it holds (``lines``: the supports of the
-    finished level 2 through each hyperplane), each inside or outside the
-    cover as a whole: a line that meets the parent lies inside, one that
-    meets ``covered`` outside the parent lies outside, since a hyperplane
-    there lies in another cover, and any other lies inside exactly when its
-    member's residue equals H's, the member being its lowest hyperplane
-    other than H.  Each residue is computed once per parent, and H's own
-    only when some line needs it compared: not for a cover whose lines all
-    meet the parent or ``covered``.  The parent's subspace is read, and
-    extended if nothing has read it yet, for a rank-1 parent's grouping and
-    above rank 2 only when a first residue is compared, so a parent whose
-    covers are all found by lookup or by lines that meet it or ``covered``
-    is never extended by the build.  Every new cover holds the parent flat,
-    H's bit and H's residue if it was computed, and is extended only when
-    its subspace is read (``Flat.extending``), H's row reduced then if need
-    be.  The top of an essential arrangement of rank 2 or more is entered
-    by ``build_lattice`` itself.
+    each H it holds, the only flat one rank up above both: these are
+    ``_holding`` of the parent's support in ``level.through``, and
+    ``covered`` ORs their supports into the parent's, so only the
+    hyperplanes left open a cover.  The hyperplanes are distinct
+    (``build_lattice`` refuses a repeat), so the bottom's covers are the
+    hyperplanes themselves and ``build_lattice`` enters them; this function
+    starts at a rank-1 parent.  For a hyperplane X each other hyperplane is
+    reduced once, and each residue class modulo X is one rank-2 cover, which
+    no residue of a distinct hyperplane misses.  For a higher parent the
+    lowest hyperplane H left opens one cover at a time.  Its support is the
+    parent's plus the rank-2 flats through H that it holds (``lines``: the
+    supports of the finished level 2 through each hyperplane), each inside
+    or outside the cover as a whole: a line that meets the parent lies
+    inside, one that meets ``covered`` outside the parent lies outside,
+    since a hyperplane there lies in another cover, and any other lies
+    inside exactly when its member's residue equals H's, the member being
+    its lowest hyperplane other than H.  Each residue is computed once per
+    parent, and H's own only when some line needs it compared: not for a
+    cover whose lines all meet the parent or ``covered``.  The parent's
+    subspace is read, and extended if nothing has read it yet, for a rank-1
+    parent's grouping and above rank 2 only when a first residue is
+    compared, so a parent whose covers are all found by lookup or by lines
+    that meet it or ``covered`` is never extended by the build.  Every new
+    cover holds the parent flat, H's bit and H's residue if it was computed,
+    and is extended only when its subspace is read (``Flat.extending``), H's
+    row reduced then if need be.  The top of an essential arrangement of
+    rank 2 or more is entered by ``build_lattice`` itself.
     """
     hyperplanes = arr.hyperplanes
-    below = parent.support
-    through = level.through
-    above = through.get(below & -below, 0)
-    atoms = below & (below - 1)
-    while above and atoms:
-        atom = atoms & -atoms
-        above &= through.get(atom, 0)
-        atoms ^= atom
+    below, supports = parent.support, level.supports
+    above = _holding(level.through, below, (1 << len(supports)) - 1)
     covered = below
-    supports = level.supports
     while above:  # highest first, so the mask shrinks as it goes
         top = above.bit_length() - 1
         covered |= supports[top]
@@ -648,8 +662,8 @@ def build_lattice(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS,
     normalized residues modulo X, so no flat is fully row-reduced.  Each
     level under construction numbers its flats and keeps, per
     hyperplane, the mask of its flats through it (``_Level``): a cover the
-    level already has is found by one AND per hyperplane of X, so each flat
-    is entered once.  From level 3 on, a new flat's support is read off the
+    level already has is found by ``_holding``, so each flat is entered
+    once.  From level 3 on, a new flat's support is read off the
     rank-2 flats through H, listed from the finished level 2 (``_lines``),
     skipping those that meet X's other covers and comparing one member's
     residue modulo X with H's for each other.  The parents of a level go to
@@ -708,40 +722,30 @@ class Factor:
     """One factor of a lattice assembled by ``lattice_of``: the factor's own
     lattice, ``mask``, the input hyperplanes it holds, and the move of its
     supports to the input's hyperplane indices, both ways (``moved`` maps a
-    factor support to the input's, ``flat_at`` an input support to the
-    factor's flat, built on first read).  The factor's hyperplanes keep the
-    input's order, so the move keeps the order of supports."""
+    factor support to the input's, ``back`` an input support to the
+    factor's).  The factor's hyperplanes keep the input's order, so the move
+    keeps the order of supports."""
 
-    __slots__ = ("lattice", "mask", "moved", "_flat_at")
+    __slots__ = ("lattice", "mask", "moved", "back")
 
     def __init__(self, lattice: IntersectionLattice, indices: list[int]):
         self.lattice = lattice
         bits = [1 << i for i in indices]
         self.moved: dict[int, int] = {}
+        self.back: dict[int, int] = {}
         for level in lattice.supports:
             for support in level:
                 s = 0
                 for bit in _bits(support):
                     s |= bits[bit.bit_length() - 1]
                 self.moved[support] = s
+                self.back[s] = support
         self.mask = self.moved[lattice.supports[-1][0]]
-        self._flat_at: dict[int, Flat] | None = None
-
-    @property
-    def flat_at(self) -> dict[int, Flat]:
-        """Input support -> the factor's flat.  Built on first read, which
-        assembling the product does not make."""
-        table = self._flat_at
-        if table is None:
-            moved = self.moved
-            table = self._flat_at = {moved[f.support]: f for f in self.lattice.flats()}
-        return table
 
     def upper(self, component: int) -> list[int]:
         """The input's supports of the factor flats covering the one on the
         input's support ``component``, in flat order."""
-        return [self.moved[c] for c in
-                self.lattice.upper_covers(self.flat_at[component].support)]
+        return [self.moved[c] for c in self.lattice.upper_covers(self.back[component])]
 
 
 def _coordinate_blocks(arr: Arrangement) -> tuple[list[int], list[int]]:

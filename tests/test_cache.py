@@ -536,11 +536,11 @@ class TestFactorEntries:
         capsys.readouterr()
         # the lattice command reads only the factors' moved supports
         assert len(read[-1].factors) == 2
-        assert all(f._flat_at is None for f in read[-1].factors)
+        assert all(f.lattice._flats is None for f in read[-1].factors)
         assert main(["--json", "--cache-dir", cache_dir, "supersolvable", spec]) == 0
         assert capsys.readouterr().out == expected
         # the verdicts read each factor's flats by the product's supports
-        assert all(f._flat_at is not None for f in read[-1].factors)
+        assert all(f.lattice._flats is not None for f in read[-1].factors)
 
     def test_product_over_budget_refused_before_assembly(self, tmp_path, monkeypatch):
         _, arr = resolve_spec("product(B3,A2)")

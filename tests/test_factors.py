@@ -39,6 +39,16 @@ def _levels(lattice):
     return [[(f.support, f.rank) for f in level] for level in lattice.levels]
 
 
+@pytest.mark.parametrize("a,b", [("B2", "H3"), ("G(3,3,3)", "A(3)")])
+def test_factor_moves_supports_both_ways(a, b):
+    # ``moved`` takes a factor support to the input's and ``back`` returns it
+    for factor in lattice_of(_pair(a, b)).factors:
+        supports = [s for level in factor.lattice.supports for s in level]
+        assert sorted(factor.moved) == sorted(supports)
+        assert {factor.back[m]: m for m in factor.moved.values()} == factor.moved
+        assert factor.mask == factor.moved[factor.lattice.supports[-1][0]]
+
+
 def _digest(cert):
     """What a certificate prints, by supports: the verdict, the chain, and
     the refutation with its witnesses' partners."""
