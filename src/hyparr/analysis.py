@@ -381,14 +381,13 @@ def _line_partners(lattice: IntersectionLattice) -> None:
                                    else _scan_from(lattice, x, 3))
 
 
-def modular_flats_of_rank(lattice: IntersectionLattice, rank: int,
-                          threads: int = 1) -> list[ModularityVerdict]:
+def modular_flats_of_rank(lattice: IntersectionLattice, rank: int) -> list[ModularityVerdict]:
     """One verdict per rank-``rank`` flat, in deterministic flat order; only
     flats not yet tested on this lattice are tested.  On a lattice of rank
     at least 4 without factors, the lines are decided together by one pass
     over the rank-3 flats (``_line_partners``) unless every line already
     has its verdict; a line that pass finds no partner for is scanned from
-    rank 3 on.  ``threads`` is accepted and ignored: one worker runs."""
+    rank 3 on."""
     if not 0 <= rank <= lattice.rank():
         raise ValueError(f"rank {rank} out of range 0..{lattice.rank()}")
     if (rank == 2 and lattice.rank() >= 4 and not lattice.factors
@@ -397,8 +396,7 @@ def modular_flats_of_rank(lattice: IntersectionLattice, rank: int,
     return [_verdict(lattice, f) for f in lattice.levels[rank]]
 
 
-def is_supersolvable(lattice: IntersectionLattice, threads: int = 1
-                     ) -> SupersolvabilityCertificate:
+def is_supersolvable(lattice: IntersectionLattice) -> SupersolvabilityCertificate:
     """Search ``lattice`` for a maximal chain of modular flats, ranks 0..r(A).
 
     The certificate is of ``lattice`` itself.  Essentializing changes the
@@ -418,7 +416,6 @@ def is_supersolvable(lattice: IntersectionLattice, threads: int = 1
     verdicts already found: the first rank with no modular flat refutes with
     that rank's verdicts as witnesses, and otherwise the refutation counts
     every rank's modular flats.  The verdicts stay on ``lattice``.
-    ``threads`` is accepted and ignored: one worker runs.
     """
     r = lattice.rank()
     bottom = lattice.bottom()
@@ -684,7 +681,7 @@ class Rank2Report(Record):
         return self.supersolvable == bool(self.modular_rank2)
 
 
-def check_rank2_criterion(cert: SupersolvabilityCertificate, threads: int = 1) -> Rank2Report:
+def check_rank2_criterion(cert: SupersolvabilityCertificate) -> Rank2Report:
     """The certificate's verdict versus existence of a modular rank-2 flat.
 
     Refuses reducible input: a product of a supersolvable and a
@@ -693,7 +690,7 @@ def check_rank2_criterion(cert: SupersolvabilityCertificate, threads: int = 1) -
     The factors are counted off the certificate's lattice
     (``irreducible_factor_count``), and its modular rank-2 flats are read
     by ``modular_flats_of_rank``, which tests only the rank-2 flats the
-    search did not.  ``threads`` is accepted and ignored: one worker runs.
+    search did not.
     """
     lattice = cert.lattice
     poly = poincare(lattice.arrangement, lattice)

@@ -515,9 +515,8 @@ class _Level:
     number, and ``through`` maps each hyperplane bit to the mask of the
     numbered flats that hold it: bit i for ``supports[i]``, entered by
     ``_enter``, so the level's flats over a parent are ``_holding`` of its
-    support.  ``add`` numbers a new flat and keeps the first flat entered
-    for a support.  ``room`` is how many flats the level may add within the
-    budget, checked on every entry.
+    support.  ``add`` numbers a new flat.  ``room`` is how many flats the
+    level may add within the budget, checked on every entry.
     """
 
     __slots__ = ("found", "supports", "through", "room", "max_flats")
@@ -531,8 +530,6 @@ class _Level:
 
     def add(self, flat: Flat) -> None:
         support, found, supports = flat.support, self.found, self.supports
-        if support in found:
-            return
         found[support] = flat
         _enter(self.through, support, 1 << len(supports))
         supports.append(support)
@@ -648,8 +645,7 @@ def _distinct_rows(arr: Arrangement) -> list[Row]:
     return rows
 
 
-def build_lattice(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS,
-                  threads: int = 1) -> IntersectionLattice:
+def build_lattice(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS) -> IntersectionLattice:
     """Breadth-first lattice construction, level by level.
 
     The forms must define distinct hyperplanes (``_distinct_rows``): a
@@ -684,7 +680,6 @@ def build_lattice(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS,
     deterministic, and each subspace is the canonical RREF whichever parent
     entered the flat.  The flat budget is checked whenever a level gains a
     flat, so an oversized lattice is refused before its level is finished.
-    ``threads`` is accepted and ignored: one worker runs.
     """
     rows = _distinct_rows(arr)
     bottom = Flat(full_space(arr.ambient, arr.order), 0, 0)
@@ -825,7 +820,7 @@ def _product_supports(factors: list[Factor]) -> list[list[int]]:
     return supports
 
 
-def lattice_of(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS, threads: int = 1,
+def lattice_of(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS,
                build=build_lattice) -> IntersectionLattice:
     """The lattice of ``arr``: assembled from its factors' lattices when its
     forms split into two or more blocks of coordinates (``_split``), and
@@ -834,8 +829,7 @@ def lattice_of(arr: Arrangement, max_flats: int = DEFAULT_MAX_FLATS, threads: in
     default, a load or build of the factor's cache entry for
     ``cache.load_or_build``.  The forms must define distinct hyperplanes:
     ``build_lattice`` refuses a zero form or a repeat, in the block that
-    holds it, with a ``ValueError`` (``_distinct_rows``).  ``threads`` is
-    accepted and ignored: one worker runs.
+    holds it, with a ``ValueError`` (``_distinct_rows``).
 
     The lattice of a product is the product of its factors' lattices
     (Orlik-Terao, *Arrangements of Hyperplanes*, Prop. 2.14): a flat is one

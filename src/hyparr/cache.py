@@ -221,8 +221,7 @@ def load_lattice(arr: Arrangement, cache_dir: str,
 
 
 def load_or_build(arr: Arrangement, cache_dir: str | None = None,
-                  max_flats: int = DEFAULT_MAX_FLATS, threads: int = 1
-                  ) -> IntersectionLattice:
+                  max_flats: int = DEFAULT_MAX_FLATS) -> IntersectionLattice:
     """The lattice of ``arr`` by ``lattice_of``, which takes the lattice of
     each factor of a product, or of ``arr`` itself when it does not split,
     from that arrangement's entry in ``cache_dir``, or on a miss builds and
@@ -232,7 +231,7 @@ def load_or_build(arr: Arrangement, cache_dir: str | None = None,
     anything is built.  An entry with more than ``max_flats`` flats is
     refused as the build refuses it, before its flats are made, and a
     product with more is refused from its factors' sizes before it is
-    assembled.  ``threads`` is accepted and ignored: one worker runs."""
+    assembled."""
     if not cache_dir:
         return lattice_of(arr, max_flats)
     with _using(cache_dir):

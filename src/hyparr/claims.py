@@ -118,10 +118,9 @@ class ClaimResult(Record):
 
 class LatticeStore:
     """Builds each named arrangement, its lattice and its certificate once
-    per run.  ``threads`` is accepted and ignored: one worker runs."""
+    per run."""
 
-    def __init__(self, threads: int = 1, max_flats: int = DEFAULT_MAX_FLATS,
-                 cache_dir: str | None = None):
+    def __init__(self, max_flats: int = DEFAULT_MAX_FLATS, cache_dir: str | None = None):
         self.max_flats = max_flats
         self.cache_dir = cache_dir
         self._arrangements: dict[str, Arrangement] = {}

@@ -143,14 +143,14 @@ class TestModularFlatsOfRank:
         with pytest.raises(ValueError):
             modular_flats_of_rank(lattice, 5)
 
-    def test_threads_preserve_order(self):
+    def test_a_fresh_lattice_repeats_the_verdicts(self):
         arr = exceptional_arrangement("G25")
         lattice = build_lattice(arr)
-        seq = modular_flats_of_rank(lattice, 2)
+        first = modular_flats_of_rank(lattice, 2)
         # a lattice of its own, so that every flat is tested again
-        par = modular_flats_of_rank(build_lattice(arr), 2, threads=4)
-        assert [v.flat.support for v in seq] == [v.flat.support for v in par]
-        assert [v.modular for v in seq] == [v.modular for v in par]
+        again = modular_flats_of_rank(build_lattice(arr), 2)
+        assert [v.flat.support for v in first] == [v.flat.support for v in again]
+        assert [v.modular for v in first] == [v.modular for v in again]
 
 
 def is_modular_calls(monkeypatch) -> list[int]:
@@ -300,8 +300,8 @@ class TestChainSearch:
 
     @pytest.mark.parametrize("pair", PRODUCT_PAIRS)
     def test_product_pairs_match_full_scan(self, pair):
-        # the scan finishes on the search's verdicts; ``threads`` is ignored
-        cert = is_supersolvable(build_lattice(_pair(*pair)), threads=2)
+        # the scan finishes on the search's verdicts
+        cert = is_supersolvable(build_lattice(_pair(*pair)))
         self.assert_matches_full_scan(cert, pair)
 
     def test_random_arrangements_match_full_scan(self):
@@ -381,7 +381,7 @@ class TestVerdictMemo:
         assert len(tested) < len(level)
         assert [v.flat for v in verdicts] == list(cert.lattice.levels[2])
         tested.clear()
-        assert modular_flats_of_rank(cert.lattice, 2, threads=2) == verdicts
+        assert modular_flats_of_rank(cert.lattice, 2) == verdicts
         assert tested == []
 
     def test_non_essential_lattice_keeps_the_search_verdicts(self, monkeypatch):

@@ -4,6 +4,7 @@ import ast
 import gc
 import hashlib
 import importlib.util
+import inspect
 import json
 import random
 import sys
@@ -15,6 +16,8 @@ from pathlib import Path
 import pytest
 
 import hyparr.arrangement
+import hyparr.cache
+import hyparr.claims
 import hyparr.linalg
 from hyparr import _kernel
 from hyparr.analysis import is_supersolvable, modular_flats_of_rank
@@ -156,10 +159,9 @@ class TestBuildLattice:
         arr = monomial_arrangement(3, 1, 3)
         a = build_lattice(arr)
         b = build_lattice(arr)
-        c = build_lattice(arr, threads=3)
-        for x, y, z in zip(a.flats(), b.flats(), c.flats()):
-            assert x.support == y.support == z.support
-            assert x.subspace == y.subspace == z.subspace
+        for x, y in zip(a.flats(), b.flats()):
+            assert x.support == y.support
+            assert x.subspace == y.subspace
 
     # Kernel calls of a one-worker build.  No flat is fully row-reduced:
     # every flat above the bottom is extended only when its subspace is
@@ -183,7 +185,7 @@ class TestBuildLattice:
     def test_one_worker_kernel_calls(self, monkeypatch, name, extensions):
         arr = build_named(name)
         calls = count_kernel_calls(monkeypatch)
-        lattice = build_lattice(arr, threads=1)
+        lattice = build_lattice(arr)
         assert calls == {"rref": 0, "in_rowspace": 0, "extend": extensions}
         for f in lattice.flats():
             f.subspace
@@ -200,7 +202,7 @@ class TestBuildLattice:
     def test_one_worker_children_of_calls(self, monkeypatch, name, bound):
         arr = build_named(name)
         parents = count_children_of(monkeypatch)
-        lattice = build_lattice(arr, threads=1)
+        lattice = build_lattice(arr)
         assert len(parents) <= bound
         assert max(parents) == arr.ambient - 2
         assert len(parents) == len(lattice) - len(lattice.levels[-2]) - 2
@@ -211,7 +213,7 @@ class TestBuildLattice:
         # enters the top, which the others find by their masks
         arr = parse_arrangement_text(D4_MOVED)
         parents = count_children_of(monkeypatch)
-        lattice = build_lattice(arr, threads=1)
+        lattice = build_lattice(arr)
         assert arr.rank() == 4 < arr.ambient
         assert lattice.level_sizes() == [1, 12, 34, 24, 1]
         assert parents.count(3) == 24 and max(parents) == 3
@@ -243,7 +245,7 @@ class TestBuildLattice:
             return real(row, sub)
 
         monkeypatch.setattr(hyparr.arrangement, "form_residue", counted)
-        build_lattice(arr, threads=1)
+        build_lattice(arr)
         assert calls == residues
 
     def test_max_flats_holds_within_a_level(self, monkeypatch):
@@ -256,18 +258,20 @@ class TestBuildLattice:
         with pytest.raises(RefusalError, match=r"flat budget \(800\)"):
             build_lattice(build_named("G31"), max_flats=800)
         assert calls["rref"] + calls["extend"] <= 741
-        with pytest.raises(RefusalError, match=r"flat budget \(800\)"):
-            build_lattice(build_named("G31"), max_flats=800, threads=3)
 
-    @pytest.mark.parametrize("threads", [1, 3])
-    def test_max_flats_holds_within_level_2(self, monkeypatch, threads):
+    @pytest.mark.parametrize("builds", [1, 3])
+    def test_max_flats_holds_within_level_2(self, monkeypatch, builds):
         # G31 has 60 hyperplanes and 710 rank-2 flats: the residue classes of
         # a hyperplane are entered one by one, each checked on entry, so the
-        # budget's 239 rank-2 flats cost at most 240 extensions
+        # budget's 239 rank-2 flats cost at most 240 extensions.  Each build
+        # counts its flats afresh: a refused build leaves nothing behind that
+        # a later build of the same arrangement spends its budget on
+        arr = build_named("G31")
         calls = count_kernel_calls(monkeypatch)
-        with pytest.raises(RefusalError, match=r"flat budget \(300\)"):
-            build_lattice(build_named("G31"), max_flats=300, threads=threads)
-        assert calls["rref"] + calls["extend"] <= 241
+        for _ in range(builds):
+            with pytest.raises(RefusalError, match=r"flat budget \(300\)"):
+                build_lattice(arr, max_flats=300)
+        assert calls["rref"] + calls["extend"] <= 241 * builds
 
     # SHA-256 of each lattice's version-1 cache entry (rows and pivots of
     # every flat), pinned from the build that fully row-reduced every flat
@@ -418,14 +422,14 @@ class TestDeferredSubspaces:
         assert lattice._index is None
 
     def test_worker_count_changes_no_flat(self):
-        # ``threads`` is accepted and ignored: the same flats at any count
+        # two builds of one arrangement make the same flats
         cases = {"G(4,1,5)": build_named("G(4,1,5)"), "G31": build_named("G31"),
                  **LINE_TABLE_CASES}
         for name, arr in cases.items():
-            one = build_lattice(arr, threads=1)
-            three = build_lattice(arr, threads=3)
-            assert one.level_sizes() == three.level_sizes(), name
-            for x, y in zip(one.flats(), three.flats()):
+            one = build_lattice(arr)
+            two = build_lattice(arr)
+            assert one.level_sizes() == two.level_sizes(), name
+            for x, y in zip(one.flats(), two.flats()):
                 assert x.support == y.support and x.rank == y.rank, name
                 assert x.subspace == y.subspace, name
 
@@ -548,22 +552,21 @@ class TestLineTable:
     def test_matches_oracle_at_any_worker_count(self, arr):
         slow = brute_force_lattice(arr)
         if len(slow.levels[1]) < len(arr.hyperplanes):
-            # the oracle finds a rank-1 flat of two forms: every thread
-            # count refuses the repeat before any flat is made
-            for threads in (1, 3):
-                with pytest.raises(ValueError, match="distinct hyperplanes"):
-                    build_lattice(arr, threads=threads)
+            # the oracle finds a rank-1 flat of two forms: the build refuses
+            # the repeat before any flat is made
+            with pytest.raises(ValueError, match="distinct hyperplanes"):
+                build_lattice(arr)
             return
-        one = build_lattice(arr, threads=1)
-        three = build_lattice(arr, threads=3)
-        for fast in (one, three):
+        one = build_lattice(arr)
+        two = build_lattice(arr)
+        for fast in (one, two):
             assert fast.level_sizes() == slow.level_sizes()
             assert {f.support for f in fast.flats()} == {f.support for f in slow.flats()}
             for f in fast.flats():
                 assert slow.index[f.support].subspace == f.subspace
         # serialized with every flat's rows and pivots
         assert (json.dumps(v1_lattice_payload(one), sort_keys=True, separators=(",", ":"))
-                == json.dumps(v1_lattice_payload(three), sort_keys=True, separators=(",", ":")))
+                == json.dumps(v1_lattice_payload(two), sort_keys=True, separators=(",", ":")))
 
     def test_cases_reach_the_line_table(self):
         cases = LINE_TABLE_CASES.values()
@@ -593,6 +596,21 @@ class TestOneThread:
                     continue
                 found += [(path.name, name) for name in names if name in banned]
         assert found == []
+
+    def test_no_callable_takes_a_worker_count(self):
+        # one worker runs, so no library call takes ``threads``; the CLI's
+        # ``--threads N`` is kept for scripts and is pinned in test_cli.py.
+        # The exception classes take their message alone and have no
+        # signature to read
+        public = [getattr(hyparr, name) for name in hyparr.__all__]
+        callables = [f for f in public if callable(f) and not
+                     (isinstance(f, type) and issubclass(f, BaseException))] + [
+            hyparr.arrangement.lattice_of, hyparr.cache.load_or_build,
+            hyparr.claims.LatticeStore]
+        assert len(callables) >= 40
+        taking = [f.__qualname__ for f in callables
+                  if "threads" in inspect.signature(f).parameters]
+        assert taking == []
 
 
 class TestRestrictionDeletion:

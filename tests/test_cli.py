@@ -324,7 +324,7 @@ class TestExitCodes:
     def test_internal_error_has_its_own_exit_code(self, capsys, monkeypatch, json_flag):
         # a broken guarantee is neither a failed claim (exit 1) nor a
         # traceback: one line on stderr, nothing on stdout, exit 4
-        def broken(lattice, threads=1):
+        def broken(lattice):
             raise InternalInconsistencyError("forged")
 
         monkeypatch.setattr(hyparr.cli, "is_supersolvable", broken)

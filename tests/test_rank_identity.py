@@ -143,13 +143,13 @@ def test_above_is_support_inclusion(tmp_path):
         assert lattice.above(0, 0) == 1, label
 
 
-def test_threads_on_a_loaded_lattice(tmp_path):
+def test_a_fresh_load_repeats_the_verdicts(tmp_path):
     arr = build_named("G25")
-    single = modular_flats_of_rank(_loaded(arr, tmp_path), 2)
+    first = modular_flats_of_rank(_loaded(arr, tmp_path), 2)
     fresh = load_lattice(arr, str(tmp_path))
-    pooled = modular_flats_of_rank(fresh, 2, threads=4)
-    assert [(v.flat.support, v.modular) for v in single] == \
-        [(v.flat.support, v.modular) for v in pooled]
+    again = modular_flats_of_rank(fresh, 2)
+    assert [(v.flat.support, v.modular) for v in first] == \
+        [(v.flat.support, v.modular) for v in again]
 
 
 @pytest.mark.parametrize("name", ["B2xA2", "D4"])
@@ -353,14 +353,14 @@ def test_rank_three_of_a_rank_five_lattice_matches_a_full_order_scan():
     assert any(v[0] for v in verdicts) and not all(v[0] for v in verdicts)
 
 
-def test_threads_on_a_fresh_g31_lattice(tmp_path):
-    # each count builds the lazily built mask tables of a fresh lattice
+def test_fresh_g31_lines_have_complement_partners(tmp_path):
+    # each load builds the lazily built mask tables of a fresh lattice
     arr = build_named("G31")
     save_lattice(build_lattice(arr), str(tmp_path))
     runs = []
-    for threads in (1, 2):
+    for _ in range(2):
         fresh = load_lattice(arr, str(tmp_path))
-        runs.append(modular_flats_of_rank(fresh, 2, threads=threads))
+        runs.append(modular_flats_of_rank(fresh, 2))
     runs = [[(v.flat.support, v.modular, v.partner and v.partner.support,
               v.partner and v.flat.support & v.partner.support) for v in verdicts]
             for verdicts in runs]
