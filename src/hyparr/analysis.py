@@ -35,9 +35,14 @@ Y's support must be disjoint from X's, so that the only flat holding
 X + Y is the whole space, and dim(X + Y), dim X plus the rank of X's
 defining rows reduced modulo Y's RREF, must be below the ambient dimension.
 The sum subspace itself is built only for the outputs that print it
-(``ModularityVerdict.witness``).  ``validate_certificate`` re-checks
-modularity by stacked ranks over the field and witnesses by ``closure``,
-without the scan's mask tables.  Scans run in the
+(``ModularityVerdict.witness``).  ``validate_certificate`` re-checks a
+chain and a rank-2 ``empty-rank`` refutation on the arrangement's rows
+alone (``check``): a chain by its line pairs, the rank-2 level by residue
+classes and each witness by one stacked rank.  An ``empty-rank`` above
+rank 2 takes its level's supports from the lattice, and a ``no-chain``
+refutation is a full rescan by stacked ranks over the field
+(``_modular_by_arithmetic``); none of it reads the scan's mask tables.
+Scans run in the
 deterministic flat order (rank, then support bitset), so witnesses are
 reproducible.
 
@@ -76,8 +81,8 @@ irreducible factors (``irreducible_factor_count``).  Both divide by
 from __future__ import annotations
 
 from . import _kernel
-from .arrangement import (Arrangement, Flat, IntersectionLattice, Record, _bits, _holding,
-                          _lines_under, closure)
+from .arrangement import (Arrangement, Flat, IntersectionLattice, Record, _bits,
+                          _distinct_rows, _holding, _lines_under, closure)
 from .cyclo import elem_str, field_context, poly_divmod, poly_mul
 from .errors import InternalInconsistencyError, RefusalError
 from .linalg import (LinearForm, Subspace, form_residue, subspace_from_forms,
@@ -481,47 +486,46 @@ def _modular_by_arithmetic(lattice: IntersectionLattice, x: Flat) -> bool:
     return True
 
 
-def _is_member(lattice: IntersectionLattice, f: Flat | None) -> bool:
-    """Whether f is the flat the lattice holds for f's support: the same
-    subspace and the same rank."""
-    hit = None if f is None else lattice.index.get(f.support)
-    return hit is not None and hit == f and hit.rank == f.rank
-
-
 def validate_certificate(cert: SupersolvabilityCertificate) -> bool:
-    """Re-check a certificate from scratch, independently of the search: chains
-    flat by flat and no-chain refutations by a full rescan, both by stacked
-    ranks over the field; witnesses by closure.  Every flat the certificate
-    names must be the lattice's own flat for its support."""
+    """Re-check a certificate from scratch, independently of the search.
+
+    A chain, and an ``empty-rank`` refutation at rank 2, are checked by
+    ``check.Checker`` on the arrangement's rows alone: the chain by its
+    line pairs, the rank-2 level by residue classes.  An ``empty-rank``
+    above rank 2 lists its supports against the lattice's level; every
+    witness, at any rank, is checked by the stacked rank of two closed
+    flats.  A ``no-chain`` refutation is a full rescan by stacked ranks
+    over the field (``_modular_by_arithmetic``).  Each flat the certificate
+    names must have the rank and the subspace rows the checker derives from
+    its support, so the printed evidence is the evidence checked."""
+    from . import check
+
     lattice, arr = cert.lattice, cert.lattice.arrangement
+    chk = check.Checker(_distinct_rows(arr), arr.ambient, arr.order)
+
+    def derived(f: Flat) -> bool:
+        rows = chk.closed(f.support)
+        return rows is not None and f.rank == len(rows) and f.subspace.rows == rows
+
     if cert.verdict:
         chain = cert.chain or []
-        if [f.rank for f in chain] != list(range(lattice.rank() + 1)):
-            return False
-        if not all(_is_member(lattice, f) for f in chain):
-            return False
-        for prev, nxt in zip(chain, chain[1:]):
-            if nxt.support & prev.support != prev.support:
-                return False
-        return all(_modular_by_arithmetic(lattice, f) for f in chain)
+        return chk.chain([f.support for f in chain]) and all(map(derived, chain))
     ref = cert.refutation
     if ref is None:
         return False
     if ref.kind == "empty-rank":
-        if ref.rank is None or not 0 <= ref.rank <= lattice.rank():
+        supports = [v.flat.support for v in ref.witnesses]
+        if ref.rank is None or not 0 <= ref.rank <= len(chk.closed(chk.full)):
             return False
-        # the witness flats are the whole rank, in flat order
-        level = lattice.levels[ref.rank]
-        if [v.flat.support for v in ref.witnesses] != [f.support for f in level]:
+        if ref.rank == 2:
+            if supports != sorted(supports) or not chk.level(supports):
+                return False
+        elif supports != [f.support for f in lattice.levels[ref.rank]]:
+            # the witness flats are the whole rank, in flat order
             return False
-        for v in ref.witnesses:
-            if v.modular or not (_is_member(lattice, v.flat)
-                                 and _is_member(lattice, v.partner)):
-                return False
-            total = subspace_sum(v.flat.subspace, v.partner.subspace)
-            if closure(arr, total).subspace == total:
-                return False
-        return True
+        return all(not v.modular and derived(v.flat) and derived(v.partner)
+                   and chk.separated(v.flat.support, v.partner.support)
+                   for v in ref.witnesses)
     r = lattice.rank()
     if ref.kind != "no-chain" or r < 3:
         return False

@@ -10,8 +10,9 @@ implementation of each: ``_kernel.reduce`` under ``form_residue`` and
 ``LinearForm.normalized``.  Every RREF grows one row's residue at a time
 (``extend_by_rows``).  The kernel's one full elimination, ``_kernel.rref``,
 is the tests' independent reference for these RREFs; the library reaches
-it only through ``_kernel.elem_inv`` and through ``_kernel.rank``, whose
-one caller is ``analysis.validate_certificate``.
+it only through ``_kernel.elem_inv`` and under
+``analysis.validate_certificate``, whose checker (``check``) and
+``no-chain`` rescan run it and ``_kernel.rank``.
 """
 
 from __future__ import annotations

@@ -23,12 +23,12 @@ from hyparr.cache import load_lattice, save_lattice
 from hyparr.claims import WITNESS_CLAIMS, ClaimResult, WitnessClaim
 from hyparr.cli import resolve_spec
 from hyparr.errors import InternalInconsistencyError, RefusalError
-from hyparr.linalg import subspace_from_forms, subspace_sum
+from hyparr.linalg import full_space, subspace_from_forms, subspace_sum
 from hyparr.parse import parse_arrangement_text, parse_form
 from hyparr.reflection import (CatalogEntry, build_named, catalog, catalog_entry,
                                exceptional_arrangement, monomial_arrangement)
 from hyparr.report import flat_payload, rank2_payload
-from tests.conftest import contains, random_arrangement
+from tests.conftest import contains, random_arrangement, reference_subspace
 
 PRODUCT_PAIRS = (("G(3,1,3)", "A(3)"), ("B3", "B3"), ("G(3,3,3)", "A(3)"),
                  ("B2", "H3"), ("A2", "G(3,1,3)"), ("B2", "D4"))
@@ -91,6 +91,18 @@ class TestIsModular:
         y, total = verdict.witness
         assert closure(d4, total).subspace != total
         assert subspace_sum(x1.subspace, y.subspace) == total
+
+    def test_witness_refuses_a_sum_of_the_wrong_dimension(self, monkeypatch):
+        # no honest input reaches this check, so a fault is injected: a sum
+        # subspace that disagrees with the dimension ``certify`` found
+        d4 = exceptional_arrangement("D4")
+        lattice = build_lattice(d4)
+        verdict = is_modular(lattice, flat_for(lattice, d4, ["a + b", "a - b"]))
+        monkeypatch.setattr(hyparr.analysis, "subspace_sum",
+                            lambda x, y: full_space(x.ambient, x.order))
+        with pytest.raises(InternalInconsistencyError,
+                           match="the sum subspace disagrees with the residues modulo the partner"):
+            verdict.witness
 
     def test_monomial_coordinate_flat_modular(self):
         arr = monomial_arrangement(3, 1, 3)
@@ -475,6 +487,23 @@ class TestMobiusPoincare:
             lattice = build_lattice(arr)
             assert poincare(arr, lattice).coefficients[1] == len(arr)
 
+    def test_linear_coefficient_fault_refused(self, monkeypatch):
+        # no honest input reaches this check, so a fault is injected: one
+        # more Moebius value -1 at rank 1 than D4 has hyperplanes
+        d4 = exceptional_arrangement("D4")
+        lattice = build_lattice(d4)
+        real = hyparr.analysis._mobius_levels
+
+        def one_atom_too_many(lat):
+            values = real(lat)
+            values[1].append(-1)
+            return values
+
+        monkeypatch.setattr(hyparr.analysis, "_mobius_levels", one_atom_too_many)
+        with pytest.raises(InternalInconsistencyError,
+                           match="linear coefficient must count the hyperplanes"):
+            poincare(d4, lattice)
+
 
 def _exponents(arr):
     cert = is_supersolvable(build_lattice(arr))
@@ -753,6 +782,50 @@ class TestForgedEvidence:
         forged = SupersolvabilityCertificate(cert.lattice, [bottom, h, line, top], cert.refutation)
         assert not validate_certificate(forged)
 
+    def test_modular_chain_not_nested_rejected(self):
+        # every flat of 0 < H < L < top is modular, but the line L is not on
+        # H: a check of modularity flat by flat accepts this chain
+        lattice = build_lattice(build_named("A(3)"))
+        line = next(v.flat for v in modular_flats_of_rank(lattice, 2) if v.modular)
+        h = next(f for f in lattice.levels[1] if not f.support & line.support)
+        chain = [lattice.bottom(), h, line, lattice.top()]
+        assert all(is_modular(lattice, f).modular for f in chain)
+        assert not validate_certificate(SupersolvabilityCertificate(lattice, chain))
+
+    def test_chain_flat_not_closed_rejected(self, cert):
+        # the chain's line on all its hyperplanes but one: the same subspace
+        # and rank, nested, but the hyperplane left out lies on it
+        bottom, h, line, top = cert.chain
+        rest = line.support & ~h.support
+        assert rest.bit_count() >= 2
+        posing = Flat(line.subspace, line.support & ~(rest & -rest), 2)
+        assert posing.subspace == reference_subspace(cert.lattice.arrangement, posing.support)
+        forged = SupersolvabilityCertificate(cert.lattice, [bottom, h, posing, top])
+        assert not validate_certificate(forged)
+
+    def test_chain_stopping_below_the_top_rejected(self, cert):
+        forged = SupersolvabilityCertificate(cert.lattice, cert.chain[:-1])
+        assert not validate_certificate(forged)
+
+    def test_chain_flat_with_a_foreign_subspace_or_rank_rejected(self, cert):
+        # the chain's line on its own support, holding the subspace of
+        # another line, or its own subspace with a rank one too high
+        bottom, h, line, top = cert.chain
+        other = next(f for f in cert.lattice.levels[2] if f.support != line.support)
+        for posing in (Flat(other.subspace, line.support, 2), Flat(line.subspace, line.support, 3)):
+            forged = SupersolvabilityCertificate(cert.lattice, [bottom, h, posing, top])
+            assert not validate_certificate(forged)
+
+    def test_hyperplane_swapped_between_the_top_blocks_rejected(self, store):
+        cert = store.certificate("G(4,1,5)")
+        chain = list(cert.chain)
+        below, coatom, top = chain[-3:]
+        p = coatom.support & ~below.support
+        q = top.support & ~coatom.support
+        support = coatom.support ^ (p & -p) ^ (q & -q)
+        chain[-2] = Flat(reference_subspace(cert.lattice.arrangement, support), support, 4)
+        assert not validate_certificate(SupersolvabilityCertificate(cert.lattice, chain))
+
     @pytest.fixture(scope="class")
     def d4(self):
         cert = is_supersolvable(build_lattice(exceptional_arrangement("D4")))
@@ -781,6 +854,43 @@ class TestForgedEvidence:
             ref = d4.refutation
             ref = Refutation(ref.kind, ref.rank, forged, ref.modular_counts)
             assert not validate_certificate(SupersolvabilityCertificate(d4.lattice, d4.chain, ref))
+
+    def test_rank2_refutation_with_a_witness_dropped_rejected(self, d4):
+        ref = d4.refutation
+        for k in range(len(ref.witnesses)):
+            forged = ref.witnesses[:k] + ref.witnesses[k + 1:]
+            forged = Refutation(ref.kind, ref.rank, forged, ref.modular_counts)
+            assert not validate_certificate(SupersolvabilityCertificate(d4.lattice, None, forged))
+
+    def test_rank2_refutation_with_two_lines_merged_rejected(self, d4):
+        ref = d4.refutation
+        first, second, *rest = ref.witnesses
+        support = first.flat.support | second.flat.support
+        merged = ModularityVerdict(Flat(first.flat.subspace, support, 2), first.partner)
+        forged = sorted([merged, *rest], key=lambda v: v.flat.support)
+        forged = Refutation(ref.kind, ref.rank, forged, ref.modular_counts)
+        assert not validate_certificate(SupersolvabilityCertificate(d4.lattice, None, forged))
+
+    def test_witness_with_a_foreign_subspace_or_rank_rejected(self, d4):
+        # one witness's flat or partner on its own support, holding the
+        # subspace of another flat of its rank, or a rank one too high; and
+        # a witness with no partner at all
+        ref = d4.refutation
+        x, y = ref.witnesses[0].flat, ref.witnesses[0].partner
+        other = next(f for f in d4.lattice.levels[2] if f.support != x.support)
+        other_y = next(f for f in d4.lattice.levels[y.rank] if f.support != y.support)
+        for v in (ModularityVerdict(Flat(other.subspace, x.support, 2), y),
+                  ModularityVerdict(Flat(x.subspace, x.support, 3), y),
+                  ModularityVerdict(x, Flat(other_y.subspace, y.support, y.rank)),
+                  ModularityVerdict(x, Flat(y.subspace, y.support, y.rank + 1)),
+                  ModularityVerdict(x)):
+            forged = Refutation(ref.kind, ref.rank, [v, *ref.witnesses[1:]], ref.modular_counts)
+            assert not validate_certificate(SupersolvabilityCertificate(d4.lattice, None, forged))
+
+    def test_rank2_refutation_out_of_order_rejected(self, d4):
+        ref = d4.refutation
+        forged = Refutation(ref.kind, ref.rank, ref.witnesses[::-1], ref.modular_counts)
+        assert not validate_certificate(SupersolvabilityCertificate(d4.lattice, None, forged))
 
     def test_unknown_kind_rejected(self, d4):
         ref = d4.refutation

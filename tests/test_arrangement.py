@@ -155,7 +155,7 @@ class TestBuildLattice:
         with pytest.raises(ValueError, match="^zero form has no leading coefficient$"):
             build(Arrangement(1, 1, (LinearForm(1, 1, ((0,), 1)),)))
 
-    def test_deterministic_and_thread_invariant(self):
+    def test_two_builds_give_equal_flats(self):
         arr = monomial_arrangement(3, 1, 3)
         a = build_lattice(arr)
         b = build_lattice(arr)
@@ -421,7 +421,7 @@ class TestDeferredSubspaces:
         assert held < 250 * 3008
         assert lattice._index is None
 
-    def test_worker_count_changes_no_flat(self):
+    def test_two_builds_give_equal_flats(self):
         # two builds of one arrangement make the same flats
         cases = {"G(4,1,5)": build_named("G(4,1,5)"), "G31": build_named("G31"),
                  **LINE_TABLE_CASES}

@@ -422,13 +422,26 @@ class TestOneRowReduction:
         ("decompose", "D4"),
     ])
     def test_commands_call_no_full_elimination(self, capsys, monkeypatch, argv):
+        # ``rank`` is refused outright; ``rref`` only outside ``elem_inv``,
+        # which solves by it on a cache miss.  The cache is cleared first, so
+        # the outcome does not hang on what earlier tests have inverted.
+        import sys
+
         from hyparr import _kernel
 
         def refuse(*args):
             raise AssertionError("a full elimination ran outside the tests")
 
+        real_rref, inverse = _kernel.rref, _kernel.elem_inv.__wrapped__.__code__
+
+        def rref(*args):
+            if sys._getframe(1).f_code is not inverse:
+                refuse()
+            return real_rref(*args)
+
+        _kernel.elem_inv.cache_clear()
         monkeypatch.delenv("HYPARR_CACHE_DIR", raising=False)
-        monkeypatch.setattr(_kernel, "rref", refuse)
+        monkeypatch.setattr(_kernel, "rref", rref)
         monkeypatch.setattr(_kernel, "rank", refuse)
         code, out, _ = run_cli(capsys, "--json", *argv)
         assert code == EXIT_OK and out
