@@ -11,9 +11,8 @@ an inverse off its last column over ``Q``, and the tests hold it as an
 independent reference for the RREFs the library grows one residue at a
 time (``linalg.extend_by_rows``).  Outside ``elem_inv`` the library runs
 ``rref`` and ``rank`` only under ``analysis.validate_certificate``, which
-no command calls: its checker (``check``) takes the RREF of each support a
-certificate names and the rank of two stacked flats, and its ``no-chain``
-rescan counts stacked ranks.
+no command calls: its checker (``check``) takes the RREF of each support
+it meets and the rank of two stacked flats.
 ``mul_matrix`` and ``mul_apply`` are the one multiplication: every product
 of field elements (``elem_mul``, ``eliminate``, ``monic``, ``rref``)
 builds the integer matrix of its multiplier, cached per element, and

@@ -35,13 +35,12 @@ Y's support must be disjoint from X's, so that the only flat holding
 X + Y is the whole space, and dim(X + Y), dim X plus the rank of X's
 defining rows reduced modulo Y's RREF, must be below the ambient dimension.
 The sum subspace itself is built only for the outputs that print it
-(``ModularityVerdict.witness``).  ``validate_certificate`` re-checks a
-chain and a rank-2 ``empty-rank`` refutation on the arrangement's rows
-alone (``check``): a chain by its line pairs, the rank-2 level by residue
-classes and each witness by one stacked rank.  An ``empty-rank`` above
-rank 2 takes its level's supports from the lattice, and a ``no-chain``
-refutation is a full rescan by stacked ranks over the field
-(``_modular_by_arithmetic``); none of it reads the scan's mask tables.
+(``ModularityVerdict.witness``).  ``validate_certificate`` re-checks
+every certificate on the arrangement's rows, the lattice's supports and
+the certificate's own flats (``check``): a chain by its line pairs, every
+level a refutation rests on by cover classes and every witness, or every
+complement a ``no-chain`` tests, by one stacked rank.  It reads no flat
+or index of the lattice and none of the scan's mask tables.
 Scans run in the
 deterministic flat order (rank, then support bitset), so witnesses are
 reproducible.
@@ -80,10 +79,9 @@ irreducible factors (``irreducible_factor_count``).  Both divide by
 
 from __future__ import annotations
 
-from . import _kernel
 from .arrangement import (Arrangement, Flat, IntersectionLattice, Record, _bits,
                           _distinct_rows, _holding, _lines_under, closure)
-from .cyclo import elem_str, field_context, poly_divmod, poly_mul
+from .cyclo import elem_str, poly_divmod, poly_mul
 from .errors import InternalInconsistencyError, RefusalError
 from .linalg import (LinearForm, Subspace, form_residue, subspace_from_forms,
                      subspace_from_rows, subspace_sum)
@@ -469,38 +467,23 @@ def is_supersolvable(lattice: IntersectionLattice) -> SupersolvabilityCertificat
     return SupersolvabilityCertificate(lattice, refutation=refutation)
 
 
-def _modular_by_arithmetic(lattice: IntersectionLattice, x: Flat) -> bool:
-    """Modularity of x by linear algebra alone: for every flat Y, dim(X + Y)
-    from the rank of the stacked forms must equal the dimension of the flat
-    on the hyperplanes common to X and Y."""
-    arr = lattice.arrangement
-    ctx = field_context(arr.order)
-    for y in lattice.flats():
-        common = x.support & y.support
-        if common == x.support or common == y.support:
-            continue
-        r = _kernel.rank(list(x.subspace.rows + y.subspace.rows), arr.ambient,
-                         ctx.degree, ctx.red)
-        if x.dim + y.dim - (arr.ambient - r) != lattice.index[common].dim:
-            return False
-    return True
-
-
 def validate_certificate(cert: SupersolvabilityCertificate) -> bool:
-    """Re-check a certificate from scratch, independently of the search.
-
-    A chain, and an ``empty-rank`` refutation at rank 2, are checked by
-    ``check.Checker`` on the arrangement's rows alone: the chain by its
-    line pairs, the rank-2 level by residue classes.  An ``empty-rank``
-    above rank 2 lists its supports against the lattice's level; every
-    witness, at any rank, is checked by the stacked rank of two closed
-    flats.  A ``no-chain`` refutation is a full rescan by stacked ranks
-    over the field (``_modular_by_arithmetic``).  Each flat the certificate
-    names must have the rank and the subspace rows the checker derives from
-    its support, so the printed evidence is the evidence checked."""
+    """Re-check a certificate from scratch, independently of the search,
+    by ``check.Checker`` on the arrangement's rows, the lattice's supports
+    and the certificate's own flats.  A chain is checked by its line pairs.
+    Every level a refutation rests on is checked by cover classes, up from
+    the hyperplanes: for an ``empty-rank`` the listed levels below its rank
+    and then its witnesses, which must be that whole rank in flat order;
+    for a ``no-chain`` every level, up to the rank of the full support.
+    Every witness is checked by the stacked rank of two closed flats
+    (``separated``), and a ``no-chain`` counts as modular the interior flats
+    that no disjoint interior flat is separated from, only complements
+    needing a test (Brylawski, 1975).  Each flat the certificate names must
+    have the rank and the subspace rows the checker derives from its
+    support, so the printed evidence is the evidence checked."""
     from . import check
 
-    lattice, arr = cert.lattice, cert.lattice.arrangement
+    arr, supports = cert.lattice.arrangement, cert.lattice.supports
     chk = check.Checker(_distinct_rows(arr), arr.ambient, arr.order)
 
     def derived(f: Flat) -> bool:
@@ -513,25 +496,26 @@ def validate_certificate(cert: SupersolvabilityCertificate) -> bool:
     ref = cert.refutation
     if ref is None:
         return False
+    r = len(chk.closed(chk.full))
     if ref.kind == "empty-rank":
-        supports = [v.flat.support for v in ref.witnesses]
-        if ref.rank is None or not 0 <= ref.rank <= len(chk.closed(chk.full)):
+        k = ref.rank
+        if k is None or not 2 <= k < r or len(supports) <= k:
             return False
-        if ref.rank == 2:
-            if supports != sorted(supports) or not chk.level(supports):
-                return False
-        elif supports != [f.support for f in lattice.levels[ref.rank]]:
-            # the witness flats are the whole rank, in flat order
+        if not chk.levels([*supports[2:k], [v.flat.support for v in ref.witnesses]]):
             return False
         return all(not v.modular and derived(v.flat) and derived(v.partner)
                    and chk.separated(v.flat.support, v.partner.support)
                    for v in ref.witnesses)
-    r = lattice.rank()
-    if ref.kind != "no-chain" or r < 3:
+    # with r + 1 levels listed, ``levels`` derives the last as the full support alone
+    if ref.kind != "no-chain" or r < 3 or len(supports) != r + 1 or not chk.levels(supports[2:]):
         return False
-    mods = {k: [f.support for f in lattice.levels[k] if _modular_by_arithmetic(lattice, f)]
+    # ``separated`` refuses overlapping supports itself; the filter below
+    # spares it the calls
+    interior = [y for k in range(2, r) for y in supports[k]]
+    mods = {k: [x for x in supports[k]
+                if not any(chk.separated(x, y) for y in interior if not x & y)]
             for k in range(2, r)}
-    counts = {0: 1, 1: len(lattice.levels[1]), r: 1}
+    counts = {0: 1, 1: len(chk.rows), r: 1}
     counts.update((k, len(m)) for k, m in mods.items())
     if ref.modular_counts != counts:
         return False

@@ -7,11 +7,12 @@ hyperplane i.  Nothing here reads a lattice, a flat or a verdict of the
 search, so a certificate is checked against the hyperplanes alone.  Every
 check rests on one primitive and one test:
 
-- **The lines through hyperplane i** (``lines_through``): the other rows,
-  reduced modulo row i and made monic, fall into classes of equal residues.
-  Row k lies in the span of rows i and j exactly when its residue is
-  proportional to j's, so each class, with i added, is the support of one
-  rank-2 flat on i.
+- **The covers of a flat** (``covers``): the rows off its support,
+  reduced modulo the RREF of its rows and made monic, fall into classes of
+  equal residues.  Row k lies in the span of the flat and row j exactly
+  when its residue is proportional to j's, so each class, with the support
+  added, is the support of one cover (Orlik-Terao, Ch. 1).  The lines
+  through hyperplane i are the covers of ``1 << i``.
 - **Closedness** (``closed``): the RREF of a support's rows, which must
   have the flat's rank, and no row off the support lies in its span.
 
@@ -26,13 +27,16 @@ Three checks are built on them:
   Modularity is transitive (Stanley, *Modular elements of geometric
   lattices*, 1971), so every X_k is modular in the whole lattice, down
   from the top.
-- **The rank-2 level** (``level``): the classes through every hyperplane,
-  each with it added, are exactly the listed supports, each listed once.
-- **An ``empty-rank`` witness** (``separated``): X and Y have disjoint
-  supports, so the only flat on X + Y is the whole space, both are closed,
-  and their stacked rows have rank below r(X) + r(Y), so
+- **The levels from rank 2 up** (``levels``): every flat covers one a rank
+  below, so the covers of the hyperplanes, and then of each listed level
+  in turn, are exactly the next listed level, each support listed once
+  and in ascending order.
+- **A witness that X is not modular** (``separated``): X and Y have
+  disjoint supports, so the only flat on X + Y is the whole space, both
+  are closed, and their stacked rows have rank below r(X) + r(Y), so
   dim(X + Y) = l - r(X) - r(Y) + rank is below the ambient l and X + Y is
-  no flat.
+  no flat.  Only such complements need testing (Brylawski, 1975), so X is
+  modular when no flat of an interior rank is separated from it.
 """
 
 from . import _kernel
@@ -47,8 +51,8 @@ def _indices(support):
 class Checker:
     """The hyperplanes of one arrangement: ``rows`` are their normalized
     rows (leading coefficient 1, pairwise distinct), each of ``ambient``
-    packed elements of ``Q(zeta_order)``.  Closedness is kept by support,
-    and a line that ``level`` has found needs no scan for it.
+    packed elements of ``Q(zeta_order)``.  The RREF and closedness are kept
+    by support, and a flat that ``levels`` has found needs no scan for it.
     """
 
     def __init__(self, rows, ambient, order):
@@ -56,19 +60,27 @@ class Checker:
         self.rows = list(rows)
         self.m, self.d, self.red = ambient, ctx.degree, ctx.red
         self.full = (1 << len(self.rows)) - 1
+        self._rref = {}
         self._closed = {}
-        self._lines = set()
+        self._found = set()
 
-    def lines_through(self, i, among):
-        """The lines through hyperplane i, as masks of the hyperplanes of
-        ``among`` other than i, by their monic residues modulo row i; None
-        when a residue is zero, a row repeated."""
+    def _echelon(self, support):
+        """The canonical RREF rows of ``support`` and their pivots."""
+        if support not in self._rref:
+            rows = [self.rows[i] for i in _indices(support)]
+            self._rref[support] = _kernel.rref(rows, self.m, self.d, self.red)
+        return self._rref[support]
+
+    def covers(self, support, among):
+        """The hyperplanes of ``among`` off ``support``, as masks of classes
+        by their monic residues modulo the RREF of ``support``; None when a
+        residue is zero, a row in that span."""
         m, d, red = self.m, self.d, self.red
-        row = self.rows[i]
-        pivot = ([row], (_kernel.lead_column(row[0], d),))
+        rows, pivots = self._echelon(support)
         classes = {}
-        for j in _indices(among & ~(1 << i)):
-            key = _kernel.monic(_kernel.reduce(self.rows[j][0], *pivot, m, d, red), m, d, red)
+        for j in _indices(among & ~support):
+            residue = _kernel.reduce(self.rows[j][0], rows, pivots, m, d, red)
+            key = _kernel.monic(residue, m, d, red)
             if key is None:
                 return None
             classes[key] = classes.get(key, 0) | 1 << j
@@ -78,10 +90,9 @@ class Checker:
         """The canonical RREF rows of ``support``, whose number is its rank,
         when no row off it lies in their span; None otherwise."""
         if support not in self._closed:
-            m, d, red = self.m, self.d, self.red
-            rows, pivots = _kernel.rref([self.rows[i] for i in _indices(support)], m, d, red)
-            if support not in self._lines and any(
-                    _kernel.in_rowspace(self.rows[j], rows, pivots, m, d, red)
+            rows, pivots = self._echelon(support)
+            if support not in self._found and any(
+                    _kernel.in_rowspace(self.rows[j], rows, pivots, self.m, self.d, self.red)
                     for j in _indices(self.full & ~support)):
                 rows = None
             self._closed[support] = rows
@@ -103,24 +114,29 @@ class Checker:
                 return False
             block = here & ~below
             for p in _indices(block):
-                lines = self.lines_through(p, here)
+                lines = self.covers(1 << p, here)
                 if lines is None or any(line & block and not line & below for line in lines):
                     return False
         return True
 
-    def level(self, supports):
-        """Whether ``supports`` are the rank-2 flats, each listed once: the
-        lines through each hyperplane, each with it added, are exactly the
-        listed supports.  The lines found then skip ``closed``'s scan."""
-        found = set()
-        for i in range(len(self.rows)):
-            lines = self.lines_through(i, self.full)
-            if lines is None:
+    def levels(self, listed):
+        """Whether ``listed`` are the flats of ranks 2, 3, ..., in turn: from
+        the hyperplanes up, the covers of every flat one rank below, each
+        with its support added, are exactly the next listed level, in
+        ascending order with no support listed twice.  The flats found then
+        skip ``closed``'s scan."""
+        below = [1 << i for i in range(len(self.rows))]
+        for level in listed:
+            found = set()
+            for x in below:
+                classes = self.covers(x, self.full)
+                if classes is None:
+                    return False
+                found.update(x | c for c in classes)
+            if list(level) != sorted(found):
                 return False
-            found.update(line | 1 << i for line in lines)
-        if len(set(supports)) != len(supports) or found != set(supports):
-            return False
-        self._lines |= found
+            self._found |= found
+            below = level
         return True
 
     def separated(self, x, y):

@@ -836,7 +836,7 @@ class TestForgedEvidence:
     def test_refuted_without_a_refutation_rejected(self, d4):
         assert not validate_certificate(SupersolvabilityCertificate(d4.lattice, d4.chain, None))
 
-    @pytest.mark.parametrize("rank", [9, None])
+    @pytest.mark.parametrize("rank", [9, None, 1])
     def test_empty_rank_off_the_lattice_rejected(self, d4, rank):
         ref = d4.refutation
         ref = Refutation(ref.kind, rank, ref.witnesses, ref.modular_counts)
