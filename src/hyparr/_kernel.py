@@ -12,7 +12,7 @@ independent reference for the RREFs the library grows one residue at a
 time (``linalg.extend_by_rows``).  Outside ``elem_inv`` the library runs
 ``rref`` and ``rank`` only under ``analysis.validate_certificate``, which
 no command calls: its checker (``check``) takes the RREF of each support
-it meets and the rank of two stacked flats.
+it meets and the rank of one flat's rows reduced modulo another's.
 ``mul_matrix`` and ``mul_apply`` are the one multiplication: every product
 of field elements (``elem_mul``, ``eliminate``, ``monic``, ``rref``)
 builds the integer matrix of its multiplier, cached per element, and

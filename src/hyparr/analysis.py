@@ -39,11 +39,10 @@ The sum subspace itself is built only for the outputs that print it
 every certificate on the arrangement's rows, the lattice's supports and
 the certificate's own flats (``check``): a chain by its line pairs, every
 level a refutation rests on by cover classes and every witness, or every
-complement a ``no-chain`` tests, by one stacked rank.  It reads no flat
-or index of the lattice and none of the scan's mask tables.
-Scans run in the
-deterministic flat order (rank, then support bitset), so witnesses are
-reproducible.
+complement a ``no-chain`` tests, by Y's rows reduced modulo X's RREF.  It
+reads no flat or index of the lattice and none of the scan's mask tables.
+Scans run in the deterministic flat order (rank, then support bitset), so
+witnesses are reproducible.
 
 A lattice with factor lattices (``lattice_of``, built or assembled from
 cached factors) is not scanned.  Ranks add up over the factors and the semimodular
@@ -475,12 +474,13 @@ def validate_certificate(cert: SupersolvabilityCertificate) -> bool:
     the hyperplanes: for an ``empty-rank`` the listed levels below its rank
     and then its witnesses, which must be that whole rank in flat order;
     for a ``no-chain`` every level, up to the rank of the full support.
-    Every witness is checked by the stacked rank of two closed flats
-    (``separated``), and a ``no-chain`` counts as modular the interior flats
-    that no disjoint interior flat is separated from, only complements
-    needing a test (Brylawski, 1975).  Each flat the certificate names must
-    have the rank and the subspace rows the checker derives from its
-    support, so the printed evidence is the evidence checked."""
+    Every witness (X, Y) needs two closed flats and Y's rows, reduced
+    modulo X's RREF, of rank below r(Y) (``separated``), and a ``no-chain``
+    counts as modular the interior flats that no disjoint interior flat is
+    separated from, only complements needing a test (Brylawski, 1975).
+    Each flat the certificate names must have the rank and the subspace
+    rows the checker derives from its support, so the printed evidence is
+    the evidence checked."""
     from . import check
 
     arr, supports = cert.lattice.arrangement, cert.lattice.supports

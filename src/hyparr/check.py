@@ -5,7 +5,8 @@ hyperplanes (``arrangement._distinct_rows``), the ambient dimension and the
 field order; a flat is named by its support, an int whose bit i stands for
 hyperplane i.  Nothing here reads a lattice, a flat or a verdict of the
 search, so a certificate is checked against the hyperplanes alone.  Every
-check rests on one primitive and one test:
+check reduces rows modulo one support's cached RREF, in one primitive and
+one test:
 
 - **The covers of a flat** (``covers``): the rows off its support,
   reduced modulo the RREF of its rows and made monic, fall into classes of
@@ -14,7 +15,8 @@ check rests on one primitive and one test:
   added, is the support of one cover (Orlik-Terao, Ch. 1).  The lines
   through hyperplane i are the covers of ``1 << i``.
 - **Closedness** (``closed``): the RREF of a support's rows, which must
-  have the flat's rank, and no row off the support lies in its span.
+  have the flat's rank, and no row off the support lies in its span.  A
+  cover of a closed flat is closed, so ``levels`` records its flats.
 
 Three checks are built on them:
 
@@ -33,10 +35,10 @@ Three checks are built on them:
   and in ascending order.
 - **A witness that X is not modular** (``separated``): X and Y have
   disjoint supports, so the only flat on X + Y is the whole space, both
-  are closed, and their stacked rows have rank below r(X) + r(Y), so
-  dim(X + Y) = l - r(X) - r(Y) + rank is below the ambient l and X + Y is
-  no flat.  Only such complements need testing (Brylawski, 1975), so X is
-  modular when no flat of an interior rank is separated from it.
+  are closed, and Y's rows reduced modulo X's RREF have rank r(X v Y) -
+  r(X) below r(Y), so dim(X + Y) = l - r(X v Y) is below the ambient l and
+  X + Y is no flat.  Only such complements need testing (Brylawski, 1975),
+  so X is modular when no flat of an interior rank is separated from it.
 """
 
 from . import _kernel
@@ -52,8 +54,7 @@ class Checker:
     """The hyperplanes of one arrangement: ``rows`` are their normalized
     rows (leading coefficient 1, pairwise distinct), each of ``ambient``
     packed elements of ``Q(zeta_order)``.  The RREF and closedness are kept
-    by support, and a flat that ``levels`` has found needs no scan for it.
-    """
+    by support, and ``levels`` records the flats it finds as closed."""
 
     def __init__(self, rows, ambient, order):
         ctx = field_context(order)
@@ -62,7 +63,6 @@ class Checker:
         self.full = (1 << len(self.rows)) - 1
         self._rref = {}
         self._closed = {}
-        self._found = set()
 
     def _echelon(self, support):
         """The canonical RREF rows of ``support`` and their pivots."""
@@ -91,11 +91,9 @@ class Checker:
         when no row off it lies in their span; None otherwise."""
         if support not in self._closed:
             rows, pivots = self._echelon(support)
-            if support not in self._found and any(
-                    _kernel.in_rowspace(self.rows[j], rows, pivots, self.m, self.d, self.red)
-                    for j in _indices(self.full & ~support)):
-                rows = None
-            self._closed[support] = rows
+            off = (self.rows[j] for j in _indices(self.full & ~support))
+            hit = any(_kernel.in_rowspace(r, rows, pivots, self.m, self.d, self.red) for r in off)
+            self._closed[support] = None if hit else rows
         return self._closed[support]
 
     def chain(self, supports):
@@ -123,8 +121,8 @@ class Checker:
         """Whether ``listed`` are the flats of ranks 2, 3, ..., in turn: from
         the hyperplanes up, the covers of every flat one rank below, each
         with its support added, are exactly the next listed level, in
-        ascending order with no support listed twice.  The flats found then
-        skip ``closed``'s scan."""
+        ascending order with no support listed twice.  A level that matches
+        is recorded closed, with no scan."""
         below = [1 << i for i in range(len(self.rows))]
         for level in listed:
             found = set()
@@ -135,15 +133,17 @@ class Checker:
                 found.update(x | c for c in classes)
             if list(level) != sorted(found):
                 return False
-            self._found |= found
+            self._closed.update((s, self._echelon(s)[0]) for s in level)
             below = level
         return True
 
     def separated(self, x, y):
         """Whether the flats on supports ``x`` and ``y`` witness that X is not
-        modular: disjoint supports, both closed, and stacked rows of rank
-        below r(X) + r(Y), so X + Y is no flat."""
+        modular: disjoint, both closed, and Y's rows modulo X's RREF of rank
+        below r(Y), so r(X v Y) < r(X) + r(Y) and X + Y is no flat."""
         a, b = self.closed(x), self.closed(y)
         if x & y or a is None or b is None:
             return False
-        return _kernel.rank(list(a + b), self.m, self.d, self.red) < len(a) + len(b)
+        pivots = self._echelon(x)[1]
+        residues = [(_kernel.reduce(n, a, pivots, self.m, self.d, self.red), 1) for n, _ in b]
+        return _kernel.rank(residues, self.m, self.d, self.red) < len(b)

@@ -7,7 +7,7 @@ import pytest
 
 import hyparr.analysis
 import hyparr.check
-from hyparr import build_named, is_supersolvable, lattice_of
+from hyparr import _kernel, build_named, is_supersolvable, lattice_of
 from hyparr.analysis import Refutation, SupersolvabilityCertificate, validate_certificate
 from hyparr.arrangement import IntersectionLattice, _distinct_rows, product
 from hyparr.check import Checker
@@ -108,6 +108,14 @@ class TestForgedLattice:
         assert validate_certificate(forged) is False
 
 
+def open_pair(lattice):
+    """The first line on three hyperplanes or more, and its two lowest
+    hyperplanes, a support that is no flat."""
+    line = next(s for s in lattice.supports[2] if s.bit_count() >= 3)
+    low = line & -line
+    return line, low | (line ^ low) & -(line ^ low)
+
+
 class TestCovers:
     @pytest.mark.parametrize("name", ["D4", "H3", "G(3,1,3)"])
     def test_the_upper_covers_of_every_flat(self, store, name):
@@ -120,13 +128,11 @@ class TestCovers:
 
     @pytest.mark.parametrize("name", ["D4", "H3", "G(3,1,3)"])
     def test_a_support_that_is_not_closed_refused(self, store, name):
-        # two hyperplanes of a line on three or more: the third lies in
-        # their span, a zero residue
+        # the third hyperplane of the line lies in the pair's span, a zero
+        # residue
         lattice = store.lattice(name)
         chk = checker(lattice.arrangement)
-        line = next(s for s in lattice.supports[2] if s.bit_count() >= 3)
-        low = line & -line
-        pair = low | (line ^ low) & -(line ^ low)
+        line, pair = open_pair(lattice)
         assert chk.covers(pair, chk.full) is None
         assert chk.covers(line, chk.full) is not None
 
@@ -180,3 +186,91 @@ class TestLevel:
                 assert forged is not None and forged != level
                 assert not checker(lattice.arrangement).levels(
                     [*listed[:k], forged, *listed[k + 1:]])
+
+
+def stacked(chk, flats, x, y):
+    """The definition ``separated`` replaces: disjoint supports, both
+    flats, and the RREFs of their rows stacked of rank below r(X) + r(Y)."""
+    if x & y or x not in flats or y not in flats:
+        return False
+    m, d, red = chk.m, chk.d, chk.red
+    a, b = (_kernel.rref([chk.rows[i] for i in range(s.bit_length()) if s >> i & 1], m, d, red)[0]
+            for s in (x, y))
+    return _kernel.rank(list(a + b), m, d, red) < len(a) + len(b)
+
+
+class TestSeparated:
+    @pytest.mark.parametrize("name", ["D4", "H3", "G(3,1,3)"])
+    def test_every_pair_agrees_with_the_stacked_rank(self, store, name):
+        # every ordered pair of flats and of one support that is no flat
+        lattice = store.lattice(name)
+        chk = checker(lattice.arrangement)
+        flats = [s for level in lattice.supports for s in level]
+        supports = [*flats, open_pair(lattice)[1]]
+        outcomes = set()
+        for x in supports:
+            for y in supports:
+                expected = stacked(chk, set(flats), x, y)
+                assert chk.separated(x, y) is expected
+                outcomes.add(expected)
+        assert outcomes == {False, True}
+
+    def test_no_rank_sees_the_rows_of_x(self, monkeypatch, products):
+        # each rank ``separated`` takes is of Y's rows reduced modulo X's
+        # RREF: at most r(Y) rows, none of them X's, whose pivots they clear
+        inside, seen = [], []
+        real_separated, real_rank = Checker.separated, _kernel.rank
+
+        def separated(self, x, y):
+            inside.append((self, x, y))
+            try:
+                return real_separated(self, x, y)
+            finally:
+                inside.pop()
+
+        def rank(rows, *args):
+            if inside:
+                seen.append((*inside[-1], [(tuple(n), den) for n, den in rows]))
+            return real_rank(rows, *args)
+
+        monkeypatch.setattr(Checker, "separated", separated)
+        monkeypatch.setattr(_kernel, "rank", rank)
+        assert validate_certificate(products["G(3,3,3)", "B2"])
+        assert seen
+        for chk, x, y, rows in seen:
+            assert len(rows) <= len(chk.closed(y))
+            assert not set(rows) & set(chk.closed(x))
+
+
+def test_no_refutation_rescans_a_flat_levels_found(monkeypatch, store, products):
+    # ``closed`` scans the rows off a support only for a flat above the
+    # listed levels: none for a no-chain, which lists them all, and for
+    # G31's rank-2 refutation exactly the 8 flats that are the rank-3
+    # partners of 30 witnesses, each once
+    scanned, real = [], _kernel.in_rowspace
+
+    def in_rowspace(row, rows, *args):
+        if not scanned or scanned[-1] != rows:
+            scanned.append(rows)
+        return real(row, rows, *args)
+
+    monkeypatch.setattr(_kernel, "in_rowspace", in_rowspace)
+    assert validate_certificate(products["G(3,3,3)", "B2"])
+    assert scanned == []
+    g31 = store.certificate("G31")
+    assert g31.refutation.kind == "empty-rank" and g31.refutation.rank == 2
+    assert validate_certificate(g31)
+    above = {v.partner.subspace.rows for v in g31.refutation.witnesses if v.partner.rank == 3}
+    assert len(above) == 8
+    assert len(scanned) == len(set(scanned)) and set(scanned) == above
+
+
+@pytest.mark.parametrize("name", ["D4", "H3", "G(3,1,3)"])
+def test_a_rejected_level_trusts_none_of_its_supports(store, name):
+    # the lines with a support that is no flat added: ``levels`` rejects
+    # them, and ``closed`` still scans that support
+    lattice = store.lattice(name)
+    chk = checker(lattice.arrangement)
+    pair = open_pair(lattice)[1]
+    assert not chk.levels([sorted([*lattice.supports[2], pair])])
+    assert chk.closed(pair) is None
