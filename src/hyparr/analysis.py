@@ -37,10 +37,10 @@ defining rows reduced modulo Y's RREF, must be below the ambient dimension.
 The sum subspace itself is built only for the outputs that print it
 (``ModularityVerdict.witness``).  ``validate_certificate`` re-checks
 every certificate on the arrangement's rows, the lattice's supports and
-the certificate's own flats (``check``): a chain by its line pairs, every
-level a refutation rests on by cover classes and every witness, or every
-complement a ``no-chain`` tests, by Y's rows reduced modulo X's RREF.  It
-reads no flat or index of the lattice and none of the scan's mask tables.
+the certificate's own flats (``check``), each flat reached by cover
+classes: a chain by its links and line pairs, a refutation's levels from
+the hyperplanes up, and each pair (X, Y) it tests by Y's rows modulo X's
+RREF.  It reads no flat or index of the lattice and no scan's mask table.
 Scans run in the deterministic flat order (rank, then support bitset), so
 witnesses are reproducible.
 
@@ -469,18 +469,18 @@ def is_supersolvable(lattice: IntersectionLattice) -> SupersolvabilityCertificat
 def validate_certificate(cert: SupersolvabilityCertificate) -> bool:
     """Re-check a certificate from scratch, independently of the search,
     by ``check.Checker`` on the arrangement's rows, the lattice's supports
-    and the certificate's own flats.  A chain is checked by its line pairs.
-    Every level a refutation rests on is checked by cover classes, up from
-    the hyperplanes: for an ``empty-rank`` the listed levels below its rank
-    and then its witnesses, which must be that whole rank in flat order;
-    for a ``no-chain`` every level, up to the rank of the full support.
-    Every witness (X, Y) needs two closed flats and Y's rows, reduced
-    modulo X's RREF, of rank below r(Y) (``separated``), and a ``no-chain``
-    counts as modular the interior flats that no disjoint interior flat is
-    separated from, only complements needing a test (Brylawski, 1975).
-    Each flat the certificate names must have the rank and the subspace
-    rows the checker derives from its support, so the printed evidence is
-    the evidence checked."""
+    and the certificate's own flats, each reached by cover classes.  A
+    chain goes up one class a link and passes its line pairs.  Every level
+    a refutation rests on is checked from the hyperplanes up: for an
+    ``empty-rank`` the listed levels below its rank and then its witnesses,
+    which must be that whole rank in flat order; for a ``no-chain`` every
+    level, up to the rank of the full support.  Every witness (X, Y) needs
+    two flats and Y's rows, reduced modulo X's RREF, of rank below r(Y)
+    (``separated``), and a ``no-chain`` counts as modular the interior
+    flats that no disjoint interior flat is separated from, only
+    complements needing a test (Brylawski, 1975).  Each flat the
+    certificate names must have the rank and the subspace rows the checker
+    derives from its support, so the printed evidence is the evidence checked."""
     from . import check
 
     arr, supports = cert.lattice.arrangement, cert.lattice.supports

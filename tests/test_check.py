@@ -8,8 +8,9 @@ import pytest
 import hyparr.analysis
 import hyparr.check
 from hyparr import _kernel, build_named, is_supersolvable, lattice_of
-from hyparr.analysis import Refutation, SupersolvabilityCertificate, validate_certificate
-from hyparr.arrangement import IntersectionLattice, _distinct_rows, product
+from hyparr.analysis import (ModularityVerdict, Refutation, SupersolvabilityCertificate,
+                             validate_certificate)
+from hyparr.arrangement import Flat, IntersectionLattice, _distinct_rows, product
 from hyparr.check import Checker
 
 
@@ -123,18 +124,19 @@ class TestCovers:
         chk = checker(lattice.arrangement)
         for level in lattice.supports:
             for x in level:
-                found = sorted(x | c for c in chk.covers(x, chk.full))
+                assert chk.closed(x) is not None
+                found = sorted(x | c for c in chk.covers(x, chk.full).values())
                 assert found == lattice.upper_covers(x)
 
     @pytest.mark.parametrize("name", ["D4", "H3", "G(3,1,3)"])
     def test_a_support_that_is_not_closed_refused(self, store, name):
-        # the third hyperplane of the line lies in the pair's span, a zero
-        # residue
+        # from the pair's lowest hyperplane, the class of its other one
+        # holds the line's third hyperplane, off the pair
         lattice = store.lattice(name)
         chk = checker(lattice.arrangement)
         line, pair = open_pair(lattice)
-        assert chk.covers(pair, chk.full) is None
-        assert chk.covers(line, chk.full) is not None
+        assert chk.closed(pair) is None
+        assert chk.closed(line) is not None
 
 
 def swapped(level):
@@ -243,34 +245,127 @@ class TestSeparated:
 
 
 def test_no_refutation_rescans_a_flat_levels_found(monkeypatch, store, products):
-    # ``closed`` scans the rows off a support only for a flat above the
-    # listed levels: none for a no-chain, which lists them all, and for
-    # G31's rank-2 refutation exactly the 8 flats that are the rank-3
-    # partners of 30 witnesses, each once
-    scanned, real = [], _kernel.in_rowspace
+    # ``closed`` climbs only to a flat that ``chain`` or ``levels`` did not
+    # reach: none for a chain; the full support alone, for its rank, for a
+    # no-chain, which lists every level; and for G31's rank-2 refutation
+    # the 8 flats that are the rank-3 partners of 30 witnesses, and the
+    # full support, each once
+    climbed, real = [], Checker.closed
 
-    def in_rowspace(row, rows, *args):
-        if not scanned or scanned[-1] != rows:
-            scanned.append(rows)
-        return real(row, rows, *args)
+    def closed(self, support):
+        if support not in self._rref:
+            climbed.append(support)
+        return real(self, support)
 
-    monkeypatch.setattr(_kernel, "in_rowspace", in_rowspace)
-    assert validate_certificate(products["G(3,3,3)", "B2"])
-    assert scanned == []
+    monkeypatch.setattr(Checker, "closed", closed)
+    assert validate_certificate(store.certificate("G(4,1,5)"))
+    assert climbed == []
+    no_chain = products["G(3,3,3)", "B2"]
+    assert validate_certificate(no_chain)
+    assert climbed == list(no_chain.lattice.supports[-1])
+    climbed.clear()
     g31 = store.certificate("G31")
     assert g31.refutation.kind == "empty-rank" and g31.refutation.rank == 2
     assert validate_certificate(g31)
-    above = {v.partner.subspace.rows for v in g31.refutation.witnesses if v.partner.rank == 3}
+    above = {v.partner.support for v in g31.refutation.witnesses if v.partner.rank == 3}
     assert len(above) == 8
-    assert len(scanned) == len(set(scanned)) and set(scanned) == above
+    assert len(climbed) == len(set(climbed))
+    assert set(climbed) == above | set(g31.lattice.supports[-1])
+
+
+@pytest.mark.parametrize("name", ["G(3,1,3)", "B3"])
+def test_chain_with_a_hyperplane_put_below_its_own_rejected(store, name):
+    # a hyperplane a put below the chain's own h, where the line a v h holds
+    # those two alone: h's support is a cover class of a's, but the chain
+    # is not nested and one flat too long
+    cert = store.certificate(name)
+    bottom, h, *rest = cert.chain
+    pair = next(s for s in cert.lattice.supports[2] if s.bit_count() == 2 and s & h.support)
+    a = next(f for f in cert.lattice.levels[1] if f.support == pair & ~h.support)
+    forged = SupersolvabilityCertificate(cert.lattice, [bottom, a, h, *rest])
+    assert validate_certificate(forged) is False
+
+
+def test_every_certificate_kind_validates_with_no_row_space_scan(monkeypatch, store, products):
+    # every flat is reached through cover classes, G31's partners above
+    # its listed levels too, so no row off a support is tested against
+    # the span of its rows
+    def refuse(*args):
+        raise AssertionError("a row was tested against a span")
+
+    monkeypatch.setattr(_kernel, "in_rowspace", refuse)
+    for cert in (store.certificate("G(4,1,5)"), store.certificate("G31"),
+                 products["H3", "H3"], products["G(3,3,3)", "B2"]):
+        assert validate_certificate(cert)
 
 
 @pytest.mark.parametrize("name", ["D4", "H3", "G(3,1,3)"])
-def test_a_rejected_level_trusts_none_of_its_supports(store, name):
+def test_levels_grows_each_rref_from_a_reached_flat(monkeypatch, store, name):
+    # each RREF ``levels`` takes is of a reached flat X's RREF rows and one
+    # residue off X: r(X) + 1 independent rows, never a support's own rows,
+    # and one per flat of rank 2 or more
+    lattice = store.lattice(name)
+    chk = checker(lattice.arrangement)
+    calls, real = [], _kernel.rref
+
+    def rref(rows, *args):
+        out = real(rows, *args)
+        calls.append((tuple(rows), out[0]))
+        return out
+
+    monkeypatch.setattr(_kernel, "rref", rref)
+    assert chk.levels(lattice.supports[2:])
+    reached = {rows for rows, _ in chk._rref.values()}
+    assert len(calls) == sum(map(len, lattice.supports[2:]))
+    for rows, out in calls:
+        assert len(rows) == len(out) and rows[:-1] in reached
+
+
+class TestPastTheLastHyperplane:
+    """A certificate naming a flat whose support has a bit at or past the
+    last hyperplane validates False, and nothing raises."""
+
+    @staticmethod
+    def moved(flat, bit):
+        return Flat(flat.subspace, flat.support | 1 << bit, flat.rank)
+
+    @pytest.mark.parametrize("name", ["G(3,1,3)", "B3"])
+    def test_chain_flat(self, store, name):
+        cert = store.certificate(name)
+        chain = cert.chain
+        n = chain[-1].support.bit_length()
+        for k in range(len(chain)):
+            for bit in (n, n + 5):
+                forged = [*chain[:k], self.moved(chain[k], bit), *chain[k + 1:]]
+                assert validate_certificate(SupersolvabilityCertificate(cert.lattice, forged)) is False
+
+    @pytest.mark.parametrize("name", ["D4", "H3"])
+    def test_witness_partner(self, store, name):
+        cert = store.certificate(name)
+        ref = cert.refutation
+        assert ref.kind == "empty-rank"
+        n = cert.lattice.supports[-1][0].bit_length()
+        for k, v in enumerate(ref.witnesses):
+            for bit in (n, n + 5):
+                witnesses = list(ref.witnesses)
+                witnesses[k] = ModularityVerdict(v.flat, self.moved(v.partner, bit))
+                forged = Refutation(ref.kind, ref.rank, witnesses)
+                assert validate_certificate(
+                    SupersolvabilityCertificate(cert.lattice, None, forged)) is False
+
+
+@pytest.mark.parametrize("name", ["D4", "H3", "G(3,1,3)"])
+def test_a_rejected_level_trusts_none_of_its_supports(monkeypatch, store, name):
     # the lines with a support that is no flat added: ``levels`` rejects
-    # them, and ``closed`` still scans that support
+    # them, and ``closed`` still refuses that support; a level is reached
+    # only once it matches, so neither grows an RREF
     lattice = store.lattice(name)
     chk = checker(lattice.arrangement)
     pair = open_pair(lattice)[1]
+
+    def refuse(*args):
+        raise AssertionError("an RREF grown for a support that is no flat")
+
+    monkeypatch.setattr(_kernel, "rref", refuse)
     assert not chk.levels([sorted([*lattice.supports[2], pair])])
     assert chk.closed(pair) is None
