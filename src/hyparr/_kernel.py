@@ -10,9 +10,10 @@ is the one full elimination: ``rank`` counts its rows, ``elem_inv`` reads
 an inverse off its last column over ``Q``, and the tests hold it as an
 independent reference for the RREFs the library grows one residue at a
 time (``linalg.extend_by_rows``).  Outside ``elem_inv`` the library runs
-``rref`` and ``rank`` only under ``analysis.validate_certificate``, which
-no command calls: its checker (``check``) grows each flat's RREF from the
-one it covers by one residue, and ranks one flat's rows modulo another's.
+``rref`` only under ``analysis.validate_certificate``, which no command
+calls, once per flat a certificate names, to compare its printed rows;
+the checker under it (``check``) runs ``reduce``, ``monic`` and
+``lead_column`` alone.  No library code calls ``rank``.
 ``mul_matrix`` and ``mul_apply`` are the one multiplication: every product
 of field elements (``elem_mul``, ``eliminate``, ``monic``, ``rref``)
 builds the integer matrix of its multiplier, cached per element, and

@@ -39,8 +39,9 @@ The sum subspace itself is built only for the outputs that print it
 every certificate on the arrangement's rows, the lattice's supports and
 the certificate's own flats (``check``), each flat reached by cover
 classes: a chain by its links and line pairs, a refutation's levels from
-the hyperplanes up, and each pair (X, Y) it tests by Y's rows modulo X's
-RREF.  It reads no flat or index of the lattice and no scan's mask table.
+the hyperplanes up, and each pair (X, Y) it tests by Y's rows reduced in
+turn modulo X's basis.  It reads no flat or index of the lattice and no
+scan's mask table.
 Scans run in the deterministic flat order (rank, then support bitset), so
 witnesses are reproducible.
 
@@ -475,20 +476,28 @@ def validate_certificate(cert: SupersolvabilityCertificate) -> bool:
     ``empty-rank`` the listed levels below its rank and then its witnesses,
     which must be that whole rank in flat order; for a ``no-chain`` every
     level, up to the rank of the full support.  Every witness (X, Y) needs
-    two flats and Y's rows, reduced modulo X's RREF, of rank below r(Y)
-    (``separated``), and a ``no-chain`` counts as modular the interior
-    flats that no disjoint interior flat is separated from, only
+    two flats and one of Y's rows in the span of X's basis and Y's rows
+    before it (``separated``), and a ``no-chain`` counts as modular the
+    interior flats that no disjoint interior flat is separated from, only
     complements needing a test (Brylawski, 1975).  Each flat the
-    certificate names must have the rank and the subspace rows the checker
-    derives from its support, so the printed evidence is the evidence checked."""
-    from . import check
+    certificate names must have the rank the checker derives from its
+    support, and as subspace rows the RREF of the checker's basis, one
+    ``_kernel.rref`` per support, so the printed evidence is the evidence
+    checked; ``rref`` shares no code with the ``linalg.extend_rref`` that
+    grew the printed rows."""
+    from . import _kernel, check
 
     arr, supports = cert.lattice.arrangement, cert.lattice.supports
     chk = check.Checker(_distinct_rows(arr), arr.ambient, arr.order)
+    canonical = {}
 
     def derived(f: Flat) -> bool:
         rows = chk.closed(f.support)
-        return rows is not None and f.rank == len(rows) and f.subspace.rows == rows
+        if rows is None or f.rank != len(rows):
+            return False
+        if f.support not in canonical:
+            canonical[f.support] = _kernel.rref(rows, chk.m, chk.d, chk.red)[0]
+        return f.subspace.rows == canonical[f.support]
 
     if cert.verdict:
         chain = cert.chain or []

@@ -11,8 +11,8 @@ implementation of each: ``_kernel.reduce`` under ``form_residue`` and
 (``extend_by_rows``).  The kernel's one full elimination, ``_kernel.rref``,
 is the tests' independent reference for these RREFs; the library reaches
 it only through ``_kernel.elem_inv`` and under
-``analysis.validate_certificate``, whose checker (``check``) runs it and
-``_kernel.rank``.
+``analysis.validate_certificate``, once per flat a certificate names, to
+compare that flat's printed rows with the checker's (``check``) basis.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import sys
 
 import pytest
 
@@ -23,6 +24,11 @@ def test_imports_only_the_kernel_and_the_field_context():
     imports = [(node.level, node.module, [a.name for a in node.names])
                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert imports == [(1, None, ["_kernel"]), (1, "cyclo", ["field_context"])]
+    # no full elimination: the pivot-clearing loop, the scaling to leading
+    # coefficient 1 and the search for the leading entry are all it reads
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "_kernel"}
+    assert read == {"reduce", "monic", "lead_column"}
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +134,8 @@ class TestCovers:
                 found = sorted(x | c for c in chk.covers(x, chk.full).values())
                 assert found == lattice.upper_covers(x)
 
+
+class TestClosed:
     @pytest.mark.parametrize("name", ["D4", "H3", "G(3,1,3)"])
     def test_a_support_that_is_not_closed_refused(self, store, name):
         # from the pair's lowest hyperplane, the class of its other one
@@ -217,34 +225,38 @@ class TestSeparated:
                 outcomes.add(expected)
         assert outcomes == {False, True}
 
-    def test_no_rank_sees_the_rows_of_x(self, monkeypatch, products):
-        # each rank ``separated`` takes is of Y's rows reduced modulo X's
-        # RREF: at most r(Y) rows, none of them X's, whose pivots they clear
+    def test_reduces_only_the_rows_of_y(self, monkeypatch, products):
+        # each row ``separated`` reduces itself is one of Y's basis rows,
+        # at most r(Y) of them and none of X's, modulo X's basis with the
+        # residues kept so far appended
         inside, seen = [], []
-        real_separated, real_rank = Checker.separated, _kernel.rank
+        real_separated, real_reduce = Checker.separated, _kernel.reduce
 
         def separated(self, x, y):
-            inside.append((self, x, y))
+            inside.append((self, x, y, []))
             try:
                 return real_separated(self, x, y)
             finally:
-                inside.pop()
+                seen.append(inside.pop())
 
-        def rank(rows, *args):
-            if inside:
-                seen.append((*inside[-1], [(tuple(n), den) for n, den in rows]))
-            return real_rank(rows, *args)
+        def reduce(cur, rows, *args):
+            if sys._getframe(1).f_code is real_separated.__code__:
+                inside[-1][3].append((tuple(cur), tuple(rows)))
+            return real_reduce(cur, rows, *args)
 
         monkeypatch.setattr(Checker, "separated", separated)
-        monkeypatch.setattr(_kernel, "rank", rank)
+        monkeypatch.setattr(_kernel, "reduce", reduce)
         assert validate_certificate(products["G(3,3,3)", "B2"])
-        assert seen
-        for chk, x, y, rows in seen:
-            assert len(rows) <= len(chk.closed(y))
-            assert not set(rows) & set(chk.closed(x))
+        assert any(calls for *_, calls in seen)
+        for chk, x, y, calls in seen:
+            a, b = chk.closed(x), chk.closed(y)
+            assert len(calls) <= len(b)
+            for k, (cur, rows) in enumerate(calls):
+                assert cur == tuple(b[k][0]) and cur not in {n for n, _ in a}
+                assert rows[:len(a)] == a and len(rows) == len(a) + k
 
 
-def test_no_refutation_rescans_a_flat_levels_found(monkeypatch, store, products):
+def test_no_refutation_climbs_to_a_flat_levels_reached(monkeypatch, store, products):
     # ``closed`` climbs only to a flat that ``chain`` or ``levels`` did not
     # reach: none for a chain; the full support alone, for its rank, for a
     # no-chain, which lists every level; and for G31's rank-2 refutation
@@ -253,7 +265,7 @@ def test_no_refutation_rescans_a_flat_levels_found(monkeypatch, store, products)
     climbed, real = [], Checker.closed
 
     def closed(self, support):
-        if support not in self._rref:
+        if support not in self._basis:
             climbed.append(support)
         return real(self, support)
 
@@ -299,26 +311,53 @@ def test_every_certificate_kind_validates_with_no_row_space_scan(monkeypatch, st
         assert validate_certificate(cert)
 
 
-@pytest.mark.parametrize("name", ["D4", "H3", "G(3,1,3)"])
-def test_levels_grows_each_rref_from_a_reached_flat(monkeypatch, store, name):
-    # each RREF ``levels`` takes is of a reached flat X's RREF rows and one
-    # residue off X: r(X) + 1 independent rows, never a support's own rows,
-    # and one per flat of rank 2 or more
-    lattice = store.lattice(name)
-    chk = checker(lattice.arrangement)
-    calls, real = [], _kernel.rref
+def test_one_rref_per_named_flat(monkeypatch, store, products):
+    # the checker eliminates nothing in full; the validator takes one RREF
+    # of the checker's basis per support the certificate names, to compare
+    # its printed rows, and none for a no-chain, which names no flat
+    calls, real, inverse = [], _kernel.rref, _kernel.elem_inv.__wrapped__.__code__
 
     def rref(rows, *args):
-        out = real(rows, *args)
-        calls.append((tuple(rows), out[0]))
-        return out
+        if sys._getframe(1).f_code is not inverse:
+            calls.append(rows)
+        return real(rows, *args)
 
     monkeypatch.setattr(_kernel, "rref", rref)
+    g31, chain = store.certificate("G31"), store.certificate("G(4,1,5)")
+    witnesses = g31.refutation.witnesses
+    named = [(g31, {f.support for v in witnesses for f in (v.flat, v.partner)}),
+             (chain, {f.support for f in chain.chain}), (products["G(3,3,3)", "B2"], set())]
+    assert len(named[0][1]) < 2 * len(witnesses)
+    for cert, supports in named:
+        calls.clear()
+        assert validate_certificate(cert)
+        assert len(calls) == len(supports)
+
+
+@pytest.mark.parametrize("name", ["D4", "H3", "G(3,1,3)"])
+def test_levels_grows_each_basis_from_a_reached_flat(store, name):
+    # each basis ``levels`` keeps is a reached flat X's basis with one
+    # residue off X appended, r(X) + 1 rows, and one per flat of rank 2 or
+    # more; every row is monic and zero at the pivots before its own, so
+    # the basis is semi-echelon
+    lattice = store.lattice(name)
+    chk = checker(lattice.arrangement)
+    before = set(chk._basis)
     assert chk.levels(lattice.supports[2:])
-    reached = {rows for rows, _ in chk._rref.values()}
-    assert len(calls) == sum(map(len, lattice.supports[2:]))
-    for rows, out in calls:
-        assert len(rows) == len(out) and rows[:-1] in reached
+    kept = set(chk._basis) - before
+    reached = {rows for rows, _ in chk._basis.values()}
+    assert sorted(kept) == sorted(s for level in lattice.supports[2:] for s in level)
+    d = chk.d
+    for k, level in enumerate(lattice.supports):
+        for s in level:
+            rows, pivots = chk._basis[s]
+            assert len(rows) == len(pivots) == k
+            if s in kept:
+                assert rows[:-1] in reached
+            for i, ((nums, den), p) in enumerate(zip(rows, pivots)):
+                assert _kernel.lead_column(nums, d) == p
+                assert nums[p * d:(p + 1) * d] == (den,) + (0,) * (d - 1)
+                assert not any(any(nums[q * d:(q + 1) * d]) for q in pivots[:i])
 
 
 class TestPastTheLastHyperplane:
@@ -358,14 +397,16 @@ class TestPastTheLastHyperplane:
 def test_a_rejected_level_trusts_none_of_its_supports(monkeypatch, store, name):
     # the lines with a support that is no flat added: ``levels`` rejects
     # them, and ``closed`` still refuses that support; a level is reached
-    # only once it matches, so neither grows an RREF
+    # only once it matches, so neither reaches a flat
     lattice = store.lattice(name)
     chk = checker(lattice.arrangement)
     pair = open_pair(lattice)[1]
+    kept = set(chk._basis)
 
     def refuse(*args):
-        raise AssertionError("an RREF grown for a support that is no flat")
+        raise AssertionError("a flat reached from a level that did not match")
 
-    monkeypatch.setattr(_kernel, "rref", refuse)
+    monkeypatch.setattr(Checker, "_reach", refuse)
     assert not chk.levels([sorted([*lattice.supports[2], pair])])
     assert chk.closed(pair) is None
+    assert set(chk._basis) == kept
